@@ -1,11 +1,11 @@
-"""Pure-Python sparse row-echelon kernel.
+"""Sparse exact row-echelon kernel, in pure Python over a ``Field``.
 
-The compiled twin in ``_speedups.pyx`` implements the same contract; the
-selector in ``kernel.py`` picks whichever is available.  Rows are pairs
-``[cols, vals]`` with ``cols`` strictly increasing and ``vals`` nonzero.
-Pivoting: smallest column index first, then the row with fewest nonzeros,
-then first-come (deterministic).
+Rows are pairs ``[cols, vals]`` with ``cols`` strictly increasing and
+``vals`` nonzero.  Pivoting: smallest column index first, then the row with
+fewest nonzeros, then first-come (deterministic).
 """
+
+from bisect import bisect_left
 
 
 def _axpy(cols_a, vals_a, f, cols_b, vals_b, ops):
@@ -47,7 +47,8 @@ def _axpy(cols_a, vals_a, f, cols_b, vals_b, ops):
 
 def row_echelon(rows, limit, ops, reduced=True):
     """Reduce sparse rows in place of a matrix whose pivot columns must lie
-    below ``limit`` (columns >= limit ride along, e.g. augmented parts).
+    below ``limit`` (columns >= limit ride along, e.g. augmented parts),
+    with the scalar operations of the ``Field`` ``ops``.
 
     Returns ``(pivots, erows, residual)``: pivot columns in increasing order,
     the corresponding normalized echelon rows, and rows with no support below
@@ -91,14 +92,7 @@ def row_echelon(rows, limit, ops, reduced=True):
             pc, pv = erows[k]
             for j in range(k):
                 rc, rv = erows[j]
-                # binary search for c in rc
-                lo, hi = 0, len(rc)
-                while lo < hi:
-                    mid = (lo + hi) // 2
-                    if rc[mid] < c:
-                        lo = mid + 1
-                    else:
-                        hi = mid
+                lo = bisect_left(rc, c)
                 if lo < len(rc) and rc[lo] == c:
                     erows[j] = _axpy(rc, rv, rv[lo], pc, pv, ops)
 

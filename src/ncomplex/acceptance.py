@@ -69,9 +69,9 @@ def _parallel_map(worker, payloads):
 
 
 def _timed(number, name, budget, fn, seed):
-    t0 = time.time()
+    t0 = time.perf_counter()
     ok, details, witness = fn(seed)
-    return CriterionReport(number, name, ok, time.time() - t0, budget,
+    return CriterionReport(number, name, ok, time.perf_counter() - t0, budget,
                            details, witness)
 
 

@@ -31,6 +31,16 @@ R_ZERO = rat(0)
 R_ONE = rat(1)
 
 
+def _parse_rat(s):
+    """A rational from "n" or "n/d"; a zero denominator is a ValueError."""
+    if "/" not in s:
+        return rat(int(s))
+    n, d = s.split("/")
+    if int(d) == 0:
+        raise ValueError(f"zero denominator in scalar {s!r}")
+    return rat(int(n), int(d))
+
+
 def _poly_trim(c):
     while c and not c[-1]:
         c.pop()
@@ -242,10 +252,7 @@ class Field:
     def parse(self, s):
         s = s.strip()
         if self.kind == "rationals":
-            if "/" in s:
-                n, d = s.split("/")
-                return rat(int(n), int(d))
-            return rat(int(s))
+            return _parse_rat(s)
         body, _, tail = s.partition(" mod ")
         if not (body.startswith("[") and body.endswith("]")):
             raise ValueError(f"bad cyclotomic scalar {s!r}")
@@ -254,14 +261,7 @@ class Field:
         items = [t.strip() for t in body[1:-1].split(",")] if body != "[]" else []
         if len(items) != self.degree:
             raise ValueError(f"expected {self.degree} coefficients in {s!r}")
-        coeffs = []
-        for t in items:
-            if "/" in t:
-                n, d = t.split("/")
-                coeffs.append(rat(int(n), int(d)))
-            else:
-                coeffs.append(rat(int(t)))
-        return tuple(coeffs)
+        return tuple(_parse_rat(t) for t in items)
 
     def to_json(self):
         if self.kind == "rationals":

@@ -1,50 +1,11 @@
-"""Kernel selector: compiled elimination core when available, else pure Python.
+"""The sparse row-echelon kernel behind every rank, kernel, image and solve.
 
-Set NCX_PURE=1 to force the pure backend (used by the parity tests and the
-benchmark).
+``row_echelon`` is ``_kernel_py.row_echelon``; see there for the contract.
+``BACKEND`` names the elimination path in benchmark and environment records.
 """
 
-from __future__ import annotations
+from ._kernel_py import row_echelon
 
-import os
+BACKEND = "pure"
 
-from . import _kernel_py
-
-try:
-    from . import _speedups
-
-    _HAVE_COMPILED = True
-except ImportError:  # pragma: no cover - built by setup.py
-    _HAVE_COMPILED = False
-
-_FORCE_PURE = os.environ.get("NCX_PURE") == "1"
-
-BACKEND = "compiled" if (_HAVE_COMPILED and not _FORCE_PURE) else "pure"
-
-_ops_cache = {}
-
-
-def _compiled_ops(field):
-    ops = _ops_cache.get(field)
-    if ops is None:
-        if field.kind == "rationals":
-            ops = _speedups.RatOps()
-        else:
-            ops = _speedups.CycOps(field.degree, field.reduction, field)
-        _ops_cache[field] = ops
-    return ops
-
-
-def row_echelon(rows, limit, field, reduced=True, backend=None):
-    """Sparse row echelon; see ``_kernel_py.row_echelon`` for the contract."""
-    use = backend or BACKEND
-    if use == "compiled":
-        return _speedups.row_echelon(rows, limit, _compiled_ops(field), reduced)
-    return _kernel_py.row_echelon(rows, limit, field, reduced)
-
-
-def available_backends():
-    names = ["pure"]
-    if _HAVE_COMPILED:
-        names.insert(0, "compiled")
-    return names
+__all__ = ["BACKEND", "row_echelon"]

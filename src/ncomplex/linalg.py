@@ -3,6 +3,8 @@ subspaces and quotients with deterministic representative choices."""
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 from . import kernel
 from .fields import Field
 
@@ -225,11 +227,41 @@ class ExactMatrix:
 
     @staticmethod
     def from_json(obj, field=None):
+        if not isinstance(obj, dict):
+            raise ValueError("a matrix must be a JSON object")
         f = field or Field.from_json(obj["field"])
+        shape = obj.get("rows"), obj.get("cols")
+        for name, n in zip(("rows", "cols"), shape):
+            if not _is_index(n):
+                raise ValueError(f"matrix {name} must be a non-negative int, got {n!r}")
+        entries = obj.get("entries")
+        if not isinstance(entries, list):
+            raise ValueError("matrix entries must be a list of [row, col, scalar]")
         ent = {}
-        for r, c, s in obj["entries"]:
-            ent[(r, c)] = f.parse(s)
-        return ExactMatrix(obj["rows"], obj["cols"], f, ent)
+        for e in entries:
+            if not (
+                isinstance(e, list)
+                and len(e) == 3
+                and _is_index(e[0], shape[0])
+                and _is_index(e[1], shape[1])
+                and isinstance(e[2], str)
+            ):
+                raise ValueError(
+                    f"matrix entry {e!r} is not an in-bounds [row, col, scalar] "
+                    f"triple of a {shape[0]}x{shape[1]} matrix"
+                )
+            ent[(e[0], e[1])] = f.parse(e[2])
+        return ExactMatrix(shape[0], shape[1], f, ent)
+
+
+def _is_index(n, bound=None):
+    """n is a non-negative int (not a bool), below ``bound`` unless None."""
+    return (
+        isinstance(n, int)
+        and not isinstance(n, bool)
+        and n >= 0
+        and (bound is None or n < bound)
+    )
 
 
 # -- elimination-backed operations ---------------------------------------
@@ -260,13 +292,7 @@ def kernel_basis(M):
     for fc in free:
         col = {fc: f.one}
         for p, (rc, rv) in zip(pivots, erows):
-            lo, hi = 0, len(rc)
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if rc[mid] < fc:
-                    lo = mid + 1
-                else:
-                    hi = mid
+            lo = bisect_left(rc, fc)
             if lo < len(rc) and rc[lo] == fc:
                 col[p] = f.neg(rv[lo])
         cols.append(col)

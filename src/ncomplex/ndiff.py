@@ -62,6 +62,10 @@ class NDiffModule:
 
     @staticmethod
     def from_json(obj):
+        if not (isinstance(obj, dict) and {"N", "field", "d"} <= obj.keys()):
+            raise ValueError("a module must be a JSON object with keys N, field and d")
+        if not isinstance(obj["N"], int) or isinstance(obj["N"], bool):
+            raise ValueError(f"module N must be an int, got {obj['N']!r}")
         f = Field.from_json(obj["field"])
         return NDiffModule(obj["N"], ExactMatrix.from_json(obj["d"], field=f))
 

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ncomplex
 from ncomplex import cli
 from ncomplex.fields import QQ
 from ncomplex.ndiff import block_module
@@ -82,6 +87,41 @@ def test_usage_error_invalid_module(tmp_path):
               "entries": [[0, 0, "1"], [1, 1, "1"]]},
     }))
     assert cli.main(["homology", str(bad)]) == 2
+
+
+_Q = {"kind": "rationals"}
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"N": 2, "field": _Q,
+         "d": {"rows": 2, "cols": 2, "field": _Q, "entries": [[5, 7, "1"]]}},
+        {"N": 2, "field": _Q,
+         "d": {"rows": 2, "cols": 2, "field": _Q, "entries": [[0, 1, "1/0"]]}},
+        {"N": 2, "field": _Q},
+        [],
+        {"N": "2", "field": _Q,
+         "d": {"rows": 1, "cols": 1, "field": _Q, "entries": []}},
+        {"N": 2, "field": _Q,
+         "d": {"rows": 1, "cols": 1, "field": _Q, "entries": 5}},
+    ],
+    ids=["entry-out-of-bounds", "zero-denominator", "missing-d", "not-an-object",
+         "N-not-an-int", "entries-not-a-list"],
+)
+def test_malformed_module_exits_2(tmp_path, obj):
+    """Malformed module JSON is bad input: exit 2 with a message, no traceback."""
+    bad = tmp_path / "bad_mod.json"
+    bad.write_text(json.dumps(obj))
+    src = str(Path(ncomplex.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "ncomplex.cli", "homology", str(bad)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "ncx: invalid input:" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_usage_error_unknown_command():

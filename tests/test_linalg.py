@@ -1,5 +1,5 @@
+import copy
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -20,28 +20,30 @@ from ncomplex.linalg import (
 )
 
 
-def dense_rank_oracle(rows):
-    """Fraction-based dense Gaussian elimination, independent of the kernel."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    rk = 0
+def dense_rref(rows, field):
+    """Dense Gauss-Jordan elimination from the Field's scalar operations,
+    independent of the kernel; returns (pivot columns, nonzero RREF rows)."""
+    m = [list(row) for row in rows]
+    pivots = []
     ncols = len(m[0]) if m else 0
     for c in range(ncols):
-        piv = None
-        for r in range(rk, len(m)):
-            if m[r][c] != 0:
-                piv = r
-                break
+        rk = len(pivots)
+        piv = next((r for r in range(rk, len(m)) if not field.is_zero(m[r][c])), None)
         if piv is None:
             continue
         m[rk], m[piv] = m[piv], m[rk]
-        inv = 1 / m[rk][c]
-        m[rk] = [v * inv for v in m[rk]]
+        inv = field.inv(m[rk][c])
+        m[rk] = [field.mul(inv, v) for v in m[rk]]
         for r in range(len(m)):
-            if r != rk and m[r][c] != 0:
+            if r != rk and not field.is_zero(m[r][c]):
                 f = m[r][c]
-                m[r] = [a - f * b for a, b in zip(m[r], m[rk])]
-        rk += 1
-    return rk
+                m[r] = [field.sub(a, field.mul(f, b)) for a, b in zip(m[r], m[rk])]
+        pivots.append(c)
+    return pivots, m[: len(pivots)]
+
+
+def dense_rank_oracle(rows):
+    return len(dense_rref([[rat(x) for x in row] for row in rows], QQ)[0])
 
 
 def random_int_matrix(rng, nrows, ncols, density=0.6, span=4):
@@ -166,12 +168,52 @@ def test_cyclotomic_elimination():
     assert (M @ K.basis).is_zero()
 
 
+def _to_dense(rows, width, field):
+    dense = []
+    for cols, vals in rows:
+        row = [field.zero] * width
+        for c, v in zip(cols, vals):
+            row[c] = v
+        dense.append(row)
+    return dense
+
+
+def _check_echelon_against_oracle(rows, limit, width, field):
+    """kernel.row_echelon(rows, limit) against the dense RREF of the rows.
+
+    Pivots and the part of each echelon row below ``limit`` are unique.  The
+    residual rows span the row space's part with no support below ``limit``,
+    and an echelon row's part from ``limit`` on is unique modulo that span.
+    """
+    pivots, erows, residual = kernel.row_echelon(copy.deepcopy(rows), limit, field)
+    unreduced = kernel.row_echelon(copy.deepcopy(rows), limit, field, reduced=False)
+    assert unreduced[0] == pivots
+    for cols, vals in erows + residual:
+        assert cols == sorted(set(cols))
+        assert not any(field.is_zero(v) for v in vals)
+    assert all(cols[0] >= limit for cols, _ in residual)
+
+    o_piv, o_rows = dense_rref(_to_dense(rows, width, field), field)
+    rk = len(pivots)
+    assert pivots == o_piv[:rk]
+    assert all(c >= limit for c in o_piv[rk:])
+
+    r_piv, r_rows = dense_rref(_to_dense(residual, width, field), field)
+    assert (r_piv, r_rows) == (o_piv[rk:], o_rows[rk:])
+
+    for row, expected in zip(_to_dense(erows, width, field), o_rows):
+        for c, r_row in zip(r_piv, r_rows):
+            f = row[c]
+            row = [field.sub(a, field.mul(f, b)) for a, b in zip(row, r_row)]
+        assert row == expected
+
+
 @pytest.mark.parametrize("seed", range(6))
-def test_backend_parity(seed):
-    """Compiled and pure kernels must agree entry-for-entry."""
-    if kernel.available_backends() == ["pure"]:
-        pytest.skip("compiled backend not built")
+def test_row_echelon_against_dense_oracle(seed):
+    """RREF entries, pivots and residual rows over Q and Q(zeta_4), plain and
+    augmented by the identity as EchelonSolver does."""
     rng = random.Random(300 + seed)
+    cases = []
     for field in (QQ, make_cyclotomic(4)):
         nr, ncols = rng.randint(1, 12), rng.randint(1, 12)
         rows = []
@@ -182,13 +224,30 @@ def test_backend_parity(seed):
             ]
             ent = [(c, v) for c, v in ent if not field.is_zero(v)]
             rows.append(([c for c, _ in ent], [v for _, v in ent]))
-        import copy
+        cases.append((field, rows, ncols))
+    # genuinely cyclotomic entries, with one row dependent over Q(zeta_4) only
+    field = make_cyclotomic(4)
+    nr, ncols = rng.randint(2, 8), rng.randint(1, 8)
+    dense = [
+        [field.random_scalar(rng, 2) if rng.random() < 0.6 else field.zero
+         for _ in range(ncols)]
+        for _ in range(nr)
+    ]
+    z = field.zeta()
+    dense.append([field.add(field.mul(z, a), b) for a, b in zip(dense[0], dense[1])])
+    rows = []
+    for row in dense:
+        cols = [c for c, v in enumerate(row) if not field.is_zero(v)]
+        rows.append((cols, [row[c] for c in cols]))
+    cases.append((field, rows, ncols))
 
-        out_c = kernel.row_echelon(copy.deepcopy(rows), ncols, field, backend="compiled")
-        out_p = kernel.row_echelon(copy.deepcopy(rows), ncols, field, backend="pure")
-        assert out_c[0] == out_p[0]
-        assert out_c[1] == out_p[1]
-        assert out_c[2] == out_p[2]
+    for field, rows, ncols in cases:
+        _check_echelon_against_oracle(rows, ncols, ncols, field)
+        augmented = [
+            (cols + [ncols + i], vals + [field.one])
+            for i, (cols, vals) in enumerate(rows)
+        ]
+        _check_echelon_against_oracle(augmented, ncols, ncols + len(rows), field)
 
 
 def test_matrix_json_roundtrip():
