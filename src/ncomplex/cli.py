@@ -148,6 +148,10 @@ def cmd_ses(args):
     )
 
     obj = _load_json(args.ses)
+    if not (isinstance(obj, dict) and {"E", "F", "G", "phi", "psi"} <= obj.keys()):
+        raise ValueError(
+            "a short exact sequence must be a JSON object with keys E, F, G, phi and psi"
+        )
     E = NDiffModule.from_json(obj["E"])
     F = NDiffModule.from_json(obj["F"])
     G = NDiffModule.from_json(obj["G"])
@@ -378,8 +382,9 @@ def cmd_selftest(args):
     if args.only:
         numbers = {int(x) for x in args.only.split(",")}
     reports = acceptance.run_all(seed=args.seed, numbers=numbers)
-    for rep in reports:
-        print(rep.line())
+    if args.format == "text":
+        for rep in reports:
+            print(rep.line())
     ok = all(r.ok for r in reports)
     out = {"command": "selftest", "ok": ok, "seed": args.seed,
            "criteria": [r.to_json() for r in reports]}

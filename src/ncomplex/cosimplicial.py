@@ -14,6 +14,7 @@ from .linalg import (
     EchelonSolver,
     ExactMatrix,
     Subspace,
+    _is_index,
     image_basis,
     kernel_basis,
 )
@@ -138,10 +139,35 @@ class AlgebraData:
 
     @staticmethod
     def from_json(obj):
+        if not (
+            isinstance(obj, dict)
+            and {"field", "dim", "structure_constants"} <= obj.keys()
+        ):
+            raise ValueError(
+                "an algebra must be a JSON object with keys field, dim and "
+                "structure_constants"
+            )
         f = Field.from_json(obj["field"])
         n = obj["dim"]
+        if not _is_index(n):
+            raise ValueError(f"algebra dim must be a non-negative int, got {n!r}")
+        sc = obj["structure_constants"]
+        if not isinstance(sc, list) or not all(
+            isinstance(e, list) and len(e) == 4
+            and all(_is_index(t, n) for t in e[:3]) and isinstance(e[3], str)
+            for e in sc
+        ):
+            raise ValueError(
+                "structure_constants must be a list of in-bounds [i, j, k, scalar]"
+            )
+        for key in ("unit", "counit"):
+            if key in obj and not (
+                isinstance(obj[key], list) and len(obj[key]) == n
+                and all(isinstance(t, str) for t in obj[key])
+            ):
+                raise ValueError(f"algebra {key} must be a list of {n} scalars")
         structure = [[{} for _ in range(n)] for _ in range(n)]
-        for i, j, k, s in obj["structure_constants"]:
+        for i, j, k, s in sc:
             v = f.parse(s)
             if not f.is_zero(v):
                 structure[i][j][k] = v

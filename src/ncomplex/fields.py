@@ -274,12 +274,22 @@ class Field:
 
     @staticmethod
     def from_json(obj):
-        if obj["kind"] == "rationals":
+        kind = obj.get("kind") if isinstance(obj, dict) else None
+        if kind == "rationals":
             return QQ
-        f = make_cyclotomic(obj["M"])
+        if kind != "cyclotomic":
+            raise ValueError(
+                "a field must be a JSON object with kind \"rationals\" or "
+                f"\"cyclotomic\", got {obj!r}"
+            )
+        M = obj.get("M")
+        if not isinstance(M, int) or isinstance(M, bool) or M < 1:
+            raise ValueError(f"cyclotomic field M must be a positive int, got {M!r}")
+        f = make_cyclotomic(M)
         if "minimal_polynomial" in obj:
-            if tuple(obj["minimal_polynomial"]) != f.minimal_polynomial:
-                raise ValueError("minimal polynomial mismatch for Phi(%d)" % obj["M"])
+            mp = obj["minimal_polynomial"]
+            if not isinstance(mp, list) or tuple(mp) != f.minimal_polynomial:
+                raise ValueError("minimal polynomial mismatch for Phi(%d)" % M)
         return f
 
     def random_scalar(self, rng, span=5):

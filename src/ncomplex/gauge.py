@@ -92,8 +92,12 @@ class ExtendedSpace:
 
 
 def extend(G):
-    """Build H-bullet; validates A d = q^2 d A, Q^N = 0 and Lemma 12
-    (H^n_(k)(H-bullet, d) = 0 for n >= 1 and H^0_(k) = H_I)."""
+    """Build H-bullet; validates A d = q^2 d A, A^N = 0, Q^N = 0 and Lemma 12
+    (H^n_(k)(H-bullet, d) = 0 for n >= 1 and H^0_(k) = H_I).
+
+    Certificates: A is blockdiag(G.A, q^2 Abar, ..., q^(2(N-1)) Abar) with q
+    a unit, so A^N = 0 is proved by G.A^N = 0 and Abar^N = 0; Q^N = 0 by the
+    image chain of ``NDiffModule``; Lemma 12 by the graded homology of d."""
     f = G.field
     N, h = G.N, G.dim
     q2 = f.mul(G.q, G.q)
@@ -129,7 +133,7 @@ def extend(G):
     # validations
     if (A @ d) != (d @ A).scale(q2):
         raise AssertionError("A d - q^2 d A != 0 on H-bullet")
-    if not A.power(N).is_zero():
+    if not (G.A.power(N).is_zero() and Abar.power(N).is_zero()):
         raise AssertionError("A^N != 0 on H-bullet")
     Q = NDiffModule(N, d + A)  # raises unless Q^N = 0
     # Lemma 12: graded homology of d

@@ -51,6 +51,7 @@ class GradedNComplex:
         self.truncated_below = truncated_below
         self.truncated_above = truncated_above
         self.product = product  # optional ((a_deg, vec), (b_deg, vec)) -> vec
+        self._composites = {}
         if cyclic:
             self.n_min, self.n_max = 0, N - 1
             assert set(self.dims) == set(range(N))
@@ -85,17 +86,25 @@ class GradedNComplex:
         return ExactMatrix.zeros(dtgt, dsrc, self.field)
 
     def composite(self, n, k):
-        """d^k: E^n -> E^(n+k), or None if it is not determined."""
-        dsrc = self.dim(n)
-        if dsrc is None:
-            return None
-        acc = ExactMatrix.identity(dsrc, self.field)
-        for j in range(k):
-            M = self.map(n + j)
-            if M is None:
-                return None
-            acc = M @ acc
-        return acc
+        """d^k: E^n -> E^(n+k), or None if it is not determined.
+
+        Memoized (``maps`` is fixed after construction): d^k is
+        map(n+k-1) @ d^(k-1), d^1 is the map itself, and the identity is
+        formed only for k = 0.  ``validate`` certifies d^N = 0 on these
+        products, which ``graded_homology`` then reuses."""
+        key = (n, k)
+        if key not in self._composites:
+            if self.dim(n) is None:
+                acc = None
+            elif k == 0:
+                acc = ExactMatrix.identity(self.dim(n), self.field)
+            elif k == 1:
+                acc = self.map(n)
+            else:
+                prev, M = self.composite(n, k - 1), self.map(n + k - 1)
+                acc = None if prev is None or M is None else M @ prev
+            self._composites[key] = acc
+        return self._composites[key]
 
     def validate(self):
         for n, M in self.maps.items():

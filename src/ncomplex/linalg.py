@@ -113,7 +113,11 @@ class ExactMatrix:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
-        assert (self.nrows, self.ncols) == (other.nrows, other.ncols)
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ValueError(
+                f"shape mismatch: {self.nrows}x{self.ncols} + "
+                f"{other.nrows}x{other.ncols}"
+            )
         f = self.field
         ent = dict(self.entries)
         for rc, v in other.entries.items():
@@ -140,7 +144,11 @@ class ExactMatrix:
         )
 
     def __matmul__(self, other):
-        assert self.ncols == other.nrows, "shape mismatch"
+        if self.ncols != other.nrows:
+            raise ValueError(
+                f"shape mismatch: {self.nrows}x{self.ncols} @ "
+                f"{other.nrows}x{other.ncols}"
+            )
         f = self.field
         by_row = {}
         for (r, c), v in other.entries.items():
@@ -157,9 +165,15 @@ class ExactMatrix:
         return self.__matmul__(other)
 
     def power(self, k):
-        assert self.nrows == self.ncols
-        acc = ExactMatrix.identity(self.nrows, self.field)
-        for _ in range(k):
+        """self^k; the identity only for k = 0, so k >= 1 costs k - 1 products."""
+        if self.nrows != self.ncols:
+            raise ValueError(f"power of a non-square {self.nrows}x{self.ncols} matrix")
+        if k < 0:
+            raise ValueError(f"negative matrix power {k}")
+        if k == 0:
+            return ExactMatrix.identity(self.nrows, self.field)
+        acc = self
+        for _ in range(k - 1):
             acc = acc @ self
         return acc
 
@@ -191,7 +205,8 @@ class ExactMatrix:
         return out
 
     def hstack(self, other):
-        assert self.nrows == other.nrows
+        if self.nrows != other.nrows:
+            raise ValueError(f"hstack of {self.nrows} and {other.nrows} rows")
         ent = dict(self.entries)
         off = self.ncols
         for (r, c), v in other.entries.items():
@@ -199,7 +214,8 @@ class ExactMatrix:
         return ExactMatrix(self.nrows, off + other.ncols, self.field, ent, _clean=False)
 
     def vstack(self, other):
-        assert self.ncols == other.ncols
+        if self.ncols != other.ncols:
+            raise ValueError(f"vstack of {self.ncols} and {other.ncols} columns")
         ent = dict(self.entries)
         off = self.nrows
         for (r, c), v in other.entries.items():
@@ -488,7 +504,8 @@ class QuotientSpace:
         if vz is None:
             raise ValueError("vector not in Z")
         sol = self._full_solver.solve(vz)
-        assert sol is not None
+        if sol is None:
+            raise AssertionError("B plus the complement does not span Z")
         out = {}
         for k in range(self.dim):
             c = sol.get(self._bdim + k)

@@ -19,7 +19,12 @@ from .linalg import (
 
 
 class NDiffModule:
-    """Finite-dimensional vector space with an endomorphism d, d^N = 0."""
+    """Finite-dimensional vector space with an endomorphism d, d^N = 0.
+
+    With ``check=True`` the nilpotency certificate is the image chain: its
+    last link spans im d^N, so it is zero exactly when d^N = 0.  The chain is
+    cached for ``rank_profile`` and ``homology``, and d^N itself is never
+    formed; d^m is formed lazily, only for the kernels of ``homology``."""
 
     def __init__(self, N, d, check=True):
         if N < 2:
@@ -33,7 +38,7 @@ class NDiffModule:
         self._powers = {0: ExactMatrix.identity(self.dim, self.field), 1: d}
         self._image_chain = None
         self._homology = None
-        if check and not self.power(N).is_zero():
+        if check and self.image_chain()[-1].dim != 0:
             raise ValueError(f"d^{N} != 0: not an {N}-differential")
 
     def power(self, k):
@@ -43,11 +48,15 @@ class NDiffModule:
         return self._powers[k]
 
     def image_chain(self):
-        """Image bases of d^1, ..., d^N computed by shrinking eliminations."""
+        """Image bases of d^1, ..., d^N computed by shrinking eliminations.
+
+        Link k spans d(link k-1) = im d^k, so its dimension is rank d^k and
+        the last link is zero exactly when d^N = 0: the chain is the
+        nilpotency certificate of ``__init__``."""
         if self._image_chain is None:
-            chain = []
-            B = ExactMatrix.identity(self.dim, self.field)
-            for _ in range(self.N):
+            B = image_basis(self.d).basis
+            chain = [Subspace(self.dim, B)]
+            for _ in range(self.N - 1):
                 B = image_basis(self.d @ B).basis
                 chain.append(Subspace(self.dim, B))
             self._image_chain = chain
@@ -112,7 +121,8 @@ def homology(E):
         B = images[E.N - m - 1]
         q = QuotientSpace(Z, B)
         slots[m] = HomologySlot(m, Z.dim, B.dim, q.dim, q)
-        assert q.dim == Z.dim - B.dim >= 0
+        if not q.dim == Z.dim - B.dim >= 0:
+            raise AssertionError(f"dim H_({m}) != dim Z - dim B")
     E._homology = GeneralizedHomology(E, slots)
     return E._homology
 
@@ -144,7 +154,8 @@ def proposition4_check(E):
     comparing the multiplicity formula against direct rank computations."""
     N = E.N
     mult = multiplicities(E)
-    assert mult.total_dim() == E.dim
+    if mult.total_dim() != E.dim:
+        raise AssertionError("Jordan multiplicities do not add up to dim E")
     r = E.rank_profile()
     dims_direct = {m: (E.dim - r[m]) - r[N - m] for m in range(1, N)}
     report = {"ok": True, "N": N, "dim": E.dim, "multiplicities": mult.counts,
@@ -258,8 +269,8 @@ def homotopy_criterion_lemma3(E, hs):
     for k, h in enumerate(hs):
         acc = acc + E.power(E.N - 1 - k) @ h @ E.power(k)
     holds = acc == ExactMatrix.identity(E.dim, f)
-    if holds:
-        assert all(v == 0 for v in homology(E).dims().values())
+    if holds and any(homology(E).dims().values()):
+        raise AssertionError("Lemma 3 homotopy holds but the homology is nonzero")
     return holds
 
 
@@ -271,8 +282,8 @@ def homotopy_criterion_lemma4(E, h, q):
         raise ValueError("(field, q, N) must satisfy (A1)")
     lhs = (h @ E.d) - (E.d @ h).scale(q)
     holds = lhs == ExactMatrix.identity(E.dim, E.field)
-    if holds:
-        assert all(v == 0 for v in homology(E).dims().values())
+    if holds and any(homology(E).dims().values()):
+        raise AssertionError("Lemma 4 homotopy holds but the homology is nonzero")
     return holds
 
 
@@ -373,7 +384,8 @@ class ShortExactSequence:
         """partial applied to one cycle z in Z_(m)(G): lift, apply d^m, pull
         back through phi; returns the representative x in E-coordinates."""
         y = self.psi_solver().solve(z)
-        assert y is not None, "psi must be surjective"
+        if y is None:
+            raise AssertionError("psi must be surjective")
         if lift_shift is not None:
             y = _vec_add(y, lift_shift, self.F.field)
         w = self.F.power(m).apply(y)

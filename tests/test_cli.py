@@ -70,6 +70,12 @@ def test_selftest_single(capsys):
     assert "criterion 13 [PASS]" in capsys.readouterr().out
 
 
+def test_selftest_json_is_one_document(capsys):
+    assert cli.main(["selftest", "--only", "1", "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] and [c["number"] for c in report["criteria"]] == [1]
+
+
 def test_usage_error_bad_json(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -93,29 +99,34 @@ _Q = {"kind": "rationals"}
 
 
 @pytest.mark.parametrize(
-    "obj",
+    "command,obj",
     [
-        {"N": 2, "field": _Q,
-         "d": {"rows": 2, "cols": 2, "field": _Q, "entries": [[5, 7, "1"]]}},
-        {"N": 2, "field": _Q,
-         "d": {"rows": 2, "cols": 2, "field": _Q, "entries": [[0, 1, "1/0"]]}},
-        {"N": 2, "field": _Q},
-        [],
-        {"N": "2", "field": _Q,
-         "d": {"rows": 1, "cols": 1, "field": _Q, "entries": []}},
-        {"N": 2, "field": _Q,
-         "d": {"rows": 1, "cols": 1, "field": _Q, "entries": 5}},
+        ("homology", {"N": 2, "field": _Q,
+         "d": {"rows": 2, "cols": 2, "field": _Q, "entries": [[5, 7, "1"]]}}),
+        ("homology", {"N": 2, "field": _Q,
+         "d": {"rows": 2, "cols": 2, "field": _Q, "entries": [[0, 1, "1/0"]]}}),
+        ("homology", {"N": 2, "field": _Q}),
+        ("homology", []),
+        ("homology", {"N": "2", "field": _Q,
+         "d": {"rows": 1, "cols": 1, "field": _Q, "entries": []}}),
+        ("homology", {"N": 2, "field": _Q,
+         "d": {"rows": 1, "cols": 1, "field": _Q, "entries": 5}}),
+        ("homology", {"N": 3, "field": {},
+         "d": {"rows": 1, "cols": 1, "field": _Q, "entries": []}}),
+        ("ses", {}),
+        ("cosimplicial", {}),
     ],
     ids=["entry-out-of-bounds", "zero-denominator", "missing-d", "not-an-object",
-         "N-not-an-int", "entries-not-a-list"],
+         "N-not-an-int", "entries-not-a-list", "field-without-kind", "ses-empty",
+         "cosimplicial-empty"],
 )
-def test_malformed_module_exits_2(tmp_path, obj):
-    """Malformed module JSON is bad input: exit 2 with a message, no traceback."""
+def test_malformed_module_exits_2(tmp_path, command, obj):
+    """Malformed input JSON is bad input: exit 2 with a message, no traceback."""
     bad = tmp_path / "bad_mod.json"
     bad.write_text(json.dumps(obj))
     src = str(Path(ncomplex.__file__).resolve().parents[1])
     proc = subprocess.run(
-        [sys.executable, "-m", "ncomplex.cli", "homology", str(bad)],
+        [sys.executable, "-m", "ncomplex.cli", command, str(bad)],
         capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": src},
     )

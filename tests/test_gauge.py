@@ -86,6 +86,17 @@ def test_extend_validates_structure():
         extend(G)
 
 
+def test_extend_rejects_non_nilpotent_a():
+    # A = E_11 commutes with d as A d = q^2 d A demands, but A^3 != 0; the
+    # block certificate (G.A^N and Abar^N) must still catch it.
+    f = make_cyclotomic(6)
+    A = ExactMatrix(2, 2, f, {(1, 1): f.one})
+    HI = image_basis(ExactMatrix.from_columns([{0: f.one}], 2, f))
+    G = GaugeInstance(3, A, HI, f.zeta(), check=False)
+    with pytest.raises(AssertionError, match=r"A\^N != 0 on H-bullet"):
+        extend(G)
+
+
 def test_theorem5_random_small():
     rng = random.Random(7)
     for _ in range(12):

@@ -249,3 +249,36 @@ def test_les_cone_connecting_isomorphisms():
         assert _rank(partial) == slotG.dim_H == HE.slots[tgt].dim_H
         checked_iso += 1
     assert checked_iso > 0
+
+
+def _product_chain(C, n, k):
+    """d^k out of degree n as the identity-started product of the maps."""
+    if C.dim(n) is None:
+        return None
+    acc = ExactMatrix.identity(C.dim(n), C.field)
+    for j in range(k):
+        M = C.map(n + j)
+        if M is None:
+            return None
+        acc = M @ acc
+    return acc
+
+
+@pytest.mark.parametrize("shape", ["bounded", "truncated", "cyclic"])
+def test_composite_matches_product_chain(shape):
+    rng = random.Random(11)
+    N = 4
+    C = random_graded_complex(QQ, N, rng, lo=0, hi=6, strings=8,
+                              cyclic=shape == "cyclic")
+    if shape == "truncated":
+        C = GradedNComplex(N, QQ, C.dims, C.maps,
+                           truncated_below=True, truncated_above=True)
+        assert C.composite(-1, 1) is None
+        assert C.composite(6, 1) is None and C.composite(4, 3) is None
+    degrees = range(-2, 9) if shape != "cyclic" else range(N)
+    for n in degrees:
+        for k in range(N + 1):
+            want = _product_chain(C, n, k)
+            got = C.composite(n, k)
+            assert got == want
+            assert C.composite(n, k) is got  # memoized

@@ -257,3 +257,28 @@ def test_matrix_json_roundtrip():
     M2 = ExactMatrix.from_json(obj)
     assert M2 == M
     assert M2.to_json() == obj
+
+
+@pytest.mark.parametrize("field", [QQ, make_cyclotomic(4)], ids=["Q", "Q(zeta_4)"])
+@pytest.mark.parametrize("n", [0, 1, 4])
+def test_power_matches_identity_started_product(field, n):
+    rng = random.Random(400 + n)
+    M = ExactMatrix.from_rows(
+        [[field.random_scalar(rng, 2) if rng.random() < 0.4 else field.zero
+          for _ in range(n)] for _ in range(n)],
+        field, ncols=n,
+    )
+    acc = ExactMatrix.identity(n, field)
+    for k in range(5):
+        assert M.power(k) == acc
+        acc = acc @ M
+
+
+def test_shape_mismatches_raise_value_error():
+    A, B = ExactMatrix.zeros(2, 3, QQ), ExactMatrix.zeros(3, 3, QQ)
+    for op in (
+        lambda: A + B, lambda: A @ A, lambda: A.power(2), lambda: B.power(-1),
+        lambda: A.hstack(B), lambda: A.vstack(ExactMatrix.zeros(2, 2, QQ)),
+    ):
+        with pytest.raises(ValueError):
+            op()

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncomplex.fields import QQ, make_cyclotomic, rat
 from ncomplex.linalg import ExactMatrix, Subspace, image_basis, rank
@@ -32,6 +34,53 @@ def test_construction_rejects_bad_nilpotency():
     d = ExactMatrix.identity(3, QQ)
     with pytest.raises(ValueError):
         NDiffModule(3, d)
+
+
+def _naive_power(d, k):
+    """d^k as the identity-started product chain, independent of ``power``."""
+    acc = ExactMatrix.identity(d.nrows, d.field)
+    for _ in range(k):
+        acc = acc @ d
+    return acc
+
+
+@st.composite
+def square_cases(draw):
+    """(N, d) over Q or Q(zeta_4): arbitrary sparse matrices, strictly upper
+    triangular ones (nilpotent of any index), conjugated Jordan sums from
+    ``random_ndiff`` (d^N = 0) and the edge cases D_N and D_(N+1)."""
+    f = draw(st.sampled_from([QQ, make_cyclotomic(4)]))
+    N = draw(st.integers(2, 4))
+    kind = draw(st.sampled_from(["sparse", "strict-upper", "random-ndiff", "jordan"]))
+    if kind == "random-ndiff":
+        seed = draw(st.integers(0, 2**32 - 1))
+        return N, random_ndiff(f, N, draw(st.integers(1, 7)), random.Random(seed))[0].d
+    if kind == "jordan":
+        return N, jordan_block(N + draw(st.integers(0, 1)), f)
+    n = draw(st.integers(0, 5))
+    cells = [
+        (r, c) for r in range(n) for c in range(n)
+        if kind == "sparse" or c > r
+    ]
+    coeff = st.integers(-2, 2).map(rat)
+    scalar = coeff if f is QQ else st.tuples(*[coeff] * f.degree)
+    ent = draw(st.dictionaries(st.sampled_from(cells), scalar)) if cells else {}
+    return N, ExactMatrix(n, n, f, ent)
+
+
+@given(square_cases())
+@settings(max_examples=200, deadline=None)
+def test_nilpotency_certificate_matches_power_oracle(case):
+    """The image chain rejects d exactly when d^N != 0, and its dimensions are
+    the ranks of the explicit powers."""
+    N, d = case
+    if _naive_power(d, N).is_zero():
+        E = NDiffModule(N, d)
+    else:
+        with pytest.raises(ValueError, match=rf"d\^{N} != 0: not an {N}-differential"):
+            NDiffModule(N, d)
+        E = NDiffModule(N, d, check=False)
+    assert E.rank_profile() == [rank(_naive_power(d, m)) for m in range(N + 1)]
 
 
 def test_jordan_block_profile():
