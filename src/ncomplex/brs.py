@@ -15,6 +15,7 @@ from .linalg import (
     ExactMatrix,
     QuotientSpace,
     Subspace,
+    _int_key,
     image_basis,
     kernel_basis,
 )
@@ -173,18 +174,38 @@ class PolyConstraintSystem:
 
     @staticmethod
     def from_json(obj):
-        def pp(d):
-            return {tuple(int(x) for x in k.split(",")): QQ.parse(s)
-                    for k, s in d.items()}
+        keys = ("D", "constraints", "fields", "structure", "witnesses")
+        if not (isinstance(obj, dict) and set(keys) <= obj.keys()):
+            raise ValueError(
+                "a constraint system must be a JSON object with keys " + ", ".join(keys)
+            )
+        D = obj["D"]
+        if not isinstance(D, int) or isinstance(D, bool) or D < 1:
+            raise ValueError(f"system D must be a positive int, got {D!r}")
+        if not (isinstance(obj["constraints"], list) and isinstance(obj["fields"], list)):
+            raise ValueError("system constraints and fields must be lists")
+        m, m_prime = len(obj["constraints"]), len(obj["fields"])
 
+        def pp(d):
+            if not (isinstance(d, dict) and all(isinstance(s, str) for s in d.values())):
+                raise ValueError(
+                    f"a polynomial must map exponent keys to scalar strings, got {d!r}"
+                )
+            return {_int_key(k, (None,) * D): QQ.parse(s) for k, s in d.items()}
+
+        def table(name, bounds):
+            if not isinstance(obj[name], dict):
+                raise ValueError(f"system {name} must be a JSON object")
+            return {_int_key(k, bounds): pp(p) for k, p in obj[name].items()}
+
+        if not all(isinstance(xi, list) and len(xi) == D for xi in obj["fields"]):
+            raise ValueError(f"each vector field must be a list of {D} polynomials")
         return PolyConstraintSystem(
-            obj["D"],
+            D,
             [pp(u) for u in obj["constraints"]],
-            [Derivation(obj["D"], [pp(c) for c in xi]) for xi in obj["fields"]],
-            {tuple(int(x) for x in k.split(",")): pp(p)
-             for k, p in obj["structure"].items()},
-            {tuple(int(x) for x in k.split(",")): pp(p)
-             for k, p in obj["witnesses"].items()},
+            [Derivation(D, [pp(c) for c in xi]) for xi in obj["fields"]],
+            table("structure", (m_prime,) * 3),
+            table("witnesses", (m, m_prime, m)),
         )
 
 

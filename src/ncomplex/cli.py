@@ -14,7 +14,7 @@ import sys
 from . import acceptance
 from .fields import Field, QQ, make_cyclotomic
 from .graded import WindowError
-from .linalg import ExactMatrix, Subspace, image_basis
+from .linalg import ExactMatrix, Subspace, _int_key, _is_index, image_basis
 
 SCHEMA_VERSION = 1
 
@@ -270,13 +270,18 @@ def cmd_potential(args):
 
     if args.tensor:
         obj = _load_json(args.tensor)
-        T = {
-            tuple(int(x) for x in key.split(",")): {
-                tuple(int(x) for x in mk.split(",")): QQ.parse(vs)
-                for mk, vs in poly.items()
+        if not (isinstance(obj, dict) and isinstance(obj.get("T"), dict)
+                and _is_index(obj.get("degree"))):
+            raise ValueError(
+                "a tensor must be a JSON object with an object T and an int degree >= 0"
+            )
+        T = {}
+        for key, poly in obj["T"].items():
+            if not (isinstance(poly, dict) and all(isinstance(v, str) for v in poly.values())):
+                raise ValueError(f"T[{key!r}] must map exponent keys to scalar strings")
+            T[_int_key(key, (3, 3))] = {
+                _int_key(mk, (None,) * 3): QQ.parse(vs) for mk, vs in poly.items()
             }
-            for key, poly in obj["T"].items()
-        }
         w = obj["degree"]
         out_data = potential_solve(T, w)
     else:

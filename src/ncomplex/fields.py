@@ -1,14 +1,20 @@
 """Exact scalar arithmetic over the rationals and their cyclotomic extensions.
 
-Scalars are plain values: a rational number for the rational field, a tuple of
-rationals (the residue's coefficients, reduced mod the cyclotomic polynomial)
-for an extension.  All operations go through a :class:`Field`, which owns the
-reduction data; nothing is ever rounded.
+Scalars are plain values.  In the rational field a scalar is a rational number
+(``gmpy2.mpq`` when gmpy2 is installed, else ``fractions.Fraction``).  In
+Q(zeta_M) of degree n = phi(M) a scalar is one tuple of n + 1 Python ints
+``(c_0, ..., c_(n-1), d)``: the residue (c_0 + c_1 x + ... + c_(n-1) x^(n-1)) / d
+mod Phi_M, with d >= 1 and gcd(c_0, ..., c_(n-1), d) = 1.  That form is
+canonical, so ``==`` and ``hash`` compare elements.  ``Field.from_coeffs`` and
+``Field.coeffs`` convert between it and n rational coefficients.  All
+operations go through a :class:`Field`, which owns the reduction data; nothing
+is ever rounded.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -39,6 +45,32 @@ def _parse_rat(s):
     if int(d) == 0:
         raise ValueError(f"zero denominator in scalar {s!r}")
     return rat(int(n), int(d))
+
+
+def _canonical(c):
+    """The cyclotomic scalar with parts ``c`` (coefficients, then d >= 1),
+    divided by the gcd of all parts."""
+    g = math.gcd(*c)
+    if g == 1:
+        return tuple(c)
+    return tuple([x // g for x in c])
+
+
+def _combine(a, b, op):
+    """a + b or a - b of cyclotomic scalars, for ``op`` ``operator.add`` or
+    ``operator.sub``: coefficients over a shared denominator combine
+    directly, others are cross-multiplied."""
+    d = a[-1]
+    if d == b[-1]:
+        c = list(map(op, a, b))
+        c[-1] = d
+        if d == 1:
+            return tuple(c)
+    else:
+        e = b[-1]
+        c = [op(x * e, y * d) for x, y in zip(a, b)]
+        c[-1] = d * e
+    return _canonical(c)
 
 
 def _poly_trim(c):
@@ -72,9 +104,11 @@ def cyclotomic_polynomial(M):
     for d in range(1, M):
         if M % d == 0:
             num, r = _poly_divmod(num, [rat(c) for c in cyclotomic_polynomial(d)])
-            assert not r, "cyclotomic division must be exact"
+            if r:
+                raise AssertionError(f"dividing x^{M} - 1 by Phi_{d} left {r}")
     coeffs = [int(c) for c in num]
-    assert all(rat(c) == x for c, x in zip(coeffs, num))
+    if any(rat(c) != x for c, x in zip(coeffs, num)):
+        raise AssertionError(f"Phi_{M} has non-integer coefficients {num}")
     return tuple(coeffs)
 
 
@@ -85,8 +119,10 @@ def euler_phi(M):
 class Field:
     """Field descriptor plus exact scalar operations.
 
-    kind is "rationals" or "cyclotomic"; for the latter, scalars are tuples of
-    ``degree`` rationals giving the residue mod Phi_M.
+    kind is "rationals" or "cyclotomic".  A cyclotomic scalar is the tuple
+    ``(c_0, ..., c_(n-1), d)`` of ``degree + 1`` ints standing for
+    (sum c_i zeta^i) / d, with d >= 1 and the gcd of all parts 1; build one
+    from rationals with :meth:`from_coeffs` and read it with :meth:`coeffs`.
     """
 
     def __init__(self, kind, M=None):
@@ -101,20 +137,24 @@ class Field:
             phi = cyclotomic_polynomial(M)
             self.minimal_polynomial = phi
             self.degree = len(phi) - 1
-            assert self.degree == euler_phi(M)
+            if self.degree != euler_phi(M):
+                raise AssertionError(
+                    f"deg Phi_{M} = {self.degree} but phi({M}) = {euler_phi(M)}"
+                )
             n = self.degree
-            # reduction[k] = coefficients of x^(n+k) mod Phi_M
+            # reduction[k] = integer coefficients of x^(n+k) mod Phi_M, for
+            # every power up to x^(2n-2) (products) and x^(M-1) (inverses)
             red = []
-            cur = [-rat(c) for c in phi[:-1]]  # x^n = -(lower part), Phi monic
+            cur = [-c for c in phi[:-1]]  # x^n = -(lower part), Phi monic
             red.append(tuple(cur))
-            for _ in range(1, n - 1 if n > 1 else 0):
-                shifted = [R_ZERO] + cur[: n - 1]
+            for _ in range(1, max(n - 1, M - n)):
+                shifted = [0] + cur[: n - 1]
                 top = cur[n - 1]
                 cur = [shifted[i] + top * red[0][i] for i in range(n)]
                 red.append(tuple(cur))
             self.reduction = tuple(red)
-            self.zero = tuple([R_ZERO] * n)
-            self.one = tuple([R_ONE] + [R_ZERO] * (n - 1))
+            self.zero = (0,) * n + (1,)
+            self.one = (1,) + (0,) * (n - 1) + (1,)
         else:
             raise ValueError(f"unknown field kind {kind!r}")
 
@@ -124,7 +164,27 @@ class Field:
         v = rat(a, b)
         if self.kind == "rationals":
             return v
-        return tuple([v] + [R_ZERO] * (self.degree - 1))
+        return (int(v.numerator),) + (0,) * (self.degree - 1) + (int(v.denominator),)
+
+    def from_coeffs(self, coeffs):
+        """The scalar with the given ``degree`` rational coefficients (for
+        Q(zeta_M): those of 1, zeta, ..., zeta^(degree-1))."""
+        coeffs = [rat(x) for x in coeffs]
+        if len(coeffs) != self.degree:
+            raise ValueError(f"expected {self.degree} coefficients, got {len(coeffs)}")
+        if self.kind == "rationals":
+            return coeffs[0]
+        d = math.lcm(*(int(x.denominator) for x in coeffs))
+        # canonical already: a prime dividing d divides some denominator to
+        # its full power in d, so it does not divide that coefficient
+        return tuple(int(x.numerator) * (d // int(x.denominator)) for x in coeffs) + (d,)
+
+    def coeffs(self, a):
+        """The ``degree`` rational coefficients of ``a``."""
+        if self.kind == "rationals":
+            return (a,)
+        d = a[-1]
+        return tuple(rat(c, d) for c in a[:-1])
 
     def zeta(self):
         """The residue class of x, a primitive M-th root of unity."""
@@ -132,54 +192,57 @@ class Field:
             raise ValueError("zeta only exists in a cyclotomic field")
         if self.degree == 1:
             # M in {1, 2}: x reduces to a rational
-            return (-rat(self.minimal_polynomial[0]),)
-        return tuple(
-            [R_ZERO, R_ONE] + [R_ZERO] * (self.degree - 2)
-        )
+            return (-self.minimal_polynomial[0], 1)
+        return (0, 1) + (0,) * (self.degree - 2) + (1,)
 
     # -- arithmetic ----------------------------------------------------
 
     def add(self, a, b):
         if self.kind == "rationals":
             return a + b
-        return tuple(x + y for x, y in zip(a, b))
+        return _combine(a, b, operator.add)
 
     def sub(self, a, b):
         if self.kind == "rationals":
             return a - b
-        return tuple(x - y for x, y in zip(a, b))
+        return _combine(a, b, operator.sub)
 
     def neg(self, a):
         if self.kind == "rationals":
             return -a
-        return tuple(-x for x in a)
+        c = [-x for x in a]
+        c[-1] = a[-1]
+        return tuple(c)
 
     def mul(self, a, b):
         if self.kind == "rationals":
             return a * b
         n = self.degree
-        if n == 1:
-            return (a[0] * b[0],)
-        prod = [R_ZERO] * (2 * n - 1)
-        for i, x in enumerate(a):
+        prod = [0] * (2 * n - 1)
+        for i in range(n):
+            x = a[i]
             if x:
-                for j, y in enumerate(b):
+                for j in range(n):
+                    y = b[j]
                     if y:
                         prod[i + j] += x * y
-        out = prod[:n]
         for k in range(n, 2 * n - 1):
             c = prod[k]
             if c:
-                row = self.reduction[k - n]
-                for i in range(n):
-                    if row[i]:
-                        out[i] += c * row[i]
-        return tuple(out)
+                for i, r in enumerate(self.reduction[k - n]):
+                    if r:
+                        prod[i] += c * r
+        out = prod[:n]
+        d = a[n] * b[n]
+        out.append(d)
+        if d == 1:
+            return tuple(out)
+        return _canonical(out)
 
     def is_zero(self, a):
         if self.kind == "rationals":
             return not a
-        return not any(a)
+        return a == self.zero
 
     def eq(self, a, b):
         return a == b
@@ -189,11 +252,34 @@ class Field:
             if not a:
                 raise ZeroDivisionError("inverse of zero")
             return 1 / a
-        if not any(a):
+        if a == self.zero:
             raise ZeroDivisionError("inverse of zero")
-        # extended gcd of a (as a polynomial) with Phi_M over Q[x]
+        n = self.degree
+        support = [i for i in range(n) if a[i]]
+        if len(support) == 1:
+            # a = (c/d) zeta^k, so 1/a = (d/c) zeta^(M-k), read off the
+            # reduction table; most elimination pivots are such monomials
+            k = support[0]
+            c, d = a[k], a[n]
+            if c < 0:
+                c, d = -c, -d
+            j = (self.M - k) % self.M
+            if j < n:
+                res = [0] * n
+                res[j] = d
+            else:
+                res = [x * d for x in self.reduction[j - n]]
+            res = _canonical(res + [c])
+        else:
+            res = self._inv_by_gcd(a)
+        if self.mul(res, a) != self.one:
+            raise AssertionError(f"inverse of {self.to_str(a)} fails its check")
+        return res
+
+    def _inv_by_gcd(self, a):
+        """1/a from the extended gcd of a (as a polynomial) and Phi_M over Q[x]."""
         phi = [rat(c) for c in self.minimal_polynomial]
-        r0, r1 = phi, _poly_trim(list(a))
+        r0, r1 = phi, _poly_trim(list(self.coeffs(a)))
         s0, s1 = [], [R_ONE]
         while True:
             q, r = _poly_divmod(r0, r1)
@@ -211,12 +297,11 @@ class Field:
             )
             r0, r1, s0, s1 = r1, r, s1, s
         # r1 is the gcd: a nonzero constant since Phi_M is irreducible
-        assert len(r1) == 1
+        if len(r1) != 1:
+            raise AssertionError(f"gcd of {self.to_str(a)} and Phi_{self.M} is not constant")
         c = 1 / r1[0]
         out = [x * c for x in s1] + [R_ZERO] * (self.degree - len(s1))
-        res = tuple(out[: self.degree])
-        assert self.eq(self.mul(res, a), self.one)
-        return res
+        return self.from_coeffs(out[: self.degree])
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -239,7 +324,7 @@ class Field:
         z_conj = self.pow(self.zeta(), self.M - 1)
         out = self.zero
         for i in range(self.degree - 1, -1, -1):
-            out = self.add(self.mul(out, z_conj), self.from_rat(a[i]))
+            out = self.add(self.mul(out, z_conj), self.from_rat(a[i], a[-1]))
         return out
 
     # -- serialization ---------------------------------------------------
@@ -247,7 +332,7 @@ class Field:
     def to_str(self, a):
         if self.kind == "rationals":
             return str(a)
-        return "[%s] mod Phi(%d)" % (", ".join(str(c) for c in a), self.M)
+        return "[%s] mod Phi(%d)" % (", ".join(str(c) for c in self.coeffs(a)), self.M)
 
     def parse(self, s):
         s = s.strip()
@@ -261,7 +346,7 @@ class Field:
         items = [t.strip() for t in body[1:-1].split(",")] if body != "[]" else []
         if len(items) != self.degree:
             raise ValueError(f"expected {self.degree} coefficients in {s!r}")
-        return tuple(_parse_rat(t) for t in items)
+        return self.from_coeffs(_parse_rat(t) for t in items)
 
     def to_json(self):
         if self.kind == "rationals":
@@ -295,7 +380,7 @@ class Field:
     def random_scalar(self, rng, span=5):
         if self.kind == "rationals":
             return rat(rng.randint(-span, span))
-        return tuple(rat(rng.randint(-span, span)) for _ in range(self.degree))
+        return tuple(rng.randint(-span, span) for _ in range(self.degree)) + (1,)
 
     def __eq__(self, other):
         return (

@@ -66,10 +66,26 @@ class GaugeInstance:
     def from_json(obj):
         from .fields import Field
 
+        keys = {"N", "field", "A", "HI_basis", "q"}
+        if not (isinstance(obj, dict) and keys <= obj.keys()):
+            raise ValueError(
+                "a gauge instance must be a JSON object with keys N, field, A, "
+                "HI_basis and q"
+            )
+        N = obj["N"]
+        if not isinstance(N, int) or isinstance(N, bool) or N < 2:
+            raise ValueError(f"gauge instance N must be an int >= 2, got {N!r}")
+        if not isinstance(obj["q"], str):
+            raise ValueError(f"gauge instance q must be a scalar string, got {obj['q']!r}")
         f = Field.from_json(obj["field"])
         A = ExactMatrix.from_json(obj["A"], field=f)
-        HI = Subspace(A.nrows, ExactMatrix.from_json(obj["HI_basis"], field=f))
-        return GaugeInstance(obj["N"], A, HI, f.parse(obj["q"]))
+        basis = ExactMatrix.from_json(obj["HI_basis"], field=f)
+        if A.nrows != A.ncols or basis.nrows != A.nrows:
+            raise ValueError(
+                f"A must be square and HI_basis must have its {A.nrows} rows, got "
+                f"A {A.nrows}x{A.ncols} and HI_basis {basis.nrows}x{basis.ncols}"
+            )
+        return GaugeInstance(N, A, Subspace(A.nrows, basis), f.parse(obj["q"]))
 
 
 @dataclass

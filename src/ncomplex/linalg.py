@@ -280,6 +280,19 @@ def _is_index(n, bound=None):
     )
 
 
+def _int_key(key, bounds):
+    """The tuple of ints named by the JSON key "i,j,...": one per entry of
+    ``bounds``, each >= 0 and below its bound unless that is None."""
+    parts = key.split(",")
+    t = tuple(int(p) for p in parts if p.strip().isdigit())
+    if not (len(t) == len(parts) == len(bounds)
+            and all(_is_index(x, b) for x, b in zip(t, bounds))):
+        raise ValueError(
+            f"key {key!r} must be {len(bounds)} comma-separated ints in range"
+        )
+    return t
+
+
 # -- elimination-backed operations ---------------------------------------
 
 

@@ -761,6 +761,8 @@ def potential_solve(T, w):
         for nu in range(D):
             if T.get((mu, nu), {}) != T.get((nu, mu), {}):
                 raise ValueError("T is not symmetric")
+    if any(sum(m) != w for poly in T.values() for m in poly):
+        raise ValueError(f"T has entries that are not homogeneous of degree {w}")
     if any(divergence(T, D)):
         raise ValueError("T is not divergence-free")
     if all(not T.get((mu, nu)) for mu in range(D) for nu in range(D)):

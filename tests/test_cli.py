@@ -115,10 +115,13 @@ _Q = {"kind": "rationals"}
          "d": {"rows": 1, "cols": 1, "field": _Q, "entries": []}}),
         ("ses", {}),
         ("cosimplicial", {}),
+        ("gauge-ext", {}),
+        ("brs", {}),
+        ("potential", {}),
     ],
     ids=["entry-out-of-bounds", "zero-denominator", "missing-d", "not-an-object",
          "N-not-an-int", "entries-not-a-list", "field-without-kind", "ses-empty",
-         "cosimplicial-empty"],
+         "cosimplicial-empty", "gauge-ext-empty", "brs-empty", "potential-empty"],
 )
 def test_malformed_module_exits_2(tmp_path, command, obj):
     """Malformed input JSON is bad input: exit 2 with a message, no traceback."""

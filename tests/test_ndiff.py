@@ -63,7 +63,7 @@ def square_cases(draw):
         if kind == "sparse" or c > r
     ]
     coeff = st.integers(-2, 2).map(rat)
-    scalar = coeff if f is QQ else st.tuples(*[coeff] * f.degree)
+    scalar = coeff if f is QQ else st.tuples(*[coeff] * f.degree).map(f.from_coeffs)
     ent = draw(st.dictionaries(st.sampled_from(cells), scalar)) if cells else {}
     return N, ExactMatrix(n, n, f, ent)
 

@@ -199,6 +199,9 @@ def test_potential_solve_rejects_bad_input():
     bad2 = {(0, 0): {(1, 0, 0): rat(1)}}
     with pytest.raises(ValueError):
         potential_solve(bad2, 1)
+    # an entry of degree 0 where degree 1 was declared
+    with pytest.raises(ValueError, match="homogeneous"):
+        potential_solve({(0, 0): {(0, 0, 0): rat(1)}}, 1)
 
 
 def test_symmetrizer_apply_api():
