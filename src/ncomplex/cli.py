@@ -2,7 +2,8 @@
 
 Exit codes: 0 = all assertions passed, 1 = a verified mathematical failure
 (the smallest failing witness is serialized next to the report), 2 = usage or
-input errors (malformed JSON, window violations)."""
+input errors (malformed JSON, window violations), 3 = internal error (a broken
+invariant of ncomplex itself, raised as ``AssertionError``)."""
 
 from __future__ import annotations
 
@@ -516,6 +517,9 @@ def main(argv=None):
         path = _write_witness(args.command, exc.witness)
         print(f"ncx: FAILED; witness written to {path}", file=sys.stderr)
         return 1
+    except AssertionError as exc:
+        print(f"ncx: internal error: {exc}", file=sys.stderr)
+        return 3
     emit(report, args.format)
     return 0
 

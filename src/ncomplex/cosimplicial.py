@@ -707,7 +707,8 @@ def tensor_algebra(A, n_max, check_m_axioms=True, check_relations=True):
                         out.pop(k, None)
                     else:
                         out[k] = s
-        assert all(0 <= k < a**tgt_len for k in out)
+        if not all(0 <= k < a**tgt_len for k in out):
+            raise AssertionError("product index outside the target level")
         return out
 
     E = CosimplicialData(f, dims, cofaces, codegens, check=check_relations,
@@ -784,7 +785,8 @@ def universal_envelope(A, n_max):
         big_b = _expand(bases[b_deg], vb)
         big = T.product(a_deg, big_a, b_deg, big_b)
         c = solvers[a_deg + b_deg].solve(big)
-        assert c is not None, "normalized part is not closed under the product"
+        if c is None:
+            raise AssertionError("normalized part is not closed under the product")
         return c
 
     sub.product = prod
@@ -853,7 +855,8 @@ def omega_q(A, q, N, n_max):
         cols = []
         for col in bases[n].basis.columns():
             c = solvers[n + 1].solve(D.map(n).apply(col))
-            assert c is not None, "closure failed to be d_1-stable"
+            if c is None:
+                raise AssertionError("closure failed to be d_1-stable")
             cols.append(c)
         maps[n] = ExactMatrix.from_columns(cols, bases[n + 1].dim, f)
 
@@ -862,7 +865,8 @@ def omega_q(A, q, N, n_max):
             a_deg, _expand(bases[a_deg], va), b_deg, _expand(bases[b_deg], vb)
         )
         c = solvers[a_deg + b_deg].solve(big)
-        assert c is not None, "closure failed to be multiplicatively stable"
+        if c is None:
+            raise AssertionError("closure failed to be multiplicatively stable")
         return c
 
     C = GradedNComplex(

@@ -9,6 +9,13 @@ canonical, so ``==`` and ``hash`` compare elements.  ``Field.from_coeffs`` and
 ``Field.coeffs`` convert between it and n rational coefficients.  All
 operations go through a :class:`Field`, which owns the reduction data; nothing
 is ever rounded.
+
+``Field.split`` writes a list of scalars as integer numerators over one common
+denominator D, and ``Field.join`` turns one numerator and D back into a
+canonical scalar.  Over Q a numerator is an int; over Q(zeta_M) it is a residue
+with d = 1.  Either way ``add``, ``mul`` and ``is_zero`` apply to numerators as
+they are, with no gcd, so the linear algebra reads and writes many entries
+with integer arithmetic and builds a scalar only once per result.
 """
 
 from __future__ import annotations
@@ -194,6 +201,32 @@ class Field:
             # M in {1, 2}: x reduces to a rational
             return (-self.minimal_polynomial[0], 1)
         return (0, 1) + (0,) * (self.degree - 2) + (1,)
+
+    # -- numerators over a common denominator ----------------------------
+
+    def split(self, values):
+        """``(numerators, D)`` for a sequence of scalars: D is one int >= 1
+        (the lcm of the denominators) and ``values[i]`` equals
+        ``join(numerators[i], D)``."""
+        if self.kind == "rationals":
+            D = math.lcm(*[v.denominator for v in values])
+            if D == 1:
+                return [v.numerator for v in values], 1
+            return [v.numerator * (D // v.denominator) for v in values], D
+        D = math.lcm(*[v[-1] for v in values])
+        if D == 1:
+            return list(values), 1
+        out = []
+        for v in values:
+            k = D // v[-1]
+            out.append(tuple([c * k for c in v[:-1]]) + (1,))
+        return out, D
+
+    def join(self, n, D):
+        """The canonical scalar n / D, for a numerator n and an int D >= 1."""
+        if self.kind == "rationals":
+            return rat(n, D)
+        return _canonical(n[:-1] + (D,))
 
     # -- arithmetic ----------------------------------------------------
 

@@ -261,7 +261,8 @@ def wznw_shaped_instance(N, rng):
                 cols.append(w)
             w = A.apply(w)
     HI = image_basis(ExactMatrix.from_columns(cols, h, f))
-    assert HI.dim == 2 * N - 1
+    if HI.dim != 2 * N - 1:
+        raise AssertionError(f"H_I has dimension {HI.dim}, not {2 * N - 1}")
     return GaugeInstance(N, A, HI, f.zeta())
 
 

@@ -54,7 +54,8 @@ class GradedNComplex:
         self._composites = {}
         if cyclic:
             self.n_min, self.n_max = 0, N - 1
-            assert set(self.dims) == set(range(N))
+            if set(self.dims) != set(range(N)):
+                raise ValueError(f"a cyclic complex needs dims in degrees 0..{N - 1}")
         else:
             self.n_min = min(self.dims) if self.dims else 0
             self.n_max = max(self.dims) if self.dims else 0
@@ -149,7 +150,8 @@ class GradedNComplex:
 
     def to_zgraded(self, lo, hi):
         """Pullback of a cyclic complex along Z -> Z_N (truncated both ways)."""
-        assert self.cyclic
+        if not self.cyclic:
+            raise ValueError("to_zgraded needs a cyclic complex")
         dims = {n: self.dims[n % self.N] for n in range(lo, hi + 1)}
         maps = {n: self.maps[n % self.N] for n in range(lo, hi)}
         return GradedNComplex(
@@ -649,10 +651,12 @@ def graded_connecting(ses, HGs, HEs, j, m):
     cols = []
     for z in slotG.representatives.columns():
         y = psi_sol.solve(z)
-        assert y is not None
+        if y is None:
+            raise AssertionError("psi must be surjective")
         w = dFm.apply(y)
         x = phi_sol.solve(w)
-        assert x is not None, "lift image left im(phi)"
+        if x is None:
+            raise AssertionError("lift image left im(phi)")
         cols.append(slotE.quotient.coordinates(x))
     return ExactMatrix.from_columns(cols, slotE.dim_H, f)
 
@@ -870,7 +874,8 @@ def random_graded_ses(field, N, rng, lo=0, hi=5, min_len=1):
             colsE = []
             for col in Ebasis[n].columns():
                 c = solver.solve(M.apply(col))
-                assert c is not None, "orbit space must be stable"
+                if c is None:
+                    raise AssertionError("orbit space must be stable")
                 colsE.append(c)
             mapsE[n] = ExactMatrix.from_columns(colsE, dimsE[n + 1], field)
             mapsG[n] = psi[n + 1] @ M @ sections[n]

@@ -10,9 +10,13 @@ from .fields import Field
 
 
 class ExactMatrix:
-    """Immutable-by-convention sparse matrix; stored entries are nonzero."""
+    """Sparse matrix; stored entries are nonzero.
 
-    __slots__ = ("nrows", "ncols", "field", "entries")
+    Entries must not be mutated after construction: ``split_columns`` caches
+    the columns as integer numerators, and ``apply`` and the solvers read that
+    cache."""
+
+    __slots__ = ("nrows", "ncols", "field", "entries", "_split")
 
     def __init__(self, nrows, ncols, field, entries=None, _clean=True):
         self.nrows = nrows
@@ -25,6 +29,7 @@ class ExactMatrix:
                 rc: v for rc, v in entries.items() if not field.is_zero(v)
             }
         self.entries = entries
+        self._split = None
 
     # -- constructors ----------------------------------------------------
 
@@ -80,6 +85,15 @@ class ExactMatrix:
         for (r, c), v in self.entries.items():
             cols[c][r] = v
         return cols
+
+    def split_columns(self):
+        """``(columns, D)``: the columns as ``{col: [(row, numerator), ...]}``
+        over one common denominator D (see ``Field.split``), cached."""
+        if self._split is None:
+            self._split = _integer_columns(
+                [(c, r, v) for (r, c), v in self.entries.items()], self.field
+            )
+        return self._split
 
     def rows_sparse(self):
         """Rows as (sorted cols, vals) pairs, for the kernel."""
@@ -189,20 +203,14 @@ class ExactMatrix:
     def apply(self, vec):
         """Matrix times sparse column vector {index: scalar}."""
         f = self.field
-        out = {}
-        cols = {}
-        for (r, c), v in self.entries.items():
-            cols.setdefault(c, []).append((r, v))
-        for j, x in vec.items():
-            if f.is_zero(x):
-                continue
-            for r, v in cols.get(j, ()):
-                s = f.add(out.get(r, f.zero), f.mul(v, x))
-                if f.is_zero(s):
-                    out.pop(r, None)
-                else:
-                    out[r] = s
-        return out
+        xs, D = _split_vector(vec, f)
+        cols, DM = self.split_columns()
+        D *= DM
+        return {
+            r: f.join(n, D)
+            for r, n in _apply_columns(cols, xs, f).items()
+            if not f.is_zero(n)
+        }
 
     def hstack(self, other):
         if self.nrows != other.nrows:
@@ -280,6 +288,36 @@ def _is_index(n, bound=None):
     )
 
 
+def _integer_columns(entries, f):
+    """Entries ``(column, row, scalar)`` as integer columns
+    ``{column: [(row, numerator), ...]}`` over one common denominator D;
+    returns ``(columns, D)``."""
+    nums, D = f.split([v for _, _, v in entries])
+    cols = {}
+    for (j, i, _), n in zip(entries, nums):
+        cols.setdefault(j, []).append((i, n))
+    return cols, D
+
+
+def _split_vector(vec, f):
+    """A sparse vector {index: scalar} as ({index: numerator}, D)."""
+    nums, D = f.split(vec.values())
+    return dict(zip(vec, nums)), D
+
+
+def _apply_columns(cols, xs, f):
+    """Integer columns ``{j: [(i, numerator), ...]}`` times numerators
+    ``{j: x}``: the products ``{i: numerator}`` over the product of the two
+    denominators.  Entries that cancel to zero are kept."""
+    add, mul = f.add, f.mul
+    out = {}
+    for j, x in xs.items():
+        for i, v in cols.get(j, ()):
+            t = mul(v, x)
+            out[i] = add(out[i], t) if i in out else t
+    return out
+
+
 def _int_key(key, bounds):
     """The tuple of ints named by the JSON key "i,j,...": one per entry of
     ``bounds``, each >= 0 and below its bound unless that is None."""
@@ -334,10 +372,6 @@ def image_basis(M):
     return Subspace(M.nrows, M.take_columns(piv))
 
 
-def row_space_rank(M):
-    return rank(M)
-
-
 def solve(M, b):
     """One solution x of M x = b (sparse dict b), or None."""
     sol = EchelonSolver(M)
@@ -345,73 +379,75 @@ def solve(M, b):
 
 
 class EchelonSolver:
-    """RREF of [M | I]; supports repeated solves M x = b."""
+    """RREF of [M | I]; supports repeated solves M x = b.
+
+    The identity part of the pivot rows is P, so that x = P b, and that of
+    the residual rows is R, so that R b = 0 exactly when b lies in the image
+    of M.  Both are kept only as integer columns over one common denominator,
+    and a solve runs on numerators: the R test, x = P b and the exact check
+    M x = b are three integer applies."""
 
     def __init__(self, M):
         self.M = M
         f = self.field = M.field
-        rows = []
-        sparse = M.rows_sparse()
-        for i, (cols, vals) in enumerate(sparse):
-            rows.append((cols + [M.ncols + i], vals + [f.one]))
-        pivots, erows, residual = kernel.row_echelon(
-            rows, M.ncols, f, reduced=True
-        )
+        split = M.ncols
+        rows = [
+            (cols + [split + i], vals + [f.one])
+            for i, (cols, vals) in enumerate(M.rows_sparse())
+        ]
+        pivots, erows, residual = kernel.row_echelon(rows, split, f, reduced=True)
         self.pivots = pivots
         self.rank = len(pivots)
-        split = M.ncols
-        self.main = []
-        self.aug = []
-        for rc, rv in erows:
-            k = 0
-            while k < len(rc) and rc[k] < split:
-                k += 1
-            self.main.append((rc[:k], rv[:k]))
-            self.aug.append(
-                {c - split: v for c, v in zip(rc[k:], rv[k:])}
-            )
-        self.res_aug = [
-            {c - split: v for c, v in zip(rc, rv) if c >= split}
-            for rc, rv in residual
-        ]
+        self._P, self._DP = _identity_part(erows, split, f)
+        self._R, _ = _identity_part(residual, split, f)
+        # M x = b for x = x_num / (D_P D) and b = b_num / D reads
+        # M_num x_num = D_M D_P b_num; the scale is D_M D_P as a numerator
+        scale = M.split_columns()[1] * self._DP
+        self._check_scale = f.split([f.from_rat(scale)])[0][0]
 
-    def _dot(self, aug, b):
+    def solve_split(self, b, D):
+        """``solve`` on numerators: b is ``{index: numerator}`` over D, and the
+        result is ``(x, D_x)`` with x ``{pivot column: numerator}`` over D_x,
+        or None.  A b outside the image fails the R test before x is formed."""
         f = self.field
-        acc = f.zero
-        if len(aug) < len(b):
-            for j, t in aug.items():
-                x = b.get(j)
-                if x is not None:
-                    acc = f.add(acc, f.mul(t, x))
-        else:
-            for j, x in b.items():
-                t = aug.get(j)
-                if t is not None:
-                    acc = f.add(acc, f.mul(t, x))
-        return acc
+        is_zero = f.is_zero
+        if not all(map(is_zero, _apply_columns(self._R, b, f).values())):
+            return None
+        Pb = _apply_columns(self._P, b, f)
+        pivots = self.pivots
+        x = {pivots[i]: Pb[i] for i in sorted(Pb) if not is_zero(Pb[i])}
+        # the exact check, kept as the certificate of every solution
+        Mx = _apply_columns(self.M.split_columns()[0], x, f)
+        scale, mul, zero = self._check_scale, f.mul, f.zero
+        for j, v in b.items():
+            if Mx.pop(j, zero) != mul(v, scale):
+                return None
+        if not all(map(is_zero, Mx.values())):
+            return None
+        return x, D * self._DP
 
     def solve(self, b):
         """Particular solution with free variables set to zero, or None."""
         f = self.field
-        for aug in self.res_aug:
-            if not f.is_zero(self._dot(aug, b)):
-                return None
-        x = {}
-        for p, aug in zip(self.pivots, self.aug):
-            v = self._dot(aug, b)
-            if not f.is_zero(v):
-                x[p] = v
-        # verify: guards against inconsistent rows that were fully eliminated
-        Mx = self.M.apply(x)
-        for j, v in b.items():
-            if not f.is_zero(f.sub(Mx.pop(j, f.zero), v)):
-                return None
-        if any(not f.is_zero(v) for v in Mx.values()):
+        sol = self.solve_split(*_split_vector(b, f))
+        if sol is None:
             return None
-        return x
+        x, D = sol
+        return {p: f.join(n, D) for p, n in x.items()}
 
-    def in_image(self, b):
-        return self.solve(b) is not None
+
+def _identity_part(rows, split, f):
+    """The entries of sparse ``rows`` from column ``split`` on, as integer
+    columns ``{column - split: [(row index, numerator), ...]}`` over one
+    common denominator; returns ``(columns, D)``."""
+    return _integer_columns(
+        [
+            (rc[k] - split, i, rv[k])
+            for i, (rc, rv) in enumerate(rows)
+            for k in range(bisect_left(rc, split), len(rc))
+        ],
+        f,
+    )
 
 
 class Subspace:
@@ -512,18 +548,21 @@ class QuotientSpace:
         return self.Z.basis.take_columns(self.complement_positions)
 
     def coordinates(self, v):
-        """Class of v (must lie in Z) in the representative basis."""
-        vz = self.Z.coordinates(v)
+        """Class of v (must lie in Z) in the representative basis.  The
+        Z-coordinates go to the second solve as numerators, unjoined."""
+        f = self.field
+        vz = self.Z.solver().solve_split(*_split_vector(v, f))
         if vz is None:
             raise ValueError("vector not in Z")
-        sol = self._full_solver.solve(vz)
+        sol = self._full_solver.solve_split(*vz)
         if sol is None:
             raise AssertionError("B plus the complement does not span Z")
+        x, D = sol
         out = {}
         for k in range(self.dim):
-            c = sol.get(self._bdim + k)
+            c = x.get(self._bdim + k)
             if c is not None:
-                out[k] = c
+                out[k] = f.join(c, D)
         return out
 
 

@@ -19,8 +19,10 @@ class YoungDiagram:
     rows: tuple  # weakly decreasing positive row lengths
 
     def __post_init__(self):
-        assert all(a >= b for a, b in zip(self.rows, self.rows[1:]))
-        assert all(r > 0 for r in self.rows)
+        if not all(a >= b for a, b in zip(self.rows, self.rows[1:])):
+            raise ValueError(f"Young diagram rows {self.rows} are not weakly decreasing")
+        if not all(r > 0 for r in self.rows):
+            raise ValueError(f"Young diagram rows {self.rows} are not all positive")
 
     @property
     def cells(self):
@@ -62,7 +64,8 @@ def weyl_dim(diagram, D):
             leg = heights[j] - i - 1
             den *= rat(arm + leg + 1)
     q = num / den
-    assert q.denominator == 1
+    if q.denominator != 1:
+        raise AssertionError(f"hook-content formula gave the non-integer {q}")
     return int(q)
 
 
@@ -157,9 +160,11 @@ class Symmetrizer:
                 key = next(iter(img))
                 if img[key] and key in twice:
                     c = twice[key] / img[key]
-                    assert c != 0
+                    if c == 0:
+                        raise AssertionError("Young symmetrizer has Y^2 = 0")
                     # verify Y^2 = c Y on this image
-                    assert twice == {u: c * v for u, v in img.items()}
+                    if twice != {u: c * v for u, v in img.items()}:
+                        raise AssertionError("Young symmetrizer fails Y^2 = c Y")
                     self.norm = 1 / c
                     return
         self.norm = rat(1)  # zero projector (space is 0)
@@ -353,7 +358,8 @@ class PolyTensorField:
         )
 
     def add(self, other):
-        assert (self.p, self.wpoly) == (other.p, other.wpoly)
+        if (self.p, self.wpoly) != (other.p, other.wpoly):
+            raise ValueError("tensor fields of different rank or weight")
         out = dict(self.coords)
         for k, v in other.coords.items():
             w = out.get(k, rat(0)) + v
@@ -630,7 +636,8 @@ def basis_field(N, D, p, mono, s):
 def y_product(a, b):
     """(alpha beta)(x) = Y_(a+b)(alpha(x) ox beta(x)); bilinear over
     polynomials, generically non-associative."""
-    assert (a.N, a.D) == (b.N, b.D)
+    if (a.N, a.D) != (b.N, b.D):
+        raise ValueError("tensor fields over different (N, D)")
     N, D = a.N, a.D
     p = a.p + b.p
     tgt = omega_space(N, D, p)

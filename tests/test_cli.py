@@ -170,3 +170,19 @@ def test_math_failure_exit_code(monkeypatch, tmp_path, capsys):
     assert (tmp_path / "ncx-failure-homology.json").exists()
     art = json.loads((tmp_path / "ncx-failure-homology.json").read_text())
     assert art["witness"] == {"bad": 1}
+
+
+def test_internal_error_exits_3(monkeypatch, module_file, capsys):
+    """A broken invariant (AssertionError) is exit 3 with one stderr line,
+    not exit 1 and a traceback."""
+
+    def boom(args):
+        raise AssertionError("B plus the complement does not span Z")
+
+    monkeypatch.setattr(cli, "cmd_homology", boom)
+    assert cli.main(["homology", module_file]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "ncx: internal error: B plus the complement does not span Z\n"
+    )

@@ -1,9 +1,13 @@
 import copy
+import hashlib
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ncomplex import kernel
+from ncomplex import kernel, linalg
 from ncomplex.fields import QQ, make_cyclotomic, rat
 from ncomplex.linalg import (
     EchelonSolver,
@@ -282,3 +286,216 @@ def test_shape_mismatches_raise_value_error():
     ):
         with pytest.raises(ValueError):
             op()
+
+
+# -- the numerator path of solve, apply and quotient coordinates --------------
+
+NUMERATOR_FIELDS = [QQ] + [make_cyclotomic(M) for M in (3, 4, 5, 8, 12)]
+DENOMINATORS = (1, 2, 3, 4, 6, 7, 9)
+
+
+def _mixed_scalar(f, rng, zero_ratio=0.3):
+    """A scalar with coefficients over mixed small denominators."""
+    if rng.random() < zero_ratio:
+        return f.zero
+    return f.from_coeffs(
+        [rat(rng.randint(-4, 4), rng.choice(DENOMINATORS)) for _ in range(f.degree)]
+    )
+
+
+def _mixed_matrix(f, rng, nrows, ncols, zero_ratio=0.4):
+    return ExactMatrix.from_rows(
+        [[_mixed_scalar(f, rng, zero_ratio) for _ in range(ncols)] for _ in range(nrows)],
+        f, ncols=ncols,
+    )
+
+
+def _mixed_vector(f, rng, n, zero_ratio=0.3):
+    """A sparse vector; its zero entries are kept as explicit zeros."""
+    return {j: _mixed_scalar(f, rng, zero_ratio) for j in range(n) if rng.random() < 0.8}
+
+
+def _dense(M):
+    return [[M[r, c] for c in range(M.ncols)] for r in range(M.nrows)]
+
+
+def _oracle_apply(M, x):
+    f = M.field
+    out = {}
+    for r, row in enumerate(_dense(M)):
+        acc = f.zero
+        for c, v in enumerate(row):
+            acc = f.add(acc, f.mul(v, x.get(c, f.zero)))
+        if not f.is_zero(acc):
+            out[r] = acc
+    return out
+
+
+def _oracle_solve(M, b):
+    """The solution of M x = b with free variables zero, from the dense RREF
+    of [M | b], or None when b is outside the image."""
+    f = M.field
+    rows = [row + [b.get(r, f.zero)] for r, row in enumerate(_dense(M))]
+    if any(not f.is_zero(v) for j, v in b.items() if j >= M.nrows):
+        return None
+    pivots, rref = dense_rref(rows, f)
+    if M.ncols in pivots:
+        return None
+    return {p: row[-1] for p, row in zip(pivots, rref) if not f.is_zero(row[-1])}
+
+
+def _oracle_coordinates(Z, B, v):
+    """Quotient coordinates of v in Z / B by the deterministic complement
+    rule, from dense eliminations only."""
+    f = Z.field
+    B_in_Z = [_oracle_solve(Z.basis, col) for col in B.basis.columns()]
+    assert all(c is not None for c in B_in_Z)
+    covered = dense_rref([[c.get(i, f.zero) for i in range(Z.dim)] for c in B_in_Z], f)[0]
+    comp = [i for i in range(Z.dim) if i not in covered]
+    full = ExactMatrix.from_columns(B_in_Z + [{i: f.one} for i in comp], Z.dim, f)
+    sol = _oracle_solve(full, _oracle_solve(Z.basis, v))
+    return {k: sol[len(B_in_Z) + k] for k in range(len(comp)) if len(B_in_Z) + k in sol}
+
+
+@st.composite
+def solve_cases(draw):
+    f = draw(st.sampled_from(NUMERATOR_FIELDS), label="field")
+    rng = random.Random(draw(st.integers(0, 2**32 - 1), label="seed"))
+    nrows = draw(st.integers(0, 6), label="rows")
+    ncols = draw(st.integers(0, 6), label="cols")
+    M = _mixed_matrix(f, rng, nrows, ncols, rng.choice((0.2, 0.5, 0.8)))
+    kind = draw(st.sampled_from(("image", "random", "zero")), label="rhs")
+    if kind == "image":
+        b = M.apply(_mixed_vector(f, rng, ncols))
+    elif kind == "random":
+        b = _mixed_vector(f, rng, nrows)
+    else:
+        b = {j: f.zero for j in range(nrows) if rng.random() < 0.5}
+    return f, M, b
+
+
+@given(solve_cases())
+@settings(max_examples=250, deadline=None)
+def test_numerator_solve_and_apply_match_dense_oracle(case):
+    f, M, b = case
+    x = {j: v for j, v in b.items() if j < M.ncols}  # b doubles as an input
+    assert M.apply(x) == _oracle_apply(M, x)
+    solver = EchelonSolver(M)
+    expected = _oracle_solve(M, b)
+    got = solver.solve(b)
+    assert got == expected
+    if got is not None:
+        assert list(got) == sorted(got)
+        assert M.apply(got) == {j: v for j, v in b.items() if not f.is_zero(v)}
+    else:
+        assert solve(M, b) is None
+
+
+@st.composite
+def quotient_cases(draw):
+    f = draw(st.sampled_from(NUMERATOR_FIELDS), label="field")
+    rng = random.Random(draw(st.integers(0, 2**32 - 1), label="seed"))
+    n = draw(st.integers(0, 6), label="ambient")
+    Z = image_basis(_mixed_matrix(f, rng, n, draw(st.integers(0, 5), label="zcols")))
+    C = _mixed_matrix(f, rng, Z.dim, draw(st.integers(0, 4), label="bcols"))
+    B = image_basis(Z.basis @ C)
+    v = Z.basis.apply(_mixed_vector(f, rng, Z.dim))
+    return Z, B, v
+
+
+@given(quotient_cases())
+@settings(max_examples=150, deadline=None)
+def test_numerator_quotient_coordinates_match_dense_oracle(case):
+    Z, B, v = case
+    q = QuotientSpace(Z, B)
+    assert q.coordinates(v) == _oracle_coordinates(Z, B, v)
+    for col in B.basis.columns():
+        assert q.coordinates(col) == {}
+    for k, col in enumerate(q.representatives().columns()):
+        assert q.coordinates(col) == {k: Z.field.one}
+
+
+@pytest.mark.parametrize("field", [QQ, make_cyclotomic(8)], ids=["Q", "Q(zeta_8)"])
+def test_empty_shapes(field):
+    f = field
+    for nrows, ncols in ((0, 0), (0, 3), (3, 0)):
+        M = ExactMatrix.zeros(nrows, ncols, f)
+        solver = EchelonSolver(M)
+        assert M.apply({j: f.one for j in range(ncols)}) == {}
+        assert solver.solve({}) == {}
+        assert solver.solve({j: f.zero for j in range(nrows)}) == {}
+        if nrows:
+            assert solver.solve({0: f.one}) is None
+    Z = Subspace.zero(3, f)
+    assert QuotientSpace(Z, Z).coordinates({}) == {}
+    full = Subspace.full(3, f)
+    assert QuotientSpace(full, Z).coordinates({1: f.from_rat(2, 3)}) == {1: f.from_rat(2, 3)}
+
+
+@pytest.mark.parametrize("field", NUMERATOR_FIELDS, ids=repr)
+def test_residual_rows_reject_before_the_check(field, monkeypatch):
+    """A right-hand side outside the image fails the R test: the solver forms
+    neither P b nor the check M x = b for it."""
+    f = field
+    rng = random.Random(f"residual:{f!r}")
+    A = _mixed_matrix(f, rng, 5, 3, 0.2)
+    M = A.hstack(A.take_columns([0]).scale(f.from_rat(-2, 3)))  # rank <= 3 < 5
+    solver = EchelonSolver(M)
+    applied = []
+    real = linalg._apply_columns
+
+    def spy(cols, xs, field):
+        applied.append(cols)
+        return real(cols, xs, field)
+
+    monkeypatch.setattr(linalg, "_apply_columns", spy)
+    rejected = 0
+    for _ in range(10):
+        b = _mixed_vector(f, rng, 5, 0.0)
+        if _oracle_solve(M, b) is None:
+            applied.clear()
+            assert solver.solve(b) is None
+            assert len(applied) == 1 and applied[0] is solver._R
+            rejected += 1
+    assert rejected
+
+
+# sha256 of the solve, apply and quotient-coordinate outputs of
+# ``_golden_outputs``, recorded when every entry was still read as a scalar.
+GOLDEN_NUMERATOR_PATH = {
+    "Field(Q)": "9177244721968580b2f433ec3f79857dec5e6b234518b433bc7dd342fd95b9e2",
+    "Field(Q(zeta_3))": "ee71c85cbec86ca6de2fffb90da0a46224b0d0d21e250c9f580c64d2788c1bda",
+    "Field(Q(zeta_4))": "2dd4d82a1f7ca6cb8aefcdad6fa04172dce449d06099dfd8b695134aee5b9eba",
+    "Field(Q(zeta_5))": "630bfb1ad432c1f4b1e1cbd012af748d3f1180f0f235511351217636e27f02b6",
+    "Field(Q(zeta_8))": "79840d08ae72cbbfdb08e9a262fcd1641cd4b6aa87621a727ea07cfcd2de44bf",
+    "Field(Q(zeta_12))": "1b7b39b9e82415e69af4b58b11874227fc27841e10a91dac9e94a2b42a350221",
+}
+
+
+def _to_json(f, vec):
+    return None if vec is None else [[j, f.to_str(v)] for j, v in sorted(vec.items())]
+
+
+def _golden_outputs(f, seed):
+    rng = random.Random(f"golden:{f!r}:{seed}")
+    M = _mixed_matrix(f, rng, 7, 6)
+    M = M.hstack(M.take_columns([0, 2]).scale(f.from_rat(5, 7)))
+    solver = EchelonSolver(M)
+    out = {"apply": [], "solve": [], "coordinates": []}
+    for _ in range(4):
+        x = _mixed_vector(f, rng, M.ncols)
+        out["apply"].append(_to_json(f, M.apply(x)))
+        out["solve"].append(_to_json(f, solver.solve(M.apply(x))))
+        out["solve"].append(_to_json(f, solver.solve(_mixed_vector(f, rng, M.nrows))))
+    Z = image_basis(M)
+    B = image_basis(M.take_columns([1, 6]))
+    q = QuotientSpace(Z, B)
+    for _ in range(4):
+        v = M.apply(_mixed_vector(f, rng, M.ncols))
+        out["coordinates"].append(_to_json(f, q.coordinates(v)))
+    return hashlib.sha256(json.dumps(out, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("field", NUMERATOR_FIELDS, ids=repr)
+def test_golden_numerator_path(field):
+    assert _golden_outputs(field, 0) == GOLDEN_NUMERATOR_PATH[repr(field)]
