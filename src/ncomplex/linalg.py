@@ -381,11 +381,11 @@ def solve(M, b):
 class EchelonSolver:
     """RREF of [M | I]; supports repeated solves M x = b.
 
-    The identity part of the pivot rows is P, so that x = P b, and that of
-    the residual rows is R, so that R b = 0 exactly when b lies in the image
-    of M.  Both are kept only as integer columns over one common denominator,
-    and a solve runs on numerators: the R test, x = P b and the exact check
-    M x = b are three integer applies."""
+    The identity part of the pivot rows is P, so that x = P b is a solution
+    whenever one exists.  P is kept only as integer columns over one common
+    denominator, and a solve runs on numerators: x = P b and the exact check
+    M x = b, which rejects every b outside the image, are two integer
+    applies."""
 
     def __init__(self, M):
         self.M = M
@@ -395,11 +395,10 @@ class EchelonSolver:
             (cols + [split + i], vals + [f.one])
             for i, (cols, vals) in enumerate(M.rows_sparse())
         ]
-        pivots, erows, residual = kernel.row_echelon(rows, split, f, reduced=True)
+        pivots, erows, _ = kernel.row_echelon(rows, split, f, reduced=True)
         self.pivots = pivots
         self.rank = len(pivots)
         self._P, self._DP = _identity_part(erows, split, f)
-        self._R, _ = _identity_part(residual, split, f)
         # M x = b for x = x_num / (D_P D) and b = b_num / D reads
         # M_num x_num = D_M D_P b_num; the scale is D_M D_P as a numerator
         scale = M.split_columns()[1] * self._DP
@@ -408,15 +407,13 @@ class EchelonSolver:
     def solve_split(self, b, D):
         """``solve`` on numerators: b is ``{index: numerator}`` over D, and the
         result is ``(x, D_x)`` with x ``{pivot column: numerator}`` over D_x,
-        or None.  A b outside the image fails the R test before x is formed."""
+        or None."""
         f = self.field
         is_zero = f.is_zero
-        if not all(map(is_zero, _apply_columns(self._R, b, f).values())):
-            return None
         Pb = _apply_columns(self._P, b, f)
         pivots = self.pivots
         x = {pivots[i]: Pb[i] for i in sorted(Pb) if not is_zero(Pb[i])}
-        # the exact check, kept as the certificate of every solution
+        # the exact check: P b solves M x = b exactly when b is in the image
         Mx = _apply_columns(self.M.split_columns()[0], x, f)
         scale, mul, zero = self._check_scale, f.mul, f.zero
         for j, v in b.items():
