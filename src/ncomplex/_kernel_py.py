@@ -9,7 +9,10 @@ from bisect import bisect_left
 
 
 def _axpy(cols_a, vals_a, f, cols_b, vals_b, ops):
-    """a - f * b as a sparse merge; returns (cols, vals)."""
+    """a - f * b as a sparse merge, for f nonzero; returns (cols, vals).  An
+    entry of b alone gives (-f) * b[j], which is never zero."""
+    add, mul, is_zero = ops.add, ops.mul, ops.is_zero
+    g = ops.neg(f)
     out_c, out_v = [], []
     i = j = 0
     na, nb = len(cols_a), len(cols_b)
@@ -20,28 +23,20 @@ def _axpy(cols_a, vals_a, f, cols_b, vals_b, ops):
             out_v.append(vals_a[i])
             i += 1
         elif ca > cb:
-            v = ops.neg(ops.mul(f, vals_b[j]))
-            if not ops.is_zero(v):
-                out_c.append(cb)
-                out_v.append(v)
+            out_c.append(cb)
+            out_v.append(mul(g, vals_b[j]))
             j += 1
         else:
-            v = ops.sub(vals_a[i], ops.mul(f, vals_b[j]))
-            if not ops.is_zero(v):
+            v = add(vals_a[i], mul(g, vals_b[j]))
+            if not is_zero(v):
                 out_c.append(ca)
                 out_v.append(v)
             i += 1
             j += 1
-    while i < na:
-        out_c.append(cols_a[i])
-        out_v.append(vals_a[i])
-        i += 1
-    while j < nb:
-        v = ops.neg(ops.mul(f, vals_b[j]))
-        if not ops.is_zero(v):
-            out_c.append(cols_b[j])
-            out_v.append(v)
-        j += 1
+    out_c += cols_a[i:]
+    out_v += vals_a[i:]
+    out_c += cols_b[j:]
+    out_v += [mul(g, v) for v in vals_b[j:]]
     return out_c, out_v
 
 
@@ -54,6 +49,7 @@ def row_echelon(rows, limit, ops, reduced=True):
     the corresponding normalized echelon rows, and rows with no support below
     ``limit``.
     """
+    mul = ops.mul
     buckets = {}
     residual = []
     serial = 0
@@ -78,7 +74,7 @@ def row_echelon(rows, limit, ops, reduced=True):
         group.sort(key=lambda t: (len(t[1]), t[0]))
         _, pc, pv = group[0]
         piv_inv = ops.inv(pv[0])
-        pv = [ops.mul(piv_inv, v) for v in pv]
+        pv = [mul(piv_inv, v) for v in pv]
         pivots.append(c)
         erows.append((pc, pv))
         for _, rc, rv in group[1:]:

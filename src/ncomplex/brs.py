@@ -263,9 +263,6 @@ class GhostElement:
     def is_zero(self):
         return not self.terms
 
-    def bidegrees(self):
-        return {(-len(p), len(c)) for (p, _, c) in self.terms}
-
     def __eq__(self, other):
         return isinstance(other, GhostElement) and self.terms == other.terms
 
@@ -640,10 +637,6 @@ def _max_poly_drop(K):
             for (_, m, _) in img.terms:
                 drop = max(drop, 1 - sum(m))
     return drop
-
-
-def total_brs_report(K, n_range, wmax):
-    return {n: brs_cohomology(K, n, wmax) for n in n_range}
 
 
 # -- Koszul complex -------------------------------------------------------------

@@ -10,6 +10,13 @@ canonical, so ``==`` and ``hash`` compare elements.  ``Field.from_coeffs`` and
 operations go through a :class:`Field`, which owns the reduction data; nothing
 is ever rounded.
 
+The scalar operations ``add``, ``sub``, ``mul``, ``neg`` and ``is_zero`` are
+bound once per field, when it is built, as plain instance attributes: over Q
+the ``operator`` functions, over Q(zeta_M) straight-line code generated from
+the field's reduction table, so no call dispatches on the kind of field.  The
+class-level ``Field.add`` and ``Field.mul`` stay as the general reference
+forms that the generated code is tested against.
+
 ``Field.split`` writes a list of scalars as integer numerators over one common
 denominator D, and ``Field.join`` turns one numerator and D back into a
 canonical scalar.  Over Q a numerator is an int; over Q(zeta_M) it is a residue
@@ -80,6 +87,71 @@ def _combine(a, b, op):
     return _canonical(c)
 
 
+# Q(zeta_M) up to this degree gets a generated ``mul``: its source grows as
+# the square of the degree, so a larger field keeps the reference convolution.
+STRAIGHT_LINE_DEGREE = 32
+
+
+def _signed_sum(terms):
+    """Source of the sum of ``(int weight, expression)`` terms; "0" if empty."""
+    src = ""
+    for w, e in terms:
+        if w:
+            src += (" - " if w < 0 else " + ") + (e if abs(w) == 1 else f"{abs(w)}*{e}")
+    if not src:
+        return "0"
+    return src[3:] if src.startswith(" + ") else "-" + src[3:]
+
+
+def _cyclotomic_ops(n, reduction, zero, mul=True):
+    """``{name: function}`` for add, sub, neg, is_zero and (if ``mul``) mul of
+    Q(zeta_M) of degree n, generated as straight-line code.  Coefficient k of
+    a product is the convolution term of degree k plus the fixed combination,
+    read off ``reduction``, of the terms h_t of degree t = n..2n-2."""
+    a = ", ".join(f"a{i}" for i in range(n))
+    b = ", ".join(f"b{i}" for i in range(n))
+    head = f"    {a}, da = a\n    {b}, db = b\n"
+    src = []
+    for name, op in (("add", "+"), ("sub", "-")):
+        same = ", ".join(f"a{i} {op} b{i}" for i in range(n))
+        cross = ", ".join(f"a{i}*db {op} b{i}*da" for i in range(n))
+        src.append(
+            f"def {name}(a, b):\n{head}"
+            "    if da == db:\n"
+            f"        if da == 1:\n            return ({same}, 1)\n"
+            f"        return _canonical(({same}, da))\n"
+            f"    return _canonical(({cross}, da*db))\n"
+        )
+    src.append(
+        f"def neg(a):\n    {a}, da = a\n"
+        f"    return ({', '.join(f'-a{i}' for i in range(n))}, da)\n"
+    )
+    src.append("def is_zero(a):\n    return a == zero\n")
+    if mul:
+        def conv(t):
+            return [(1, f"a{i}*b{t - i}")
+                    for i in range(max(0, t - n + 1), min(t, n - 1) + 1)]
+
+        body = "".join(
+            f"    h{t} = {_signed_sum(conv(t))}\n" for t in range(n, 2 * n - 1)
+        )
+        coeffs = ", ".join(
+            _signed_sum(conv(k) + [(reduction[t - n][k], f"h{t}")
+                                   for t in range(n, 2 * n - 1)])
+            for k in range(n)
+        )
+        src.append(
+            f"def mul(a, b):\n{head}{body}"
+            f"    d = da*db\n    c = ({coeffs}, d)\n"
+            "    if d == 1:\n        return c\n"
+            "    return _canonical(c)\n"
+        )
+    namespace = {"_canonical": _canonical, "zero": zero}
+    exec(compile("\n".join(src), f"<Q(zeta) degree {n}>", "exec"), namespace)
+    names = ("add", "sub", "neg", "is_zero") + (("mul",) if mul else ())
+    return {name: namespace[name] for name in names}
+
+
 def _poly_trim(c):
     while c and not c[-1]:
         c.pop()
@@ -130,6 +202,13 @@ class Field:
     ``(c_0, ..., c_(n-1), d)`` of ``degree + 1`` ints standing for
     (sum c_i zeta^i) / d, with d >= 1 and the gcd of all parts 1; build one
     from rationals with :meth:`from_coeffs` and read it with :meth:`coeffs`.
+
+    ``add``, ``sub``, ``mul``, ``neg`` and ``is_zero`` are bound at
+    construction as instance attributes: the ``operator`` functions over Q,
+    straight-line code generated from ``reduction`` over Q(zeta_M).  The
+    class-level :meth:`add` and :meth:`mul` are the general reference forms;
+    a field of degree above ``STRAIGHT_LINE_DEGREE`` keeps the class-level
+    :meth:`mul`.
     """
 
     def __init__(self, kind, M=None):
@@ -140,6 +219,8 @@ class Field:
             self.minimal_polynomial = None
             self.zero = R_ZERO
             self.one = R_ONE
+            self.add, self.sub, self.mul = operator.add, operator.sub, operator.mul
+            self.neg, self.is_zero = operator.neg, operator.not_
         elif kind == "cyclotomic":
             phi = cyclotomic_polynomial(M)
             self.minimal_polynomial = phi
@@ -162,6 +243,9 @@ class Field:
             self.reduction = tuple(red)
             self.zero = (0,) * n + (1,)
             self.one = (1,) + (0,) * (n - 1) + (1,)
+            ops = _cyclotomic_ops(n, self.reduction, self.zero,
+                                  mul=n <= STRAIGHT_LINE_DEGREE)
+            self.__dict__.update(ops)
         else:
             raise ValueError(f"unknown field kind {kind!r}")
 
@@ -229,23 +313,12 @@ class Field:
         return _canonical(n[:-1] + (D,))
 
     # -- arithmetic ----------------------------------------------------
+    # Reference forms; each field shadows them with its bound operations.
 
     def add(self, a, b):
         if self.kind == "rationals":
             return a + b
         return _combine(a, b, operator.add)
-
-    def sub(self, a, b):
-        if self.kind == "rationals":
-            return a - b
-        return _combine(a, b, operator.sub)
-
-    def neg(self, a):
-        if self.kind == "rationals":
-            return -a
-        c = [-x for x in a]
-        c[-1] = a[-1]
-        return tuple(c)
 
     def mul(self, a, b):
         if self.kind == "rationals":
@@ -271,11 +344,6 @@ class Field:
         if d == 1:
             return tuple(out)
         return _canonical(out)
-
-    def is_zero(self, a):
-        if self.kind == "rationals":
-            return not a
-        return a == self.zero
 
     def eq(self, a, b):
         return a == b
@@ -335,9 +403,6 @@ class Field:
         c = 1 / r1[0]
         out = [x * c for x in s1] + [R_ZERO] * (self.degree - len(s1))
         return self.from_coeffs(out[: self.degree])
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
 
     def pow(self, a, n):
         if n < 0:
@@ -424,6 +489,10 @@ class Field:
 
     def __hash__(self):
         return hash((self.kind, self.M))
+
+    def __reduce__(self):
+        # the generated operations do not pickle; rebuild them instead
+        return Field, (self.kind, self.M)
 
     def __repr__(self):
         if self.kind == "rationals":

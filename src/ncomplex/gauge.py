@@ -101,11 +101,6 @@ class ExtendedSpace:
     offsets: list
     dims: list
 
-    def level_block(self, vec, n):
-        off = self.offsets[n]
-        top = off + self.dims[n]
-        return {i - off: v for i, v in vec.items() if off <= i < top}
-
 
 def extend(G):
     """Build H-bullet; validates A d = q^2 d A, A^N = 0, Q^N = 0 and Lemma 12

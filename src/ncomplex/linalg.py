@@ -133,11 +133,15 @@ class ExactMatrix:
                 f"{other.nrows}x{other.ncols}"
             )
         f = self.field
+        add, is_zero = f.add, f.is_zero
         ent = dict(self.entries)
         for rc, v in other.entries.items():
-            s = f.add(ent.get(rc, f.zero), v)
-            if f.is_zero(s):
-                ent.pop(rc, None)
+            if rc not in ent:
+                ent[rc] = v
+                continue
+            s = add(ent[rc], v)
+            if is_zero(s):
+                del ent[rc]
             else:
                 ent[rc] = s
         return ExactMatrix(self.nrows, self.ncols, f, ent, _clean=False)
@@ -149,11 +153,12 @@ class ExactMatrix:
         f = self.field
         if f.is_zero(s):
             return ExactMatrix.zeros(self.nrows, self.ncols, f)
+        mul = f.mul
         return ExactMatrix(
             self.nrows,
             self.ncols,
             f,
-            {rc: f.mul(s, v) for rc, v in self.entries.items()},
+            {rc: mul(s, v) for rc, v in self.entries.items()},
             _clean=False,
         )
 
@@ -164,6 +169,7 @@ class ExactMatrix:
                 f"{other.nrows}x{other.ncols}"
             )
         f = self.field
+        add, mul = f.add, f.mul
         by_row = {}
         for (r, c), v in other.entries.items():
             by_row.setdefault(r, []).append((c, v))
@@ -171,8 +177,8 @@ class ExactMatrix:
         for (r, k), a in self.entries.items():
             for c, b in by_row.get(k, ()):
                 rc = (r, c)
-                s = f.add(ent.get(rc, f.zero), f.mul(a, b))
-                ent[rc] = s
+                t = mul(a, b)
+                ent[rc] = add(ent[rc], t) if rc in ent else t
         return ExactMatrix(self.nrows, other.ncols, f, ent)
 
     def __mul__(self, other):
@@ -482,12 +488,6 @@ class Subspace:
 
     def contains(self, v):
         return self.coordinates(v) is not None
-
-    def contains_subspace(self, other):
-        return all(self.contains(col) for col in other.basis.columns())
-
-    def column_vectors(self):
-        return self.basis.columns()
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import operator
+import pickle
 import random
 from fractions import Fraction
 
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from ncomplex.fields import (
     QQ,
+    Field,
     QContext,
     check_assumptions,
     cyclotomic_polynomial,
@@ -19,6 +22,8 @@ from ncomplex.fields import (
     q_factorial,
     q_int,
     rat,
+    _combine,
+    _cyclotomic_ops,
 )
 from ncomplex.linalg import ExactMatrix, kernel_basis
 
@@ -211,7 +216,7 @@ def test_field_json_roundtrip():
 
 # -- integer form of Q(zeta_M) against dense Fraction polynomials ------------
 
-ORACLE_M = (1, 2, 3, 4, 5, 6, 8, 9, 10, 12)
+ORACLE_M = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 15, 16)  # degrees 1, 2, 4, 6, 8
 small_fractions = st.one_of(
     st.just(Fraction(0)),
     st.builds(Fraction, st.integers(-6, 6), st.integers(1, 12)),
@@ -289,6 +294,88 @@ def test_integer_arithmetic_matches_dense_oracle(data):
     assert back == a and hash(back) == hash(a)
     assert f.is_zero(f.sub(a, a)) and f.sub(a, a) == f.zero
     assert f.parse(f.to_str(a)) == a
+
+
+# -- the generated operations against the class-level reference forms --------
+
+
+def _sample_scalars(f, rng):
+    """Canonical scalars of ``f``: zero, one, dense ones over small
+    denominators, numerators (d = 1) with wide coefficients, and monomials."""
+    n = f.degree
+    out = [f.zero, f.one]
+    for _ in range(4):
+        out.append(f.from_coeffs(
+            [rat(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 6))) for _ in range(n)]))
+        out.append(tuple(rng.randint(-10**6, 10**6) for _ in range(n)) + (1,))
+        mono = [0] * n
+        mono[rng.randrange(n)] = rat(rng.choice((-3, -1, 1, 2)), rng.randint(1, 5))
+        out.append(f.from_coeffs(mono))
+    return out
+
+
+def _disagreements(f, ops, rng):
+    """The (operation, a, b) on which ``ops["mul"]``, ``ops["add"]`` and
+    ``ops["sub"]`` differ from ``Field.mul``, ``Field.add`` and
+    ``_combine(.., operator.sub)`` over all pairs of sample scalars."""
+    xs = _sample_scalars(f, rng)
+    bad = []
+    for a in xs:
+        for b in xs:
+            for name, want in (
+                ("mul", Field.mul(f, a, b)),
+                ("add", Field.add(f, a, b)),
+                ("sub", _combine(a, b, operator.sub)),
+            ):
+                got = ops[name](a, b)
+                _assert_canonical(f, got)
+                if got != want:
+                    bad.append((name, a, b))
+    return bad
+
+
+def test_generated_operations_match_reference_forms():
+    rng = random.Random(6)
+    for M in range(1, 31):
+        f = make_cyclotomic(M)
+        ops = vars(f)  # the operations bound at construction
+        assert all(callable(ops[name]) for name in ("add", "sub", "mul", "neg", "is_zero"))
+        assert _disagreements(f, ops, rng) == [], M
+        for a in _sample_scalars(f, rng):
+            assert f.neg(a) == Field.mul(f, f.from_rat(-1), a)
+            assert f.is_zero(a) == (a == f.zero)
+    assert (QQ.add, QQ.sub, QQ.mul, QQ.neg, QQ.is_zero) == (
+        operator.add, operator.sub, operator.mul, operator.neg, operator.not_)
+    big = make_cyclotomic(59)  # degree 58: no generated mul
+    assert "mul" not in vars(big) and "add" in vars(big)
+    z = big.zeta()
+    assert big.mul(big.pow(z, 58), z) == big.one
+
+
+def test_a_flipped_reduction_sign_fails_the_comparison():
+    """Mutation check: ``mul`` generated from a reduction table with one
+    entry's sign flipped disagrees with the reference ``Field.mul``."""
+    rng = random.Random(7)
+    flipped = 0
+    for M in range(1, 31):
+        f = make_cyclotomic(M)
+        n = f.degree
+        table = [list(row) for row in f.reduction[: n - 1]]  # what mul reads
+        spots = [(t, k) for t, row in enumerate(table) for k, r in enumerate(row) if r]
+        if not spots:
+            continue  # degree 1: a product never reduces
+        t, k = rng.choice(spots)
+        table[t][k] = -table[t][k]
+        ops = _cyclotomic_ops(n, [tuple(row) for row in table], f.zero)
+        assert any(name == "mul" for name, _, _ in _disagreements(f, ops, rng)), (M, t, k)
+        flipped += 1
+    assert flipped == 28  # every M in 1..30 but 1 and 2
+
+
+def test_field_pickles():
+    for f in (QQ, make_cyclotomic(12)):
+        g = pickle.loads(pickle.dumps(f))
+        assert g == f and g.mul(g.one, g.one) == f.one
 
 
 # Recorded with the earlier form, in which a residue was a tuple of
