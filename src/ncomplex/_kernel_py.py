@@ -3,9 +3,22 @@
 Rows are pairs ``[cols, vals]`` with ``cols`` strictly increasing and
 ``vals`` nonzero.  Pivoting: smallest column index first, then the row with
 fewest nonzeros, then first-come (deterministic).
+
+Over Q the elimination is fraction-free (Bareiss 1968; Geddes, Czapor and
+Labahn 1992, ch. 9): each row is held as a primitive integer row, a step
+a' = (p/g) a - (c/g) b with g = gcd(p, c) cancels the entry c of a at the
+pivot column of b against the lead p of b, and the result is divided by its
+content; back-substitution takes the same step.  Every integer row is a
+nonzero multiple of the row the scalar path builds at the same step, so
+supports, pivot order and pivots agree, and each echelon row is divided by
+its lead once, at the end, into the same normalized row.  Over Q(zeta_M) the
+elimination runs on the field's bound scalar operations.
 """
 
 from bisect import bisect_left
+from math import gcd, lcm
+
+from .fields import rat
 
 
 def _axpy(cols_a, vals_a, f, cols_b, vals_b, ops):
@@ -40,16 +53,63 @@ def _axpy(cols_a, vals_a, f, cols_b, vals_b, ops):
     return out_c, out_v
 
 
+def _axpy_int(cols_a, vals_a, c, cols_b, vals_b, _ops):
+    """(p/g) a - (c/g) b for integer rows a and b, the lead p of b, the entry
+    c of a at b's pivot column and g = gcd(p, c), as a sparse merge divided
+    by its content; returns (cols, vals).  The signature is ``_axpy``'s."""
+    p = vals_b[0]
+    g = gcd(p, c)
+    s, t = p // g, c // g
+    out_c, out_v = [], []
+    i = j = 0
+    na, nb = len(cols_a), len(cols_b)
+    while i < na and j < nb:
+        ca, cb = cols_a[i], cols_b[j]
+        if ca < cb:
+            out_c.append(ca)
+            out_v.append(s * vals_a[i])
+            i += 1
+        elif ca > cb:
+            out_c.append(cb)
+            out_v.append(-t * vals_b[j])
+            j += 1
+        else:
+            v = s * vals_a[i] - t * vals_b[j]
+            if v:
+                out_c.append(ca)
+                out_v.append(v)
+            i += 1
+            j += 1
+    out_c += cols_a[i:]
+    out_v += [s * v for v in vals_a[i:]]
+    out_c += cols_b[j:]
+    out_v += [-t * v for v in vals_b[j:]]
+    g = gcd(*out_v)
+    if g > 1:
+        out_v = [v // g for v in out_v]
+    return out_c, out_v
+
+
+def _primitive(vals):
+    """Rational ``vals`` as the primitive integer row of the same support."""
+    D = lcm(*[v.denominator for v in vals])
+    nums = [v.numerator * (D // v.denominator) for v in vals]
+    g = gcd(*nums)
+    return [n // g for n in nums] if g > 1 else nums
+
+
 def row_echelon(rows, limit, ops, reduced=True):
     """Reduce sparse rows in place of a matrix whose pivot columns must lie
     below ``limit`` (columns >= limit ride along, e.g. augmented parts),
-    with the scalar operations of the ``Field`` ``ops``.
+    with the scalar operations of the ``Field`` ``ops``; over Q on primitive
+    integer rows (see the module docstring).
 
     Returns ``(pivots, erows, residual)``: pivot columns in increasing order,
     the corresponding normalized echelon rows, and rows with no support below
-    ``limit``.
+    ``limit``.  Over Q the residual rows are primitive integer rows, as
+    rationals: each is a nonzero multiple of the row the scalar path leaves.
     """
-    mul = ops.mul
+    rational = ops.kind == "rationals"
     buckets = {}
     residual = []
     serial = 0
@@ -65,21 +125,24 @@ def row_echelon(rows, limit, ops, reduced=True):
         serial += 1
 
     for cols, vals in rows:
-        insert(list(cols), list(vals))
+        if cols:
+            insert(list(cols), _primitive(vals) if rational else list(vals))
 
+    step = _axpy_int if rational else _axpy
+    mul = ops.mul
     pivots, erows = [], []
     while buckets:
         c = min(buckets)
         group = buckets.pop(c)
         group.sort(key=lambda t: (len(t[1]), t[0]))
         _, pc, pv = group[0]
-        piv_inv = ops.inv(pv[0])
-        pv = [mul(piv_inv, v) for v in pv]
+        if not rational:
+            piv_inv = ops.inv(pv[0])
+            pv = [mul(piv_inv, v) for v in pv]
         pivots.append(c)
         erows.append((pc, pv))
         for _, rc, rv in group[1:]:
-            nc, nv = _axpy(rc, rv, rv[0], pc, pv, ops)
-            insert(nc, nv)
+            insert(*step(rc, rv, rv[0], pc, pv, ops))
 
     if reduced:
         # eliminate each pivot from all earlier echelon rows
@@ -90,6 +153,9 @@ def row_echelon(rows, limit, ops, reduced=True):
                 rc, rv = erows[j]
                 lo = bisect_left(rc, c)
                 if lo < len(rc) and rc[lo] == c:
-                    erows[j] = _axpy(rc, rv, rv[lo], pc, pv, ops)
+                    erows[j] = step(rc, rv, rv[lo], pc, pv, ops)
 
+    if rational:
+        erows = [(rc, [rat(v, rv[0]) for v in rv]) for rc, rv in erows]
+        residual = [(rc, [rat(v) for v in rv]) for rc, rv in residual]
     return pivots, erows, residual

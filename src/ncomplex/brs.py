@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .fields import QQ, rat
+from .fields import QQ, accumulate, rat
 from .linalg import (
     EchelonSolver,
     ExactMatrix,
@@ -28,11 +28,7 @@ from .young import monomials
 def poly_add(a, b, scale=None):
     out = dict(a)
     for m, v in b.items():
-        w = out.get(m, rat(0)) + (v if scale is None else scale * v)
-        if w:
-            out[m] = w
-        else:
-            out.pop(m, None)
+        accumulate(out, m, v if scale is None else scale * v)
     return out
 
 
@@ -40,12 +36,7 @@ def poly_mul(a, b):
     out = {}
     for m1, v1 in a.items():
         for m2, v2 in b.items():
-            m = tuple(x + y for x, y in zip(m1, m2))
-            w = out.get(m, rat(0)) + v1 * v2
-            if w:
-                out[m] = w
-            else:
-                out.pop(m, None)
+            accumulate(out, tuple(x + y for x, y in zip(m1, m2)), v1 * v2)
     return out
 
 
@@ -243,11 +234,7 @@ class GhostElement:
         self.terms = terms if terms is not None else {}
 
     def add_term(self, key, val):
-        w = self.terms.get(key, rat(0)) + val
-        if w:
-            self.terms[key] = w
-        else:
-            self.terms.pop(key, None)
+        accumulate(self.terms, key, val)
 
     def add(self, other, scale=None):
         out = GhostElement(self.D, dict(self.terms))
@@ -664,11 +651,7 @@ def koszul_homology(constraints, D, deg_max):
             rest, sgn = _remove_at(pis, k)
             for mu, v in constraints[pis[k]].items():
                 key = (rest, tuple(x + y for x, y in zip(mono, mu)))
-                w = out.get(key, rat(0)) + rat(sgn) * v
-                if w:
-                    out[key] = w
-                else:
-                    out.pop(key, None)
+                accumulate(out, key, rat(sgn) * v)
         return out
 
     dims = {}
@@ -795,12 +778,7 @@ class LongitudinalComplex:
             if merged is None:
                 continue
             for (w2, i2), v in self.reduce_poly(df).items():
-                k2 = (w2, i2, merged)
-                acc = out.get(k2, rat(0)) + rat(sgn) * v
-                if acc:
-                    out[k2] = acc
-                else:
-                    out.pop(k2, None)
+                accumulate(out, (w2, i2, merged), rat(sgn) * v)
         # -1/2 C^a_(bc) chi^b chi^c in place of each chi slot
         for k in range(len(chis)):
             a = chis[k]
@@ -819,12 +797,7 @@ class LongitudinalComplex:
                     prod = poly_mul(Cf, f)
                     coeff = rat(-sgn_rm * sgn_p * sgn_m) / 2
                     for (w2, i2), v in self.reduce_poly(prod).items():
-                        k2 = (w2, i2, merged)
-                        acc = out.get(k2, rat(0)) + coeff * v
-                        if acc:
-                            out[k2] = acc
-                        else:
-                            out.pop(k2, None)
+                        accumulate(out, (w2, i2, merged), coeff * v)
         return out
 
     def cohomology_dim(self, s, wmax):

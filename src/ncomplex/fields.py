@@ -51,6 +51,20 @@ R_ZERO = rat(0)
 R_ONE = rat(1)
 
 
+def accumulate(acc, key, val):
+    """``acc[key] += val`` in a sparse dict of rationals: a key whose sum is
+    zero is dropped, a zero ``val`` at a new key is not stored, and no zero
+    scalar is ever built."""
+    if key in acc:
+        w = acc[key] + val
+        if w:
+            acc[key] = w
+        else:
+            del acc[key]
+    elif val:
+        acc[key] = val
+
+
 def _parse_rat(s):
     """A rational from "n" or "n/d"; a zero denominator is a ValueError."""
     if "/" not in s:
@@ -312,6 +326,10 @@ class Field:
             k = D // v[-1]
             out.append(tuple([c * k for c in v[:-1]]) + (1,))
         return out, D
+
+    def numerator(self, k):
+        """The int ``k`` as a numerator over D = 1."""
+        return k if self.kind == "rationals" else self.from_rat(k)
 
     def join(self, n, D):
         """The canonical scalar n / D, for a numerator n and an int D >= 1."""

@@ -1,7 +1,10 @@
 """The sparse row-echelon kernel behind every rank, kernel, image and solve.
 
 ``row_echelon`` is ``_kernel_py.row_echelon``; see there for the contract.
-``BACKEND`` names the elimination path in benchmark and environment records.
+Over Q it eliminates fraction-free on primitive integer rows and builds one
+rational per entry of the normalized echelon rows; over Q(zeta_M) it runs on
+the field's bound scalar operations.  ``BACKEND`` names the elimination path
+in benchmark and environment records.
 """
 
 from ._kernel_py import row_echelon

@@ -6,7 +6,7 @@ from __future__ import annotations
 from bisect import bisect_left
 
 from . import kernel
-from .fields import Field
+from .fields import Field, rat
 
 
 class ExactMatrix:
@@ -169,6 +169,8 @@ class ExactMatrix:
                 f"{other.nrows}x{other.ncols}"
             )
         f = self.field
+        if f.kind == "rationals":
+            return _matmul_rational(self, other)
         add, mul = f.add, f.mul
         by_row = {}
         for (r, c), v in other.entries.items():
@@ -209,14 +211,15 @@ class ExactMatrix:
     def apply(self, vec):
         """Matrix times sparse column vector {index: scalar}."""
         f = self.field
-        xs, D = _split_vector(vec, f)
+        out, D = self.apply_split(*_split_vector(vec, f))
+        return {r: f.join(n, D) for r, n in out.items() if not f.is_zero(n)}
+
+    def apply_split(self, xs, D):
+        """``apply`` on numerators: xs is ``{index: numerator}`` over D, and
+        the result is ``({row: numerator}, D_out)``, with entries that cancel
+        to zero kept."""
         cols, DM = self.split_columns()
-        D *= DM
-        return {
-            r: f.join(n, D)
-            for r, n in _apply_columns(cols, xs, f).items()
-            if not f.is_zero(n)
-        }
+        return _apply_columns(cols, xs, self.field), D * DM
 
     def hstack(self, other):
         if self.nrows != other.nrows:
@@ -309,6 +312,27 @@ def _split_vector(vec, f):
     """A sparse vector {index: scalar} as ({index: numerator}, D)."""
     nums, D = f.split(vec.values())
     return dict(zip(vec, nums)), D
+
+
+def _matmul_rational(A, B):
+    """A @ B over Q on integer numerators: the same entries, in the same
+    order, as the scalar product, with one rational built per output entry
+    over D_A D_B."""
+    a_nums, DA = A.field.split(list(A.entries.values()))
+    b_nums, DB = B.field.split(list(B.entries.values()))
+    by_row = {}
+    for (r, c), b in zip(B.entries, b_nums):
+        by_row.setdefault(r, []).append((c, b))
+    ent = {}
+    for (r, k), a in zip(A.entries, a_nums):
+        for c, b in by_row.get(k, ()):
+            rc = (r, c)
+            ent[rc] = ent[rc] + a * b if rc in ent else a * b
+    D = DA * DB
+    return ExactMatrix(
+        A.nrows, B.ncols, A.field,
+        {rc: rat(n, D) for rc, n in ent.items() if n}, _clean=False,
+    )
 
 
 def _apply_columns(cols, xs, f):
@@ -407,8 +431,7 @@ class EchelonSolver:
         self._P, self._DP = _identity_part(erows, split, f)
         # M x = b for x = x_num / (D_P D) and b = b_num / D reads
         # M_num x_num = D_M D_P b_num; the scale is D_M D_P as a numerator
-        scale = M.split_columns()[1] * self._DP
-        self._check_scale = f.split([f.from_rat(scale)])[0][0]
+        self._check_scale = f.numerator(M.split_columns()[1] * self._DP)
 
     def solve_split(self, b, D):
         """``solve`` on numerators: b is ``{index: numerator}`` over D, and the

@@ -12,6 +12,7 @@ from .linalg import (
     ExactMatrix,
     QuotientSpace,
     Subspace,
+    _split_vector,
     image_basis,
     kernel_basis,
     rank,
@@ -382,30 +383,37 @@ class ShortExactSequence:
 
     def connect_vector(self, z, m, lift_shift=None):
         """partial applied to one cycle z in Z_(m)(G): lift, apply d^m, pull
-        back through phi; returns the representative x in E-coordinates."""
-        y = self.psi_solver().solve(z)
-        if y is None:
+        back through phi; returns the representative x in E-coordinates.
+
+        The chain runs on integer numerators (``Field.split``) and builds
+        scalars only for x.  ``lift_shift``, if given, is ``(shift, D)``: a
+        vector of ker psi as numerators over D, added to the lift."""
+        f = self.F.field
+        sol = self.psi_solver().solve_split(*_split_vector(z, f))
+        if sol is None:
             raise AssertionError("psi must be surjective")
+        y, Dy = sol
         if lift_shift is not None:
-            y = _vec_add(y, lift_shift, self.F.field)
-        w = self.F.power(m).apply(y)
-        x = self.phi_solver().solve(w)
-        if x is None:
+            y, Dy = _add_split(y, Dy, *lift_shift, f)
+        sol = self.phi_solver().solve_split(*self.F.power(m).apply_split(y, Dy))
+        if sol is None:
             raise AssertionError("d^m of the lift left the image of phi")
-        if self.E.power(self.E.N - m).apply(x):
+        x, Dx = sol
+        cycle, _ = self.E.power(self.E.N - m).apply_split(x, Dx)
+        if not all(map(f.is_zero, cycle.values())):
             raise AssertionError("connecting image is not a (N-m)-cycle")
-        return x
+        return {j: f.join(n, Dx) for j, n in x.items()}
 
 
-def _vec_add(a, b, f):
-    out = dict(a)
+def _add_split(a, Da, b, Db, f):
+    """a / Da + b / Db for numerator vectors; returns (numerators, Da Db)."""
+    add, mul = f.add, f.mul
+    sa, sb = f.numerator(Db), f.numerator(Da)
+    out = {j: mul(v, sa) for j, v in a.items()}
     for j, v in b.items():
-        s = f.add(out.get(j, f.zero), v)
-        if f.is_zero(s):
-            out.pop(j, None)
-        else:
-            out[j] = s
-    return out
+        t = mul(v, sb)
+        out[j] = add(out[j], t) if j in out else t
+    return out, Da * Db
 
 
 def ses_connecting(ses, m):
@@ -421,23 +429,28 @@ def ses_connecting(ses, m):
 
 def connecting_well_defined(ses, m, rng, trials=10):
     """Re-lift each representative with random kernel shifts; the class of the
-    connecting image must not move."""
+    connecting image must not move.  Each shift is built on the integer
+    columns of the kernel basis, with one ``rng.randint(-3, 3)`` per column."""
     HG = homology(ses.G)[m]
     HE = homology(ses.E)[ses.E.N - m]
     ker_psi = kernel_basis(ses.psi)
     f = ses.F.field
+    add, mul = f.add, f.mul
+    cols, D = ker_psi.basis.split_columns()
     for z in HG.representatives.columns():
         base = HE.quotient.coordinates(ses.connect_vector(z, m))
         for _ in range(trials):
             if ker_psi.dim == 0:
                 break
             shift = {}
-            for col in ker_psi.basis.columns():
-                c = f.from_rat(rng.randint(-3, 3))
-                if not f.is_zero(c):
-                    for i, v in col.items():
-                        shift[i] = f.add(shift.get(i, f.zero), f.mul(c, v))
-            x = ses.connect_vector(z, m, lift_shift=shift)
+            for j in range(ker_psi.dim):
+                c = rng.randint(-3, 3)
+                if c:
+                    c = f.numerator(c)
+                    for i, v in cols.get(j, ()):
+                        t = mul(c, v)
+                        shift[i] = add(shift[i], t) if i in shift else t
+            x = ses.connect_vector(z, m, lift_shift=(shift, D))
             if HE.quotient.coordinates(x) != base:
                 return False
     return True

@@ -9,7 +9,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .fields import QQ, rat
+from .fields import QQ, R_ZERO, accumulate, rat
 from .graded import GradedNComplex, graded_homology
 from .linalg import EchelonSolver, ExactMatrix
 
@@ -136,18 +136,13 @@ class Symmetrizer:
         for t, v in tensor.items():
             for perm in self.row_perms:
                 u = tuple(t[i] for i in perm)
-                mid[u] = mid.get(u, rat(0)) + v
+                mid[u] = mid.get(u, R_ZERO) + v
         out = {}
         for t, v in mid.items():
             if not v:
                 continue
             for perm, sgn in zip(self.col_perms, self.col_signs):
-                u = tuple(t[i] for i in perm)
-                w = out.get(u, rat(0)) + (v if sgn > 0 else -v)
-                if w:
-                    out[u] = w
-                else:
-                    out.pop(u, None)
+                accumulate(out, tuple(t[i] for i in perm), v if sgn > 0 else -v)
         return out
 
     def _normalize_constant(self):
@@ -236,11 +231,7 @@ class SymmetrySpace:
             if lead in vec:
                 c = vec[lead]
                 for k, v in echelon[lead].items():
-                    w = vec.get(k, rat(0)) - c * v
-                    if w:
-                        vec[k] = w
-                    else:
-                        vec.pop(k, None)
+                    accumulate(vec, k, -c * v)
         return vec
 
     def coords(self, tensor):
@@ -259,11 +250,7 @@ class SymmetrySpace:
         out = {}
         for j, c in coords.items():
             for t, v in self.basis[j].items():
-                w = out.get(t, rat(0)) + c * v
-                if w:
-                    out[t] = w
-                else:
-                    out.pop(t, None)
+                accumulate(out, t, c * v)
         return out
 
 
@@ -362,11 +349,7 @@ class PolyTensorField:
             raise ValueError("tensor fields of different rank or weight")
         out = dict(self.coords)
         for k, v in other.coords.items():
-            w = out.get(k, rat(0)) + v
-            if w:
-                out[k] = w
-            else:
-                out.pop(k, None)
+            accumulate(out, k, v)
         return PolyTensorField(self.N, self.D, self.p, self.wpoly, out)
 
     def raw_tensor_poly(self):
@@ -376,11 +359,7 @@ class PolyTensorField:
         for (m, s), c in self.coords.items():
             ten = out.setdefault(m, {})
             for t, v in space.basis[s].items():
-                w = ten.get(t, rat(0)) + c * v
-                if w:
-                    ten[t] = w
-                else:
-                    ten.pop(t, None)
+                accumulate(ten, t, c * v)
         return out
 
 
@@ -396,12 +375,7 @@ def differential(field):
                 continue
             coeff = c * rat(e)
             for s2, v in trans[mu][s].items():
-                key = (dm, s2)
-                w = out.get(key, rat(0)) + coeff * v
-                if w:
-                    out[key] = w
-                else:
-                    out.pop(key, None)
+                accumulate(out, (dm, s2), coeff * v)
     return PolyTensorField(N, D, p + 1, field.wpoly - 1, out)
 
 
@@ -423,7 +397,6 @@ def weight_complex(N, D, w):
         tmonos, tindex, tspace = layout[p + 1]
         trans = _transition(N, D, p)
         ent = {}
-        f = QQ
         for mi, m in enumerate(monos):
             for s in range(space.dim):
                 col = mi * space.dim + s
@@ -433,11 +406,7 @@ def weight_complex(N, D, w):
                         continue
                     for s2, v in trans[mu][s].items():
                         row = tindex[dm] * tspace.dim + s2
-                        acc = ent.get((row, col), f.zero) + rat(e) * v
-                        if acc:
-                            ent[(row, col)] = acc
-                        else:
-                            ent.pop((row, col), None)
+                        accumulate(ent, (row, col), rat(e) * v)
         maps[p] = ExactMatrix(dims[p + 1], dims[p], QQ, ent, _clean=False)
     C = GradedNComplex(N, QQ, dims, maps)
     C._layout = layout
@@ -539,14 +508,6 @@ def spin_sequence_check(S, D, w_max):
 # -- the spin-2 explicit curvature operator ----------------------------------
 
 
-def _add_entry(ent, key, val):
-    acc = ent.get(key, rat(0)) + val
-    if acc:
-        ent[key] = acc
-    else:
-        ent.pop(key, None)
-
-
 def _d2_raw_on_basis(D, mono, h_tensor, tmindex):
     """Explicit linearized curvature of h = mono * h_tensor:
 
@@ -576,13 +537,13 @@ def _d2_raw_on_basis(D, mono, h_tensor, tmindex):
                 c = hval * rat(e)
                 mi = tmindex[m2]
                 # d_x d_y h_(i1 i2) with (x, y) = (lam, rho)
-                _add_entry(out, (mi, (x, y, i1, i2)), c)
+                accumulate(out, (mi, (x, y, i1, i2)), c)
                 # (x, y) = (mu, nu), h at (lam, rho)
-                _add_entry(out, (mi, (i1, i2, x, y)), c)
+                accumulate(out, (mi, (i1, i2, x, y)), c)
                 # -(x, y) = (mu, rho), h at (lam, nu)
-                _add_entry(out, (mi, (i1, y, x, i2)), -c)
+                accumulate(out, (mi, (i1, y, x, i2)), -c)
                 # -(x, y) = (lam, nu), h at (mu, rho)
-                _add_entry(out, (mi, (x, i2, i1, y)), -c)
+                accumulate(out, (mi, (x, i2, i1, y)), -c)
     return out
 
 
@@ -607,7 +568,7 @@ def spin2_middle_proportional(D, w_max):
                 for row, v in dd.column(col).items():
                     mi4, s4 = divmod(row, space4.dim)
                     for t, bv in space4.basis[s4].items():
-                        _add_entry(raw_dd, (mi4, t), v * bv)
+                        accumulate(raw_dd, (mi4, t), v * bv)
                 if not raw and not raw_dd:
                     continue
                 if constant is None:
@@ -650,10 +611,10 @@ def y_product(a, b):
             raw = {}
             for u, x in ta.items():
                 for v, y in tb.items():
-                    _add_entry(raw, u + v, x * y)
+                    accumulate(raw, u + v, x * y)
             proj = tgt.projector.apply(raw)
             for s, c in tgt.coords(proj).items():
-                _add_entry(out, (mono, s), c)
+                accumulate(out, (mono, s), c)
     return PolyTensorField(N, D, p, a.wpoly + b.wpoly, out)
 
 
@@ -690,14 +651,6 @@ def _epsilon3():
     return eps
 
 
-def _poly_add(acc, mono, val):
-    w = acc.get(mono, rat(0)) + val
-    if w:
-        acc[mono] = w
-    else:
-        acc.pop(mono, None)
-
-
 def divergence(T, D=3):
     """d_mu T^(mu nu), per nu."""
     out = []
@@ -707,7 +660,7 @@ def divergence(T, D=3):
             for mono, v in T.get((mu, nu), {}).items():
                 dm, e = mono_derivative(mono, mu)
                 if dm is not None:
-                    _poly_add(acc, dm, v * rat(e))
+                    accumulate(acc, dm, v * rat(e))
         out.append(acc)
     return out
 
@@ -749,7 +702,7 @@ def random_divergence_free(rng, w=2):
                                 m2, k2 = mono_derivative(m1, c)
                                 if m2 is None:
                                     continue
-                                _poly_add(acc, m2, e1 * e2 * v * rat(k1 * k2))
+                                accumulate(acc, m2, e1 * e2 * v * rat(k1 * k2))
             if acc:
                 T[(mu, nu)] = acc
     return T
@@ -791,7 +744,7 @@ def potential_solve(T, w):
                             continue
                         for mono, v in poly.items():
                             ten = tau_raw.setdefault(mono, {})
-                            _add_entry(ten, (m1, n1, m2, n2), e1 * e2 * v)
+                            accumulate(ten, (m1, n1, m2, n2), e1 * e2 * v)
     tau_coords = {}
     for mono, ten in tau_raw.items():
         for s, c in space4.coords(ten).items():
@@ -811,7 +764,7 @@ def potential_solve(T, w):
     for idx, c in sol.items():
         mi, s = divmod(idx, space2.dim)
         for (a, b), v in space2.basis[s].items():
-            _poly_add(rho.setdefault((a, b), {}), monos2[mi], c * v)
+            accumulate(rho.setdefault((a, b), {}), monos2[mi], c * v)
 
     # R^(lam mu rho nu) = eps^(lam mu a) eps^(rho nu b) rho_(a b)
     R = {}
@@ -828,14 +781,14 @@ def potential_solve(T, w):
                             continue
                         acc = R.setdefault((lam, mu, rho_i, nu), {})
                         for mono, v in poly.items():
-                            _poly_add(acc, mono, e1 * e2 * v)
+                            accumulate(acc, mono, e1 * e2 * v)
     R = {k: p for k, p in R.items() if p}
 
     # Riemann symmetry: (lam, rho, mu, nu) row-major must lie in Omega^4
     sym_check = {}
     for (lam, mu, rho_i, nu), poly in R.items():
         for mono, v in poly.items():
-            _add_entry(
+            accumulate(
                 sym_check.setdefault(mono, {}), (lam, rho_i, mu, nu), v
             )
     for mono, ten in sym_check.items():
@@ -852,7 +805,7 @@ def potential_solve(T, w):
             m2, k2 = mono_derivative(m1, rho_i)
             if m2 is None:
                 continue
-            _poly_add(acc, m2, v * rat(k1 * k2))
+            accumulate(acc, m2, v * rat(k1 * k2))
     Tprime = {k: p for k, p in Tprime.items() if p}
     constant = None
     for key, poly in T.items():
@@ -876,7 +829,7 @@ def potential_solve(T, w):
             m2, k2 = mono_derivative(m1, rho_i)
             if m2 is None:
                 continue
-            _poly_add(acc, m2, v * rat(k1 * k2))
+            accumulate(acc, m2, v * rat(k1 * k2))
     got = {k: p for k, p in got.items() if p}
     want = {k: p for k, p in T.items() if p}
     if got != want:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -74,6 +75,29 @@ def test_selftest_json_is_one_document(capsys):
     assert cli.main(["selftest", "--only", "1", "--format", "json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["ok"] and [c["number"] for c in report["criteria"]] == [1]
+
+
+# sha256 of the JSON report of ``ncx selftest --seed 42 --only 2,3``, with
+# every ``elapsed*`` field removed and keys sorted; recorded before the
+# connecting map and the elimination over Q ran on integer numerators.
+GOLDEN_SELFTEST_2_3 = "5422017ec2468c3253f88544c17fe2808969868629195e28225790119b7b87f6"
+
+
+def _without_elapsed(obj):
+    if isinstance(obj, dict):
+        return {k: _without_elapsed(v) for k, v in obj.items()
+                if not k.startswith("elapsed")}
+    if isinstance(obj, list):
+        return [_without_elapsed(v) for v in obj]
+    return obj
+
+
+def test_selftest_report_is_pinned(capsys):
+    assert cli.main(["selftest", "--seed", "42", "--only", "2,3",
+                     "--format", "json"]) == 0
+    report = _without_elapsed(json.loads(capsys.readouterr().out))
+    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode())
+    assert digest.hexdigest() == GOLDEN_SELFTEST_2_3
 
 
 def test_usage_error_bad_json(tmp_path, capsys):

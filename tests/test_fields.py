@@ -15,6 +15,7 @@ from ncomplex.fields import (
     STRAIGHT_LINE_DEGREE,
     Field,
     QContext,
+    accumulate,
     check_assumptions,
     cyclotomic_polynomial,
     euler_phi,
@@ -432,3 +433,28 @@ def test_golden_serialization():
         text = json.dumps(K.basis.to_json(), sort_keys=True)
         assert K.dim == 3
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("f", [QQ, make_cyclotomic(5), make_cyclotomic(8)], ids=repr)
+def test_split_join_and_int_numerators(f):
+    rng = random.Random(77)
+    values = [f.random_scalar(rng) for _ in range(6)] + [f.from_rat(3, 14), f.zero]
+    nums, D = f.split(values)
+    assert [f.join(n, D) for n in nums] == values
+    for k in (-3, 0, 1, 12):
+        n = f.numerator(k)
+        assert f.join(n, 1) == f.from_rat(k)
+        assert f.join(f.mul(n, nums[-2]), D) == f.mul(f.from_rat(k), values[-2])
+    assert type(QQ.numerator(5)) is int
+
+
+def test_accumulate_drops_zero_sums_and_keeps_order():
+    acc = {}
+    accumulate(acc, "a", rat(1, 2))
+    accumulate(acc, "b", rat(0))
+    accumulate(acc, "c", rat(3))
+    accumulate(acc, "a", rat(-1, 2))
+    assert acc == {"c": rat(3)}
+    accumulate(acc, "a", rat(2))
+    accumulate(acc, "c", rat(1, 3))
+    assert list(acc.items()) == [("c", rat(10, 3)), ("a", rat(2))]

@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import json
+import math
 import random
 
 import pytest
@@ -252,6 +253,88 @@ def test_row_echelon_against_dense_oracle(seed):
             for i, (cols, vals) in enumerate(rows)
         ]
         _check_echelon_against_oracle(augmented, ncols, ncols + len(rows), field)
+
+
+class _ScalarQ:
+    """The scalar operations of QQ under another kind, so that the kernel
+    eliminates with them instead of on integer rows."""
+
+    kind = "scalar reference"
+    add, mul, neg, inv, is_zero = QQ.add, QQ.mul, QQ.neg, QQ.inv, QQ.is_zero
+
+
+def _is_canonical_rat(v):
+    return (type(v) is type(rat(0)) and v.denominator > 0
+            and math.gcd(v.numerator, v.denominator) == 1)
+
+
+@st.composite
+def q_echelon_cases(draw):
+    """Sparse rows over Q with numerators up to 10^6 over denominators 1..12,
+    some of them combinations of earlier rows; a pivot limit and a flag."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1), label="seed"))
+    nrows = draw(st.integers(0, 12), label="rows")
+    ncols = draw(st.integers(0, 12), label="cols")
+    limit = draw(st.one_of(st.just(ncols), st.integers(0, ncols)), label="limit")
+    reduced = draw(st.booleans(), label="reduced")
+    density = rng.choice((0.2, 0.5, 0.9))
+    dense = []
+    for _ in range(nrows):
+        if len(dense) >= 2 and rng.random() < 0.3:
+            a, b = rng.sample(dense, 2)
+            s, t = rat(rng.randint(-9, 9), rng.randint(1, 12)), rat(rng.randint(1, 9))
+            dense.append([s * x + t * y for x, y in zip(a, b)])
+        else:
+            dense.append([
+                rat(rng.randint(-10**6, 10**6), rng.randint(1, 12))
+                if rng.random() < density else rat(0)
+                for _ in range(ncols)
+            ])
+    rows = []
+    for row in dense:
+        cols = [c for c, v in enumerate(row) if v]
+        rows.append((cols, [row[c] for c in cols]))
+    return rows, ncols, limit, reduced
+
+
+@given(q_echelon_cases())
+@settings(max_examples=200, deadline=None)
+def test_integer_elimination_over_q(case):
+    """The fraction-free elimination over Q against the dense Gauss-Jordan
+    oracle, and row for row against the kernel's scalar path."""
+    rows, ncols, limit, reduced = case
+    pivots, erows, residual = kernel.row_echelon(
+        copy.deepcopy(rows), limit, QQ, reduced=reduced)
+    for cols, vals in erows + residual:
+        assert cols == sorted(set(cols))
+        assert vals and all(v and _is_canonical_rat(v) for v in vals)
+    assert all(cols[0] >= limit for cols, _ in residual)
+    for _, vals in residual:  # primitive integer rows
+        assert all(v.denominator == 1 for v in vals)
+        assert math.gcd(*[v.numerator for v in vals]) == 1
+    assert [cols[0] for cols, _ in erows] == pivots
+    assert all(vals[0] == 1 for _, vals in erows)
+
+    o_piv, o_rows = dense_rref(_to_dense(rows, ncols, QQ), QQ)
+    rk = len(pivots)
+    assert pivots == o_piv[:rk]
+    assert all(c >= limit for c in o_piv[rk:])
+    # erows and residual rows span the row space
+    assert dense_rref(_to_dense(erows + residual, ncols, QQ), QQ) == (o_piv, o_rows)
+    r_piv, r_rows = dense_rref(_to_dense(residual, ncols, QQ), QQ)
+    assert (r_piv, r_rows) == (o_piv[rk:], o_rows[rk:])
+    if reduced:
+        # below ``limit`` the reduced rows are the oracle's, up to the span
+        # of the residual rows from ``limit`` on
+        for row, expected in zip(_to_dense(erows, ncols, QQ), o_rows):
+            for c, r_row in zip(r_piv, r_rows):
+                row = [a - row[c] * b for a, b in zip(row, r_row)]
+            assert row == expected
+
+    s_piv, s_erows, s_residual = kernel.row_echelon(
+        copy.deepcopy(rows), limit, _ScalarQ, reduced=reduced)
+    assert (s_piv, s_erows) == (pivots, erows)
+    assert dense_rref(_to_dense(s_residual, ncols, QQ), QQ) == (r_piv, r_rows)
 
 
 def test_matrix_json_roundtrip():

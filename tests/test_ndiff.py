@@ -5,7 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncomplex.fields import QQ, make_cyclotomic, rat
-from ncomplex.linalg import ExactMatrix, Subspace, image_basis, rank
+from ncomplex.linalg import (
+    ExactMatrix,
+    Subspace,
+    image_basis,
+    kernel_basis,
+    rank,
+    solve,
+)
 from ncomplex.ndiff import (
     NDiffModule,
     all_hexagons_check,
@@ -343,3 +350,71 @@ def test_module_json_roundtrip():
     obj = E.to_json()
     E2 = NDiffModule.from_json(obj)
     assert E2.N == E.N and E2.d == E.d
+
+
+# -- the connecting map on integer numerators -----------------------------------
+
+
+def _reference_connect(ses, z, m, shift=None):
+    """The connecting map as a chain of scalar solves and applies."""
+    f = ses.F.field
+    y = solve(ses.psi, z)
+    if shift is not None:
+        for j, v in shift.items():
+            s = f.add(y.get(j, f.zero), v)
+            if f.is_zero(s):
+                y.pop(j, None)
+            else:
+                y[j] = s
+    x = solve(ses.phi, ses.F.power(m).apply(y))
+    assert not ses.E.power(ses.E.N - m).apply(x)
+    return x
+
+
+def _reference_well_defined(ses, m, rng, trials):
+    """connecting_well_defined with scalar shifts and the reference chain."""
+    f = ses.F.field
+    HG = homology(ses.G)[m]
+    HE = homology(ses.E)[ses.E.N - m]
+    ker_psi = kernel_basis(ses.psi)
+    for z in HG.representatives.columns():
+        base = HE.quotient.coordinates(_reference_connect(ses, z, m))
+        for _ in range(trials):
+            if ker_psi.dim == 0:
+                break
+            shift = {}
+            for col in ker_psi.basis.columns():
+                c = f.from_rat(rng.randint(-3, 3))
+                if not f.is_zero(c):
+                    for i, v in col.items():
+                        shift[i] = f.add(shift.get(i, f.zero), f.mul(c, v))
+            x = _reference_connect(ses, z, m, shift)
+            if HE.quotient.coordinates(x) != base:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_numerator_connecting_map_matches_scalar_chain(seed):
+    rng = random.Random(500 + seed)
+    N = rng.choice((3, 4, 5))
+    ses = random_ses(QQ, N, rng)
+    f = QQ
+    K = kernel_basis(ses.psi).basis
+    for m in range(1, N):
+        for z in homology(ses.G)[m].representatives.columns():
+            x = ses.connect_vector(z, m)
+            assert x == _reference_connect(ses, z, m)
+            assert all(type(v) is type(rat(0)) for v in x.values())
+            for _ in range(3):
+                shift = K.apply({j: rat(rng.randint(-5, 5), rng.randint(1, 6))
+                                 for j in range(K.ncols)})
+                nums, D = f.split(list(shift.values()))
+                got = ses.connect_vector(z, m, lift_shift=(dict(zip(shift, nums)), D))
+                assert got == _reference_connect(ses, z, m, shift)
+        state = rng.getstate()
+        ref = random.Random()
+        ref.setstate(state)
+        verdict = connecting_well_defined(ses, m, rng, trials=3)
+        assert verdict == _reference_well_defined(ses, m, ref, trials=3)
+        assert rng.getstate() == ref.getstate()
