@@ -19,7 +19,7 @@ from .linalg import (
     image_basis,
     kernel_basis,
 )
-from .young import monomials
+from .young import mono_mul, monomials
 
 
 # -- polynomials over Q --------------------------------------------------------
@@ -36,7 +36,7 @@ def poly_mul(a, b):
     out = {}
     for m1, v1 in a.items():
         for m2, v2 in b.items():
-            accumulate(out, tuple(x + y for x, y in zip(m1, m2)), v1 * v2)
+            accumulate(out, mono_mul(m1, m2), v1 * v2)
     return out
 
 
@@ -270,8 +270,7 @@ def ghost_mul(a, b):
                 continue
             # pi_b crosses the chi_a block on its way left
             sign = s_pi * s_chi * (-1) ** (len(ca) * len(pb))
-            mono = tuple(x + y for x, y in zip(ma, mb))
-            out.add_term((pi, mono, chi), va * vb * rat(sign))
+            out.add_term((pi, mono_mul(ma, mb), chi), va * vb * rat(sign))
     return out
 
 
@@ -562,27 +561,42 @@ def brs_cohomology(K, n, wmax):
     The kernel only needs images of filtered sources; the image needs sources
     up to wmax + (the largest degree drop of delta), so that im(delta) cap F_W
     is complete and window boundaries cannot fake classes."""
-    pad = _max_poly_raise(K)
-    drop = _max_poly_drop(K)
-    src = K.ghost_basis(n, wmax)
-    tgt = K.ghost_basis(n + 1, wmax + pad)
+    return _filtered_cohomology_dim(
+        lambda key: K.apply_total(GhostElement(K.D, {key: rat(1)})).terms,
+        K.ghost_basis(n, wmax),
+        K.ghost_basis(n + 1, wmax + _max_poly_raise(K)),
+        K.ghost_basis(n - 1, wmax + _max_poly_drop(K)),
+    )
+
+
+def _filtered_cohomology_dim(differential, src, tgt, below):
+    """dim of the cohomology at the filtered piece spanned by the keys
+    ``src``, for a differential given on keys as {key: value}.
+
+    The kernel is taken into ``tgt``; an image term outside ``tgt`` raises
+    KeyError.  The image is that of ``below`` cut to the filtration: only
+    the combinations whose terms outside ``src`` cancel (the kernel of the
+    overflow part) count."""
     tgt_index = {k: i for i, k in enumerate(tgt)}
-    M = K.matrix_of(K.apply_total, src, tgt_index)
-    kernel = kernel_basis(M)
-    below = K.ghost_basis(n - 1, wmax + drop)
-    mid_index = {k: i for i, k in enumerate(src)}
+    ent = {}
+    for col, key in enumerate(src):
+        for k2, v in differential(key).items():
+            row = tgt_index.get(k2)
+            if row is None:
+                raise KeyError(f"image term {k2} outside enumerated window")
+            ent[(row, col)] = v
+    Z = kernel_basis(ExactMatrix(len(tgt), len(src), QQ, ent))
+    src_index = {k: i for i, k in enumerate(src)}
+    nrows = len(src)
     ent = {}
     extra_rows = {}
-    nrows = len(src)
     for col, key in enumerate(below):
-        img = K.apply_total(GhostElement(K.D, {key: rat(1)}))
-        for k2, v in img.terms.items():
-            row = mid_index.get(k2)
+        for k2, v in differential(key).items():
+            row = src_index.get(k2)
             if row is None:
                 row = extra_rows.setdefault(k2, nrows + len(extra_rows))
             ent[(row, col)] = v
     Mlow = ExactMatrix(nrows + len(extra_rows), len(below), QQ, ent)
-    # image inside the filtration: columns whose overflow part vanishes
     overflow = ExactMatrix(
         len(extra_rows), len(below), QQ,
         {(r - nrows, c): v for (r, c), v in Mlow.entries.items() if r >= nrows},
@@ -593,8 +607,8 @@ def brs_cohomology(K, n, wmax):
         vec = Mlow.apply(col)
         img_cols.append({k: v for k, v in vec.items() if k < nrows})
     B = image_basis(ExactMatrix.from_columns(img_cols, nrows, QQ))
-    # B is contained in the kernel (delta^2 = 0); quotient dimension:
-    return kernel.dim - B.dim
+    # B lies in Z because the differential squares to zero
+    return Z.dim - B.dim
 
 
 def _max_poly_raise(K):
@@ -641,58 +655,36 @@ def koszul_homology(constraints, D, deg_max):
     m = len(constraints)
     du = [poly_deg(u) for u in constraints]
 
-    def weight(pis, mono):
-        return sum(du[a] for a in pis) + sum(mono)
+    def basis(n, w):
+        """Keys (pis, mono) with |pis| = n and weight w."""
+        if n < 0:
+            return []
+        return [(pis, mono) for pis in itertools.combinations(range(m), n)
+                for mono in monomials(D, w - sum(du[a] for a in pis))]
 
-    # delta_0 on Lambda(pi) ox Poly
-    def d0_elem(pis, mono):
-        out = {}
-        for k in range(len(pis)):
-            rest, sgn = _remove_at(pis, k)
-            for mu, v in constraints[pis[k]].items():
-                key = (rest, tuple(x + y for x, y in zip(mono, mu)))
-                accumulate(out, key, rat(sgn) * v)
-        return out
+    def d0_matrix(src, tgt):
+        """delta_0 on Lambda(pi) ox Poly, from the keys src to the keys tgt."""
+        tgt_index = {k: i for i, k in enumerate(tgt)}
+        ent = {}
+        for col, (pis, mono) in enumerate(src):
+            out = {}
+            for k in range(len(pis)):
+                rest, sgn = _remove_at(pis, k)
+                for mu, v in constraints[pis[k]].items():
+                    accumulate(out, (rest, mono_mul(mono, mu)), rat(sgn) * v)
+            for k2, v in out.items():
+                ent[(tgt_index[k2], col)] = v
+        return ExactMatrix(len(tgt), len(src), QQ, ent)
 
     dims = {}
     for n in range(m + 1):
         for w in range(deg_max + 1):
-            src = [
-                (pis, mono)
-                for pis in itertools.combinations(range(m), n)
-                for totw in [w]
-                for mono in monomials(D, w - sum(du[a] for a in pis))
-                if w - sum(du[a] for a in pis) >= 0
-            ]
+            src = basis(n, w)
             if not src:
                 dims[(-n, w)] = 0
                 continue
-            tgt = [
-                (pis, mono)
-                for pis in itertools.combinations(range(m), n - 1)
-                for mono in monomials(D, w - sum(du[a] for a in pis))
-                if w - sum(du[a] for a in pis) >= 0
-            ] if n >= 1 else []
-            tgt_index = {k: i for i, k in enumerate(tgt)}
-            ent = {}
-            for col, (pis, mono) in enumerate(src):
-                for k2, v in d0_elem(pis, mono).items():
-                    ent[(tgt_index[k2], col)] = v
-            M = ExactMatrix(len(tgt), len(src), QQ, ent)
-            Z = kernel_basis(M)
-            src_below = [
-                (pis, mono)
-                for pis in itertools.combinations(range(m), n + 1)
-                for mono in monomials(D, w - sum(du[a] for a in pis))
-                if w - sum(du[a] for a in pis) >= 0
-            ] if n + 1 <= m else []
-            src_index = {k: i for i, k in enumerate(src)}
-            ent = {}
-            for col, (pis, mono) in enumerate(src_below):
-                for k2, v in d0_elem(pis, mono).items():
-                    ent[(src_index[k2], col)] = v
-            Mlow = ExactMatrix(len(src), len(src_below), QQ, ent)
-            B = image_basis(Mlow)
+            Z = kernel_basis(d0_matrix(src, basis(n - 1, w)))
+            B = image_basis(d0_matrix(basis(n + 1, w), src))
             dims[(-n, w)] = Z.dim - B.dim
     return dims
 
@@ -723,7 +715,7 @@ class LongitudinalComplex:
                 for mono in monomials(self.D, wl):
                     col = {}
                     for mu, v in u.items():
-                        col[mindex[tuple(x + y for x, y in zip(mono, mu))]] = v
+                        col[mindex[mono_mul(mono, mu)]] = v
                     cols.append(col)
             ideal = image_basis(
                 ExactMatrix.from_columns(cols, len(monos), QQ)
@@ -810,38 +802,12 @@ class LongitudinalComplex:
             default=0,
         )
         drop = max([0] + [-sh for sh in shifts])
-        src = self.basis(s, wmax)
-        tgt = self.basis(s + 1, min(wmax + pad, self.deg_max))
-        tgt_index = {k: i for i, k in enumerate(tgt)}
-        ent = {}
-        for col, key in enumerate(src):
-            for k2, v in self.differential(key).items():
-                ent[(tgt_index[k2], col)] = v
-        M = ExactMatrix(len(tgt), len(src), QQ, ent)
-        Z = kernel_basis(M)
-        below = self.basis(s - 1, wmax + drop) if s >= 1 else []
-        src_index = {k: i for i, k in enumerate(src)}
-        ent = {}
-        extra = {}
-        for col, key in enumerate(below):
-            for k2, v in self.differential(key).items():
-                row = src_index.get(k2)
-                if row is None:
-                    row = extra.setdefault(k2, len(src) + len(extra))
-                ent[(row, col)] = v
-        Mlow = ExactMatrix(len(src) + len(extra), len(below), QQ, ent)
-        overflow = ExactMatrix(
-            len(extra), len(below), QQ,
-            {(r - len(src), c): v
-             for (r, c), v in Mlow.entries.items() if r >= len(src)},
+        return _filtered_cohomology_dim(
+            self.differential,
+            self.basis(s, wmax),
+            self.basis(s + 1, min(wmax + pad, self.deg_max)),
+            self.basis(s - 1, wmax + drop) if s >= 1 else [],
         )
-        keep = kernel_basis(overflow)
-        img_cols = []
-        for col in keep.basis.columns():
-            vec = Mlow.apply(col)
-            img_cols.append({k: v for k, v in vec.items() if k < len(src)})
-        B = image_basis(ExactMatrix.from_columns(img_cols, len(src), QQ))
-        return Z.dim - B.dim
 
 
 def theorem4_verify(system, deg_max, ghost_range=None, wmax=None):

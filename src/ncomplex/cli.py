@@ -337,7 +337,6 @@ def cmd_gauge_ext(args):
         if not args.suite:
             args.suite = "random"
     if args.suite == "random":
-        rng_master = random.Random(args.seed)
         failures = []
         for i in range(args.trials):
             rng = random.Random(f"{args.seed}:gauge:{i}")

@@ -729,7 +729,6 @@ def _index_tuple(idx, a, length):
 def _check_multiplicative_axioms(E, A, cap):
     """(MF1), (MF2), (MS) on basis pairs with a + b + 2 <= cap + 1."""
     f = E.field
-    a_dim = A.dim
     for adeg in range(cap):
         for bdeg in range(cap - adeg):
             if adeg + bdeg + 1 > E.n_max:
@@ -777,7 +776,6 @@ def universal_envelope(A, n_max):
     Returns (complex-with-product, bases)."""
     T = tensor_algebra(A, n_max, check_m_axioms=False)
     sub, bases = normalized_subcomplex(T, compare_cohomology=False)
-    f = A.field
     solvers = [EchelonSolver(b.basis) for b in bases]
 
     def prod(a_deg, va, b_deg, vb):
@@ -958,7 +956,6 @@ def theorem2_verify(E, q, N, window):
 def prop7_verify(A, q, N, window):
     """H^n_(k)(T(A), d_1) = 0 for 1 <= n <= window with H^0_(k) = k, and the
     same for Omega_q(A)."""
-    f = A.field
     n_max = window + N - 1
     T = tensor_algebra(A, n_max, check_m_axioms=False, check_relations=False)
     C1 = d1(T, q, N)

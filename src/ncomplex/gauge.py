@@ -425,7 +425,8 @@ class GaugeCochains:
         return dict(hvec)
 
     def prop8_check(self):
-        """The d-span of H inside C(U, H) realizes H-bullet degreewise."""
+        """The d-span of H inside C(U, H) realizes H-bullet degreewise:
+        dimension h at level 0 and h - dim H_I at each level 1..N-1."""
         f = self.field
         h, kdim = self.h, self.h - self.G.HI.dim
         cols = [
@@ -434,6 +435,8 @@ class GaugeCochains:
         span = image_basis(
             ExactMatrix.from_columns(cols, self.total, f)
         )
+        if span.dim != h:
+            return {"ok": False, "level": 0, "dim": span.dim, "want": h}
         for n in range(1, self.N):
             cols = [self.d.apply(c) for c in cols]
             span_n = image_basis(
@@ -753,8 +756,9 @@ def gram_hermitian_check(C, G):
 
 def spin_complex_report(kind, p, alpha, field):
     builder = spin1_complex if kind == 1 else spin2_complex
+    # the GradedNComplex constructor in spin1_complex/spin2_complex
+    # certified delta^2 = 0
     C, G = builder(p, alpha, field)
-    total = C.total_module()  # validates delta^2 = 0
     H = graded_homology(C)
     rep = {
         "delta2_zero": True,

@@ -15,7 +15,7 @@ from .linalg import (
     kernel_basis,
     rank,
 )
-from .ndiff import NDiffModule, exact_at
+from .ndiff import HomologySlot, NDiffModule, exact_at
 
 
 class WindowError(ValueError):
@@ -193,20 +193,6 @@ class GradedNComplex:
         return f"GradedNComplex(N={self.N}, {kind}, dims={self.dims})"
 
 
-@dataclass
-class GradedSlot:
-    n: int
-    m: int
-    dim_Z: int
-    dim_B: int
-    dim_H: int
-    quotient: QuotientSpace
-
-    @property
-    def representatives(self):
-        return self.quotient.representatives()
-
-
 class GradedHomology:
     """H^n_(m) for degrees where the window determines them."""
 
@@ -245,10 +231,7 @@ def graded_homology(C, degrees=None, ms=None):
             src = C.composite(n + m - N, N - m)
             if src is None:
                 continue
-            Z = kernel_basis(out)
-            B = image_basis(src)
-            q = QuotientSpace(Z, B)
-            H.slots[(n, m)] = GradedSlot(n, m, Z.dim, B.dim, q.dim, q)
+            H.slots[(n, m)] = HomologySlot(kernel_basis(out), image_basis(src))
     return H
 
 
@@ -641,34 +624,23 @@ def graded_connecting(ses, HGs, HEs, j, m):
     from .linalg import EchelonSolver
 
     N = ses.F.N
-    f = ses.F.field
     tgt_deg = (j + m) % N if ses.F.cyclic else j + m
     slotG = HGs[(j, m)]
     slotE = HEs[(tgt_deg, N - m)]
     psi_sol = EchelonSolver(ses.psi[j])
     phi_sol = EchelonSolver(ses.phi[tgt_deg])
     dFm = ses.F.composite(j, m)
-    cols = []
-    for z in slotG.representatives.columns():
+
+    def lift(z):
         y = psi_sol.solve(z)
         if y is None:
             raise AssertionError("psi must be surjective")
-        w = dFm.apply(y)
-        x = phi_sol.solve(w)
+        x = phi_sol.solve(dFm.apply(y))
         if x is None:
             raise AssertionError("lift image left im(phi)")
-        cols.append(slotE.quotient.coordinates(x))
-    return ExactMatrix.from_columns(cols, slotE.dim_H, f)
+        return x
 
-
-def _graded_induced(M_by_deg, src_H, tgt_H, j, m, f):
-    slot_s = src_H[(j, m)]
-    slot_t = tgt_H[(j, m)]
-    cols = [
-        slot_t.quotient.coordinates(M_by_deg[j].apply(z))
-        for z in slot_s.representatives.columns()
-    ]
-    return ExactMatrix.from_columns(cols, slot_t.dim_H, f)
+    return slotG.map_to(slotE, lift)
 
 
 def les_check(ses, n, p):
@@ -676,7 +648,6 @@ def les_check(ses, n, p):
     neighbouring homologies lie inside the validity windows."""
     ses.validate()
     N = ses.F.N
-    f = ses.F.field
     HE = graded_homology(ses.E)
     HF = graded_homology(ses.F)
     HG = graded_homology(ses.G)
@@ -708,14 +679,18 @@ def les_check(ses, n, p):
         j, m, tag = nodes[idx]
         jj = j % N if ses.F.cyclic else j
         try:
+            # phi and psi are looked up per representative: a degree where
+            # E and G vanish may carry no maps
             if tag == "E":
                 if slot("E", j, m) is None or slot("F", j, m) is None:
                     return None
-                return _graded_induced(ses.phi, HE.slots, HF.slots, jj, m, f)
+                return HE.slots[(jj, m)].map_to(
+                    HF.slots[(jj, m)], lambda z: ses.phi[jj].apply(z))
             if tag == "F":
                 if slot("F", j, m) is None or slot("G", j, m) is None:
                     return None
-                return _graded_induced(ses.psi, HF.slots, HG.slots, jj, m, f)
+                return HF.slots[(jj, m)].map_to(
+                    HG.slots[(jj, m)], lambda z: ses.psi[jj].apply(z))
             nxt = nodes[(idx + 1) % len(nodes)] if ses.F.cyclic else (
                 nodes[idx + 1] if idx + 1 < len(nodes) else None
             )

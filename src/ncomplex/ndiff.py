@@ -83,17 +83,26 @@ class NDiffModule:
         return f"NDiffModule(N={self.N}, dim={self.dim})"
 
 
-@dataclass
 class HomologySlot:
-    m: int
-    dim_Z: int
-    dim_B: int
-    dim_H: int
-    quotient: QuotientSpace
+    """One homology space H = Z / B: its dimensions and the quotient that
+    fixes its representatives by the deterministic complement rule."""
+
+    def __init__(self, Z, B):
+        self.quotient = QuotientSpace(Z, B)
+        self.dim_Z, self.dim_B, self.dim_H = Z.dim, B.dim, self.quotient.dim
+        if not self.dim_H == self.dim_Z - self.dim_B >= 0:
+            raise AssertionError("dim H != dim Z - dim B")
 
     @property
     def representatives(self):
         return self.quotient.representatives()
+
+    def map_to(self, target, image):
+        """Matrix of the map from this space to ``target`` that sends the
+        class of z to the class of image(z), in the representative bases."""
+        coordinates = target.quotient.coordinates
+        cols = [coordinates(image(z)) for z in self.representatives.columns()]
+        return ExactMatrix.from_columns(cols, target.dim_H, target.quotient.field)
 
 
 @dataclass
@@ -115,15 +124,11 @@ def homology(E):
     complement rule of the quotient machinery."""
     if E._homology is not None:
         return E._homology
-    slots = {}
     images = E.image_chain()
-    for m in range(1, E.N):
-        Z = kernel_basis(E.power(m))
-        B = images[E.N - m - 1]
-        q = QuotientSpace(Z, B)
-        slots[m] = HomologySlot(m, Z.dim, B.dim, q.dim, q)
-        if not q.dim == Z.dim - B.dim >= 0:
-            raise AssertionError(f"dim H_({m}) != dim Z - dim B")
+    slots = {
+        m: HomologySlot(kernel_basis(E.power(m)), images[E.N - m - 1])
+        for m in range(1, E.N)
+    }
     E._homology = GeneralizedHomology(E, slots)
     return E._homology
 
@@ -180,11 +185,7 @@ def induced_i(E, m):
     if not 1 <= m <= E.N - 2:
         raise ValueError("need 1 <= m <= N-2")
     H = homology(E)
-    src, tgt = H[m], H[m + 1]
-    cols = []
-    for z in src.representatives.columns():
-        cols.append(tgt.quotient.coordinates(z))
-    return ExactMatrix.from_columns(cols, tgt.dim_H, E.field)
+    return H[m].map_to(H[m + 1], lambda z: z)
 
 
 def induced_d(E, m):
@@ -192,11 +193,7 @@ def induced_d(E, m):
     if not 1 <= m <= E.N - 2:
         raise ValueError("need 1 <= m <= N-2")
     H = homology(E)
-    src, tgt = H[m + 1], H[m]
-    cols = []
-    for z in src.representatives.columns():
-        cols.append(tgt.quotient.coordinates(E.d.apply(z)))
-    return ExactMatrix.from_columns(cols, tgt.dim_H, E.field)
+    return H[m + 1].map_to(H[m], E.d.apply)
 
 
 def _compose_chain(mats):
@@ -418,13 +415,9 @@ def _add_split(a, Da, b, Db, f):
 
 def ses_connecting(ses, m):
     """Matrix of partial: H_(m)(G) -> H_(N-m)(E) in the representative bases."""
-    HG = homology(ses.G)[m]
-    HE = homology(ses.E)[ses.E.N - m]
-    cols = []
-    for z in HG.representatives.columns():
-        x = ses.connect_vector(z, m)
-        cols.append(HE.quotient.coordinates(x))
-    return ExactMatrix.from_columns(cols, HE.dim_H, ses.E.field)
+    return homology(ses.G)[m].map_to(
+        homology(ses.E)[ses.E.N - m], lambda z: ses.connect_vector(z, m)
+    )
 
 
 def connecting_well_defined(ses, m, rng, trials=10):
@@ -458,12 +451,7 @@ def connecting_well_defined(ses, m, rng, trials=10):
 
 def induced_map_on_homology(M, src_module, tgt_module, m):
     """H_(m)(src) -> H_(m)(tgt) induced by a chain map M."""
-    Hs = homology(src_module)[m]
-    Ht = homology(tgt_module)[m]
-    cols = []
-    for z in Hs.representatives.columns():
-        cols.append(Ht.quotient.coordinates(M.apply(z)))
-    return ExactMatrix.from_columns(cols, Ht.dim_H, tgt_module.field)
+    return homology(src_module)[m].map_to(homology(tgt_module)[m], M.apply)
 
 
 def ses_hexagon_check(ses):

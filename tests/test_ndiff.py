@@ -14,6 +14,7 @@ from ncomplex.linalg import (
     solve,
 )
 from ncomplex.ndiff import (
+    HomologySlot,
     NDiffModule,
     all_hexagons_check,
     block_module,
@@ -111,6 +112,18 @@ def test_homology_zero_differential():
     E = NDiffModule(4, ExactMatrix.zeros(5, 5, QQ).scale(QQ.one), check=True)
     H = homology(E)
     assert all(v == 5 for v in H.dims().values())
+
+
+def test_homology_slot_checks_dimensions():
+    """Every slot, graded ones included, checks dim H = dim Z - dim B: a
+    spanning set of B that is not a basis breaks the count."""
+    Z = Subspace.full(3, QQ)
+    e0 = {0: QQ.one}
+    slot = HomologySlot(Z, Subspace(3, ExactMatrix.from_columns([e0], 3, QQ)))
+    assert (slot.dim_Z, slot.dim_B, slot.dim_H) == (3, 1, 2)
+    twice = Subspace(3, ExactMatrix.from_columns([e0, e0], 3, QQ))
+    with pytest.raises(AssertionError, match="dim H != dim Z - dim B"):
+        HomologySlot(Z, twice)
 
 
 def test_multiplicities_recover_blocks():
