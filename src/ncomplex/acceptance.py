@@ -4,14 +4,13 @@ CLI prints and the test suite asserts on."""
 
 from __future__ import annotations
 
-import math
 import os
 import random
 import time
 from dataclasses import dataclass, field as dc_field
 
-from .fields import QQ, make_cyclotomic, q_binomial, rat
-from .linalg import ExactMatrix, Subspace, image_basis
+from .fields import QQ, make_cyclotomic, q_binomial
+from .linalg import ExactMatrix, image_basis
 from . import ndiff
 from . import graded
 from . import cosimplicial as cx

@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import acceptance
-from .fields import Field, QQ, make_cyclotomic
+from .fields import QQ, make_cyclotomic
 from .graded import WindowError
-from .linalg import ExactMatrix, Subspace, _int_key, _is_index, image_basis
+from .linalg import ExactMatrix, _int_key, _is_index
 
 SCHEMA_VERSION = 1
 

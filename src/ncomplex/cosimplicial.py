@@ -53,11 +53,7 @@ class AlgebraData:
             for j, b in y.items():
                 ab = f.mul(a, b)
                 for k, c in self.structure[i][j].items():
-                    s = f.add(out.get(k, f.zero), f.mul(ab, c))
-                    if f.is_zero(s):
-                        out.pop(k, None)
-                    else:
-                        out[k] = s
+                    f.accumulate(out, k, f.mul(ab, c))
         return out
 
     def validate(self):
@@ -78,11 +74,7 @@ class AlgebraData:
                             inner = self.structure[a][b]
                             for t, v in inner.items():
                                 for s, w in self.structure[t][c].items():
-                                    val = f.add(acc.get(s, f.zero), f.mul(v, w))
-                                    if f.is_zero(val):
-                                        acc.pop(s, None)
-                                    else:
-                                        acc[s] = val
+                                    f.accumulate(acc, s, f.mul(v, w))
                         if acc:
                             raise ValueError(f"Jacobi fails at ({i},{j},{k})")
             return True
@@ -422,19 +414,7 @@ def constant_cosimplicial(field, n_max):
 def simplicial_differential(E):
     """d = sum (-1)^i f_i, a classical complex (N = 2), truncated above."""
     f = E.field
-    maps = {}
-    for n in range(E.n_max):
-        acc = ExactMatrix.zeros(E.dims[n + 1], E.dims[n], f)
-        sign = f.one
-        for i, fi in enumerate(E.cofaces[n]):
-            acc = acc + fi.scale(sign)
-            sign = f.neg(sign)
-        maps[n] = acc
-    C = GradedNComplex(
-        2, f, {n: E.dims[n] for n in range(E.n_max + 1)}, maps,
-        truncated_above=True,
-    )
-    return C
+    return d0(E, f.neg(f.one), 2)
 
 
 def d0(E, q, N):
@@ -628,11 +608,7 @@ def chevalley_eilenberg(g, rep_mats, rep_dim, p_max):
                 sgn = f.one if k % 2 == 0 else f.neg(f.one)
                 for (r2, r1), v in rep_mats[tk].entries.items():
                     key = (row_base * rep_dim + r2, col_base * rep_dim + r1)
-                    s = f.add(ent.get(key, f.zero), f.mul(sgn, v))
-                    if f.is_zero(s):
-                        ent.pop(key, None)
-                    else:
-                        ent[key] = s
+                    f.accumulate(ent, key, f.mul(sgn, v))
             for r_i, s_i in combinations(range(p + 1), 2):
                 rest = tuple(t for k2, t in enumerate(T) if k2 not in (r_i, s_i))
                 base_sign = -1 if (r_i + s_i) % 2 else 1
@@ -645,11 +621,7 @@ def chevalley_eilenberg(g, rep_mats, rep_dim, p_max):
                     coeff = f.mul(coeff, v)
                     for r in range(rep_dim):
                         key = (row_base * rep_dim + r, col_base * rep_dim + r)
-                        s = f.add(ent.get(key, f.zero), coeff)
-                        if f.is_zero(s):
-                            ent.pop(key, None)
-                        else:
-                            ent[key] = s
+                        f.accumulate(ent, key, coeff)
         maps[p] = ExactMatrix(dims.get(p + 1, 0), dims[p], f, ent, _clean=False)
     return GradedNComplex(2, f, dims, maps, truncated_above=(p_max < n))
 
@@ -683,11 +655,7 @@ def tensor_algebra(A, n_max, check_m_axioms=True, check_relations=True):
                 for t, c in A.mul_basis(tup[i], tup[i + 1]).items():
                     out = tup[:i] + (t,) + tup[i + 2:]
                     key = (_tuple_index(out, a), col)
-                    s = f.add(ent.get(key, f.zero), c)
-                    if f.is_zero(s):
-                        ent.pop(key, None)
-                    else:
-                        ent[key] = s
+                    f.accumulate(ent, key, c)
             level_s.append(ExactMatrix(dims[n], dims[n + 1], f, ent, _clean=False))
         codegens.append(level_s)
 
@@ -702,11 +670,7 @@ def tensor_algebra(A, n_max, check_m_axioms=True, check_relations=True):
                 for t, c in A.mul_basis(ta[-1], tb[0]).items():
                     out_t = ta[:-1] + (t,) + tb[1:]
                     k = _tuple_index(out_t, a)
-                    s = f.add(out.get(k, f.zero), f.mul(cab, c))
-                    if f.is_zero(s):
-                        out.pop(k, None)
-                    else:
-                        out[k] = s
+                    f.accumulate(out, k, f.mul(cab, c))
         if not all(0 <= k < a**tgt_len for k in out):
             raise AssertionError("product index outside the target level")
         return out
@@ -779,8 +743,8 @@ def universal_envelope(A, n_max):
     solvers = [EchelonSolver(b.basis) for b in bases]
 
     def prod(a_deg, va, b_deg, vb):
-        big_a = _expand(bases[a_deg], va)
-        big_b = _expand(bases[b_deg], vb)
+        big_a = bases[a_deg].basis.apply(va)
+        big_b = bases[b_deg].basis.apply(vb)
         big = T.product(a_deg, big_a, b_deg, big_b)
         c = solvers[a_deg + b_deg].solve(big)
         if c is None:
@@ -789,19 +753,6 @@ def universal_envelope(A, n_max):
 
     sub.product = prod
     return sub, bases
-
-
-def _expand(base, vec):
-    out = {}
-    f = base.basis.field
-    for j, c in vec.items():
-        for i, v in base.basis.column(j).items():
-            s = f.add(out.get(i, f.zero), f.mul(c, v))
-            if f.is_zero(s):
-                out.pop(i, None)
-            else:
-                out[i] = s
-    return out
 
 
 def omega_q(A, q, N, n_max):
@@ -860,7 +811,7 @@ def omega_q(A, q, N, n_max):
 
     def prod(a_deg, va, b_deg, vb):
         big = T.product(
-            a_deg, _expand(bases[a_deg], va), b_deg, _expand(bases[b_deg], vb)
+            a_deg, bases[a_deg].basis.apply(va), b_deg, bases[b_deg].basis.apply(vb)
         )
         c = solvers[a_deg + b_deg].solve(big)
         if c is None:
@@ -1011,21 +962,11 @@ def q_tensor_leibniz_witness(C, q):
                     if (r + 1, s) in idx.layout.get(n + 1, {}):
                         for i2, v in d1m.column(i).items():
                             row = idx.pos(n + 1, r + 1, s, i2, j)
-                            acc = f.add(out.get(row, f.zero), f.mul(c, v))
-                            if f.is_zero(acc):
-                                out.pop(row, None)
-                            else:
-                                out[row] = acc
+                            f.accumulate(out, row, f.mul(c, v))
                     if (r, s + 1) in idx.layout.get(n + 1, {}):
                         for j2, v in d2m.column(j).items():
                             row = idx.pos(n + 1, r, s + 1, i, j2)
-                            acc = f.add(
-                                out.get(row, f.zero), f.mul(c, f.mul(qr, v))
-                            )
-                            if f.is_zero(acc):
-                                out.pop(row, None)
-                            else:
-                                out[row] = acc
+                            f.accumulate(out, row, f.mul(c, f.mul(qr, v)))
         return out
 
     def tensor_product(n1, v1, n2, v2):
@@ -1054,14 +995,9 @@ def q_tensor_leibniz_witness(C, q):
                                 for ii, av in aa.items():
                                     for jj, bv in bb.items():
                                         row = idx.pos(tgt, r3, s3, ii, jj)
-                                        v = f.add(
-                                            out.get(row, f.zero),
-                                            f.mul(coeff, f.mul(av, bv)),
+                                        f.accumulate(
+                                            out, row, f.mul(coeff, f.mul(av, bv))
                                         )
-                                        if f.is_zero(v):
-                                            out.pop(row, None)
-                                        else:
-                                            out[row] = v
         return out
 
     for n1 in sorted(idx.layout):
@@ -1081,11 +1017,7 @@ def q_tensor_leibniz_witness(C, q):
                         continue
                     rhs = tensor_product(n1 + 1, da, n2, v2)
                     for r, v in tensor_product(n1, v1, n2 + 1, db).items():
-                        s = f.add(rhs.get(r, f.zero), f.mul(f.pow(q, n1), v))
-                        if f.is_zero(s):
-                            rhs.pop(r, None)
-                        else:
-                            rhs[r] = s
+                        f.accumulate(rhs, r, f.mul(f.pow(q, n1), v))
                     if lhs != rhs:
                         return {"degrees": (n1, n2), "indices": (i1, i2)}
     return None

@@ -15,7 +15,11 @@ bound once per field, when it is built, as plain instance attributes: over Q
 the ``operator`` functions, over Q(zeta_M) straight-line code generated from
 the field's reduction table, so no call dispatches on the kind of field.  The
 class-level ``Field.add`` and ``Field.mul`` stay as the general reference
-forms that the generated code is tested against.
+forms that the generated code is tested against.  ``Field.accumulate`` is
+bound the same way: ``acc[key] += val`` in a sparse dict of scalars, the one
+step that builds every sparse sum (over Q the module-level
+:func:`accumulate`, over Q(zeta_M) one built from the field's ``add`` and
+``zero``).
 
 ``Field.split`` writes a list of scalars as integer numerators over one common
 denominator D, and ``Field.join`` turns one numerator and D back into a
@@ -125,10 +129,11 @@ def _signed_sum(terms):
 
 
 def _cyclotomic_ops(n, reduction, zero, mul=True):
-    """``{name: function}`` for add, sub, neg, is_zero and (if ``mul``) mul of
-    Q(zeta_M) of degree n, generated as straight-line code.  Coefficient k of
-    a product is the convolution term of degree k plus the fixed combination,
-    read off ``reduction``, of the terms h_t of degree t = n..2n-2."""
+    """``{name: function}`` for add, sub, neg, is_zero, accumulate and (if
+    ``mul``) mul of Q(zeta_M) of degree n, generated as straight-line code.
+    Coefficient k of a product is the convolution term of degree k plus the
+    fixed combination, read off ``reduction``, of the terms h_t of degree
+    t = n..2n-2."""
     a = ", ".join(f"a{i}" for i in range(n))
     b = ", ".join(f"b{i}" for i in range(n))
     head = f"    {a}, da = a\n    {b}, db = b\n"
@@ -148,6 +153,14 @@ def _cyclotomic_ops(n, reduction, zero, mul=True):
         f"    return ({', '.join(f'-a{i}' for i in range(n))}, da)\n"
     )
     src.append("def is_zero(a):\n    return a == zero\n")
+    src.append(
+        "def accumulate(acc, key, val):\n"
+        "    if key in acc:\n"
+        "        w = add(acc[key], val)\n"
+        "        if w == zero:\n            del acc[key]\n"
+        "        else:\n            acc[key] = w\n"
+        "    elif val != zero:\n        acc[key] = val\n"
+    )
     if mul:
         def conv(t):
             return [(1, f"a{i}*b{t - i}")
@@ -169,7 +182,7 @@ def _cyclotomic_ops(n, reduction, zero, mul=True):
         )
     namespace = {"_canonical": _canonical, "zero": zero}
     exec(compile("\n".join(src), f"<Q(zeta) degree {n}>", "exec"), namespace)
-    names = ("add", "sub", "neg", "is_zero") + (("mul",) if mul else ())
+    names = ("add", "sub", "neg", "is_zero", "accumulate") + (("mul",) if mul else ())
     return {name: namespace[name] for name in names}
 
 
@@ -230,6 +243,11 @@ class Field:
     class-level :meth:`add` and :meth:`mul` are the general reference forms;
     a field of degree above ``STRAIGHT_LINE_DEGREE`` keeps the class-level
     :meth:`mul`.
+
+    ``accumulate(acc, key, val)`` is bound alongside them and adds ``val``
+    into the sparse dict ``acc`` at ``key``: a key whose sum is zero is
+    dropped, a zero ``val`` at a new key is not stored, and key order is
+    kept.
     """
 
     def __init__(self, kind, M=None):
@@ -242,6 +260,7 @@ class Field:
             self.one = R_ONE
             self.add, self.sub, self.mul = operator.add, operator.sub, operator.mul
             self.neg, self.is_zero = operator.neg, operator.not_
+            self.accumulate = accumulate
         elif kind == "cyclotomic":
             phi = cyclotomic_polynomial(M)
             self.minimal_polynomial = phi

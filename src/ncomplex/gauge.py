@@ -11,7 +11,6 @@ from .cosimplicial import BimoduleData, d1 as cosimplicial_d1, hochschild
 from .fields import QQ, check_assumptions, make_cyclotomic, q_factorial, rat
 from .graded import GradedNComplex, graded_homology
 from .linalg import (
-    EchelonSolver,
     ExactMatrix,
     QuotientSpace,
     Subspace,
@@ -367,7 +366,7 @@ class GaugeCochains:
             col_base = _tindex(rest, a)
             for (nu, mu), v in self.action[out_t[0]].entries.items():
                 key = (nu * a ** (n + 1) + base_out, mu * a**n + col_base)
-                _ent_add(ent, key, v, f)
+                f.accumulate(ent, key, v)
             # middle multiplications with q^(2k)
             qk = f.one
             for k in range(1, n + 1):
@@ -378,7 +377,7 @@ class GaugeCochains:
                     for mu in range(h):
                         key = (mu * a ** (n + 1) + base_out,
                                mu * a**n + _tindex(in_t, a))
-                        _ent_add(ent, key, f.mul(qk, c), f)
+                        f.accumulate(ent, key, f.mul(qk, c))
             # counit tail with -q^(2n)
             qn = f.neg(f.pow(self.q2, n))
             eps = U.counit.get(out_t[-1], f.zero)
@@ -387,7 +386,7 @@ class GaugeCochains:
                 for mu in range(h):
                     key = (mu * a ** (n + 1) + base_out,
                            mu * a**n + col_base)
-                    _ent_add(ent, key, f.mul(qn, eps), f)
+                    f.accumulate(ent, key, f.mul(qn, eps))
         return ExactMatrix(self.dims[n + 1], self.dims[n], f, ent)
 
     # -- evaluation ------------------------------------------------------
@@ -414,11 +413,7 @@ class GaugeCochains:
                 if f.is_zero(coeff):
                     break
             else:
-                w = f.add(out.get(mu, f.zero), coeff)
-                if f.is_zero(w):
-                    out.pop(mu, None)
-                else:
-                    out[mu] = w
+                f.accumulate(out, mu, coeff)
         return out
 
     def embed_level0(self, hvec):
@@ -453,14 +448,6 @@ def _tindex(tup, a):
     for t in tup:
         idx = idx * a + t
     return idx
-
-
-def _ent_add(ent, key, v, f):
-    w = f.add(ent.get(key, f.zero), v)
-    if f.is_zero(w):
-        ent.pop(key, None)
-    else:
-        ent[key] = w
 
 
 def lemma15_check(C, rng, trials=5):
@@ -704,22 +691,22 @@ def spin2_complex(p, alpha, field):
         col = {}
         for nu in range(4):
             i = sidx[(min(mu, nu), max(mu, nu))]
-            col[i] = f.add(col.get(i, f.zero), p_dn[nu])
+            f.accumulate(col, i, p_dn[nu])
         for a in range(4):
             i = sidx[(a, a)]
             coeff = f.mul(
                 f.from_rat(rat(-METRIC[a], 2)), p_up[mu]
             )
-            col[i] = f.add(col.get(i, f.zero), coeff)
-        cols.append({i: v for i, v in col.items() if not f.is_zero(v)})
+            f.accumulate(col, i, coeff)
+        cols.append(col)
     m0 = ExactMatrix.from_columns(cols, 10, f)
     # delta eps^(mu nu) = alpha (p^mu w+^nu + p^nu w+^mu)
     cols = []
     for (m, n) in sym:
         col = {}
-        col[n] = f.add(col.get(n, f.zero), f.mul(alpha, p_up[m]))
-        col[m] = f.add(col.get(m, f.zero), f.mul(alpha, p_up[n]))
-        cols.append({i: v for i, v in col.items() if not f.is_zero(v)})
+        f.accumulate(col, n, f.mul(alpha, p_up[m]))
+        f.accumulate(col, m, f.mul(alpha, p_up[n]))
+        cols.append(col)
     m1 = ExactMatrix.from_columns(cols, 4, f)
     C = GradedNComplex(2, f, dims, {-1: m0, 0: m1})
     # Gram pairing

@@ -267,11 +267,7 @@ def check_graded_q_leibniz(C, q):
                     qa = f.pow(q, a_deg % C.N if C.cyclic else a_deg)
                     rhs = dict(rhs1)
                     for i, v in rhs2.items():
-                        s = f.add(rhs.get(i, f.zero), f.mul(qa, v))
-                        if f.is_zero(s):
-                            rhs.pop(i, None)
-                        else:
-                            rhs[i] = s
+                        f.accumulate(rhs, i, f.mul(qa, v))
                     if lhs != rhs:
                         return False
     return True
@@ -307,11 +303,7 @@ class MatrixAlgebraComplex:
             for i, (k, l) in enumerate(self.basis[a]):
                 for (k2, l2), coeff in self._d_unit(k, l, a):
                     j = self.index[(a + 1) % N][(k2, l2)]
-                    s = f.add(ent.get((j, i), f.zero), coeff)
-                    if f.is_zero(s):
-                        ent.pop((j, i), None)
-                    else:
-                        ent[(j, i)] = s
+                    f.accumulate(ent, (j, i), coeff)
             maps[a] = ExactMatrix(N, N, f, ent, _clean=False)
         self.complex = GradedNComplex(
             N, f, dims, maps, cyclic=True, product=self._product
@@ -350,11 +342,7 @@ class MatrixAlgebraComplex:
                 if k != s:
                     continue
                 j = self.index[tgt][(r, l)]
-                v = f.add(out.get(j, f.zero), f.mul(ca, cb))
-                if f.is_zero(v):
-                    out.pop(j, None)
-                else:
-                    out[j] = v
+                f.accumulate(out, j, f.mul(ca, cb))
         return out
 
     def e_vector(self):
@@ -475,19 +463,11 @@ def q_tensor(C1, C2, q, validate_power_formula=True):
                     if d1 is not None and (r1, s) in idx.layout.get(tgt, {}):
                         for i2, v in d1.column(i).items():
                             row = idx.pos(tgt, r1, s, i2, j)
-                            s_ = f.add(ent.get((row, col), f.zero), v)
-                            if f.is_zero(s_):
-                                ent.pop((row, col), None)
-                            else:
-                                ent[(row, col)] = s_
+                            f.accumulate(ent, (row, col), v)
                     if d2 is not None and (r, s1) in idx.layout.get(tgt, {}):
                         for j2, v in d2.column(j).items():
                             row = idx.pos(tgt, r, s1, i, j2)
-                            s_ = f.add(ent.get((row, col), f.zero), f.mul(qr, v))
-                            if f.is_zero(s_):
-                                ent.pop((row, col), None)
-                            else:
-                                ent[(row, col)] = s_
+                            f.accumulate(ent, (row, col), f.mul(qr, v))
         maps[n] = ExactMatrix(idx.dims[tgt], idx.dims[n], f, ent, _clean=False)
     dims = dict(idx.dims)
     T = GradedNComplex(N, f, dims, maps, cyclic=C1.cyclic)
@@ -534,14 +514,7 @@ def _validate_q_power_formula(C1, C2, q, T, idx):
                             for i2, xv in xs.items():
                                 for j2, yv in ys.items():
                                     row = idx.pos(tgt, r2, s2, i2, j2)
-                                    v = f.add(
-                                        rhs.get(row, f.zero),
-                                        f.mul(coeff, f.mul(xv, yv)),
-                                    )
-                                    if f.is_zero(v):
-                                        rhs.pop(row, None)
-                                    else:
-                                        rhs[row] = v
+                                    f.accumulate(rhs, row, f.mul(coeff, f.mul(xv, yv)))
                         if lhs != rhs:
                             raise AssertionError(
                                 "q-binomial power formula failed at "

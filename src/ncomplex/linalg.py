@@ -133,17 +133,10 @@ class ExactMatrix:
                 f"{other.nrows}x{other.ncols}"
             )
         f = self.field
-        add, is_zero = f.add, f.is_zero
+        accumulate = f.accumulate
         ent = dict(self.entries)
         for rc, v in other.entries.items():
-            if rc not in ent:
-                ent[rc] = v
-                continue
-            s = add(ent[rc], v)
-            if is_zero(s):
-                del ent[rc]
-            else:
-                ent[rc] = s
+            accumulate(ent, rc, v)
         return ExactMatrix(self.nrows, self.ncols, f, ent, _clean=False)
 
     def __sub__(self, other):
@@ -283,6 +276,8 @@ class ExactMatrix:
                     f"matrix entry {e!r} is not an in-bounds [row, col, scalar] "
                     f"triple of a {shape[0]}x{shape[1]} matrix"
                 )
+            if (e[0], e[1]) in ent:
+                raise ValueError(f"matrix entry [{e[0]}, {e[1]}] is listed twice")
             ent[(e[0], e[1])] = f.parse(e[2])
         return ExactMatrix(shape[0], shape[1], f, ent)
 

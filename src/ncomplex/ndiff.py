@@ -298,11 +298,7 @@ def green_tensor(E1, E2):
     for (r, c), v in E2.d.entries.items():
         for i in range(n1):
             key = (i * n2 + r, i * n2 + c)
-            s = f.add(ent.get(key, f.zero), v)
-            if f.is_zero(s):
-                ent.pop(key, None)
-            else:
-                ent[key] = s
+            f.accumulate(ent, key, v)
     d = ExactMatrix(n1 * n2, n1 * n2, f, ent, _clean=False)
     return NDiffModule(E1.N + E2.N - 1, d)
 
@@ -528,11 +524,7 @@ def random_unimodular(n, field, rng, nops=None):
             else:
                 cc = field.from_rat(c)
                 for col, v in rows[j].items():
-                    s = field.add(rows[i].get(col, field.zero), field.mul(cc, v))
-                    if field.is_zero(s):
-                        rows[i].pop(col, None)
-                    else:
-                        rows[i][col] = s
+                    field.accumulate(rows[i], col, field.mul(cc, v))
         ent = {}
         for r, row in enumerate(rows):
             for c, v in row.items():

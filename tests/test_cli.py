@@ -84,6 +84,7 @@ def test_selftest_json_is_one_document(capsys):
 # filtered BRS cohomology and the gauge slots) before the homology slots and
 # the filtered cohomology were merged into one routine each.
 GOLDEN_SELFTEST = {
+    "1,7,8,9": "4d2ad0550cc751262f3baeddfec5b6b89c98e3b1acdabe90cc9933af6d2448d5",
     "2,3": "5422017ec2468c3253f88544c17fe2808969868629195e28225790119b7b87f6",
     "4,5,6,10,12,13,14":
         "30ee99bbd2e85b6c4cb08d4d8be98ba149a5a0175f4635ef29434f11fe1e6e7c",
@@ -137,6 +138,9 @@ _Q = {"kind": "rationals"}
          "d": {"rows": 2, "cols": 2, "field": _Q, "entries": [[5, 7, "1"]]}}),
         ("homology", {"N": 2, "field": _Q,
          "d": {"rows": 2, "cols": 2, "field": _Q, "entries": [[0, 1, "1/0"]]}}),
+        ("homology", {"N": 2, "field": _Q,
+         "d": {"rows": 2, "cols": 2, "field": _Q,
+               "entries": [[0, 1, "1"], [0, 1, "2"]]}}),
         ("homology", {"N": 2, "field": _Q}),
         ("homology", []),
         ("homology", {"N": "2", "field": _Q,
@@ -151,9 +155,10 @@ _Q = {"kind": "rationals"}
         ("brs", {}),
         ("potential", {}),
     ],
-    ids=["entry-out-of-bounds", "zero-denominator", "missing-d", "not-an-object",
-         "N-not-an-int", "entries-not-a-list", "field-without-kind", "ses-empty",
-         "cosimplicial-empty", "gauge-ext-empty", "brs-empty", "potential-empty"],
+    ids=["entry-out-of-bounds", "zero-denominator", "duplicate-entry", "missing-d",
+         "not-an-object", "N-not-an-int", "entries-not-a-list", "field-without-kind",
+         "ses-empty", "cosimplicial-empty", "gauge-ext-empty", "brs-empty",
+         "potential-empty"],
 )
 def test_malformed_module_exits_2(tmp_path, command, obj):
     """Malformed input JSON is bad input: exit 2 with a message, no traceback."""

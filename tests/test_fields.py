@@ -448,13 +448,16 @@ def test_split_join_and_int_numerators(f):
     assert type(QQ.numerator(5)) is int
 
 
-def test_accumulate_drops_zero_sums_and_keeps_order():
+@pytest.mark.parametrize("f", [QQ, make_cyclotomic(5)], ids=repr)
+def test_accumulate_drops_zero_sums_and_keeps_order(f):
+    r = f.from_rat
     acc = {}
-    accumulate(acc, "a", rat(1, 2))
-    accumulate(acc, "b", rat(0))
-    accumulate(acc, "c", rat(3))
-    accumulate(acc, "a", rat(-1, 2))
-    assert acc == {"c": rat(3)}
-    accumulate(acc, "a", rat(2))
-    accumulate(acc, "c", rat(1, 3))
-    assert list(acc.items()) == [("c", rat(10, 3)), ("a", rat(2))]
+    f.accumulate(acc, "a", r(1, 2))
+    f.accumulate(acc, "b", f.zero)
+    f.accumulate(acc, "c", r(3))
+    f.accumulate(acc, "a", r(-1, 2))
+    assert acc == {"c": r(3)}
+    f.accumulate(acc, "a", r(2))
+    f.accumulate(acc, "c", r(1, 3))
+    assert list(acc.items()) == [("c", r(10, 3)), ("a", r(2))]
+    assert QQ.accumulate is accumulate

@@ -61,3 +61,45 @@ def test_no_unread_locals():
         found += [f"{path.name}:{line} {name}"
                   for line, name in _unread_locals(tree)]
     assert not found, f"unread locals in src/ncomplex: {found}"
+
+
+def _unused_imports(tree):
+    """(line, name) of each name a module-level import binds that the module
+    never reads.  ``from __future__`` imports are left out, and a name listed
+    in ``__all__`` counts as read: the module re-exports it."""
+    bound = {}
+    todo = list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.If, ast.Try)):
+            todo.extend(ast.iter_child_nodes(node))
+        elif isinstance(node, ast.ExceptHandler):
+            todo.extend(node.body)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                bound.setdefault(name, node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound.setdefault(alias.asname or alias.name, node.lineno)
+    read = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            read.update(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in bound.items() if name not in read)
+
+
+def test_no_unused_imports():
+    """A module-level import that the module never reads is dead weight.
+    ``__init__.py`` is exempt: its imports re-export the public API."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        found += [f"{path.name}:{line} {name}"
+                  for line, name in _unused_imports(tree)]
+    assert not found, f"unused imports in src/ncomplex: {found}"
