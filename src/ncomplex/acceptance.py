@@ -460,6 +460,9 @@ ALL_CRITERIA = [
 
 
 def run_all(seed=42, numbers=None):
+    unknown = sorted(set(numbers or ()) - set(range(1, len(ALL_CRITERIA) + 1)))
+    if unknown:
+        raise ValueError(f"no criterion {unknown}; criteria are 1-{len(ALL_CRITERIA)}")
     reports = []
     for i, crit in enumerate(ALL_CRITERIA, start=1):
         if numbers and i not in numbers:

@@ -813,6 +813,8 @@ class LongitudinalComplex:
 def theorem4_verify(system, deg_max, ghost_range=None, wmax=None):
     """dim H^n(delta) (poly-filtered) equals the longitudinal cohomology
     dimension, per ghost degree n and cumulative polynomial degree."""
+    if deg_max < 0:
+        raise ValueError(f"deg_max must be >= 0, got {deg_max}")
     K = GhostComplex(system)
     delta_tower(K, deg_max=deg_max)
     if wmax is None:

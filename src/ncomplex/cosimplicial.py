@@ -11,12 +11,12 @@ from itertools import combinations, product as iproduct
 from .fields import Field, check_assumptions
 from .graded import GradedNComplex, graded_homology
 from .linalg import (
-    EchelonSolver,
     ExactMatrix,
     Subspace,
     _is_index,
     image_basis,
     kernel_basis,
+    restrict,
 )
 
 
@@ -469,14 +469,9 @@ def normalized_subcomplex(E, compare_cohomology=True):
     full = simplicial_differential(E)
     maps = {}
     for n in range(E.n_max):
-        solver = EchelonSolver(bases[n + 1].basis)
-        cols = []
-        for col in bases[n].basis.columns():
-            c = solver.solve(full.map(n).apply(col))
-            if c is None:
-                raise ValueError(f"differential does not preserve N^{n}")
-            cols.append(c)
-        maps[n] = ExactMatrix.from_columns(cols, bases[n + 1].dim, f)
+        maps[n] = restrict(full.map(n), bases[n], bases[n + 1])
+        if maps[n] is None:
+            raise ValueError(f"differential does not preserve N^{n}")
     sub = GradedNComplex(
         2, f, {n: bases[n].dim for n in range(E.n_max + 1)}, maps,
         truncated_above=True,
@@ -740,18 +735,9 @@ def universal_envelope(A, n_max):
     Returns (complex-with-product, bases)."""
     T = tensor_algebra(A, n_max, check_m_axioms=False)
     sub, bases = normalized_subcomplex(T, compare_cohomology=False)
-    solvers = [EchelonSolver(b.basis) for b in bases]
-
-    def prod(a_deg, va, b_deg, vb):
-        big_a = bases[a_deg].basis.apply(va)
-        big_b = bases[b_deg].basis.apply(vb)
-        big = T.product(a_deg, big_a, b_deg, big_b)
-        c = solvers[a_deg + b_deg].solve(big)
-        if c is None:
-            raise AssertionError("normalized part is not closed under the product")
-        return c
-
-    sub.product = prod
+    sub.product = _product_in_bases(
+        T, bases, "normalized part is not closed under the product"
+    )
     return sub, bases
 
 
@@ -798,31 +784,35 @@ def omega_q(A, q, N, n_max):
             rebuild(n)
             if bases[n].dim != old:
                 changed = True
-    solvers = [EchelonSolver(b.basis) for b in bases]
     maps = {}
     for n in range(n_max):
-        cols = []
-        for col in bases[n].basis.columns():
-            c = solvers[n + 1].solve(D.map(n).apply(col))
-            if c is None:
-                raise AssertionError("closure failed to be d_1-stable")
-            cols.append(c)
-        maps[n] = ExactMatrix.from_columns(cols, bases[n + 1].dim, f)
-
-    def prod(a_deg, va, b_deg, vb):
-        big = T.product(
-            a_deg, bases[a_deg].basis.apply(va), b_deg, bases[b_deg].basis.apply(vb)
-        )
-        c = solvers[a_deg + b_deg].solve(big)
-        if c is None:
-            raise AssertionError("closure failed to be multiplicatively stable")
-        return c
-
+        maps[n] = restrict(D.map(n), bases[n], bases[n + 1])
+        if maps[n] is None:
+            raise AssertionError("closure failed to be d_1-stable")
+    prod = _product_in_bases(
+        T, bases, "closure failed to be multiplicatively stable"
+    )
     C = GradedNComplex(
         N, f, {n: bases[n].dim for n in range(n_max + 1)}, maps,
         truncated_above=True, product=prod,
     )
     return C, bases
+
+
+def _product_in_bases(T, bases, failure):
+    """T's product read in the coordinates of the level bases; raises
+    AssertionError(failure) when a product leaves them."""
+
+    def prod(a_deg, va, b_deg, vb):
+        big = T.product(
+            a_deg, bases[a_deg].basis.apply(va), b_deg, bases[b_deg].basis.apply(vb)
+        )
+        c = bases[a_deg + b_deg].coordinates(big)
+        if c is None:
+            raise AssertionError(failure)
+        return c
+
+    return prod
 
 
 # -- verifiers ----------------------------------------------------------------

@@ -12,11 +12,12 @@ from .fields import QQ, check_assumptions, make_cyclotomic, q_factorial, rat
 from .graded import GradedNComplex, graded_homology
 from .linalg import (
     ExactMatrix,
-    QuotientSpace,
     Subspace,
     image_basis,
     intersection,
     kernel_basis,
+    orbit_span,
+    quotient_maps,
     rank,
 )
 from .ndiff import NDiffModule, homology, submodule
@@ -111,14 +112,8 @@ def extend(G):
     f = G.field
     N, h = G.N, G.dim
     q2 = f.mul(G.q, G.q)
-    quot = QuotientSpace(Subspace.full(h, f), G.HI)
-    kdim = quot.dim
-    sect = ExactMatrix.from_columns(
-        [{i: f.one} for i in quot.complement_positions], h, f
-    )
-    proj = ExactMatrix.from_columns(
-        [quot.coordinates({j: f.one}) for j in range(h)], kdim, f
-    )
+    proj, sect = quotient_maps(G.HI)
+    kdim = proj.nrows
     Abar = proj @ G.A @ sect
     dims = [h] + [kdim] * (N - 1)
     offsets = [0]
@@ -220,7 +215,7 @@ def random_gauge_instance(field, N, rng, hmax=20, q=None):
     h = rng.randint(3, hmax)
     amb, _ = random_ndiff(field, N, h, rng)
     S = random_stable_subspace(amb, rng, nseeds=rng.randint(1, 2))
-    if S is None or S.dim == 0:
+    if S.dim == 0:
         S = image_basis(
             ExactMatrix.from_columns([{0: field.one}], h, field)
         )
@@ -247,14 +242,7 @@ def wznw_shaped_instance(N, rng):
     # seeds: the cyclic tops of the first two blocks, conjugated
     v1 = P.column(0 + N - 1)          # generator of the N-block orbit
     v2 = P.column(N + (N - 1) - 1)    # generator of the (N-1)-block orbit
-    cols = []
-    for v in (v1, v2):
-        w = v
-        for _ in range(N):
-            if w:
-                cols.append(w)
-            w = A.apply(w)
-    HI = image_basis(ExactMatrix.from_columns(cols, h, f))
+    HI = orbit_span(A, (v1, v2), N)
     if HI.dim != 2 * N - 1:
         raise AssertionError(f"H_I has dimension {HI.dim}, not {2 * N - 1}")
     return GaugeInstance(N, A, HI, f.zeta())
@@ -551,17 +539,7 @@ def filtration_f0_dim(C, k):
                 rows.append(row)
         if not rows:
             return W
-        ent = {}
-        for r, row in enumerate(rows):
-            for j, wcol in enumerate(W.basis.columns()):
-                acc = f.zero
-                for i, v in row.items():
-                    x = wcol.get(i)
-                    if x is not None:
-                        acc = f.add(acc, f.mul(v, x))
-                if not f.is_zero(acc):
-                    ent[(r, j)] = acc
-        L0 = ExactMatrix(len(rows), W.dim, f, ent, _clean=False)
+        L0 = ExactMatrix.from_columns(rows, h, f).transpose() @ W.basis
         return kernel_basis(L0)  # in W-coordinates
 
     lower = win_dim(0)
@@ -635,6 +613,8 @@ METRIC = (1, -1, -1, -1)
 
 
 def _check_cone(p):
+    if len(p) != 4:
+        raise ValueError(f"p must have 4 components, got {len(p)}")
     if sum(METRIC[m] * p[m] * p[m] for m in range(4)) != 0:
         raise ValueError("p is not on the light cone")
     if p[0] <= 0:

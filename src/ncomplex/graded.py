@@ -5,15 +5,17 @@ the N = 2 Kunneth check and long exact sequences of graded SES."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .fields import Field, check_assumptions, q_binomial
 from .linalg import (
+    EchelonSolver,
     ExactMatrix,
-    QuotientSpace,
-    Subspace,
     image_basis,
     kernel_basis,
+    quotient_maps,
     rank,
+    restrict,
 )
 from .ndiff import HomologySlot, NDiffModule, exact_at
 
@@ -594,8 +596,6 @@ class GradedSES:
 
 def graded_connecting(ses, HGs, HEs, j, m):
     """partial: H^j_(m)(G) -> H^(j+m)_(N-m)(E) by the lifting recipe."""
-    from .linalg import EchelonSolver
-
     N = ses.F.N
     tgt_deg = (j + m) % N if ses.F.cyclic else j + m
     slotG = HGs[(j, m)]
@@ -647,6 +647,7 @@ def les_check(ses, n, p):
         jj = j % N if ses.F.cyclic else j
         return H.slots.get((jj, m))
 
+    @cache
     def arrow(idx):
         """Map leaving node idx, or None if not computable."""
         j, m, tag = nodes[idx]
@@ -757,15 +758,12 @@ def random_graded_complex(field, N, rng, lo=0, hi=6, strings=6, cyclic=False,
 
 def random_graded_ses(field, N, rng, lo=0, hi=5, min_len=1):
     """SES from a random stable graded subcomplex (span of d-orbits)."""
-    from .linalg import EchelonSolver
-
     while True:
         F = random_graded_complex(
             field, N, rng, lo, hi, strings=rng.randint(4, 7), min_len=min_len
         )
         # random orbit vectors
         cols = {n: [] for n in F.degrees()}
-        any_col = False
         for _ in range(rng.randint(1, 3)):
             n = rng.choice(F.degrees())
             if F.dims[n] == 0:
@@ -780,53 +778,32 @@ def random_graded_ses(field, N, rng, lo=0, hi=5, min_len=1):
                     break
                 if v:
                     cols[deg].append(dict(v))
-                    any_col = True
                 M = F.map(deg)
                 if M is None:
                     break
                 v = M.apply(v)
-        if not any_col:
-            continue
-        Ebasis = {}
-        dimsE = {}
-        ok_dims = False
-        for n in F.degrees():
-            mat = ExactMatrix.from_columns(cols[n], F.dims[n], field)
-            Ebasis[n] = image_basis(mat).basis
-            dimsE[n] = Ebasis[n].ncols
-        total_E = sum(dimsE.values())
-        if 0 < total_E < sum(F.dims.values()):
-            ok_dims = True
-        if not ok_dims:
+        subs = {
+            n: image_basis(ExactMatrix.from_columns(cols[n], F.dims[n], field))
+            for n in F.degrees()
+        }
+        dimsE = {n: S.dim for n, S in subs.items()}
+        if not 0 < sum(dimsE.values()) < sum(F.dims.values()):
             continue
         # restriction and quotient, degreewise
-        mapsE, mapsG, phi, psi = {}, {}, {}, {}
-        dimsG = {}
-        sections = {}
+        psi, sections = {}, {}
         for n in F.degrees():
-            S = Subspace(F.dims[n], Ebasis[n])
-            q = QuotientSpace(Subspace.full(F.dims[n], field), S)
-            idx = q.complement_positions
-            dimsG[n] = len(idx)
-            sections[n] = ExactMatrix.from_columns(
-                [{i: field.one} for i in idx], F.dims[n], field
-            )
-            phi[n] = Ebasis[n]
-            proj_cols = [q.coordinates({j: field.one}) for j in range(F.dims[n])]
-            psi[n] = ExactMatrix.from_columns(proj_cols, dimsG[n], field)
+            psi[n], sections[n] = quotient_maps(subs[n])
+        mapsE, mapsG = {}, {}
         for n in F.degrees():
             if n + 1 not in F.dims:
                 continue
             M = F.map(n)
-            solver = EchelonSolver(Ebasis[n + 1])
-            colsE = []
-            for col in Ebasis[n].columns():
-                c = solver.solve(M.apply(col))
-                if c is None:
-                    raise AssertionError("orbit space must be stable")
-                colsE.append(c)
-            mapsE[n] = ExactMatrix.from_columns(colsE, dimsE[n + 1], field)
+            mapsE[n] = restrict(M, subs[n], subs[n + 1])
+            if mapsE[n] is None:
+                raise AssertionError("orbit space must be stable")
             mapsG[n] = psi[n + 1] @ M @ sections[n]
         E = GradedNComplex(N, field, dimsE, mapsE)
+        dimsG = {n: p.nrows for n, p in psi.items()}
         G = GradedNComplex(N, field, dimsG, mapsG)
+        phi = {n: S.basis for n, S in subs.items()}
         return GradedSES(E, F, G, phi, psi)

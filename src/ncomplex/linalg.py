@@ -583,3 +583,40 @@ class QuotientSpace:
 
 def quotient_coordinates(Z, B, v):
     return QuotientSpace(Z, B).coordinates(v)
+
+
+def quotient_maps(S):
+    """``(proj, section)`` for the quotient of S's ambient space by S under
+    the complement rule: section is the unit vectors at the complement
+    positions, proj the class of each unit vector."""
+    f, n = S.field, S.ambient_dim
+    q = QuotientSpace(Subspace.full(n, f), S)
+    proj = ExactMatrix.from_columns(
+        [q.coordinates({j: f.one}) for j in range(n)], q.dim, f
+    )
+    return proj, q.representatives()
+
+
+def restrict(M, S, T):
+    """The matrix of M from S into T in their bases, or None when M moves a
+    basis vector of S out of T."""
+    cols = []
+    for col in S.basis.columns():
+        c = T.coordinates(M.apply(col))
+        if c is None:
+            return None
+        cols.append(c)
+    return ExactMatrix.from_columns(cols, T.dim, M.field)
+
+
+def orbit_span(M, seeds, length):
+    """The span of v, Mv, ..., M^(length-1) v over the seeds, as
+    ``image_basis`` of those vectors with the empty ones skipped."""
+    cols = []
+    for w in seeds:
+        for _ in range(length):
+            if not w:
+                break
+            cols.append(w)
+            w = M.apply(w)
+    return image_basis(ExactMatrix.from_columns(cols, M.nrows, M.field))

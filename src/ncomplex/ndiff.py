@@ -4,7 +4,8 @@ products and short exact sequences with connecting homomorphisms."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .fields import Field
 from .linalg import (
@@ -15,7 +16,10 @@ from .linalg import (
     _split_vector,
     image_basis,
     kernel_basis,
+    orbit_span,
+    quotient_maps,
     rank,
+    restrict,
 )
 
 
@@ -308,15 +312,7 @@ def green_tensor(E1, E2):
 
 def stable_quotient(E, S):
     """Quotient of E by a d-stable subspace S: returns (G, proj, section)."""
-    f = E.field
-    n = E.dim
-    q = QuotientSpace(Subspace.full(n, f), S)
-    idx = q.complement_positions
-    section = ExactMatrix.from_columns([{i: f.one} for i in idx], n, f)
-    proj_cols = []
-    for j in range(n):
-        proj_cols.append(q.coordinates({j: f.one}))
-    proj = ExactMatrix.from_columns(proj_cols, q.dim, f)
+    proj, section = quotient_maps(S)
     dG = proj @ E.d @ section
     G = NDiffModule(E.N, dG)
     return G, proj, section
@@ -324,14 +320,9 @@ def stable_quotient(E, S):
 
 def submodule(E, S):
     """Restriction of d to a stable subspace S in its own coordinates."""
-    sol = S.solver()
-    cols = []
-    for col in S.basis.columns():
-        c = sol.solve(E.d.apply(col))
-        if c is None:
-            raise ValueError("subspace is not d-stable")
-        cols.append(c)
-    dE = ExactMatrix.from_columns(cols, S.dim, E.field)
+    dE = restrict(E.d, S, S)
+    if dE is None:
+        raise ValueError("subspace is not d-stable")
     return NDiffModule(E.N, dE)
 
 
@@ -344,8 +335,6 @@ class ShortExactSequence:
     G: NDiffModule
     phi: ExactMatrix
     psi: ExactMatrix
-    _psi_solver: object = dc_field(default=None, repr=False)
-    _phi_solver: object = dc_field(default=None, repr=False)
 
     def validate(self):
         if not (self.E.N == self.F.N == self.G.N):
@@ -364,15 +353,13 @@ class ShortExactSequence:
             raise ValueError("psi is not a chain map")
         return True
 
+    @cached_property
     def psi_solver(self):
-        if self._psi_solver is None:
-            self._psi_solver = EchelonSolver(self.psi)
-        return self._psi_solver
+        return EchelonSolver(self.psi)
 
+    @cached_property
     def phi_solver(self):
-        if self._phi_solver is None:
-            self._phi_solver = EchelonSolver(self.phi)
-        return self._phi_solver
+        return EchelonSolver(self.phi)
 
     def connect_vector(self, z, m, lift_shift=None):
         """partial applied to one cycle z in Z_(m)(G): lift, apply d^m, pull
@@ -382,13 +369,13 @@ class ShortExactSequence:
         scalars only for x.  ``lift_shift``, if given, is ``(shift, D)``: a
         vector of ker psi as numerators over D, added to the lift."""
         f = self.F.field
-        sol = self.psi_solver().solve_split(*_split_vector(z, f))
+        sol = self.psi_solver.solve_split(*_split_vector(z, f))
         if sol is None:
             raise AssertionError("psi must be surjective")
         y, Dy = sol
         if lift_shift is not None:
             y, Dy = _add_split(y, Dy, *lift_shift, f)
-        sol = self.phi_solver().solve_split(*self.F.power(m).apply_split(y, Dy))
+        sol = self.phi_solver.solve_split(*self.F.power(m).apply_split(y, Dy))
         if sol is None:
             raise AssertionError("d^m of the lift left the image of phi")
         x, Dx = sol
@@ -424,22 +411,16 @@ def connecting_well_defined(ses, m, rng, trials=10):
     HE = homology(ses.E)[ses.E.N - m]
     ker_psi = kernel_basis(ses.psi)
     f = ses.F.field
-    add, mul = f.add, f.mul
-    cols, D = ker_psi.basis.split_columns()
     for z in HG.representatives.columns():
         base = HE.quotient.coordinates(ses.connect_vector(z, m))
         for _ in range(trials):
             if ker_psi.dim == 0:
                 break
-            shift = {}
-            for j in range(ker_psi.dim):
-                c = rng.randint(-3, 3)
-                if c:
-                    c = f.numerator(c)
-                    for i, v in cols.get(j, ()):
-                        t = mul(c, v)
-                        shift[i] = add(shift[i], t) if i in shift else t
-            x = ses.connect_vector(z, m, lift_shift=(shift, D))
+            draws = [rng.randint(-3, 3) for _ in range(ker_psi.dim)]
+            shift = ker_psi.basis.apply_split(
+                {j: f.numerator(c) for j, c in enumerate(draws) if c}, 1
+            )
+            x = ses.connect_vector(z, m, lift_shift=shift)
             if HE.quotient.coordinates(x) != base:
                 return False
     return True
@@ -563,19 +544,11 @@ def random_ndiff(field, N, dim, rng):
 def random_stable_subspace(E, rng, nseeds=2):
     """Span of d-orbits of random vectors: d-stable by construction."""
     f = E.field
-    cols = []
+    seeds = []
     for _ in range(nseeds):
         v = {i: f.from_rat(rng.randint(-2, 2)) for i in range(E.dim)}
-        v = {i: c for i, c in v.items() if not f.is_zero(c)}
-        for k in range(E.N):
-            w = v
-            for _ in range(k):
-                w = E.d.apply(w)
-            if w:
-                cols.append(w)
-    if not cols:
-        return None
-    return image_basis(ExactMatrix.from_columns(cols, E.dim, f))
+        seeds.append({i: c for i, c in v.items() if not f.is_zero(c)})
+    return orbit_span(E.d, seeds, E.N)
 
 
 def random_ses(field, N, rng, dim_range=(6, 14)):
@@ -584,7 +557,7 @@ def random_ses(field, N, rng, dim_range=(6, 14)):
         dim = rng.randint(*dim_range)
         F, _ = random_ndiff(field, N, dim, rng)
         S = random_stable_subspace(F, rng)
-        if S is None or S.dim == 0 or S.dim == F.dim:
+        if S.dim == 0 or S.dim == F.dim:
             continue
         E = submodule(F, S)
         G, proj, _ = stable_quotient(F, S)

@@ -297,6 +297,8 @@ def _transition(N, D, p):
 @lru_cache(maxsize=None)
 def monomials(D, w):
     """Exponent tuples of total degree w in D variables, lex sorted."""
+    if D < 1:
+        raise ValueError(f"need at least one variable, got D = {D}")
     if w < 0:
         return ()
     if D == 1:

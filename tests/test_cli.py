@@ -175,6 +175,33 @@ def test_malformed_module_exits_2(tmp_path, command, obj):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["poincare", "--N", "3", "--D", "0", "--k", "1"],
+        ["spin-seq", "--S", "1", "--D", "0"],
+        ["spin-example", "--p", "1,1,0"],
+        ["brs", "--example", "abelian", "--deg-max", "-1"],
+        ["selftest", "--only", "99"],
+    ],
+    ids=["poincare-D0", "spin-seq-D0", "spin-example-3-components",
+         "brs-negative-deg-max", "selftest-unknown-criterion"],
+)
+def test_bad_option_exits_2(tmp_path, argv):
+    """An out-of-range option is bad input: exit 2 with one ncx: line, no
+    traceback and no failure witness."""
+    src = str(Path(ncomplex.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "ncomplex.cli", *argv],
+        capture_output=True, text=True, timeout=120, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("ncx: ")
+    assert "Traceback" not in proc.stderr
+    assert not list(tmp_path.glob("ncx-failure-*.json"))
+
+
 def test_usage_error_unknown_command():
     with pytest.raises(SystemExit) as exc:
         cli.main(["no-such-command"])

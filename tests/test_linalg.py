@@ -18,8 +18,11 @@ from ncomplex.linalg import (
     image_basis,
     intersection,
     kernel_basis,
+    orbit_span,
     quotient_coordinates,
+    quotient_maps,
     rank,
+    restrict,
     solve,
     sum_spaces,
 )
@@ -513,6 +516,38 @@ def test_empty_shapes(field):
     assert QuotientSpace(Z, Z).coordinates({}) == {}
     full = Subspace.full(3, f)
     assert QuotientSpace(full, Z).coordinates({1: f.from_rat(2, 3)}) == {1: f.from_rat(2, 3)}
+
+
+@pytest.mark.parametrize("field", [QQ, make_cyclotomic(3)], ids=["Q", "Q(zeta_3)"])
+def test_subspace_helpers_match_oracles(field):
+    f = field
+    rng = random.Random(f"subspace-helpers:{f!r}")
+    n = 7
+    # strictly upper triangular up to a relabelling of the coordinates, so
+    # M^n = 0 and every orbit of length n spans an M-stable subspace
+    perm = rng.sample(range(n), n)
+    M = ExactMatrix(n, n, f, {
+        (perm[r], perm[c]): v
+        for (r, c), v in _mixed_matrix(f, rng, n, n).entries.items() if r < c
+    })
+    low = [{perm[i]: _mixed_scalar(f, rng, 0) for i in range(4)} for _ in range(2)]
+    seeds = low + [{}]
+    S = orbit_span(M, seeds, n)
+    orbit = [M.power(k).apply(v) for v in seeds for k in range(n)]
+    assert 0 < S.dim == rank(ExactMatrix.from_columns(orbit, n, f)) < n
+    assert all(S.contains(M.apply(col)) for col in S.basis.columns())
+
+    proj, section = quotient_maps(S)
+    q = QuotientSpace(Subspace.full(n, f), S)
+    assert section.columns() == [{i: f.one} for i in q.complement_positions]
+    assert proj @ section == ExactMatrix.identity(n - S.dim, f)
+    assert (proj @ S.basis).is_zero()
+
+    oracle = [_oracle_solve(S.basis, _oracle_apply(M, col)) for col in S.basis.columns()]
+    assert restrict(M, S, S) == ExactMatrix.from_columns(oracle, S.dim, f)
+    V = image_basis(ExactMatrix.from_columns(low[:1], n, f))
+    assert _oracle_solve(V.basis, M.apply(low[0])) is None
+    assert restrict(M, V, V) is None
 
 
 # sha256 of the solve, apply and quotient-coordinate outputs of
