@@ -38,6 +38,14 @@ class UsageError(Exception):
     pass
 
 
+def _require_at_least(args, option, lo):
+    """Reject ``--option`` below lo: a check over an empty range would pass
+    without checking anything."""
+    value = getattr(args, option)
+    if value < lo:
+        raise UsageError(f"--{option} must be at least {lo}, got {value}")
+
+
 def emit(report, fmt="text", out=None):
     out = out if out is not None else sys.stdout
     report = {"schema_version": SCHEMA_VERSION, **report}
@@ -147,6 +155,7 @@ def cmd_ses(args):
         ses_hexagon_check,
     )
 
+    _require_at_least(args, "relifts", 1)
     obj = _load_json(args.ses)
     if not (isinstance(obj, dict) and {"E", "F", "G", "phi", "psi"} <= obj.keys()):
         raise ValueError(
@@ -230,6 +239,7 @@ def cmd_prop7(args):
 def cmd_poincare(args):
     from .young import poincare_verify
 
+    _require_at_least(args, "wmax", 0)
     rep = poincare_verify(args.N, args.D, args.k, args.wmax)
     table = [
         [key.split(",")[0][2:], key.split(",")[1][2:], dim]
@@ -252,6 +262,7 @@ def cmd_poincare(args):
 def cmd_spin_seq(args):
     from .young import spin2_middle_proportional, spin_sequence_check
 
+    _require_at_least(args, "wmax", 0)
     rep = spin_sequence_check(args.S, args.D, args.wmax)
     out = {"command": "spin-seq", "ok": rep["ok"], "S": args.S, "D": args.D}
     if args.S == 2:
@@ -336,6 +347,7 @@ def cmd_gauge_ext(args):
         if not args.suite:
             args.suite = "random"
     if args.suite == "random":
+        _require_at_least(args, "trials", 1)
         failures = []
         for i in range(args.trials):
             rng = random.Random(f"{args.seed}:gauge:{i}")

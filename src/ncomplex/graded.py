@@ -31,6 +31,9 @@ class GradedNComplex:
     For Z-graded complexes the ``truncated_below/above`` flags say whether
     the complex continues beyond the stored window (so values there are
     unknown) or is genuinely zero outside.
+
+    The composites d^k and the default ``graded_homology`` are cached on the
+    complex, so a complex must not be mutated after construction.
     """
 
     def __init__(
@@ -54,6 +57,7 @@ class GradedNComplex:
         self.truncated_above = truncated_above
         self.product = product  # optional ((a_deg, vec), (b_deg, vec)) -> vec
         self._composites = {}
+        self._homology = None
         if cyclic:
             self.n_min, self.n_max = 0, N - 1
             if set(self.dims) != set(range(N)):
@@ -196,10 +200,10 @@ class GradedNComplex:
 
 
 class GradedHomology:
-    """H^n_(m) for degrees where the window determines them."""
+    """H^n_(m) for degrees where the window determines them.  It keeps no
+    reference to its complex, which may memoize it (``graded_homology``)."""
 
-    def __init__(self, complex_):
-        self.complex = complex_
+    def __init__(self):
         self.slots = {}
 
     def valid(self, n, m):
@@ -218,8 +222,12 @@ class GradedHomology:
 
 def graded_homology(C, degrees=None, ms=None):
     """Compute H^n_(m) wherever both d^m out of n and d^(N-m) into n are
-    determined; degrees outside that window are simply absent."""
-    H = GradedHomology(C)
+    determined; degrees outside that window are simply absent.  The default
+    call, over all degrees and all m, is memoized on C."""
+    memo = degrees is None and ms is None
+    if memo and C._homology is not None:
+        return C._homology
+    H = GradedHomology()
     N = C.N
     deg_list = degrees if degrees is not None else C.degrees()
     m_list = ms if ms is not None else range(1, N)
@@ -234,6 +242,8 @@ def graded_homology(C, degrees=None, ms=None):
             if src is None:
                 continue
             H.slots[(n, m)] = HomologySlot(kernel_basis(out), image_basis(src))
+    if memo:
+        C._homology = H
     return H
 
 

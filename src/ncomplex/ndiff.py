@@ -4,8 +4,8 @@ products and short exact sequences with connecting homomorphisms."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field as dataclass_field
+from functools import cache, cached_property
 
 from .fields import Field
 from .linalg import (
@@ -29,7 +29,11 @@ class NDiffModule:
     With ``check=True`` the nilpotency certificate is the image chain: its
     last link spans im d^N, so it is zero exactly when d^N = 0.  The chain is
     cached for ``rank_profile`` and ``homology``, and d^N itself is never
-    formed; d^m is formed lazily, only for the kernels of ``homology``."""
+    formed; d^m is formed lazily, only for the kernels of ``homology``.
+
+    The powers d^k, the image chain and the homology (with its cached
+    induced maps) are cached on the module, so a module must not be mutated
+    after construction: build a new one instead."""
 
     def __init__(self, N, d, check=True):
         if N < 2:
@@ -111,10 +115,16 @@ class HomologySlot:
 
 @dataclass
 class GeneralizedHomology:
-    """Per m in {1..N-1}: Z, B and H data with fixed representative bases."""
+    """Per m in {1..N-1}: Z, B and H data with fixed representative bases.
+
+    ``arrows`` caches the Lemma-1 maps in the representative bases, each
+    built on first use: [i]^k: H_(m) -> H_(m+k) under ("i", m, k) and
+    [d]^k: H_(m+k) -> H_(m) under ("d", m, k).  They stay valid only as
+    long as the module is not mutated."""
 
     module: NDiffModule
     slots: dict
+    arrows: dict = dataclass_field(default_factory=dict, repr=False)
 
     def __getitem__(self, m):
         return self.slots[m]
@@ -184,41 +194,47 @@ def proposition4_check(E):
     return report
 
 
+def _arrow(E, key, build):
+    """The arrow cached under ``key`` on the homology H of E, made by
+    ``build(H)`` on first use."""
+    H = homology(E)
+    if key not in H.arrows:
+        H.arrows[key] = build(H)
+    return H.arrows[key]
+
+
 def induced_i(E, m):
-    """[i]: H_(m) -> H_(m+1), class of z maps to class of z."""
+    """[i]: H_(m) -> H_(m+1), class of z maps to class of z; cached."""
     if not 1 <= m <= E.N - 2:
         raise ValueError("need 1 <= m <= N-2")
-    H = homology(E)
-    return H[m].map_to(H[m + 1], lambda z: z)
+    return _arrow(E, ("i", m, 1), lambda H: H[m].map_to(H[m + 1], lambda z: z))
 
 
 def induced_d(E, m):
-    """[d]: H_(m+1) -> H_(m), class of z maps to class of d z."""
+    """[d]: H_(m+1) -> H_(m), class of z maps to class of d z; cached."""
     if not 1 <= m <= E.N - 2:
         raise ValueError("need 1 <= m <= N-2")
-    H = homology(E)
-    return H[m + 1].map_to(H[m], E.d.apply)
-
-
-def _compose_chain(mats):
-    acc = mats[0]
-    for M in mats[1:]:
-        acc = M @ acc
-    return acc
+    return _arrow(E, ("d", m, 1), lambda H: H[m + 1].map_to(H[m], E.d.apply))
 
 
 def induced_i_power(E, m, k):
-    """[i]^k: H_(m) -> H_(m+k)."""
+    """[i]^k: H_(m) -> H_(m+k), composed from the cached steps; cached."""
     if k == 0:
         return ExactMatrix.identity(homology(E)[m].dim_H, E.field)
-    return _compose_chain([induced_i(E, m + j) for j in range(k)])
+    if k == 1:
+        return induced_i(E, m)
+    return _arrow(E, ("i", m, k), lambda H: (
+        induced_i(E, m + k - 1) @ induced_i_power(E, m, k - 1)))
 
 
 def induced_d_power(E, m, k):
-    """[d]^k: H_(m+k) -> H_(m)."""
+    """[d]^k: H_(m+k) -> H_(m), composed from the cached steps; cached."""
     if k == 0:
         return ExactMatrix.identity(homology(E)[m].dim_H, E.field)
-    return _compose_chain([induced_d(E, m + k - 1 - j) for j in range(k)])
+    if k == 1:
+        return induced_d(E, m)
+    return _arrow(E, ("d", m, k), lambda H: (
+        induced_d(E, m) @ induced_d_power(E, m + 1, k - 1)))
 
 
 def exact_at(incoming, outgoing, vertex_dim):
@@ -228,6 +244,20 @@ def exact_at(incoming, outgoing, vertex_dim):
     return rank(incoming) == vertex_dim - rank(outgoing)
 
 
+def _inexact_vertices(maps, dims):
+    """Indices v at which a cycle of maps is not exact: maps[v] enters the
+    vertex of dimension dims[v] and maps[v + 1] (cyclically) leaves it.
+    Each map's rank is computed at most once."""
+    rank_of = cache(lambda v: rank(maps[v]))
+    failed = []
+    for v, dim in enumerate(dims):
+        w = (v + 1) % len(maps)
+        if (not (maps[w] @ maps[v]).is_zero()
+                or rank_of(v) != dim - rank_of(w)):
+            failed.append(v)
+    return failed
+
+
 def hexagon_check(E, ell, m):
     """Exactness of the hexagon of [i]/[d] powers at all six vertices."""
     N = E.N
@@ -235,22 +265,18 @@ def hexagon_check(E, ell, m):
         raise ValueError("need ell, m >= 1 and ell + m <= N - 1")
     H = homology(E)
     k = N - (ell + m)
-    # vertices in cyclic order with the maps leaving them
+    # vertices in cyclic order with the maps entering them
     vertices = [m, ell + m, ell, N - m, N - (ell + m), N - ell]
     maps = [
+        induced_d_power(E, m, k),            # H_(N-l) -> H_(m)
         induced_i_power(E, m, ell),          # H_(m) -> H_(l+m)
         induced_d_power(E, ell, m),          # H_(l+m) -> H_(l)
         induced_i_power(E, ell, k),          # H_(l) -> H_(N-m)
         induced_d_power(E, N - (ell + m), ell),  # H_(N-m) -> H_(N-(l+m))
         induced_i_power(E, N - (ell + m), m),    # -> H_(N-l)
-        induced_d_power(E, m, k),            # H_(N-l) -> H_(m)
     ]
-    failures = []
-    for v in range(6):
-        incoming = maps[(v - 1) % 6]
-        outgoing = maps[v]
-        if not exact_at(incoming, outgoing, H[vertices[v]].dim_H):
-            failures.append(vertices[v])
+    failures = [vertices[v] for v in
+                _inexact_vertices(maps, [H[u].dim_H for u in vertices])]
     return {"ok": not failures, "ell": ell, "m": m, "failed_vertices": failures}
 
 
@@ -328,13 +354,20 @@ def submodule(E, S):
 
 @dataclass
 class ShortExactSequence:
-    """0 -> E -phi-> F -psi-> G -> 0 of N-differential modules."""
+    """0 -> E -phi-> F -psi-> G -> 0 of N-differential modules.
+
+    The solvers of phi and psi, the kernel of psi and the maps of each
+    Proposition-3 hexagon are cached on the sequence, and the homologies on
+    E, F and G, so neither the sequence nor its modules may be mutated
+    after construction."""
 
     E: NDiffModule
     F: NDiffModule
     G: NDiffModule
     phi: ExactMatrix
     psi: ExactMatrix
+    _homology_maps: dict = dataclass_field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def validate(self):
         if not (self.E.N == self.F.N == self.G.N):
@@ -361,20 +394,42 @@ class ShortExactSequence:
     def phi_solver(self):
         return EchelonSolver(self.phi)
 
-    def connect_vector(self, z, m, lift_shift=None):
-        """partial applied to one cycle z in Z_(m)(G): lift, apply d^m, pull
-        back through phi; returns the representative x in E-coordinates.
+    @cached_property
+    def ker_psi(self):
+        return kernel_basis(self.psi)
 
-        The chain runs on integer numerators (``Field.split``) and builds
-        scalars only for x.  ``lift_shift``, if given, is ``(shift, D)``: a
-        vector of ker psi as numerators over D, added to the lift."""
-        f = self.F.field
-        sol = self.psi_solver.solve_split(*_split_vector(z, f))
+    def homology_maps(self, k):
+        """``(phi_k, psi_k, partial_k)``: H_(k)(E) -> H_(k)(F) -> H_(k)(G)
+        -> H_(N-k)(E) in the representative bases, built once per k."""
+        if k not in self._homology_maps:
+            HE, HF, HG = homology(self.E), homology(self.F), homology(self.G)
+            self._homology_maps[k] = (
+                HE[k].map_to(HF[k], self.phi.apply),
+                HF[k].map_to(HG[k], self.psi.apply),
+                HG[k].map_to(HE[self.E.N - k],
+                             lambda z: self.connect_vector(z, k)),
+            )
+        return self._homology_maps[k]
+
+    def lift(self, z):
+        """A psi-preimage of z as ``(numerators, D)`` (``Field.split``)."""
+        sol = self.psi_solver.solve_split(*_split_vector(z, self.F.field))
         if sol is None:
             raise AssertionError("psi must be surjective")
-        y, Dy = sol
-        if lift_shift is not None:
-            y, Dy = _add_split(y, Dy, *lift_shift, f)
+        return sol
+
+    def connect_vector(self, z, m):
+        """partial applied to one cycle z in Z_(m)(G): lift, apply d^m, pull
+        back through phi; returns the representative x in E-coordinates."""
+        return self.connect_lift(*self.lift(z), m)
+
+    def connect_lift(self, y, Dy, m):
+        """partial from a lift y / Dy (numerators over Dy) of a cycle in
+        Z_(m)(G): apply d^m, pull back through phi; returns the
+        representative x in E-coordinates.
+
+        The chain runs on integer numerators and builds scalars only for x."""
+        f = self.F.field
         sol = self.phi_solver.solve_split(*self.F.power(m).apply_split(y, Dy))
         if sol is None:
             raise AssertionError("d^m of the lift left the image of phi")
@@ -398,21 +453,21 @@ def _add_split(a, Da, b, Db, f):
 
 def ses_connecting(ses, m):
     """Matrix of partial: H_(m)(G) -> H_(N-m)(E) in the representative bases."""
-    return homology(ses.G)[m].map_to(
-        homology(ses.E)[ses.E.N - m], lambda z: ses.connect_vector(z, m)
-    )
+    return ses.homology_maps(m)[2]
 
 
 def connecting_well_defined(ses, m, rng, trials=10):
     """Re-lift each representative with random kernel shifts; the class of the
-    connecting image must not move.  Each shift is built on the integer
-    columns of the kernel basis, with one ``rng.randint(-3, 3)`` per column."""
+    connecting image must not move.  Each representative is lifted once;
+    each shift is built on the integer columns of the kernel basis, with one
+    ``rng.randint(-3, 3)`` per column, and added to that lift."""
     HG = homology(ses.G)[m]
     HE = homology(ses.E)[ses.E.N - m]
-    ker_psi = kernel_basis(ses.psi)
+    ker_psi = ses.ker_psi
     f = ses.F.field
     for z in HG.representatives.columns():
-        base = HE.quotient.coordinates(ses.connect_vector(z, m))
+        y, Dy = ses.lift(z)
+        base = HE.quotient.coordinates(ses.connect_lift(y, Dy, m))
         for _ in range(trials):
             if ker_psi.dim == 0:
                 break
@@ -420,15 +475,10 @@ def connecting_well_defined(ses, m, rng, trials=10):
             shift = ker_psi.basis.apply_split(
                 {j: f.numerator(c) for j, c in enumerate(draws) if c}, 1
             )
-            x = ses.connect_vector(z, m, lift_shift=shift)
+            x = ses.connect_lift(*_add_split(y, Dy, *shift, f), m)
             if HE.quotient.coordinates(x) != base:
                 return False
     return True
-
-
-def induced_map_on_homology(M, src_module, tgt_module, m):
-    """H_(m)(src) -> H_(m)(tgt) induced by a chain map M."""
-    return homology(src_module)[m].map_to(homology(tgt_module)[m], M.apply)
 
 
 def ses_hexagon_check(ses):
@@ -438,14 +488,7 @@ def ses_hexagon_check(ses):
     HE, HF, HG = homology(ses.E), homology(ses.F), homology(ses.G)
     failures = []
     for n in range(1, N):
-        maps = [
-            induced_map_on_homology(ses.phi, ses.E, ses.F, n),
-            induced_map_on_homology(ses.psi, ses.F, ses.G, n),
-            ses_connecting(ses, n),
-            induced_map_on_homology(ses.phi, ses.E, ses.F, N - n),
-            induced_map_on_homology(ses.psi, ses.F, ses.G, N - n),
-            ses_connecting(ses, N - n),
-        ]
+        maps = [*ses.homology_maps(n), *ses.homology_maps(N - n)]
         dims = [
             HF[n].dim_H,
             HG[n].dim_H,
@@ -454,9 +497,7 @@ def ses_hexagon_check(ses):
             HG[N - n].dim_H,
             HE[n].dim_H,
         ]
-        for v in range(6):
-            if not exact_at(maps[v], maps[(v + 1) % 6], dims[v]):
-                failures.append((n, v))
+        failures += [(n, v) for v in _inexact_vertices(maps, dims)]
     return {"ok": not failures, "failures": failures}
 
 

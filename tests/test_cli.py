@@ -10,6 +10,7 @@ import pytest
 import ncomplex
 from ncomplex import cli
 from ncomplex.fields import QQ
+from ncomplex.linalg import ExactMatrix
 from ncomplex.ndiff import block_module
 
 
@@ -19,6 +20,26 @@ def module_file(tmp_path):
     path = tmp_path / "mod.json"
     path.write_text(json.dumps(E.to_json()))
     return str(path)
+
+
+def _write_split_ses(path):
+    """The split sequence 0 -> D_3 -> D_3 + D_1 + D_2 -> D_1 + D_2 -> 0."""
+    E, F, G = (block_module(QQ, 3, sizes) for sizes in ([3], [3, 1, 2], [1, 2]))
+    phi = ExactMatrix.from_int_rows(
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0], [0, 0, 0], [0, 0, 0]], QQ)
+    psi = ExactMatrix.from_int_rows(
+        [[0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 1]], QQ)
+    path.write_text(json.dumps({
+        "E": E.to_json(), "F": F.to_json(), "G": G.to_json(),
+        "phi": phi.to_json(), "psi": psi.to_json()}))
+    return str(path)
+
+
+def test_ses_command(tmp_path, capsys):
+    path = _write_split_ses(tmp_path / "ses.json")
+    assert cli.main(["ses", path, "--format", "json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["hexagons_ok"] and out["well_defined"]
 
 
 def test_homology_command(module_file, capsys):
@@ -183,13 +204,23 @@ def test_malformed_module_exits_2(tmp_path, command, obj):
         ["spin-example", "--p", "1,1,0"],
         ["brs", "--example", "abelian", "--deg-max", "-1"],
         ["selftest", "--only", "99"],
+        ["poincare", "--N", "3", "--D", "2", "--k", "1", "--wmax", "-1"],
+        ["spin-seq", "--S", "1", "--wmax", "-2"],
+        ["gauge-ext", "--suite", "random", "--trials", "0"],
+        ["gauge-ext", "--suite", "random", "--trials", "-3"],
+        ["ses", "ses.json", "--relifts", "0"],
+        ["ses", "ses.json", "--relifts", "-1"],
     ],
     ids=["poincare-D0", "spin-seq-D0", "spin-example-3-components",
-         "brs-negative-deg-max", "selftest-unknown-criterion"],
+         "brs-negative-deg-max", "selftest-unknown-criterion",
+         "poincare-negative-wmax", "spin-seq-negative-wmax",
+         "gauge-ext-zero-trials", "gauge-ext-negative-trials",
+         "ses-zero-relifts", "ses-negative-relifts"],
 )
 def test_bad_option_exits_2(tmp_path, argv):
     """An out-of-range option is bad input: exit 2 with one ncx: line, no
     traceback and no failure witness."""
+    _write_split_ses(tmp_path / "ses.json")
     src = str(Path(ncomplex.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-m", "ncomplex.cli", *argv],

@@ -282,3 +282,35 @@ def test_composite_matches_product_chain(shape):
             got = C.composite(n, k)
             assert got == want
             assert C.composite(n, k) is got  # memoized
+
+
+def test_les_check_reuses_graded_homology(monkeypatch):
+    """The default ``graded_homology`` is memoized on the complex: over 6
+    sequences and every (n, p), 36 ``les_check`` calls compute the homology
+    of E, F and G once each, with the reports of uncached calls."""
+    from ncomplex import graded
+
+    N = 3
+    seqs = [random_graded_ses(QQ, N, random.Random(seed)) for seed in range(6)]
+    calls = [(ses, n, p) for ses in seqs for n in range(1, N) for p in range(N)]
+
+    def uncached(ses, n, p):
+        for C in (ses.E, ses.F, ses.G):
+            C._homology = None
+        return les_check(ses, n, p)
+
+    want = [uncached(*call) for call in calls]
+    for ses in seqs:
+        for C in (ses.E, ses.F, ses.G):
+            C._homology = None
+    built = []
+
+    class Counting(graded.GradedHomology):
+        def __init__(self):
+            built.append(1)
+            super().__init__()
+
+    monkeypatch.setattr(graded, "GradedHomology", Counting)
+    got = [les_check(*call) for call in calls]
+    assert len(calls) == 36 and len(built) == 18
+    assert got == want

@@ -15,6 +15,7 @@ from ncomplex.linalg import (
 )
 from ncomplex.ndiff import (
     HomologySlot,
+    _add_split,
     NDiffModule,
     all_hexagons_check,
     block_module,
@@ -32,6 +33,7 @@ from ncomplex.ndiff import (
     random_ndiff,
     random_ses,
     random_unimodular,
+    ses_connecting,
     ses_hexagon_check,
     stable_quotient,
     submodule,
@@ -423,7 +425,9 @@ def test_numerator_connecting_map_matches_scalar_chain(seed):
                 shift = K.apply({j: rat(rng.randint(-5, 5), rng.randint(1, 6))
                                  for j in range(K.ncols)})
                 nums, D = f.split(list(shift.values()))
-                got = ses.connect_vector(z, m, lift_shift=(dict(zip(shift, nums)), D))
+                y, Dy = ses.lift(z)
+                got = ses.connect_lift(
+                    *_add_split(y, Dy, dict(zip(shift, nums)), D, f), m)
                 assert got == _reference_connect(ses, z, m, shift)
         state = rng.getstate()
         ref = random.Random()
@@ -431,3 +435,84 @@ def test_numerator_connecting_map_matches_scalar_chain(seed):
         verdict = connecting_well_defined(ses, m, rng, trials=3)
         assert verdict == _reference_well_defined(ses, m, ref, trials=3)
         assert rng.getstate() == ref.getstate()
+
+
+# -- the cached homology arrows -------------------------------------------------
+
+
+@pytest.fixture()
+def map_to_calls(monkeypatch):
+    """Counts ``HomologySlot.map_to`` calls, one per induced matrix built."""
+    calls = []
+    original = HomologySlot.map_to
+
+    def counting(self, target, image):
+        calls.append(1)
+        return original(self, target, image)
+
+    monkeypatch.setattr(HomologySlot, "map_to", counting)
+    return calls
+
+
+def test_hexagons_build_each_step_once(map_to_calls):
+    """All hexagons of an N = 5 module need only the 2(N-2) steps [i] and [d];
+    every power is composed from them, and a second check builds nothing."""
+    E = block_module(QQ, 5, [5, 2, 2, 3, 1])
+    assert all_hexagons_check(E)["ok"]
+    assert len(map_to_calls) == 2 * (5 - 2)
+    assert all_hexagons_check(E)["ok"]
+    assert len(map_to_calls) == 2 * (5 - 2)
+
+
+def test_ses_hexagons_build_each_map_once(map_to_calls):
+    """phi_k, psi_k and partial_k are built once per k, shared by the
+    hexagons at n and N - n, and each representative is lifted once."""
+    rng = random.Random(32)
+    N = 4
+    ses = random_ses(QQ, N, rng)
+    assert ses_hexagon_check(ses)["ok"]
+    assert len(map_to_calls) == 3 * (N - 1)
+    assert ses_connecting(ses, 1) is ses.homology_maps(1)[2]
+    assert len(map_to_calls) == 3 * (N - 1)
+    assert ses.ker_psi.dim > 0
+    solver = ses.psi_solver
+    lifts = []
+
+    def counting(b, D):
+        lifts.append(1)
+        return type(solver).solve_split(solver, b, D)
+
+    solver.solve_split = counting
+    reps = 0
+    for m in range(1, N):
+        assert connecting_well_defined(ses, m, rng, trials=10)
+        reps += homology(ses.G)[m].dim_H
+    assert reps > 0 and len(lifts) == reps
+
+
+@pytest.mark.parametrize("field", [QQ, make_cyclotomic(3)], ids=["Q", "Q(zeta_3)"])
+def test_cached_arrows_match_fresh_module(field):
+    """Every cached [i]^k and [d]^k equals the map induced by the inclusion
+    and by d^k, built directly on a fresh copy of the module."""
+    E, _ = random_ndiff(field, 5, 14, random.Random(33))
+    assert all_hexagons_check(E)["ok"]
+    arrows = homology(E).arrows
+    assert {("i", 1, 3), ("d", 1, 3)} <= arrows.keys()
+    fresh = NDiffModule.from_json(E.to_json())
+    H = homology(fresh)
+    for (kind, m, k), M in arrows.items():
+        if kind == "i":
+            ref = H[m].map_to(H[m + k], lambda z: z)
+        else:
+            ref = H[m + k].map_to(H[m], fresh.power(k).apply)
+        assert M == ref, (kind, m, k)
+
+
+def test_hexagon_check_reads_the_cache():
+    """A cached step overwritten with zero makes the hexagon inexact: the
+    check reads the cache and still detects a broken map."""
+    E = block_module(QQ, 5, [5, 2, 2])
+    assert hexagon_check(block_module(QQ, 5, [5, 2, 2]), 1, 1)["ok"]
+    H = homology(E)
+    H.arrows[("i", 1, 1)] = ExactMatrix.zeros(H[2].dim_H, H[1].dim_H, QQ)
+    assert hexagon_check(E, 1, 1)["failed_vertices"]
