@@ -4,7 +4,7 @@ the N = 2 Kunneth check and long exact sequences of graded SES."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from functools import cache
 
 from .fields import Field, check_assumptions, q_binomial
@@ -95,11 +95,11 @@ class GradedNComplex:
     def composite(self, n, k):
         """d^k: E^n -> E^(n+k), or None if it is not determined.
 
-        Memoized (``maps`` is fixed after construction): d^k is
-        map(n+k-1) @ d^(k-1), d^1 is the map itself, and the identity is
-        formed only for k = 0.  ``validate`` certifies d^N = 0 on these
-        products, which ``graded_homology`` then reuses."""
-        key = (n, k)
+        Memoized by n mod N on a cyclic complex (``maps`` is fixed after
+        construction): d^k is map(n+k-1) @ d^(k-1), d^1 is the map itself,
+        and the identity is formed only for k = 0.  ``validate`` certifies
+        d^N = 0 on these products, which ``graded_homology`` then reuses."""
+        key = (n % self.N if self.cyclic else n, k)
         if key not in self._composites:
             if self.dim(n) is None:
                 acc = None
@@ -223,7 +223,8 @@ class GradedHomology:
 def graded_homology(C, degrees=None, ms=None):
     """Compute H^n_(m) wherever both d^m out of n and d^(N-m) into n are
     determined; degrees outside that window are simply absent.  The default
-    call, over all degrees and all m, is memoized on C."""
+    call, over all degrees and all m, is memoized on C.  A zero d^N into
+    n + m (memoized by ``validate``) lets slot (n, m) build its quotient lazily."""
     memo = degrees is None and ms is None
     if memo and C._homology is not None:
         return C._homology
@@ -241,7 +242,9 @@ def graded_homology(C, degrees=None, ms=None):
             src = C.composite(n + m - N, N - m)
             if src is None:
                 continue
-            H.slots[(n, m)] = HomologySlot(kernel_basis(out), image_basis(src))
+            H.slots[(n, m)] = HomologySlot(
+                kernel_basis(out), image_basis(src),
+                certified=C.composite(n + m - N, N).is_zero())
     if memo:
         C._homology = H
     return H
@@ -565,15 +568,21 @@ def kunneth_check(C1, C2):
 
 @dataclass
 class GradedSES:
-    """0 -> E -> F -> G -> 0 of graded N-complexes, maps given per degree."""
+    """0 -> E -> F -> G -> 0 of graded N-complexes, maps given per degree.
+    A successful ``validate`` is remembered, so neither the sequence nor its
+    complexes may be mutated after construction."""
 
     E: GradedNComplex
     F: GradedNComplex
     G: GradedNComplex
     phi: dict  # degree -> ExactMatrix
     psi: dict
+    _valid: bool = dataclass_field(
+        default=False, init=False, repr=False, compare=False)
 
     def validate(self):
+        if self._valid:
+            return True
         for n in self.F.degrees():
             phi, psi = self.phi.get(n), self.psi.get(n)
             dE = self.E.dims.get(n, 0)
@@ -601,6 +610,7 @@ class GradedSES:
             if self.G.map(n) is not None and n in self.psi and nn in self.psi:
                 if (self.psi[nn] @ self.F.map(n)) != (self.G.map(n) @ self.psi[n]):
                     raise ValueError(f"psi not a chain map at degree {n}")
+        self._valid = True
         return True
 
 

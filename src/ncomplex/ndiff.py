@@ -92,14 +92,22 @@ class NDiffModule:
 
 
 class HomologySlot:
-    """One homology space H = Z / B: its dimensions and the quotient that
-    fixes its representatives by the deterministic complement rule."""
+    """Homology space H = Z / B, dim H = dim Z - dim B, with the quotient that
+    fixes its representatives.  That is built and checked here, or on first
+    read if the caller ``certified`` B in Z (d^N = 0) with Z, B independent."""
 
-    def __init__(self, Z, B):
-        self.quotient = QuotientSpace(Z, B)
-        self.dim_Z, self.dim_B, self.dim_H = Z.dim, B.dim, self.quotient.dim
-        if not self.dim_H == self.dim_Z - self.dim_B >= 0:
+    def __init__(self, Z, B, *, certified=False):
+        self.Z, self.B = Z, B
+        self.dim_Z, self.dim_B, self.dim_H = Z.dim, B.dim, Z.dim - B.dim
+        if not certified:
+            self.quotient  # built and checked now
+
+    @cached_property
+    def quotient(self):
+        q = QuotientSpace(self.Z, self.B)
+        if not q.dim == self.dim_H >= 0:
             raise AssertionError("dim H != dim Z - dim B")
+        return q
 
     @property
     def representatives(self):
@@ -134,13 +142,14 @@ class GeneralizedHomology:
 
 
 def homology(E):
-    """Generalized homology with representatives from the deterministic
-    complement rule of the quotient machinery."""
+    """Generalized homology, representatives by the complement rule.  A zero
+    last image-chain link (d^N = 0) lets the slots build quotients lazily."""
     if E._homology is not None:
         return E._homology
     images = E.image_chain()
     slots = {
-        m: HomologySlot(kernel_basis(E.power(m)), images[E.N - m - 1])
+        m: HomologySlot(kernel_basis(E.power(m)), images[E.N - m - 1],
+                        certified=images[-1].dim == 0)
         for m in range(1, E.N)
     }
     E._homology = GeneralizedHomology(E, slots)
@@ -359,7 +368,7 @@ class ShortExactSequence:
     The solvers of phi and psi, the kernel of psi and the maps of each
     Proposition-3 hexagon are cached on the sequence, and the homologies on
     E, F and G, so neither the sequence nor its modules may be mutated
-    after construction."""
+    after construction.  A successful ``validate`` is remembered too."""
 
     E: NDiffModule
     F: NDiffModule
@@ -368,8 +377,12 @@ class ShortExactSequence:
     psi: ExactMatrix
     _homology_maps: dict = dataclass_field(
         default_factory=dict, init=False, repr=False, compare=False)
+    _valid: bool = dataclass_field(
+        default=False, init=False, repr=False, compare=False)
 
     def validate(self):
+        if self._valid:
+            return True
         if not (self.E.N == self.F.N == self.G.N):
             raise ValueError("mixed N")
         if rank(self.phi) != self.E.dim:
@@ -384,6 +397,7 @@ class ShortExactSequence:
             raise ValueError("phi is not a chain map")
         if (self.psi @ self.F.d) != (self.G.d @ self.psi):
             raise ValueError("psi is not a chain map")
+        self._valid = True
         return True
 
     @cached_property

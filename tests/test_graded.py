@@ -5,6 +5,7 @@ import pytest
 from ncomplex.fields import QQ, make_cyclotomic, rat
 from ncomplex.graded import (
     GradedNComplex,
+    GradedSES,
     WindowError,
     check_graded_q_leibniz,
     graded_homology,
@@ -15,8 +16,8 @@ from ncomplex.graded import (
     random_graded_complex,
     random_graded_ses,
 )
-from ncomplex.linalg import ExactMatrix
-from ncomplex.ndiff import homology, homotopy_criterion_lemma4
+from ncomplex.linalg import ExactMatrix, rank
+from ncomplex.ndiff import HomologySlot, homology, homotopy_criterion_lemma4
 
 
 def two_term_complex(field, mat):
@@ -314,3 +315,102 @@ def test_les_check_reuses_graded_homology(monkeypatch):
     got = [les_check(*call) for call in calls]
     assert len(calls) == 36 and len(built) == 18
     assert got == want
+
+
+# -- lazy homology quotients ---------------------------------------------------
+
+
+@pytest.mark.parametrize("field", [QQ, make_cyclotomic(3)], ids=["Q", "Q(zeta_3)"])
+@pytest.mark.parametrize("cyclic", [False, True], ids=["bounded", "cyclic"])
+def test_lazy_graded_slots_match_eager_slots(field, cyclic):
+    """A validated complex certifies d^N = 0, so no slot builds its quotient
+    up front; each matches an eager ``HomologySlot`` on the same Z and B in
+    dimension, representatives and the [i] and [d] matrices."""
+    rng = random.Random(43)
+    N = 3
+    for _ in range(3):
+        C = random_graded_complex(field, N, rng, lo=0, hi=5, strings=6,
+                                  cyclic=cyclic)
+        slots = graded_homology(C).slots
+        assert slots and not any("quotient" in vars(s) for s in slots.values())
+        eager = {nm: HomologySlot(s.Z, s.B) for nm, s in slots.items()}
+        arrows = []
+        for (n, m) in slots:
+            nxt = (n + 1) % N if cyclic else n + 1
+            if (n, m + 1) in slots:
+                arrows.append(((n, m), (n, m + 1), lambda z: z))
+            if m > 1 and (nxt, m - 1) in slots:
+                arrows.append(((n, m), (nxt, m - 1), C.map(n).apply))
+        assert arrows
+        for nm, s in slots.items():
+            assert s.dim_H == eager[nm].dim_H
+            assert s.representatives == eager[nm].representatives
+        for src, tgt, image in arrows:
+            want = eager[src].map_to(eager[tgt], image)
+            assert slots[src].map_to(slots[tgt], image) == want, (src, tgt)
+
+
+@pytest.mark.parametrize("cyclic", [False, True], ids=["bounded", "cyclic"])
+def test_unchecked_graded_complex_builds_eagerly(cyclic):
+    """A complex built with ``check=False`` whose d^N is not zero has no
+    certificate: its slots build their quotients at once and fail."""
+    one = ExactMatrix.identity(1, QQ)
+    if cyclic:
+        C = GradedNComplex(3, QQ, {n: 1 for n in range(3)},
+                           {n: one for n in range(3)}, cyclic=True, check=False)
+    else:
+        C = GradedNComplex(2, QQ, {0: 1, 1: 1, 2: 1}, {0: one, 1: one},
+                           check=False)
+    with pytest.raises(ValueError, match="B is not contained in Z"):
+        graded_homology(C)
+
+
+def test_extend_builds_the_read_quotient_only(monkeypatch):
+    """``gauge.extend`` reads only the representatives of H^0_(1): besides
+    the quotient by H_I it builds that one homology quotient."""
+    from ncomplex import gauge, linalg
+
+    built, homologies = [], []
+    init = linalg.QuotientSpace.__init__
+
+    def counting_init(self, Z, B):
+        built.append(self)
+        init(self, Z, B)
+
+    def spy(C):
+        homologies.append(graded_homology(C))
+        return homologies[-1]
+
+    monkeypatch.setattr(linalg.QuotientSpace, "__init__", counting_init)
+    monkeypatch.setattr(gauge, "graded_homology", spy)
+    rng = random.Random(5)
+    for N in (3, 4, 5):
+        f = make_cyclotomic(2 * N)
+        G = gauge.random_gauge_instance(f, N, rng, hmax=12)
+        del built[:]
+        gauge.extend(G)
+        slots = homologies[-1].slots
+        read = [nm for nm, s in slots.items() if "quotient" in vars(s)]
+        assert read == [(0, 1)] and len(slots) > 1
+        assert len(built) == 2 and slots[(0, 1)].quotient in built
+
+
+def test_graded_ses_validates_once(monkeypatch):
+    """A successful ``GradedSES.validate`` is remembered across ``les_check``
+    calls; a failed one raises every time."""
+    from ncomplex import graded
+
+    ses = random_graded_ses(QQ, 3, random.Random(3))
+    fresh = GradedSES(ses.E, ses.F, ses.G, ses.phi, ses.psi)
+    calls = []
+    monkeypatch.setattr(graded, "rank", lambda M: calls.append(1) or rank(M))
+    assert les_check(fresh, 1, 0)["ok"]
+    first = len(calls)
+    assert first > 0
+    assert les_check(fresh, 1, 0)["ok"] and len(calls) == first
+    degree = next(n for n, M in ses.psi.items() if M.nrows)
+    psi = {**ses.psi, degree: ses.psi[degree].scale(0)}
+    broken = GradedSES(ses.E, ses.F, ses.G, ses.phi, psi)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="psi not surjective"):
+            les_check(broken, 1, 0)

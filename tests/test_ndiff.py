@@ -17,6 +17,7 @@ from ncomplex.ndiff import (
     HomologySlot,
     _add_split,
     NDiffModule,
+    ShortExactSequence,
     all_hexagons_check,
     block_module,
     connecting_well_defined,
@@ -126,6 +127,76 @@ def test_homology_slot_checks_dimensions():
     twice = Subspace(3, ExactMatrix.from_columns([e0, e0], 3, QQ))
     with pytest.raises(AssertionError, match="dim H != dim Z - dim B"):
         HomologySlot(Z, twice)
+
+
+def test_lazy_slot_checks_dimensions_on_first_read():
+    """A certified slot reports dim Z - dim B at once and runs the same
+    dimension check when its quotient is first built."""
+    Z = Subspace.full(3, QQ)
+    e0 = {0: QQ.one}
+    twice = Subspace(3, ExactMatrix.from_columns([e0, e0], 3, QQ))
+    slot = HomologySlot(Z, twice, certified=True)
+    assert "quotient" not in vars(slot) and slot.dim_H == 1
+    with pytest.raises(AssertionError, match="dim H != dim Z - dim B"):
+        slot.representatives
+
+
+@pytest.mark.parametrize("field", [QQ, make_cyclotomic(3)], ids=["Q", "Q(zeta_3)"])
+def test_lazy_slots_match_eager_slots(field):
+    """The image chain certifies d^N = 0, so no slot builds its quotient up
+    front; each matches an eager ``HomologySlot`` on the same Z and B in
+    dimension, representatives and the [i] and [d] matrices."""
+    rng = random.Random(41)
+    for _ in range(4):
+        N = rng.randint(3, 5)
+        E, _ = random_ndiff(field, N, rng.randint(6, 12), rng)
+        slots = homology(E).slots
+        assert not any("quotient" in vars(s) for s in slots.values())
+        eager = {m: HomologySlot(s.Z, s.B) for m, s in slots.items()}
+        for m, s in slots.items():
+            assert s.dim_H == eager[m].dim_H
+            assert s.representatives == eager[m].representatives
+        arrows = [(m, m + 1, lambda z: z) for m in range(1, N - 1)]
+        arrows += [(m + 1, m, E.d.apply) for m in range(1, N - 1)]
+        for src, tgt, image in arrows:
+            want = eager[src].map_to(eager[tgt], image)
+            assert slots[src].map_to(slots[tgt], image) == want, (src, tgt)
+
+
+@pytest.mark.parametrize("N, d", [
+    (2, jordan_block(3, QQ)),
+    (3, jordan_block(4, QQ)),
+    (3, ExactMatrix.identity(3, QQ)),
+], ids=["J3-N2", "J4-N3", "identity"])
+def test_uncertified_module_builds_eagerly(N, d):
+    """Without the d^N = 0 certificate every slot builds its quotient at
+    once, so an unchecked module that is not N-differential still fails in
+    ``homology``."""
+    E = NDiffModule(N, d, check=False)
+    with pytest.raises(ValueError, match="B is not contained in Z"):
+        homology(E)
+
+
+def test_ses_validates_once(monkeypatch):
+    """A successful ``validate`` is remembered: two hexagon checks on a fresh
+    sequence rank phi and psi once each.  A failed one raises every time."""
+    from ncomplex import ndiff
+
+    ses = random_ses(QQ, 3, random.Random(7))
+    fresh = ShortExactSequence(ses.E, ses.F, ses.G, ses.phi, ses.psi)
+    broken = ShortExactSequence(ses.E, ses.F, ses.G, ses.phi, ses.psi.scale(0))
+    ranked = []
+
+    def counting(M):
+        ranked.append(M is fresh.phi or M is fresh.psi)
+        return rank(M)
+
+    monkeypatch.setattr(ndiff, "rank", counting)
+    assert ses_hexagon_check(fresh)["ok"] and ses_hexagon_check(fresh)["ok"]
+    assert ranked.count(True) == 2
+    for _ in range(2):
+        with pytest.raises(ValueError, match="psi is not surjective"):
+            ses_hexagon_check(broken)
 
 
 def test_multiplicities_recover_blocks():
