@@ -55,9 +55,7 @@ def poly_const(D, c):
 
 
 def variable(D, i):
-    m = [0] * D
-    m[i] = 1
-    return {tuple(m): rat(1)}
+    return {variable_mono(D, i): rat(1)}
 
 
 class Derivation:
@@ -810,7 +808,7 @@ class LongitudinalComplex:
         )
 
 
-def theorem4_verify(system, deg_max, ghost_range=None, wmax=None):
+def theorem4_verify(system, deg_max, wmax=None):
     """dim H^n(delta) (poly-filtered) equals the longitudinal cohomology
     dimension, per ghost degree n and cumulative polynomial degree."""
     if deg_max < 0:
@@ -820,11 +818,9 @@ def theorem4_verify(system, deg_max, ghost_range=None, wmax=None):
     if wmax is None:
         wmax = max(deg_max - 2 * _max_poly_raise(K), 1)
     L = LongitudinalComplex(system, deg_max + 2 * _max_poly_raise(K))
-    if ghost_range is None:
-        ghost_range = range(0, system.m_prime + 1)
     details = {}
     ok = True
-    for n in ghost_range:
+    for n in range(0, system.m_prime + 1):
         lhs = brs_cohomology(K, n, wmax)
         rhs = L.cohomology_dim(n, wmax)
         details[f"H^{n}(<= {wmax})"] = (lhs, rhs)

@@ -6,7 +6,7 @@ envelopes Omega(A) and Omega_q(A), and the Theorem-2 / Prop-7 verifiers."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product as iproduct
+from itertools import combinations
 
 from .fields import Field, check_assumptions
 from .graded import GradedNComplex, graded_homology
@@ -15,8 +15,12 @@ from .linalg import (
     Subspace,
     _is_index,
     image_basis,
+    index_tuple,
     kernel_basis,
+    kron,
+    place_blocks,
     restrict,
+    tuple_index,
 )
 
 
@@ -317,7 +321,7 @@ class BimoduleData:
         return BimoduleData(algebra, n, left, right)
 
     @staticmethod
-    def from_left_action(algebra, dim, left, counit_right=True):
+    def from_left_action(algebra, dim, left):
         """Left module made into a bimodule with the trivial right action
         given by the counit."""
         f = algebra.field
@@ -491,70 +495,54 @@ def normalized_subcomplex(E, compare_cohomology=True):
 # -- Hochschild ---------------------------------------------------------------
 
 
-def _tuple_index(tup, a):
-    idx = 0
-    for t in tup:
-        idx = idx * a + t
-    return idx
+def _unit_column(A):
+    """The unit of A as an a x 1 matrix."""
+    return ExactMatrix(A.dim, 1, A.field, {(t, 0): u for t, u in A.unit.items()})
+
+
+def _multiplication(A):
+    """The product A ox A -> A as an a x a^2 matrix: column x a + y holds the
+    structure constants of e_x e_y."""
+    a = A.dim
+    return ExactMatrix.from_columns(
+        [A.mul_basis(x, y) for x in range(a) for y in range(a)], a, A.field
+    )
 
 
 def hochschild(A, M, n_max):
     """The cosimplicial module C^n(A, M) of M-valued Hochschild cochains.
 
-    Levels are coordinate spaces of dimension dim(M) * dim(A)^n; cofaces and
-    codegeneracies are assembled sparsely from the structure constants."""
+    Level n is M ox (A*)^(ox n), of dimension dim(M) * dim(A)^n.  The cofaces
+    are Kronecker products: f_0 and f_(n+1) let the first and the last
+    argument act on the value (a sum over the basis e_i of A), f_k
+    multiplies arguments k - 1 and k (the transpose of the product), and s_i
+    inserts the unit at argument i."""
     f = A.field
     a = A.dim
     dims = [M.dim * a**n for n in range(n_max + 1)]
-    cofaces = []
-    codegens = []
-    for n in range(n_max):
-        level = []
-        tuples_out = list(iproduct(range(a), repeat=n + 1))
-        # f_0: left action on the value
-        ent = {}
-        for out_t in tuples_out:
-            i0, rest = out_t[0], out_t[1:]
-            col_base = _tuple_index(rest, a)
-            for (nu, mu), v in M.left[i0].entries.items():
-                ent[(nu * a ** (n + 1) + _tuple_index(out_t, a),
-                     mu * a**n + col_base)] = v
-        level.append(ExactMatrix(dims[n + 1], dims[n], f, ent, _clean=False))
-        # f_k, 1 <= k <= n: multiply arguments k-1 and k
-        for k in range(1, n + 1):
-            ent = {}
-            for out_t in tuples_out:
-                x, y = out_t[k - 1], out_t[k]
-                for t, c in A.mul_basis(x, y).items():
-                    in_t = out_t[: k - 1] + (t,) + out_t[k + 1:]
-                    for mu in range(M.dim):
-                        ent[(mu * a ** (n + 1) + _tuple_index(out_t, a),
-                             mu * a**n + _tuple_index(in_t, a))] = c
-            level.append(ExactMatrix(dims[n + 1], dims[n], f, ent, _clean=False))
-        # f_(n+1): right action on the value
-        ent = {}
-        for out_t in tuples_out:
-            last, rest = out_t[-1], out_t[:-1]
-            col_base = _tuple_index(rest, a)
-            for (nu, mu), v in M.right[last].entries.items():
-                ent[(nu * a ** (n + 1) + _tuple_index(out_t, a),
-                     mu * a**n + col_base)] = v
-        level.append(ExactMatrix(dims[n + 1], dims[n], f, ent, _clean=False))
-        cofaces.append(level)
+    mu_t = _multiplication(A).transpose()
+    unit_t = _unit_column(A).transpose()
+    units = [ExactMatrix(a, 1, f, {(i, 0): f.one}) for i in range(a)]
 
-        # codegeneracies s_i: C^(n+1) -> C^n insert the unit
-        level_s = []
-        tuples_in = list(iproduct(range(a), repeat=n))
-        for i in range(n + 1):
-            ent = {}
-            for in_t in tuples_in:
-                for t, u in A.unit.items():
-                    out_tuple = in_t[:i] + (t,) + in_t[i:]
-                    for mu in range(M.dim):
-                        ent[(mu * a**n + _tuple_index(in_t, a),
-                             mu * a ** (n + 1) + _tuple_index(out_tuple, a))] = u
-            level_s.append(ExactMatrix(dims[n], dims[n + 1], f, ent, _clean=False))
-        codegens.append(level_s)
+    def one(k):
+        return ExactMatrix.identity(k, f)
+
+    cofaces, codegens = [], []
+    for n in range(n_max):
+        I = one(a**n)
+        level = [place_blocks(dims[n + 1], dims[n], f, [
+            (0, 0, kron(L, kron(e, I))) for L, e in zip(M.left, units)])]
+        level += [
+            kron(one(M.dim * a ** (k - 1)), kron(mu_t, one(a ** (n - k))))
+            for k in range(1, n + 1)
+        ]
+        level.append(place_blocks(dims[n + 1], dims[n], f, [
+            (0, 0, kron(R, kron(I, e))) for R, e in zip(M.right, units)]))
+        cofaces.append(level)
+        codegens.append([
+            kron(one(M.dim * a**i), kron(unit_t, one(a ** (n - i))))
+            for i in range(n + 1)
+        ])
     return CosimplicialData(f, dims, cofaces, codegens)
 
 
@@ -630,41 +618,31 @@ def tensor_algebra(A, n_max, check_m_axioms=True, check_relations=True):
     f = A.field
     a = A.dim
     dims = [a ** (n + 1) for n in range(n_max + 1)]
-    cofaces, codegens = [], []
-    for n in range(n_max):
-        level = []
-        for i in range(n + 2):
-            ent = {}
-            for tup in iproduct(range(a), repeat=n + 1):
-                col = _tuple_index(tup, a)
-                for t, u in A.unit.items():
-                    out = tup[:i] + (t,) + tup[i:]
-                    ent[(_tuple_index(out, a), col)] = u
-            level.append(ExactMatrix(dims[n + 1], dims[n], f, ent, _clean=False))
-        cofaces.append(level)
-        level_s = []
-        for i in range(n + 1):
-            ent = {}
-            for tup in iproduct(range(a), repeat=n + 2):
-                col = _tuple_index(tup, a)
-                for t, c in A.mul_basis(tup[i], tup[i + 1]).items():
-                    out = tup[:i] + (t,) + tup[i + 2:]
-                    key = (_tuple_index(out, a), col)
-                    f.accumulate(ent, key, c)
-            level_s.append(ExactMatrix(dims[n], dims[n + 1], f, ent, _clean=False))
-        codegens.append(level_s)
+    mu, unit = _multiplication(A), _unit_column(A)
+
+    def one(k):
+        return ExactMatrix.identity(k, f)
+
+    cofaces = [
+        [kron(one(a**i), kron(unit, one(a ** (n + 1 - i)))) for i in range(n + 2)]
+        for n in range(n_max)
+    ]
+    codegens = [
+        [kron(one(a**i), kron(mu, one(a ** (n - i)))) for i in range(n + 1)]
+        for n in range(n_max)
+    ]
 
     def prod(a_deg, va, b_deg, vb):
         out = {}
         tgt_len = a_deg + b_deg + 1
         for ia, ca in va.items():
-            ta = _index_tuple(ia, a, a_deg + 1)
+            ta = index_tuple(ia, a, a_deg + 1)
             for ib, cb in vb.items():
-                tb = _index_tuple(ib, a, b_deg + 1)
+                tb = index_tuple(ib, a, b_deg + 1)
                 cab = f.mul(ca, cb)
                 for t, c in A.mul_basis(ta[-1], tb[0]).items():
                     out_t = ta[:-1] + (t,) + tb[1:]
-                    k = _tuple_index(out_t, a)
+                    k = tuple_index(out_t, a)
                     f.accumulate(out, k, f.mul(cab, c))
         if not all(0 <= k < a**tgt_len for k in out):
             raise AssertionError("product index outside the target level")
@@ -675,14 +653,6 @@ def tensor_algebra(A, n_max, check_m_axioms=True, check_relations=True):
     if check_m_axioms:
         _check_multiplicative_axioms(E, A, min(n_max, 3))
     return E
-
-
-def _index_tuple(idx, a, length):
-    out = []
-    for _ in range(length):
-        out.append(idx % a)
-        idx //= a
-    return tuple(reversed(out))
 
 
 def _check_multiplicative_axioms(E, A, cap):
@@ -930,34 +900,16 @@ def q_tensor_leibniz_witness(C, q):
     """Search for a pair witnessing that d on C ox C fails the graded
     q-Leibniz rule for the product (a ox b)(a' ox b') = q^(deg b deg a')
     (aa') ox (bb'); returns the witness description or None."""
-    from .graded import TensorIndex
+    from .graded import TensorIndex, tensor_differential
 
     f = C.field
     idx = TensorIndex(C, C, C.cyclic)
+    dmaps = {n: tensor_differential(idx, q, n) for n in idx.layout}
 
     def tensor_d(n, vec):
-        """d(x ox y) = dx ox y + q^deg(x) x ox dy, blockwise; None if any
-        needed map is outside the window."""
-        out = {}
-        for (r, s), off in idx.layout[n].items():
-            d1m, d2m = C.map(r), C.map(s)
-            if d1m is None or d2m is None:
-                return None
-            qr = f.pow(q, r)
-            for i in range(C.dims[r]):
-                for j in range(C.dims[s]):
-                    c = vec.get(off + i * C.dims[s] + j)
-                    if c is None:
-                        continue
-                    if (r + 1, s) in idx.layout.get(n + 1, {}):
-                        for i2, v in d1m.column(i).items():
-                            row = idx.pos(n + 1, r + 1, s, i2, j)
-                            f.accumulate(out, row, f.mul(c, v))
-                    if (r, s + 1) in idx.layout.get(n + 1, {}):
-                        for j2, v in d2m.column(j).items():
-                            row = idx.pos(n + 1, r, s + 1, i, j2)
-                            f.accumulate(out, row, f.mul(c, f.mul(qr, v)))
-        return out
+        """d(x ox y) = dx ox y + q^deg(x) x ox dy; None if any needed map is
+        outside the window."""
+        return None if dmaps[n] is None else dmaps[n].apply(vec)
 
     def tensor_product(n1, v1, n2, v2):
         """product on C ox C with the q-sign rule."""

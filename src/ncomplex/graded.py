@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 from functools import cache
+from itertools import accumulate
 
 from .fields import Field, check_assumptions, q_binomial
 from .linalg import (
@@ -13,6 +14,8 @@ from .linalg import (
     ExactMatrix,
     image_basis,
     kernel_basis,
+    kron,
+    place_blocks,
     quotient_maps,
     rank,
     restrict,
@@ -135,23 +138,14 @@ class GradedNComplex:
         if not self.cyclic and (self.truncated_below or self.truncated_above):
             raise WindowError("cannot total a truncated complex")
         degs = self.degrees()
-        offs = {}
-        off = 0
+        offs = dict(zip(degs, accumulate((self.dims[n] for n in degs), initial=0)))
+        total = sum(self.dims.values())
+        pieces = []
         for n in degs:
-            offs[n] = off
-            off += self.dims[n]
-        f = self.field
-        ent = {}
-        for n in degs:
-            M = self.map(n)
-            if M is None or M.is_zero():
-                continue
             tgt = (n + 1) % self.N if self.cyclic else n + 1
-            if tgt not in offs:
-                continue
-            for (r, c), v in M.entries.items():
-                ent[(offs[tgt] + r, offs[n] + c)] = v
-        d = ExactMatrix(off, off, f, ent, _clean=False)
+            if tgt in offs:
+                pieces.append((offs[tgt], offs[n], self.map(n)))
+        d = place_blocks(total, total, self.field, pieces)
         return NDiffModule(self.N, d, check=False)
 
     def to_zgraded(self, lo, hi):
@@ -220,22 +214,22 @@ class GradedHomology:
         return {n: s.dim_H for (n, mm), s in sorted(self.slots.items()) if mm == m}
 
 
-def graded_homology(C, degrees=None, ms=None):
+def graded_homology(C, ms=None):
     """Compute H^n_(m) wherever both d^m out of n and d^(N-m) into n are
     determined; degrees outside that window are simply absent.  The default
-    call, over all degrees and all m, is memoized on C.  A zero d^N into
-    n + m (memoized by ``validate``) lets slot (n, m) build its quotient lazily."""
-    memo = degrees is None and ms is None
+    call, over all m, is memoized on C.  Slot (n, m) builds its quotient
+    lazily when d^N into n + m is certified zero: by ``validate``'s memoized
+    product, or at once when its source degree n + m - N is zero-dimensional
+    (then B = 0 lies in every Z)."""
+    memo = ms is None
     if memo and C._homology is not None:
         return C._homology
     H = GradedHomology()
     N = C.N
-    deg_list = degrees if degrees is not None else C.degrees()
-    m_list = ms if ms is not None else range(1, N)
-    for n in deg_list:
+    for n in C.degrees():
         if C.dim(n) is None:
             continue
-        for m in m_list:
+        for m in ms if ms is not None else range(1, N):
             out = C.composite(n, m)
             if out is None:
                 continue
@@ -244,7 +238,7 @@ def graded_homology(C, degrees=None, ms=None):
                 continue
             H.slots[(n, m)] = HomologySlot(
                 kernel_basis(out), image_basis(src),
-                certified=C.composite(n + m - N, N).is_zero())
+                certified=src.ncols == 0 or C.composite(n + m - N, N).is_zero())
     if memo:
         C._homology = H
     return H
@@ -399,16 +393,14 @@ class MatrixAlgebraComplex:
             v = self._product(deg, v, 1, self.e_vector())
             deg += 1
         # left multiplication by e^(N-1), degree N-1, as a total-space matrix
+        N = self.N
         total = self.complex.total_module()
-        offs = {a: a * self.N for a in range(self.N)}
-        ent = {}
-        for a in range(self.N):
-            tgt = (a + self.N - 1) % self.N
-            for i in range(self.N):
-                col = self._product(self.N - 1, v, a, {i: f.one})
-                for j, c in col.items():
-                    ent[(offs[tgt] + j, offs[a] + i)] = f.mul(scale, c)
-        h = ExactMatrix(total.dim, total.dim, f, ent)
+        pieces = []
+        for a in range(N):
+            cols = [self._product(N - 1, v, a, {i: f.one}) for i in range(N)]
+            block = ExactMatrix.from_columns(cols, N, f).scale(scale)
+            pieces.append(((a + N - 1) % N * N, a * N, block))
+        h = place_blocks(total.dim, total.dim, f, pieces)
         return total, h
 
 
@@ -462,79 +454,69 @@ def q_tensor(C1, C2, q, validate_power_formula=True):
     idx = TensorIndex(C1, C2, C1.cyclic)
     maps = {}
     for n in sorted(idx.dims):
-        tgt = (n + 1) % N if C1.cyclic else n + 1
-        if tgt not in idx.dims:
-            continue
-        ent = {}
-        for (r, s), off in idx.layout[n].items():
-            d1 = C1.map(r)
-            d2 = C2.map(s)
-            qr = f.pow(q, r % N if C1.cyclic else r)
-            r1 = (r + 1) % N if C1.cyclic else r + 1
-            s1 = (s + 1) % N if C1.cyclic else s + 1
-            for i in range(C1.dims[r]):
-                for j in range(C2.dims[s]):
-                    col = off + i * C2.dims[s] + j
-                    if d1 is not None and (r1, s) in idx.layout.get(tgt, {}):
-                        for i2, v in d1.column(i).items():
-                            row = idx.pos(tgt, r1, s, i2, j)
-                            f.accumulate(ent, (row, col), v)
-                    if d2 is not None and (r, s1) in idx.layout.get(tgt, {}):
-                        for j2, v in d2.column(j).items():
-                            row = idx.pos(tgt, r, s1, i, j2)
-                            f.accumulate(ent, (row, col), f.mul(qr, v))
-        maps[n] = ExactMatrix(idx.dims[tgt], idx.dims[n], f, ent, _clean=False)
-    dims = dict(idx.dims)
-    T = GradedNComplex(N, f, dims, maps, cyclic=C1.cyclic)
+        if ((n + 1) % N if C1.cyclic else n + 1) in idx.dims:
+            maps[n] = tensor_differential(idx, q, n)
+            if maps[n] is None:
+                raise WindowError(f"q_tensor needs the factors' maps at degree {n}")
+    T = GradedNComplex(N, f, dict(idx.dims), maps, cyclic=C1.cyclic)
     if validate_power_formula:
         _validate_q_power_formula(C1, C2, q, T, idx)
     return T
 
 
+def tensor_differential(idx, q, n):
+    """d(x ox y) = d'x ox y + q^deg(x) x ox d''y out of degree n of the
+    tensor product laid out by ``idx``, block by block as d' ox I and
+    q^r I ox d''; None when a factor's map out of a block is undetermined."""
+    C1, C2 = idx.C1, idx.C2
+    f = C1.field
+    wrap = (lambda k: k % C1.N) if idx.cyclic else (lambda k: k)
+    out = idx.layout.get(wrap(n + 1), {})
+    pieces = []
+    for (r, s), off in idx.layout[n].items():
+        d1, d2 = C1.map(r), C2.map(s)
+        if d1 is None or d2 is None:
+            return None
+        if (wrap(r + 1), s) in out:
+            one2 = ExactMatrix.identity(C2.dims[s], f)
+            pieces.append((out[(wrap(r + 1), s)], off, kron(d1, one2)))
+        if (r, wrap(s + 1)) in out:
+            qr = ExactMatrix.identity(C1.dims[r], f).scale(f.pow(q, wrap(r)))
+            pieces.append((out[(r, wrap(s + 1))], off, kron(qr, d2)))
+    return place_blocks(idx.dims.get(wrap(n + 1), 0), idx.dims[n], f, pieces)
+
+
 def _validate_q_power_formula(C1, C2, q, T, idx):
     """d^n(x ox y) = sum_m q^(deg(x)(n-m)) [n m]_q d'^m x ox d''^(n-m) y for
-    n <= N, on every basis tensor."""
+    n <= N: per block (r, s) and power n, the columns of d^n at the block
+    against the sum of the blocks [n m]_q q^(r(n-m)) d'^m ox d''^(n-m)."""
     N, f = T.N, T.field
+    wrap = (lambda k: k % N) if T.cyclic else (lambda k: k)
     for n_deg in sorted(idx.layout):
         for (r, s), off in idx.layout[n_deg].items():
-            for i in range(C1.dims[r]):
-                for j in range(C2.dims[s]):
-                    vec = {off + i * C2.dims[s] + j: f.one}
-                    for n in range(1, N + 1):
-                        lhs_mat = T.composite(n_deg, n)
-                        if lhs_mat is None:
-                            continue
-                        lhs = lhs_mat.apply(vec)
-                        rhs = {}
-                        for m in range(n + 1):
-                            cm1 = C1.composite(r, m)
-                            cm2 = C2.composite(s, n - m)
-                            if cm1 is None or cm2 is None:
-                                continue
-                            xs = cm1.apply({i: f.one})
-                            ys = cm2.apply({j: f.one})
-                            if not xs or not ys:
-                                continue
-                            tgt = (n_deg + n) % N if T.cyclic else n_deg + n
-                            r2 = (r + m) % N if T.cyclic else r + m
-                            s2 = (s + n - m) % N if T.cyclic else s + n - m
-                            if (r2, s2) not in idx.layout.get(tgt, {}):
-                                continue
-                            coeff = f.mul(
-                                f.pow(q, (r % N if T.cyclic else r) * (n - m)),
-                                q_binomial(n, m, q, f),
-                            )
-                            if f.is_zero(coeff):
-                                continue
-                            for i2, xv in xs.items():
-                                for j2, yv in ys.items():
-                                    row = idx.pos(tgt, r2, s2, i2, j2)
-                                    f.accumulate(rhs, row, f.mul(coeff, f.mul(xv, yv)))
-                        if lhs != rhs:
-                            raise AssertionError(
-                                "q-binomial power formula failed at "
-                                f"degree {n_deg}, block ({r},{s}), power {n}"
-                            )
+            width = C1.dims[r] * C2.dims[s]
+            for n in range(1, N + 1):
+                lhs_mat = T.composite(n_deg, n)
+                if lhs_mat is None:
+                    continue
+                out = idx.layout.get(wrap(n_deg + n), {})
+                pieces = []
+                for m in range(n + 1):
+                    cm1 = C1.composite(r, m)
+                    cm2 = C2.composite(s, n - m)
+                    block = (wrap(r + m), wrap(s + n - m))
+                    if cm1 is None or cm2 is None or block not in out:
+                        continue
+                    coeff = f.mul(
+                        f.pow(q, wrap(r) * (n - m)), q_binomial(n, m, q, f)
+                    )
+                    pieces.append((out[block], 0, kron(cm1, cm2).scale(coeff)))
+                rhs = place_blocks(lhs_mat.nrows, width, f, pieces)
+                if lhs_mat.take_columns(range(off, off + width)) != rhs:
+                    raise AssertionError(
+                        "q-binomial power formula failed at "
+                        f"degree {n_deg}, block ({r},{s}), power {n}"
+                    )
 
 
 def kunneth_check(C1, C2):

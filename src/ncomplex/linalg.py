@@ -1,5 +1,6 @@
-"""Exact sparse linear algebra over a Field: rank, kernel/image bases, solving,
-subspaces and quotients with deterministic representative choices."""
+"""Exact sparse linear algebra over a Field: Kronecker products and block
+placement, rank, kernel/image bases, solving, subspaces and quotients with
+deterministic representative choices."""
 
 from __future__ import annotations
 
@@ -280,6 +281,60 @@ class ExactMatrix:
                 raise ValueError(f"matrix entry [{e[0]}, {e[1]}] is listed twice")
             ent[(e[0], e[1])] = f.parse(e[2])
         return ExactMatrix(shape[0], shape[1], f, ent)
+
+
+# -- tensor and block layouts ------------------------------------------------
+
+
+def kron(A, B):
+    """The Kronecker product A ox B: entry (i rows(B) + k, j cols(B) + l) is
+    A[i, j] B[k, l]."""
+    f = A.field
+    mul = f.mul
+    rB, cB = B.nrows, B.ncols
+    items = B.entries.items()
+    ent = {}
+    for (i, j), a in A.entries.items():
+        r0, c0 = i * rB, j * cB
+        for (k, l), b in items:
+            ent[(r0 + k, c0 + l)] = mul(a, b)
+    return ExactMatrix(A.nrows * rB, A.ncols * cB, f, ent, _clean=False)
+
+
+def place_blocks(nrows, ncols, field, pieces):
+    """The nrows x ncols sum of the pieces ``(row_offset, col_offset, M)``,
+    each M placed with its entry (0, 0) at (row_offset, col_offset).  Where
+    pieces overlap their entries are added; a sum of zero is not stored."""
+    accumulate = field.accumulate
+    ent = {}
+    for r0, c0, M in pieces:
+        if not (0 <= r0 <= nrows - M.nrows and 0 <= c0 <= ncols - M.ncols):
+            raise ValueError(
+                f"a {M.nrows}x{M.ncols} block at ({r0}, {c0}) leaves the "
+                f"{nrows}x{ncols} matrix"
+            )
+        for (r, c), v in M.entries.items():
+            accumulate(ent, (r0 + r, c0 + c), v)
+    return ExactMatrix(nrows, ncols, field, ent, _clean=False)
+
+
+def tuple_index(tup, radix):
+    """The mixed-radix index of ``tup``, most significant digit first: the
+    row of e_(t_1) ox ... ox e_(t_n) in a ``kron`` of radix-dimensional
+    factors."""
+    idx = 0
+    for t in tup:
+        idx = idx * radix + t
+    return idx
+
+
+def index_tuple(idx, radix, length):
+    """The inverse of ``tuple_index`` on tuples of ``length`` digits."""
+    out = []
+    for _ in range(length):
+        idx, digit = divmod(idx, radix)
+        out.append(digit)
+    return tuple(reversed(out))
 
 
 def _is_index(n, bound=None):

@@ -16,6 +16,7 @@ from .linalg import (
     _split_vector,
     image_basis,
     kernel_basis,
+    kron,
     orbit_span,
     quotient_maps,
     rank,
@@ -329,16 +330,8 @@ def green_tensor(E1, E2):
     if E1.field != E2.field:
         raise ValueError("field mismatch")
     f = E1.field
-    n1, n2 = E1.dim, E2.dim
-    ent = {}
-    for (r, c), v in E1.d.entries.items():
-        for j in range(n2):
-            ent[(r * n2 + j, c * n2 + j)] = v
-    for (r, c), v in E2.d.entries.items():
-        for i in range(n1):
-            key = (i * n2 + r, i * n2 + c)
-            f.accumulate(ent, key, v)
-    d = ExactMatrix(n1 * n2, n1 * n2, f, ent, _clean=False)
+    d = (kron(E1.d, ExactMatrix.identity(E2.dim, f))
+         + kron(ExactMatrix.identity(E1.dim, f), E2.d))
     return NDiffModule(E1.N + E2.N - 1, d)
 
 

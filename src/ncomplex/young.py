@@ -11,7 +11,7 @@ from functools import lru_cache
 
 from .fields import QQ, R_ZERO, accumulate, rat
 from .graded import GradedNComplex, graded_homology
-from .linalg import EchelonSolver, ExactMatrix
+from .linalg import EchelonSolver, ExactMatrix, tuple_index
 
 
 @dataclass(frozen=True)
@@ -171,13 +171,6 @@ class Symmetrizer:
         return {t: self.norm * v for t, v in out.items()}
 
 
-def _flat(t, D):
-    idx = 0
-    for x in t:
-        idx = idx * D + x
-    return idx
-
-
 class SymmetrySpace:
     """Image of the Young projector inside the degree-p tensor space, with a
     deterministic basis (projections of unit tensors, greedily independent)."""
@@ -194,7 +187,7 @@ class SymmetrySpace:
             # permutations, so row-sorted fillings already span the image
             for t in self._row_sorted_tuples():
                 img = self.projector.apply({t: rat(1)})
-                vec = {_flat(u, D): v for u, v in img.items()}
+                vec = {tuple_index(u, D): v for u, v in img.items()}
                 vec = self._reduce(vec, echelon)
                 if vec:
                     lead = min(vec)
@@ -205,7 +198,7 @@ class SymmetrySpace:
         self.dim = len(basis_cols)
         if self.dim:
             mat = ExactMatrix.from_columns(
-                [{_flat(t, D): v for t, v in col.items()} for col in basis_cols],
+                [{tuple_index(t, D): v for t, v in c.items()} for c in basis_cols],
                 D**self.p if self.p else 1,
                 QQ,
             )
@@ -240,7 +233,7 @@ class SymmetrySpace:
             if tensor:
                 raise ValueError("nonzero tensor in a zero symmetry space")
             return {}
-        vec = {_flat(t, self.D): v for t, v in tensor.items() if v}
+        vec = {tuple_index(t, self.D): v for t, v in tensor.items() if v}
         c = self.solver.solve(vec)
         if c is None:
             raise ValueError("tensor does not have this symmetry type")

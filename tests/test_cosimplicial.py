@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from ncomplex.fields import QQ, make_cyclotomic
@@ -25,6 +28,7 @@ from ncomplex.cosimplicial import (
     sl2,
     tensor_algebra,
     theorem2_verify,
+    truncated_polynomials,
     universal_envelope,
 )
 
@@ -305,3 +309,41 @@ def test_q_leibniz_fails_on_tensor_square_at_n3():
     qm1 = f6.pow(f6.zeta(), 3)
     Oq2, _ = omega_q(A6, qm1, 2, 3)
     assert q_tensor_leibniz_witness(Oq2, qm1) is None
+
+
+# sha256 of the to_json of every coface and codegeneracy, recorded from the
+# hand-indexed assembly that kron and place_blocks replaced
+STRUCTURE_MAP_DIGESTS = {
+    ("hochschild", "dual_numbers", 3, 4):
+        "e5ad1e3c41dd2991a6df597963fa50d08c94461f390117a35693b0a7a2816294",
+    ("hochschild", "truncated_polynomials", 6, 3):
+        "44b6bdb03df654664b970607072f3f8831570be9c73d811f4b6a03ba4266167b",
+    ("tensor_algebra", "dual_numbers", 3, 4):
+        "85165d5d8173a939d05b77c1d7cc4d2c94175790fb46b57d91847e5658daa10a",
+    ("tensor_algebra", "truncated_polynomials", 6, 3):
+        "35fa9a08218ca7cad83bd91206246728b971b7c0f35a4e3c8d87d5f0bd9141cf",
+    ("tensor_algebra", "matrix_algebra", 1, 2):
+        "af06a4af5f30c1ad2d796adce7c8b9ae8b7fe2422d61415811136cab244835ab",
+}
+
+
+@pytest.mark.parametrize(
+    "case", sorted(STRUCTURE_MAP_DIGESTS), ids=lambda c: "-".join(map(str, c))
+)
+def test_structure_maps_match_hand_indexed_digests(case):
+    builder, algebra, M, n_max = case
+    f = QQ if M == 1 else make_cyclotomic(M)
+    A = {
+        "dual_numbers": dual_numbers,
+        "truncated_polynomials": lambda f: truncated_polynomials(f, 4),
+        "matrix_algebra": lambda f: matrix_algebra(f, 2),
+    }[algebra](f)
+    if builder == "hochschild":
+        E = hochschild(A, BimoduleData.regular(A), n_max)
+    else:
+        E = tensor_algebra(A, n_max, check_m_axioms=False)
+    mats = [M for level in E.cofaces + E.codegens for M in level]
+    digest = hashlib.sha256(
+        json.dumps([M.to_json() for M in mats], sort_keys=True).encode()
+    ).hexdigest()
+    assert digest == STRUCTURE_MAP_DIGESTS[case]

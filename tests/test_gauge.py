@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -128,6 +130,42 @@ def test_gauge_cochains_rejects_mismatched_hi():
     wrong = GaugeInstance(3, A, Subspace.full(2, f), f.zeta())
     with pytest.raises(ValueError, match="invariant"):
         GaugeCochains(U, act, wrong, 3)
+
+
+def test_gauge_cochains_rejects_a_non_action():
+    # the bimodule checks of BimoduleData.from_left_action guard the action
+    f, U, act, G = z2_setup()
+    flip = act[1]
+    with pytest.raises(ValueError, match="not unital"):
+        GaugeCochains(U, [flip, flip], G, 3)
+    with pytest.raises(ValueError, match="left action fails"):
+        GaugeCochains(U, [act[0], flip.scale(f.from_rat(2))], G, 3)
+
+
+def _digest(mats):
+    return hashlib.sha256(
+        json.dumps([M.to_json() for M in mats], sort_keys=True).encode()
+    ).hexdigest()
+
+
+def test_assembled_matrices_match_hand_indexed_digests():
+    # sha256 of the matrices' to_json, recorded from the hand-indexed
+    # assembly that kron and place_blocks replaced
+    f, U, act, G = z2_setup()
+    C = GaugeCochains(U, act, G, 4)
+    assert _digest([C.d, C.A]) == (
+        "0965fc377b16561a2fbb5d53b98f6a6ce4c7f3a6907d886b7e76b2669eb629fb")
+    # criterion 12's second example, the only one with A != 0
+    f, U, act, G = synthetic_setup()
+    C = GaugeCochains(U, act, G, 4)
+    assert _digest([C.d, C.A]) == (
+        "e3a1374a1668fda8c2a68ddbf8b05743e2e38f7f54071c016a7fb037be3100e7")
+    # criterion 11's instance 0
+    rng = random.Random("42:gauge:0")
+    N = rng.choice((3, 4, 5))
+    ext = extend(random_gauge_instance(make_cyclotomic(2 * N), N, rng, hmax=20))
+    assert _digest([ext.d, ext.A]) == (
+        "79da668f2aa1480c3d274892f9b2a0ffd0520d48fc3569b3c8018381517b52e2")
 
 
 def test_lemma15_synthetic():

@@ -1,8 +1,10 @@
 import copy
 import hashlib
+import itertools
 import json
 import math
 import random
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -16,15 +18,19 @@ from ncomplex.linalg import (
     QuotientSpace,
     Subspace,
     image_basis,
+    index_tuple,
     intersection,
     kernel_basis,
+    kron,
     orbit_span,
+    place_blocks,
     quotient_coordinates,
     quotient_maps,
     rank,
     restrict,
     solve,
     sum_spaces,
+    tuple_index,
 )
 
 
@@ -589,3 +595,68 @@ def _golden_outputs(f, seed):
 @pytest.mark.parametrize("field", NUMERATOR_FIELDS, ids=repr)
 def test_golden_numerator_path(field):
     assert _golden_outputs(field, 0) == GOLDEN_NUMERATOR_PATH[repr(field)]
+
+
+# -- tensor and block layouts ---------------------------------------------------
+
+
+@pytest.mark.parametrize("field", [QQ, make_cyclotomic(6)], ids=["Q", "Q(zeta_6)"])
+def test_kron_matches_dense_oracle(field):
+    f = field
+    rng = random.Random(f"kron:{f!r}")
+    shapes = [(0, 0), (0, 3), (2, 0), (1, 1), (2, 3), (3, 2)]
+    for ra, ca in shapes:
+        for rb, cb in shapes:
+            A, B = _mixed_matrix(f, rng, ra, ca), _mixed_matrix(f, rng, rb, cb)
+            K = kron(A, B)
+            assert (K.nrows, K.ncols) == (ra * rb, ca * cb)
+            # row (i, k) of A ox B is A[i, j] B[k, l] over (j, l)
+            assert _dense(K) == [
+                [f.mul(a, b) for a in arow for b in brow]
+                for arow in _dense(A) for brow in _dense(B)
+            ]
+            assert not any(f.is_zero(v) for v in K.entries.values())
+
+
+@pytest.mark.parametrize("field", [QQ, make_cyclotomic(6)], ids=["Q", "Q(zeta_6)"])
+def test_place_blocks_matches_dense_oracle(field):
+    f = field
+    rng = random.Random(f"place-blocks:{f!r}")
+    nrows, ncols = 6, 7
+    for _ in range(20):
+        pieces = []
+        for _ in range(4):
+            r0, c0 = rng.randint(0, nrows), rng.randint(0, ncols)
+            shape = rng.randint(0, nrows - r0), rng.randint(0, ncols - c0)
+            M = _mixed_matrix(f, rng, *shape)
+            pieces.append((r0, c0, M))
+        # a piece cancelled by its negative elsewhere in the list
+        r0, c0, M = pieces[1]
+        pieces.append((r0, c0, M.scale(f.neg(f.one))))
+        dense = [[f.zero] * ncols for _ in range(nrows)]
+        for r0, c0, M in pieces:
+            for r, row in enumerate(_dense(M)):
+                for c, v in enumerate(row):
+                    dense[r0 + r][c0 + c] = f.add(dense[r0 + r][c0 + c], v)
+        P = place_blocks(nrows, ncols, f, pieces)
+        assert (P.nrows, P.ncols) == (nrows, ncols)
+        assert _dense(P) == dense
+        assert not any(f.is_zero(v) for v in P.entries.values())
+    M = _mixed_matrix(f, rng, 3, 3, zero_ratio=0)
+    cancelled = place_blocks(4, 4, f, [(1, 0, M), (1, 0, M.scale(f.neg(f.one)))])
+    assert cancelled.entries == {}
+    assert place_blocks(0, 2, f, [(0, 2, ExactMatrix.zeros(0, 0, f))]).is_zero()
+    for r0, c0 in ((2, 0), (0, 2), (-1, 0)):
+        with pytest.raises(ValueError, match="leaves"):
+            place_blocks(3, 3, f, [(r0, c0, ExactMatrix.identity(2, f))])
+
+
+def test_mixed_radix_indices_follow_kron_order():
+    for radix, length in ((1, 3), (2, 0), (3, 3)):
+        tuples = list(itertools.product(range(radix), repeat=length))
+        assert [tuple_index(t, radix) for t in tuples] == list(range(len(tuples)))
+        assert [index_tuple(i, radix, length) for i in range(len(tuples))] == tuples
+        for t in tuples:
+            units = [ExactMatrix(radix, 1, QQ, {(x, 0): QQ.one}) for x in t]
+            e = reduce(kron, units, ExactMatrix.identity(1, QQ))
+            assert e.entries == {(tuple_index(t, radix), 0): QQ.one}
