@@ -17,9 +17,9 @@ from .linalg import (
     Subspace,
     _int_key,
     image_basis,
-    kernel_basis,
+    rank,
 )
-from .young import mono_mul, monomials
+from .young import mono_derivative, mono_mul, monomials
 
 
 # -- polynomials over Q --------------------------------------------------------
@@ -68,13 +68,13 @@ class Derivation:
     def apply(self, poly):
         out = {}
         for m, v in poly.items():
-            for i in range(self.D):
-                if m[i] == 0 or not self.coeffs[i]:
+            for i, coeff in enumerate(self.coeffs):
+                dm, e = mono_derivative(m, i)
+                if dm is None:
                     continue
-                dm = list(m)
-                dm[i] -= 1
-                out = poly_add(out, poly_mul({tuple(dm): v * rat(m[i])},
-                                             self.coeffs[i]))
+                ve = v * rat(e)
+                for m2, v2 in coeff.items():
+                    accumulate(out, mono_mul(dm, m2), ve * v2)
         return out
 
     def bracket(self, other):
@@ -300,17 +300,11 @@ class Antiderivation:
             # polynomial factor (even); prefix parity = len(pis)
             if self.x_images is not None and any(mono):
                 par = rat((-1) ** len(pis))
-                for i in range(D):
-                    if mono[i] == 0:
+                for i, img in enumerate(self.x_images):
+                    dm, e = mono_derivative(mono, i)
+                    if dm is None or img is None or img.is_zero():
                         continue
-                    img = self.x_images[i]
-                    if img is None or img.is_zero():
-                        continue
-                    dm = list(mono)
-                    dm[i] -= 1
-                    prefix = GhostElement(
-                        D, {(pis, tuple(dm), ()): rat(mono[i])}
-                    )
+                    prefix = GhostElement(D, {(pis, dm, ()): rat(e)})
                     suffix = GhostElement(D, {((), zero_mono, chis): rat(1)})
                     term = ghost_mul(ghost_mul(prefix, img), suffix)
                     out = out.add(term, scale=val * par)
@@ -437,11 +431,11 @@ class GhostComplex:
 
     # -- linear structure on filtered pieces --------------------------------
 
-    def basis(self, npi, nchi, wmax, wmin=0):
-        """Basis keys with |pi| = npi, |chi| = nchi, wmin <= poly deg <= wmax."""
+    def basis(self, npi, nchi, wmax):
+        """Basis keys with |pi| = npi, |chi| = nchi, poly deg <= wmax."""
         out = []
         for pis in itertools.combinations(range(self.m), npi):
-            for w in range(wmin, wmax + 1):
+            for w in range(wmax + 1):
                 for mono in monomials(self.D, w):
                     for chis in itertools.combinations(range(self.mp), nchi):
                         out.append((pis, mono, chis))
@@ -456,18 +450,24 @@ class GhostComplex:
                 out.extend(self.basis(npi, nchi, wmax))
         return out
 
-    def matrix_of(self, operator, src_keys, tgt_index):
-        """Matrix of an element-valued operator on basis keys; image terms
-        outside tgt_index raise (the caller must enumerate enough)."""
-        ent = {}
-        for col, key in enumerate(src_keys):
-            img = operator(GhostElement(self.D, {key: rat(1)}))
-            for k2, v in img.terms.items():
-                row = tgt_index.get(k2)
-                if row is None:
-                    raise KeyError(f"image term {k2} outside enumerated window")
-                ent[(row, col)] = v
-        return ExactMatrix(len(tgt_index), len(src_keys), QQ, ent)
+
+def _operator_matrix(images, tgt_index):
+    """The matrix whose column j is images[j], a {key: value} image of the
+    j-th source basis key, in the rows ``tgt_index[key]``; an image term
+    outside ``tgt_index`` raises KeyError (the caller must enumerate
+    enough)."""
+    ent = {}
+    for col, img in enumerate(images):
+        for k2, v in img.items():
+            row = tgt_index.get(k2)
+            if row is None:
+                raise KeyError(f"image term {k2} outside enumerated window")
+            ent[(row, col)] = v
+    return ExactMatrix(len(tgt_index), len(images), QQ, ent)
+
+
+def _index(keys):
+    return {k: i for i, k in enumerate(keys)}
 
 
 def variable_mono(D, i):
@@ -534,13 +534,12 @@ def _solve_delta0_preimage(K, obstruction, deg_max):
         if wmax > deg_max:
             raise WindowError("obstruction exceeds the polynomial budget")
         src_keys = K.basis(npi + 1, nchi, deg_max)
-        tgt_keys = K.basis(npi, nchi, deg_max + K.max_step)
-        tgt_index = {k: i for i, k in enumerate(tgt_keys)}
-        M = K.matrix_of(lambda e: K.apply(0, e), src_keys, tgt_index)
-        b = {}
-        for k, v in block.terms.items():
-            b[tgt_index[k]] = v
-        sol = EchelonSolver(M).solve(b)
+        tgt_index = _index(K.basis(npi, nchi, deg_max + K.max_step))
+        M = _operator_matrix(
+            [K.apply(0, GhostElement(K.D, {k: rat(1)})).terms for k in src_keys],
+            tgt_index,
+        )
+        sol = EchelonSolver(M).solve({tgt_index[k]: v for k, v in block.terms.items()})
         if sol is None:
             raise WindowError(
                 "delta_0-preimage not found within the degree budget"
@@ -568,45 +567,29 @@ def brs_cohomology(K, n, wmax):
 
 
 def _filtered_cohomology_dim(differential, src, tgt, below):
-    """dim of the cohomology at the filtered piece spanned by the keys
+    """dim of the cohomology at the filtered piece F spanned by the keys
     ``src``, for a differential given on keys as {key: value}.
 
-    The kernel is taken into ``tgt``; an image term outside ``tgt`` raises
-    KeyError.  The image is that of ``below`` cut to the filtration: only
-    the combinations whose terms outside ``src`` cancel (the kernel of the
-    overflow part) count."""
-    tgt_index = {k: i for i, k in enumerate(tgt)}
-    ent = {}
-    for col, key in enumerate(src):
-        for k2, v in differential(key).items():
-            row = tgt_index.get(k2)
-            if row is None:
-                raise KeyError(f"image term {k2} outside enumerated window")
-            ent[(row, col)] = v
-    Z = kernel_basis(ExactMatrix(len(tgt), len(src), QQ, ent))
-    src_index = {k: i for i, k in enumerate(src)}
-    nrows = len(src)
-    ent = {}
-    extra_rows = {}
-    for col, key in enumerate(below):
-        for k2, v in differential(key).items():
-            row = src_index.get(k2)
-            if row is None:
-                row = extra_rows.setdefault(k2, nrows + len(extra_rows))
-            ent[(row, col)] = v
-    Mlow = ExactMatrix(nrows + len(extra_rows), len(below), QQ, ent)
+    dim Z = |src| - rank of d into ``tgt`` (an image term outside ``tgt``
+    raises KeyError).  B = d(span below) cap F: with M the matrix of d on
+    ``below``, rows ``src`` first and then the overflow rows outside F,
+    dim B = rank M - rank(overflow rows), the rank of M on the kernel of
+    the overflow part."""
+    dim_Z = len(src) - rank(_operator_matrix([differential(k) for k in src], _index(tgt)))
+    low = [differential(k) for k in below]
+    index = _index(src)
+    for img in low:
+        for k in img:
+            index.setdefault(k, len(index))
+    Mlow = _operator_matrix(low, index)
+    n = len(src)
     overflow = ExactMatrix(
-        len(extra_rows), len(below), QQ,
-        {(r - nrows, c): v for (r, c), v in Mlow.entries.items() if r >= nrows},
+        Mlow.nrows - n, Mlow.ncols, QQ,
+        {(r - n, c): v for (r, c), v in Mlow.entries.items() if r >= n},
+        _clean=False,
     )
-    keep = kernel_basis(overflow)
-    img_cols = []
-    for col in keep.basis.columns():
-        vec = Mlow.apply(col)
-        img_cols.append({k: v for k, v in vec.items() if k < nrows})
-    B = image_basis(ExactMatrix.from_columns(img_cols, nrows, QQ))
     # B lies in Z because the differential squares to zero
-    return Z.dim - B.dim
+    return dim_Z - (rank(Mlow) - rank(overflow))
 
 
 def _max_poly_raise(K):
@@ -660,30 +643,23 @@ def koszul_homology(constraints, D, deg_max):
         return [(pis, mono) for pis in itertools.combinations(range(m), n)
                 for mono in monomials(D, w - sum(du[a] for a in pis))]
 
-    def d0_matrix(src, tgt):
-        """delta_0 on Lambda(pi) ox Poly, from the keys src to the keys tgt."""
-        tgt_index = {k: i for i, k in enumerate(tgt)}
-        ent = {}
-        for col, (pis, mono) in enumerate(src):
+    def d0_rank(n, w):
+        """rank of delta_0 on Lambda(pi) ox Poly out of the keys basis(n, w)."""
+        images = []
+        for pis, mono in basis(n, w):
             out = {}
             for k in range(len(pis)):
                 rest, sgn = _remove_at(pis, k)
                 for mu, v in constraints[pis[k]].items():
                     accumulate(out, (rest, mono_mul(mono, mu)), rat(sgn) * v)
-            for k2, v in out.items():
-                ent[(tgt_index[k2], col)] = v
-        return ExactMatrix(len(tgt), len(src), QQ, ent)
+            images.append(out)
+        return rank(_operator_matrix(images, _index(basis(n - 1, w))))
 
     dims = {}
     for n in range(m + 1):
         for w in range(deg_max + 1):
             src = basis(n, w)
-            if not src:
-                dims[(-n, w)] = 0
-                continue
-            Z = kernel_basis(d0_matrix(src, basis(n - 1, w)))
-            B = image_basis(d0_matrix(basis(n + 1, w), src))
-            dims[(-n, w)] = Z.dim - B.dim
+            dims[(-n, w)] = len(src) - d0_rank(n, w) - d0_rank(n + 1, w) if src else 0
     return dims
 
 
@@ -704,20 +680,12 @@ class LongitudinalComplex:
         self.quotients = {}
         for w in range(deg_max + 1):
             monos = monomials(self.D, w)
-            mindex = {m: i for i, m in enumerate(monos)}
-            cols = []
-            for a, u in enumerate(system.constraints):
-                wl = w - du[a]
-                if wl < 0:
-                    continue
-                for mono in monomials(self.D, wl):
-                    col = {}
-                    for mu, v in u.items():
-                        col[mindex[mono_mul(mono, mu)]] = v
-                    cols.append(col)
-            ideal = image_basis(
-                ExactMatrix.from_columns(cols, len(monos), QQ)
-            )
+            mindex = _index(monos)
+            # the ideal (u)_w is spanned by the products mono * u_a
+            products = [{mono_mul(mono, mu): v for mu, v in u.items()}
+                        for u, d in zip(system.constraints, du)
+                        for mono in monomials(self.D, w - d)]
+            ideal = image_basis(_operator_matrix(products, mindex))
             full = Subspace.full(len(monos), QQ)
             self.quotients[w] = (
                 monos, mindex, QuotientSpace(full, ideal)

@@ -208,6 +208,7 @@ def cmd_theorem2(args):
     f = A.field
     if f.kind != "cyclotomic":
         raise UsageError("theorem2 needs a cyclotomic base field carrying q")
+    _require_at_least(args, "N", 2)
     q = f.pow(f.zeta(), f.M // args.N) if f.M % args.N == 0 else None
     if q is None:
         raise UsageError(f"field Q(zeta_{f.M}) contains no primitive {args.N}-th root")
@@ -226,6 +227,8 @@ def cmd_prop7(args):
 
     A = AlgebraData.from_json(_load_json(args.algebra))
     f = A.field
+    _require_at_least(args, "N", 2)
+    _require_at_least(args, "window", 0)
     if f.kind != "cyclotomic" or f.M % args.N:
         raise UsageError("field must contain a primitive N-th root of unity")
     q = f.pow(f.zeta(), f.M // args.N)

@@ -135,16 +135,7 @@ def extend(G):
         raise AssertionError("A^N != 0 on H-bullet")
     Q = NDiffModule(N, d + A)  # raises unless Q^N = 0
     # Lemma 12: graded homology of d
-    maps = {
-        n: ExactMatrix(
-            dims[n + 1] if n + 1 < N else 0, dims[n], f,
-            {},
-        )
-        for n in range(N - 1)
-    }
-    maps[0] = proj
-    for n in range(1, N - 1):
-        maps[n] = ExactMatrix.identity(kdim, f)
+    maps = {0: proj, **{n: ExactMatrix.identity(kdim, f) for n in range(1, N - 1)}}
     dcx = GradedNComplex(N, f, {n: dims[n] for n in range(N)}, maps)
     H = graded_homology(dcx)
     for (n, k), slot in H.slots.items():
@@ -198,13 +189,11 @@ def theorem5_verify(G, ext=None):
 # -- random and shaped instances ------------------------------------------------
 
 
-def random_gauge_instance(field, N, rng, hmax=20, q=None):
+def random_gauge_instance(field, N, rng, hmax=20):
     """Conjugated nilpotent A with H_I the A-orbit span of a random seed
-    subspace (stable by construction)."""
+    subspace (stable by construction); the field is Q(zeta_2N) and q = zeta."""
     from .ndiff import random_ndiff, random_stable_subspace
 
-    if q is None:
-        q = field.zeta()  # caller passes Q(zeta_2N) and q = zeta
     h = rng.randint(3, hmax)
     amb, _ = random_ndiff(field, N, h, rng)
     S = random_stable_subspace(amb, rng, nseeds=rng.randint(1, 2))
@@ -212,7 +201,7 @@ def random_gauge_instance(field, N, rng, hmax=20, q=None):
         S = image_basis(
             ExactMatrix.from_columns([{0: field.one}], h, field)
         )
-    return GaugeInstance(N, amb.d, S, q)
+    return GaugeInstance(N, amb.d, S, field.zeta())
 
 
 def wznw_shaped_instance(N, rng):

@@ -177,9 +177,6 @@ class ExactMatrix:
                 ent[rc] = add(ent[rc], t) if rc in ent else t
         return ExactMatrix(self.nrows, other.ncols, f, ent)
 
-    def __mul__(self, other):
-        return self.__matmul__(other)
-
     def power(self, k):
         """self^k; the identity only for k = 0, so k >= 1 costs k - 1 products."""
         if self.nrows != self.ncols:

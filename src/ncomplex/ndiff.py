@@ -599,10 +599,11 @@ def random_stable_subspace(E, rng, nseeds=2):
     return orbit_span(E.d, seeds, E.N)
 
 
-def random_ses(field, N, rng, dim_range=(6, 14)):
-    """Random SES 0 -> E -> F -> G -> 0 with E a stable subspace of F."""
+def random_ses(field, N, rng):
+    """Random SES 0 -> E -> F -> G -> 0 with E a stable subspace of F, and
+    6 <= dim F <= 14."""
     while True:
-        dim = rng.randint(*dim_range)
+        dim = rng.randint(6, 14)
         F, _ = random_ndiff(field, N, dim, rng)
         S = random_stable_subspace(F, rng)
         if S.dim == 0 or S.dim == F.dim:

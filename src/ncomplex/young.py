@@ -11,7 +11,8 @@ from functools import lru_cache
 
 from .fields import QQ, R_ZERO, accumulate, rat
 from .graded import GradedNComplex, graded_homology
-from .linalg import EchelonSolver, ExactMatrix, tuple_index
+from .linalg import EchelonSolver, ExactMatrix, kron, pivot_columns, place_blocks, tuple_index
+from .ndiff import exact_at
 
 
 @dataclass(frozen=True)
@@ -86,6 +87,12 @@ def _col_positions(diagram):
     return cols
 
 
+def _perm_sign(perm):
+    """(-1)^(number of inversions of the sequence perm)."""
+    inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+    return -1 if inversions % 2 else 1
+
+
 def _group_perms(groups, p, signed):
     """Permutations of 0..p-1 fixing each group setwise, as lookup tuples
     (with signs when ``signed``)."""
@@ -96,15 +103,7 @@ def _group_perms(groups, p, signed):
             continue
         new_perms, new_signs = [], []
         for gperm in itertools.permutations(group):
-            if signed:
-                seen = list(gperm)
-                sgn = 1
-                for i in range(len(seen)):
-                    for j in range(i + 1, len(seen)):
-                        if seen[i] > seen[j]:
-                            sgn = -sgn
-            else:
-                sgn = 1
+            sgn = _perm_sign(gperm) if signed else 1
             for base, bs in zip(perms, signs):
                 arr = list(base)
                 for src, dst in zip(group, gperm):
@@ -173,38 +172,28 @@ class Symmetrizer:
 
 class SymmetrySpace:
     """Image of the Young projector inside the degree-p tensor space, with a
-    deterministic basis (projections of unit tensors, greedily independent)."""
+    deterministic basis: the projections of row-sorted unit tensors at the
+    pivot columns, i.e. the leftmost independent ones in enumeration order."""
 
     def __init__(self, diagram, D):
         self.diagram = diagram
         self.D = D
         self.p = diagram.cells
         self.projector = Symmetrizer(diagram, D)
-        basis_cols = []
-        echelon = {}  # lead flat index -> normalized dict {flat: val}
+        images = []
         if len(diagram.rows) <= D:
             # row-symmetrization identifies tuples that agree up to row
             # permutations, so row-sorted fillings already span the image
-            for t in self._row_sorted_tuples():
-                img = self.projector.apply({t: rat(1)})
-                vec = {tuple_index(u, D): v for u, v in img.items()}
-                vec = self._reduce(vec, echelon)
-                if vec:
-                    lead = min(vec)
-                    inv = 1 / vec[lead]
-                    echelon[lead] = {k: v * inv for k, v in vec.items()}
-                    basis_cols.append(img)
-        self.basis = basis_cols
-        self.dim = len(basis_cols)
-        if self.dim:
-            mat = ExactMatrix.from_columns(
-                [{tuple_index(t, D): v for t, v in c.items()} for c in basis_cols],
-                D**self.p if self.p else 1,
-                QQ,
-            )
-            self.solver = EchelonSolver(mat)
-        else:
-            self.solver = None
+            images = [self.projector.apply({t: rat(1)})
+                      for t in self._row_sorted_tuples()]
+        M = ExactMatrix.from_columns(
+            [{tuple_index(u, D): v for u, v in img.items()} for img in images],
+            D**self.p, QQ,
+        )
+        pivots = pivot_columns(M)
+        self.basis = [images[j] for j in pivots]
+        self.dim = len(pivots)
+        self.solver = EchelonSolver(M.take_columns(pivots)) if self.dim else None
 
     def _row_sorted_tuples(self):
         if self.p == 0:
@@ -216,16 +205,6 @@ class SymmetrySpace:
         ]
         for combo in itertools.product(*per_row):
             yield tuple(x for row in combo for x in row)
-
-    @staticmethod
-    def _reduce(vec, echelon):
-        vec = dict(vec)
-        for lead in sorted(echelon):
-            if lead in vec:
-                c = vec[lead]
-                for k, v in echelon[lead].items():
-                    accumulate(vec, k, -c * v)
-        return vec
 
     def coords(self, tensor):
         """Coordinates in the basis; tensor must lie in the image."""
@@ -268,20 +247,20 @@ def omega_space(N, D, p):
 
 @lru_cache(maxsize=None)
 def _transition(N, D, p):
-    """trans[mu][s] = coordinates in Omega^(p+1) of Y(e_mu ox b_s)."""
+    """T_mu, mu < D: column s holds the coordinates in Omega^(p+1) of
+    Y(e_mu ox b_s)."""
     src = omega_space(N, D, p)
     tgt = omega_space(N, D, p + 1)
-    table = []
-    for mu in range(D):
-        row = []
-        for b in src.basis:
-            if tgt.dim == 0:
-                row.append({})
-                continue
-            shifted = {(mu,) + t: v for t, v in b.items()}
-            row.append(tgt.coords(tgt.projector.apply(shifted)))
-        table.append(row)
-    return table
+    if tgt.dim == 0:
+        return [ExactMatrix.zeros(0, src.dim, QQ)] * D
+    return [
+        ExactMatrix.from_columns(
+            [tgt.coords(tgt.projector.apply({(mu,) + t: v for t, v in b.items()}))
+             for b in src.basis],
+            tgt.dim, QQ,
+        )
+        for mu in range(D)
+    ]
 
 
 # -- polynomial bookkeeping ---------------------------------------------------
@@ -308,11 +287,33 @@ def mono_mul(a, b):
 
 
 def mono_derivative(m, mu):
+    """d/dx_mu of the monomial m as (monomial, factor); (None, 0) if it
+    vanishes."""
     if m[mu] == 0:
         return None, 0
     out = list(m)
     out[mu] -= 1
     return tuple(out), m[mu]
+
+
+def mono_derivative2(m, a, b):
+    """d/dx_b d/dx_a of the monomial m, as ``mono_derivative``."""
+    m1, e1 = mono_derivative(m, a)
+    if m1 is None:
+        return None, 0
+    m2, e2 = mono_derivative(m1, b)
+    return m2, e1 * e2
+
+
+def _derivative_matrix(D, w, mu):
+    """d/dx_mu from the monomials of weight w to those of weight w - 1."""
+    tindex = {m: i for i, m in enumerate(monomials(D, w - 1))}
+    ent = {}
+    for j, m in enumerate(monomials(D, w)):
+        dm, e = mono_derivative(m, mu)
+        if dm is not None:
+            ent[(tindex[dm], j)] = rat(e)
+    return ExactMatrix(len(tindex), len(monomials(D, w)), QQ, ent, _clean=False)
 
 
 @dataclass
@@ -361,23 +362,18 @@ class PolyTensorField:
 def differential(field):
     """d = Y_(p+1) o (gradient): maps (p, wpoly) to (p+1, wpoly-1)."""
     N, D, p = field.N, field.D, field.p
-    trans = _transition(N, D, p)
-    out = {}
-    for (m, s), c in field.coords.items():
-        for mu in range(D):
-            dm, e = mono_derivative(m, mu)
-            if dm is None:
-                continue
-            coeff = c * rat(e)
-            for s2, v in trans[mu][s].items():
-                accumulate(out, (dm, s2), coeff * v)
-    return PolyTensorField(N, D, p + 1, field.wpoly - 1, out)
+    C = weight_complex(N, D, field.weight)
+    coords = {}
+    if p in C.maps:  # past the top degree every field maps to zero
+        coords = _vector_coords(C, p + 1, C.maps[p].apply(field_to_vector(field)[1]))
+    return PolyTensorField(N, D, p + 1, field.wpoly - 1, coords)
 
 
 @lru_cache(maxsize=None)
 def weight_complex(N, D, w):
     """The finite complex along p + wpoly = w: degrees p = 0..min(w, (N-1)D),
-    bounded on both sides, over Q."""
+    bounded on both sides, over Q.  C^p has the basis monomial ox b_s in
+    row-major order, and d_p = sum_mu (d/dx_mu) ox T_mu."""
     p_top = min(w, (N - 1) * D)
     dims = {}
     layout = {}
@@ -386,23 +382,13 @@ def weight_complex(N, D, w):
         space = omega_space(N, D, p)
         layout[p] = (monos, {m: i for i, m in enumerate(monos)}, space)
         dims[p] = len(monos) * space.dim
-    maps = {}
-    for p in range(p_top):
-        monos, _, space = layout[p]
-        tmonos, tindex, tspace = layout[p + 1]
-        trans = _transition(N, D, p)
-        ent = {}
-        for mi, m in enumerate(monos):
-            for s in range(space.dim):
-                col = mi * space.dim + s
-                for mu in range(D):
-                    dm, e = mono_derivative(m, mu)
-                    if dm is None:
-                        continue
-                    for s2, v in trans[mu][s].items():
-                        row = tindex[dm] * tspace.dim + s2
-                        accumulate(ent, (row, col), rat(e) * v)
-        maps[p] = ExactMatrix(dims[p + 1], dims[p], QQ, ent, _clean=False)
+    maps = {
+        p: place_blocks(dims[p + 1], dims[p], QQ, [
+            (0, 0, kron(_derivative_matrix(D, w - p, mu), T))
+            for mu, T in enumerate(_transition(N, D, p))
+        ])
+        for p in range(p_top)
+    }
     C = GradedNComplex(N, QQ, dims, maps)
     C._layout = layout
     return C
@@ -415,6 +401,16 @@ def field_to_vector(field):
     for (m, s), c in field.coords.items():
         vec[mindex[m] * space.dim + s] = c
     return C, vec
+
+
+def _vector_coords(C, p, vec):
+    """The field coordinates {(monomial, s): value} of a vector of C^p."""
+    monos, _, space = C._layout[p]
+    out = {}
+    for idx, c in vec.items():
+        mi, s = divmod(idx, space.dim)
+        out[(monos[mi], s)] = c
+    return out
 
 
 def poincare_verify(N, D, k, w_max):
@@ -466,36 +462,22 @@ def spin_sequence_check(S, D, w_max):
         raise ValueError("S >= 1")
     N = S + 1
     report = {"ok": True, "S": S, "D": D, "weights": {}}
-    from .linalg import rank as _rank
-
     for w in range(w_max + 1):
         C = weight_complex(N, D, w)
         top = max(C.degrees())
 
-        def block(p, k):
-            if p > top:
-                return ExactMatrix.zeros(0, 0, QQ)
+        def out_of(p, k):
+            """d^k out of degree p; into the zero space past the top."""
             M = C.composite(p, k)
             return M if M is not None else ExactMatrix.zeros(0, C.dims[p], QQ)
 
-        d_in = block(S - 1, 1) if S - 1 <= top else ExactMatrix.zeros(0, 0, QQ)
-        mid = block(S, S) if S <= top else None
-        d_out = block(2 * S, 1) if 2 * S <= top else None
         entry = {}
-        if mid is not None:
-            if d_in.ncols and not (mid @ d_in).is_zero():
-                report["ok"] = False
-            ker_mid = mid.ncols - _rank(mid)
-            entry["exact_at_S"] = _rank(d_in) == ker_mid
-            if not entry["exact_at_S"]:
-                report["ok"] = False
-            if d_out is not None:
-                if not (d_out @ mid).is_zero():
-                    report["ok"] = False
-                ker_out = d_out.ncols - _rank(d_out)
-                entry["exact_at_2S"] = _rank(mid) == ker_out
-                if not entry["exact_at_2S"]:
-                    report["ok"] = False
+        if S <= top:
+            mid = out_of(S, S)
+            entry["exact_at_S"] = exact_at(out_of(S - 1, 1), mid, C.dims[S])
+            if 2 * S <= top:
+                entry["exact_at_2S"] = exact_at(mid, out_of(2 * S, 1), C.dims[2 * S])
+        report["ok"] = report["ok"] and all(entry.values())
         report["weights"][w] = entry
     return report
 
@@ -503,7 +485,7 @@ def spin_sequence_check(S, D, w_max):
 # -- the spin-2 explicit curvature operator ----------------------------------
 
 
-def _d2_raw_on_basis(D, mono, h_tensor, tmindex):
+def _d2_raw_on_basis(D, mono, h_tensor):
     """Explicit linearized curvature of h = mono * h_tensor:
 
         (d_2 h)_(lam mu, rho nu) = d_lam d_rho h_(mu nu)
@@ -511,34 +493,23 @@ def _d2_raw_on_basis(D, mono, h_tensor, tmindex):
             - d_lam d_nu h_(mu rho)
 
     returned in row-major tableau coordinates (lam, rho, mu, nu) keyed by
-    (target monomial index, index tuple)."""
-
-    def dd(a, b):
-        dm, e1 = mono_derivative(mono, a)
-        if dm is None:
-            return None, 0
-        dm2, e2 = mono_derivative(dm, b)
-        if dm2 is None:
-            return None, 0
-        return dm2, e1 * e2
-
+    (target monomial, index tuple)."""
     out = {}
     for (i1, i2), hval in h_tensor.items():
         for x in range(D):
             for y in range(D):
-                m2, e = dd(x, y)
+                m2, e = mono_derivative2(mono, x, y)
                 if m2 is None:
                     continue
                 c = hval * rat(e)
-                mi = tmindex[m2]
                 # d_x d_y h_(i1 i2) with (x, y) = (lam, rho)
-                accumulate(out, (mi, (x, y, i1, i2)), c)
+                accumulate(out, (m2, (x, y, i1, i2)), c)
                 # (x, y) = (mu, nu), h at (lam, rho)
-                accumulate(out, (mi, (i1, i2, x, y)), c)
+                accumulate(out, (m2, (i1, i2, x, y)), c)
                 # -(x, y) = (mu, rho), h at (lam, nu)
-                accumulate(out, (mi, (i1, y, x, i2)), -c)
+                accumulate(out, (m2, (i1, y, x, i2)), -c)
                 # -(x, y) = (lam, nu), h at (mu, rho)
-                accumulate(out, (mi, (x, i2, i1, y)), -c)
+                accumulate(out, (m2, (x, i2, i1, y)), -c)
     return out
 
 
@@ -552,30 +523,26 @@ def spin2_middle_proportional(D, w_max):
             continue
         monos, _, space2 = C._layout[2]
         space4 = C._layout[4][2]
-        tmonos = monomials(D, w - 4)
-        tmindex = {m: i for i, m in enumerate(tmonos)}
-        dd = C.composite(2, 2)
-        for mi, m in enumerate(monos):
-            for s in range(space2.dim):
-                col = mi * space2.dim + s
-                raw = _d2_raw_on_basis(D, m, space2.basis[s], tmindex)
-                raw_dd = {}
-                for row, v in dd.column(col).items():
-                    mi4, s4 = divmod(row, space4.dim)
-                    for t, bv in space4.basis[s4].items():
-                        accumulate(raw_dd, (mi4, t), v * bv)
-                if not raw and not raw_dd:
-                    continue
+        # the columns of d^2 follow the row-major basis of C^2
+        basis2 = itertools.product(monos, range(space2.dim))
+        for (m, s), col in zip(basis2, C.composite(2, 2).columns()):
+            raw = _d2_raw_on_basis(D, m, space2.basis[s])
+            raw_dd = {}
+            for (m4, s4), v in _vector_coords(C, 4, col).items():
+                for t, bv in space4.basis[s4].items():
+                    accumulate(raw_dd, (m4, t), v * bv)
+            if not raw and not raw_dd:
+                continue
+            if constant is None:
+                for key, v in raw.items():
+                    if key in raw_dd and raw_dd[key]:
+                        constant = v / raw_dd[key]
+                        break
                 if constant is None:
-                    for key, v in raw.items():
-                        if key in raw_dd and raw_dd[key]:
-                            constant = v / raw_dd[key]
-                            break
-                    if constant is None:
-                        return {"ok": False, "reason": "no comparable entry"}
-                scaled = {k: constant * v for k, v in raw_dd.items()}
-                if scaled != raw:
-                    return {"ok": False, "reason": f"mismatch at w={w}"}
+                    return {"ok": False, "reason": "no comparable entry"}
+            scaled = {k: constant * v for k, v in raw_dd.items()}
+            if scaled != raw:
+                return {"ok": False, "reason": f"mismatch at w={w}"}
     return {
         "ok": constant is not None and constant != 0,
         "constant": str(constant),
@@ -634,16 +601,7 @@ def nonassociativity_witness(N=3, D=2, wpoly=0):
 
 
 def _epsilon3():
-    eps = {}
-    for perm in itertools.permutations(range(3)):
-        sgn = 1
-        lst = list(perm)
-        for i in range(3):
-            for j in range(i + 1, 3):
-                if lst[i] > lst[j]:
-                    sgn = -sgn
-        eps[perm] = rat(sgn)
-    return eps
+    return {perm: rat(_perm_sign(perm)) for perm in itertools.permutations(range(3))}
 
 
 def divergence(T, D=3):
@@ -691,16 +649,24 @@ def random_divergence_free(rng, w=2):
                             if not e2:
                                 continue
                             for mono, v in h[(b, d)].items():
-                                m1, k1 = mono_derivative(mono, a)
-                                if m1 is None:
-                                    continue
-                                m2, k2 = mono_derivative(m1, c)
-                                if m2 is None:
-                                    continue
-                                accumulate(acc, m2, e1 * e2 * v * rat(k1 * k2))
+                                m2, k = mono_derivative2(mono, a, c)
+                                if m2 is not None:
+                                    accumulate(acc, m2, e1 * e2 * v * rat(k))
             if acc:
                 T[(mu, nu)] = acc
     return T
+
+
+def _contract_dd(R):
+    """(mu, nu) -> d_lam d_rho R^(lam mu rho nu), without zero entries."""
+    out = {}
+    for (lam, mu, rho_i, nu), poly in R.items():
+        acc = out.setdefault((mu, nu), {})
+        for mono, v in poly.items():
+            m2, k = mono_derivative2(mono, lam, rho_i)
+            if m2 is not None:
+                accumulate(acc, m2, v * rat(k))
+    return {k: p for k, p in out.items() if p}
 
 
 def potential_solve(T, w):
@@ -754,12 +720,11 @@ def potential_solve(T, w):
     sol = EchelonSolver(dd).solve(tau_vec)
     if sol is None:
         raise AssertionError("tau = d^2 rho has no solution (theorem violated)")
-    monos2, _, space2 = C._layout[2]
+    space2 = C._layout[2][2]
     rho = {}  # (a, b) -> poly
-    for idx, c in sol.items():
-        mi, s = divmod(idx, space2.dim)
+    for (mono, s), c in _vector_coords(C, 2, sol).items():
         for (a, b), v in space2.basis[s].items():
-            accumulate(rho.setdefault((a, b), {}), monos2[mi], c * v)
+            accumulate(rho.setdefault((a, b), {}), mono, c * v)
 
     # R^(lam mu rho nu) = eps^(lam mu a) eps^(rho nu b) rho_(a b)
     R = {}
@@ -790,18 +755,7 @@ def potential_solve(T, w):
         space4.coords(ten)  # raises if the symmetry fails
 
     # T' = d_lam d_rho R^(lam mu rho nu); then T = c T'
-    Tprime = {}
-    for (lam, mu, rho_i, nu), poly in R.items():
-        acc = Tprime.setdefault((mu, nu), {})
-        for mono, v in poly.items():
-            m1, k1 = mono_derivative(mono, lam)
-            if m1 is None:
-                continue
-            m2, k2 = mono_derivative(m1, rho_i)
-            if m2 is None:
-                continue
-            accumulate(acc, m2, v * rat(k1 * k2))
-    Tprime = {k: p for k, p in Tprime.items() if p}
+    Tprime = _contract_dd(R)
     constant = None
     for key, poly in T.items():
         if poly:
@@ -814,19 +768,7 @@ def potential_solve(T, w):
         k: {m: constant * v for m, v in poly.items()} for k, poly in R.items()
     }
     # exact verification
-    got = {}
-    for (lam, mu, rho_i, nu), poly in R_scaled.items():
-        acc = got.setdefault((mu, nu), {})
-        for mono, v in poly.items():
-            m1, k1 = mono_derivative(mono, lam)
-            if m1 is None:
-                continue
-            m2, k2 = mono_derivative(m1, rho_i)
-            if m2 is None:
-                continue
-            accumulate(acc, m2, v * rat(k1 * k2))
-    got = {k: p for k, p in got.items() if p}
     want = {k: p for k, p in T.items() if p}
-    if got != want:
+    if _contract_dd(R_scaled) != want:
         raise AssertionError("T != dd R after rescaling")
     return {"R": R_scaled, "constant": str(constant)}

@@ -9,7 +9,8 @@ import pytest
 
 import ncomplex
 from ncomplex import cli
-from ncomplex.fields import QQ
+from ncomplex.cosimplicial import dual_numbers
+from ncomplex.fields import QQ, make_cyclotomic
 from ncomplex.linalg import ExactMatrix
 from ncomplex.ndiff import block_module
 
@@ -210,17 +211,24 @@ def test_malformed_module_exits_2(tmp_path, command, obj):
         ["gauge-ext", "--suite", "random", "--trials", "-3"],
         ["ses", "ses.json", "--relifts", "0"],
         ["ses", "ses.json", "--relifts", "-1"],
+        ["theorem2", "alg.json", "--N", "0"],
+        ["prop7", "alg.json", "--N", "0"],
+        ["prop7", "alg.json", "--window", "-5"],
+        ["prop7", "alg.json", "--window", "-1"],
     ],
     ids=["poincare-D0", "spin-seq-D0", "spin-example-3-components",
          "brs-negative-deg-max", "selftest-unknown-criterion",
          "poincare-negative-wmax", "spin-seq-negative-wmax",
          "gauge-ext-zero-trials", "gauge-ext-negative-trials",
-         "ses-zero-relifts", "ses-negative-relifts"],
+         "ses-zero-relifts", "ses-negative-relifts", "theorem2-N0", "prop7-N0",
+         "prop7-window-minus-5", "prop7-window-minus-1"],
 )
 def test_bad_option_exits_2(tmp_path, argv):
     """An out-of-range option is bad input: exit 2 with one ncx: line, no
     traceback and no failure witness."""
     _write_split_ses(tmp_path / "ses.json")
+    alg = dual_numbers(make_cyclotomic(3)).to_json()
+    (tmp_path / "alg.json").write_text(json.dumps(alg))
     src = str(Path(ncomplex.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-m", "ncomplex.cli", *argv],

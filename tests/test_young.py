@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -79,6 +81,9 @@ def test_differential_weight_conservation():
     # constants die
     const = basis_field(3, 3, 2, (0, 0, 0), 1)
     assert differential(const).is_zero()
+    # out of the top degree (N-1)D = 2 the image is the zero field
+    top = differential(basis_field(2, 2, 2, (1, 0), 0))
+    assert (top.p, top.wpoly) == (3, 0) and top.is_zero()
 
 
 def test_n2_is_de_rham():
@@ -221,3 +226,39 @@ def test_nilpotency_full_grid():
         for D in (1, 2, 3, 4):
             for w in range(7):
                 weight_complex(N, D, w)
+
+
+def _sha(obj):
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "N,D,w_max,basis_sha,maps_sha",
+    [
+        (3, 3, 6, "6f7b2146217664c62d784fba3ed1e2f57dd5d16a940f56ffc585e0493375dc2d",
+         "8e58e5d4e3f1fdbaa53266e01f67d391962f242397637c18ead2c3c9c84557ec"),
+        (4, 2, 5, "34ef147a41919699d66fc5483442f034d687e6c6f4eb2c301edd0feef74a78c1",
+         "edc0e334f1f03d94778b3bdafeefebfd685a662b857d665dfba32af0413158fc"),
+        (2, 4, 5, "bb0038d69ccff240a2a4dc9a9f600afca7b5a43ef182d9f5e3284c732a73dc8f",
+         "ce2f7479ce0b05af0481265efb9d293827dbcfdb3c8b9a2ce18d26001558f7c3"),
+        (3, 4, 5, "12c0fecd27f882d569dacfef79d16171bd62b97be4b5001c696ffdf2d89b8af6",
+         "81579fe10588c9f66da3a540f012d7a3bc06acc1e7db1bd4015564df52a759aa"),
+    ],
+    ids=["N3-D3", "N4-D2", "N2-D4", "N3-D4"],
+)
+def test_golden_bases_and_maps(N, D, w_max, basis_sha, maps_sha):
+    """The symmetry-space bases and the maps d_p of every weight complex that
+    criteria 7 (N=3, D=3 and N=4, D=2), 8 (N=2, 3 over D=4) and 9 (N=3, D=3
+    at weight 6) build.  The pins fix the basis rule (leftmost independent
+    projected unit tensors) and the row-major layout of every d_p."""
+    bases = [
+        [sorted([list(t), str(v)] for t, v in b.items())
+         for b in omega_space(N, D, p).basis]
+        for p in range(min(w_max, (N - 1) * D) + 1)
+    ]
+    maps = []
+    for w in range(w_max + 1):
+        C = weight_complex(N, D, w)
+        maps.append([C.maps[p].to_json() for p in sorted(C.maps)])
+    assert _sha(bases) == basis_sha
+    assert _sha(maps) == maps_sha
