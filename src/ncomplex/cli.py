@@ -39,11 +39,13 @@ class UsageError(Exception):
 
 
 def _require_at_least(args, option, lo):
-    """Reject ``--option`` below lo: a check over an empty range would pass
-    without checking anything."""
+    """Reject the option (its argparse dest, e.g. ``n_max`` for ``--n-max``)
+    below lo: a check over an empty range would pass without checking
+    anything."""
     value = getattr(args, option)
     if value < lo:
-        raise UsageError(f"--{option} must be at least {lo}, got {value}")
+        flag = "--" + option.replace("_", "-")
+        raise UsageError(f"{flag} must be at least {lo}, got {value}")
 
 
 def emit(report, fmt="text", out=None):
@@ -192,6 +194,8 @@ def cmd_cosimplicial(args):
     )
 
     A = AlgebraData.from_json(_load_json(args.algebra))
+    # level n_max is needed for the cohomology of degree n_max - 1
+    _require_at_least(args, "n_max", 1)
     E = hochschild(A, BimoduleData.regular(A), args.n_max)
     dims = ordinary_cohomology_dims(E, args.n_max - 1)
     return {
@@ -351,6 +355,8 @@ def cmd_gauge_ext(args):
             args.suite = "random"
     if args.suite == "random":
         _require_at_least(args, "trials", 1)
+        # random_gauge_instance draws dim H from 3..hmax
+        _require_at_least(args, "hmax", 3)
         failures = []
         for i in range(args.trials):
             rng = random.Random(f"{args.seed}:gauge:{i}")

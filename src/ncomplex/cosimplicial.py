@@ -6,21 +6,29 @@ envelopes Omega(A) and Omega_q(A), and the Theorem-2 / Prop-7 verifiers."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, reduce
 from itertools import combinations
 
 from .fields import Field, check_assumptions
-from .graded import GradedNComplex, graded_homology
+from .graded import (
+    GradedNComplex,
+    TensorIndex,
+    _first_nonzero_column,
+    graded_homology,
+    q_leibniz_failure,
+    tensor_differential,
+)
 from .linalg import (
     ExactMatrix,
     Subspace,
     _is_index,
+    commutation,
     image_basis,
     index_tuple,
     kernel_basis,
     kron,
     place_blocks,
     restrict,
-    tuple_index,
 )
 
 
@@ -50,66 +58,39 @@ class AlgebraData:
     def mul_basis(self, i, j):
         return self.structure[i][j]
 
-    def mul(self, x, y):
-        f = self.field
-        out = {}
-        for i, a in x.items():
-            for j, b in y.items():
-                ab = f.mul(a, b)
-                for k, c in self.structure[i][j].items():
-                    f.accumulate(out, k, f.mul(ab, c))
-        return out
-
     def validate(self):
-        f = self.field
-        n = self.dim
+        """The laws as identities between matrices on A ox A and A ox A ox A
+        (mu the product, u the unit, eps the counit); a failure names the
+        first basis tuple, the first nonzero column of lhs - rhs."""
+        f, n = self.field, self.dim
+        mu, one = _multiplication(self), ExactMatrix.identity(n, f)
+
+        def law(diff, what, length):
+            col = _first_nonzero_column(diff)
+            if col is not None:
+                at = ",".join(map(str, index_tuple(col, n, length)))
+                raise ValueError(f"{what} at ({at})")
+
         if self.lie:
-            for i in range(n):
-                for j in range(n):
-                    lhs = self.structure[i][j]
-                    rhs = {k: f.neg(v) for k, v in self.structure[j][i].items()}
-                    if lhs != rhs:
-                        raise ValueError(f"bracket not antisymmetric at ({i},{j})")
-            for i in range(n):
-                for j in range(n):
-                    for k in range(n):
-                        acc = {}
-                        for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                            inner = self.structure[a][b]
-                            for t, v in inner.items():
-                                for s, w in self.structure[t][c].items():
-                                    f.accumulate(acc, s, f.mul(v, w))
-                        if acc:
-                            raise ValueError(f"Jacobi fails at ({i},{j},{k})")
+            law(mu + mu @ commutation(n, n, f), "bracket not antisymmetric", 2)
+            # [[x, y], z] on the cyclic shifts of x ox y ox z
+            J = mu @ kron(mu, one)
+            law(J + J @ commutation(n, n * n, f) + J @ commutation(n * n, n, f),
+                "Jacobi fails", 3)
             return True
         if self.unit is None:
             raise ValueError("associative algebra needs a unit")
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    lhs = self.mul(self.mul({i: f.one}, {j: f.one}), {k: f.one})
-                    rhs = self.mul({i: f.one}, self.mul({j: f.one}, {k: f.one}))
-                    if lhs != rhs:
-                        raise ValueError(f"associativity fails at ({i},{j},{k})")
-        for i in range(n):
-            e = {i: f.one}
-            if self.mul(self.unit, e) != e or self.mul(e, self.unit) != e:
-                raise ValueError(f"unit fails on basis element {i}")
+        law(mu @ kron(mu, one) - mu @ kron(one, mu), "associativity fails", 3)
+        u = _unit_column(self)
+        col = _first_nonzero_column(
+            (mu @ kron(u, one) - one).vstack(mu @ kron(one, u) - one))
+        if col is not None:
+            raise ValueError(f"unit fails on basis element {col}")
         if self.counit is not None:
-            eps = self.counit
-            one = f.zero
-            for i, v in self.unit.items():
-                one = f.add(one, f.mul(v, eps.get(i, f.zero)))
-            if not f.eq(one, f.one):
+            eps = ExactMatrix(1, n, f, {(0, i): v for i, v in self.counit.items()})
+            if eps @ u != ExactMatrix.identity(1, f):
                 raise ValueError("counit does not send the unit to 1")
-            for i in range(n):
-                for j in range(n):
-                    lhs = f.zero
-                    for k, c in self.structure[i][j].items():
-                        lhs = f.add(lhs, f.mul(c, eps.get(k, f.zero)))
-                    rhs = f.mul(eps.get(i, f.zero), eps.get(j, f.zero))
-                    if not f.eq(lhs, rhs):
-                        raise ValueError(f"counit not multiplicative at ({i},{j})")
+            law(eps @ mu - kron(eps, eps), "counit not multiplicative", 2)
         return True
 
     def to_json(self):
@@ -181,6 +162,20 @@ class AlgebraData:
                 if not f.is_zero(f.parse(s))
             }
         return AlgebraData(f, structure, unit, counit, obj.get("lie", False))
+
+
+def _unit_column(A):
+    """The unit of A as an a x 1 matrix."""
+    return ExactMatrix(A.dim, 1, A.field, {(t, 0): u for t, u in A.unit.items()})
+
+
+def _multiplication(A):
+    """The product A ox A -> A as an a x a^2 matrix: column x a + y holds the
+    structure constants of e_x e_y."""
+    a = A.dim
+    return ExactMatrix.from_columns(
+        [A.mul_basis(x, y) for x in range(a) for y in range(a)], a, A.field
+    )
 
 
 def field_algebra(field):
@@ -304,20 +299,11 @@ class BimoduleData:
 
     @staticmethod
     def regular(algebra):
-        """A as a bimodule over itself."""
-        f = algebra.field
-        n = algebra.dim
-        left, right = [], []
-        for i in range(n):
-            L = {}
-            R = {}
-            for j in range(n):
-                for k, c in algebra.mul_basis(i, j).items():
-                    L[(k, j)] = c
-                for k, c in algebra.mul_basis(j, i).items():
-                    R[(k, j)] = c
-            left.append(ExactMatrix(n, n, f, L))
-            right.append(ExactMatrix(n, n, f, R))
+        """A as a bimodule over itself: L_i e_j = e_i e_j is column i n + j
+        of the product matrix, R_i e_j = e_j e_i column j n + i."""
+        n, mu = algebra.dim, _multiplication(algebra)
+        left = [mu.take_columns(range(i * n, (i + 1) * n)) for i in range(n)]
+        right = [mu.take_columns(range(i, n * n, n)) for i in range(n)]
         return BimoduleData(algebra, n, left, right)
 
     @staticmethod
@@ -340,7 +326,9 @@ class BimoduleData:
 
 class CosimplicialData:
     """Levels E^0..E^(n_max) with cofaces f_i: E^n -> E^(n+1) (0 <= i <= n+1)
-    and optional codegeneracies s_i: E^(n+1) -> E^n (0 <= i <= n)."""
+    and optional codegeneracies s_i: E^(n+1) -> E^n (0 <= i <= n).  An
+    optional ``product`` maps a pair of levels (a, b) to the matrix
+    E^a ox E^b -> E^(a+b) in the ``kron`` layout."""
 
     def __init__(self, field, dims, cofaces, codegens=None, check=True,
                  product=None):
@@ -495,20 +483,6 @@ def normalized_subcomplex(E, compare_cohomology=True):
 # -- Hochschild ---------------------------------------------------------------
 
 
-def _unit_column(A):
-    """The unit of A as an a x 1 matrix."""
-    return ExactMatrix(A.dim, 1, A.field, {(t, 0): u for t, u in A.unit.items()})
-
-
-def _multiplication(A):
-    """The product A ox A -> A as an a x a^2 matrix: column x a + y holds the
-    structure constants of e_x e_y."""
-    a = A.dim
-    return ExactMatrix.from_columns(
-        [A.mul_basis(x, y) for x in range(a) for y in range(a)], a, A.field
-    )
-
-
 def hochschild(A, M, n_max):
     """The cosimplicial module C^n(A, M) of M-valued Hochschild cochains.
 
@@ -580,18 +554,18 @@ def chevalley_eilenberg(g, rep_mats, rep_dim, p_max):
         sign = -1 if pos % 2 else 1
         return rest[:pos] + (c,) + rest[pos:], sign
 
+    # block (T, S) of d_p: the action terms (-1)^k pi(t_k) at S = T - t_k
+    # and the bracket terms, scalar multiples of the identity
+    minus_one = f.neg(f.one)
+    ident = ExactMatrix.identity(rep_dim, f)
     maps = {}
     for p in range(p_max):
-        ent = {}
+        pieces = []
         for T in subsets[p + 1]:
-            row_base = index[p + 1][T]
+            row = index[p + 1][T] * rep_dim
             for k, tk in enumerate(T):
-                rest = T[:k] + T[k + 1:]
-                col_base = index[p][rest]
-                sgn = f.one if k % 2 == 0 else f.neg(f.one)
-                for (r2, r1), v in rep_mats[tk].entries.items():
-                    key = (row_base * rep_dim + r2, col_base * rep_dim + r1)
-                    f.accumulate(ent, key, f.mul(sgn, v))
+                act = rep_mats[tk] if k % 2 == 0 else rep_mats[tk].scale(minus_one)
+                pieces.append((row, index[p][T[:k] + T[k + 1:]] * rep_dim, act))
             for r_i, s_i in combinations(range(p + 1), 2):
                 rest = tuple(t for k2, t in enumerate(T) if k2 not in (r_i, s_i))
                 base_sign = -1 if (r_i + s_i) % 2 else 1
@@ -599,13 +573,9 @@ def chevalley_eilenberg(g, rep_mats, rep_dim, p_max):
                     arg, ins_sign = wedge_insert(c, rest)
                     if arg is None:
                         continue
-                    col_base = index[p][arg]
-                    coeff = f.from_rat(base_sign * ins_sign)
-                    coeff = f.mul(coeff, v)
-                    for r in range(rep_dim):
-                        key = (row_base * rep_dim + r, col_base * rep_dim + r)
-                        f.accumulate(ent, key, coeff)
-        maps[p] = ExactMatrix(dims.get(p + 1, 0), dims[p], f, ent, _clean=False)
+                    coeff = f.mul(f.from_rat(base_sign * ins_sign), v)
+                    pieces.append((row, index[p][arg] * rep_dim, ident.scale(coeff)))
+        maps[p] = place_blocks(dims[p + 1], dims[p], f, pieces)
     return GradedNComplex(2, f, dims, maps, truncated_above=(p_max < n))
 
 
@@ -614,7 +584,9 @@ def chevalley_eilenberg(g, rep_mats, rep_dim, p_max):
 
 def tensor_algebra(A, n_max, check_m_axioms=True, check_relations=True):
     """T^n(A) = A^(ox (n+1)) with unit-insertion cofaces, multiplication
-    codegeneracies and the concatenate-with-middle-product algebra structure."""
+    codegeneracies and the concatenate-with-middle-product algebra structure:
+    P_ab = I ox mu ox I multiplies the last factor of T^a by the first of
+    T^b, built per pair (a, b) on first request."""
     f = A.field
     a = A.dim
     dims = [a ** (n + 1) for n in range(n_max + 1)]
@@ -632,71 +604,52 @@ def tensor_algebra(A, n_max, check_m_axioms=True, check_relations=True):
         for n in range(n_max)
     ]
 
-    def prod(a_deg, va, b_deg, vb):
-        out = {}
-        tgt_len = a_deg + b_deg + 1
-        for ia, ca in va.items():
-            ta = index_tuple(ia, a, a_deg + 1)
-            for ib, cb in vb.items():
-                tb = index_tuple(ib, a, b_deg + 1)
-                cab = f.mul(ca, cb)
-                for t, c in A.mul_basis(ta[-1], tb[0]).items():
-                    out_t = ta[:-1] + (t,) + tb[1:]
-                    k = tuple_index(out_t, a)
-                    f.accumulate(out, k, f.mul(cab, c))
-        if not all(0 <= k < a**tgt_len for k in out):
-            raise AssertionError("product index outside the target level")
-        return out
+    @cache
+    def product(a_deg, b_deg):
+        return kron(one(a**a_deg), kron(mu, one(a**b_deg)))
 
     E = CosimplicialData(f, dims, cofaces, codegens, check=check_relations,
-                         product=prod)
+                         product=product)
     if check_m_axioms:
-        _check_multiplicative_axioms(E, A, min(n_max, 3))
+        _check_multiplicative_axioms(E, min(n_max, 3))
     return E
 
 
-def _check_multiplicative_axioms(E, A, cap):
-    """(MF1), (MF2), (MS) on basis pairs with a + b + 2 <= cap + 1."""
-    f = E.field
-    for adeg in range(cap):
-        for bdeg in range(cap - adeg):
-            if adeg + bdeg + 1 > E.n_max:
+def _check_multiplicative_axioms(E, cap):
+    """(MF1), (MF2), (MS) for a + b + 2 <= cap + 1, one matrix identity on
+    T^a ox T^b per law and index i.  The failure reported is the one on the
+    first basis pair (the first nonzero column of any lhs - rhs), the first
+    of MF1 by i, MF2, MS by i among the laws failing there."""
+    f, P = E.field, E.product
+    F, S = E.cofaces, E.codegens
+    for a in range(cap):
+        for b in range(cap - a):
+            if a + b + 1 > E.n_max:
                 continue
-            n = adeg + bdeg  # level of the product
-            for ia in range(E.dims[adeg]):
-                va = {ia: f.one}
-                for ib in range(E.dims[bdeg]):
-                    vb = {ib: f.one}
-                    ab = E.product(adeg, va, bdeg, vb)
-                    # (MF1) for i in {0..a+b+1}
-                    for i in range(adeg + bdeg + 2):
-                        lhs = E.cofaces[n][i].apply(ab)
-                        if i <= adeg:
-                            fa = E.cofaces[adeg][i].apply(va)
-                            rhs = E.product(adeg + 1, fa, bdeg, vb)
-                        else:
-                            fb = E.cofaces[bdeg][i - adeg].apply(vb)
-                            rhs = E.product(adeg, va, bdeg + 1, fb)
-                        if lhs != rhs:
-                            raise AssertionError(f"(MF1) fails at i={i}")
-                    # (MF2): f_(a+1)(alpha) beta = alpha f_0(beta)
-                    fa = E.cofaces[adeg][adeg + 1].apply(va)
-                    lhs2 = E.product(adeg + 1, fa, bdeg, vb)
-                    fb = E.cofaces[bdeg][0].apply(vb)
-                    rhs2 = E.product(adeg, va, bdeg + 1, fb)
-                    if lhs2 != rhs2:
-                        raise AssertionError("(MF2) fails")
-                    # (MS) for i in {0..a+b-1}
-                    for i in range(adeg + bdeg):
-                        lhs = E.codegens[n - 1][i].apply(ab)
-                        if i < adeg:
-                            sa = E.codegens[adeg - 1][i].apply(va)
-                            rhs = E.product(adeg - 1, sa, bdeg, vb)
-                        else:
-                            sb = E.codegens[bdeg - 1][i - adeg].apply(vb)
-                            rhs = E.product(adeg, va, bdeg - 1, sb)
-                        if lhs != rhs:
-                            raise AssertionError(f"(MS) fails at i={i}")
+            n = a + b  # level of the product
+            Ia = ExactMatrix.identity(E.dims[a], f)
+            Ib = ExactMatrix.identity(E.dims[b], f)
+            laws = [
+                (f"(MF1) fails at i={i}", F[n][i] @ P(a, b),
+                 P(a + 1, b) @ kron(F[a][i], Ib) if i <= a
+                 else P(a, b + 1) @ kron(Ia, F[b][i - a]))
+                for i in range(n + 2)
+            ]
+            # (MF2): f_(a+1)(alpha) beta = alpha f_0(beta)
+            laws.append(("(MF2) fails", P(a + 1, b) @ kron(F[a][a + 1], Ib),
+                         P(a, b + 1) @ kron(Ia, F[b][0])))
+            laws += [
+                (f"(MS) fails at i={i}", S[n - 1][i] @ P(a, b),
+                 P(a - 1, b) @ kron(S[a - 1][i], Ib) if i < a
+                 else P(a, b - 1) @ kron(Ia, S[b - 1][i - a]))
+                for i in range(n)
+            ]
+            fails = [
+                (col, k) for k, (_, lhs, rhs) in enumerate(laws)
+                if (col := _first_nonzero_column(lhs - rhs)) is not None
+            ]
+            if fails:
+                raise AssertionError(laws[min(fails)[1]][0])
 
 
 def universal_envelope(A, n_max):
@@ -721,39 +674,21 @@ def omega_q(A, q, N, n_max):
         raise ValueError("(A1) required")
     T = tensor_algebra(A, n_max, check_m_axioms=False)
     D = d1(T, q, N)
-    spans = [[] for _ in range(n_max + 1)]
-    spans[0] = [{i: f.one} for i in range(A.dim)]
-    bases = [None] * (n_max + 1)
-
-    def rebuild(n):
-        mat = ExactMatrix.from_columns(spans[n], T.dims[n], f)
-        bases[n] = image_basis(mat)
-        spans[n] = bases[n].basis.columns()
-
-    for n in range(n_max + 1):
-        rebuild(n)
+    bases = [Subspace.full(A.dim, f)]
+    bases += [Subspace.zero(T.dims[n], f) for n in range(1, n_max + 1)]
+    # each pass spans, per degree n, the current basis, d of degree n - 1 and
+    # the products of degrees a + b = n (zero columns are never pivots)
     changed = True
     while changed:
         changed = False
-        for n in range(n_max + 1):
-            old = bases[n].dim
-            new_cols = list(spans[n])
-            if n >= 1:
-                for col in spans[n - 1]:
-                    v = D.map(n - 1).apply(col)
-                    if v:
-                        new_cols.append(v)
-                for adeg in range(n + 1):
-                    bdeg = n - adeg
-                    for va in spans[adeg]:
-                        for vb in spans[bdeg]:
-                            v = T.product(adeg, va, bdeg, vb)
-                            if v:
-                                new_cols.append(v)
-            spans[n] = new_cols
-            rebuild(n)
-            if bases[n].dim != old:
-                changed = True
+        for n in range(1, n_max + 1):
+            S = [B.basis for B in bases]
+            cols = [S[n], D.map(n - 1) @ S[n - 1]] + [
+                T.product(a, n - a) @ kron(S[a], S[n - a]) for a in range(n + 1)
+            ]
+            new = image_basis(reduce(ExactMatrix.hstack, cols))
+            changed = changed or new.dim != bases[n].dim
+            bases[n] = new
     maps = {}
     for n in range(n_max):
         maps[n] = restrict(D.map(n), bases[n], bases[n + 1])
@@ -770,19 +705,19 @@ def omega_q(A, q, N, n_max):
 
 
 def _product_in_bases(T, bases, failure):
-    """T's product read in the coordinates of the level bases; raises
-    AssertionError(failure) when a product leaves them."""
+    """T's product in the coordinates of the level bases, built per pair
+    (a, b) on first request: P_ab on kron(B_a, B_b), restricted into
+    B_(a+b); raises AssertionError(failure) when a product leaves B_(a+b)."""
 
-    def prod(a_deg, va, b_deg, vb):
-        big = T.product(
-            a_deg, bases[a_deg].basis.apply(va), b_deg, bases[b_deg].basis.apply(vb)
-        )
-        c = bases[a_deg + b_deg].coordinates(big)
-        if c is None:
+    @cache
+    def product(a, b):
+        pairs = Subspace(T.dims[a] * T.dims[b], kron(bases[a].basis, bases[b].basis))
+        P = restrict(T.product(a, b), pairs, bases[a + b])
+        if P is None:
             raise AssertionError(failure)
-        return c
+        return P
 
-    return prod
+    return product
 
 
 # -- verifiers ----------------------------------------------------------------
@@ -900,66 +835,57 @@ def q_tensor_leibniz_witness(C, q):
     """Search for a pair witnessing that d on C ox C fails the graded
     q-Leibniz rule for the product (a ox b)(a' ox b') = q^(deg b deg a')
     (aa') ox (bb'); returns the witness description or None."""
-    from .graded import TensorIndex, tensor_differential
+    T = _tensor_square(C, q)
+    found = q_leibniz_failure(T, q)
+    if found is None:
+        return None
+    n1, n2, col = found
+    return {"degrees": (n1, n2), "indices": divmod(col, T.dims[n2])}
 
+
+def _tensor_square(C, q):
+    """C ox C (Z-graded) with the q-tensor differential and the product
+    q^(s1 r2) (P ox P)(1 ox swap ox 1) on blocks C^r1 ox C^s1 and
+    C^r2 ox C^s2, cut at the first degree whose differential is not
+    determined (C's top degree when C is truncated above)."""
+    if C.cyclic:
+        raise ValueError("the tensor square needs a Z-graded complex")
     f = C.field
-    idx = TensorIndex(C, C, C.cyclic)
-    dmaps = {n: tensor_differential(idx, q, n) for n in idx.layout}
+    idx = TensorIndex(C, C, False)
+    dims, maps = {}, {}
+    for n in sorted(idx.dims):
+        dims[n] = idx.dims[n]
+        d = tensor_differential(idx, q, n) if n + 1 in idx.dims else None
+        if d is None:
+            break
+        maps[n] = d
 
-    def tensor_d(n, vec):
-        """d(x ox y) = dx ox y + q^deg(x) x ox dy; None if any needed map is
-        outside the window."""
-        return None if dmaps[n] is None else dmaps[n].apply(vec)
+    def one(k):
+        return ExactMatrix.identity(C.dims[k], f)
 
-    def tensor_product(n1, v1, n2, v2):
-        """product on C ox C with the q-sign rule."""
-        out = {}
+    def block(n, off, width):
+        """Coordinates of (C ox C)^n on one block: a width x dim matrix."""
+        return ExactMatrix(
+            width, dims[n], f, {(k, off + k): f.one for k in range(width)},
+            _clean=False,
+        )
+
+    @cache
+    def product(n1, n2):
+        out = idx.layout[n1 + n2]
+        pieces = []
         for (r1, s1), off1 in idx.layout[n1].items():
             for (r2, s2), off2 in idx.layout[n2].items():
-                sign = f.pow(q, s1 * r2)
-                for i1 in range(C.dims[r1]):
-                    for j1 in range(C.dims[s1]):
-                        c1 = v1.get(off1 + i1 * C.dims[s1] + j1)
-                        if c1 is None:
-                            continue
-                        for i2 in range(C.dims[r2]):
-                            for j2 in range(C.dims[s2]):
-                                c2 = v2.get(off2 + i2 * C.dims[s2] + j2)
-                                if c2 is None:
-                                    continue
-                                tgt = n1 + n2
-                                r3, s3 = r1 + r2, s1 + s2
-                                if (r3, s3) not in idx.layout.get(tgt, {}):
-                                    continue
-                                aa = C.product(r1, {i1: f.one}, r2, {i2: f.one})
-                                bb = C.product(s1, {j1: f.one}, s2, {j2: f.one})
-                                coeff = f.mul(f.mul(c1, c2), sign)
-                                for ii, av in aa.items():
-                                    for jj, bv in bb.items():
-                                        row = idx.pos(tgt, r3, s3, ii, jj)
-                                        f.accumulate(
-                                            out, row, f.mul(coeff, f.mul(av, bv))
-                                        )
-        return out
+                if (r1 + r2, s1 + s2) not in out:
+                    continue
+                swap = kron(one(r1), kron(commutation(C.dims[s1], C.dims[r2], f),
+                                          one(s2)))
+                local = kron(C.product(r1, r2), C.product(s1, s2)) @ swap
+                picks = kron(block(n1, off1, C.dims[r1] * C.dims[s1]),
+                             block(n2, off2, C.dims[r2] * C.dims[s2]))
+                pieces.append((out[(r1 + r2, s1 + s2)], 0,
+                               (local @ picks).scale(f.pow(q, s1 * r2))))
+        return place_blocks(dims[n1 + n2], dims[n1] * dims[n2], f, pieces)
 
-    for n1 in sorted(idx.layout):
-        for n2 in sorted(idx.layout):
-            tgt = n1 + n2
-            if tgt + 1 not in idx.dims or n1 + 1 not in idx.dims or n2 + 1 not in idx.dims:
-                continue
-            for i1 in range(idx.dims[n1]):
-                v1 = {i1: f.one}
-                for i2 in range(idx.dims[n2]):
-                    v2 = {i2: f.one}
-                    ab = tensor_product(n1, v1, n2, v2)
-                    lhs = tensor_d(tgt, ab)
-                    da = tensor_d(n1, v1)
-                    db = tensor_d(n2, v2)
-                    if lhs is None or da is None or db is None:
-                        continue
-                    rhs = tensor_product(n1 + 1, da, n2, v2)
-                    for r, v in tensor_product(n1, v1, n2 + 1, db).items():
-                        f.accumulate(rhs, r, f.mul(f.pow(q, n1), v))
-                    if lhs != rhs:
-                        return {"degrees": (n1, n2), "indices": (i1, i2)}
-    return None
+    return GradedNComplex(C.N, f, dims, maps, truncated_above=C.truncated_above,
+                          check=False, product=product)

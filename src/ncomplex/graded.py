@@ -5,7 +5,7 @@ the N = 2 Kunneth check and long exact sequences of graded SES."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from functools import cache
+from functools import cache, reduce
 from itertools import accumulate
 
 from .fields import Field, check_assumptions, q_binomial
@@ -35,6 +35,11 @@ class GradedNComplex:
     the complex continues beyond the stored window (so values there are
     unknown) or is genuinely zero outside.
 
+    An optional ``product`` maps a pair of degrees (a, b) (taken mod N on
+    a cyclic complex) to the matrix P_ab: C^a ox C^b -> C^(a+b) in the
+    ``kron`` layout, so column i dim(b) + j holds e_i e_j; the builders make
+    each P_ab on first request and keep it.
+
     The composites d^k and the default ``graded_homology`` are cached on the
     complex, so a complex must not be mutated after construction.
     """
@@ -58,7 +63,7 @@ class GradedNComplex:
         self.maps = dict(maps)
         self.truncated_below = truncated_below
         self.truncated_above = truncated_above
-        self.product = product  # optional ((a_deg, vec), (b_deg, vec)) -> vec
+        self.product = product
         self._composites = {}
         self._homology = None
         if cyclic:
@@ -245,41 +250,40 @@ def graded_homology(C, ms=None):
 
 
 def check_graded_q_leibniz(C, q):
-    """d(ab) = d(a) b + q^a a d(b) on all homogeneous basis pairs; needs
-    ``C.product``."""
+    """d(ab) = d(a) b + q^a a d(b) on all homogeneous basis pairs
+    (``q_leibniz_failure``); needs ``C.product``."""
     if C.product is None:
         raise ValueError("complex carries no product")
+    return q_leibniz_failure(C, q) is None
+
+
+def q_leibniz_failure(C, q):
+    """The first ``(a, b, column)`` at which the graded q-Leibniz rule
+    d P_ab = P_(a+1,b) (d ox 1) + q^a P_(a,b+1) (1 ox d) fails, column
+    i dim(b) + j standing for the pair (e_i, e_j); None when it holds on
+    every pair of degrees whose products and differentials are stored."""
     f = C.field
-    for a_deg in C.degrees():
-        for b_deg in C.degrees():
-            tgt = a_deg + b_deg
-            if C.cyclic:
-                tgt %= C.N
-            else:
-                # all three products and their differentials must stay stored
-                if tgt + 1 > C.n_max or a_deg + 1 > C.n_max or b_deg + 1 > C.n_max:
-                    continue
-            for ia in range(C.dims[a_deg]):
-                va = {ia: f.one}
-                da = C.map(a_deg).apply(va)
-                for ib in range(C.dims[b_deg]):
-                    vb = {ib: f.one}
-                    db = C.map(b_deg).apply(vb)
-                    ab = C.product(a_deg, va, b_deg, vb)
-                    lhs = C.map(tgt).apply(ab)
-                    rhs1 = C.product(
-                        (a_deg + 1) % C.N if C.cyclic else a_deg + 1, da, b_deg, vb
-                    )
-                    rhs2 = C.product(
-                        a_deg, va, (b_deg + 1) % C.N if C.cyclic else b_deg + 1, db
-                    )
-                    qa = f.pow(q, a_deg % C.N if C.cyclic else a_deg)
-                    rhs = dict(rhs1)
-                    for i, v in rhs2.items():
-                        f.accumulate(rhs, i, f.mul(qa, v))
-                    if lhs != rhs:
-                        return False
-    return True
+    wrap = (lambda k: k % C.N) if C.cyclic else (lambda k: k)
+    for a in C.degrees():
+        for b in C.degrees():
+            # all three products and their differentials must stay stored
+            if not C.cyclic and max(a, b, a + b) + 1 > C.n_max:
+                continue
+            lhs = C.map(wrap(a + b)) @ C.product(a, b)
+            rhs = C.product(wrap(a + 1), b) @ kron(
+                C.map(a), ExactMatrix.identity(C.dims[b], f)
+            ) + (C.product(a, wrap(b + 1)) @ kron(
+                ExactMatrix.identity(C.dims[a], f), C.map(b))).scale(f.pow(q, a))
+            col = _first_nonzero_column(lhs - rhs)
+            if col is not None:
+                return a, b, col
+    return None
+
+
+def _first_nonzero_column(M):
+    """The smallest column index holding a nonzero entry of M, or None: the
+    first basis tuple on which an identity lhs = rhs fails, for M = lhs - rhs."""
+    return min((c for _, c in M.entries), default=None)
 
 
 # -- the Z_N matrix-algebra example ----------------------------------------
@@ -304,102 +308,68 @@ class MatrixAlgebraComplex:
         self.index = {
             a: {kl: i for i, kl in enumerate(self.basis[a])} for a in range(N)
         }
-        f = field
-        dims = {a: N for a in range(N)}
-        maps = {}
-        for a in range(N):
-            ent = {}
-            for i, (k, l) in enumerate(self.basis[a]):
-                for (k2, l2), coeff in self._d_unit(k, l, a):
-                    j = self.index[(a + 1) % N][(k2, l2)]
-                    f.accumulate(ent, (j, i), coeff)
-            maps[a] = ExactMatrix(N, N, f, ent, _clean=False)
+        product = cache(self._product)
+        # e^1 reads no product, so it can come before the complex
+        e, one = self._e_power(1), ExactMatrix.identity(N, field)
+        # d(A) = eA - q^a Ae on degree a
+        maps = {
+            a: product(1, a) @ kron(e, one)
+            - (product(a, 1) @ kron(one, e)).scale(field.pow(q, a))
+            for a in range(N)
+        }
         self.complex = GradedNComplex(
-            N, f, dims, maps, cyclic=True, product=self._product
+            N, field, {a: N for a in range(N)}, maps, cyclic=True, product=product
         )
 
-    def _lam(self, i):
-        # lambda index is 1-based and cyclic
-        return self.lambdas[(i - 1) % self.N]
+    def _product(self, a, b):
+        """P_ab (degrees mod N), an N x N^2 matrix: E^k_l E^r_s =
+        delta_(k,s) E^r_l."""
+        N, one = self.N, self.field.one
+        tgt = self.index[(a + b) % N]
+        ent = {}
+        for ia, (k, l) in enumerate(self.basis[a]):
+            for ib, (r, s) in enumerate(self.basis[b]):
+                if k == s:
+                    ent[(tgt[(r, l)], ia * N + ib)] = one
+        return ExactMatrix(N, N * N, self.field, ent, _clean=False)
 
-    def _left_e(self, k, l):
-        """e * E^k_l = lambda_(l-1) E^k_(l-1), cyclically."""
-        l2 = l - 1 if l > 1 else self.N
-        return (k, l2), self._lam(l - 1 if l > 1 else self.N)
-
-    def _right_e(self, k, l):
-        """E^k_l * e = lambda_k E^(k+1)_l, cyclically."""
-        k2 = k + 1 if k < self.N else 1
-        return (k2, l), self._lam(k)
-
-    def _d_unit(self, k, l, a):
-        f = self.field
-        (kl1, c1) = self._left_e(k, l)
-        (kl2, c2) = self._right_e(k, l)
-        qa = f.pow(self.q, a)
-        return [(kl1, c1), (kl2, f.neg(f.mul(qa, c2)))]
-
-    def _product(self, a_deg, va, b_deg, vb):
-        """E^k_l E^r_s = delta_{k,s} E^r_l, extended bilinearly."""
-        f = self.field
-        out = {}
-        tgt = (a_deg + b_deg) % self.N
-        for ia, ca in va.items():
-            k, l = self.basis[a_deg % self.N][ia]
-            for ib, cb in vb.items():
-                r, s = self.basis[b_deg % self.N][ib]
-                if k != s:
-                    continue
-                j = self.index[tgt][(r, l)]
-                f.accumulate(out, j, f.mul(ca, cb))
-        return out
-
-    def e_vector(self):
-        """e = lambda_1 E^2_1 + ... + lambda_N E^1_N as a degree-1 vector."""
-        out = {}
-        for l in range(1, self.N + 1):
-            k = l + 1 if l < self.N else 1
-            out[self.index[1][(k, l)]] = self._lam(l)
-        return {i: c for i, c in out.items() if not self.field.is_zero(c)}
+    def _e_power(self, k):
+        """e^k (k >= 1) as an N x 1 matrix in degree k mod N, where
+        e = lambda_1 E^2_1 + ... + lambda_N E^1_N has degree 1."""
+        N, f = self.N, self.field
+        e = ExactMatrix(N, 1, f, {
+            (self.index[1][(l % N + 1, l)], 0): self.lambdas[l - 1]
+            for l in range(1, N + 1)
+        })
+        v = e
+        for deg in range(1, k):
+            v = self.complex.product(deg % N, 1) @ kron(v, e)
+        return v
 
     def e_power_is_scalar(self):
         """e^N = lambda_1 ... lambda_N * identity."""
         f = self.field
-        v = self.e_vector()
-        deg = 1
-        for _ in range(self.N - 1):
-            v = self._product(deg, v, 1, self.e_vector())
-            deg += 1
+        coeff = reduce(f.mul, self.lambdas, f.one)
         # identity of M_N(k) in degree 0: sum over E^n_n
-        coeff = f.one
-        for lam in self.lambdas:
-            coeff = f.mul(coeff, lam)
-        expect = {self.index[0][(n, n)]: coeff for n in range(1, self.N + 1)}
-        expect = {i: c for i, c in expect.items() if not f.is_zero(c)}
-        return v == expect
+        expect = ExactMatrix(self.N, 1, f, {
+            (self.index[0][(n, n)], 0): coeff for n in range(1, self.N + 1)
+        })
+        return self._e_power(self.N) == expect
 
     def lemma4_homotopy(self):
         """h = (1 - q)^-1 (prod lambda)^-1 e^(N-1) * (left multiplication),
         satisfying h d - q d h = Id on the total module."""
-        f = self.field
-        coeff = f.one
-        for lam in self.lambdas:
-            coeff = f.mul(coeff, lam)
+        f, N = self.field, self.N
+        coeff = reduce(f.mul, self.lambdas, f.one)
         scale = f.inv(f.mul(f.sub(f.one, self.q), coeff))
-        # e^(N-1) as a vector in degree N-1
-        v = self.e_vector()
-        deg = 1
-        for _ in range(self.N - 2):
-            v = self._product(deg, v, 1, self.e_vector())
-            deg += 1
-        # left multiplication by e^(N-1), degree N-1, as a total-space matrix
-        N = self.N
+        # left multiplication by e^(N-1) on degree a is P_(N-1,a) (e^(N-1) ox 1)
+        left = kron(self._e_power(N - 1), ExactMatrix.identity(N, f))
         total = self.complex.total_module()
-        pieces = []
-        for a in range(N):
-            cols = [self._product(N - 1, v, a, {i: f.one}) for i in range(N)]
-            block = ExactMatrix.from_columns(cols, N, f).scale(scale)
-            pieces.append(((a + N - 1) % N * N, a * N, block))
+        pieces = [
+            ((a + N - 1) % N * N, a * N,
+             (self.complex.product(N - 1, a) @ left).scale(scale))
+            for a in range(N)
+        ]
         h = place_blocks(total.dim, total.dim, f, pieces)
         return total, h
 

@@ -285,17 +285,33 @@ class ExactMatrix:
 
 def kron(A, B):
     """The Kronecker product A ox B: entry (i rows(B) + k, j cols(B) + l) is
-    A[i, j] B[k, l]."""
+    A[i, j] B[k, l], with no multiplication where either factor is one (the
+    identity factors of most structure maps)."""
     f = A.field
-    mul = f.mul
+    mul, one = f.mul, f.one
     rB, cB = B.nrows, B.ncols
     items = B.entries.items()
     ent = {}
     for (i, j), a in A.entries.items():
         r0, c0 = i * rB, j * cB
-        for (k, l), b in items:
-            ent[(r0 + k, c0 + l)] = mul(a, b)
+        if a == one:
+            for (k, l), b in items:
+                ent[(r0 + k, c0 + l)] = b
+        else:
+            for (k, l), b in items:
+                ent[(r0 + k, c0 + l)] = a if b == one else mul(a, b)
     return ExactMatrix(A.nrows * rB, A.ncols * cB, f, ent, _clean=False)
+
+
+def commutation(m, n, field):
+    """The (mn) x (mn) matrix of e_i ox e_j -> e_j ox e_i (i < m, j < n):
+    column i n + j holds a one in row j m + i."""
+    one = field.one
+    return ExactMatrix(
+        m * n, m * n, field,
+        {(j * m + i, i * n + j): one for i in range(m) for j in range(n)},
+        _clean=False,
+    )
 
 
 def place_blocks(nrows, ncols, field, pieces):

@@ -198,34 +198,41 @@ def test_malformed_module_exits_2(tmp_path, command, obj):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, named",
     [
-        ["poincare", "--N", "3", "--D", "0", "--k", "1"],
-        ["spin-seq", "--S", "1", "--D", "0"],
-        ["spin-example", "--p", "1,1,0"],
-        ["brs", "--example", "abelian", "--deg-max", "-1"],
-        ["selftest", "--only", "99"],
-        ["poincare", "--N", "3", "--D", "2", "--k", "1", "--wmax", "-1"],
-        ["spin-seq", "--S", "1", "--wmax", "-2"],
-        ["gauge-ext", "--suite", "random", "--trials", "0"],
-        ["gauge-ext", "--suite", "random", "--trials", "-3"],
-        ["ses", "ses.json", "--relifts", "0"],
-        ["ses", "ses.json", "--relifts", "-1"],
-        ["theorem2", "alg.json", "--N", "0"],
-        ["prop7", "alg.json", "--N", "0"],
-        ["prop7", "alg.json", "--window", "-5"],
-        ["prop7", "alg.json", "--window", "-1"],
+        (["poincare", "--N", "3", "--D", "0", "--k", "1"], "D = 0"),
+        (["spin-seq", "--S", "1", "--D", "0"], "D = 0"),
+        (["spin-example", "--p", "1,1,0"], "p must"),
+        (["brs", "--example", "abelian", "--deg-max", "-1"], "deg_max"),
+        (["selftest", "--only", "99"], "criterion [99]"),
+        (["poincare", "--N", "3", "--D", "2", "--k", "1", "--wmax", "-1"],
+         "--wmax"),
+        (["spin-seq", "--S", "1", "--wmax", "-2"], "--wmax"),
+        (["gauge-ext", "--suite", "random", "--trials", "0"], "--trials"),
+        (["gauge-ext", "--suite", "random", "--trials", "-3"], "--trials"),
+        (["ses", "ses.json", "--relifts", "0"], "--relifts"),
+        (["ses", "ses.json", "--relifts", "-1"], "--relifts"),
+        (["theorem2", "alg.json", "--N", "0"], "--N"),
+        (["prop7", "alg.json", "--N", "0"], "--N"),
+        (["prop7", "alg.json", "--window", "-5"], "--window"),
+        (["prop7", "alg.json", "--window", "-1"], "--window"),
+        (["cosimplicial", "alg.json", "--n-max", "-1"], "--n-max"),
+        (["cosimplicial", "alg.json", "--n-max", "0"], "--n-max"),
+        (["gauge-ext", "--suite", "random", "--hmax", "0"], "--hmax"),
+        (["gauge-ext", "--suite", "random", "--hmax", "2"], "--hmax"),
     ],
     ids=["poincare-D0", "spin-seq-D0", "spin-example-3-components",
          "brs-negative-deg-max", "selftest-unknown-criterion",
          "poincare-negative-wmax", "spin-seq-negative-wmax",
          "gauge-ext-zero-trials", "gauge-ext-negative-trials",
          "ses-zero-relifts", "ses-negative-relifts", "theorem2-N0", "prop7-N0",
-         "prop7-window-minus-5", "prop7-window-minus-1"],
+         "prop7-window-minus-5", "prop7-window-minus-1",
+         "cosimplicial-n-max-minus-1", "cosimplicial-n-max-0",
+         "gauge-ext-hmax-0", "gauge-ext-hmax-2"],
 )
-def test_bad_option_exits_2(tmp_path, argv):
-    """An out-of-range option is bad input: exit 2 with one ncx: line, no
-    traceback and no failure witness."""
+def test_bad_option_exits_2(tmp_path, argv, named):
+    """An out-of-range option is bad input: exit 2 with one ncx: line that
+    names the option, no traceback and no failure witness."""
     _write_split_ses(tmp_path / "ses.json")
     alg = dual_numbers(make_cyclotomic(3)).to_json()
     (tmp_path / "alg.json").write_text(json.dumps(alg))
@@ -237,6 +244,7 @@ def test_bad_option_exits_2(tmp_path, argv):
     )
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("ncx: ")
+    assert named in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not list(tmp_path.glob("ncx-failure-*.json"))
 

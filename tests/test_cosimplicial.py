@@ -1,14 +1,17 @@
 import hashlib
+import itertools
 import json
 
 import pytest
 
 from ncomplex.fields import QQ, make_cyclotomic
 from ncomplex.graded import check_graded_q_leibniz, graded_homology
-from ncomplex.linalg import ExactMatrix
+from ncomplex.linalg import ExactMatrix, index_tuple, tuple_index
 from ncomplex.cosimplicial import (
     AlgebraData,
     BimoduleData,
+    _check_multiplicative_axioms,
+    _tensor_square,
     abelian_lie,
     chevalley_eilenberg,
     constant_cosimplicial,
@@ -229,6 +232,7 @@ def test_lemma7_qleibniz_on_tensor_algebra():
     C = d1(T, f.zeta(), 3)
     C.product = T.product
     assert check_graded_q_leibniz(C, f.zeta())
+    assert not check_graded_q_leibniz(C, f.mul(f.zeta(), f.zeta()))
 
 
 def test_omega_q_matches_envelope_at_n2():
@@ -302,7 +306,9 @@ def test_q_leibniz_fails_on_tensor_square_at_n3():
     f = make_cyclotomic(3)
     A = dual_numbers(f)
     Oq, _ = omega_q(A, f.zeta(), 3, 4)
-    assert q_tensor_leibniz_witness(Oq, f.zeta()) is not None
+    # recorded from the per-basis-pair search the matrix identity replaced
+    assert q_tensor_leibniz_witness(Oq, f.zeta()) == {
+        "degrees": (1, 0), "indices": (0, 2)}
     # and the classical case q = -1, N = 2 has no such witness
     f6 = make_cyclotomic(6)
     A6 = dual_numbers(f6)
@@ -347,3 +353,214 @@ def test_structure_maps_match_hand_indexed_digests(case):
         json.dumps([M.to_json() for M in mats], sort_keys=True).encode()
     ).hexdigest()
     assert digest == STRUCTURE_MAP_DIGESTS[case]
+
+
+def test_algebra_law_failures_name_the_first_basis_tuple():
+    f = QQ
+    dual = dual_numbers(f).structure
+    with pytest.raises(ValueError, match=r"^unit fails on basis element 0$"):
+        AlgebraData(f, dual, unit={1: f.one})
+    with pytest.raises(ValueError, match=r"^counit not multiplicative at \(1,1\)$"):
+        AlgebraData(f, dual, unit={0: f.one}, counit={0: f.one, 1: f.one})
+    # antisymmetric, [e0, e1] = e1 and [e1, e2] = e2: Jacobi fails on (0, 1, 2)
+    bracket = [[{} for _ in range(3)] for _ in range(3)]
+    bracket[0][1], bracket[1][0] = {1: f.one}, {1: f.neg(f.one)}
+    bracket[1][2], bracket[2][1] = {2: f.one}, {2: f.neg(f.one)}
+    with pytest.raises(ValueError, match=r"^Jacobi fails at \(0,1,2\)$"):
+        AlgebraData(f, bracket, lie=True)
+
+
+@pytest.mark.parametrize("maps, n, i, message", [
+    ("cofaces", 2, 1, "(MF1) fails at i=1"),
+    ("cofaces", 1, 0, "(MF1) fails at i=0"),
+    ("cofaces", 2, 0, "(MF1) fails at i=0"),
+    ("cofaces", 0, 1, "(MF2) fails"),
+    ("codegens", 0, 0, "(MS) fails at i=0"),
+    ("codegens", 1, 1, "(MS) fails at i=1"),
+])
+def test_multiplicative_axiom_failure_names_the_law(maps, n, i, message):
+    # recorded from the per-basis-pair checks: where several laws fail on
+    # the first failing pair, the first of MF1 (by i), MF2, MS (by i) is named
+    f = QQ
+    T = tensor_algebra(dual_numbers(f), 4, check_m_axioms=False)
+    _check_multiplicative_axioms(T, 3)
+    level = getattr(T, maps)[n]
+    level[i] = level[i].scale(f.from_rat(2))
+    with pytest.raises(AssertionError) as exc:
+        _check_multiplicative_axioms(T, 3)
+    assert str(exc.value) == message
+
+
+def _vector_tensor_product(A, a_deg, va, b_deg, vb):
+    """The per-vector product of T(A) that the matrices P_ab replaced."""
+    f, a = A.field, A.dim
+    out = {}
+    for ia, ca in va.items():
+        ta = index_tuple(ia, a, a_deg + 1)
+        for ib, cb in vb.items():
+            tb = index_tuple(ib, a, b_deg + 1)
+            for t, c in A.mul_basis(ta[-1], tb[0]).items():
+                k = tuple_index(ta[:-1] + (t,) + tb[1:], a)
+                f.accumulate(out, k, f.mul(f.mul(ca, cb), c))
+    return out
+
+
+def _assert_product_columns(C, vector_product, n_max):
+    """Column i dim(b) + j of P_ab is the product of the basis pair (i, j)."""
+    one, dims = C.field.one, C.dims
+    for a in range(n_max + 1):
+        for b in range(n_max + 1 - a):
+            cols = C.product(a, b).columns()
+            assert len(cols) == dims[a] * dims[b]
+            for i in range(dims[a]):
+                for j in range(dims[b]):
+                    want = vector_product(a, {i: one}, b, {j: one})
+                    assert cols[i * dims[b] + j] == want, (a, b, i, j)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: dual_numbers(QQ),
+    lambda: truncated_polynomials(make_cyclotomic(3), 3),
+    lambda: matrix_algebra(QQ, 2),
+], ids=["dual-Q", "truncated-Q(zeta_3)", "M2-Q"])
+def test_tensor_algebra_product_matches_vector_product(make):
+    A = make()
+    n_max = 3 if A.dim == 2 else 2
+    T = tensor_algebra(A, n_max, check_m_axioms=False)
+    _assert_product_columns(
+        T, lambda a, va, b, vb: _vector_tensor_product(A, a, va, b, vb), n_max)
+
+
+@pytest.mark.parametrize("envelope", ["omega", "omega_q"])
+def test_envelope_product_matches_vector_product(envelope):
+    if envelope == "omega":
+        A, n_max = dual_numbers(QQ), 4
+        C, bases = universal_envelope(A, n_max)
+    else:
+        f = make_cyclotomic(3)
+        A, n_max = truncated_polynomials(f, 3), 3
+        C, bases = omega_q(A, f.zeta(), 3, n_max)
+
+    def in_bases(a, va, b, vb):
+        big = _vector_tensor_product(
+            A, a, bases[a].basis.apply(va), b, bases[b].basis.apply(vb))
+        return bases[a + b].coordinates(big)
+
+    _assert_product_columns(C, in_bases, n_max)
+
+
+def test_tensor_square_product_matches_vector_product():
+    f = make_cyclotomic(3)
+    q = f.zeta()
+    C, _ = omega_q(dual_numbers(f), q, 3, 3)
+    T = _tensor_square(C, q)
+    # cut at C's top degree, where C's differential is no longer determined
+    assert T.dims == {n: sum(C.dims[r] * C.dims[n - r] for r in range(n + 1))
+                      for n in range(4)}
+    layout = {n: [(r, n - r) for r in range(n + 1)] for n in T.dims}
+
+    def pos(n, r, s, i, j):
+        off = sum(C.dims[r2] * C.dims[s2] for r2, s2 in layout[n] if r2 < r)
+        return off + i * C.dims[s] + j
+
+    def vector_product(n1, v1, n2, v2):
+        """(x ox y)(x' ox y') = q^(deg y deg x') xx' ox yy', pair by pair."""
+        out = {}
+        for (r1, s1), (r2, s2) in itertools.product(layout[n1], layout[n2]):
+            sign = f.pow(q, s1 * r2)
+            Pr, Ps = C.product(r1, r2).columns(), C.product(s1, s2).columns()
+            for i1, j1, i2, j2 in itertools.product(
+                    range(C.dims[r1]), range(C.dims[s1]),
+                    range(C.dims[r2]), range(C.dims[s2])):
+                c1 = v1.get(pos(n1, r1, s1, i1, j1))
+                c2 = v2.get(pos(n2, r2, s2, i2, j2))
+                if c1 is None or c2 is None:
+                    continue
+                coeff = f.mul(f.mul(c1, c2), sign)
+                aa = Pr[i1 * C.dims[r2] + i2]
+                bb = Ps[j1 * C.dims[s2] + j2]
+                for (ii, av), (jj, bv) in itertools.product(aa.items(), bb.items()):
+                    row = pos(n1 + n2, r1 + r2, s1 + s2, ii, jj)
+                    f.accumulate(out, row, f.mul(coeff, f.mul(av, bv)))
+        return out
+
+    for n1 in T.dims:
+        for n2 in range(max(T.dims) + 1 - n1):
+            cols = T.product(n1, n2).columns()
+            for i1 in range(T.dims[n1]):
+                for i2 in range(T.dims[n2]):
+                    want = vector_product(n1, {i1: f.one}, n2, {i2: f.one})
+                    assert cols[i1 * T.dims[n2] + i2] == want, (n1, n2, i1, i2)
+
+
+# sha256 of the level bases and the differential of Omega_q(A) (Omega(A) for
+# the envelope), recorded from the per-vector closure the matrix closure
+# replaced
+ENVELOPE_DIGESTS = {
+    "dual-Q(zeta_3)-N3-7":
+        "32f43cb534b4957a890726e1cfdd9d3ba4ac40bbebdab38ea0682eb379e4d2b5",
+    "dual-Q(zeta_6)-q-1-N2-4":
+        "8dcb4c6051c4c2c6cef9e83b88528a8ddf9c4a18f7174ebc174bca57f2c69348",
+    "field-Q(zeta_3)-N3-3":
+        "956a005ef25c5b0e536714e4b85bf4dbb4036d9c4566c45061e06b21042a5c2a",
+    "truncated3-Q(zeta_3)-N3-5":
+        "0a9b33e24a45daf8d896f2e9bf795e7be45f4c0b7da961d09ff49d62871bd13b",
+    "envelope-dual-Q-4":
+        "cf9bb4eb3c456e0eaada379d73b5b7c2f3a68736338376780cdff9dc8a6601f7",
+}
+
+
+@pytest.mark.parametrize("case", sorted(ENVELOPE_DIGESTS))
+def test_envelope_bases_and_maps_match_vector_closure(case):
+    f3, f6 = make_cyclotomic(3), make_cyclotomic(6)
+    C, bases = {
+        "dual-Q(zeta_3)-N3-7":
+            lambda: omega_q(dual_numbers(f3), f3.zeta(), 3, 7),
+        "dual-Q(zeta_6)-q-1-N2-4":
+            lambda: omega_q(dual_numbers(f6), f6.pow(f6.zeta(), 3), 2, 4),
+        "field-Q(zeta_3)-N3-3":
+            lambda: omega_q(field_algebra(f3), f3.zeta(), 3, 3),
+        "truncated3-Q(zeta_3)-N3-5":
+            lambda: omega_q(truncated_polynomials(f3, 3), f3.zeta(), 3, 5),
+        "envelope-dual-Q-4": lambda: universal_envelope(dual_numbers(QQ), 4),
+    }[case]()
+    obj = [B.basis.to_json() for B in bases]
+    obj += [C.maps[n].to_json() for n in sorted(C.maps)]
+    digest = hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+    assert digest == ENVELOPE_DIGESTS[case]
+
+
+# sha256 of the maps of the Chevalley-Eilenberg complex, recorded from the
+# hand-indexed assembly that place_blocks replaced
+CE_DIGESTS = {
+    "abelian3-trivial":
+        "dc6aa068df8ea932969b753eb1ac69342d35d57f0269c891fdb37ad83e6f6321",
+    "nonabelian2-trivial":
+        "c919e8890938711ea8913dd988663103d3ac93d66b9745aaa1cce4a503162317",
+    "sl2-trivial":
+        "0eba9db820b6b773ea778ce15ad6b5c51377187302880bbce5622bada71072f2",
+    "sl2-adjoint":
+        "e12df0793e574066923b8a5f6345636db73feaba51d9f225c5c8a7f0f4f4543d",
+}
+
+
+@pytest.mark.parametrize("case", sorted(CE_DIGESTS))
+def test_chevalley_eilenberg_maps_match_hand_indexed_digests(case):
+    f = QQ
+    name, coefficients = case.split("-")
+    g = {"abelian3": lambda: abelian_lie(f, 3), "nonabelian2": lambda: nonabelian_lie2(f),
+         "sl2": lambda: sl2(f)}[name]()
+    if coefficients == "adjoint":
+        # ad(e_i)[k, j] = c^k_ij
+        rep = [
+            ExactMatrix(g.dim, g.dim, f, {
+                (k, j): c for j in range(g.dim) for k, c in g.mul_basis(i, j).items()
+            })
+            for i in range(g.dim)
+        ]
+        C = chevalley_eilenberg(g, rep, g.dim, 3)
+    else:
+        C = chevalley_eilenberg(g, [ExactMatrix.zeros(1, 1, f)] * g.dim, 1, min(g.dim, 3))
+    obj = [C.maps[p].to_json() for p in sorted(C.maps)]
+    digest = hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+    assert digest == CE_DIGESTS[case]

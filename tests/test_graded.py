@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -74,11 +76,73 @@ def test_matrix_algebra_complex(N):
     C = M.complex
     # e^N = lambda_1...lambda_N * identity
     assert M.e_power_is_scalar()
-    # graded q-Leibniz rule on all basis pairs
+    # graded q-Leibniz rule on all basis pairs, and not for q^2
     assert check_graded_q_leibniz(C, q)
+    assert not check_graded_q_leibniz(C, f.mul(q, q))
     # acyclicity when all lambda = 1 and 1 - q invertible
     total = C.total_module()
     assert all(v == 0 for v in homology(total).dims().values())
+
+
+def _vector_matrix_algebra_product(M, a_deg, va, b_deg, vb):
+    """The per-vector product E^k_l E^r_s = delta_(k,s) E^r_l that the
+    matrices P_ab replaced."""
+    f = M.field
+    out = {}
+    tgt = (a_deg + b_deg) % M.N
+    for ia, ca in va.items():
+        k, l = M.basis[a_deg % M.N][ia]
+        for ib, cb in vb.items():
+            r, s = M.basis[b_deg % M.N][ib]
+            if k == s:
+                f.accumulate(out, M.index[tgt][(r, l)], f.mul(ca, cb))
+    return out
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_matrix_algebra_product_matches_vector_product(N):
+    f = make_cyclotomic(2 * N)
+    M = matrix_algebra_complex(N, f.pow(f.zeta(), 2), [f.one] * N, f)
+    for a in range(N):
+        for b in range(N):
+            cols = M.complex.product(a, b).columns()
+            assert len(cols) == N * N
+            for i in range(N):
+                for j in range(N):
+                    want = _vector_matrix_algebra_product(M, a, {i: f.one}, b, {j: f.one})
+                    assert cols[i * N + j] == want, (a, b, i, j)
+
+
+# sha256 of the maps d_0..d_(N-1) and, where every lambda is nonzero, of the
+# Lemma-4 homotopy, recorded from the builders that read e A and A e off the
+# basis units instead of the product matrices
+MATRIX_ALGEBRA_DIGESTS = {
+    (3, (1, 1, 1)): (
+        "fe497083a31e7149756721067b602b67a9cf7c9becee4bdbdda3727fb6f8c0dc",
+        "e2c7b39cc559e624cca96b27020e68b90420e34286bafbb3cb9dd27df2bc91e3"),
+    (3, (2, -1, 0)): (
+        "b73dd16d2011c45c82202fec386fcbe2dd0433b51a9e8e6d472a8fb05d00dfce", None),
+    (4, (1, 2, 3, 4)): (
+        "680710f26e2183bb1fc8a14efa92cdcaf5b0d22ca396d9a250427ea4523c8a5d",
+        "3189d20274ad60fd1245b003008ceb113b30b7788f0f332d88f47bc66c55605f"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MATRIX_ALGEBRA_DIGESTS), ids=str)
+def test_matrix_algebra_maps_match_digests(case):
+    N, lambdas = case
+    f = make_cyclotomic(N)
+    M = matrix_algebra_complex(N, f.zeta(), [f.from_rat(x) for x in lambdas], f)
+
+    def digest(mats):
+        obj = json.dumps([m.to_json() for m in mats], sort_keys=True)
+        return hashlib.sha256(obj.encode()).hexdigest()
+
+    maps_digest, homotopy_digest = MATRIX_ALGEBRA_DIGESTS[case]
+    assert digest([M.complex.maps[a] for a in range(N)]) == maps_digest
+    assert M.e_power_is_scalar()
+    if homotopy_digest is not None:
+        assert digest([M.lemma4_homotopy()[1]]) == homotopy_digest
 
 
 def test_matrix_algebra_lemma4_homotopy():

@@ -17,6 +17,7 @@ from ncomplex.linalg import (
     ExactMatrix,
     QuotientSpace,
     Subspace,
+    commutation,
     image_basis,
     index_tuple,
     intersection,
@@ -605,17 +606,41 @@ def test_kron_matches_dense_oracle(field):
     f = field
     rng = random.Random(f"kron:{f!r}")
     shapes = [(0, 0), (0, 3), (2, 0), (1, 1), (2, 3), (3, 2)]
-    for ra, ca in shapes:
-        for rb, cb in shapes:
-            A, B = _mixed_matrix(f, rng, ra, ca), _mixed_matrix(f, rng, rb, cb)
-            K = kron(A, B)
-            assert (K.nrows, K.ncols) == (ra * rb, ca * cb)
-            # row (i, k) of A ox B is A[i, j] B[k, l] over (j, l)
-            assert _dense(K) == [
-                [f.mul(a, b) for a in arow for b in brow]
-                for arow in _dense(A) for brow in _dense(B)
-            ]
-            assert not any(f.is_zero(v) for v in K.entries.values())
+    pairs = [
+        (_mixed_matrix(f, rng, ra, ca), _mixed_matrix(f, rng, rb, cb))
+        for ra, ca in shapes for rb, cb in shapes
+    ]
+    # factors holding ones, where kron skips the multiplication
+    with_ones = ExactMatrix.from_rows(
+        [[_mixed_scalar(f, rng, 0), f.one, f.zero],
+         [f.one, _mixed_scalar(f, rng, 0), f.one]], f)
+    ones = [ExactMatrix.identity(2, f), with_ones, _mixed_matrix(f, rng, 3, 2)]
+    pairs += list(itertools.product(ones, repeat=2))
+    for A, B in pairs:
+        K = kron(A, B)
+        assert (K.nrows, K.ncols) == (A.nrows * B.nrows, A.ncols * B.ncols)
+        # row (i, k) of A ox B is A[i, j] B[k, l] over (j, l)
+        assert _dense(K) == [
+            [f.mul(a, b) for a in arow for b in brow]
+            for arow in _dense(A) for brow in _dense(B)
+        ]
+        assert not any(f.is_zero(v) for v in K.entries.values())
+
+
+@pytest.mark.parametrize("m, n", [(0, 2), (1, 1), (1, 3), (2, 3), (3, 2), (3, 3)])
+def test_commutation_matches_dense_oracle(m, n):
+    f = make_cyclotomic(3)
+    P = commutation(m, n, f)
+    # dense oracle: the unit vector e_i ox e_j goes to e_j ox e_i
+    dense = [[f.zero] * (m * n) for _ in range(m * n)]
+    for i, j in itertools.product(range(m), range(n)):
+        dense[j * m + i][i * n + j] = f.one
+    assert _dense(P) == dense
+    # it swaps the factors of every Kronecker product x ox y
+    rng = random.Random(f"commutation:{m}:{n}")
+    x, y = _mixed_matrix(f, rng, m, 2), _mixed_matrix(f, rng, n, 3)
+    assert P @ kron(x, y) == kron(y, x) @ commutation(2, 3, f)
+    assert commutation(n, m, f) @ P == ExactMatrix.identity(m * n, f)
 
 
 @pytest.mark.parametrize("field", [QQ, make_cyclotomic(6)], ids=["Q", "Q(zeta_6)"])
