@@ -22,7 +22,6 @@ from .linalg import (
     image_basis,
     intersection,
     kernel_basis,
-    quotient_coordinates,
     rank,
     solve,
 )

@@ -247,6 +247,9 @@ def cmd_poincare(args):
     from .young import poincare_verify
 
     _require_at_least(args, "wmax", 0)
+    _require_at_least(args, "k", 1)
+    if args.k > args.N - 1:
+        raise UsageError(f"--k must be at most N-1 = {args.N - 1}, got {args.k}")
     rep = poincare_verify(args.N, args.D, args.k, args.wmax)
     table = [
         [key.split(",")[0][2:], key.split(",")[1][2:], dim]
@@ -270,6 +273,7 @@ def cmd_spin_seq(args):
     from .young import spin2_middle_proportional, spin_sequence_check
 
     _require_at_least(args, "wmax", 0)
+    _require_at_least(args, "S", 1)
     rep = spin_sequence_check(args.S, args.D, args.wmax)
     out = {"command": "spin-seq", "ok": rep["ok"], "S": args.S, "D": args.D}
     if args.S == 2:
@@ -322,6 +326,7 @@ def cmd_brs(args):
         theorem4_verify, twisted_nonabelian_system,
     )
 
+    _require_at_least(args, "deg_max", 0)
     if args.example:
         system = {
             "abelian": abelian_system,
@@ -405,7 +410,11 @@ def cmd_spin_example(args):
 def cmd_selftest(args):
     numbers = None
     if args.only:
-        numbers = {int(x) for x in args.only.split(",")}
+        count = len(acceptance.ALL_CRITERIA)
+        parts = [x.strip() for x in args.only.split(",")]
+        if not all(x.isdecimal() and 1 <= int(x) <= count for x in parts):
+            raise UsageError(f"--only must list criteria 1-{count}, got {args.only!r}")
+        numbers = {int(x) for x in parts}
     reports = acceptance.run_all(seed=args.seed, numbers=numbers)
     if args.format == "text":
         for rep in reports:

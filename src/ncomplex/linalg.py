@@ -436,11 +436,6 @@ def rank(M):
     return len(pivots)
 
 
-def pivot_columns(M):
-    pivots, _, _ = _echelon(M, reduced=False)
-    return pivots
-
-
 def kernel_basis(M):
     """Right kernel as a Subspace of the column-index space; deterministic
     free-variable parametrization of the RREF."""
@@ -461,8 +456,8 @@ def kernel_basis(M):
 
 def image_basis(M):
     """Column space: the original columns at the pivot positions."""
-    piv = pivot_columns(M)
-    return Subspace(M.nrows, M.take_columns(piv))
+    pivots, _, _ = _echelon(M, reduced=False)
+    return Subspace(M.nrows, M.take_columns(pivots))
 
 
 def solve(M, b):
@@ -593,64 +588,53 @@ def intersection(S1, S2):
     return image_basis(mat)
 
 
-def sum_spaces(S1, S2):
-    return image_basis(S1.basis.hstack(S2.basis))
-
-
 class QuotientSpace:
-    """Z / B with the deterministic complement rule: complement positions are
-    the Z-coordinate indices missed by the pivots of B's coordinate matrix,
-    so representatives are actual basis columns of Z."""
+    """Z / B with the deterministic complement rule: the representatives are
+    the basis columns of Z that stay independent modulo B, taken from the
+    last one down, so the pivots of one elimination of [B | Z reversed] find
+    them.  They are the complement of the first basis (the pivots) of the
+    matroid of the rows of B's Z-coordinate matrix, since such a complement
+    is the last basis of the dual matroid (Oxley, *Matroid Theory*, 2nd ed.,
+    2.1), here the matroid of the Z columns modulo B.  The same solver gives
+    the class of a vector in one solve; Z's own solver is never built."""
 
     def __init__(self, Z, B):
         if B.ambient_dim != Z.ambient_dim:
             raise ValueError("ambient dimension mismatch")
         self.Z = Z
         self.B = B
-        f = Z.field
-        zdim = Z.dim
-        bcols = []
-        for col in B.basis.columns():
-            coords = Z.coordinates(col)
-            if coords is None:
-                raise ValueError("B is not contained in Z")
-            bcols.append(coords)
-        B_in_Z = ExactMatrix.from_columns(bcols, zdim, f)
-        # coordinate positions covered by B: pivot columns of the row space
-        piv = set(pivot_columns(B_in_Z.transpose()))
-        self.complement_positions = [i for i in range(zdim) if i not in piv]
-        self.dim = len(self.complement_positions)
-        comp_cols = [{i: f.one} for i in self.complement_positions]
-        full = B_in_Z.hstack(ExactMatrix.from_columns(comp_cols, zdim, f))
-        self._full_solver = EchelonSolver(full)
-        self._bdim = B_in_Z.ncols
-        self.field = f
+        self.field = Z.field
+        zdim, bdim = Z.dim, B.dim
+        self._solver = EchelonSolver(
+            B.basis.hstack(Z.basis.take_columns(range(zdim - 1, -1, -1)))
+        )
+        pivots = self._solver.pivots
+        # Z's columns are independent: [B | Z] has rank dim Z iff B lies in Z
+        if len(pivots) != zdim:
+            raise ValueError("B is not contained in Z")
+        # Z's column i is column bdim + zdim - 1 - i of [B | Z reversed]
+        self._pivots = [p for p in reversed(pivots) if p >= bdim]
+        self.complement_positions = [bdim + zdim - 1 - p for p in self._pivots]
+        self.dim = len(self._pivots)
 
     def representatives(self):
         """Columns of Z's basis at the complement positions (ambient coords)."""
         return self.Z.basis.take_columns(self.complement_positions)
 
     def coordinates(self, v):
-        """Class of v (must lie in Z) in the representative basis.  The
-        Z-coordinates go to the second solve as numerators, unjoined."""
+        """Class of v (must lie in Z) in the representative basis: the
+        complement-column coefficients of the one solve of v."""
         f = self.field
-        vz = self.Z.solver().solve_split(*_split_vector(v, f))
-        if vz is None:
-            raise ValueError("vector not in Z")
-        sol = self._full_solver.solve_split(*vz)
+        sol = self._solver.solve_split(*_split_vector(v, f))
         if sol is None:
-            raise AssertionError("B plus the complement does not span Z")
+            raise ValueError("vector not in Z")
         x, D = sol
         out = {}
-        for k in range(self.dim):
-            c = x.get(self._bdim + k)
+        for k, p in enumerate(self._pivots):
+            c = x.get(p)
             if c is not None:
                 out[k] = f.join(c, D)
         return out
-
-
-def quotient_coordinates(Z, B, v):
-    return QuotientSpace(Z, B).coordinates(v)
 
 
 def quotient_maps(S):

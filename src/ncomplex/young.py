@@ -11,7 +11,7 @@ from functools import lru_cache
 
 from .fields import QQ, R_ZERO, accumulate, rat
 from .graded import GradedNComplex, graded_homology
-from .linalg import EchelonSolver, ExactMatrix, kron, pivot_columns, place_blocks, tuple_index
+from .linalg import EchelonSolver, ExactMatrix, kron, place_blocks, tuple_index
 from .ndiff import exact_at
 
 
@@ -173,7 +173,9 @@ class Symmetrizer:
 class SymmetrySpace:
     """Image of the Young projector inside the degree-p tensor space, with a
     deterministic basis: the projections of row-sorted unit tensors at the
-    pivot columns, i.e. the leftmost independent ones in enumeration order."""
+    pivot columns, i.e. the leftmost independent ones in enumeration order.
+    One ``EchelonSolver`` of all the projections gives both the basis (its
+    pivots) and the coordinates (a solve, read at the pivot columns)."""
 
     def __init__(self, diagram, D):
         self.diagram = diagram
@@ -190,10 +192,11 @@ class SymmetrySpace:
             [{tuple_index(u, D): v for u, v in img.items()} for img in images],
             D**self.p, QQ,
         )
-        pivots = pivot_columns(M)
+        self.solver = EchelonSolver(M)
+        pivots = self.solver.pivots
         self.basis = [images[j] for j in pivots]
         self.dim = len(pivots)
-        self.solver = EchelonSolver(M.take_columns(pivots)) if self.dim else None
+        self._position = {j: k for k, j in enumerate(pivots)}
 
     def _row_sorted_tuples(self):
         if self.p == 0:
@@ -208,15 +211,11 @@ class SymmetrySpace:
 
     def coords(self, tensor):
         """Coordinates in the basis; tensor must lie in the image."""
-        if self.dim == 0:
-            if tensor:
-                raise ValueError("nonzero tensor in a zero symmetry space")
-            return {}
         vec = {tuple_index(t, self.D): v for t, v in tensor.items() if v}
         c = self.solver.solve(vec)
         if c is None:
             raise ValueError("tensor does not have this symmetry type")
-        return c
+        return {self._position[j]: v for j, v in c.items()}
 
     def expand(self, coords):
         out = {}

@@ -203,8 +203,12 @@ def test_malformed_module_exits_2(tmp_path, command, obj):
         (["poincare", "--N", "3", "--D", "0", "--k", "1"], "D = 0"),
         (["spin-seq", "--S", "1", "--D", "0"], "D = 0"),
         (["spin-example", "--p", "1,1,0"], "p must"),
-        (["brs", "--example", "abelian", "--deg-max", "-1"], "deg_max"),
-        (["selftest", "--only", "99"], "criterion [99]"),
+        (["brs", "--example", "abelian", "--deg-max", "-1"], "--deg-max"),
+        (["selftest", "--only", "99"], "--only"),
+        (["selftest", "--only", "x"], "--only"),
+        (["poincare", "--N", "3", "--D", "3", "--k", "0"], "--k"),
+        (["poincare", "--N", "3", "--D", "3", "--k", "3"], "--k"),
+        (["spin-seq", "--S", "0"], "--S"),
         (["poincare", "--N", "3", "--D", "2", "--k", "1", "--wmax", "-1"],
          "--wmax"),
         (["spin-seq", "--S", "1", "--wmax", "-2"], "--wmax"),
@@ -223,6 +227,8 @@ def test_malformed_module_exits_2(tmp_path, command, obj):
     ],
     ids=["poincare-D0", "spin-seq-D0", "spin-example-3-components",
          "brs-negative-deg-max", "selftest-unknown-criterion",
+         "selftest-non-numeric-criterion", "poincare-k0", "poincare-k-equals-N",
+         "spin-seq-S0",
          "poincare-negative-wmax", "spin-seq-negative-wmax",
          "gauge-ext-zero-trials", "gauge-ext-negative-trials",
          "ses-zero-relifts", "ses-negative-relifts", "theorem2-N0", "prop7-N0",
@@ -281,12 +287,12 @@ def test_internal_error_exits_3(monkeypatch, module_file, capsys):
     not exit 1 and a traceback."""
 
     def boom(args):
-        raise AssertionError("B plus the complement does not span Z")
+        raise AssertionError("dim H != dim Z - dim B")
 
     monkeypatch.setattr(cli, "cmd_homology", boom)
     assert cli.main(["homology", module_file]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "ncx: internal error: B plus the complement does not span Z\n"
+        "ncx: internal error: dim H != dim Z - dim B\n"
     )

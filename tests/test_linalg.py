@@ -25,12 +25,10 @@ from ncomplex.linalg import (
     kron,
     orbit_span,
     place_blocks,
-    quotient_coordinates,
     quotient_maps,
     rank,
     restrict,
     solve,
-    sum_spaces,
     tuple_index,
 )
 
@@ -134,11 +132,16 @@ def test_solver_reuse():
 
 def test_quotient_coordinates_examples():
     Z = Subspace.full(2, QQ)
-    B = Subspace(2, ExactMatrix.from_int_rows([[1], [0]], QQ))
+    q = QuotientSpace(Z, Subspace(2, ExactMatrix.from_int_rows([[1], [0]], QQ)))
     # v in B -> zero coordinates
-    assert quotient_coordinates(Z, B, {0: rat(3)}) == {}
+    assert q.coordinates({0: rat(3)}) == {}
     # v = e2 -> coordinate 1 against complement {e2}
-    assert quotient_coordinates(Z, B, {1: rat(1)}) == {0: rat(1)}
+    assert q.coordinates({1: rat(1)}) == {0: rat(1)}
+    # B = span(e1 + e2): e1 and e2 both complement B, the rule keeps the last
+    q = QuotientSpace(Z, Subspace(2, ExactMatrix.from_int_rows([[1], [1]], QQ)))
+    assert q.complement_positions == [1]
+    assert q.coordinates({0: rat(1)}) == {0: rat(-1)}
+    assert q.coordinates({1: rat(1)}) == {0: rat(1)}
 
 
 def test_quotient_dimension_random():
@@ -157,10 +160,30 @@ def test_quotient_dimension_random():
     assert q.coordinates(B.basis.column(0)) == {}
 
 
+def test_quotient_space_is_one_elimination(elimination_counts):
+    """A quotient build is one solver of [B | Z reversed], one elimination,
+    with Z's own solver never built; reading classes builds nothing more."""
+    e = [{i: rat(1)} for i in range(4)]
+    Z = Subspace(4, ExactMatrix.from_columns([e[0], {1: rat(1), 2: rat(1)}, e[3]], 4, QQ))
+    B = Subspace(4, ExactMatrix.from_columns([{0: rat(1), 3: rat(1)}], 4, QQ))
+    q = QuotientSpace(Z, B)
+    assert elimination_counts == {"solvers": 1, "row_echelon": 1}
+    assert Z._solver is None and B._solver is None
+    # z_0 = (e_0 + e_3) - z_2 is the column B covers; z_1 and z_2 stay
+    assert q.complement_positions == [1, 2]
+    assert q.coordinates(e[0]) == {1: rat(-1)}
+    assert q.coordinates({1: rat(2), 2: rat(2), 3: rat(1)}) == {0: rat(2), 1: rat(1)}
+    assert q.coordinates({0: rat(1), 3: rat(1)}) == {}
+    with pytest.raises(ValueError, match="vector not in Z"):
+        q.coordinates(e[1])
+    assert elimination_counts == {"solvers": 1, "row_echelon": 1}
+    assert Z._solver is None
+
+
 def test_quotient_rejects_bad_containment():
     Z = Subspace(3, ExactMatrix.from_int_rows([[1], [0], [0]], QQ))
     B = Subspace(3, ExactMatrix.from_int_rows([[0], [1], [0]], QQ))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="B is not contained in Z"):
         QuotientSpace(Z, B)
 
 
@@ -170,7 +193,7 @@ def test_intersection_and_sum():
     I = intersection(S1, S2)
     assert I.dim == 1
     assert S1.contains(I.basis.column(0)) and S2.contains(I.basis.column(0))
-    assert sum_spaces(S1, S2).dim == 3
+    assert image_basis(S1.basis.hstack(S2.basis)).dim == 3
 
 
 def test_cyclotomic_elimination():
@@ -438,8 +461,8 @@ def _oracle_solve(M, b):
 
 
 def _oracle_coordinates(Z, B, v):
-    """Quotient coordinates of v in Z / B by the deterministic complement
-    rule, from dense eliminations only."""
+    """Complement positions and quotient coordinates of v in Z / B by the
+    deterministic complement rule, from dense eliminations only."""
     f = Z.field
     B_in_Z = [_oracle_solve(Z.basis, col) for col in B.basis.columns()]
     assert all(c is not None for c in B_in_Z)
@@ -447,7 +470,9 @@ def _oracle_coordinates(Z, B, v):
     comp = [i for i in range(Z.dim) if i not in covered]
     full = ExactMatrix.from_columns(B_in_Z + [{i: f.one} for i in comp], Z.dim, f)
     sol = _oracle_solve(full, _oracle_solve(Z.basis, v))
-    return {k: sol[len(B_in_Z) + k] for k in range(len(comp)) if len(B_in_Z) + k in sol}
+    return comp, {
+        k: sol[len(B_in_Z) + k] for k in range(len(comp)) if len(B_in_Z) + k in sol
+    }
 
 
 @st.composite
@@ -501,7 +526,9 @@ def quotient_cases(draw):
 def test_numerator_quotient_coordinates_match_dense_oracle(case):
     Z, B, v = case
     q = QuotientSpace(Z, B)
-    assert q.coordinates(v) == _oracle_coordinates(Z, B, v)
+    comp, coordinates = _oracle_coordinates(Z, B, v)
+    assert q.complement_positions == comp
+    assert q.coordinates(v) == coordinates
     for col in B.basis.columns():
         assert q.coordinates(col) == {}
     for k, col in enumerate(q.representatives().columns()):

@@ -8,6 +8,7 @@ from ncomplex.fields import rat
 from ncomplex.graded import graded_homology
 from ncomplex.young import (
     PolyTensorField,
+    SymmetrySpace,
     YoungDiagram,
     basis_field,
     differential,
@@ -54,6 +55,22 @@ def test_symmetrizer_idempotent():
             once = sp.projector.apply({t: rat(1)})
             twice = sp.projector.apply(once)
             assert once == twice
+
+
+def test_symmetry_space_is_one_elimination(elimination_counts):
+    """A symmetry space is one EchelonSolver of all the projections; its
+    pivots are the basis and a solve read at them the coordinates."""
+    # antisymmetric 2-tensors over D = 2: the projection of e0 ox e0 is zero,
+    # so the one basis tensor sits at pivot column 1 and basis position 0
+    sp = SymmetrySpace(YoungDiagram((1, 1)), 2)
+    assert elimination_counts == {"solvers": 1, "row_echelon": 1}
+    assert sp.dim == 1 and sp.solver.pivots == [1]
+    assert sp.basis == [{(0, 1): rat(1, 2), (1, 0): rat(-1, 2)}]
+    assert sp.coords(sp.basis[0]) == {0: rat(1)}
+    assert sp.coords({(0, 1): rat(3), (1, 0): rat(-3)}) == {0: rat(6)}
+    with pytest.raises(ValueError, match="symmetry type"):
+        sp.coords({(0, 1): rat(1)})
+    assert elimination_counts == {"solvers": 1, "row_echelon": 1}
 
 
 def test_shape_22_dim_over_d2():
