@@ -50,21 +50,46 @@ class CriterionReport:
 
 
 def _threads():
-    try:
-        return max(1, int(os.environ.get("NCX_THREADS", "1")))
-    except ValueError:
-        return 1
+    raw = os.environ.get("NCX_THREADS") or "1"
+    n = int(raw) if raw.strip().isdecimal() else 0
+    if n < 1:
+        raise ValueError(f"NCX_THREADS must be a positive integer, got {raw!r}")
+    return n
 
 
-def _parallel_map(worker, payloads):
-    """Instance-parallel map; deterministic assembly by index."""
-    n = _threads()
-    if n <= 1 or len(payloads) < 4:
-        return [worker(p) for p in payloads]
-    import concurrent.futures as cf
+def _instance(job):
+    worker, tag, seed, i, args = job
+    return worker(random.Random(f"{seed}:{tag}:{i}"), *args)
 
-    with cf.ProcessPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(worker, payloads, chunksize=max(1, len(payloads) // (4 * n))))
+
+def pooled_witnesses(worker, tag, seed, count, *args):
+    """Run ``worker(random.Random(f"{seed}:{tag}:{i}"), *args)`` for the
+    instances i < count, on a pool of NCX_THREADS processes (at most count)
+    when that is above 1, and return the witnesses of the failing instances,
+    those for which the worker returned anything but None, in index order."""
+    n = min(_threads(), count)
+    jobs = [(worker, tag, seed, i, args) for i in range(count)]
+    if n <= 1 or count < 4:
+        results = map(_instance, jobs)
+    else:
+        import concurrent.futures as cf
+
+        with cf.ProcessPoolExecutor(max_workers=n) as pool:
+            results = list(pool.map(_instance, jobs,
+                                    chunksize=max(1, count // (4 * n))))
+    return [w for w in results if w is not None]
+
+
+def _pooled(worker, tag, count):
+    """The ``run`` of a pooled criterion: count seeded instances of worker,
+    the first failing one as witness."""
+    def run(seed):
+        bad = pooled_witnesses(worker, tag, seed, count)
+        return not bad, {"instances": count, "failures": len(bad)}, (
+            bad[0] if bad else {}
+        )
+
+    return run
 
 
 def _timed(number, name, budget, fn, seed):
@@ -77,80 +102,49 @@ def _timed(number, name, budget, fn, seed):
 # -- 1: Proposition 4 ----------------------------------------------------------
 
 
-def _prop4_worker(payload):
-    seed, idx = payload
-    rng = random.Random(f"{seed}:prop4:{idx}")
+def _prop4_worker(rng):
     N = rng.choice((3, 4, 5))
     dim = rng.randint(4, 60)
     E, truth = ndiff.random_ndiff(QQ, N, dim, rng)
-    rep = ndiff.proposition4_check(E)
-    if not rep["ok"] or ndiff.multiplicities(E).counts != truth:
-        return idx, E.to_json()
-    return idx, None
+    ok = ndiff.proposition4_check(E)["ok"] and ndiff.multiplicities(E).counts == truth
+    return None if ok else E.to_json()
 
 
 def criterion_1(seed=42):
-    def run(seed):
-        results = _parallel_map(_prop4_worker, [(seed, i) for i in range(200)])
-        bad = [(i, w) for i, w in results if w is not None]
-        details = {"instances": 200, "failures": len(bad)}
-        witness = bad[0][1] if bad else {}
-        return not bad, details, witness
-
-    return _timed(1, "Proposition 4: multiplicity formula vs ranks", 60, run, seed)
+    return _timed(1, "Proposition 4: multiplicity formula vs ranks", 60,
+                  _pooled(_prop4_worker, "prop4", 200), seed)
 
 
 # -- 2: Lemma 1 hexagons --------------------------------------------------------
 
 
-def _hexagon_worker(payload):
-    seed, idx = payload
-    rng = random.Random(f"{seed}:hex:{idx}")
+def _hexagon_worker(rng):
     N = rng.choice((3, 4, 5))
     dim = rng.randint(4, 40)
     E, _ = ndiff.random_ndiff(QQ, N, dim, rng)
-    rep = ndiff.all_hexagons_check(E)
-    return idx, (None if rep["ok"] else E.to_json())
+    return None if ndiff.all_hexagons_check(E)["ok"] else E.to_json()
 
 
 def criterion_2(seed=42):
-    def run(seed):
-        results = _parallel_map(_hexagon_worker, [(seed, i) for i in range(200)])
-        bad = [(i, w) for i, w in results if w is not None]
-        return not bad, {"instances": 200, "failures": len(bad)}, (
-            bad[0][1] if bad else {}
-        )
-
-    return _timed(2, "Lemma 1: exact hexagons on random modules", 120, run, seed)
+    return _timed(2, "Lemma 1: exact hexagons on random modules", 120,
+                  _pooled(_hexagon_worker, "hex", 200), seed)
 
 
 # -- 3: Proposition 3 SES --------------------------------------------------------
 
 
-def _ses_worker(payload):
-    seed, idx = payload
-    rng = random.Random(f"{seed}:ses:{idx}")
+def _ses_worker(rng):
+    """The witness is the whole sequence, in ``ncx ses`` input form."""
     N = rng.choice((3, 4))
     ses = ndiff.random_ses(QQ, N, rng)
-    if not ndiff.ses_hexagon_check(ses)["ok"]:
-        return idx, ses.F.to_json()
-    for m in range(1, N):
-        if not ndiff.connecting_well_defined(ses, m, rng, trials=10):
-            return idx, ses.F.to_json()
-    return idx, None
+    ok = ndiff.ses_hexagon_check(ses)["ok"] and all(
+        ndiff.connecting_well_defined(ses, m, rng, trials=10) for m in range(1, N))
+    return None if ok else ses.to_json()
 
 
 def criterion_3(seed=42):
-    def run(seed):
-        results = _parallel_map(_ses_worker, [(seed, i) for i in range(100)])
-        bad = [(i, w) for i, w in results if w is not None]
-        return not bad, {"instances": 100, "failures": len(bad)}, (
-            bad[0][1] if bad else {}
-        )
-
-    return _timed(
-        3, "Proposition 3: SES hexagons and connecting maps", 120, run, seed
-    )
+    return _timed(3, "Proposition 3: SES hexagons and connecting maps", 120,
+                  _pooled(_ses_worker, "ses", 100), seed)
 
 
 # -- 4: Lemma 5 + Theorem 2 ------------------------------------------------------
@@ -314,30 +308,16 @@ def criterion_10(seed=42):
 # -- 11: Theorem 5 ---------------------------------------------------------------
 
 
-def _theorem5_worker(payload):
-    seed, idx = payload
-    rng = random.Random(f"{seed}:gauge:{idx}")
+def _theorem5_worker(rng, hmax=20):
     N = rng.choice((3, 4, 5))
     f = make_cyclotomic(2 * N)
-    G = gauge.random_gauge_instance(f, N, rng, hmax=20)
-    rep = gauge.theorem5_verify(G)
-    return idx, (None if rep["ok"] else G.to_json())
+    G = gauge.random_gauge_instance(f, N, rng, hmax=hmax)
+    return None if gauge.theorem5_verify(G)["ok"] else G.to_json()
 
 
 def criterion_11(seed=42):
-    def run(seed):
-        results = _parallel_map(
-            _theorem5_worker, [(seed, i) for i in range(500)]
-        )
-        bad = [(i, w) for i, w in results if w is not None]
-        return not bad, {"instances": 500, "failures": len(bad)}, (
-            bad[0][1] if bad else {}
-        )
-
-    return _timed(
-        11, "Theorem 5: H(H-bullet, Q) = H(H_I, A) on 500 instances", 300,
-        run, seed,
-    )
+    return _timed(11, "Theorem 5: H(H-bullet, Q) = H(H_I, A) on 500 instances",
+                  300, _pooled(_theorem5_worker, "gauge", 500), seed)
 
 
 # -- 12: Lemma 15 / Theorem 6 ----------------------------------------------------

@@ -1,9 +1,10 @@
 """The ncx command line: reproducible verification runs over JSON inputs.
 
 Exit codes: 0 = all assertions passed, 1 = a verified mathematical failure
-(the smallest failing witness is serialized next to the report), 2 = usage or
-input errors (malformed JSON, window violations), 3 = internal error (a broken
-invariant of ncomplex itself, raised as ``AssertionError``)."""
+(the first failing instance is written as the witness next to the report; no
+command replays it yet), 2 = usage or input errors (malformed JSON, window
+violations, a malformed NCX_THREADS), 3 = internal error (a broken invariant
+of ncomplex itself, raised as ``AssertionError``)."""
 
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import sys
 from . import acceptance
 from .fields import QQ, make_cyclotomic
 from .graded import WindowError
-from .linalg import ExactMatrix, _int_key, _is_index
+from .linalg import _int_key, _is_index
 
 SCHEMA_VERSION = 1
 
@@ -152,23 +153,11 @@ def cmd_hexagon(args):
 
 
 def cmd_ses(args):
-    from .ndiff import (
-        NDiffModule, ShortExactSequence, connecting_well_defined,
-        ses_hexagon_check,
-    )
+    from .ndiff import ShortExactSequence, connecting_well_defined, ses_hexagon_check
 
     _require_at_least(args, "relifts", 1)
     obj = _load_json(args.ses)
-    if not (isinstance(obj, dict) and {"E", "F", "G", "phi", "psi"} <= obj.keys()):
-        raise ValueError(
-            "a short exact sequence must be a JSON object with keys E, F, G, phi and psi"
-        )
-    E = NDiffModule.from_json(obj["E"])
-    F = NDiffModule.from_json(obj["F"])
-    G = NDiffModule.from_json(obj["G"])
-    phi = ExactMatrix.from_json(obj["phi"], field=E.field)
-    psi = ExactMatrix.from_json(obj["psi"], field=E.field)
-    ses = ShortExactSequence(E, F, G, phi, psi)
+    ses = ShortExactSequence.from_json(obj)
     try:
         ses.validate()
     except ValueError as exc:
@@ -179,7 +168,7 @@ def cmd_ses(args):
     rng = random.Random(args.seed)
     well = all(
         connecting_well_defined(ses, m, rng, trials=args.relifts)
-        for m in range(1, E.N)
+        for m in range(1, ses.E.N)
     )
     out = {"command": "ses", "hexagons_ok": rep["ok"], "well_defined": well,
            "ok": rep["ok"] and well}
@@ -349,9 +338,7 @@ def cmd_brs(args):
 
 
 def cmd_gauge_ext(args):
-    import random
-
-    from .gauge import GaugeInstance, random_gauge_instance, theorem5_verify
+    from .gauge import GaugeInstance, theorem5_verify
 
     if args.instance == "verify":
         # documented alias: `ncx gauge-ext verify --suite random ...`
@@ -362,19 +349,13 @@ def cmd_gauge_ext(args):
         _require_at_least(args, "trials", 1)
         # random_gauge_instance draws dim H from 3..hmax
         _require_at_least(args, "hmax", 3)
-        failures = []
-        for i in range(args.trials):
-            rng = random.Random(f"{args.seed}:gauge:{i}")
-            N = rng.choice((3, 4, 5))
-            f = make_cyclotomic(2 * N)
-            G = random_gauge_instance(f, N, rng, hmax=args.hmax)
-            rep = theorem5_verify(G)
-            if not rep["ok"]:
-                failures.append((i, G.to_json()))
+        failures = acceptance.pooled_witnesses(
+            acceptance._theorem5_worker, "gauge", args.seed, args.trials,
+            args.hmax)
         out = {"command": "gauge-ext", "suite": "random",
                "trials": args.trials, "failures": len(failures), "ok": not failures}
         if failures:
-            raise MathFailure(out, witness=failures[0][1])
+            raise MathFailure(out, witness=failures[0])
         return out
     if not args.instance:
         raise UsageError("pass an instance JSON or --suite random")

@@ -393,6 +393,24 @@ class ShortExactSequence:
         self._valid = True
         return True
 
+    def to_json(self):
+        """The ``ncx ses`` input form."""
+        return {"E": self.E.to_json(), "F": self.F.to_json(),
+                "G": self.G.to_json(), "phi": self.phi.to_json(),
+                "psi": self.psi.to_json()}
+
+    @staticmethod
+    def from_json(obj):
+        if not (isinstance(obj, dict) and {"E", "F", "G", "phi", "psi"} <= obj.keys()):
+            raise ValueError(
+                "a short exact sequence must be a JSON object with keys E, F, G, phi and psi"
+            )
+        E = NDiffModule.from_json(obj["E"])
+        return ShortExactSequence(
+            E, NDiffModule.from_json(obj["F"]), NDiffModule.from_json(obj["G"]),
+            ExactMatrix.from_json(obj["phi"], field=E.field),
+            ExactMatrix.from_json(obj["psi"], field=E.field))
+
     @cached_property
     def psi_solver(self):
         return EchelonSolver(self.psi)

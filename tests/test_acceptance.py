@@ -1,14 +1,19 @@
-"""The fourteen acceptance criteria, one test each, at their stated budgets.
+"""Criterion 11 at its stated budget, and the pooled runner that criteria 1,
+2, 3 and 11 share.
 
-Run with `pytest tests/test_acceptance.py -v -s` (or `ncx selftest`) to see
-one pass/fail line per criterion."""
+Criteria 1-10 and 12-14 run once each, with their budgets, inside
+``tests/test_cli.py::test_selftest_report_is_pinned``; criterion 11 is in no
+pinned set and runs here.  Run with `pytest tests/test_acceptance.py -v -s`
+to see its pass/fail line."""
 
-import pytest
+import os
+import random
 
 from ncomplex import acceptance
 
 
-def _check(report):
+def test_criterion_11_theorem5():
+    report = acceptance.criterion_11()
     print()
     print(report.line())
     assert report.ok, report.witness or report.details
@@ -17,57 +22,42 @@ def _check(report):
     )
 
 
-def test_criterion_01_proposition4():
-    _check(acceptance.criterion_1())
+def _first_draw(rng):
+    """Fails every instance; the witness is the first draw of its generator
+    and the id of the process that ran it."""
+    return [rng.random(), os.getpid()]
 
 
-def test_criterion_02_lemma1_hexagons():
-    _check(acceptance.criterion_2())
+def _draws(seed, tag, count):
+    return [random.Random(f"{seed}:{tag}:{i}").random() for i in range(count)]
 
 
-def test_criterion_03_proposition3_ses():
-    _check(acceptance.criterion_3())
+def test_serial_failures_are_witnesses_in_index_order():
+    """Each instance draws from its own seed string, and the witnesses of
+    the failing ones come back in index order."""
+    seen = []
+
+    def every_other_fails(rng, scale):
+        seen.append(rng.random())
+        return seen[-1] * scale if len(seen) % 2 == 0 else None
+
+    witnesses = acceptance.pooled_witnesses(every_other_fails, "t", 7, 9, 2)
+    draws = _draws(7, "t", 9)
+    assert seen == draws
+    assert witnesses == [2 * d for d in draws[1::2]]
 
 
-def test_criterion_04_lemma5_theorem2():
-    _check(acceptance.criterion_4())
+def test_pool_matches_serial(monkeypatch):
+    """NCX_THREADS=2 runs the instances on two processes and gives the
+    serial result."""
+    serial = acceptance.pooled_witnesses(acceptance._prop4_worker, "prop4", 42, 8)
+    monkeypatch.setenv("NCX_THREADS", "2")
+    pooled = acceptance.pooled_witnesses(acceptance._prop4_worker, "prop4", 42, 8)
+    assert pooled == serial == []
 
 
-def test_criterion_05_proposition7():
-    _check(acceptance.criterion_5())
-
-
-def test_criterion_06_matrix_algebra():
-    _check(acceptance.criterion_6())
-
-
-def test_criterion_07_theorem3_poincare():
-    _check(acceptance.criterion_7())
-
-
-def test_criterion_08_spin_sequences():
-    _check(acceptance.criterion_8())
-
-
-def test_criterion_09_potential_solver():
-    _check(acceptance.criterion_9())
-
-
-def test_criterion_10_brs_theorem4():
-    _check(acceptance.criterion_10())
-
-
-def test_criterion_11_theorem5():
-    _check(acceptance.criterion_11())
-
-
-def test_criterion_12_lemma15_theorem6():
-    _check(acceptance.criterion_12())
-
-
-def test_criterion_13_spin_examples():
-    _check(acceptance.criterion_13())
-
-
-def test_criterion_14_q_combinatorics():
-    _check(acceptance.criterion_14())
+def test_pool_keeps_index_order(monkeypatch):
+    monkeypatch.setenv("NCX_THREADS", "2")
+    witnesses = acceptance.pooled_witnesses(_first_draw, "t", 7, 8)
+    assert [draw for draw, _ in witnesses] == _draws(7, "t", 8)
+    assert os.getpid() not in {pid for _, pid in witnesses}

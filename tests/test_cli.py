@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import ncomplex
-from ncomplex import cli
+from ncomplex import acceptance, cli, gauge, ndiff
 from ncomplex.cosimplicial import dual_numbers
 from ncomplex.fields import QQ, make_cyclotomic
 from ncomplex.linalg import ExactMatrix
@@ -41,6 +42,19 @@ def test_ses_command(tmp_path, capsys):
     assert cli.main(["ses", path, "--format", "json"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["hexagons_ok"] and out["well_defined"]
+
+
+def test_ses_witness_replays_through_ses(monkeypatch, tmp_path, capsys):
+    """Criterion 3's witness is the whole sequence in ``ncx ses`` input form."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(ndiff, "ses_hexagon_check", lambda ses: {"ok": False})
+    witness = acceptance.pooled_witnesses(acceptance._ses_worker, "ses", 42, 1)[0]
+    path = tmp_path / "witness.json"
+    path.write_text(json.dumps(witness))
+    assert cli.main(["ses", str(path), "--format", "json"]) == 1
+    assert json.loads(capsys.readouterr().out)["hexagons_ok"] is False
+    art = json.loads((tmp_path / "ncx-failure-ses.json").read_text())
+    assert art["witness"] == witness
 
 
 def test_homology_command(module_file, capsys):
@@ -124,9 +138,16 @@ def _without_elapsed(obj):
 
 @pytest.mark.parametrize("only", sorted(GOLDEN_SELFTEST))
 def test_selftest_report_is_pinned(only, capsys):
+    """The pinned sets hold every criterion but 11, so this is where each
+    of them runs in tier-1: it must pass within its budget."""
     assert cli.main(["selftest", "--seed", "42", "--only", only,
                      "--format", "json"]) == 0
-    report = _without_elapsed(json.loads(capsys.readouterr().out))
+    report = json.loads(capsys.readouterr().out)
+    for crit in report["criteria"]:
+        assert crit["ok"], crit["witness"] or crit["details"]
+        assert crit["elapsed_seconds"] < crit["budget_seconds"], (
+            f"criterion {crit['number']} exceeded its budget")
+    report = _without_elapsed(report)
     digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode())
     assert digest.hexdigest() == GOLDEN_SELFTEST[only]
 
@@ -253,6 +274,47 @@ def test_bad_option_exits_2(tmp_path, argv, named):
     assert named in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not list(tmp_path.glob("ncx-failure-*.json"))
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3"])
+def test_malformed_threads_exits_2(monkeypatch, tmp_path, capsys, value):
+    """A malformed NCX_THREADS is bad input, reported before any instance
+    runs or any pool starts."""
+    import concurrent.futures
+
+    def never(*args, **kwargs):
+        raise AssertionError("reached past the NCX_THREADS check")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("NCX_THREADS", value)
+    monkeypatch.setattr(acceptance, "_prop4_worker", never)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", never)
+    assert cli.main(["selftest", "--only", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("ncx: ") and "NCX_THREADS" in captured.err
+    assert not list(tmp_path.glob("ncx-failure-*.json"))
+
+
+def test_gauge_ext_random_suite(capsys):
+    assert cli.main(["gauge-ext", "--suite", "random", "--trials", "6",
+                     "--format", "json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["ok"], out["trials"], out["failures"]) == (True, 6, 0)
+
+
+def test_gauge_ext_random_failure_writes_first_instance(monkeypatch, tmp_path,
+                                                        capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(gauge, "theorem5_verify", lambda G: {"ok": False})
+    assert cli.main(["gauge-ext", "--suite", "random", "--trials", "2",
+                     "--format", "json"]) == 1
+    assert json.loads(capsys.readouterr().out)["failures"] == 2
+    rng = random.Random("42:gauge:0")
+    N = rng.choice((3, 4, 5))
+    G = gauge.random_gauge_instance(make_cyclotomic(2 * N), N, rng, hmax=20)
+    art = json.loads((tmp_path / "ncx-failure-gauge-ext.json").read_text())
+    assert art["witness"] == json.loads(json.dumps(G.to_json(), default=str))
 
 
 def test_usage_error_unknown_command():
