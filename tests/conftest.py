@@ -22,3 +22,20 @@ def elimination_counts(monkeypatch):
     monkeypatch.setattr(EchelonSolver, "__init__", counting_init)
     monkeypatch.setattr(kernel, "row_echelon", counting_row_echelon)
     return counts
+
+
+@pytest.fixture(scope="session")
+def criterion_report():
+    """``criterion_report(n)`` is criterion n's report at seed 42, computed
+    the first time it is asked for and shared by every later test, so each
+    criterion runs once in a session."""
+    from ncomplex import acceptance
+
+    criteria, reports = list(acceptance.ALL_CRITERIA), {}
+
+    def report(number):
+        if number not in reports:
+            reports[number] = criteria[number - 1](seed=42)
+        return reports[number]
+
+    return report

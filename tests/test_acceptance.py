@@ -1,10 +1,10 @@
-"""Criterion 11 at its stated budget, and the pooled runner that criteria 1,
-2, 3 and 11 share.
+"""The fourteen acceptance criteria, one test each, at their stated budgets,
+and the pooled runner that criteria 1, 2, 3 and 11 share.
 
-Criteria 1-10 and 12-14 run once each, with their budgets, inside
-``tests/test_cli.py::test_selftest_report_is_pinned``; criterion 11 is in no
-pinned set and runs here.  Run with `pytest tests/test_acceptance.py -v -s`
-to see its pass/fail line."""
+Each criterion runs once per session at seed 42 (the ``criterion_report``
+fixture); the pinned selftest digests in ``tests/test_cli.py`` render the
+same reports.  Run with `pytest tests/test_acceptance.py -v -s` (or
+`ncx selftest`) to see one pass/fail line per criterion."""
 
 import os
 import random
@@ -12,14 +12,69 @@ import random
 from ncomplex import acceptance
 
 
-def test_criterion_11_theorem5():
-    report = acceptance.criterion_11()
+def _check(report):
     print()
     print(report.line())
     assert report.ok, report.witness or report.details
     assert report.elapsed < report.budget, (
         f"criterion {report.number} exceeded its {report.budget}s budget"
     )
+
+
+def test_criterion_01_proposition4(criterion_report):
+    _check(criterion_report(1))
+
+
+def test_criterion_02_lemma1_hexagons(criterion_report):
+    _check(criterion_report(2))
+
+
+def test_criterion_03_proposition3_ses(criterion_report):
+    _check(criterion_report(3))
+
+
+def test_criterion_04_lemma5_theorem2(criterion_report):
+    _check(criterion_report(4))
+
+
+def test_criterion_05_proposition7(criterion_report):
+    _check(criterion_report(5))
+
+
+def test_criterion_06_matrix_algebra(criterion_report):
+    _check(criterion_report(6))
+
+
+def test_criterion_07_theorem3_poincare(criterion_report):
+    _check(criterion_report(7))
+
+
+def test_criterion_08_spin_sequences(criterion_report):
+    _check(criterion_report(8))
+
+
+def test_criterion_09_potential_solver(criterion_report):
+    _check(criterion_report(9))
+
+
+def test_criterion_10_brs_theorem4(criterion_report):
+    _check(criterion_report(10))
+
+
+def test_criterion_11_theorem5(criterion_report):
+    _check(criterion_report(11))
+
+
+def test_criterion_12_lemma15_theorem6(criterion_report):
+    _check(criterion_report(12))
+
+
+def test_criterion_13_spin_examples(criterion_report):
+    _check(criterion_report(13))
+
+
+def test_criterion_14_q_combinatorics(criterion_report):
+    _check(criterion_report(14))
 
 
 def _first_draw(rng):
