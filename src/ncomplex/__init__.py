@@ -4,11 +4,9 @@ generalized homology over the rationals and cyclotomic fields."""
 from .fields import (
     Field,
     QQ,
-    QContext,
     check_assumptions,
     cyclotomic_polynomial,
     make_cyclotomic,
-    primitive_qcontext,
     q_binomial,
     q_factorial,
     q_int,

@@ -115,6 +115,8 @@ class PolyConstraintSystem:
         return len(self.fields)
 
     def validate(self):
+        if not self.constraints:
+            raise ValueError("system constraints must be a nonempty list")
         for u in self.constraints:
             if not u or not poly_is_homogeneous(u):
                 raise ValueError("constraints must be nonzero homogeneous")
@@ -221,102 +223,80 @@ def _remove_at(subset, k):
     return subset[:k] + subset[k + 1:], (-1) ** k
 
 
-class GhostElement:
-    """Element of Lambda(pi) ox Poly ox Lambda(chi); terms keyed by
-    (pi subset, monomial, chi subset), canonical factor order pi < poly < chi."""
-
-    __slots__ = ("D", "terms")
-
-    def __init__(self, D, terms=None):
-        self.D = D
-        self.terms = terms if terms is not None else {}
-
-    def add_term(self, key, val):
-        accumulate(self.terms, key, val)
-
-    def add(self, other, scale=None):
-        out = GhostElement(self.D, dict(self.terms))
-        for k, v in other.terms.items():
-            out.add_term(k, v if scale is None else scale * v)
-        return out
-
-    def scaled(self, c):
-        if not c:
-            return GhostElement(self.D)
-        return GhostElement(self.D, {k: c * v for k, v in self.terms.items()})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return isinstance(other, GhostElement) and self.terms == other.terms
-
-    def __repr__(self):
-        return f"GhostElement({self.terms})"
+def _key_mul(a, b):
+    """Product of two basis keys as (key, sign); (None, 0) when it vanishes."""
+    (pa, ma, ca), (pb, mb, cb) = a, b
+    pi, s_pi = _merge_odd(pa, pb)
+    if pi is None:
+        return None, 0
+    chi, s_chi = _merge_odd(ca, cb)
+    if chi is None:
+        return None, 0
+    # pi_b crosses the chi_a block on its way left
+    return (pi, mono_mul(ma, mb), chi), s_pi * s_chi * (-1) ** (len(ca) * len(pb))
 
 
 def ghost_mul(a, b):
-    """Product; pi's and chi's are odd, polynomials even."""
-    out = GhostElement(a.D)
-    for (pa, ma, ca), va in a.terms.items():
-        for (pb, mb, cb), vb in b.terms.items():
-            pi, s_pi = _merge_odd(pa, pb)
-            if pi is None:
-                continue
-            chi, s_chi = _merge_odd(ca, cb)
-            if chi is None:
-                continue
-            # pi_b crosses the chi_a block on its way left
-            sign = s_pi * s_chi * (-1) ** (len(ca) * len(pb))
-            out.add_term((pi, mono_mul(ma, mb), chi), va * vb * rat(sign))
+    """Product of two elements of Lambda(pi) ox Poly ox Lambda(chi), each a
+    term dict keyed by (pi subset, monomial, chi subset) in the canonical
+    factor order pi < poly < chi; pi's and chi's are odd, polynomials even."""
+    out = {}
+    for ka, va in a.items():
+        for kb, vb in b.items():
+            key, sign = _key_mul(ka, kb)
+            if key is not None:
+                accumulate(out, key, va * vb * rat(sign))
     return out
 
 
-class Antiderivation:
-    """Degree-1 antiderivation given by generator images (GhostElements or
-    None for zero): pi_images[alpha], chi_images[alpha'], x_images[i]."""
+def _add_product(out, left, img, right, scale):
+    """out += scale * left img right, for basis keys ``left`` and ``right``;
+    distinct terms of ``img`` give distinct products."""
+    for key, v in img.items():
+        key, s_left = _key_mul(left, key)
+        if key is None:
+            continue
+        key, s_right = _key_mul(key, right)
+        if key is not None:
+            accumulate(out, key, scale * v if s_left == s_right else -(scale * v))
 
-    def __init__(self, complex_, pi_images, chi_images, x_images):
-        self.K = complex_
+
+class Antiderivation:
+    """Degree-1 antiderivation given by generator images (term dicts, {} for
+    zero): pi_images[alpha], chi_images[alpha'], x_images[i] (delta_0 has no
+    x-images)."""
+
+    def __init__(self, pi_images, chi_images, x_images):
         self.pi_images = pi_images
         self.chi_images = chi_images
         self.x_images = x_images
 
-    def apply(self, elem):
-        D = elem.D
-        out = GhostElement(D)
-        zero_mono = (0,) * D
-        for (pis, mono, chis), val in elem.terms.items():
+    def apply(self, elem, out=None):
+        """The image of ``elem``, added into ``out`` in place when given."""
+        if out is None:
+            out = {}
+        for (pis, mono, chis), val in elem.items():
+            zero_mono = (0,) * len(mono)
             # pi factors: prefix of k odd factors gives sign (-1)^k
-            for k in range(len(pis)):
-                img = self.pi_images[pis[k]]
-                if img is None or img.is_zero():
-                    continue
-                rest, _ = _remove_at(pis, k)
-                prefix = GhostElement(D, {(pis[:k], zero_mono, ()): rat(1)})
-                suffix = GhostElement(D, {(pis[k + 1:], mono, chis): rat(1)})
-                term = ghost_mul(ghost_mul(prefix, img), suffix)
-                out = out.add(term, scale=val * rat((-1) ** k))
+            for k, a in enumerate(pis):
+                img = self.pi_images[a]
+                if img:
+                    _add_product(out, (pis[:k], zero_mono, ()), img,
+                                 (pis[k + 1:], mono, chis), -val if k % 2 else val)
             # polynomial factor (even); prefix parity = len(pis)
-            if self.x_images is not None and any(mono):
-                par = rat((-1) ** len(pis))
-                for i, img in enumerate(self.x_images):
+            val_x = -val if len(pis) % 2 else val
+            for i, img in enumerate(self.x_images):
+                if img and mono[i]:
                     dm, e = mono_derivative(mono, i)
-                    if dm is None or img is None or img.is_zero():
-                        continue
-                    prefix = GhostElement(D, {(pis, dm, ()): rat(e)})
-                    suffix = GhostElement(D, {((), zero_mono, chis): rat(1)})
-                    term = ghost_mul(ghost_mul(prefix, img), suffix)
-                    out = out.add(term, scale=val * par)
+                    _add_product(out, (pis, dm, ()), img, ((), zero_mono, chis),
+                                 val_x * e)
             # chi factors; prefix parity = len(pis) + k
-            for k in range(len(chis)):
-                img = self.chi_images[chis[k]]
-                if img is None or img.is_zero():
-                    continue
-                prefix = GhostElement(D, {(pis, mono, chis[:k]): rat(1)})
-                suffix = GhostElement(D, {((), zero_mono, chis[k + 1:]): rat(1)})
-                term = ghost_mul(ghost_mul(prefix, img), suffix)
-                out = out.add(term, scale=val * rat((-1) ** (len(pis) + k)))
+            for k, a in enumerate(chis):
+                img = self.chi_images[a]
+                if img:
+                    _add_product(out, (pis, mono, chis[:k]), img,
+                                 ((), zero_mono, chis[k + 1:]),
+                                 -val_x if k % 2 else val_x)
         return out
 
 
@@ -339,27 +319,23 @@ class GhostComplex:
     # -- construction -----------------------------------------------------
 
     def _install_delta0(self):
-        D = self.D
-        pi_images = [
-            GhostElement(D, {((), m, ()): v for m, v in u.items()})
-            for u in self.system.constraints
-        ]
-        self.deltas[0] = Antiderivation(self, pi_images,
-                                        [None] * self.mp, None)
+        pi_images = [{((), m, ()): v for m, v in u.items()}
+                     for u in self.system.constraints]
+        self.deltas[0] = Antiderivation(pi_images, [{}] * self.mp, [])
 
     def _install_delta1(self):
         D = self.D
         sys = self.system
         x_images = []
         for i in range(D):
-            img = GhostElement(D)
+            img = {}
             for ap, xi in enumerate(sys.fields):
                 for m, v in xi.coeffs[i].items():
-                    img.add_term(((), m, (ap,)), v)
-            x_images.append(img if not img.is_zero() else None)
+                    accumulate(img, ((), m, (ap,)), v)
+            x_images.append(img)
         chi_images = []
         for a in range(self.mp):
-            img = GhostElement(D)
+            img = {}
             for b in range(self.mp):
                 for c in range(self.mp):
                     Cf = sys.structure.get((a, b, c))
@@ -369,20 +345,20 @@ class GhostComplex:
                     if chi is None:
                         continue
                     for m, v in Cf.items():
-                        img.add_term(((), m, chi), rat(-sgn) * v / 2)
-            chi_images.append(img if not img.is_zero() else None)
+                        accumulate(img, ((), m, chi), rat(-sgn) * v / 2)
+            chi_images.append(img)
         pi_images = []
         for a in range(self.m):
-            img = GhostElement(D)
+            img = {}
             for b in range(self.m):
                 for ap in range(self.mp):
                     A = sys.witnesses.get((b, ap, a))
                     if not A:
                         continue
                     for m, v in A.items():
-                        img.add_term(((b,), m, (ap,)), -v)
-            pi_images.append(img if not img.is_zero() else None)
-        self.deltas[1] = Antiderivation(self, pi_images, chi_images, x_images)
+                        accumulate(img, ((b,), m, (ap,)), -v)
+            pi_images.append(img)
+        self.deltas[1] = Antiderivation(pi_images, chi_images, x_images)
 
     # -- generators and identities -----------------------------------------
 
@@ -391,31 +367,30 @@ class GhostComplex:
         zero_mono = (0,) * D
         gens = []
         for a in range(self.m):
-            gens.append(("pi", a, GhostElement(D, {((a,), zero_mono, ()): rat(1)})))
+            gens.append(("pi", a, {((a,), zero_mono, ()): rat(1)}))
         for a in range(self.mp):
-            gens.append(("chi", a, GhostElement(D, {((), zero_mono, (a,)): rat(1)})))
+            gens.append(("chi", a, {((), zero_mono, (a,)): rat(1)}))
         for i in range(D):
-            gens.append(("x", i, GhostElement(D, {((), variable_mono(D, i), ()): rat(1)})))
+            gens.append(("x", i, {((), variable_mono(D, i), ()): rat(1)}))
         return gens
 
     def apply(self, r, elem):
-        if r not in self.deltas:
-            return GhostElement(self.D)
-        return self.deltas[r].apply(elem)
+        return self.deltas[r].apply(elem) if r in self.deltas else {}
 
     def apply_total(self, elem):
-        out = GhostElement(self.D)
-        for r in self.deltas:
-            out = out.add(self.apply(r, elem))
+        out = {}
+        for delta in self.deltas.values():
+            delta.apply(elem, out)
         return out
 
     def anticommutator_sum(self, n, elem):
-        """sum_{r+s=n} delta_r delta_s applied to elem."""
-        out = GhostElement(self.D)
+        """sum_{r+s=n} delta_r delta_s applied to elem, over the installed
+        delta's."""
+        out = {}
         for r in range(n + 1):
             s = n - r
             if r in self.deltas and s in self.deltas:
-                out = out.add(self.apply(r, self.apply(s, elem)))
+                self.deltas[r].apply(self.deltas[s].apply(elem), out)
         return out
 
     def check_tower_identities(self, n_max=None):
@@ -425,7 +400,7 @@ class GhostComplex:
             n_max = 2 * (max(self.deltas) if self.deltas else 1)
         for n in range(n_max + 1):
             for kind, idx, g in self.generators():
-                if not self.anticommutator_sum(n, g).is_zero():
+                if self.anticommutator_sum(n, g):
                     return {"ok": False, "n": n, "generator": (kind, idx)}
         return {"ok": True, "n_max": n_max}
 
@@ -486,32 +461,23 @@ def delta_tower(K, deg_max=8):
     Each generator image is found by a linear solve in the filtered basis of
     the target bidegree with polynomial degree <= deg_max; raises WindowError
     when the budget is exceeded."""
-    from .graded import WindowError
-
     r_max = min(K.mp, K.m + 1)
     for r in range(2, r_max + 1):
         pi_images, chi_images, x_images = [], [], []
         for kind, idx, g in K.generators():
-            obstruction = GhostElement(K.D)
-            for a in range(1, r):
-                b = r - a
-                if a in K.deltas and b in K.deltas:
-                    obstruction = obstruction.add(K.apply(a, K.apply(b, g)))
-            obstruction = obstruction.scaled(rat(-1))
-            if obstruction.is_zero():
-                img = None
-            else:
-                img = _solve_delta0_preimage(K, obstruction, deg_max)
+            # delta_r is not installed yet, so the sum runs over a, b >= 1
+            obstruction = {k: -v for k, v in K.anticommutator_sum(r, g).items()}
+            img = _solve_delta0_preimage(K, obstruction, deg_max)
             if kind == "pi":
                 pi_images.append(img)
             elif kind == "chi":
                 chi_images.append(img)
             else:
                 x_images.append(img)
-        if all(i is None for i in pi_images + chi_images + x_images):
+        if not any(pi_images + chi_images + x_images):
             # tower terminates early; do not install a zero map
             continue
-        K.deltas[r] = Antiderivation(K, pi_images, chi_images, x_images)
+        K.deltas[r] = Antiderivation(pi_images, chi_images, x_images)
     report = K.check_tower_identities()
     if not report["ok"]:
         raise AssertionError(f"tower identities fail: {report}")
@@ -520,33 +486,30 @@ def delta_tower(K, deg_max=8):
 
 def _solve_delta0_preimage(K, obstruction, deg_max):
     """x with delta_0(x) = obstruction, minimal under the deterministic
-    pivot rule, solved per bidegree block."""
+    pivot rule, solved per bidegree block; {} for a zero obstruction."""
     from .graded import WindowError
 
-    out = GhostElement(K.D)
+    out = {}
     by_bideg = {}
-    for (pis, mono, chis), v in obstruction.terms.items():
-        by_bideg.setdefault((len(pis), len(chis)), GhostElement(K.D)).add_term(
-            (pis, mono, chis), v
-        )
+    for key, v in obstruction.items():
+        pis, _, chis = key
+        by_bideg.setdefault((len(pis), len(chis)), {})[key] = v
     for (npi, nchi), block in by_bideg.items():
-        wmax = max(sum(m) for (_, m, _) in block.terms)
+        wmax = max(sum(m) for (_, m, _) in block)
         if wmax > deg_max:
             raise WindowError("obstruction exceeds the polynomial budget")
         src_keys = K.basis(npi + 1, nchi, deg_max)
         tgt_index = _index(K.basis(npi, nchi, deg_max + K.max_step))
         M = _operator_matrix(
-            [K.apply(0, GhostElement(K.D, {k: rat(1)})).terms for k in src_keys],
-            tgt_index,
+            [K.apply(0, {k: rat(1)}) for k in src_keys], tgt_index
         )
-        sol = EchelonSolver(M).solve({tgt_index[k]: v for k, v in block.terms.items()})
+        sol = EchelonSolver(M).solve({tgt_index[k]: v for k, v in block.items()})
         if sol is None:
             raise WindowError(
                 "delta_0-preimage not found within the degree budget"
             )
-        for col, v in sol.items():
-            out.add_term(src_keys[col], v)
-    return out if not out.is_zero() else None
+        out.update((src_keys[col], v) for col, v in sol.items())
+    return out
 
 
 # -- cohomology ----------------------------------------------------------------
@@ -559,7 +522,7 @@ def brs_cohomology(K, n, wmax):
     up to wmax + (the largest degree drop of delta), so that im(delta) cap F_W
     is complete and window boundaries cannot fake classes."""
     return _filtered_cohomology_dim(
-        lambda key: K.apply_total(GhostElement(K.D, {key: rat(1)})).terms,
+        lambda key: K.apply_total({key: rat(1)}),
         K.ghost_basis(n, wmax),
         K.ghost_basis(n + 1, wmax + _max_poly_raise(K)),
         K.ghost_basis(n - 1, wmax + _max_poly_drop(K)),
@@ -594,18 +557,14 @@ def _filtered_cohomology_dim(differential, src, tgt, below):
 
 def _max_poly_raise(K):
     """Largest polynomial-degree increase over all delta components."""
-    raise_ = 0
+    raise_ = K.max_step
     for delta in K.deltas.values():
-        for img_list, is_x in (
-            (delta.pi_images, False), (delta.chi_images, False),
-            (delta.x_images or [], True),
-        ):
-            for img in img_list or []:
-                if img is None:
-                    continue
-                for (_, m, _) in img.terms:
-                    raise_ = max(raise_, sum(m) - (1 if is_x else 0))
-    return max(raise_, K.max_step)
+        for images, shift in ((delta.pi_images, 0), (delta.chi_images, 0),
+                              (delta.x_images, 1)):
+            for img in images:
+                for (_, m, _) in img:
+                    raise_ = max(raise_, sum(m) - shift)
+    return raise_
 
 
 def _max_poly_drop(K):
@@ -613,10 +572,8 @@ def _max_poly_drop(K):
     degree < 1 (constant vector field components) lower the degree."""
     drop = 0
     for delta in K.deltas.values():
-        for img in delta.x_images or []:
-            if img is None:
-                continue
-            for (_, m, _) in img.terms:
+        for img in delta.x_images:
+            for (_, m, _) in img:
                 drop = max(drop, 1 - sum(m))
     return drop
 

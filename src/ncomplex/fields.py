@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 
 try:
@@ -603,35 +602,3 @@ def check_assumptions(q, N, field):
         if field.is_zero(q_int(n, q, field)):
             return "A0"
     return "A1"
-
-
-@dataclass(frozen=True)
-class QContext:
-    """A field together with a deformation parameter and nilpotency order."""
-
-    field: Field
-    q: object
-    N: int
-    assumption_level: str
-
-    @staticmethod
-    def build(field, q, N):
-        return QContext(field, q, N, check_assumptions(q, N, field))
-
-    def require(self, level):
-        order = {"none": 0, "A0": 1, "A1": 2}
-        if order[self.assumption_level] < order[level]:
-            raise ValueError(
-                f"(q, N={self.N}) satisfies {self.assumption_level!r}, "
-                f"but {level!r} is required"
-            )
-
-
-def primitive_qcontext(N, M=None):
-    """Standard context: q = zeta_N in Q(zeta_N) (or zeta_M with M = N by
-    default), which satisfies (A1)."""
-    M = M or N
-    f = make_cyclotomic(M)
-    ctx = QContext.build(f, f.pow(f.zeta(), M // N), N)
-    ctx.require("A1")
-    return ctx

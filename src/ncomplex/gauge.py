@@ -494,9 +494,10 @@ def filtration_f0_dim(C, k):
                 "V": V.dim, "VB": lower.dim,
                 "method": f"sandwich (certificates at level {c})",
             }
+    # the window loop runs only when n_max >= 1, so ``upper`` is the last
+    # certificate above, at level min(2, n_max); it does not depend on L
     for L in range(1, L_max + 1):
         lower = win_dim(L)
-        upper = cert_upper(min(2, C.n_max))
         if lower.dim == upper.dim:
             return V.dim - lower.dim, {
                 "V": V.dim, "VB": lower.dim, "method": f"sandwich (L={L})",

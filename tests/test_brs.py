@@ -8,7 +8,6 @@ from ncomplex import brs
 from ncomplex.brs import (
     Derivation,
     GhostComplex,
-    GhostElement,
     LongitudinalComplex,
     PolyConstraintSystem,
     abelian_system,
@@ -55,22 +54,28 @@ def test_system_validation_rejects_bad_witnesses():
         bad.validate()
 
 
+def test_system_validation_rejects_empty_constraints():
+    D = 2
+    xi = Derivation(D, [poly_const(D, 1), {}])
+    with pytest.raises(ValueError, match="constraints"):
+        PolyConstraintSystem(D, [], [xi], {}, {}).validate()
+
+
 def test_ghost_mul_signs():
-    D = 1
-    pi0 = GhostElement(D, {((0,), (0,), ()): rat(1)})
-    pi1 = GhostElement(D, {((1,), (0,), ()): rat(1)})
-    chi0 = GhostElement(D, {((), (0,), (0,)): rat(1)})
+    pi0 = {((0,), (0,), ()): rat(1)}
+    pi1 = {((1,), (0,), ()): rat(1)}
+    chi0 = {((), (0,), (0,)): rat(1)}
     # pi_0 pi_1 = -pi_1 pi_0
     a = ghost_mul(pi0, pi1)
     b = ghost_mul(pi1, pi0)
-    assert a.add(b).is_zero() and not a.is_zero()
+    assert not poly_add(a, b) and a
     # chi anticommutes with pi: (chi)(pi) = -(pi)(chi) as elements
     ab = ghost_mul(chi0, pi0)
     ba = ghost_mul(pi0, chi0)
-    assert ab.add(ba).is_zero()
+    assert not poly_add(ab, ba)
     # squares vanish
-    assert ghost_mul(pi0, pi0).is_zero()
-    assert ghost_mul(chi0, chi0).is_zero()
+    assert not ghost_mul(pi0, pi0)
+    assert not ghost_mul(chi0, chi0)
 
 
 def leibniz_holds(K, r, gens):
@@ -78,9 +83,8 @@ def leibniz_holds(K, r, gens):
         ab = ghost_mul(g1, g2)
         parity = rat(-1 if k1 in ("pi", "chi") else 1)
         lhs = K.apply(r, ab)
-        rhs = ghost_mul(K.apply(r, g1), g2).add(
-            ghost_mul(g1, K.apply(r, g2)), scale=parity
-        )
+        rhs = poly_add(ghost_mul(K.apply(r, g1), g2),
+                       ghost_mul(g1, K.apply(r, g2)), scale=parity)
         if lhs != rhs:
             return False
     return True
@@ -100,28 +104,26 @@ def test_delta0_squares_and_anticommutator():
         K = GhostComplex(system)
         for n in (0, 1):
             for _, _, g in K.generators():
-                assert K.anticommutator_sum(n, g).is_zero()
+                assert not K.anticommutator_sum(n, g)
 
 
 def test_abelian_tower_trivial():
     K = GhostComplex(abelian_system())
     for _, _, g in K.generators():
-        assert K.anticommutator_sum(2, g).is_zero()
+        assert not K.anticommutator_sum(2, g)
     delta_tower(K)
     assert sorted(K.deltas) == [0, 1]
 
 
 def test_twisted_tower_needs_delta2():
     K = GhostComplex(twisted_nonabelian_system())
-    assert any(
-        not K.anticommutator_sum(2, g).is_zero() for _, _, g in K.generators()
-    )
+    assert any(K.anticommutator_sum(2, g) for _, _, g in K.generators())
     delta_tower(K)
     assert 2 in K.deltas
     assert K.check_tower_identities()["ok"]
     # delta^2 = 0 as a total map on a sample of filtered elements
     for _, _, g in K.generators():
-        assert K.apply_total(K.apply_total(g)).is_zero()
+        assert not K.apply_total(K.apply_total(g))
 
 
 def test_quadratic_toy_structural_termination():
@@ -279,7 +281,7 @@ def test_filtered_cohomology_dim_matches_basis_oracle(system, deg_max):
     L = LongitudinalComplex(S, deg_max + 2 * up)
 
     def ghost_d(key):
-        return K.apply_total(GhostElement(K.D, {key: rat(1)})).terms
+        return K.apply_total({key: rat(1)})
 
     seen = set()
     for n in range(S.m_prime + 1):

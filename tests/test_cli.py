@@ -107,8 +107,23 @@ def test_selftest_single(capsys):
     assert "criterion 13 [PASS]" in capsys.readouterr().out
 
 
-def test_selftest_json_is_one_document(capsys):
-    assert cli.main(["selftest", "--only", "1", "--format", "json"]) == 0
+def _share_criterion_reports(monkeypatch, criterion_report):
+    """Make ``ncx selftest --seed 42`` render the session's seed-42 criterion
+    reports, so each criterion runs once in tier-1."""
+    def shared(number):
+        def crit(seed):
+            assert seed == 42
+            return criterion_report(number)
+        return crit
+
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", [
+        shared(n) for n in range(1, len(acceptance.ALL_CRITERIA) + 1)])
+
+
+def test_selftest_json_is_one_document(monkeypatch, capsys, criterion_report):
+    _share_criterion_reports(monkeypatch, criterion_report)
+    assert cli.main(["selftest", "--seed", "42", "--only", "1",
+                     "--format", "json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["ok"] and [c["number"] for c in report["criteria"]] == [1]
 
@@ -142,14 +157,7 @@ def test_selftest_report_is_pinned(only, monkeypatch, capsys,
     """The pinned sets hold every criterion but 11.  Their reports are the
     session's seed-42 runs that ``tests/test_acceptance.py`` checks, so each
     criterion runs once in tier-1; each must pass within its budget."""
-    def shared(number):
-        def crit(seed):
-            assert seed == 42
-            return criterion_report(number)
-        return crit
-
-    monkeypatch.setattr(acceptance, "ALL_CRITERIA", [
-        shared(n) for n in range(1, len(acceptance.ALL_CRITERIA) + 1)])
+    _share_criterion_reports(monkeypatch, criterion_report)
     assert cli.main(["selftest", "--seed", "42", "--only", only,
                      "--format", "json"]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -206,12 +214,14 @@ _Q = {"kind": "rationals"}
         ("cosimplicial", {}),
         ("gauge-ext", {}),
         ("brs", {}),
+        ("brs", {"D": 2, "constraints": [],
+                 "fields": [[{"0,0": "1"}, {}]], "structure": {}, "witnesses": {}}),
         ("potential", {}),
     ],
     ids=["entry-out-of-bounds", "zero-denominator", "duplicate-entry", "missing-d",
          "not-an-object", "N-not-an-int", "entries-not-a-list", "field-without-kind",
          "ses-empty", "cosimplicial-empty", "gauge-ext-empty", "brs-empty",
-         "potential-empty"],
+         "brs-no-constraints", "potential-empty"],
 )
 def test_malformed_module_exits_2(tmp_path, command, obj):
     """Malformed input JSON is bad input: exit 2 with a message, no traceback."""

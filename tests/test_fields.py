@@ -14,7 +14,6 @@ from ncomplex.fields import (
     QQ,
     STRAIGHT_LINE_DEGREE,
     Field,
-    QContext,
     accumulate,
     check_assumptions,
     cyclotomic_polynomial,
@@ -163,16 +162,6 @@ def test_check_assumptions_levels():
     q = f6.pow(f6.zeta(), 3)
     assert f6.eq(q, f6.neg(f6.one))
     assert check_assumptions(q, 4, f6) == "A0"
-
-
-def test_qcontext():
-    f = make_cyclotomic(3)
-    ctx = QContext.build(f, f.zeta(), 3)
-    assert ctx.assumption_level == "A1"
-    ctx.require("A0")
-    bad = QContext.build(QQ, QQ.one, 3)
-    with pytest.raises(ValueError):
-        bad.require("A1")
 
 
 scalars_q = st.builds(

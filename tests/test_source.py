@@ -1,6 +1,7 @@
 """Properties of the package source itself."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import ncomplex
@@ -103,3 +104,20 @@ def test_no_unused_imports():
         found += [f"{path.name}:{line} {name}"
                   for line, name in _unused_imports(tree)]
     assert not found, f"unused imports in src/ncomplex: {found}"
+
+
+def test_benchmark_tracer_installs():
+    """Every entry point ``perfbench/layers.py`` wraps still exists under its
+    name, so a renamed traced function or method fails in tier-1 as well as
+    in the traced benchmark run; uninstalling puts every original back."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("perfbench_layers", path)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    before = {m.__name__: dict(vars(m)) for m in layers.package_modules()}
+    tracer = layers.Tracer()
+    try:
+        tracer.install()
+    finally:
+        tracer.uninstall()
+    assert {m.__name__: dict(vars(m)) for m in layers.package_modules()} == before
