@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cache
 
 from .fields import QQ, accumulate, rat
 from .linalg import (
@@ -521,8 +522,15 @@ def brs_cohomology(K, n, wmax):
     The kernel only needs images of filtered sources; the image needs sources
     up to wmax + (the largest degree drop of delta), so that im(delta) cap F_W
     is complete and window boundaries cannot fake classes."""
+    return _brs_dim(lambda key: K.apply_total({key: rat(1)}), K, n, wmax)
+
+
+def _brs_dim(image, K, n, wmax):
+    """``brs_cohomology`` with the images of basis keys given by ``image``,
+    which may be shared (and cached) across ghost degrees: the images are
+    only read."""
     return _filtered_cohomology_dim(
-        lambda key: K.apply_total({key: rat(1)}),
+        image,
         K.ghost_basis(n, wmax),
         K.ghost_basis(n + 1, wmax + _max_poly_raise(K)),
         K.ghost_basis(n - 1, wmax + _max_poly_drop(K)),
@@ -745,8 +753,9 @@ def theorem4_verify(system, deg_max, wmax=None):
     L = LongitudinalComplex(system, deg_max + 2 * _max_poly_raise(K))
     details = {}
     ok = True
+    image = cache(lambda key: K.apply_total({key: rat(1)}))
     for n in range(0, system.m_prime + 1):
-        lhs = brs_cohomology(K, n, wmax)
+        lhs = _brs_dim(image, K, n, wmax)
         rhs = L.cohomology_dim(n, wmax)
         details[f"H^{n}(<= {wmax})"] = (lhs, rhs)
         if lhs != rhs:

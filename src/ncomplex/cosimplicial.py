@@ -668,6 +668,14 @@ def omega_q(A, q, N, n_max):
     """Universal q-differential envelope: the smallest d_1-stable subalgebra
     of (T(A), d_1) containing A, computed degreewise by closure.
 
+    Semi-naive closure (Bancilhon and Ramakrishnan, SIGMOD 1986): a pass
+    forms for degree n only the candidates that use a column added since n
+    last closed, d of the new columns of S_(n-1) and P_(a,n-a) of the pairs
+    (i, j) with i or j new, in their full-stack order.  Each dropped one was
+    an earlier candidate, so it lies in span S_n, which leads the stack: the
+    leftmost independent picks, hence the bases, are the full closure's, and
+    a degree with no new candidate is not eliminated.
+
     Returns (complex-with-product, bases) in T(A) coordinates."""
     f = A.field
     if check_assumptions(q, N, f) != "A1":
@@ -676,19 +684,26 @@ def omega_q(A, q, N, n_max):
     D = d1(T, q, N)
     bases = [Subspace.full(A.dim, f)]
     bases += [Subspace.zero(T.dims[n], f) for n in range(1, n_max + 1)]
-    # each pass spans, per degree n, the current basis, d of degree n - 1 and
-    # the products of degrees a + b = n (zero columns are never pivots)
+    # S_k only grows by columns at its end; seen[n][k] counts the columns of
+    # S_k that degree n has closed over
+    seen = [[0] * (n_max + 1) for _ in range(n_max + 1)]
     changed = True
     while changed:
         changed = False
         for n in range(1, n_max + 1):
             S = [B.basis for B in bases]
-            cols = [S[n], D.map(n - 1) @ S[n - 1]] + [
-                T.product(a, n - a) @ kron(S[a], S[n - a]) for a in range(n + 1)
-            ]
-            new = image_basis(reduce(ExactMatrix.hstack, cols))
-            changed = changed or new.dim != bases[n].dim
-            bases[n] = new
+            w, seen[n] = seen[n], [M.ncols for M in S]
+            m = n - 1
+            cols = [D.map(m) @ S[m].take_columns(range(w[m], S[m].ncols))]
+            for a in range(n + 1):
+                b, cb = n - a, S[n - a].ncols
+                pairs = [i * cb + j for i in range(S[a].ncols)
+                         for j in range(w[b] if i < w[a] else 0, cb)]
+                cols.append(T.product(a, b) @ kron(S[a], S[b]).take_columns(pairs))
+            if any(M.ncols for M in cols):
+                new = image_basis(reduce(ExactMatrix.hstack, cols, S[n]))
+                changed = changed or new.dim != bases[n].dim
+                bases[n] = new
     maps = {}
     for n in range(n_max):
         maps[n] = restrict(D.map(n), bases[n], bases[n + 1])

@@ -9,7 +9,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .fields import QQ, R_ZERO, accumulate, rat
+from .fields import QQ, accumulate, rat
 from .graded import GradedNComplex, graded_homology
 from .linalg import EchelonSolver, ExactMatrix, kron, place_blocks, tuple_index
 from .ndiff import exact_at
@@ -130,19 +130,20 @@ class Symmetrizer:
         self.norm = None  # determined empirically on first image
 
     def apply_raw(self, tensor):
-        """Unnormalized symmetrizer."""
+        """Unnormalized symmetrizer, summed on integer numerators."""
+        nums, den = QQ.split(list(tensor.values()))
         mid = {}
-        for t, v in tensor.items():
+        for t, v in zip(tensor, nums):
             for perm in self.row_perms:
                 u = tuple(t[i] for i in perm)
-                mid[u] = mid.get(u, R_ZERO) + v
+                mid[u] = mid.get(u, 0) + v
         out = {}
         for t, v in mid.items():
             if not v:
                 continue
             for perm, sgn in zip(self.col_perms, self.col_signs):
                 accumulate(out, tuple(t[i] for i in perm), v if sgn > 0 else -v)
-        return out
+        return {t: rat(v, den) for t, v in out.items()}
 
     def _normalize_constant(self):
         if self.norm is not None:

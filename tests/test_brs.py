@@ -297,3 +297,32 @@ def test_filtered_cohomology_dim_matches_basis_oracle(system, deg_max):
                 assert brs._filtered_cohomology_dim(*args) == want
                 seen.add(want)
     assert len(seen) > 1
+
+
+# the distinct ghost keys imaged, counted when every ghost degree imaged
+# its keys anew (2,534 and 1,169 calls)
+@pytest.mark.parametrize("system,deg_max,n_keys,details", [
+    (abelian_system, 5, 1834,
+     {"H^0(<= 4)": (1, 1), "H^1(<= 4)": (0, 0), "H^2(<= 4)": (0, 0)}),
+    (twisted_nonabelian_system, 6, 819,
+     {"H^0(<= 4)": (1, 1), "H^1(<= 4)": (1, 1), "H^2(<= 4)": (0, 0)}),
+])
+def test_theorem4_images_each_ghost_key_once(monkeypatch, system, deg_max, n_keys,
+                                             details):
+    """theorem4_verify images every ghost basis key once over all ghost
+    degrees, and its dimensions are those of brs_cohomology per degree."""
+    keys = []
+    apply_total = GhostComplex.apply_total
+
+    def counted(self, elem):
+        keys.extend(elem)
+        return apply_total(self, elem)
+
+    monkeypatch.setattr(GhostComplex, "apply_total", counted)
+    rep = theorem4_verify(system(), deg_max=deg_max, wmax=4)
+    assert rep["details"] == details
+    assert len(keys) == len(set(keys)) == n_keys
+    monkeypatch.undo()
+    K = delta_tower(GhostComplex(system()), deg_max=deg_max)
+    assert [brs_cohomology(K, n, 4) for n in range(3)] == [
+        lhs for lhs, _ in details.values()]

@@ -1,12 +1,22 @@
 import hashlib
 import itertools
 import json
+from functools import reduce
 
 import pytest
 
 from ncomplex.fields import QQ, make_cyclotomic
 from ncomplex.graded import check_graded_q_leibniz, graded_homology
-from ncomplex.linalg import ExactMatrix, index_tuple, tuple_index
+from ncomplex.linalg import (
+    ExactMatrix,
+    Subspace,
+    image_basis,
+    index_tuple,
+    kron,
+    restrict,
+    tuple_index,
+)
+from ncomplex import cosimplicial
 from ncomplex.cosimplicial import (
     AlgebraData,
     BimoduleData,
@@ -19,6 +29,7 @@ from ncomplex.cosimplicial import (
     d1,
     dual_numbers,
     field_algebra,
+    group_algebra_cyclic,
     hochschild,
     matrix_algebra,
     nonabelian_lie2,
@@ -564,3 +575,107 @@ def test_chevalley_eilenberg_maps_match_hand_indexed_digests(case):
     obj = [C.maps[p].to_json() for p in sorted(C.maps)]
     digest = hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
     assert digest == CE_DIGESTS[case]
+
+
+def _full_closure_bases(A, q, N, n_max):
+    """The closure of Omega_q(A) recomputed in full on every pass: per degree
+    n, [S_n | d S_(n-1) | P_(a,n-a) (S_a ox S_(n-a)) for every a], until a
+    pass changes no basis."""
+    f = A.field
+    T = tensor_algebra(A, n_max, check_m_axioms=False)
+    D = d1(T, q, N)
+    bases = [Subspace.full(A.dim, f)]
+    bases += [Subspace.zero(T.dims[n], f) for n in range(1, n_max + 1)]
+    changed = True
+    while changed:
+        changed = False
+        for n in range(1, n_max + 1):
+            S = [B.basis for B in bases]
+            cols = [S[n], D.map(n - 1) @ S[n - 1]] + [
+                T.product(a, n - a) @ kron(S[a], S[n - a]) for a in range(n + 1)
+            ]
+            new = image_basis(reduce(ExactMatrix.hstack, cols))
+            changed = changed or new.dim != bases[n].dim
+            bases[n] = new
+    return D, bases
+
+
+def _omega_q_case(case):
+    f3, f6 = make_cyclotomic(3), make_cyclotomic(6)
+    return {
+        "dual-Q(zeta_3)-N3-7": (dual_numbers(f3), f3.zeta(), 3, 7),
+        "truncated3-Q(zeta_3)-N3-5": (truncated_polynomials(f3, 3), f3.zeta(), 3, 5),
+        "cyclic2-Q(zeta_6)-N6-4": (group_algebra_cyclic(f6, 2), f6.zeta(), 6, 4),
+        "field-Q(zeta_3)-N3-3": (field_algebra(f3), f3.zeta(), 3, 3),
+    }[case]
+
+
+# sha256 of the bases, the restricted d_1 and every P_ab with a + b <= n_max
+# of Omega_q(A), recorded from the closure that recomputed every candidate
+OMEGA_Q_DIGESTS = {
+    "dual-Q(zeta_3)-N3-7":
+        "c629cefbf0117dc9b6b5a45a71b6dc7afc776d8f743d1a35c26687617273af08",
+    "truncated3-Q(zeta_3)-N3-5":
+        "7f4593f2e463e4e462609d8085b0a937178daae401bfd5f1df772d0b347cefb0",
+    "cyclic2-Q(zeta_6)-N6-4":
+        "c6d010ec52dd19d51986c2fdf44ad64de17e0d0e2eef7afe157416a874071a93",
+}
+
+
+@pytest.mark.parametrize("case", sorted(OMEGA_Q_DIGESTS))
+def test_omega_q_matches_full_closure(case):
+    """The semi-naive closure gives the bases and maps of the full
+    recomputation, and the products (functions of the bases alone) pinned
+    from it."""
+    A, q, N, n_max = _omega_q_case(case)
+    C, bases = omega_q(A, q, N, n_max)
+    D, ref = _full_closure_bases(A, q, N, n_max)
+    obj = [B.basis.to_json() for B in bases]
+    assert obj == [B.basis.to_json() for B in ref]
+    obj += [C.maps[n].to_json() for n in range(n_max)]
+    assert obj[n_max + 1:] == [
+        restrict(D.map(n), ref[n], ref[n + 1]).to_json() for n in range(n_max)]
+    obj += [C.product(a, b).to_json()
+            for a in range(n_max + 1) for b in range(n_max + 1 - a)]
+    digest = hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+    assert digest == OMEGA_Q_DIGESTS[case]
+
+
+@pytest.mark.parametrize("case", ["dual-Q(zeta_3)-N3-7", "field-Q(zeta_3)-N3-3",
+                                  "truncated3-Q(zeta_3)-N3-5"])
+def test_omega_q_elimination_counts(monkeypatch, case):
+    """A degree is eliminated exactly when it has a new candidate: d of a
+    column of S_(n-1), or a pair (i, j) of S_a ox S_(n-a) with i or j added
+    since the degree last closed; replayed from the basis sizes that the
+    eliminations return."""
+    A, q, N, n_max = _omega_q_case(case)
+    log = []
+
+    def counted(M):
+        B = image_basis(M)
+        log.append((M.nrows, B.dim))
+        return B
+
+    monkeypatch.setattr(cosimplicial, "image_basis", counted)
+    omega_q(A, q, N, n_max)
+    dims = [A.dim] + [0] * n_max
+    seen = [[0] * (n_max + 1) for _ in range(n_max + 1)]
+    replay, changed = [], True
+    while changed:
+        changed = False
+        for n in range(1, n_max + 1):
+            w, seen[n] = seen[n], list(dims)
+            new = dims[n - 1] - w[n - 1] + sum(
+                dims[a] * dims[n - a] - w[a] * w[n - a] for a in range(n + 1))
+            if new:
+                step = log[len(replay)] if len(replay) < len(log) else None
+                assert step and step[0] == A.dim ** (n + 1), (
+                    f"degree {n} has new candidates but was not eliminated")
+                replay.append(step)
+                changed = changed or step[1] != dims[n]
+                dims[n] = step[1]
+    assert replay == log
+    if case.startswith("field"):
+        # d_1 kills the unit, so S_1 = 0 and degrees 2 and 3 have no
+        # candidate; the full recomputation eliminated all three degrees
+        assert log == [(1, 0)]

@@ -3,12 +3,15 @@ import json
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from ncomplex.fields import rat
+from ncomplex.fields import R_ZERO, accumulate, rat
 from ncomplex.graded import graded_homology
 from ncomplex.young import (
     PolyTensorField,
     SymmetrySpace,
+    Symmetrizer,
     YoungDiagram,
     basis_field,
     differential,
@@ -279,3 +282,56 @@ def test_golden_bases_and_maps(N, D, w_max, basis_sha, maps_sha):
         maps.append([C.maps[p].to_json() for p in sorted(C.maps)])
     assert _sha(bases) == basis_sha
     assert _sha(maps) == maps_sha
+
+
+def _fraction_apply_raw(Y, tensor):
+    """The symmetrizer summed on rationals: row-symmetrize into a middle dict
+    that keeps zero sums, then column-antisymmetrize its nonzero entries."""
+    mid = {}
+    for t, v in tensor.items():
+        for perm in Y.row_perms:
+            u = tuple(t[i] for i in perm)
+            mid[u] = mid.get(u, R_ZERO) + v
+    out = {}
+    for t, v in mid.items():
+        if not v:
+            continue
+        for perm, sgn in zip(Y.col_perms, Y.col_signs):
+            accumulate(out, tuple(t[i] for i in perm), v if sgn > 0 else -v)
+    return out
+
+
+@st.composite
+def symmetrizer_cases(draw):
+    """A small diagram and dimension, and a tensor of rationals over few
+    denominators; with ``cancel``, each entry is paired with minus itself at
+    a row-permuted key, so that middle sums cancel."""
+    rows = draw(st.sampled_from([(1,), (2,), (1, 1), (2, 1), (3,), (1, 1, 1),
+                                 (2, 2), (3, 1), (2, 1, 1)]))
+    D = draw(st.integers(1, 3))
+    p = sum(rows)
+    scalars = st.builds(rat, st.integers(-6, 6).filter(bool), st.integers(1, 6))
+    keys = st.tuples(*[st.integers(0, D - 1)] * p)
+    tensor = draw(st.dictionaries(keys, scalars, max_size=6))
+    Y = Symmetrizer(YoungDiagram(rows), D)
+    if draw(st.booleans()):
+        for t, v in list(tensor.items()):
+            perm = draw(st.sampled_from(Y.row_perms))
+            tensor.setdefault(tuple(t[i] for i in perm), -v)
+    return Y, tensor
+
+
+@given(symmetrizer_cases())
+@example((Symmetrizer(YoungDiagram((2,)), 2), {}))
+@example((Symmetrizer(YoungDiagram((2,)), 2), {(0, 1): rat(1, 3), (1, 0): rat(-1, 3)}))
+@example((Symmetrizer(YoungDiagram((1, 1)), 2), {(1, 1): rat(5, 2)}))
+@example((Symmetrizer(YoungDiagram((2, 1)), 2),
+          {(0, 0, 1): rat(1, 2), (0, 1, 0): rat(1, 2), (1, 0, 0): rat(-1, 3)}))
+@settings(max_examples=150, deadline=None)
+def test_symmetrizer_integer_sums_match_rational_loop(case):
+    """``apply_raw`` sums integer numerators: the same values, the same key
+    order, as the loop over rationals."""
+    Y, tensor = case
+    got, want = Y.apply_raw(tensor), _fraction_apply_raw(Y, tensor)
+    assert list(got.items()) == list(want.items())
+    assert all(v for v in got.values())
