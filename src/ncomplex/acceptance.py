@@ -156,10 +156,7 @@ def criterion_4(seed=42):
         q = f.zeta()
         A = cx.dual_numbers(f)
         E = cx.hochschild(A, cx.BimoduleData.regular(A), 6)
-        C0 = cx.d0(E, q, 3)
-        C1 = cx.d1(E, q, 3)
-        C0.validate()  # d_0^3 = 0 inside the window
-        C1.validate()
+        # certifies d_0^3 = d_1^3 = 0 inside the window (Lemma 5)
         rep = cx.theorem2_verify(E, q, 3, 6)
         details = dict(rep.details)
         details["ordinary"] = {str(k): v for k, v in rep.details["ordinary"].items()}
@@ -268,7 +265,7 @@ def criterion_9(seed=42):
     def run(seed):
         rng = random.Random(f"{seed}:potential")
         for i in range(20):
-            T = young.random_divergence_free(rng, w=2)
+            T = young.random_divergence_free(rng)
             out = young.potential_solve(T, 2)  # raises on failure
             if any(T.values()) and not out["R"]:
                 return False, {"instance": i}, {"T": "empty R"}

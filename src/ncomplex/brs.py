@@ -394,11 +394,11 @@ class GhostComplex:
                 self.deltas[r].apply(self.deltas[s].apply(elem), out)
         return out
 
-    def check_tower_identities(self, n_max=None):
-        """sum_{r+s=n} delta_r delta_s = 0 for all n, on every generator;
-        each sum is an even derivation so generators suffice."""
-        if n_max is None:
-            n_max = 2 * (max(self.deltas) if self.deltas else 1)
+    def check_tower_identities(self):
+        """sum_{r+s=n} delta_r delta_s = 0 for n up to twice the top delta,
+        on every generator; each sum is an even derivation so generators
+        suffice."""
+        n_max = 2 * (max(self.deltas) if self.deltas else 1)
         for n in range(n_max + 1):
             for kind, idx, g in self.generators():
                 if self.anticommutator_sum(n, g):

@@ -49,20 +49,19 @@ def _require_at_least(args, option, lo):
         raise UsageError(f"{flag} must be at least {lo}, got {value}")
 
 
-def emit(report, fmt="text", out=None):
-    out = out if out is not None else sys.stdout
+def emit(report, fmt="text"):
+    """Write the report to stdout; ``csv`` needs a report with a table,
+    which ``main`` makes sure of before the command runs."""
+    out = sys.stdout
     report = {"schema_version": SCHEMA_VERSION, **report}
     if fmt == "json":
         out.write(json.dumps(report, sort_keys=True, default=str) + "\n")
         return
     if fmt == "csv":
-        rows = report.get("table")
-        if rows is None:
-            raise UsageError("this report has no CSV table form")
         header = report.get("table_header")
         if header:
             out.write(",".join(map(str, header)) + "\n")
-        for row in rows:
+        for row in report["table"]:
             out.write(",".join(map(str, row)) + "\n")
         return
     # text: aligned table when present, indented key/value otherwise
@@ -297,7 +296,7 @@ def cmd_potential(args):
         out_data = potential_solve(T, w)
     else:
         rng = random.Random(args.seed)
-        T = random_divergence_free(rng, w=2)
+        T = random_divergence_free(rng)
         out_data = potential_solve(T, 2)
     R_json = {
         ",".join(map(str, key)): {
@@ -427,7 +426,7 @@ def build_parser():
 
     s = add_parser("homology", help="generalized homology of a module")
     s.add_argument("module")
-    s.set_defaults(fn=cmd_homology)
+    s.set_defaults(fn=cmd_homology, table=True)
 
     s = add_parser("multiplicities", help="Jordan multiplicities + formula check")
     s.add_argument("module")
@@ -467,7 +466,7 @@ def build_parser():
     s.add_argument("--D", type=int, required=True)
     s.add_argument("--k", type=int, required=True)
     s.add_argument("--wmax", type=int, default=5)
-    s.set_defaults(fn=cmd_poincare)
+    s.set_defaults(fn=cmd_poincare, table=True)
 
     s = add_parser("spin-seq", help="higher-spin sequence exactness")
     s.add_argument("--S", type=int, required=True)
@@ -510,6 +509,10 @@ def build_parser():
 def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
+    if args.format == "csv" and not getattr(args, "table", False):
+        print(f"ncx: --format csv needs a report with a table (homology, "
+              f"poincare); {args.command} has none", file=sys.stderr)
+        return 2
     try:
         report = args.fn(args)
     except UsageError as exc:

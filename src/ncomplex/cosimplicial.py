@@ -43,8 +43,7 @@ class AlgebraData:
     and there is no unit.
     """
 
-    def __init__(self, field, structure, unit=None, counit=None, lie=False,
-                 check=True):
+    def __init__(self, field, structure, unit=None, counit=None, lie=False):
         self.field = field
         self.dim = len(structure)
         # structure[i][j] = sparse dict k -> c^k_{ij}
@@ -52,8 +51,7 @@ class AlgebraData:
         self.unit = unit
         self.counit = counit
         self.lie = lie
-        if check:
-            self.validate()
+        self.validate()
 
     def mul_basis(self, i, j):
         return self.structure[i][j]
@@ -264,13 +262,12 @@ class BimoduleData:
     """Bimodule over an associative algebra: left/right action matrices per
     algebra basis element."""
 
-    def __init__(self, algebra, dim, left, right, check=True):
+    def __init__(self, algebra, dim, left, right):
         self.algebra = algebra
         self.dim = dim
         self.left = left    # list of ExactMatrix, one per algebra basis index
         self.right = right
-        if check:
-            self.validate()
+        self.validate()
 
     def validate(self):
         A = self.algebra
@@ -330,16 +327,14 @@ class CosimplicialData:
     optional ``product`` maps a pair of levels (a, b) to the matrix
     E^a ox E^b -> E^(a+b) in the ``kron`` layout."""
 
-    def __init__(self, field, dims, cofaces, codegens=None, check=True,
-                 product=None):
+    def __init__(self, field, dims, cofaces, codegens=None, product=None):
         self.field = field
         self.dims = list(dims)
         self.n_max = len(dims) - 1
         self.cofaces = cofaces      # cofaces[n][i]
         self.codegens = codegens    # codegens[n][i]: E^(n+1) -> E^n
         self.product = product
-        if check:
-            self.validate_relations()
+        self.validate_relations()
 
     def validate_relations(self):
         for n in range(self.n_max):
@@ -443,12 +438,12 @@ def _weighted_coface_complex(E, q, N, last_sign):
     )
 
 
-def normalized_subcomplex(E, compare_cohomology=True):
+def normalized_subcomplex(E):
     """Restriction of the simplicial differential to cap_i ker s_i.
 
     Returns (complex, level_bases).  Validates that d preserves the
-    normalized part and (optionally) that the inclusion is a cohomology
-    isomorphism degreewise inside the window."""
+    normalized part and that the inclusion is a cohomology isomorphism
+    degreewise inside the window."""
     if E.codegens is None:
         raise ValueError("normalization needs codegeneracies")
     f = E.field
@@ -468,15 +463,14 @@ def normalized_subcomplex(E, compare_cohomology=True):
         2, f, {n: bases[n].dim for n in range(E.n_max + 1)}, maps,
         truncated_above=True,
     )
-    if compare_cohomology:
-        Hf = graded_homology(full, ms=[1])
-        Hs = graded_homology(sub, ms=[1])
-        for n in range(E.n_max):
-            if Hf.valid(n, 1) and Hs.valid(n, 1):
-                if Hf[(n, 1)].dim_H != Hs[(n, 1)].dim_H:
-                    raise AssertionError(
-                        f"normalization changed cohomology at degree {n}"
-                    )
+    Hf = graded_homology(full, ms=[1])
+    Hs = graded_homology(sub, ms=[1])
+    for n in range(E.n_max):
+        if Hf.valid(n, 1) and Hs.valid(n, 1):
+            if Hf[(n, 1)].dim_H != Hs[(n, 1)].dim_H:
+                raise AssertionError(
+                    f"normalization changed cohomology at degree {n}"
+                )
     return sub, bases
 
 
@@ -582,11 +576,13 @@ def chevalley_eilenberg(g, rep_mats, rep_dim, p_max):
 # -- tensor algebra and envelopes ---------------------------------------------
 
 
-def tensor_algebra(A, n_max, check_m_axioms=True, check_relations=True):
+def tensor_algebra(A, n_max):
     """T^n(A) = A^(ox (n+1)) with unit-insertion cofaces, multiplication
     codegeneracies and the concatenate-with-middle-product algebra structure:
     P_ab = I ox mu ox I multiplies the last factor of T^a by the first of
-    T^b, built per pair (a, b) on first request."""
+    T^b, built per pair (a, b) on first request.  Every call validates the
+    cosimplicial relations (F), (S), (SF) on all levels and the
+    multiplicative axioms (MF1), (MF2), (MS) up to level min(n_max, 3)."""
     f = A.field
     a = A.dim
     dims = [a ** (n + 1) for n in range(n_max + 1)]
@@ -608,10 +604,8 @@ def tensor_algebra(A, n_max, check_m_axioms=True, check_relations=True):
     def product(a_deg, b_deg):
         return kron(one(a**a_deg), kron(mu, one(a**b_deg)))
 
-    E = CosimplicialData(f, dims, cofaces, codegens, check=check_relations,
-                         product=product)
-    if check_m_axioms:
-        _check_multiplicative_axioms(E, min(n_max, 3))
+    E = CosimplicialData(f, dims, cofaces, codegens, product=product)
+    _check_multiplicative_axioms(E, min(n_max, 3))
     return E
 
 
@@ -656,8 +650,8 @@ def universal_envelope(A, n_max):
     """Omega(A): normalized subcomplex of T(A) with its inherited product.
 
     Returns (complex-with-product, bases)."""
-    T = tensor_algebra(A, n_max, check_m_axioms=False)
-    sub, bases = normalized_subcomplex(T, compare_cohomology=False)
+    T = tensor_algebra(A, n_max)
+    sub, bases = normalized_subcomplex(T)
     sub.product = _product_in_bases(
         T, bases, "normalized part is not closed under the product"
     )
@@ -676,13 +670,19 @@ def omega_q(A, q, N, n_max):
     leftmost independent picks, hence the bases, are the full closure's, and
     a degree with no new candidate is not eliminated.
 
-    Returns (complex-with-product, bases) in T(A) coordinates."""
-    f = A.field
-    if check_assumptions(q, N, f) != "A1":
+    T(A) is built by ``tensor_algebra``, so its relations and multiplicative
+    axioms are validated.  Returns (complex-with-product, bases) in T(A)
+    coordinates."""
+    if check_assumptions(q, N, A.field) != "A1":
         raise ValueError("(A1) required")
-    T = tensor_algebra(A, n_max, check_m_axioms=False)
-    D = d1(T, q, N)
-    bases = [Subspace.full(A.dim, f)]
+    T = tensor_algebra(A, n_max)
+    return _omega_q_closure(T, d1(T, q, N))
+
+
+def _omega_q_closure(T, D):
+    """The body of ``omega_q`` on a built T(A) and its d_1 = D."""
+    f, n_max = T.field, T.n_max
+    bases = [Subspace.full(T.dims[0], f)]
     bases += [Subspace.zero(T.dims[n], f) for n in range(1, n_max + 1)]
     # S_k only grows by columns at its end; seen[n][k] counts the columns of
     # S_k that degree n has closed over
@@ -713,7 +713,7 @@ def omega_q(A, q, N, n_max):
         T, bases, "closure failed to be multiplicatively stable"
     )
     C = GradedNComplex(
-        N, f, {n: bases[n].dim for n in range(n_max + 1)}, maps,
+        D.N, f, {n: bases[n].dim for n in range(n_max + 1)}, maps,
         truncated_above=True, product=prod,
     )
     return C, bases
@@ -755,7 +755,9 @@ def ordinary_cohomology_dims(E, window):
 
 def theorem2_verify(E, q, N, window):
     """Check the placement pattern of the generalized cohomologies of
-    (E, d_0) and (E, d_1) against the ordinary cohomology of E."""
+    (E, d_0) and (E, d_1) against the ordinary cohomology of E.  Building
+    d_0 and d_1 certifies d_0^N = d_1^N = 0 inside the window (Lemma 5):
+    each ``GradedNComplex`` validates on construction."""
     f = E.field
     if check_assumptions(q, N, f) != "A1":
         raise ValueError("(A1) required")
@@ -816,33 +818,27 @@ def theorem2_verify(E, q, N, window):
 
 def prop7_verify(A, q, N, window):
     """H^n_(k)(T(A), d_1) = 0 for 1 <= n <= window with H^0_(k) = k, and the
-    same for Omega_q(A)."""
-    n_max = window + N - 1
-    T = tensor_algebra(A, n_max, check_m_axioms=False, check_relations=False)
-    C1 = d1(T, q, N)
-    H = graded_homology(C1)
+    same for Omega_q(A).  One validated T(A) and one d_1 serve both sides:
+    Omega_q(A) is closed inside them."""
+    T = tensor_algebra(A, window + N - 1)
+    D = d1(T, q, N)
     details = {"T": {}, "Omega_q": {}}
-    ok = True
-    for k in range(1, N):
-        for n in range(0, window + 1):
-            if not H.valid(n, k):
-                raise ValueError(f"window too small for H^{n}_({k})")
-            got = H[(n, k)].dim_H
-            details["T"][f"H^{n}_({k})"] = got
-            want = 1 if n == 0 else 0
-            if got != want:
-                ok = False
-    Oq, _ = omega_q(A, q, N, n_max)
-    HO = graded_homology(Oq)
-    for k in range(1, N):
-        for n in range(0, window + 1):
-            if not HO.valid(n, k):
-                raise ValueError(f"window too small for Omega_q H^{n}_({k})")
-            got = HO[(n, k)].dim_H
-            details["Omega_q"][f"H^{n}_({k})"] = got
-            want = 1 if n == 0 else 0
-            if got != want:
-                ok = False
+
+    def acyclic(C, side, what):
+        H, good = graded_homology(C), True
+        for k in range(1, N):
+            for n in range(0, window + 1):
+                if not H.valid(n, k):
+                    raise ValueError(f"window too small for {what}H^{n}_({k})")
+                got = details[side][f"H^{n}_({k})"] = H[(n, k)].dim_H
+                good = good and got == (1 if n == 0 else 0)
+        return good
+
+    ok = acyclic(D, "T", "")
+    if check_assumptions(q, N, A.field) != "A1":
+        raise ValueError("(A1) required")
+    Oq, _ = _omega_q_closure(T, D)
+    ok = acyclic(Oq, "Omega_q", "Omega_q ") and ok
     return TheoremReport(ok, details)
 
 

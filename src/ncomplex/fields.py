@@ -388,9 +388,6 @@ class Field:
             return tuple(out)
         return _canonical(out)
 
-    def eq(self, a, b):
-        return a == b
-
     def inv(self, a):
         if self.kind == "rationals":
             if not a:

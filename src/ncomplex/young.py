@@ -618,17 +618,17 @@ def divergence(T, D=3):
     return out
 
 
-def random_divergence_free(rng, w=2):
+def random_divergence_free(rng):
     """T^(mu nu) = eps^(mu a b) eps^(nu c d) d_a d_c h_(b d) for a random
-    symmetric h with homogeneous entries of degree w + 2; divergence-free and
-    symmetric by construction."""
+    symmetric h with homogeneous entries of degree 4, so T has degree 2;
+    divergence-free and symmetric by construction."""
     D = 3
     eps = _epsilon3()
     h = {}
     for b in range(D):
         for d in range(b, D):
             poly = {}
-            for mono in monomials(D, w + 2):
+            for mono in monomials(D, 4):
                 c = rng.randint(-3, 3)
                 if c:
                     poly[mono] = rat(c)

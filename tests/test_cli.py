@@ -91,6 +91,31 @@ def test_poincare_csv(capsys):
     assert out.splitlines()[0] == "w,p,dim_H"
 
 
+@pytest.mark.parametrize("argv", [
+    ["multiplicities", "mod.json"], ["hexagon", "mod.json"],
+    ["ses", "ses.json"], ["cosimplicial", "alg.json"],
+    ["theorem2", "alg.json"], ["prop7", "alg.json"], ["spin-seq", "--S", "1"],
+    ["potential"], ["brs", "--example", "abelian"],
+    ["gauge-ext", "--suite", "random"], ["spin-example"], ["selftest"],
+])
+def test_csv_without_table_exits_2(argv, monkeypatch, tmp_path, capsys):
+    """Only homology and poincare carry a table; any other command asked
+    for CSV is refused before it runs, so a failing one writes no witness."""
+    monkeypatch.chdir(tmp_path)
+    ran = []
+
+    def handler(args):
+        ran.append(args.command)
+        raise cli.MathFailure({"ok": False})
+
+    monkeypatch.setattr(cli, "cmd_" + argv[0].replace("-", "_"), handler)
+    assert cli.main(argv + ["--format", "csv"]) == 2
+    out, err = capsys.readouterr()
+    assert not ran and out == ""
+    assert err.count("\n") == 1 and err.startswith("ncx: --format csv")
+    assert not list(tmp_path.iterdir())
+
+
 def test_spin_example(capsys):
     assert cli.main(["spin-example", "--spin", "1"]) == 0
     assert cli.main(

@@ -218,7 +218,7 @@ def test_envelope_degree_zero_differential():
     # Prop 5 sanity: on degree 0 the restricted differential is the universal
     # one, i.e. d(x) = 1 ox x - x ox 1 inside T(A)
     A = dual_numbers(QQ)
-    T = tensor_algebra(A, 3, check_m_axioms=False)
+    T = tensor_algebra(A, 3)
     omega, bases = universal_envelope(A, 3)
     S = simplicial_differential(T)
     f = QQ
@@ -239,7 +239,7 @@ def test_envelope_graded_leibniz():
 def test_lemma7_qleibniz_on_tensor_algebra():
     f = make_cyclotomic(3)
     A = dual_numbers(f)
-    T = tensor_algebra(A, 4, check_m_axioms=False)
+    T = tensor_algebra(A, 4)
     C = d1(T, f.zeta(), 3)
     C.product = T.product
     assert check_graded_q_leibniz(C, f.zeta())
@@ -311,6 +311,20 @@ def test_prop7_trivial_and_dual():
     assert prop7_verify(dual_numbers(f), f.zeta(), 3, 4).ok
 
 
+def test_prop7_builds_one_tensor_algebra_and_one_d1(monkeypatch):
+    """Omega_q(A) is closed inside the validated T(A) and the d_1 whose
+    homology the T side reads: one of each per call."""
+    calls = {"tensor_algebra": 0, "d1": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(cosimplicial, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(cosimplicial, name, counted)
+    f = make_cyclotomic(3)
+    assert prop7_verify(dual_numbers(f), f.zeta(), 3, 3).ok
+    assert calls == {"tensor_algebra": 1, "d1": 1}
+
+
 def test_q_leibniz_fails_on_tensor_square_at_n3():
     # the negative statement: for two graded q-differential algebras at N=3
     # the tensor differential violates the q-Leibniz rule on a concrete pair
@@ -358,7 +372,7 @@ def test_structure_maps_match_hand_indexed_digests(case):
     if builder == "hochschild":
         E = hochschild(A, BimoduleData.regular(A), n_max)
     else:
-        E = tensor_algebra(A, n_max, check_m_axioms=False)
+        E = tensor_algebra(A, n_max)
     mats = [M for level in E.cofaces + E.codegens for M in level]
     digest = hashlib.sha256(
         json.dumps([M.to_json() for M in mats], sort_keys=True).encode()
@@ -393,7 +407,7 @@ def test_multiplicative_axiom_failure_names_the_law(maps, n, i, message):
     # recorded from the per-basis-pair checks: where several laws fail on
     # the first failing pair, the first of MF1 (by i), MF2, MS (by i) is named
     f = QQ
-    T = tensor_algebra(dual_numbers(f), 4, check_m_axioms=False)
+    T = tensor_algebra(dual_numbers(f), 4)
     _check_multiplicative_axioms(T, 3)
     level = getattr(T, maps)[n]
     level[i] = level[i].scale(f.from_rat(2))
@@ -437,7 +451,7 @@ def _assert_product_columns(C, vector_product, n_max):
 def test_tensor_algebra_product_matches_vector_product(make):
     A = make()
     n_max = 3 if A.dim == 2 else 2
-    T = tensor_algebra(A, n_max, check_m_axioms=False)
+    T = tensor_algebra(A, n_max)
     _assert_product_columns(
         T, lambda a, va, b, vb: _vector_tensor_product(A, a, va, b, vb), n_max)
 
@@ -582,7 +596,7 @@ def _full_closure_bases(A, q, N, n_max):
     n, [S_n | d S_(n-1) | P_(a,n-a) (S_a ox S_(n-a)) for every a], until a
     pass changes no basis."""
     f = A.field
-    T = tensor_algebra(A, n_max, check_m_axioms=False)
+    T = tensor_algebra(A, n_max)
     D = d1(T, q, N)
     bases = [Subspace.full(A.dim, f)]
     bases += [Subspace.zero(T.dims[n], f) for n in range(1, n_max + 1)]

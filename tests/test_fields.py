@@ -72,7 +72,7 @@ def test_cyclotomic_structure(M):
     # Phi_M divides x^M - 1 exactly: check by residue arithmetic
     f = make_cyclotomic(M)
     z = f.zeta()
-    assert f.eq(f.pow(z, M), f.one)
+    assert f.pow(z, M) == f.one
 
 
 def test_scalar_arithmetic_cyclotomic():
@@ -84,17 +84,17 @@ def test_scalar_arithmetic_cyclotomic():
         s = f.add(s, f.pow(z, k))
     assert f.is_zero(s)
     a = f.add(f.mul(z, z), f.from_rat(3, 7))
-    assert f.eq(f.mul(a, f.inv(a)), f.one)
+    assert f.mul(a, f.inv(a)) == f.one
 
 
 def test_conjugation():
     f = make_cyclotomic(4)
     i = f.zeta()
-    assert f.eq(f.conj(i), f.neg(i))
+    assert f.conj(i) == f.neg(i)
     a = f.add(f.from_rat(2), i)
     # a * conj(a) = |a|^2 = 5 is rational
     sq = f.mul(a, f.conj(a))
-    assert f.eq(sq, f.from_rat(5))
+    assert sq == f.from_rat(5)
 
 
 def test_scalar_strings_roundtrip():
@@ -125,7 +125,7 @@ def test_q_int_inverse_identity():
     for n in range(8):
         lhs = q_int(n, qi, f)
         rhs = f.mul(f.pow(q, -(n - 1)) if n >= 1 else f.pow(qi, n - 1), q_int(n, q, f))
-        assert f.eq(lhs, rhs)
+        assert lhs == rhs
 
 
 def test_q_binomial_classical():
@@ -140,8 +140,8 @@ def test_q_binomial_base_cases():
     f = make_cyclotomic(5)
     q = f.zeta()
     for n in range(7):
-        assert f.eq(q_binomial(n, 0, q, f), f.one)
-        assert f.eq(q_binomial(n, n, q, f), f.one)
+        assert q_binomial(n, 0, q, f) == f.one
+        assert q_binomial(n, n, q, f) == f.one
 
 
 @pytest.mark.parametrize("N", range(2, 13))
@@ -160,7 +160,7 @@ def test_check_assumptions_levels():
     # q = -1 = zeta_6^3, N = 4: [4]_{-1} = 0 but [2]_{-1} = 0
     f6 = make_cyclotomic(6)
     q = f6.pow(f6.zeta(), 3)
-    assert f6.eq(q, f6.neg(f6.one))
+    assert q == f6.neg(f6.one)
     assert check_assumptions(q, 4, f6) == "A0"
 
 
@@ -175,11 +175,11 @@ scalars_q = st.builds(
 @settings(max_examples=60, deadline=None)
 def test_field_axioms_rationals(a, b, c):
     f = QQ
-    assert f.eq(f.add(f.add(a, b), c), f.add(a, f.add(b, c)))
-    assert f.eq(f.mul(f.mul(a, b), c), f.mul(a, f.mul(b, c)))
-    assert f.eq(f.mul(a, f.add(b, c)), f.add(f.mul(a, b), f.mul(a, c)))
+    assert f.add(f.add(a, b), c) == f.add(a, f.add(b, c))
+    assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
+    assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
     if not f.is_zero(a):
-        assert f.eq(f.mul(a, f.inv(a)), f.one)
+        assert f.mul(a, f.inv(a)) == f.one
 
 
 small_ints = st.integers(min_value=-6, max_value=6)
@@ -191,10 +191,10 @@ def test_field_axioms_cyclotomic(coeffs):
     f = make_cyclotomic(9)  # degree 6
     a = f.from_coeffs(coeffs[: f.degree])
     b = f.add(f.pow(f.zeta(), 2), f.from_rat(1, 2))
-    assert f.eq(f.mul(a, b), f.mul(b, a))
-    assert f.eq(f.mul(f.add(a, b), b), f.add(f.mul(a, b), f.mul(b, b)))
+    assert f.mul(a, b) == f.mul(b, a)
+    assert f.mul(f.add(a, b), b) == f.add(f.mul(a, b), f.mul(b, b))
     if not f.is_zero(a):
-        assert f.eq(f.mul(a, f.inv(a)), f.one)
+        assert f.mul(a, f.inv(a)) == f.one
 
 
 def test_field_json_roundtrip():

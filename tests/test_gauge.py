@@ -73,7 +73,7 @@ def test_extend_trivial_cases():
     G = GaugeInstance(3, A, Subspace.full(3, f), f.zeta())
     ext = extend(G)
     assert ext.Q.dim == 3
-    assert theorem5_verify(G, ext)["ok"]
+    assert theorem5_verify(G)["ok"]
     # H_I = 0, A = 0
     G2 = GaugeInstance(3, A, Subspace.zero(3, f), f.zeta())
     assert theorem5_verify(G2)["ok"]
@@ -182,6 +182,29 @@ def test_theorem6_z2():
     for k, entry in rep["per_k"].items():
         assert entry["F0"] == entry["H_(k)(HI,A)"] == 1
         assert entry["F0_at_window+1"] == entry["F0"]
+
+
+def test_theorem6_builds_each_window_once(monkeypatch):
+    """Windows N + k + 1 and N + (k + 1) coincide: at N = 3 the windows 4, 5
+    and 6 are built once each, and the report is the one of four builds."""
+    windows = []
+    init = GaugeCochains.__init__
+
+    def counted(self, U, action, G, n_max):
+        windows.append(n_max)
+        init(self, U, action, G, n_max)
+
+    monkeypatch.setattr(GaugeCochains, "__init__", counted)
+    f, U, act, G = synthetic_setup()
+    rep = theorem6_verify(U, act, G)
+    assert windows == [4, 5, 6]
+    assert rep["per_k"] == {
+        1: {"F0": 1, "H_(k)(HI,A)": 1, "window": 4, "method": "A^P = 0",
+            "F0_at_window+1": 1},
+        2: {"F0": 1, "H_(k)(HI,A)": 1, "window": 5,
+            "method": "sandwich (certificates at level 2)",
+            "F0_at_window+1": 1},
+    }
 
 
 def test_theorem6_synthetic():
@@ -303,7 +326,7 @@ def test_lemma13_universal_extension():
             })
             assert G.HI.contains(alpha.apply(col))
         for b in G.HI.basis.columns():
-            vec = C.embed_level0(alpha.apply(b))
+            vec = alpha.apply(b)
             for n in range(1, C.N):
                 vec = C.d.apply(vec)
                 # the forced extension is well-defined iff these vanish

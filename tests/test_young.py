@@ -190,7 +190,7 @@ def test_nonassociativity_witness_n3():
 
 def test_divergence_free_generator():
     rng = random.Random(3)
-    T = random_divergence_free(rng, w=2)
+    T = random_divergence_free(rng)
     assert any(T.values())
     assert all(not p for p in divergence(T))
     for (m, n), poly in T.items():
@@ -201,7 +201,7 @@ def test_divergence_free_generator():
 def test_potential_solve_roundtrip():
     rng = random.Random(11)
     for _ in range(3):
-        T = random_divergence_free(rng, w=2)
+        T = random_divergence_free(rng)
         out = potential_solve(T, 2)  # raises on any exactness failure
         assert out["R"]
 
