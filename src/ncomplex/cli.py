@@ -409,20 +409,20 @@ def cmd_selftest(args):
 
 
 def build_parser():
+    # subparsers leave --format unset unless given: one before the command holds
+    formats = ("text", "json", "csv")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=("text", "json", "csv"), default="text"
-    )
+    common.add_argument("--format", choices=formats, default=argparse.SUPPRESS)
     ap = argparse.ArgumentParser(
         prog="ncx",
         description="Exact verification workbench for N-complexes",
-        parents=[common],
     )
+    ap.add_argument("--format", choices=formats, default="text")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add_parser(name, **kw):
         return sub.add_parser(name, parents=[common], **kw)
-    
+
 
     s = add_parser("homology", help="generalized homology of a module")
     s.add_argument("module")

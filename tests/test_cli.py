@@ -91,6 +91,31 @@ def test_poincare_csv(capsys):
     assert out.splitlines()[0] == "w,p,dim_H"
 
 
+def _place_format(fmt, placement, argv):
+    return ["--format", fmt] + argv if placement == "before" else argv + ["--format", fmt]
+
+
+@pytest.mark.parametrize("placement", ["before", "after"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_format_holds_before_and_after_the_command(fmt, placement, module_file,
+                                                   capsys):
+    """``--format`` is honoured on either side of the command: homology
+    prints the asked format, and multiplicities, which has no table, prints
+    JSON or refuses CSV with exit 2."""
+    assert cli.main(_place_format(fmt, placement, ["homology", module_file])) == 0
+    out = capsys.readouterr().out
+    if fmt == "json":
+        assert json.loads(out)["command"] == "homology"
+    else:
+        assert out.splitlines()[0] == "m,dim_Z,dim_B,dim_H"
+    code = cli.main(_place_format(fmt, placement, ["multiplicities", module_file]))
+    out, err = capsys.readouterr()
+    if fmt == "json":
+        assert code == 0 and json.loads(out)["command"] == "multiplicities"
+    else:
+        assert code == 2 and out == "" and err.startswith("ncx: --format csv")
+
+
 @pytest.mark.parametrize("argv", [
     ["multiplicities", "mod.json"], ["hexagon", "mod.json"],
     ["ses", "ses.json"], ["cosimplicial", "alg.json"],

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from ncomplex import gauge
 from ncomplex.cosimplicial import group_algebra_cyclic, truncated_polynomials
 from ncomplex.fields import QQ, make_cyclotomic
 from ncomplex.gauge import (
@@ -21,7 +22,8 @@ from ncomplex.gauge import (
     two_particle_study,
     wznw_shaped_instance,
 )
-from ncomplex.linalg import ExactMatrix, Subspace, image_basis
+from ncomplex.graded import GradedNComplex, graded_homology
+from ncomplex.linalg import ExactMatrix, Subspace, image_basis, quotient_maps
 
 
 def z2_setup(N=3):
@@ -80,7 +82,8 @@ def test_extend_trivial_cases():
 
 
 def test_extend_validates_structure():
-    # extend() internally asserts Ad = q^2 dA, Q^N = 0 and Lemma 12
+    # extend() certifies A d = q^2 d A, A^N = 0 and Lemma 12 at level 0, and
+    # Q^N = 0 by the image chain
     rng = random.Random(0)
     f = make_cyclotomic(6)
     for _ in range(5):
@@ -90,13 +93,95 @@ def test_extend_validates_structure():
 
 def test_extend_rejects_non_nilpotent_a():
     # A = E_11 commutes with d as A d = q^2 d A demands, but A^3 != 0; the
-    # block certificate (G.A^N and Abar^N) must still catch it.
+    # level-0 certificate G.A^N = 0 must still catch it.
     f = make_cyclotomic(6)
     A = ExactMatrix(2, 2, f, {(1, 1): f.one})
     HI = image_basis(ExactMatrix.from_columns([{0: f.one}], 2, f))
     G = GaugeInstance(3, A, HI, f.zeta(), check=False)
     with pytest.raises(AssertionError, match=r"A\^N != 0 on H-bullet"):
         extend(G)
+
+
+def _extend_oracle(G, ext):
+    """The full-size checks that ``extend`` replaced by level-0 certificates:
+    A d = q^2 d A and A^N = 0 on H-bullet, and Lemma 12 by the graded
+    homology of d, whose H^0 representatives lie in H_I.  Only the slot that
+    is read builds its quotient."""
+    f, N = G.field, G.N
+    assert ext.A @ ext.d == (ext.d @ ext.A).scale(f.mul(G.q, G.q))
+    assert ext.A.power(N).is_zero()
+    identity = ExactMatrix.identity(ext.proj.nrows, f)
+    maps = {0: ext.proj, **{n: identity for n in range(1, N - 1)}}
+    H = graded_homology(GradedNComplex(N, f, dict(enumerate(ext.dims)), maps))
+    for (n, k), slot in H.slots.items():
+        assert slot.dim_H == (G.HI.dim if n == 0 else 0), (n, k)
+    reps = H.slots[(0, 1)].representatives
+    assert all(G.HI.contains(col) for col in reps.columns())
+    read = [nm for nm, s in H.slots.items() if "quotient" in vars(s)]
+    assert read == [(0, 1)] and len(H.slots) > 1
+
+
+def _oracle_instances():
+    rng = random.Random("42:gauge:0")  # criterion 11's instance 0
+    N = rng.choice((3, 4, 5))
+    yield random_gauge_instance(make_cyclotomic(2 * N), N, rng, hmax=20)
+    rng = random.Random(11)
+    for _ in range(9):
+        N = rng.choice((3, 4, 5))
+        yield random_gauge_instance(make_cyclotomic(2 * N), N, rng, hmax=12)
+    f = make_cyclotomic(6)
+    for HI in (Subspace.full(3, f), Subspace.zero(3, f)):
+        yield GaugeInstance(3, ExactMatrix.zeros(3, 3, f), HI, f.zeta())
+
+
+def test_extend_certificates_match_the_full_size_oracle():
+    for G in _oracle_instances():
+        _extend_oracle(G, extend(G))
+
+
+def _proper_hi_instance():
+    """A random instance with 0 < dim H_I < dim H."""
+    rng = random.Random(3)
+    f = make_cyclotomic(6)
+    while True:
+        G = random_gauge_instance(f, 3, rng, hmax=8)
+        if 0 < G.HI.dim < G.dim:
+            return G
+
+
+def test_extend_rejects_a_projection_off_the_quotient(monkeypatch):
+    """Moving any one column of proj off the class of its unit vector breaks
+    proj sect = I or proj H_I = 0, so the Lemma-12 certificate fails."""
+    G = _proper_hi_instance()
+    f = G.field
+    proj, sect = quotient_maps(G.HI)
+    for j in range(G.dim):
+        bad = proj + ExactMatrix(proj.nrows, proj.ncols, f, {(0, j): f.one})
+        monkeypatch.setattr(gauge, "quotient_maps", lambda S: (bad, sect))
+        with pytest.raises(AssertionError, match="Lemma 12 fails"):
+            extend(G)
+    extra_row = proj.vstack(ExactMatrix.zeros(1, proj.ncols, f))
+    monkeypatch.setattr(gauge, "quotient_maps", lambda S: (extra_row, sect))
+    with pytest.raises(AssertionError, match="Lemma 12 fails"):
+        extend(G)
+
+
+def test_extend_rejects_an_unstable_hi():
+    """With ``check=False`` an H_I that A moves out of itself reaches
+    ``extend``; Abar proj = proj G.A fails on it."""
+    f = make_cyclotomic(6)
+    S = ExactMatrix.from_rows([[f.zero, f.one], [f.zero, f.zero]], f)
+    bad = Subspace(2, ExactMatrix.from_columns([{1: f.one}], 2, f))
+    cases = [GaugeInstance(3, S, bad, f.zeta(), check=False)]
+    G = _proper_hi_instance()
+    for i in range(G.dim):
+        line = image_basis(ExactMatrix.from_columns([{i: f.one}], G.dim, f))
+        if not line.contains(G.A.apply({i: f.one})):
+            cases.append(GaugeInstance(3, G.A, line, G.q, check=False))
+    assert len(cases) > 1
+    for G in cases:
+        with pytest.raises(AssertionError, match=r"A d - q\^2 d A != 0 on H-bullet"):
+            extend(G)
 
 
 def test_theorem5_random_small():
@@ -140,6 +225,58 @@ def test_gauge_cochains_rejects_a_non_action():
         GaugeCochains(U, [flip, flip], G, 3)
     with pytest.raises(ValueError, match="left action fails"):
         GaugeCochains(U, [act[0], flip.scale(f.from_rat(2))], G, 3)
+
+
+def _cochains_oracle(C):
+    """The full-size checks that ``GaugeCochains`` replaced by certificates
+    on H: A d = q^2 d A and A^N = 0 on the window, and Q^N = 0 on the
+    sources whose N-step images stay inside it (in fact on all of them)."""
+    N = C.N
+    assert C.A @ C.d == (C.d @ C.A).scale(C.q2)
+    assert C.A.power(N).is_zero()
+    top = C.offsets[max(0, C.n_max - N + 1)]
+    QN = C.Q.power(N)
+    assert not any(c < top for (_, c) in QN.entries)
+    assert QN.is_zero()
+
+
+@pytest.mark.parametrize("setup", [z2_setup, synthetic_setup])
+@pytest.mark.parametrize("n_max", [4, 5])
+def test_gauge_cochains_certificates_match_the_full_size_oracle(setup, n_max):
+    f, U, act, G = setup()
+    _cochains_oracle(GaugeCochains(U, act, G, n_max))
+
+
+def test_gauge_cochains_rejects_an_a_that_breaks_the_action():
+    # commuting with the action is the certificate of A d = q^2 d A: the
+    # shift does not commute with diag(1, -1)
+    f, U, act, _ = z2_setup()
+    S = ExactMatrix.from_rows([[f.zero, f.one], [f.zero, f.zero]], f)
+    HI = image_basis(ExactMatrix.from_columns([{0: f.one}], 2, f))
+    G = GaugeInstance(3, S, HI, f.zeta())
+    with pytest.raises(ValueError, match="does not commute"):
+        GaugeCochains(U, act, G, 3)
+
+
+def test_gauge_cochains_rejects_a_non_nilpotent_a():
+    # diag(0, 1) commutes with the Z/2 action and fixes its invariants, but
+    # is not nilpotent; only ``check=False`` lets it through GaugeInstance
+    f, U, act, _ = z2_setup()
+    A = ExactMatrix(2, 2, f, {(1, 1): f.one})
+    HI = image_basis(ExactMatrix.from_columns([{0: f.one}], 2, f))
+    G = GaugeInstance(3, A, HI, f.zeta(), check=False)
+    with pytest.raises(AssertionError, match=r"A\^N != 0 on C\(U, H\)"):
+        GaugeCochains(U, act, G, 3)
+
+
+def test_gauge_cochains_rejects_q2_only_a0():
+    # N = 4 and q^2 = -1: [4]_(q^2) = 0, so d_1 is a 4-complex, but
+    # [2]_(q^2) = 0 too, and the q-binomial [4 choose 2]_(q^2) = 2 that the
+    # Q^N certificate needs to vanish does not
+    f, U, act, G = synthetic_setup(4)
+    G = GaugeInstance(4, G.A, G.HI, f.pow(f.zeta(), 2), check=False)
+    with pytest.raises(ValueError, match="primitive"):
+        GaugeCochains(U, act, G, 4)
 
 
 def _digest(mats):

@@ -430,9 +430,10 @@ def test_unchecked_graded_complex_builds_eagerly(cyclic):
 
 
 def test_extend_builds_the_read_quotient_only(monkeypatch):
-    """``gauge.extend`` reads only the representatives of H^0_(1): besides
-    the quotient by H_I it builds that one homology quotient."""
-    from ncomplex import gauge, linalg
+    """``gauge.extend`` certifies Lemma 12 at level 0: it builds one
+    quotient, the one by H_I, and no graded homology.  The lazy quotients of
+    the Lemma-12 homology are checked by the oracle in ``test_gauge``."""
+    from ncomplex import gauge, graded, linalg
 
     built, homologies = [], []
     init = linalg.QuotientSpace.__init__
@@ -442,21 +443,20 @@ def test_extend_builds_the_read_quotient_only(monkeypatch):
         init(self, Z, B)
 
     def spy(C):
-        homologies.append(graded_homology(C))
-        return homologies[-1]
+        homologies.append(C)
+        return graded_homology(C)
 
     monkeypatch.setattr(linalg.QuotientSpace, "__init__", counting_init)
     monkeypatch.setattr(gauge, "graded_homology", spy)
+    monkeypatch.setattr(graded, "graded_homology", spy)
     rng = random.Random(5)
     for N in (3, 4, 5):
         f = make_cyclotomic(2 * N)
         G = gauge.random_gauge_instance(f, N, rng, hmax=12)
         del built[:]
         gauge.extend(G)
-        slots = homologies[-1].slots
-        read = [nm for nm, s in slots.items() if "quotient" in vars(s)]
-        assert read == [(0, 1)] and len(slots) > 1
-        assert len(built) == 2 and slots[(0, 1)].quotient in built
+        assert len(built) == 1 and built[0].B is G.HI
+    assert homologies == []
 
 
 def test_graded_ses_validates_once(monkeypatch):
