@@ -1,14 +1,13 @@
 """Exact scalar arithmetic over the rationals and their cyclotomic extensions.
 
-Scalars are plain values.  In the rational field a scalar is a rational number
-(``gmpy2.mpq`` when gmpy2 is installed, else ``fractions.Fraction``).  In
-Q(zeta_M) of degree n = phi(M) a scalar is one tuple of n + 1 Python ints
-``(c_0, ..., c_(n-1), d)``: the residue (c_0 + c_1 x + ... + c_(n-1) x^(n-1)) / d
-mod Phi_M, with d >= 1 and gcd(c_0, ..., c_(n-1), d) = 1.  That form is
-canonical, so ``==`` and ``hash`` compare elements.  ``Field.from_coeffs`` and
-``Field.coeffs`` convert between it and n rational coefficients.  All
-operations go through a :class:`Field`, which owns the reduction data; nothing
-is ever rounded.
+Scalars are plain values.  In the rational field a scalar is a
+``fractions.Fraction``.  In Q(zeta_M) of degree n = phi(M) a scalar is one
+tuple of n + 1 Python ints ``(c_0, ..., c_(n-1), d)``: the residue
+(c_0 + c_1 x + ... + c_(n-1) x^(n-1)) / d mod Phi_M, with d >= 1 and
+gcd(c_0, ..., c_(n-1), d) = 1.  That form is canonical, so ``==`` and ``hash``
+compare elements.  ``Field.from_coeffs`` and ``Field.coeffs`` convert between
+it and n rational coefficients.  All operations go through a :class:`Field`,
+which owns the reduction data; nothing is ever rounded.
 
 The scalar operations ``add``, ``sub``, ``mul``, ``neg`` and ``is_zero`` are
 bound once per field, when it is built, as plain instance attributes: over Q
@@ -33,22 +32,10 @@ from __future__ import annotations
 
 import math
 import operator
+from fractions import Fraction
 from functools import lru_cache
 
-try:
-    from gmpy2 import mpq as _mpq
-
-    def rat(a, b=1):
-        return _mpq(a, b)
-
-    RAT_TYPES = (type(_mpq(0)), int)
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    from fractions import Fraction as _mpq
-
-    def rat(a, b=1):
-        return _mpq(a, b)
-
-    RAT_TYPES = (_mpq, int)
+rat = Fraction  # rat(a, b=1): the rational a / b
 
 R_ZERO = rat(0)
 R_ONE = rat(1)

@@ -1,4 +1,5 @@
-"""The sparse row-echelon kernel behind every rank, kernel, image and solve.
+"""The sparse row-echelon kernel behind every rank, kernel basis, solve and
+quotient; image bases use its reduction steps through ``linalg.Echelon``.
 
 ``row_echelon`` is ``_kernel_py.row_echelon``; see there for the contract.
 Over Q it eliminates fraction-free on primitive integer rows and builds one

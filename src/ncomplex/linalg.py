@@ -7,6 +7,7 @@ from __future__ import annotations
 from bisect import bisect_left
 
 from . import kernel
+from ._kernel_py import _axpy, _axpy_int, _primitive
 from .fields import Field, rat
 
 
@@ -455,9 +456,52 @@ def kernel_basis(M):
 
 
 def image_basis(M):
-    """Column space: the original columns at the pivot positions."""
-    pivots, _, _ = _echelon(M, reduced=False)
-    return Subspace(M.nrows, M.take_columns(pivots))
+    """Column space: the columns of M that ``Echelon`` keeps, the pivot columns
+    of any row echelon form of M.  The Subspace keeps the echelon for reuse."""
+    E = Echelon(M.field)
+    kept = [j for j, col in enumerate(M.columns()) if E.absorb(col)]
+    return Subspace(M.nrows, M.take_columns(kept), E)
+
+
+class Echelon:
+    """Columns absorbed left to right; each kept one is stored reduced, keyed
+    by its lead (first nonzero row).  A column is kept iff it is independent
+    of those before it, the column rank profile rule (Dumas, Pernet and
+    Sultan, ISSAC 2015).  Over Q a stored vector is a primitive integer row
+    (reduced by ``_axpy_int``), over Q(zeta_M) one with lead one (``_axpy``);
+    stored tuples are never mutated, so ``copy`` shares them."""
+
+    __slots__ = ("field", "leads")
+
+    def __init__(self, field, leads=()):
+        self.field, self.leads = field, dict(leads)
+
+    def copy(self):
+        return Echelon(self.field, self.leads)
+
+    def absorb(self, col):
+        """Reduce the sparse column ``col`` by the stored vector at each lead it
+        hits; keep a nonzero remainder (its lead is new) and say if it was."""
+        f = self.field
+        rows = sorted(r for r, v in col.items() if not f.is_zero(v))
+        vals = [col[r] for r in rows]
+        rational = f.kind == "rationals"
+        if rational:
+            vals = _primitive(vals)
+        while rows:
+            hit = self.leads.get(rows[0])
+            if hit is None:
+                if not rational:
+                    lead_inv = f.inv(vals[0])
+                    vals = [f.mul(lead_inv, v) for v in vals]
+                self.leads[rows[0]] = (tuple(rows), tuple(vals))
+                return True
+            if rational:
+                rows, vals = _axpy_int(rows, vals, vals[0], *hit, f)
+            else:  # the stored lead is one and cancels: reduce the tails
+                hc, hv = hit
+                rows, vals = _axpy(rows[1:], vals[1:], vals[0], hc[1:], hv[1:], f)
+        return False
 
 
 def solve(M, b):
@@ -537,9 +581,10 @@ def _identity_part(rows, split, f):
 class Subspace:
     """A subspace given by a basis matrix with independent columns."""
 
-    def __init__(self, ambient_dim, basis):
+    def __init__(self, ambient_dim, basis, echelon=None):
         self.ambient_dim = ambient_dim
         self.basis = basis
+        self.echelon = echelon  # an ``Echelon`` of the basis, when kept
         self._solver = None
 
     @staticmethod

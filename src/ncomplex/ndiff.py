@@ -12,7 +12,6 @@ from .linalg import (
     EchelonSolver,
     ExactMatrix,
     QuotientSpace,
-    Subspace,
     _split_vector,
     image_basis,
     kernel_basis,
@@ -62,13 +61,12 @@ class NDiffModule:
 
         Link k spans d(link k-1) = im d^k, so its dimension is rank d^k and
         the last link is zero exactly when d^N = 0: the chain is the
-        nilpotency certificate of ``__init__``."""
+        nilpotency certificate of ``__init__``.  Each link keeps the echelon
+        of ``image_basis``, which Theorem 5 extends."""
         if self._image_chain is None:
-            B = image_basis(self.d).basis
-            chain = [Subspace(self.dim, B)]
+            chain = [image_basis(self.d)]
             for _ in range(self.N - 1):
-                B = image_basis(self.d @ B).basis
-                chain.append(Subspace(self.dim, B))
+                chain.append(image_basis(self.d @ chain[-1].basis))
             self._image_chain = chain
         return self._image_chain
 

@@ -288,6 +288,29 @@ def test_malformed_module_exits_2(tmp_path, command, obj):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("hi_cols", [[{2: 1}, {2: 1}], [{2: 1}, {}]],
+                         ids=["repeated-column", "zero-column"])
+def test_dependent_hi_basis_exits_2(tmp_path, hi_cols):
+    """An HI_basis with dependent columns is bad input, not a Lemma-12
+    failure: exit 2 with a message that names it, no traceback."""
+    f = make_cyclotomic(6)
+    shift = ExactMatrix.from_columns([{1: f.one}, {2: f.one}, {}], 3, f)
+    basis = ExactMatrix.from_columns(
+        [{r: f.from_rat(v) for r, v in col.items()} for col in hi_cols], 3, f)
+    bad = tmp_path / "gauge.json"
+    bad.write_text(json.dumps({"N": 3, "field": f.to_json(), "A": shift.to_json(),
+                               "HI_basis": basis.to_json(), "q": f.to_str(f.zeta())}))
+    src = str(Path(ncomplex.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "ncomplex.cli", "gauge-ext", str(bad)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "ncx: invalid input:" in proc.stderr and "HI_basis" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize(
     "argv, named",
     [

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -23,7 +24,8 @@ from ncomplex.gauge import (
     wznw_shaped_instance,
 )
 from ncomplex.graded import GradedNComplex, graded_homology
-from ncomplex.linalg import ExactMatrix, Subspace, image_basis, quotient_maps
+from ncomplex.linalg import ExactMatrix, Subspace, image_basis, quotient_maps, rank
+from ncomplex.ndiff import homology
 
 
 def z2_setup(N=3):
@@ -191,6 +193,78 @@ def test_theorem5_random_small():
         f = make_cyclotomic(2 * N)
         G = random_gauge_instance(f, N, rng, hmax=12)
         assert theorem5_verify(G)["ok"]
+
+
+def _theorem5_oracle(B, reps):
+    """The elimination that ``theorem5_verify`` replaced: the representatives
+    stay independent modulo span(B) iff rank [B | reps] = dim B + #reps."""
+    stack = B.basis.hstack(ExactMatrix.from_columns(reps, B.ambient_dim, B.field))
+    return rank(stack) == B.dim + len(reps)
+
+
+def test_theorem5_echelon_extension_matches_rank_oracle():
+    """Extending a copy of the kept image-chain echelon by the H_I
+    representatives agrees with the rank oracle for every k, on the true
+    representatives and on them followed by a vector of B; the kept echelon
+    is left as it was."""
+    for G in _oracle_instances():
+        images = extend(G).Q.image_chain()
+        Hs = homology(G.restricted_module())
+        for k in range(1, G.N):
+            B = images[G.N - k - 1]
+            reps = [G.HI.basis.apply(c) for c in Hs[k].representatives.columns()]
+            for vecs in (reps, reps + B.basis.columns()[:1]):
+                E = B.echelon.copy()
+                assert all([E.absorb(v) for v in vecs]) == _theorem5_oracle(B, vecs)
+            assert len(B.echelon.leads) == B.dim
+
+
+def _mutated_representatives(small, k, reps, mutation):
+    """H_I-coordinate representatives with column 0 repeated, made zero, or
+    replaced by A^(N-k) of an H_I vector: Q^(N-k) = A^(N-k) on H_I, since d
+    kills level 0's H_I, so that vector lies in B_(k)(Q).  None when the
+    mutation does not apply."""
+    cols = reps.columns()
+    if not cols:
+        return None
+    if mutation == "duplicate":
+        cols.append(cols[0])
+    elif mutation == "zero":
+        cols[0] = {}
+    else:
+        cols[0] = next((c for c in small.power(small.N - k).columns() if c), None)
+        if cols[0] is None:
+            return None
+    return ExactMatrix.from_columns(cols, reps.nrows, reps.field)
+
+
+@pytest.mark.parametrize("mutation", ["duplicate", "boundary", "zero"])
+def test_theorem5_reports_collapsed_representatives(monkeypatch, mutation):
+    """A representative that depends on B_(k)(Q) and the others is reported
+    at its k as "representatives collapse", with ``ok`` False."""
+    mutated = set()
+
+    def mutated_homology(small):
+        slots = {}
+        for k, slot in homology(small).slots.items():
+            reps = _mutated_representatives(small, k, slot.representatives, mutation)
+            if reps is None:
+                reps = slot.representatives
+            else:
+                mutated.add(k)
+            slots[k] = SimpleNamespace(representatives=reps)
+        return slots
+
+    monkeypatch.setattr(gauge, "homology", mutated_homology)
+    hits = 0
+    for G in _oracle_instances():
+        mutated.clear()
+        rep = theorem5_verify(G)
+        assert rep["ok"] is (not mutated)
+        for k, dims in rep["dims"].items():
+            assert (dims[2:] == ("representatives collapse",)) is (k in mutated)
+        hits += len(mutated)
+    assert hits > 0
 
 
 def test_theorem5_wznw_shape():

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from ncomplex import kernel
 from ncomplex.fields import QQ, make_cyclotomic, rat
 from ncomplex.linalg import (
+    Echelon,
     EchelonSolver,
     ExactMatrix,
     QuotientSpace,
@@ -533,6 +534,54 @@ def test_numerator_quotient_coordinates_match_dense_oracle(case):
         assert q.coordinates(col) == {}
     for k, col in enumerate(q.representatives().columns()):
         assert q.coordinates(col) == {k: Z.field.one}
+
+
+@st.composite
+def echelon_cases(draw):
+    f = draw(st.sampled_from(NUMERATOR_FIELDS), label="field")
+    rng = random.Random(draw(st.integers(0, 2**32 - 1), label="seed"))
+    nrows = draw(st.integers(0, 6), label="rows")
+    ncols = draw(st.integers(0, 7), label="cols")
+    M = _mixed_matrix(f, rng, nrows, ncols, rng.choice((0.2, 0.5, 0.8)))
+    kind = draw(st.sampled_from(("image", "random", "column")), label="v")
+    if kind == "image":
+        v = M.apply(_mixed_vector(f, rng, ncols))
+    elif kind == "random" or not ncols:
+        v = _mixed_vector(f, rng, nrows)
+    else:
+        v = M.column(rng.randrange(ncols))
+    return f, M, v
+
+
+@given(echelon_cases())
+@settings(max_examples=250, deadline=None)
+def test_image_basis_echelon_matches_row_echelon_oracle(case):
+    """``image_basis`` keeps the pivot columns of the kernel's row echelon
+    form, and extending a copy of its echelon by v keeps v exactly when v
+    raises the rank; the copy leaves the kept echelon as it was."""
+    f, M, v = case
+    pivots, _, _ = kernel.row_echelon(M.rows_sparse(), M.ncols, f, reduced=False)
+    S = image_basis(M)
+    assert S.basis == M.take_columns(pivots)
+    before = copy.deepcopy(S.echelon.leads)
+    E = S.echelon.copy()
+    grows = rank(M.hstack(ExactMatrix.from_columns([v], M.nrows, f))) > rank(M)
+    assert E.absorb(v) == grows
+    assert len(E.leads) == len(pivots) + grows
+    assert S.echelon.leads == before
+
+
+def test_echelon_absorbs_left_to_right():
+    f = QQ
+    E = Echelon(f)
+    # the fourth column reduces at lead 0, then at lead 1, to zero
+    cols = [{0: rat(2), 1: rat(4)}, {0: rat(1, 3), 1: rat(2, 3)},
+            {1: rat(1), 2: rat(1)}, {0: rat(1), 2: rat(-2)}, {}, {0: rat(0)}]
+    assert [E.absorb(c) for c in cols] == [True, False, True, False, False, False]
+    assert sorted(E.leads) == [0, 1]
+    F = E.copy()
+    assert F.absorb({2: rat(1)}) and not E.absorb({0: rat(7), 1: rat(14)})
+    assert sorted(E.leads) == [0, 1] and sorted(F.leads) == [0, 1, 2]
 
 
 @pytest.mark.parametrize("field", [QQ, make_cyclotomic(8)], ids=["Q", "Q(zeta_8)"])
