@@ -138,7 +138,7 @@ def _ses_worker(rng):
     N = rng.choice((3, 4))
     ses = ndiff.random_ses(QQ, N, rng)
     ok = ndiff.ses_hexagon_check(ses)["ok"] and all(
-        ndiff.connecting_well_defined(ses, m, rng, trials=10) for m in range(1, N))
+        ndiff.connecting_well_defined(ses, m) for m in range(1, N))
     return None if ok else ses.to_json()
 
 
@@ -325,7 +325,6 @@ def criterion_12(seed=42):
         from .cosimplicial import group_algebra_cyclic, truncated_polynomials
 
         details = {}
-        rng = random.Random(f"{seed}:thm6")
         f = make_cyclotomic(6)
         # Z/2 group algebra
         U = group_algebra_cyclic(f, 2)
@@ -338,7 +337,7 @@ def criterion_12(seed=42):
         HI = image_basis(ExactMatrix.from_columns([{0: f.one}], 2, f))
         G = gauge.GaugeInstance(3, ExactMatrix.zeros(2, 2, f), HI, f.zeta())
         C = gauge.GaugeCochains(U, act, G, 4)
-        if not gauge.lemma15_check(C, rng):
+        if not gauge.lemma15_check(C):
             return False, details, {"example": "Z/2", "check": "lemma 15"}
         rep = gauge.theorem6_verify(U, act, G)
         details["Z/2"] = {
@@ -355,7 +354,7 @@ def criterion_12(seed=42):
         ]
         G2 = gauge.GaugeInstance(3, S, HI, f.zeta())
         C2 = gauge.GaugeCochains(U2, act2, G2, 4)
-        if not gauge.lemma15_check(C2, rng):
+        if not gauge.lemma15_check(C2):
             return False, details, {"example": "synthetic", "check": "lemma 15"}
         rep2 = gauge.theorem6_verify(U2, act2, G2)
         details["synthetic"] = {

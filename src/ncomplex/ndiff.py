@@ -463,45 +463,30 @@ class ShortExactSequence:
         return {j: f.join(n, Dx) for j, n in x.items()}
 
 
-def _add_split(a, Da, b, Db, f):
-    """a / Da + b / Db for numerator vectors; returns (numerators, Da Db)."""
-    add, mul = f.add, f.mul
-    sa, sb = f.numerator(Db), f.numerator(Da)
-    out = {j: mul(v, sa) for j, v in a.items()}
-    for j, v in b.items():
-        t = mul(v, sb)
-        out[j] = add(out[j], t) if j in out else t
-    return out, Da * Db
-
-
 def ses_connecting(ses, m):
     """Matrix of partial: H_(m)(G) -> H_(N-m)(E) in the representative bases."""
     return ses.homology_maps(m)[2]
 
 
-def connecting_well_defined(ses, m, rng, trials=10):
-    """Re-lift each representative with random kernel shifts; the class of the
-    connecting image must not move.  Each representative is lifted once;
-    each shift is built on the integer columns of the kernel basis, with one
-    ``rng.randint(-3, 3)`` per column, and added to that lift."""
-    HG = homology(ses.G)[m]
+def connecting_well_defined(ses, m, rng=None, trials=None):
+    """Proposition 3: the class of partial(z) in H_(N-m)(E) does not depend
+    on the psi-lift of the cycle z in Z_(m)(G), certified on a basis.
+
+    Two lifts of z differ by some k in ker psi.  phi is injective, so the
+    phi solve in ``connect_lift`` has a unique solution and is linear; so
+    are d^m and the quotient coordinates.  Shifting a lift by
+    sum c_i k_i therefore moves the class by sum c_i [connect(k_i)], where
+    connect(k_i) = phi^-1(d^m k_i).  The class is well defined for every
+    cycle and every lift exactly when each basis column k_i of ker psi
+    connects to the zero class modulo B_(N-m)(E): one phi solve and one
+    quotient-coordinates call per column, and no lift of a representative.
+
+    ``rng`` and ``trials`` belong to the earlier random re-lift check; they
+    are accepted for the callers still written against it and never read."""
     HE = homology(ses.E)[ses.E.N - m]
-    ker_psi = ses.ker_psi
-    f = ses.F.field
-    for z in HG.representatives.columns():
-        y, Dy = ses.lift(z)
-        base = HE.quotient.coordinates(ses.connect_lift(y, Dy, m))
-        for _ in range(trials):
-            if ker_psi.dim == 0:
-                break
-            draws = [rng.randint(-3, 3) for _ in range(ker_psi.dim)]
-            shift = ker_psi.basis.apply_split(
-                {j: f.numerator(c) for j, c in enumerate(draws) if c}, 1
-            )
-            x = ses.connect_lift(*_add_split(y, Dy, *shift, f), m)
-            if HE.quotient.coordinates(x) != base:
-                return False
-    return True
+    cols, D = ses.ker_psi.basis.split_columns()
+    return all(not HE.quotient.coordinates(ses.connect_lift(dict(k), D, m))
+               for k in cols.values())
 
 
 def ses_hexagon_check(ses):

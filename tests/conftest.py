@@ -24,6 +24,18 @@ def elimination_counts(monkeypatch):
     return counts
 
 
+@pytest.fixture
+def no_draws():
+    """An rng stand-in that fails the test on any use: a verifier handed it
+    must decide without drawing."""
+
+    class NoDraws:
+        def __getattr__(self, name):
+            raise AssertionError(f"rng.{name} used")
+
+    return NoDraws()
+
+
 @pytest.fixture(scope="session")
 def criterion_report():
     """``criterion_report(n)`` is criterion n's report at seed 42, computed

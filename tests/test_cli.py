@@ -328,8 +328,6 @@ def test_dependent_hi_basis_exits_2(tmp_path, hi_cols):
         (["spin-seq", "--S", "1", "--wmax", "-2"], "--wmax"),
         (["gauge-ext", "--suite", "random", "--trials", "0"], "--trials"),
         (["gauge-ext", "--suite", "random", "--trials", "-3"], "--trials"),
-        (["ses", "ses.json", "--relifts", "0"], "--relifts"),
-        (["ses", "ses.json", "--relifts", "-1"], "--relifts"),
         (["theorem2", "alg.json", "--N", "0"], "--N"),
         (["prop7", "alg.json", "--N", "0"], "--N"),
         (["prop7", "alg.json", "--window", "-5"], "--window"),
@@ -345,7 +343,7 @@ def test_dependent_hi_basis_exits_2(tmp_path, hi_cols):
          "spin-seq-S0",
          "poincare-negative-wmax", "spin-seq-negative-wmax",
          "gauge-ext-zero-trials", "gauge-ext-negative-trials",
-         "ses-zero-relifts", "ses-negative-relifts", "theorem2-N0", "prop7-N0",
+         "theorem2-N0", "prop7-N0",
          "prop7-window-minus-5", "prop7-window-minus-1",
          "cosimplicial-n-max-minus-1", "cosimplicial-n-max-0",
          "gauge-ext-hmax-0", "gauge-ext-hmax-2"],
@@ -365,6 +363,25 @@ def test_bad_option_exits_2(tmp_path, argv, named):
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("ncx: ")
     assert named in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not list(tmp_path.glob("ncx-failure-*.json"))
+
+
+@pytest.mark.parametrize("option", [["--relifts", "5"], ["--seed", "1"]],
+                         ids=["relifts", "seed"])
+def test_ses_draw_options_are_unrecognized(tmp_path, option):
+    """``ncx ses`` certifies the connecting map on a basis and draws
+    nothing, so it has no --seed or --relifts: either is an unrecognized
+    argument, exit 2, with no traceback and no failure witness."""
+    _write_split_ses(tmp_path / "ses.json")
+    src = str(Path(ncomplex.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "ncomplex.cli", "ses", "ses.json", *option],
+        capture_output=True, text=True, timeout=120, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert f"unrecognized arguments: {' '.join(option)}" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not list(tmp_path.glob("ncx-failure-*.json"))
 
