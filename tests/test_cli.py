@@ -10,7 +10,7 @@ import pytest
 
 import ncomplex
 from ncomplex import acceptance, cli, gauge, ndiff
-from ncomplex.cosimplicial import dual_numbers
+from ncomplex.cosimplicial import dual_numbers, matrix_algebra, nonabelian_lie2
 from ncomplex.fields import QQ, make_cyclotomic
 from ncomplex.linalg import ExactMatrix
 from ncomplex.ndiff import block_module
@@ -240,6 +240,17 @@ def test_usage_error_invalid_module(tmp_path):
 
 
 _Q = {"kind": "rationals"}
+_Z3 = make_cyclotomic(3)
+_LIE_Z3 = nonabelian_lie2(_Z3).to_json()
+
+
+def _m2_with_swapped_pair(f):
+    """M_2(k) with e_00 e_01 = e_01 moved to e_01 e_00: not associative."""
+    obj = matrix_algebra(f, 2).to_json()
+    for entry in obj["structure_constants"]:
+        if entry[:2] == [0, 1]:
+            entry[:2] = [1, 0]
+    return obj
 
 
 @pytest.mark.parametrize(
@@ -267,11 +278,24 @@ _Q = {"kind": "rationals"}
         ("brs", {"D": 2, "constraints": [],
                  "fields": [[{"0,0": "1"}, {}]], "structure": {}, "witnesses": {}}),
         ("potential", {}),
+        ("cosimplicial", nonabelian_lie2(QQ).to_json()),
+        ("cosimplicial", _LIE_Z3),
+        ("theorem2", _LIE_Z3),
+        ("prop7", _LIE_Z3),
+        ("prop7", {**_LIE_Z3, "unit": [_Z3.to_str(_Z3.one), _Z3.to_str(_Z3.zero)]}),
+        ("cosimplicial", {**dual_numbers(QQ).to_json(), "lie": "false"}),
+        ("cosimplicial", _m2_with_swapped_pair(QQ)),
+        ("prop7", _m2_with_swapped_pair(_Z3)),
+        ("cosimplicial", {**dual_numbers(QQ).to_json(), "unit": ["0", "1"]}),
     ],
     ids=["entry-out-of-bounds", "zero-denominator", "duplicate-entry", "missing-d",
          "not-an-object", "N-not-an-int", "entries-not-a-list", "field-without-kind",
          "ses-empty", "cosimplicial-empty", "gauge-ext-empty", "brs-empty",
-         "brs-no-constraints", "potential-empty"],
+         "brs-no-constraints", "potential-empty", "cosimplicial-lie-Q",
+         "cosimplicial-lie-Q(zeta_3)", "theorem2-lie", "prop7-lie",
+         "prop7-lie-with-unit", "cosimplicial-lie-flag-a-string",
+         "cosimplicial-product-pair-swapped", "prop7-product-pair-swapped",
+         "cosimplicial-unit-off-by-one"],
 )
 def test_malformed_module_exits_2(tmp_path, command, obj):
     """Malformed input JSON is bad input: exit 2 with a message, no traceback."""

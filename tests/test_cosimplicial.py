@@ -75,6 +75,40 @@ def test_algebra_json_roundtrip():
     assert A2.to_json() == obj
 
 
+@pytest.mark.parametrize("flag", ["false", 0, None])
+def test_algebra_lie_flag_must_be_a_bool(flag):
+    obj = {**dual_numbers(QQ).to_json(), "lie": flag}
+    with pytest.raises(ValueError, match=r"^algebra lie must be true or false"):
+        AlgebraData.from_json(obj)
+
+
+def test_builders_need_an_associative_algebra_with_a_unit():
+    """A Lie algebra is validated by antisymmetry and Jacobi only, so the
+    bimodule and cosimplicial builders refuse it, with a unit or without."""
+    f = QQ
+    lie = nonabelian_lie2(f)
+    with_unit = AlgebraData(f, lie.structure, unit={0: f.one}, lie=True)
+    for g in (lie, with_unit):
+        with pytest.raises(ValueError, match="associative with a unit"):
+            BimoduleData.regular(g)
+        with pytest.raises(ValueError, match="associative with a unit"):
+            tensor_algebra(g, 2)
+    A, B = dual_numbers(f), dual_numbers(f)
+    with pytest.raises(ValueError, match="bimodule over A"):
+        hochschild(A, BimoduleData.regular(B), 2)
+
+
+def test_bimodule_rejects_an_action_on_the_wrong_side():
+    # f_0 of hochschild acts by M.left, f_(n+1) by M.right; over M_2(k) the
+    # regular action of one side is no action of the other
+    A = matrix_algebra(QQ, 2)
+    R = BimoduleData.regular(A)
+    with pytest.raises(ValueError, match=r"^left action fails at \(0,1\)$"):
+        BimoduleData(A, 4, R.right, R.right)
+    with pytest.raises(ValueError, match=r"^right action fails at \(0,1\)$"):
+        BimoduleData(A, 4, R.left, R.left)
+
+
 def test_constant_cosimplicial_cohomology():
     E = constant_cosimplicial(QQ, 5)
     C = simplicial_differential(E)
@@ -84,12 +118,47 @@ def test_constant_cosimplicial_cohomology():
         assert H[(n, 1)].dim_H == 0
 
 
-def test_relation_failure_reported():
+def test_relation_failure_reported(cosimplicial_relations):
     # tamper with a coface: (F) must fail with the offending indices
     E = constant_cosimplicial(QQ, 3)
+    cosimplicial_relations(E)
     E.cofaces[1][1] = ExactMatrix.from_int_rows([[2]], QQ)
     with pytest.raises(ValueError, match=r"\(F\) fails"):
-        E.validate_relations()
+        cosimplicial_relations(E)
+
+
+_ORACLE_ALGEBRAS = {
+    "field": field_algebra,
+    "dual": dual_numbers,
+    "trunc3": lambda f: truncated_polynomials(f, 3),
+    "trunc4": lambda f: truncated_polynomials(f, 4),
+    "Z2": lambda f: group_algebra_cyclic(f, 2),
+    "Z3": lambda f: group_algebra_cyclic(f, 3),
+    "M2": lambda f: matrix_algebra(f, 2),
+}
+
+
+@pytest.mark.parametrize("M", [1, 3], ids=["Q", "Q(zeta_3)"])
+@pytest.mark.parametrize("builder, algebra", [
+    (builder, algebra) for builder in ("regular", "left-action", "tensor")
+    for algebra in sorted(_ORACLE_ALGEBRAS)
+    # M_2(k) has no counit for the trivial right action
+    if (builder, algebra) != ("left-action", "M2")
+])
+def test_builders_satisfy_the_cosimplicial_relations(
+        cosimplicial_relations, builder, algebra, M):
+    """The certificate of ``hochschild`` and ``tensor_algebra`` (the algebra
+    and bimodule laws) against the full relation check on levels 0-4."""
+    f = QQ if M == 1 else make_cyclotomic(M)
+    A = _ORACLE_ALGEBRAS[algebra](f)
+    if builder == "tensor":
+        E = tensor_algebra(A, 4)
+    else:
+        bimodule = BimoduleData.regular(A)
+        if builder == "left-action":
+            bimodule = BimoduleData.from_left_action(A, A.dim, bimodule.left)
+        E = hochschild(A, bimodule, 4)
+    cosimplicial_relations(E)
 
 
 def test_hochschild_trivial_algebra():
@@ -201,7 +270,7 @@ def test_chevalley_eilenberg_rejects_bad_representation():
 
 def test_tensor_algebra_axioms_and_envelope_dims():
     A = dual_numbers(QQ)
-    T = tensor_algebra(A, 4)  # validates (F),(S),(SF),(MF1),(MF2),(MS)
+    T = tensor_algebra(A, 4)  # checks (MF1), (MF2), (MS)
     assert T.dims == [2, 4, 8, 16, 32]
     omega, _ = universal_envelope(A, 4)
     # dim Omega^n = dim A (dim A - 1)^n

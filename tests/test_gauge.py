@@ -301,10 +301,12 @@ def test_gauge_cochains_rejects_a_non_action():
         GaugeCochains(U, [act[0], flip.scale(f.from_rat(2))], G, 3)
 
 
-def _cochains_oracle(C):
+def _cochains_oracle(C, cosimplicial_relations):
     """The full-size checks that ``GaugeCochains`` replaced by certificates
-    on H: A d = q^2 d A and A^N = 0 on the window, and Q^N = 0 on the
-    sources whose N-step images stay inside it (in fact on all of them)."""
+    on H: the cosimplicial relations of C(U, H), A d = q^2 d A and A^N = 0
+    on the window, and Q^N = 0 on the sources whose N-step images stay
+    inside it (in fact on all of them)."""
+    cosimplicial_relations(C.cosimplicial)
     N = C.N
     assert C.A @ C.d == (C.d @ C.A).scale(C.q2)
     assert C.A.power(N).is_zero()
@@ -316,9 +318,10 @@ def _cochains_oracle(C):
 
 @pytest.mark.parametrize("setup", [z2_setup, synthetic_setup])
 @pytest.mark.parametrize("n_max", [4, 5])
-def test_gauge_cochains_certificates_match_the_full_size_oracle(setup, n_max):
+def test_gauge_cochains_certificates_match_the_full_size_oracle(
+        cosimplicial_relations, setup, n_max):
     f, U, act, G = setup()
-    _cochains_oracle(GaugeCochains(U, act, G, n_max))
+    _cochains_oracle(GaugeCochains(U, act, G, n_max), cosimplicial_relations)
 
 
 def test_gauge_cochains_rejects_an_a_that_breaks_the_action():
