@@ -138,8 +138,11 @@ def cmd_multiplicities(args):
 def cmd_hexagon(args):
     from .ndiff import NDiffModule, all_hexagons_check, hexagon_check
 
+    if (args.ell is None) != (args.m is None):
+        given, missing = ("--ell", "--m") if args.m is None else ("--m", "--ell")
+        raise UsageError(f"{given} needs {missing}; pass both, or neither for every hexagon")
     E = NDiffModule.from_json(_load_json(args.module))
-    if args.ell is not None and args.m is not None:
+    if args.ell is not None:
         rep = hexagon_check(E, args.ell, args.m)
         out = {"command": "hexagon", **rep}
     else:
@@ -308,6 +311,8 @@ def cmd_brs(args):
     )
 
     _require_at_least(args, "deg_max", 0)
+    if args.example and args.system:
+        raise UsageError(f"{args.system} and --example {args.example} conflict: pass one")
     if args.example:
         system = {
             "abelian": abelian_system,
@@ -337,6 +342,8 @@ def cmd_gauge_ext(args):
         args.instance = None
         if not args.suite:
             args.suite = "random"
+    if args.suite and args.instance:
+        raise UsageError(f"{args.instance} and --suite {args.suite} conflict: pass one")
     if args.suite == "random":
         _require_at_least(args, "trials", 1)
         # random_gauge_instance draws dim H from 3..hmax

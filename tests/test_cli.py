@@ -360,6 +360,10 @@ def test_dependent_hi_basis_exits_2(tmp_path, hi_cols):
         (["cosimplicial", "alg.json", "--n-max", "0"], "--n-max"),
         (["gauge-ext", "--suite", "random", "--hmax", "0"], "--hmax"),
         (["gauge-ext", "--suite", "random", "--hmax", "2"], "--hmax"),
+        (["hexagon", "mod.json", "--ell", "1"], "--ell needs --m"),
+        (["hexagon", "mod.json", "--m", "2"], "--m needs --ell"),
+        (["gauge-ext", "alg.json", "--suite", "random"], "alg.json and --suite random"),
+        (["brs", "alg.json", "--example", "abelian"], "alg.json and --example abelian"),
     ],
     ids=["poincare-D0", "spin-seq-D0", "spin-example-3-components",
          "brs-negative-deg-max", "selftest-unknown-criterion",
@@ -370,12 +374,17 @@ def test_dependent_hi_basis_exits_2(tmp_path, hi_cols):
          "theorem2-N0", "prop7-N0",
          "prop7-window-minus-5", "prop7-window-minus-1",
          "cosimplicial-n-max-minus-1", "cosimplicial-n-max-0",
-         "gauge-ext-hmax-0", "gauge-ext-hmax-2"],
+         "gauge-ext-hmax-0", "gauge-ext-hmax-2",
+         "hexagon-ell-without-m", "hexagon-m-without-ell",
+         "gauge-ext-instance-and-suite", "brs-system-and-example"],
 )
 def test_bad_option_exits_2(tmp_path, argv, named):
-    """An out-of-range option is bad input: exit 2 with one ncx: line that
-    names the option, no traceback and no failure witness."""
+    """An out-of-range, incomplete or conflicting option is bad input: exit
+    2 with one ncx: line that names the option, no traceback and no failure
+    witness.  An input file given with a built-in source is not silently
+    dropped, even when it is not the kind of input the command reads."""
     _write_split_ses(tmp_path / "ses.json")
+    (tmp_path / "mod.json").write_text(json.dumps(block_module(QQ, 4, [4, 2]).to_json()))
     alg = dual_numbers(make_cyclotomic(3)).to_json()
     (tmp_path / "alg.json").write_text(json.dumps(alg))
     src = str(Path(ncomplex.__file__).resolve().parents[1])

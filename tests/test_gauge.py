@@ -1,12 +1,13 @@
 import hashlib
 import json
 import random
+from itertools import product
 from types import SimpleNamespace
 
 import pytest
 
 from ncomplex import gauge
-from ncomplex.cosimplicial import group_algebra_cyclic, truncated_polynomials
+from ncomplex.cosimplicial import field_algebra, group_algebra_cyclic, truncated_polynomials
 from ncomplex.fields import QQ, make_cyclotomic
 from ncomplex.gauge import (
     GaugeCochains,
@@ -24,7 +25,14 @@ from ncomplex.gauge import (
     wznw_shaped_instance,
 )
 from ncomplex.graded import GradedNComplex, graded_homology
-from ncomplex.linalg import ExactMatrix, Subspace, image_basis, quotient_maps, rank
+from ncomplex.linalg import (
+    ExactMatrix,
+    Subspace,
+    image_basis,
+    quotient_maps,
+    rank,
+    tuple_index,
+)
 from ncomplex.ndiff import homology
 
 
@@ -53,6 +61,15 @@ def synthetic_setup(N=3):
     ]
     HI = image_basis(ExactMatrix.from_columns([{0: f.one}], 2, f))
     return f, U, act, GaugeInstance(N, S, HI, f.zeta())
+
+
+def field_algebra_setup(N=3):
+    """U = k acting trivially on k^2; A = the shift, H_I = H."""
+    f = make_cyclotomic(2 * N)
+    U = field_algebra(f)
+    S = ExactMatrix.from_rows([[f.zero, f.one], [f.zero, f.zero]], f)
+    act = [ExactMatrix.identity(2, f)]
+    return f, U, act, GaugeInstance(N, S, Subspace.full(2, f), f.zeta())
 
 
 def test_gauge_instance_validation():
@@ -95,13 +112,13 @@ def test_extend_validates_structure():
 
 def test_extend_rejects_non_nilpotent_a():
     # A = E_11 commutes with d as A d = q^2 d A demands, but A^3 != 0; the
-    # level-0 certificate G.A^N = 0 must still catch it.
+    # instance refuses it, so it never reaches ``extend``, whose A^N = 0
+    # rests on G.A^N = 0.
     f = make_cyclotomic(6)
     A = ExactMatrix(2, 2, f, {(1, 1): f.one})
     HI = image_basis(ExactMatrix.from_columns([{0: f.one}], 2, f))
-    G = GaugeInstance(3, A, HI, f.zeta(), check=False)
-    with pytest.raises(AssertionError, match=r"A\^N != 0 on H-bullet"):
-        extend(G)
+    with pytest.raises(ValueError, match=r"A\^N != 0"):
+        GaugeInstance(3, A, HI, f.zeta())
 
 
 def _extend_oracle(G, ext):
@@ -169,21 +186,22 @@ def test_extend_rejects_a_projection_off_the_quotient(monkeypatch):
 
 
 def test_extend_rejects_an_unstable_hi():
-    """With ``check=False`` an H_I that A moves out of itself reaches
-    ``extend``; Abar proj = proj G.A fails on it."""
+    """The instance refuses an H_I that A moves out of itself, so it never
+    reaches ``extend``, where Abar proj = proj G.A, and with it
+    A d = q^2 d A on H-bullet, would fail."""
     f = make_cyclotomic(6)
     S = ExactMatrix.from_rows([[f.zero, f.one], [f.zero, f.zero]], f)
     bad = Subspace(2, ExactMatrix.from_columns([{1: f.one}], 2, f))
-    cases = [GaugeInstance(3, S, bad, f.zeta(), check=False)]
+    cases = [(S, bad, f.zeta())]
     G = _proper_hi_instance()
     for i in range(G.dim):
         line = image_basis(ExactMatrix.from_columns([{i: f.one}], G.dim, f))
         if not line.contains(G.A.apply({i: f.one})):
-            cases.append(GaugeInstance(3, G.A, line, G.q, check=False))
+            cases.append((G.A, line, G.q))
     assert len(cases) > 1
-    for G in cases:
-        with pytest.raises(AssertionError, match=r"A d - q\^2 d A != 0 on H-bullet"):
-            extend(G)
+    for A, HI, q in cases:
+        with pytest.raises(ValueError, match="H_I is not A-stable"):
+            GaugeInstance(3, A, HI, q)
 
 
 def test_theorem5_random_small():
@@ -324,6 +342,51 @@ def test_gauge_cochains_certificates_match_the_full_size_oracle(
     _cochains_oracle(GaugeCochains(U, act, G, n_max), cosimplicial_relations)
 
 
+def _three_term_d(U, action, q2, n):
+    """d_n on C(U, H), entry by entry from the three-term formula
+    d(w)(X_0..X_n) = X_0 w(X_1..X_n) + sum_k q^(2k) w(..X_(k-1)X_k..) -
+    q^(2n) w(X_0..X_(n-1)) eps(X_n): the oracle of the d_1 of
+    ``hochschild`` that ``GaugeCochains`` assembles."""
+    f, a, h = U.field, U.dim, action[0].nrows
+    ent = {}
+    for out_t in product(range(a), repeat=n + 1):
+        base_out = tuple_index(out_t, a)
+        # X_0 acts on the value
+        col_base = tuple_index(out_t[1:], a)
+        for (nu, mu), v in action[out_t[0]].entries.items():
+            f.accumulate(ent, (nu * a ** (n + 1) + base_out, mu * a**n + col_base), v)
+        # middle multiplications with q^(2k)
+        qk = f.one
+        for k in range(1, n + 1):
+            qk = f.mul(qk, q2)
+            for t, c in U.mul_basis(out_t[k - 1], out_t[k]).items():
+                col = tuple_index(out_t[:k - 1] + (t,) + out_t[k + 1:], a)
+                for mu in range(h):
+                    f.accumulate(ent, (mu * a ** (n + 1) + base_out, mu * a**n + col),
+                                 f.mul(qk, c))
+        # counit tail with -q^(2n)
+        eps = U.counit.get(out_t[-1], f.zero)
+        if not f.is_zero(eps):
+            coeff = f.mul(f.neg(f.pow(q2, n)), eps)
+            col_base = tuple_index(out_t[:-1], a)
+            for mu in range(h):
+                f.accumulate(ent, (mu * a ** (n + 1) + base_out, mu * a**n + col_base),
+                             coeff)
+    return ExactMatrix(h * a ** (n + 1), h * a**n, f, ent)
+
+
+@pytest.mark.parametrize("setup", [z2_setup, synthetic_setup, field_algebra_setup])
+@pytest.mark.parametrize("N", [3, 4])
+@pytest.mark.parametrize("n_max", [4, 5])
+def test_d1_matches_the_three_term_formula(setup, N, n_max):
+    """The d_1 that ``hochschild`` assembles is the three-term formula on
+    every level of the window."""
+    f, U, act, G = setup(N)
+    C = GaugeCochains(U, act, G, n_max)
+    for n in range(n_max):
+        assert C.dcx.maps[n] == _three_term_d(U, act, C.q2, n), n
+
+
 def test_gauge_cochains_rejects_an_a_that_breaks_the_action():
     # commuting with the action is the certificate of A d = q^2 d A: the
     # shift does not commute with diag(1, -1)
@@ -337,23 +400,22 @@ def test_gauge_cochains_rejects_an_a_that_breaks_the_action():
 
 def test_gauge_cochains_rejects_a_non_nilpotent_a():
     # diag(0, 1) commutes with the Z/2 action and fixes its invariants, but
-    # is not nilpotent; only ``check=False`` lets it through GaugeInstance
+    # is not nilpotent: the instance refuses it, so it never reaches
+    # GaugeCochains, whose A^N = 0 rests on G.A^N = 0
     f, U, act, _ = z2_setup()
     A = ExactMatrix(2, 2, f, {(1, 1): f.one})
     HI = image_basis(ExactMatrix.from_columns([{0: f.one}], 2, f))
-    G = GaugeInstance(3, A, HI, f.zeta(), check=False)
-    with pytest.raises(AssertionError, match=r"A\^N != 0 on C\(U, H\)"):
-        GaugeCochains(U, act, G, 3)
+    with pytest.raises(ValueError, match=r"A\^N != 0"):
+        GaugeInstance(3, A, HI, f.zeta())
 
 
 def test_gauge_cochains_rejects_q2_only_a0():
     # N = 4 and q^2 = -1: [4]_(q^2) = 0, so d_1 is a 4-complex, but
     # [2]_(q^2) = 0 too, and the q-binomial [4 choose 2]_(q^2) = 2 that the
-    # Q^N certificate needs to vanish does not
+    # Q^N certificate needs to vanish does not; the instance refuses it
     f, U, act, G = synthetic_setup(4)
-    G = GaugeInstance(4, G.A, G.HI, f.pow(f.zeta(), 2), check=False)
     with pytest.raises(ValueError, match="primitive"):
-        GaugeCochains(U, act, G, 4)
+        GaugeInstance(4, G.A, G.HI, f.pow(f.zeta(), 2))
 
 
 def _digest(mats):
@@ -445,13 +507,7 @@ def test_theorem6_synthetic():
 
 def test_theorem6_trivial_algebra():
     # U = k: C^0 = H and F^0 H_(k) = H_(k)(H, A)
-    from ncomplex.cosimplicial import field_algebra
-
-    f = make_cyclotomic(6)
-    U = field_algebra(f)
-    S = ExactMatrix.from_rows([[f.zero, f.one], [f.zero, f.zero]], f)
-    act = [ExactMatrix.identity(2, f)]
-    G = GaugeInstance(3, S, Subspace.full(2, f), f.zeta())
+    f, U, act, G = field_algebra_setup()
     rep = theorem6_verify(U, act, G)
     assert rep["ok"]
 
