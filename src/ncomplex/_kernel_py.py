@@ -4,21 +4,22 @@ Rows are pairs ``[cols, vals]`` with ``cols`` strictly increasing and
 ``vals`` nonzero.  Pivoting: smallest column index first, then the row with
 fewest nonzeros, then first-come (deterministic).
 
-Over Q the elimination is fraction-free (Bareiss 1968; Geddes, Czapor and
-Labahn 1992, ch. 9): each row is held as a primitive integer row, a step
-a' = (p/g) a - (c/g) b with g = gcd(p, c) cancels the entry c of a at the
-pivot column of b against the lead p of b, and the result is divided by its
-content; back-substitution takes the same step.  Every integer row is a
-nonzero multiple of the row the scalar path builds at the same step, so
-supports, pivot order and pivots agree, and each echelon row is divided by
-its lead once, at the end, into the same normalized row.  Over Q(zeta_M) the
-elimination runs on the field's bound scalar operations.
+Over Q rows in and out are integer rows, and no rational is built.  An input
+row is any nonzero multiple of a matrix row, such as its numerators over a
+common denominator (``ExactMatrix.rows_sparse``); it is divided by its
+content.  The elimination is fraction-free (Bareiss 1968; Geddes, Czapor and
+Labahn 1992, ch. 9): a step a' = (p/g) a - (c/g) b with g = gcd(p, c)
+cancels the entry c of a at the pivot column of b against the lead p of b,
+and the result is divided by its content; back-substitution takes the same
+step.  Every integer row is a nonzero multiple of the row the scalar path
+builds at the same step, so supports, pivot order and pivots agree, and an
+echelon row divided by its lead is the scalar path's normalized row.  Over
+Q(zeta_M) the elimination runs on the field's bound scalar operations, and
+each echelon row has lead one.
 """
 
 from bisect import bisect_left
-from math import gcd, lcm
-
-from .fields import rat
+from math import gcd
 
 
 def _axpy(cols_a, vals_a, f, cols_b, vals_b, ops):
@@ -91,23 +92,24 @@ def _axpy_int(cols_a, vals_a, c, cols_b, vals_b, _ops):
 
 
 def _primitive(vals):
-    """Rational ``vals`` as the primitive integer row of the same support."""
-    D = lcm(*[v.denominator for v in vals])
-    nums = [v.numerator * (D // v.denominator) for v in vals]
-    g = gcd(*nums)
-    return [n // g for n in nums] if g > 1 else nums
+    """Integer ``vals`` divided by their content: the primitive row of the
+    same support and signs."""
+    g = gcd(*vals)
+    return [v // g for v in vals] if g > 1 else vals
 
 
 def row_echelon(rows, limit, ops, reduced=True):
     """Reduce sparse rows in place of a matrix whose pivot columns must lie
     below ``limit`` (columns >= limit ride along, e.g. augmented parts),
-    with the scalar operations of the ``Field`` ``ops``; over Q on primitive
-    integer rows (see the module docstring).
+    with the scalar operations of the ``Field`` ``ops``.
 
     Returns ``(pivots, erows, residual)``: pivot columns in increasing order,
-    the corresponding normalized echelon rows, and rows with no support below
-    ``limit``.  Over Q the residual rows are primitive integer rows, as
-    rationals: each is a nonzero multiple of the row the scalar path leaves.
+    the corresponding echelon rows, and rows with no support below ``limit``.
+    Over Q the rows in are integer rows, and so are the rows out (see the
+    module docstring): each echelon row is primitive and keeps its lead, so
+    row / lead is the normalized row, and each residual row is primitive, a
+    nonzero multiple of the row the scalar path leaves.  Over Q(zeta_M) the
+    echelon rows are normalized.
     """
     rational = ops.kind == "rationals"
     buckets = {}
@@ -155,7 +157,4 @@ def row_echelon(rows, limit, ops, reduced=True):
                 if lo < len(rc) and rc[lo] == c:
                     erows[j] = step(rc, rv, rv[lo], pc, pv, ops)
 
-    if rational:
-        erows = [(rc, [rat(v, rv[0]) for v in rv]) for rc, rv in erows]
-        residual = [(rc, [rat(v) for v in rv]) for rc, rv in residual]
     return pivots, erows, residual

@@ -10,7 +10,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cache
 
-from .fields import QQ, accumulate, rat
+from .fields import QQ, accumulate, check_keys, rat
 from .linalg import (
     EchelonSolver,
     ExactMatrix,
@@ -166,11 +166,8 @@ class PolyConstraintSystem:
 
     @staticmethod
     def from_json(obj):
-        keys = ("D", "constraints", "fields", "structure", "witnesses")
-        if not (isinstance(obj, dict) and set(keys) <= obj.keys()):
-            raise ValueError(
-                "a constraint system must be a JSON object with keys " + ", ".join(keys)
-            )
+        check_keys(obj, "a constraint system",
+                   ("D", "constraints", "fields", "structure", "witnesses"))
         D = obj["D"]
         if not isinstance(D, int) or isinstance(D, bool) or D < 1:
             raise ValueError(f"system D must be a positive int, got {D!r}")

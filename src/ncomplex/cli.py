@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import acceptance
-from .fields import QQ, make_cyclotomic
+from .fields import QQ, check_keys, make_cyclotomic
 from .graded import WindowError
 from .linalg import _int_key, _is_index
 
@@ -281,6 +281,7 @@ def cmd_potential(args):
             raise ValueError(
                 "a tensor must be a JSON object with an object T and an int degree >= 0"
             )
+        check_keys(obj, "a tensor", (), ("T", "degree"))
         T = {}
         for key, poly in obj["T"].items():
             if not (isinstance(poly, dict) and all(isinstance(v, str) for v in poly.values())):

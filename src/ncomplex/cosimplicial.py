@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import combinations
 
-from .fields import Field, check_assumptions
+from .fields import Field, check_assumptions, check_keys
 from .graded import (
     GradedNComplex,
     TensorIndex,
@@ -114,14 +114,8 @@ class AlgebraData:
 
     @staticmethod
     def from_json(obj):
-        if not (
-            isinstance(obj, dict)
-            and {"field", "dim", "structure_constants"} <= obj.keys()
-        ):
-            raise ValueError(
-                "an algebra must be a JSON object with keys field, dim and "
-                "structure_constants"
-            )
+        check_keys(obj, "an algebra", ("field", "dim", "structure_constants"),
+                   ("lie", "unit", "counit"))
         f = Field.from_json(obj["field"])
         n = obj["dim"]
         if not _is_index(n):

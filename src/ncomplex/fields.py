@@ -55,6 +55,19 @@ def accumulate(acc, key, val):
         acc[key] = val
 
 
+def check_keys(obj, what, required, optional=()):
+    """Refuse ``obj`` (ValueError) unless it is a JSON object with every key in
+    ``required`` and no key outside ``required`` and ``optional``; the message
+    names ``what`` and the keys.  Give ``required`` empty only for a dict."""
+    if not (isinstance(obj, dict) and set(required) <= obj.keys()):
+        *head, last = required
+        raise ValueError(f"{what} must be a JSON object with keys "
+                         f"{', '.join(head)} and {last}")
+    unknown = sorted(obj.keys() - set(required) - set(optional))
+    if unknown:
+        raise ValueError(f"unknown key {', '.join(map(repr, unknown))} in {what}")
+
+
 def _parse_rat(s):
     """A rational from "n" or "n/d"; a zero denominator is a ValueError."""
     if "/" not in s:
@@ -485,13 +498,15 @@ class Field:
     @staticmethod
     def from_json(obj):
         kind = obj.get("kind") if isinstance(obj, dict) else None
-        if kind == "rationals":
-            return QQ
-        if kind != "cyclotomic":
+        if kind not in ("rationals", "cyclotomic"):
             raise ValueError(
                 "a field must be a JSON object with kind \"rationals\" or "
                 f"\"cyclotomic\", got {obj!r}"
             )
+        check_keys(obj, "a field", (), ("kind", "M", "minimal_polynomial")
+                   if kind == "cyclotomic" else ("kind",))
+        if kind == "rationals":
+            return QQ
         M = obj.get("M")
         if not isinstance(M, int) or isinstance(M, bool) or M < 1:
             raise ValueError(f"cyclotomic field M must be a positive int, got {M!r}")

@@ -68,14 +68,9 @@ class GaugeInstance:
 
     @staticmethod
     def from_json(obj):
-        from .fields import Field
+        from .fields import Field, check_keys
 
-        keys = {"N", "field", "A", "HI_basis", "q"}
-        if not (isinstance(obj, dict) and keys <= obj.keys()):
-            raise ValueError(
-                "a gauge instance must be a JSON object with keys N, field, A, "
-                "HI_basis and q"
-            )
+        check_keys(obj, "a gauge instance", ("N", "field", "A", "HI_basis", "q"))
         N = obj["N"]
         if not isinstance(N, int) or isinstance(N, bool) or N < 2:
             raise ValueError(f"gauge instance N must be an int >= 2, got {N!r}")
@@ -181,16 +176,15 @@ def theorem5_verify(G):
 
 def random_gauge_instance(field, N, rng, hmax=20):
     """Conjugated nilpotent A with H_I the A-orbit span of a random seed
-    subspace (stable by construction); the field is Q(zeta_2N) and q = zeta."""
+    subspace (stable by construction), or of e_0 when every seed is zero;
+    the field is Q(zeta_2N) and q = zeta."""
     from .ndiff import random_ndiff, random_stable_subspace
 
     h = rng.randint(3, hmax)
     amb, _ = random_ndiff(field, N, h, rng)
     S = random_stable_subspace(amb, rng, nseeds=rng.randint(1, 2))
     if S.dim == 0:
-        S = image_basis(
-            ExactMatrix.from_columns([{0: field.one}], h, field)
-        )
+        S = orbit_span(amb.d, [{0: field.one}], N)
     return GaugeInstance(N, amb.d, S, field.zeta())
 
 

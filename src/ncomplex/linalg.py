@@ -5,18 +5,20 @@ deterministic representative choices."""
 from __future__ import annotations
 
 from bisect import bisect_left
+from math import lcm
 
 from . import kernel
 from ._kernel_py import _axpy, _axpy_int, _primitive
-from .fields import Field, rat
+from .fields import Field, check_keys, rat
 
 
 class ExactMatrix:
     """Sparse matrix; stored entries are nonzero.
 
-    Entries must not be mutated after construction: ``split_columns`` caches
-    the columns as integer numerators, and ``apply`` and the solvers read that
-    cache."""
+    Entries must not be mutated after construction: the matrix keeps one
+    cache, ``split_columns``, its entries as integer numerators over one
+    common denominator D, by column.  Products and kernel rows over Q,
+    ``apply`` and the solvers read it, so a matrix is split at most once."""
 
     __slots__ = ("nrows", "ncols", "field", "entries", "_split")
 
@@ -89,24 +91,29 @@ class ExactMatrix:
         return cols
 
     def split_columns(self):
-        """``(columns, D)``: the columns as ``{col: [(row, numerator), ...]}``
-        over one common denominator D (see ``Field.split``), cached."""
+        """``(columns, D)``: the columns as flat lists
+        ``{col: [row, numerator, row, numerator, ...]}`` over one common
+        denominator D (see ``Field.split``), cached."""
         if self._split is None:
-            self._split = _integer_columns(
-                [(c, r, v) for (r, c), v in self.entries.items()], self.field
-            )
+            nums, D = self.field.split(list(self.entries.values()))
+            self._split = _flat_columns(self.entries, nums), D
         return self._split
 
     def rows_sparse(self):
-        """Rows as (sorted cols, vals) pairs, for the kernel."""
-        rows = [[] for _ in range(self.nrows)]
-        for (r, c), v in self.entries.items():
-            rows[r].append((c, v))
-        out = []
-        for items in rows:
-            items.sort()
-            out.append(([c for c, _ in items], [v for _, v in items]))
-        return out
+        """Rows as (sorted cols, vals) pairs, for the kernel: over Q the
+        integer rows of ``split_columns`` (D times the rows of the matrix),
+        over Q(zeta_M) the scalar rows."""
+        if self.field.kind == "rationals":
+            cols = self.split_columns()[0]
+        else:
+            cols = _flat_columns(self.entries, self.entries.values())
+        rows = [([], []) for _ in range(self.nrows)]
+        for c in sorted(cols):
+            it = iter(cols[c])
+            for r, v in zip(it, it):
+                rows[r][0].append(c)
+                rows[r][1].append(v)
+        return rows
 
     def is_zero(self):
         return not self.entries
@@ -254,6 +261,7 @@ class ExactMatrix:
     def from_json(obj, field=None):
         if not isinstance(obj, dict):
             raise ValueError("a matrix must be a JSON object")
+        check_keys(obj, "a matrix", (), ("rows", "cols", "field", "entries"))
         f = field or Field.from_json(obj["field"])
         shape = obj.get("rows"), obj.get("cols")
         for name, n in zip(("rows", "cols"), shape):
@@ -361,15 +369,17 @@ def _is_index(n, bound=None):
     )
 
 
-def _integer_columns(entries, f):
-    """Entries ``(column, row, scalar)`` as integer columns
-    ``{column: [(row, numerator), ...]}`` over one common denominator D;
-    returns ``(columns, D)``."""
-    nums, D = f.split([v for _, _, v in entries])
+def _flat_columns(keys, vals):
+    """``{col: [row, val, row, val, ...]}`` for the positions ``(row, col)`` in
+    ``keys`` and their ``vals``, rows in the order given: one flat list per
+    column keeps the cache small, and ``zip(it, it)`` on one iterator reads it."""
     cols = {}
-    for (j, i, _), n in zip(entries, nums):
-        cols.setdefault(j, []).append((i, n))
-    return cols, D
+    for (r, c), n in zip(keys, vals):
+        if c in cols:
+            cols[c] += r, n
+        else:
+            cols[c] = [r, n]
+    return cols
 
 
 def _split_vector(vec, f):
@@ -379,19 +389,24 @@ def _split_vector(vec, f):
 
 
 def _matmul_rational(A, B):
-    """A @ B over Q on integer numerators: the same entries, in the same
-    order, as the scalar product, with one rational built per output entry
+    """A @ B over Q on the integer columns of both cached splits: the
+    entries of the scalar product, with one rational built per output entry
     over D_A D_B."""
-    a_nums, DA = A.field.split(list(A.entries.values()))
-    b_nums, DB = B.field.split(list(B.entries.values()))
+    a_cols, DA = A.split_columns()
+    b_cols, DB = B.split_columns()
     by_row = {}
-    for (r, c), b in zip(B.entries, b_nums):
-        by_row.setdefault(r, []).append((c, b))
+    for c, col in b_cols.items():
+        it = iter(col)
+        for k, b in zip(it, it):
+            by_row.setdefault(k, []).append((c, b))
     ent = {}
-    for (r, k), a in zip(A.entries, a_nums):
-        for c, b in by_row.get(k, ()):
-            rc = (r, c)
-            ent[rc] = ent[rc] + a * b if rc in ent else a * b
+    for k, col in a_cols.items():
+        row = by_row.get(k, ())
+        it = iter(col)
+        for r, a in zip(it, it):
+            for c, b in row:
+                rc = (r, c)
+                ent[rc] = ent[rc] + a * b if rc in ent else a * b
     D = DA * DB
     return ExactMatrix(
         A.nrows, B.ncols, A.field,
@@ -400,13 +415,14 @@ def _matmul_rational(A, B):
 
 
 def _apply_columns(cols, xs, f):
-    """Integer columns ``{j: [(i, numerator), ...]}`` times numerators
+    """Integer columns ``{j: [i, numerator, ...]}`` times numerators
     ``{j: x}``: the products ``{i: numerator}`` over the product of the two
     denominators.  Entries that cancel to zero are kept."""
     add, mul = f.add, f.mul
     out = {}
     for j, x in xs.items():
-        for i, v in cols.get(j, ()):
+        it = iter(cols.get(j, ()))
+        for i, v in zip(it, it):
             t = mul(v, x)
             out[i] = add(out[i], t) if i in out else t
     return out
@@ -449,8 +465,8 @@ def kernel_basis(M):
         col = {fc: f.one}
         for p, (rc, rv) in zip(pivots, erows):
             lo = bisect_left(rc, fc)
-            if lo < len(rc) and rc[lo] == fc:
-                col[p] = f.neg(rv[lo])
+            if lo < len(rc) and rc[lo] == fc:  # over Q the RREF row is rv / lead
+                col[p] = rat(-rv[lo], rv[0]) if f.kind == "rationals" else f.neg(rv[lo])
         cols.append(col)
     return Subspace(M.ncols, ExactMatrix.from_columns(cols, M.ncols, f))
 
@@ -487,7 +503,7 @@ class Echelon:
         vals = [col[r] for r in rows]
         rational = f.kind == "rationals"
         if rational:
-            vals = _primitive(vals)
+            vals = _primitive(f.split(vals)[0])
         while rows:
             hit = self.leads.get(rows[0])
             if hit is None:
@@ -517,14 +533,16 @@ class EchelonSolver:
     whenever one exists.  P is kept only as integer columns over one common
     denominator, and a solve runs on numerators: x = P b and the exact check
     M x = b, which rejects every b outside the image, are two integer
-    applies."""
+    applies.  Over Q row i of the kernel's input is D_M [M_i | e_i], for the
+    numerator row D_M M_i of ``rows_sparse``."""
 
     def __init__(self, M):
         self.M = M
         f = self.field = M.field
         split = M.ncols
+        aug = M.split_columns()[1] if f.kind == "rationals" else f.one
         rows = [
-            (cols + [split + i], vals + [f.one])
+            (cols + [split + i], vals + [aug])
             for i, (cols, vals) in enumerate(M.rows_sparse())
         ]
         pivots, erows, _ = kernel.row_echelon(rows, split, f, reduced=True)
@@ -565,17 +583,23 @@ class EchelonSolver:
 
 
 def _identity_part(rows, split, f):
-    """The entries of sparse ``rows`` from column ``split`` on, as integer
-    columns ``{column - split: [(row index, numerator), ...]}`` over one
-    common denominator; returns ``(columns, D)``."""
-    return _integer_columns(
-        [
-            (rc[k] - split, i, rv[k])
-            for i, (rc, rv) in enumerate(rows)
-            for k in range(bisect_left(rc, split), len(rc))
-        ],
-        f,
-    )
+    """``(columns, D)``: the entries of the echelon ``rows`` from column
+    ``split`` on, each row divided by its lead, as integer columns
+    ``{column - split: [row index, numerator, ...]}`` over one denominator D.
+    Over Q the rows are integer rows and D is the lcm of the leads; over
+    Q(zeta_M) the leads are one and ``Field.split`` gives D."""
+    part = [
+        ((i, rc[k] - split), rv[k])
+        for i, (rc, rv) in enumerate(rows)
+        for k in range(bisect_left(rc, split), len(rc))
+    ]
+    if f.kind == "rationals":
+        D = lcm(*[rv[0] for _, rv in rows])
+        scale = [D // rv[0] for _, rv in rows]
+        nums = [v * scale[i] for (i, _), v in part]
+    else:
+        nums, D = f.split([v for _, v in part])
+    return _flat_columns([ij for ij, _ in part], nums), D
 
 
 class Subspace:

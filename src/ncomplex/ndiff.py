@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 from functools import cache, cached_property
 
-from .fields import Field
+from .fields import Field, check_keys
 from .linalg import (
     EchelonSolver,
     ExactMatrix,
@@ -79,8 +79,7 @@ class NDiffModule:
 
     @staticmethod
     def from_json(obj):
-        if not (isinstance(obj, dict) and {"N", "field", "d"} <= obj.keys()):
-            raise ValueError("a module must be a JSON object with keys N, field and d")
+        check_keys(obj, "a module", ("N", "field", "d"))
         if not isinstance(obj["N"], int) or isinstance(obj["N"], bool):
             raise ValueError(f"module N must be an int, got {obj['N']!r}")
         f = Field.from_json(obj["field"])
@@ -399,10 +398,7 @@ class ShortExactSequence:
 
     @staticmethod
     def from_json(obj):
-        if not (isinstance(obj, dict) and {"E", "F", "G", "phi", "psi"} <= obj.keys()):
-            raise ValueError(
-                "a short exact sequence must be a JSON object with keys E, F, G, phi and psi"
-            )
+        check_keys(obj, "a short exact sequence", ("E", "F", "G", "phi", "psi"))
         E = NDiffModule.from_json(obj["E"])
         return ShortExactSequence(
             E, NDiffModule.from_json(obj["F"]), NDiffModule.from_json(obj["G"]),
@@ -485,8 +481,8 @@ def connecting_well_defined(ses, m, rng=None, trials=None):
     are accepted for the callers still written against it and never read."""
     HE = homology(ses.E)[ses.E.N - m]
     cols, D = ses.ker_psi.basis.split_columns()
-    return all(not HE.quotient.coordinates(ses.connect_lift(dict(k), D, m))
-               for k in cols.values())
+    return all(not HE.quotient.coordinates(
+        ses.connect_lift(dict(zip(k[::2], k[1::2])), D, m)) for k in cols.values())
 
 
 def ses_hexagon_check(ses):

@@ -9,9 +9,15 @@ from pathlib import Path
 import pytest
 
 import ncomplex
-from ncomplex import acceptance, cli, gauge, ndiff
-from ncomplex.cosimplicial import dual_numbers, matrix_algebra, nonabelian_lie2
-from ncomplex.fields import QQ, make_cyclotomic
+from ncomplex import acceptance, brs, cli, gauge, ndiff
+from ncomplex.cosimplicial import (
+    AlgebraData,
+    dual_numbers,
+    group_algebra_cyclic,
+    matrix_algebra,
+    nonabelian_lie2,
+)
+from ncomplex.fields import QQ, Field, make_cyclotomic
 from ncomplex.linalg import ExactMatrix
 from ncomplex.ndiff import block_module
 
@@ -446,6 +452,15 @@ def test_gauge_ext_random_suite(capsys):
     assert (out["ok"], out["trials"], out["failures"]) == (True, 6, 0)
 
 
+def test_gauge_ext_random_suite_survives_all_zero_seeds(capsys):
+    """At hmax 3 some of the 300 instances draw only zero seeds; their H_I is
+    the A-orbit span of e_0, which is A-stable, so the suite passes."""
+    assert cli.main(["gauge-ext", "--suite", "random", "--hmax", "3", "--trials",
+                     "300", "--seed", "42", "--format", "json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["ok"], out["trials"], out["failures"]) == (True, 300, 0)
+
+
 def test_gauge_ext_random_failure_writes_first_instance(monkeypatch, tmp_path,
                                                         capsys):
     monkeypatch.chdir(tmp_path)
@@ -501,3 +516,84 @@ def test_internal_error_exits_3(monkeypatch, module_file, capsys):
     assert captured.err == (
         "ncx: internal error: dim H != dim Z - dim B\n"
     )
+
+
+# -- every JSON loader the CLI reaches: its own output in, unknown keys out ----
+
+
+def _gauge_instance_json():
+    rng = random.Random("42:gauge:0")
+    N = rng.choice((3, 4, 5))
+    return gauge.random_gauge_instance(make_cyclotomic(2 * N), N, rng, hmax=20).to_json()
+
+
+_LOADER_INPUTS = {
+    "field-Q": (Field.from_json, lambda: QQ.to_json()),
+    "field-Q(zeta_6)": (Field.from_json, lambda: make_cyclotomic(6).to_json()),
+    "matrix": (ExactMatrix.from_json, lambda: ExactMatrix.from_rows(
+        [[_Z3.zeta(), _Z3.zero], [_Z3.one, _Z3.from_rat(1, 2)]], _Z3).to_json()),
+    "module": (ndiff.NDiffModule.from_json,
+               lambda: block_module(QQ, 3, [3, 1]).to_json()),
+    "ses": (ndiff.ShortExactSequence.from_json,
+            lambda: ndiff.random_ses(QQ, 3, random.Random(0)).to_json()),
+    "gauge-instance": (gauge.GaugeInstance.from_json, _gauge_instance_json),
+    "algebra": (AlgebraData.from_json, lambda: group_algebra_cyclic(_Z3, 2).to_json()),
+    "lie-algebra": (AlgebraData.from_json, lambda: nonabelian_lie2(QQ).to_json()),
+    "brs-system": (brs.PolyConstraintSystem.from_json,
+                   lambda: brs.twisted_nonabelian_system().to_json()),
+}
+
+
+@pytest.mark.parametrize("name", _LOADER_INPUTS)
+def test_loaders_accept_their_own_json(name):
+    """Each loader reads back every key its own ``to_json`` writes."""
+    load, make = _LOADER_INPUTS[name]
+    obj = json.loads(json.dumps(make()))
+    assert load(obj).to_json() == obj
+
+
+def _module_json():
+    return block_module(QQ, 3, [3, 1]).to_json()
+
+
+def _ses_json():
+    return ndiff.random_ses(QQ, 3, random.Random(0)).to_json()
+
+
+@pytest.mark.parametrize(
+    "argv, make, path",
+    [
+        (["homology"], _module_json, ()),
+        (["homology"], _module_json, ("d",)),
+        (["homology"], _module_json, ("field",)),
+        (["multiplicities"], _module_json, ()),
+        (["ses"], _ses_json, ()),
+        (["ses"], _ses_json, ("F", "d")),
+        (["ses"], _ses_json, ("psi",)),
+        (["gauge-ext"], _gauge_instance_json, ()),
+        (["gauge-ext"], _gauge_instance_json, ("HI_basis",)),
+        (["gauge-ext"], _gauge_instance_json, ("field",)),
+        (["cosimplicial"], lambda: dual_numbers(QQ).to_json(), ()),
+        (["prop7"], lambda: dual_numbers(_Z3).to_json(), ("field",)),
+        (["brs"], lambda: brs.abelian_system().to_json(), ()),
+        (["potential"], lambda: {"T": {}, "degree": 0}, ()),
+    ],
+    ids=["module", "module-d", "module-field", "multiplicities", "ses", "ses-F-d",
+         "ses-psi", "gauge", "gauge-HI_basis", "gauge-field", "algebra",
+         "algebra-field", "brs-system", "tensor"],
+)
+def test_unknown_json_key_exits_2(monkeypatch, tmp_path, capsys, argv, make, path):
+    """A key that no loader reads is bad input, at the top level or nested:
+    exit 2 with a message that names the key, and no witness."""
+    monkeypatch.chdir(tmp_path)
+    obj = make()
+    node = obj
+    for key in path:
+        node = node[key]
+    node["not_a_key"] = 1
+    bad = tmp_path / "input.json"
+    bad.write_text(json.dumps(obj))
+    assert cli.main(argv + [str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ncx: invalid input:") and "'not_a_key'" in err
+    assert not list(tmp_path.glob("ncx-failure-*.json"))

@@ -29,6 +29,7 @@ from ncomplex.linalg import (
     ExactMatrix,
     Subspace,
     image_basis,
+    orbit_span,
     quotient_maps,
     rank,
     tuple_index,
@@ -156,6 +157,19 @@ def _oracle_instances():
 def test_extend_certificates_match_the_full_size_oracle():
     for G in _oracle_instances():
         _extend_oracle(G, extend(G))
+
+
+def test_random_instance_with_all_zero_seeds_takes_the_orbit_of_e0():
+    """Random(440) at hmax 3 draws only zero seeds, and there A e_0 != 0, so
+    span(e_0) is not A-stable; H_I is the A-orbit span of e_0 instead, the
+    instance validates and Theorem 5 holds on it."""
+    f = make_cyclotomic(6)
+    G = random_gauge_instance(f, 3, random.Random(440), hmax=3)
+    e0 = {0: f.one}
+    assert G.A.apply(e0)
+    assert G.HI.basis == orbit_span(G.A, [e0], 3).basis
+    assert G.HI.dim == 2
+    assert theorem5_verify(G)["ok"]
 
 
 def _proper_hi_instance():

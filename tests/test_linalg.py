@@ -217,15 +217,51 @@ def _to_dense(rows, width, field):
     return dense
 
 
+def _normalized(out):
+    """The ``Fraction`` rows of ``row_echelon``'s integer output over Q (its
+    contract before integer rows): each echelon row divided by its lead, each
+    residual row as rationals.  Asserts the integer contract on the way:
+    ``int`` entries, primitive rows, and pivots at the leads."""
+    pivots, erows, residual = out
+    for cols, vals in erows + residual:
+        assert vals and all(type(v) is int and v for v in vals)
+        assert math.gcd(*vals) == 1
+    assert [cols[0] for cols, _ in erows] == pivots
+    return (
+        pivots,
+        [(rc, [rat(v, rv[0]) for v in rv]) for rc, rv in erows],
+        [(rc, [rat(v) for v in rv]) for rc, rv in residual],
+    )
+
+
+def _numerator_rows(rows):
+    """Rational sparse rows as the kernel's integer rows over Q: their
+    numerators over one common denominator D, as ``ExactMatrix.rows_sparse``
+    gives them; returns ``(rows, D)``."""
+    nums, D = QQ.split([v for _, vals in rows for v in vals])
+    it = iter(nums)
+    return [(list(cols), [next(it) for _ in vals]) for cols, vals in rows], D
+
+
+def _echelon_out(rows, limit, field, reduced=True):
+    """``kernel.row_echelon`` of the scalar rows ``rows``; over Q fed their
+    numerator rows and read back through ``_normalized``."""
+    if field.kind != "rationals":
+        return kernel.row_echelon(copy.deepcopy(rows), limit, field, reduced=reduced)
+    return _normalized(kernel.row_echelon(
+        _numerator_rows(rows)[0], limit, field, reduced=reduced))
+
+
 def _check_echelon_against_oracle(rows, limit, width, field):
-    """kernel.row_echelon(rows, limit) against the dense RREF of the rows.
+    """kernel.row_echelon(rows, limit) against the dense RREF of the rows
+    (over Q on their numerator rows, each echelon row divided by its lead).
 
     Pivots and the part of each echelon row below ``limit`` are unique.  The
     residual rows span the row space's part with no support below ``limit``,
     and an echelon row's part from ``limit`` on is unique modulo that span.
     """
-    pivots, erows, residual = kernel.row_echelon(copy.deepcopy(rows), limit, field)
-    unreduced = kernel.row_echelon(copy.deepcopy(rows), limit, field, reduced=False)
+    pivots, erows, residual = _echelon_out(rows, limit, field)
+    unreduced = _echelon_out(rows, limit, field, reduced=False)
     assert unreduced[0] == pivots
     for cols, vals in erows + residual:
         assert cols == sorted(set(cols))
@@ -249,8 +285,9 @@ def _check_echelon_against_oracle(rows, limit, width, field):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_row_echelon_against_dense_oracle(seed):
-    """RREF entries, pivots and residual rows over Q and Q(zeta_4), plain and
-    augmented by the identity as EchelonSolver does."""
+    """RREF entries, pivots and residual rows over Q (on numerator rows over
+    denominators up to 3) and Q(zeta_4), plain and augmented by the identity
+    as EchelonSolver does."""
     rng = random.Random(300 + seed)
     cases = []
     for field in (QQ, make_cyclotomic(4)):
@@ -258,7 +295,7 @@ def test_row_echelon_against_dense_oracle(seed):
         rows = []
         for _ in range(nr):
             ent = [
-                (c, field.from_rat(rng.randint(-3, 3)))
+                (c, field.from_rat(rng.randint(-3, 3), rng.randint(1, 3)))
                 for c in sorted(rng.sample(range(ncols), rng.randint(0, ncols)))
             ]
             ent = [(c, v) for c, v in ent if not field.is_zero(v)]
@@ -302,15 +339,9 @@ def _is_canonical_rat(v):
             and math.gcd(v.numerator, v.denominator) == 1)
 
 
-@st.composite
-def q_echelon_cases(draw):
-    """Sparse rows over Q with numerators up to 10^6 over denominators 1..12,
-    some of them combinations of earlier rows; a pivot limit and a flag."""
-    rng = random.Random(draw(st.integers(0, 2**32 - 1), label="seed"))
-    nrows = draw(st.integers(0, 12), label="rows")
-    ncols = draw(st.integers(0, 12), label="cols")
-    limit = draw(st.one_of(st.just(ncols), st.integers(0, ncols)), label="limit")
-    reduced = draw(st.booleans(), label="reduced")
+def _q_dense_rows(rng, nrows, ncols):
+    """Dense rows over Q with numerators up to 10^6 over denominators 1..12,
+    some of them combinations of earlier rows."""
     density = rng.choice((0.2, 0.5, 0.9))
     dense = []
     for _ in range(nrows):
@@ -324,8 +355,19 @@ def q_echelon_cases(draw):
                 if rng.random() < density else rat(0)
                 for _ in range(ncols)
             ])
+    return dense
+
+
+@st.composite
+def q_echelon_cases(draw):
+    """Sparse rows over Q from ``_q_dense_rows``; a pivot limit and a flag."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1), label="seed"))
+    nrows = draw(st.integers(0, 12), label="rows")
+    ncols = draw(st.integers(0, 12), label="cols")
+    limit = draw(st.one_of(st.just(ncols), st.integers(0, ncols)), label="limit")
+    reduced = draw(st.booleans(), label="reduced")
     rows = []
-    for row in dense:
+    for row in _q_dense_rows(rng, nrows, ncols):
         cols = [c for c, v in enumerate(row) if v]
         rows.append((cols, [row[c] for c in cols]))
     return rows, ncols, limit, reduced
@@ -334,19 +376,19 @@ def q_echelon_cases(draw):
 @given(q_echelon_cases())
 @settings(max_examples=200, deadline=None)
 def test_integer_elimination_over_q(case):
-    """The fraction-free elimination over Q against the dense Gauss-Jordan
-    oracle, and row for row against the kernel's scalar path."""
+    """The fraction-free elimination over Q, fed numerator rows, returns
+    primitive integer rows; each echelon row divided by its lead matches the
+    dense Gauss-Jordan oracle, and row for row the kernel's scalar path on
+    the rational rows."""
     rows, ncols, limit, reduced = case
-    pivots, erows, residual = kernel.row_echelon(
-        copy.deepcopy(rows), limit, QQ, reduced=reduced)
-    for cols, vals in erows + residual:
+    int_rows, _ = _numerator_rows(rows)
+    out = kernel.row_echelon(copy.deepcopy(int_rows), limit, QQ, reduced=reduced)
+    for cols, vals in out[1] + out[2]:
         assert cols == sorted(set(cols))
-        assert vals and all(v and _is_canonical_rat(v) for v in vals)
+    pivots, erows, residual = _normalized(out)
+    for _, vals in erows + residual:
+        assert all(_is_canonical_rat(v) for v in vals)
     assert all(cols[0] >= limit for cols, _ in residual)
-    for _, vals in residual:  # primitive integer rows
-        assert all(v.denominator == 1 for v in vals)
-        assert math.gcd(*[v.numerator for v in vals]) == 1
-    assert [cols[0] for cols, _ in erows] == pivots
     assert all(vals[0] == 1 for _, vals in erows)
 
     o_piv, o_rows = dense_rref(_to_dense(rows, ncols, QQ), QQ)
@@ -369,6 +411,37 @@ def test_integer_elimination_over_q(case):
         copy.deepcopy(rows), limit, _ScalarQ, reduced=reduced)
     assert (s_piv, s_erows) == (pivots, erows)
     assert dense_rref(_to_dense(s_residual, ncols, QQ), QQ) == (r_piv, r_rows)
+
+
+@st.composite
+def q_solver_cases(draw):
+    """A matrix over Q from ``_q_dense_rows`` (so with denominators)."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1), label="seed"))
+    nrows = draw(st.integers(0, 8), label="rows")
+    ncols = draw(st.integers(0, 8), label="cols")
+    return ExactMatrix.from_rows(_q_dense_rows(rng, nrows, ncols), QQ, ncols=ncols)
+
+
+@given(q_solver_cases())
+@settings(max_examples=150, deadline=None)
+def test_solver_p_matches_normalized_fraction_rows(M):
+    """EchelonSolver builds P over Q from the integer rows D_M [M_i | e_i],
+    over the lcm of their leads; joined, it is the P of the normalized
+    rational rows of [M | I] that the kernel's scalar path gives."""
+    solver = EchelonSolver(M)
+    split = M.ncols
+    got = {(i, j): QQ.join(n, solver._DP)
+           for j, col in solver._P.items() for i, n in zip(col[::2], col[1::2])}
+    scalar_rows = []
+    for i in range(M.nrows):
+        row = sorted((c, v) for (r, c), v in M.entries.items() if r == i)
+        scalar_rows.append(
+            ([c for c, _ in row] + [split + i], [v for _, v in row] + [QQ.one]))
+    pivots, erows, _ = kernel.row_echelon(scalar_rows, split, _ScalarQ)
+    expected = {(i, c - split): v for i, (rc, rv) in enumerate(erows)
+                for c, v in zip(rc, rv) if c >= split}
+    assert solver.pivots == pivots
+    assert got == expected
 
 
 def test_matrix_json_roundtrip():
