@@ -1,8 +1,14 @@
-"""Sparse exact row-echelon kernel, in pure Python over a ``Field``.
+"""Sparse exact row echelon in pure Python over a ``Field``: the one
+elimination loop, ``Echelon.absorb``, and ``row_echelon``, a pass of it.
 
 Rows are pairs ``[cols, vals]`` with ``cols`` strictly increasing and
-``vals`` nonzero.  Pivoting: smallest column index first, then the row with
-fewest nonzeros, then first-come (deterministic).
+``vals`` nonzero.  An ``Echelon`` stores at most one row per lead (first
+column) below its ``limit``; columns from ``limit`` on ride along.  Pivot
+rule: a row that hits a stored lead is reduced by the stored row, unless it
+has fewer nonzeros, in which case it takes the lead and the stored row is
+reduced instead (the stored one stays on a tie).  Either way the span and
+the leads reached are the same, so pivots, normalized RREF rows and the
+columns ``image_basis`` keeps do not depend on the rule.
 
 Over Q rows in and out are integer rows, and no rational is built.  An input
 row is any nonzero multiple of a matrix row, such as its numerators over a
@@ -15,7 +21,7 @@ step.  Every integer row is a nonzero multiple of the row the scalar path
 builds at the same step, so supports, pivot order and pivots agree, and an
 echelon row divided by its lead is the scalar path's normalized row.  Over
 Q(zeta_M) the elimination runs on the field's bound scalar operations, and
-each echelon row has lead one.
+each stored row has lead one.
 """
 
 from bisect import bisect_left
@@ -98,55 +104,76 @@ def _primitive(vals):
     return [v // g for v in vals] if g > 1 else vals
 
 
+class Echelon:
+    """Rows absorbed one at a time, each stored reduced under its lead below
+    ``limit`` (see the module docstring for the row format and the pivot
+    rule).  With no column at or past ``limit``, the echelon grows exactly
+    when a row is independent of the rows before it, so absorbing the
+    columns of a matrix as rows keeps its pivot columns, the column rank
+    profile rule (Dumas, Pernet and Sultan, ISSAC 2015).  Stored rows are
+    never mutated, so ``copy`` shares them."""
+
+    __slots__ = ("ops", "limit", "leads")
+
+    def __init__(self, ops, limit, leads=()):
+        self.ops, self.limit, self.leads = ops, limit, dict(leads)
+
+    def copy(self):
+        return Echelon(self.ops, self.limit, self.leads)
+
+    def absorb(self, cols, vals):
+        """Reduce the row ``(cols, vals)`` at each stored lead it hits.  None
+        when a row takes a new lead below ``limit`` (the echelon grew by one);
+        otherwise what is left: an empty row, or one whose lead is at or past
+        ``limit``.  The row's lists are stored as given when they need no
+        reduction, so the caller must not mutate them afterwards."""
+        ops, leads, limit = self.ops, self.leads, self.limit
+        rational = ops.kind == "rationals"
+        if rational:
+            vals = _primitive(vals)
+        while cols and cols[0] < limit:
+            hit = leads.get(cols[0])
+            if hit is None or len(cols) < len(hit[0]):
+                if not rational:
+                    lead_inv, mul = ops.inv(vals[0]), ops.mul
+                    vals = [mul(lead_inv, v) for v in vals]
+                leads[cols[0]] = cols, vals
+                if hit is None:
+                    return None
+                # the sparser row took the lead: reduce the one it displaced
+                (cols, vals), hit = hit, (cols, vals)
+            if rational:
+                cols, vals = _axpy_int(cols, vals, vals[0], *hit, ops)
+            else:  # the stored lead is one and cancels: reduce the tails
+                hc, hv = hit
+                cols, vals = _axpy(cols[1:], vals[1:], vals[0], hc[1:], hv[1:], ops)
+        return cols, vals
+
+
 def row_echelon(rows, limit, ops, reduced=True):
-    """Reduce sparse rows in place of a matrix whose pivot columns must lie
-    below ``limit`` (columns >= limit ride along, e.g. augmented parts),
-    with the scalar operations of the ``Field`` ``ops``.
+    """Absorb sparse rows into one ``Echelon(ops, limit)``, pivot columns below
+    ``limit`` (columns >= limit ride along, e.g. augmented parts), and, if
+    ``reduced``, eliminate each pivot from the echelon rows above it.
 
     Returns ``(pivots, erows, residual)``: pivot columns in increasing order,
-    the corresponding echelon rows, and rows with no support below ``limit``.
-    Over Q the rows in are integer rows, and so are the rows out (see the
-    module docstring): each echelon row is primitive and keeps its lead, so
-    row / lead is the normalized row, and each residual row is primitive, a
-    nonzero multiple of the row the scalar path leaves.  Over Q(zeta_M) the
-    echelon rows are normalized.
+    the corresponding echelon rows, and the nonzero rows left with no
+    support below ``limit``.  Over Q the rows in are integer rows, and so
+    are the rows out (see the module docstring): each echelon row is
+    primitive and keeps its lead, so row / lead is the normalized row, and
+    each residual row is primitive.  Over Q(zeta_M) the echelon rows are
+    normalized.
     """
-    rational = ops.kind == "rationals"
-    buckets = {}
+    E = Echelon(ops, limit)
     residual = []
-    serial = 0
-
-    def insert(cols, vals):
-        nonlocal serial
-        if not cols:
-            return
-        if cols[0] >= limit:
-            residual.append((cols, vals))
-            return
-        buckets.setdefault(cols[0], []).append((serial, cols, vals))
-        serial += 1
-
     for cols, vals in rows:
-        if cols:
-            insert(list(cols), _primitive(vals) if rational else list(vals))
-
-    step = _axpy_int if rational else _axpy
-    mul = ops.mul
-    pivots, erows = [], []
-    while buckets:
-        c = min(buckets)
-        group = buckets.pop(c)
-        group.sort(key=lambda t: (len(t[1]), t[0]))
-        _, pc, pv = group[0]
-        if not rational:
-            piv_inv = ops.inv(pv[0])
-            pv = [mul(piv_inv, v) for v in pv]
-        pivots.append(c)
-        erows.append((pc, pv))
-        for _, rc, rv in group[1:]:
-            insert(*step(rc, rv, rv[0], pc, pv, ops))
+        rest = E.absorb(cols, vals)
+        if rest is not None and rest[0]:
+            residual.append(rest)
+    pivots = sorted(E.leads)
+    erows = [E.leads[c] for c in pivots]
 
     if reduced:
+        step = _axpy_int if ops.kind == "rationals" else _axpy
         # eliminate each pivot from all earlier echelon rows
         for k in range(len(pivots) - 1, 0, -1):
             c = pivots[k]

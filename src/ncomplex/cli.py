@@ -231,6 +231,7 @@ def cmd_poincare(args):
     from .young import poincare_verify
 
     _require_at_least(args, "wmax", 0)
+    _require_at_least(args, "D", 1)
     _require_at_least(args, "k", 1)
     if args.k > args.N - 1:
         raise UsageError(f"--k must be at most N-1 = {args.N - 1}, got {args.k}")
@@ -258,6 +259,7 @@ def cmd_spin_seq(args):
 
     _require_at_least(args, "wmax", 0)
     _require_at_least(args, "S", 1)
+    _require_at_least(args, "D", 1)
     rep = spin_sequence_check(args.S, args.D, args.wmax)
     out = {"command": "spin-seq", "ok": rep["ok"], "S": args.S, "D": args.D}
     if args.S == 2:

@@ -164,8 +164,9 @@ def theorem5_verify(G):
             continue
         # level-0 coordinates of H-bullet are those of H
         E = images[N - k - 1].echelon.copy()
-        if not all(E.absorb(G.HI.basis.apply(col))
-                   for col in Hs[k].representatives.columns()):
+        reps = (G.HI.basis @ Hs[k].representatives).transpose()
+        if not all(E.absorb(cols, vals) is None
+                   for cols, vals in reps.rows_sparse()):
             report["ok"] = False
             report["dims"][k] = (big, small_dim, "representatives collapse")
     return report

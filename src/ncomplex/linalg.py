@@ -8,7 +8,7 @@ from bisect import bisect_left
 from math import lcm
 
 from . import kernel
-from ._kernel_py import _axpy, _axpy_int, _primitive
+from .kernel import Echelon
 from .fields import Field, check_keys, rat
 
 
@@ -262,7 +262,11 @@ class ExactMatrix:
         if not isinstance(obj, dict):
             raise ValueError("a matrix must be a JSON object")
         check_keys(obj, "a matrix", (), ("rows", "cols", "field", "entries"))
-        f = field or Field.from_json(obj["field"])
+        f = field
+        if field is None or "field" in obj:
+            f = Field.from_json(obj.get("field"))
+            if field is not None and f != field:
+                raise ValueError(f"a matrix over {f!r} in an object over {field!r}")
         shape = obj.get("rows"), obj.get("cols")
         for name, n in zip(("rows", "cols"), shape):
             if not _is_index(n):
@@ -473,51 +477,12 @@ def kernel_basis(M):
 
 def image_basis(M):
     """Column space: the columns of M that ``Echelon`` keeps, the pivot columns
-    of any row echelon form of M.  The Subspace keeps the echelon for reuse."""
-    E = Echelon(M.field)
-    kept = [j for j, col in enumerate(M.columns()) if E.absorb(col)]
+    of any row echelon form of M.  The Subspace keeps the echelon, whose
+    rows are M's columns in the kernel's row format, for reuse."""
+    E = Echelon(M.field, M.nrows)
+    kept = [j for j, (cols, vals) in enumerate(M.transpose().rows_sparse())
+            if E.absorb(cols, vals) is None]
     return Subspace(M.nrows, M.take_columns(kept), E)
-
-
-class Echelon:
-    """Columns absorbed left to right; each kept one is stored reduced, keyed
-    by its lead (first nonzero row).  A column is kept iff it is independent
-    of those before it, the column rank profile rule (Dumas, Pernet and
-    Sultan, ISSAC 2015).  Over Q a stored vector is a primitive integer row
-    (reduced by ``_axpy_int``), over Q(zeta_M) one with lead one (``_axpy``);
-    stored tuples are never mutated, so ``copy`` shares them."""
-
-    __slots__ = ("field", "leads")
-
-    def __init__(self, field, leads=()):
-        self.field, self.leads = field, dict(leads)
-
-    def copy(self):
-        return Echelon(self.field, self.leads)
-
-    def absorb(self, col):
-        """Reduce the sparse column ``col`` by the stored vector at each lead it
-        hits; keep a nonzero remainder (its lead is new) and say if it was."""
-        f = self.field
-        rows = sorted(r for r, v in col.items() if not f.is_zero(v))
-        vals = [col[r] for r in rows]
-        rational = f.kind == "rationals"
-        if rational:
-            vals = _primitive(f.split(vals)[0])
-        while rows:
-            hit = self.leads.get(rows[0])
-            if hit is None:
-                if not rational:
-                    lead_inv = f.inv(vals[0])
-                    vals = [f.mul(lead_inv, v) for v in vals]
-                self.leads[rows[0]] = (tuple(rows), tuple(vals))
-                return True
-            if rational:
-                rows, vals = _axpy_int(rows, vals, vals[0], *hit, f)
-            else:  # the stored lead is one and cancels: reduce the tails
-                hc, hv = hit
-                rows, vals = _axpy(rows[1:], vals[1:], vals[0], hc[1:], hv[1:], f)
-        return False
 
 
 def solve(M, b):

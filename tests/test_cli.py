@@ -344,8 +344,9 @@ def test_dependent_hi_basis_exits_2(tmp_path, hi_cols):
 @pytest.mark.parametrize(
     "argv, named",
     [
-        (["poincare", "--N", "3", "--D", "0", "--k", "1"], "D = 0"),
-        (["spin-seq", "--S", "1", "--D", "0"], "D = 0"),
+        (["poincare", "--N", "3", "--D", "0", "--k", "1"], "--D"),
+        (["spin-seq", "--S", "1", "--D", "0"], "--D"),
+        (["spin-seq", "--S", "2", "--D", "-2", "--wmax", "1"], "--D"),
         (["spin-example", "--p", "1,1,0"], "p must"),
         (["brs", "--example", "abelian", "--deg-max", "-1"], "--deg-max"),
         (["selftest", "--only", "99"], "--only"),
@@ -371,7 +372,8 @@ def test_dependent_hi_basis_exits_2(tmp_path, hi_cols):
         (["gauge-ext", "alg.json", "--suite", "random"], "alg.json and --suite random"),
         (["brs", "alg.json", "--example", "abelian"], "alg.json and --example abelian"),
     ],
-    ids=["poincare-D0", "spin-seq-D0", "spin-example-3-components",
+    ids=["poincare-D0", "spin-seq-D0", "spin-seq-S2-D-minus-2",
+         "spin-example-3-components",
          "brs-negative-deg-max", "selftest-unknown-criterion",
          "selftest-non-numeric-criterion", "poincare-k0", "poincare-k-equals-N",
          "spin-seq-S0",
@@ -596,4 +598,34 @@ def test_unknown_json_key_exits_2(monkeypatch, tmp_path, capsys, argv, make, pat
     assert cli.main(argv + [str(bad)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("ncx: invalid input:") and "'not_a_key'" in err
+    assert not list(tmp_path.glob("ncx-failure-*.json"))
+
+
+@pytest.mark.parametrize(
+    "argv, make, path, field, named",
+    [
+        (["homology"], _module_json, ("d",), make_cyclotomic(3).to_json(),
+         "Q(zeta_3)"),
+        (["homology"], _module_json, ("d",), {"kind": "nonsense"}, "'nonsense'"),
+        (["ses"], _ses_json, ("phi",), make_cyclotomic(4).to_json(), "Q(zeta_4)"),
+        (["gauge-ext"], _gauge_instance_json, ("A",), _Q, "Field(Q)"),
+    ],
+    ids=["homology-d-cyclotomic", "homology-d-nonsense", "ses-phi", "gauge-A"],
+)
+def test_matrix_field_mismatch_exits_2(monkeypatch, tmp_path, capsys, argv, make,
+                                       path, field, named):
+    """A matrix whose own ``field`` is not the field of the object it belongs
+    to, or is no field at all, is bad input: exit 2 with a message that
+    names the field, and no witness."""
+    monkeypatch.chdir(tmp_path)
+    obj = make()
+    node = obj
+    for key in path:
+        node = node[key]
+    node["field"] = field
+    bad = tmp_path / "input.json"
+    bad.write_text(json.dumps(obj))
+    assert cli.main(argv + [str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ncx: invalid input:") and named in err
     assert not list(tmp_path.glob("ncx-failure-*.json"))

@@ -247,7 +247,10 @@ def test_theorem5_echelon_extension_matches_rank_oracle():
             reps = [G.HI.basis.apply(c) for c in Hs[k].representatives.columns()]
             for vecs in (reps, reps + B.basis.columns()[:1]):
                 E = B.echelon.copy()
-                assert all([E.absorb(v) for v in vecs]) == _theorem5_oracle(B, vecs)
+                rows = ExactMatrix.from_columns(
+                    vecs, B.ambient_dim, B.field).transpose().rows_sparse()
+                assert (all([E.absorb(*r) is None for r in rows])
+                        == _theorem5_oracle(B, vecs))
             assert len(B.echelon.leads) == B.dim
 
 

@@ -56,8 +56,11 @@ def dense_rref(rows, field):
     return pivots, m[: len(pivots)]
 
 
-def dense_rank_oracle(rows):
-    return len(dense_rref([[rat(x) for x in row] for row in rows], QQ)[0])
+def dense_rank_oracle(rows, field=None):
+    """The rank of dense rows: ints over Q, or the scalars of ``field``."""
+    if field is None:
+        rows, field = [[rat(x) for x in row] for row in rows], QQ
+    return len(dense_rref(rows, field)[0])
 
 
 def random_int_matrix(rng, nrows, ncols, density=0.6, span=4):
@@ -263,6 +266,7 @@ def _check_echelon_against_oracle(rows, limit, width, field):
     pivots, erows, residual = _echelon_out(rows, limit, field)
     unreduced = _echelon_out(rows, limit, field, reduced=False)
     assert unreduced[0] == pivots
+    assert all(c < limit for c in pivots)
     for cols, vals in erows + residual:
         assert cols == sorted(set(cols))
         assert not any(field.is_zero(v) for v in vals)
@@ -386,6 +390,7 @@ def test_integer_elimination_over_q(case):
     for cols, vals in out[1] + out[2]:
         assert cols == sorted(set(cols))
     pivots, erows, residual = _normalized(out)
+    assert all(c < limit for c in pivots)
     for _, vals in erows + residual:
         assert all(_is_canonical_rat(v) for v in vals)
     assert all(cols[0] >= limit for cols, _ in residual)
@@ -626,35 +631,76 @@ def echelon_cases(draw):
     return f, M, v
 
 
+def _as_row(v, n, f):
+    """The sparse vector v of length n in the kernel's row format (over Q an
+    integer row), as ``image_basis`` feeds ``Echelon.absorb``."""
+    return ExactMatrix.from_columns([v], n, f).transpose().rows_sparse()[0]
+
+
 @given(echelon_cases())
 @settings(max_examples=250, deadline=None)
-def test_image_basis_echelon_matches_row_echelon_oracle(case):
-    """``image_basis`` keeps the pivot columns of the kernel's row echelon
-    form, and extending a copy of its echelon by v keeps v exactly when v
-    raises the rank; the copy leaves the kept echelon as it was."""
+def test_image_basis_echelon_matches_dense_oracle(case):
+    """``image_basis`` keeps the pivot columns of the dense Gauss-Jordan
+    oracle, and extending a copy of its echelon by v keeps v exactly when v
+    raises the oracle's rank; the copy leaves the kept echelon as it was."""
     f, M, v = case
-    pivots, _, _ = kernel.row_echelon(M.rows_sparse(), M.ncols, f, reduced=False)
+    pivots, _ = dense_rref(_dense(M), f)
     S = image_basis(M)
     assert S.basis == M.take_columns(pivots)
     before = copy.deepcopy(S.echelon.leads)
     E = S.echelon.copy()
-    grows = rank(M.hstack(ExactMatrix.from_columns([v], M.nrows, f))) > rank(M)
-    assert E.absorb(v) == grows
+    Mv = M.hstack(ExactMatrix.from_columns([v], M.nrows, f))
+    grows = dense_rank_oracle(_dense(Mv), f) > len(pivots)
+    assert (E.absorb(*_as_row(v, M.nrows, f)) is None) == grows
     assert len(E.leads) == len(pivots) + grows
     assert S.echelon.leads == before
 
 
 def test_echelon_absorbs_left_to_right():
     f = QQ
-    E = Echelon(f)
-    # the fourth column reduces at lead 0, then at lead 1, to zero
-    cols = [{0: rat(2), 1: rat(4)}, {0: rat(1, 3), 1: rat(2, 3)},
-            {1: rat(1), 2: rat(1)}, {0: rat(1), 2: rat(-2)}, {}, {0: rat(0)}]
-    assert [E.absorb(c) for c in cols] == [True, False, True, False, False, False]
-    assert sorted(E.leads) == [0, 1]
+    E = Echelon(f, 3)
+    # integer rows, any nonzero multiple of the vector: the second is the
+    # first over 2; the fourth reduces at lead 0, then at lead 1, to zero
+    rows = [([0, 1], [2, 4]), ([0, 1], [1, 2]), ([1, 2], [1, 1]),
+            ([0, 2], [1, -2]), ([], [])]
+    assert [E.absorb(*r) for r in rows] == [None, ([], []), None, ([], []), ([], [])]
+    assert E.leads == {0: ([0, 1], [1, 2]), 1: ([1, 2], [1, 1])}
     F = E.copy()
-    assert F.absorb({2: rat(1)}) and not E.absorb({0: rat(7), 1: rat(14)})
+    assert F.absorb([2], [1]) is None and E.absorb([0, 1], [7, 14]) == ([], [])
     assert sorted(E.leads) == [0, 1] and sorted(F.leads) == [0, 1, 2]
+    # a lead at or past ``limit`` is returned, primitive, and stores nothing
+    G = Echelon(f, 2)
+    assert G.absorb([0, 2], [3, 6]) is None
+    assert G.absorb([0, 2, 3], [2, 4, 6]) == ([3], [1])
+    assert list(G.leads) == [0]
+
+
+@pytest.mark.parametrize("field", [QQ, make_cyclotomic(3)], ids=["Q", "Q(zeta_3)"])
+def test_sparser_row_takes_the_lead(field):
+    """A sparser row arriving later takes a stored lead, and the row it
+    displaces is reduced to a new lead: the echelon holds the sparser row,
+    while the columns kept, the pivots and the normalized RREF rows are
+    those of first-come elimination (the dense oracle)."""
+    f = field
+    s = f.from_rat
+    # column 1 is sparser than column 0 at lead 0; column 2 lies in their span
+    cols = [{0: s(2), 1: s(1), 2: s(1)}, {0: s(3)}, {0: s(1), 1: s(1, 2), 2: s(1, 2)},
+            {0: s(1), 3: s(1)}]
+    M = ExactMatrix.from_columns(cols, 4, f)
+    S = image_basis(M)
+    pivots, rref = dense_rref(_dense(M), f)
+    assert pivots == [0, 1, 3]
+    assert S.basis == M.take_columns(pivots)
+    leads = S.echelon.leads
+    assert sorted(leads) == [0, 1, 3] and leads[0][0] == [0]
+    # the displaced first column, reduced by the second, keeps lead 1
+    assert leads[1][0] == [1, 2]
+    # the same pass as row_echelon on M's rows gives the oracle's RREF
+    got_piv, erows, residual = kernel.row_echelon(M.rows_sparse(), M.ncols, f)
+    assert got_piv == pivots and residual == []
+    if f.kind == "rationals":
+        erows = [(rc, [rat(v, rv[0]) for v in rv]) for rc, rv in erows]
+    assert _to_dense(erows, M.ncols, f) == rref
 
 
 @pytest.mark.parametrize("field", [QQ, make_cyclotomic(8)], ids=["Q", "Q(zeta_8)"])

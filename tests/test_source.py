@@ -121,3 +121,24 @@ def test_benchmark_tracer_installs():
     finally:
         tracer.uninstall()
     assert {m.__name__: dict(vars(m)) for m in layers.package_modules()} == before
+
+
+def test_kernel_helpers_stay_in_the_kernel():
+    """The row format's reduction steps belong to the one elimination loop,
+    ``_kernel_py.Echelon.absorb``: no other module names them, whether as an
+    import, a plain name or an attribute."""
+    private = {"_axpy", "_axpy_int", "_primitive"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "_kernel_py.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = []
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.name.rpartition(".")[2] for alias in node.names]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            found += [f"{path.name}:{node.lineno} {n}" for n in names if n in private]
+    assert not found, f"kernel-private helpers outside _kernel_py: {found}"
