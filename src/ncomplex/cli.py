@@ -233,6 +233,7 @@ def cmd_poincare(args):
     _require_at_least(args, "wmax", 0)
     _require_at_least(args, "D", 1)
     _require_at_least(args, "k", 1)
+    _require_at_least(args, "N", 2)
     if args.k > args.N - 1:
         raise UsageError(f"--k must be at most N-1 = {args.N - 1}, got {args.k}")
     rep = poincare_verify(args.N, args.D, args.k, args.wmax)
@@ -260,6 +261,11 @@ def cmd_spin_seq(args):
     _require_at_least(args, "wmax", 0)
     _require_at_least(args, "S", 1)
     _require_at_least(args, "D", 1)
+    if args.S == 2:
+        # d^2 is compared with the curvature operator from Omega^2 to
+        # Omega^4, which is zero below weight 4 and for D = 1
+        _require_at_least(args, "wmax", 4)
+        _require_at_least(args, "D", 2)
     rep = spin_sequence_check(args.S, args.D, args.wmax)
     out = {"command": "spin-seq", "ok": rep["ok"], "S": args.S, "D": args.D}
     if args.S == 2:

@@ -6,8 +6,10 @@ Poincare lemma verifier, higher-spin exact sequences, the divergence-free
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 from .fields import QQ, accumulate, rat
 from .graded import GradedNComplex, graded_homology
@@ -50,24 +52,27 @@ def maximal_diagram(N, p):
     return YoungDiagram(rows)
 
 
+def _hook_product(diagram):
+    """The product of the hook lengths of the cells of ``diagram``."""
+    heights = diagram.column_heights()
+    return math.prod(
+        rlen - j + heights[j] - i - 1
+        for i, rlen in enumerate(diagram.rows) for j in range(rlen)
+    )
+
+
 def weyl_dim(diagram, D):
     """GL_D irrep dimension by the hook content formula."""
-    rows = diagram.rows
-    heights = diagram.column_heights()
-    if len(rows) > D:
+    if len(diagram.rows) > D:
         return 0
-    num = rat(1)
-    den = rat(1)
-    for i, rlen in enumerate(rows):
-        for j in range(rlen):
-            num *= rat(D + j - i)
-            arm = rlen - j - 1
-            leg = heights[j] - i - 1
-            den *= rat(arm + leg + 1)
-    q = num / den
-    if q.denominator != 1:
-        raise AssertionError(f"hook-content formula gave the non-integer {q}")
-    return int(q)
+    contents = math.prod(
+        D + j - i for i, rlen in enumerate(diagram.rows) for j in range(rlen)
+    )
+    hooks = _hook_product(diagram)
+    if contents % hooks:
+        raise AssertionError(
+            f"hook-content formula gave the non-integer {contents}/{hooks}")
+    return contents // hooks
 
 
 def _row_positions(diagram):
@@ -93,122 +98,99 @@ def _perm_sign(perm):
     return -1 if inversions % 2 else 1
 
 
-def _group_perms(groups, p, signed):
-    """Permutations of 0..p-1 fixing each group setwise, as lookup tuples
-    (with signs when ``signed``)."""
-    perms = [tuple(range(p))] if p else [()]
-    signs = [1]
-    for group in groups:
-        if len(group) < 2:
-            continue
-        new_perms, new_signs = [], []
-        for gperm in itertools.permutations(group):
-            sgn = _perm_sign(gperm) if signed else 1
-            for base, bs in zip(perms, signs):
-                arr = list(base)
-                for src, dst in zip(group, gperm):
-                    arr[src] = base[dst]
-                new_perms.append(tuple(arr))
-                new_signs.append(bs * sgn)
-        perms, signs = new_perms, new_signs
-    return perms, signs
+def _group_table(group, p, signed):
+    """``[(perm, sign), ...]``: the permutations of 0..p-1 that move only the
+    positions in ``group``, each as the ``itemgetter`` that permutes an index
+    tuple, with their signs when ``signed`` and +1 otherwise.  The group has
+    at least two positions, so each lookup returns a tuple."""
+    table = []
+    for gperm in itertools.permutations(group):
+        perm = list(range(p))
+        for src, dst in zip(group, gperm):
+            perm[src] = dst
+        table.append((itemgetter(*perm), _perm_sign(gperm) if signed else 1))
+    return table
 
 
 class Symmetrizer:
-    """Row-symmetrize then column-antisymmetrize, rescaled to be idempotent.
+    """Row-symmetrize then column-antisymmetrize, rescaled to be idempotent:
+    Y^2 = (product of the hook lengths) Y (Fulton and Harris, Representation
+    Theory, Lemma 4.26), so ``norm`` is the inverse of that product.
 
-    Applied operator-style: tensors are dicts {index tuple: rational}."""
+    Applied operator-style: tensors are dicts {index tuple: rational}.  Each
+    row group, then each column group (signed), is summed over in turn, so
+    the cost is a sum over the groups, not over their product."""
 
     def __init__(self, diagram, D):
         self.diagram = diagram
         self.D = D
         self.p = diagram.cells
-        rows = _row_positions(diagram)
-        cols = _col_positions(diagram)
-        self.row_perms, _ = _group_perms(rows, self.p, signed=False)
-        self.col_perms, self.col_signs = _group_perms(cols, self.p, signed=True)
-        self.norm = None  # determined empirically on first image
+        self.tables = [
+            _group_table(group, self.p, signed)
+            for groups, signed in ((_row_positions(diagram), False),
+                                   (_col_positions(diagram), True))
+            for group in groups if len(group) > 1
+        ]
+        self.norm = rat(1, _hook_product(diagram))
 
     def apply_raw(self, tensor):
         """Unnormalized symmetrizer, summed on integer numerators."""
         nums, den = QQ.split(list(tensor.values()))
-        mid = {}
-        for t, v in zip(tensor, nums):
-            for perm in self.row_perms:
-                u = tuple(t[i] for i in perm)
-                mid[u] = mid.get(u, 0) + v
-        out = {}
-        for t, v in mid.items():
-            if not v:
-                continue
-            for perm, sgn in zip(self.col_perms, self.col_signs):
-                accumulate(out, tuple(t[i] for i in perm), v if sgn > 0 else -v)
-        return {t: rat(v, den) for t, v in out.items()}
-
-    def _normalize_constant(self):
-        if self.norm is not None:
-            return
-        for t in itertools.product(range(self.D), repeat=self.p):
-            img = self.apply_raw({t: rat(1)})
-            if img:
-                twice = self.apply_raw(img)
-                key = next(iter(img))
-                if img[key] and key in twice:
-                    c = twice[key] / img[key]
-                    if c == 0:
-                        raise AssertionError("Young symmetrizer has Y^2 = 0")
-                    # verify Y^2 = c Y on this image
-                    if twice != {u: c * v for u, v in img.items()}:
-                        raise AssertionError("Young symmetrizer fails Y^2 = c Y")
-                    self.norm = 1 / c
-                    return
-        self.norm = rat(1)  # zero projector (space is 0)
+        acc = {t: v for t, v in zip(tensor, nums) if v}
+        for table in self.tables:
+            out = {}
+            for t, v in acc.items():
+                for perm, sgn in table:
+                    accumulate(out, perm(t), v if sgn > 0 else -v)
+            acc = out
+        return {t: rat(v, den) for t, v in acc.items()}
 
     def apply(self, tensor):
         """The idempotent projector."""
-        self._normalize_constant()
         out = self.apply_raw(tensor)
         return {t: self.norm * v for t, v in out.items()}
 
 
 class SymmetrySpace:
     """Image of the Young projector inside the degree-p tensor space, with a
-    deterministic basis: the projections of row-sorted unit tensors at the
-    pivot columns, i.e. the leftmost independent ones in enumeration order.
-    One ``EchelonSolver`` of all the projections gives both the basis (its
-    pivots) and the coordinates (a solve, read at the pivot columns)."""
+    deterministic basis: the projections of the semistandard unit tensors
+    (rows weakly, columns strictly increasing), in enumeration order.  They
+    are a basis by the standard basis theorem (Fulton, Young Tableaux, 8.1),
+    certified here by rank = ``weyl_dim``.  One ``EchelonSolver`` of the
+    basis gives the coordinates (a solve)."""
 
     def __init__(self, diagram, D):
         self.diagram = diagram
         self.D = D
         self.p = diagram.cells
         self.projector = Symmetrizer(diagram, D)
-        images = []
-        if len(diagram.rows) <= D:
-            # row-symmetrization identifies tuples that agree up to row
-            # permutations, so row-sorted fillings already span the image
-            images = [self.projector.apply({t: rat(1)})
-                      for t in self._row_sorted_tuples()]
+        self.basis = [self.projector.apply({t: rat(1)})
+                      for t in self._semistandard_tuples()]
         M = ExactMatrix.from_columns(
-            [{tuple_index(u, D): v for u, v in img.items()} for img in images],
+            [{tuple_index(u, D): v for u, v in b.items()} for b in self.basis],
             D**self.p, QQ,
         )
         self.solver = EchelonSolver(M)
-        pivots = self.solver.pivots
-        self.basis = [images[j] for j in pivots]
-        self.dim = len(pivots)
-        self._position = {j: k for k, j in enumerate(pivots)}
+        self.dim = len(self.basis)
+        if not (self.solver.rank == self.dim == weyl_dim(diagram, D)):
+            raise AssertionError(
+                f"semistandard projections of {diagram.rows} over D = {D} have "
+                f"rank {self.solver.rank} of {self.dim}, not weyl_dim")
+        if self.basis and self.projector.apply(self.basis[0]) != self.basis[0]:
+            raise AssertionError(
+                f"Young symmetrizer of {diagram.rows} fails Y^2 = cY")
 
-    def _row_sorted_tuples(self):
-        if self.p == 0:
-            yield ()
-            return
+    def _semistandard_tuples(self):
+        """The row-sorted fillings whose columns strictly increase, read row
+        by row, in the order of ``itertools.product`` over the rows."""
         per_row = [
             list(itertools.combinations_with_replacement(range(self.D), r))
             for r in self.diagram.rows
         ]
         for combo in itertools.product(*per_row):
-            yield tuple(x for row in combo for x in row)
+            if all(a < b for upper, lower in zip(combo, combo[1:])
+                   for a, b in zip(upper, lower)):
+                yield tuple(x for row in combo for x in row)
 
     def coords(self, tensor):
         """Coordinates in the basis; tensor must lie in the image."""
@@ -216,7 +198,7 @@ class SymmetrySpace:
         c = self.solver.solve(vec)
         if c is None:
             raise ValueError("tensor does not have this symmetry type")
-        return {self._position[j]: v for j, v in c.items()}
+        return c
 
     def expand(self, coords):
         out = {}
@@ -515,7 +497,9 @@ def _d2_raw_on_basis(D, mono, h_tensor):
 
 def spin2_middle_proportional(D, w_max):
     """Verify the explicit linearized-curvature operator is one global scalar
-    multiple of d^2: Omega^2 -> Omega^4, across all weights <= w_max."""
+    multiple of d^2: Omega^2 -> Omega^4, across all weights <= w_max.
+    Raises ValueError when no weight has a nonzero operator to compare,
+    which is so for w_max < 4 and for D = 1."""
     constant = None
     for w in range(4, w_max + 1):
         C = weight_complex(3, D, w)
@@ -543,10 +527,10 @@ def spin2_middle_proportional(D, w_max):
             scaled = {k: constant * v for k, v in raw_dd.items()}
             if scaled != raw:
                 return {"ok": False, "reason": f"mismatch at w={w}"}
-    return {
-        "ok": constant is not None and constant != 0,
-        "constant": str(constant),
-    }
+    if constant is None:
+        raise ValueError(f"d^2 from Omega^2 to Omega^4 is zero at every weight "
+                         f"<= {w_max} over D = {D}: nothing to compare")
+    return {"ok": constant != 0, "constant": str(constant)}
 
 
 # -- symmetrized product -------------------------------------------------------

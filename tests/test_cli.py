@@ -371,6 +371,10 @@ def test_dependent_hi_basis_exits_2(tmp_path, hi_cols):
         (["hexagon", "mod.json", "--m", "2"], "--m needs --ell"),
         (["gauge-ext", "alg.json", "--suite", "random"], "alg.json and --suite random"),
         (["brs", "alg.json", "--example", "abelian"], "alg.json and --example abelian"),
+        (["spin-seq", "--S", "2", "--D", "3", "--wmax", "3"], "--wmax"),
+        (["spin-seq", "--S", "2", "--D", "1", "--wmax", "6"], "--D"),
+        (["poincare", "--N", "1", "--D", "2", "--k", "1"], "--N"),
+        (["poincare", "--N", "0", "--D", "2", "--k", "1"], "--N"),
     ],
     ids=["poincare-D0", "spin-seq-D0", "spin-seq-S2-D-minus-2",
          "spin-example-3-components",
@@ -384,7 +388,8 @@ def test_dependent_hi_basis_exits_2(tmp_path, hi_cols):
          "cosimplicial-n-max-minus-1", "cosimplicial-n-max-0",
          "gauge-ext-hmax-0", "gauge-ext-hmax-2",
          "hexagon-ell-without-m", "hexagon-m-without-ell",
-         "gauge-ext-instance-and-suite", "brs-system-and-example"],
+         "gauge-ext-instance-and-suite", "brs-system-and-example",
+         "spin-seq-S2-wmax-3", "spin-seq-S2-D1", "poincare-N1", "poincare-N0"],
 )
 def test_bad_option_exits_2(tmp_path, argv, named):
     """An out-of-range, incomplete or conflicting option is bad input: exit
