@@ -258,14 +258,13 @@ def cmd_poincare(args):
 def cmd_spin_seq(args):
     from .young import spin2_middle_proportional, spin_sequence_check
 
-    _require_at_least(args, "wmax", 0)
+    # exactness is checked at degrees S and 2S, which a weight w reaches
+    # only if w >= 2S and the top degree (N-1)D = S D >= 2S; for S = 2 the
+    # same bounds keep d^2's comparison with the curvature operator from
+    # Omega^2 to Omega^4 nonempty
     _require_at_least(args, "S", 1)
-    _require_at_least(args, "D", 1)
-    if args.S == 2:
-        # d^2 is compared with the curvature operator from Omega^2 to
-        # Omega^4, which is zero below weight 4 and for D = 1
-        _require_at_least(args, "wmax", 4)
-        _require_at_least(args, "D", 2)
+    _require_at_least(args, "D", 2)
+    _require_at_least(args, "wmax", 2 * args.S)
     rep = spin_sequence_check(args.S, args.D, args.wmax)
     out = {"command": "spin-seq", "ok": rep["ok"], "S": args.S, "D": args.D}
     if args.S == 2:

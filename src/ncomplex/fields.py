@@ -26,6 +26,12 @@ canonical scalar.  Over Q a numerator is an int; over Q(zeta_M) it is a residue
 with d = 1.  Either way ``add``, ``mul`` and ``is_zero`` apply to numerators as
 they are, with no gcd, so the linear algebra reads and writes many entries
 with integer arithmetic and builds a scalar only once per result.
+
+``Field.galois(a, k)`` is the automorphism zeta -> zeta^k, k prime to M.
+``Field.inv`` returns 1/a for a = c / d as d P / N(c): P is the product of
+the other conjugates of c and the norm N(c) = c P an integer, with a shortcut
+for monomials.  ``Field.conj`` is sigma_(M-1).  Both read the reduction
+table, which holds x^j mod Phi_M up to j = M - 1.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 rat = Fraction  # rat(a, b=1): the rational a / b
 
@@ -185,43 +191,27 @@ def _cyclotomic_ops(n, reduction, zero, mul=True):
     return {name: namespace[name] for name in names}
 
 
-def _poly_trim(c):
-    while c and not c[-1]:
-        c.pop()
-    return c
-
-
-def _poly_divmod(a, b):
-    """Quotient and remainder of rational coefficient lists (ascending)."""
-    a = list(a)
-    q = [R_ZERO] * max(0, len(a) - len(b) + 1)
-    inv_lead = 1 / rat(b[-1])
-    for i in range(len(a) - len(b), -1, -1):
-        f = a[i + len(b) - 1] * inv_lead
-        if f:
-            q[i] = f
-            for j, bj in enumerate(b):
-                a[i + j] -= f * bj
-    return q, _poly_trim(a)
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(M):
-    """Coefficients (ascending, integer) of Phi_M, by dividing x^M - 1 by all
-    Phi_d with d a proper divisor of M."""
+    """Coefficients (ascending, integer) of Phi_M: x^M - 1 divided, by integer
+    long division, by the monic Phi_d for each proper divisor d of M."""
     if M < 1:
         raise ValueError("M must be >= 1")
-    num = [R_ZERO] * (M + 1)
-    num[0], num[M] = rat(-1), rat(1)
+    num = [-1] + [0] * (M - 1) + [1]
     for d in range(1, M):
         if M % d == 0:
-            num, r = _poly_divmod(num, [rat(c) for c in cyclotomic_polynomial(d)])
-            if r:
-                raise AssertionError(f"dividing x^{M} - 1 by Phi_{d} left {r}")
-    coeffs = [int(c) for c in num]
-    if any(rat(c) != x for c, x in zip(coeffs, num)):
-        raise AssertionError(f"Phi_{M} has non-integer coefficients {num}")
-    return tuple(coeffs)
+            b = cyclotomic_polynomial(d)
+            m = len(b) - 1
+            q = [0] * (len(num) - m)
+            for i in range(len(q) - 1, -1, -1):
+                f = q[i] = num[i + m]
+                if f:
+                    for j, bj in enumerate(b):
+                        num[i + j] -= f * bj
+            if any(num[:m]):
+                raise AssertionError(f"dividing x^{M} - 1 by Phi_{d} left {num[:m]}")
+            num = q
+    return tuple(num)
 
 
 def euler_phi(M):
@@ -242,6 +232,10 @@ class Field:
     class-level :meth:`add` and :meth:`mul` are the general reference forms;
     a field of degree above ``STRAIGHT_LINE_DEGREE`` keeps the class-level
     :meth:`mul`.
+
+    :meth:`galois` is zeta -> zeta^k; :meth:`inv` is the product of the
+    other conjugates over the integer norm, with a monomial shortcut, and
+    :meth:`conj` is sigma_(M-1); ``reduction`` runs up to x^(M-1) for both.
 
     ``accumulate(acc, key, val)`` is bound alongside them and adds ``val``
     into the sparse dict ``acc`` at ``key``: a key whose sum is zero is
@@ -269,8 +263,8 @@ class Field:
                     f"deg Phi_{M} = {self.degree} but phi({M}) = {euler_phi(M)}"
                 )
             n = self.degree
-            # reduction[k] = integer coefficients of x^(n+k) mod Phi_M, for
-            # every power up to x^(2n-2) (products) and x^(M-1) (inverses)
+            # reduction[k] = integer coefficients of x^(n+k) mod Phi_M, up to
+            # x^(2n-2) (products) and x^(M-1) (Galois maps, monomial inverses)
             red = []
             cur = [-c for c in phi[:-1]]  # x^n = -(lower part), Phi monic
             red.append(tuple(cur))
@@ -280,6 +274,8 @@ class Field:
                 cur = [shifted[i] + top * red[0][i] for i in range(n)]
                 red.append(tuple(cur))
             self.reduction = tuple(red)
+            # the units k != 1 mod M: zeta -> zeta^k are the other automorphisms
+            self.galois_units = tuple(k for k in range(2, M) if math.gcd(k, M) == 1)
             self.zero = (0,) * n + (1,)
             self.one = (1,) + (0,) * (n - 1) + (1,)
             ops = _cyclotomic_ops(n, self.reduction, self.zero,
@@ -412,37 +408,43 @@ class Field:
                 res = [x * d for x in self.reduction[j - n]]
             res = _canonical(res + [c])
         else:
-            res = self._inv_by_gcd(a)
+            # 1/a = d P / N(c) for a = c/d, with P the product of the other
+            # conjugates of c and N(c) = c P, an integer
+            c = a[:n] + (1,)
+            P = reduce(self.mul, [self.galois(c, k) for k in self.galois_units])
+            norm = self.mul(P, c)
+            N = norm[0]
+            if not N or any(norm[1:n]) or norm[n] != 1:
+                raise AssertionError(f"norm of {self.to_str(a)} is {self.to_str(norm)}, "
+                                     "not a nonzero integer")
+            d = a[n] if N > 0 else -a[n]
+            res = _canonical([x * d for x in P[:n]] + [abs(N)])
         if self.mul(res, a) != self.one:
             raise AssertionError(f"inverse of {self.to_str(a)} fails its check")
         return res
 
-    def _inv_by_gcd(self, a):
-        """1/a from the extended gcd of a (as a polynomial) and Phi_M over Q[x]."""
-        phi = [rat(c) for c in self.minimal_polynomial]
-        r0, r1 = phi, _poly_trim(list(self.coeffs(a)))
-        s0, s1 = [], [R_ONE]
-        while True:
-            q, r = _poly_divmod(r0, r1)
-            if not r:
-                break
-            s = _poly_trim(
-                [
-                    (s0[i] if i < len(s0) else R_ZERO)
-                    - sum(
-                        q[j] * s1[i - j]
-                        for j in range(max(0, i - len(s1) + 1), min(len(q), i + 1))
-                    )
-                    for i in range(max(len(s0), len(q) + len(s1) - 1))
-                ]
-            )
-            r0, r1, s0, s1 = r1, r, s1, s
-        # r1 is the gcd: a nonzero constant since Phi_M is irreducible
-        if len(r1) != 1:
-            raise AssertionError(f"gcd of {self.to_str(a)} and Phi_{self.M} is not constant")
-        c = 1 / r1[0]
-        out = [x * c for x in s1] + [R_ZERO] * (self.degree - len(s1))
-        return self.from_coeffs(out[: self.degree])
+    def galois(self, a, k):
+        """sigma_k(a) = a(zeta^k) for k prime to M: coefficient i moves to
+        zeta^(ik mod M).  It is an automorphism of Z[zeta], so it keeps the
+        content and d, and a canonical ``a`` gives a canonical result."""
+        if self.kind == "rationals":
+            return a
+        if math.gcd(k, self.M) != 1:
+            raise ValueError(f"{k} is not a unit mod {self.M}")
+        n, M = self.degree, self.M
+        out = [0] * n
+        for i in range(n):
+            c = a[i]
+            if c:
+                e = i * k % M
+                if e < n:
+                    out[e] += c
+                else:
+                    for j, r in enumerate(self.reduction[e - n]):
+                        if r:
+                            out[j] += c * r
+        out.append(a[n])
+        return tuple(out)
 
     def pow(self, a, n):
         if n < 0:
@@ -456,14 +458,10 @@ class Field:
         return acc
 
     def conj(self, a):
-        """Complex conjugation: zeta -> zeta^(M-1)."""
+        """Complex conjugation, sigma_(M-1): zeta -> zeta^(M-1)."""
         if self.kind == "rationals":
             return a
-        z_conj = self.pow(self.zeta(), self.M - 1)
-        out = self.zero
-        for i in range(self.degree - 1, -1, -1):
-            out = self.add(self.mul(out, z_conj), self.from_rat(a[i], a[-1]))
-        return out
+        return self.galois(a, self.M - 1)
 
     # -- serialization ---------------------------------------------------
 

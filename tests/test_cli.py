@@ -375,6 +375,10 @@ def test_dependent_hi_basis_exits_2(tmp_path, hi_cols):
         (["spin-seq", "--S", "2", "--D", "1", "--wmax", "6"], "--D"),
         (["poincare", "--N", "1", "--D", "2", "--k", "1"], "--N"),
         (["poincare", "--N", "0", "--D", "2", "--k", "1"], "--N"),
+        (["spin-seq", "--S", "3", "--D", "4"], "--wmax"),
+        (["spin-seq", "--S", "4", "--D", "2", "--wmax", "3"], "--wmax"),
+        (["spin-seq", "--S", "3", "--D", "1"], "--D"),
+        (["spin-seq", "--S", "1", "--D", "1", "--wmax", "5"], "--D"),
     ],
     ids=["poincare-D0", "spin-seq-D0", "spin-seq-S2-D-minus-2",
          "spin-example-3-components",
@@ -389,7 +393,9 @@ def test_dependent_hi_basis_exits_2(tmp_path, hi_cols):
          "gauge-ext-hmax-0", "gauge-ext-hmax-2",
          "hexagon-ell-without-m", "hexagon-m-without-ell",
          "gauge-ext-instance-and-suite", "brs-system-and-example",
-         "spin-seq-S2-wmax-3", "spin-seq-S2-D1", "poincare-N1", "poincare-N0"],
+         "spin-seq-S2-wmax-3", "spin-seq-S2-D1", "poincare-N1", "poincare-N0",
+         "spin-seq-S3-wmax-5", "spin-seq-S4-wmax-3", "spin-seq-S3-D1",
+         "spin-seq-S1-D1"],
 )
 def test_bad_option_exits_2(tmp_path, argv, named):
     """An out-of-range, incomplete or conflicting option is bad input: exit

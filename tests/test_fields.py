@@ -207,7 +207,9 @@ def test_field_json_roundtrip():
 
 # -- integer form of Q(zeta_M) against dense Fraction polynomials ------------
 
-ORACLE_M = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 15, 16)  # degrees 1, 2, 4, 6, 8
+# degrees 1, 2, 4, 6, 8 and, above STRAIGHT_LINE_DEGREE (the class-level
+# mul), 16
+ORACLE_M = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 15, 16, 17)
 small_fractions = st.one_of(
     st.just(Fraction(0)),
     st.builds(Fraction, st.integers(-6, 6), st.integers(1, 12)),
@@ -285,6 +287,29 @@ def test_integer_arithmetic_matches_dense_oracle(data):
     assert back == a and hash(back) == hash(a)
     assert f.is_zero(f.sub(a, a)) and f.sub(a, a) == f.zero
     assert f.parse(f.to_str(a)) == a
+
+
+@pytest.mark.parametrize("M", ORACLE_M)
+def test_galois_maps_are_the_automorphisms(M):
+    """sigma_k sends zeta to zeta^k for every unit k and is additive and
+    multiplicative; a k sharing a factor with M is refused."""
+    f = make_cyclotomic(M)
+    z = f.zeta()
+    rng = random.Random(M)
+    xs = _sample_scalars(f, rng)
+    for k in range(1, M + 1):
+        if math.gcd(k, M) != 1:
+            with pytest.raises(ValueError):
+                f.galois(z, k)
+            continue
+        assert f.galois(z, k) == f.pow(z, k), k
+        for a, b in zip(xs, reversed(xs)):
+            s = f.galois(a, k)
+            _assert_canonical(f, s)
+            assert f.add(s, f.galois(b, k)) == f.galois(f.add(a, b), k), k
+            assert f.mul(s, f.galois(b, k)) == f.galois(f.mul(a, b), k), k
+    assert f.conj(z) == f.galois(z, M - 1) == f.pow(z, M - 1)
+    assert QQ.galois(rat(3, 4), 5) == QQ.conj(rat(3, 4)) == rat(3, 4)
 
 
 # -- the generated operations against the class-level reference forms --------
