@@ -21,7 +21,6 @@ from .linalg import (
     intersection,
     kernel_basis,
     rank,
-    solve,
 )
 
 __version__ = "0.1.0"

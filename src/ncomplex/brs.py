@@ -234,19 +234,6 @@ def _key_mul(a, b):
     return (pi, mono_mul(ma, mb), chi), s_pi * s_chi * (-1) ** (len(ca) * len(pb))
 
 
-def ghost_mul(a, b):
-    """Product of two elements of Lambda(pi) ox Poly ox Lambda(chi), each a
-    term dict keyed by (pi subset, monomial, chi subset) in the canonical
-    factor order pi < poly < chi; pi's and chi's are odd, polynomials even."""
-    out = {}
-    for ka, va in a.items():
-        for kb, vb in b.items():
-            key, sign = _key_mul(ka, kb)
-            if key is not None:
-                accumulate(out, key, va * vb * rat(sign))
-    return out
-
-
 def _add_product(out, left, img, right, scale):
     """out += scale * left img right, for basis keys ``left`` and ``right``;
     distinct terms of ``img`` give distinct products."""
@@ -513,19 +500,15 @@ def _solve_delta0_preimage(K, obstruction, deg_max):
 # -- cohomology ----------------------------------------------------------------
 
 
-def brs_cohomology(K, n, wmax):
-    """dim of H^n(delta) on the filtration by polynomial degree <= wmax.
+def brs_cohomology(K, n, wmax, image):
+    """dim of H^n(delta) on the filtration by polynomial degree <= wmax, with
+    the image of a basis key given by ``image(key)`` (delta_total of it),
+    which may be shared (and cached) across ghost degrees: the images are
+    only read.
 
     The kernel only needs images of filtered sources; the image needs sources
     up to wmax + (the largest degree drop of delta), so that im(delta) cap F_W
     is complete and window boundaries cannot fake classes."""
-    return _brs_dim(lambda key: K.apply_total({key: rat(1)}), K, n, wmax)
-
-
-def _brs_dim(image, K, n, wmax):
-    """``brs_cohomology`` with the images of basis keys given by ``image``,
-    which may be shared (and cached) across ghost degrees: the images are
-    only read."""
     return _filtered_cohomology_dim(
         image,
         K.ghost_basis(n, wmax),
@@ -752,7 +735,7 @@ def theorem4_verify(system, deg_max, wmax=None):
     ok = True
     image = cache(lambda key: K.apply_total({key: rat(1)}))
     for n in range(0, system.m_prime + 1):
-        lhs = _brs_dim(image, K, n, wmax)
+        lhs = brs_cohomology(K, n, wmax, image)
         rhs = L.cohomology_dim(n, wmax)
         details[f"H^{n}(<= {wmax})"] = (lhs, rhs)
         if lhs != rhs:

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import combinations
 
+from .brs import _merge_odd
 from .fields import Field, check_assumptions, check_keys
 from .graded import (
     GradedNComplex,
@@ -140,19 +141,11 @@ class AlgebraData:
             v = f.parse(s)
             if not f.is_zero(v):
                 structure[i][j][k] = v
-        unit = counit = None
-        if "unit" in obj:
-            unit = {
-                i: f.parse(s)
-                for i, s in enumerate(obj["unit"])
-                if not f.is_zero(f.parse(s))
-            }
-        if "counit" in obj:
-            counit = {
-                i: f.parse(s)
-                for i, s in enumerate(obj["counit"])
-                if not f.is_zero(f.parse(s))
-            }
+        unit, counit = (
+            {i: v for i, v in enumerate(map(f.parse, obj[key])) if not f.is_zero(v)}
+            if key in obj else None
+            for key in ("unit", "counit")
+        )
         lie = obj.get("lie", False)
         if not isinstance(lie, bool):
             raise ValueError(f"algebra lie must be true or false, got {lie!r}")
@@ -173,13 +166,6 @@ def _multiplication(A):
     )
 
 
-def field_algebra(field):
-    """A = k."""
-    return AlgebraData(
-        field, [[{0: field.one}]], unit={0: field.one}, counit={0: field.one}
-    )
-
-
 def dual_numbers(field):
     """A = k[t]/(t^2), basis (1, t)."""
     f = field
@@ -188,21 +174,6 @@ def dual_numbers(field):
         [{1: f.one}, {}],
     ]
     return AlgebraData(f, structure, unit={0: f.one}, counit={0: f.one})
-
-
-def matrix_algebra(field, n=2):
-    """M_n(k) with the unit-matrix basis e_(r,c) at index r*n + c."""
-    f = field
-    dim = n * n
-    structure = [[{} for _ in range(dim)] for _ in range(dim)]
-    for r in range(n):
-        for c in range(n):
-            for r2 in range(n):
-                for c2 in range(n):
-                    if c == r2:
-                        structure[r * n + c][r2 * n + c2] = {r * n + c2: f.one}
-    unit = {k * n + k: f.one for k in range(n)}
-    return AlgebraData(f, structure, unit=unit)
 
 
 def group_algebra_cyclic(field, order):
@@ -227,32 +198,6 @@ def truncated_polynomials(field, order):
         for i in range(order)
     ]
     return AlgebraData(f, structure, unit={0: f.one}, counit={0: f.one})
-
-
-def abelian_lie(field, n):
-    return AlgebraData(field, [[{} for _ in range(n)] for _ in range(n)], lie=True)
-
-
-def nonabelian_lie2(field):
-    """[e1, e2] = e2."""
-    f = field
-    structure = [[{}, {1: f.one}], [{1: f.neg(f.one)}, {}]]
-    return AlgebraData(f, structure, lie=True)
-
-
-def sl2(field):
-    """Basis (e, f, h): [h,e] = 2e, [h,f] = -2f, [e,f] = h."""
-    f = field
-    two = f.from_rat(2)
-    E, F, H = 0, 1, 2
-    structure = [[{} for _ in range(3)] for _ in range(3)]
-    structure[H][E] = {E: two}
-    structure[E][H] = {E: f.neg(two)}
-    structure[H][F] = {F: f.neg(two)}
-    structure[F][H] = {F: two}
-    structure[E][F] = {H: f.one}
-    structure[F][E] = {H: f.neg(f.one)}
-    return AlgebraData(f, structure, lie=True)
 
 
 def _require_associative(A):
@@ -340,15 +285,6 @@ class CosimplicialData:
         self.cofaces = cofaces      # cofaces[n][i]
         self.codegens = codegens    # codegens[n][i]: E^(n+1) -> E^n
         self.product = product
-
-
-def constant_cosimplicial(field, n_max):
-    """All levels k, all structure maps the identity: each relation is 1 = 1."""
-    one = ExactMatrix.identity(1, field)
-    dims = [1] * (n_max + 1)
-    cofaces = [[one] * (n + 2) for n in range(n_max)]
-    codegens = [[one] * (n + 1) for n in range(n_max)]
-    return CosimplicialData(field, dims, cofaces, codegens)
 
 
 def simplicial_differential(E):
@@ -507,16 +443,6 @@ def chevalley_eilenberg(g, rep_mats, rep_dim, p_max):
     index = {p: {S: k for k, S in enumerate(subsets[p])} for p in subsets}
     dims = {p: len(subsets[p]) * rep_dim for p in range(p_max + 1)}
 
-    def wedge_insert(c, rest):
-        """Sign and sorted tuple for inserting generator c into sorted rest."""
-        if c in rest:
-            return None, 0
-        pos = 0
-        while pos < len(rest) and rest[pos] < c:
-            pos += 1
-        sign = -1 if pos % 2 else 1
-        return rest[:pos] + (c,) + rest[pos:], sign
-
     # block (T, S) of d_p: the action terms (-1)^k pi(t_k) at S = T - t_k
     # and the bracket terms, scalar multiples of the identity
     minus_one = f.neg(f.one)
@@ -533,7 +459,7 @@ def chevalley_eilenberg(g, rep_mats, rep_dim, p_max):
                 rest = tuple(t for k2, t in enumerate(T) if k2 not in (r_i, s_i))
                 base_sign = -1 if (r_i + s_i) % 2 else 1
                 for c, v in g.mul_basis(T[r_i], T[s_i]).items():
-                    arg, ins_sign = wedge_insert(c, rest)
+                    arg, ins_sign = _merge_odd((c,), rest)
                     if arg is None:
                         continue
                     coeff = f.mul(f.from_rat(base_sign * ins_sign), v)
@@ -718,9 +644,6 @@ def _product_in_bases(T, bases, failure):
 class TheoremReport:
     ok: bool
     details: dict
-
-    def to_json(self):
-        return {"ok": self.ok, "details": self.details}
 
 
 def ordinary_cohomology_dims(E, window):

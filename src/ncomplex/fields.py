@@ -515,11 +515,6 @@ class Field:
                 raise ValueError("minimal polynomial mismatch for Phi(%d)" % M)
         return f
 
-    def random_scalar(self, rng, span=5):
-        if self.kind == "rationals":
-            return rat(rng.randint(-span, span))
-        return tuple(rng.randint(-span, span) for _ in range(self.degree)) + (1,)
-
     def __eq__(self, other):
         return (
             isinstance(other, Field)

@@ -10,7 +10,7 @@ from functools import cache
 from itertools import accumulate
 
 from .cosimplicial import BimoduleData, d1 as cosimplicial_d1, hochschild
-from .fields import QQ, check_assumptions, make_cyclotomic, q_factorial, rat
+from .fields import QQ, check_assumptions, q_factorial, rat
 from .graded import GradedNComplex, graded_homology
 from .linalg import (
     ExactMatrix,
@@ -172,7 +172,7 @@ def theorem5_verify(G):
     return report
 
 
-# -- random and shaped instances ------------------------------------------------
+# -- random instances ----------------------------------------------------------
 
 
 def random_gauge_instance(field, N, rng, hmax=20):
@@ -187,32 +187,6 @@ def random_gauge_instance(field, N, rng, hmax=20):
     if S.dim == 0:
         S = orbit_span(amb.d, [{0: field.one}], N)
     return GaugeInstance(N, amb.d, S, field.zeta())
-
-
-def wznw_shaped_instance(N, rng):
-    """dim H = N^4 with a (2N-1)-dimensional stable H_I, mimicking the
-    zero-mode profile: one full-length orbit plus one of length N-1."""
-    from .ndiff import block_module, random_unimodular
-
-    f = make_cyclotomic(2 * N)
-    h = N**4
-    # block sizes: one N-block and one (N-1)-block supply H_I generators
-    sizes = [N, N - 1]
-    rest = h - (2 * N - 1)
-    while rest > 0:
-        s = min(N, rest)
-        sizes.append(s)
-        rest -= s
-    base = block_module(f, N, sizes)
-    P, Pinv = random_unimodular(h, f, rng, nops=h // 2)
-    A = P @ base.d @ Pinv
-    # seeds: the cyclic tops of the first two blocks, conjugated
-    v1 = P.column(0 + N - 1)          # generator of the N-block orbit
-    v2 = P.column(N + (N - 1) - 1)    # generator of the (N-1)-block orbit
-    HI = orbit_span(A, (v1, v2), N)
-    if HI.dim != 2 * N - 1:
-        raise AssertionError(f"H_I has dimension {HI.dim}, not {2 * N - 1}")
-    return GaugeInstance(N, A, HI, f.zeta())
 
 
 # -- Hochschild-cochain extension (Theorem 6) ------------------------------------
@@ -627,11 +601,9 @@ def spin_complex_report(kind, p, alpha, field):
         "H_dims": {n: H[(n, 1)].dim_H for n in C.degrees()},
     }
     if kind == 2:
-        Z = kernel_basis(C.maps[0])
-        B = image_basis(C.maps[-1])
         rep["C0"] = C.dims[0]
-        rep["Z"] = Z.dim
-        rep["B"] = B.dim
+        rep["Z"] = H[(0, 1)].dim_Z
+        rep["B"] = H[(0, 1)].dim_B
     return rep
 
 

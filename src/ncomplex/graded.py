@@ -8,7 +8,7 @@ from dataclasses import dataclass, field as dataclass_field
 from functools import cache, reduce
 from itertools import accumulate
 
-from .fields import Field, check_assumptions, q_binomial
+from .fields import check_assumptions, q_binomial
 from .linalg import (
     EchelonSolver,
     ExactMatrix,
@@ -16,9 +16,7 @@ from .linalg import (
     kernel_basis,
     kron,
     place_blocks,
-    quotient_maps,
     rank,
-    restrict,
 )
 from .ndiff import HomologySlot, NDiffModule, exact_at
 
@@ -153,46 +151,6 @@ class GradedNComplex:
         d = place_blocks(total, total, self.field, pieces)
         return NDiffModule(self.N, d, check=False)
 
-    def to_zgraded(self, lo, hi):
-        """Pullback of a cyclic complex along Z -> Z_N (truncated both ways)."""
-        if not self.cyclic:
-            raise ValueError("to_zgraded needs a cyclic complex")
-        dims = {n: self.dims[n % self.N] for n in range(lo, hi + 1)}
-        maps = {n: self.maps[n % self.N] for n in range(lo, hi)}
-        return GradedNComplex(
-            self.N, self.field, dims, maps,
-            truncated_below=True, truncated_above=True, check=False,
-        )
-
-    def to_json(self):
-        return {
-            "N": self.N,
-            "field": self.field.to_json(),
-            "degrees": [{"n": n, "dim": self.dims[n]} for n in self.degrees()],
-            "maps": [
-                {"from_degree": n, "matrix": M.to_json()}
-                for n, M in sorted(self.maps.items())
-            ],
-            "cyclic": self.cyclic,
-            "truncated_below": self.truncated_below,
-            "truncated_above": self.truncated_above,
-        }
-
-    @staticmethod
-    def from_json(obj):
-        f = Field.from_json(obj["field"])
-        dims = {e["n"]: e["dim"] for e in obj["degrees"]}
-        maps = {
-            e["from_degree"]: ExactMatrix.from_json(e["matrix"], field=f)
-            for e in obj["maps"]
-        }
-        return GradedNComplex(
-            obj["N"], f, dims, maps,
-            cyclic=obj.get("cyclic", False),
-            truncated_below=obj.get("truncated_below", False),
-            truncated_above=obj.get("truncated_above", False),
-        )
-
     def __repr__(self):
         kind = "cyclic" if self.cyclic else f"[{self.n_min},{self.n_max}]"
         return f"GradedNComplex(N={self.N}, {kind}, dims={self.dims})"
@@ -214,9 +172,6 @@ class GradedHomology:
                 f"H^{nm[0]}_({nm[1]}) is indeterminate under the stored window"
             )
         return self.slots[nm]
-
-    def dims(self, m):
-        return {n: s.dim_H for (n, mm), s in sorted(self.slots.items()) if mm == m}
 
 
 def graded_homology(C, ms=None):
@@ -726,56 +681,3 @@ def random_graded_complex(field, N, rng, lo=0, hi=6, strings=6, cyclic=False,
         raw = ExactMatrix(dims.get(tgt, 0), dims[n], field, maps_ent[n])
         maps[n] = conj[tgt][0] @ raw @ conj[n][1]
     return GradedNComplex(N, field, dims, maps, cyclic=cyclic)
-
-
-def random_graded_ses(field, N, rng, lo=0, hi=5, min_len=1):
-    """SES from a random stable graded subcomplex (span of d-orbits)."""
-    while True:
-        F = random_graded_complex(
-            field, N, rng, lo, hi, strings=rng.randint(4, 7), min_len=min_len
-        )
-        # random orbit vectors
-        cols = {n: [] for n in F.degrees()}
-        for _ in range(rng.randint(1, 3)):
-            n = rng.choice(F.degrees())
-            if F.dims[n] == 0:
-                continue
-            v = {
-                i: field.from_rat(rng.randint(-2, 2)) for i in range(F.dims[n])
-            }
-            v = {i: c for i, c in v.items() if not field.is_zero(c)}
-            for k in range(N):
-                deg = n + k
-                if deg not in F.dims:
-                    break
-                if v:
-                    cols[deg].append(dict(v))
-                M = F.map(deg)
-                if M is None:
-                    break
-                v = M.apply(v)
-        subs = {
-            n: image_basis(ExactMatrix.from_columns(cols[n], F.dims[n], field))
-            for n in F.degrees()
-        }
-        dimsE = {n: S.dim for n, S in subs.items()}
-        if not 0 < sum(dimsE.values()) < sum(F.dims.values()):
-            continue
-        # restriction and quotient, degreewise
-        psi, sections = {}, {}
-        for n in F.degrees():
-            psi[n], sections[n] = quotient_maps(subs[n])
-        mapsE, mapsG = {}, {}
-        for n in F.degrees():
-            if n + 1 not in F.dims:
-                continue
-            M = F.map(n)
-            mapsE[n] = restrict(M, subs[n], subs[n + 1])
-            if mapsE[n] is None:
-                raise AssertionError("orbit space must be stable")
-            mapsG[n] = psi[n + 1] @ M @ sections[n]
-        E = GradedNComplex(N, field, dimsE, mapsE)
-        dimsG = {n: p.nrows for n, p in psi.items()}
-        G = GradedNComplex(N, field, dimsG, mapsG)
-        phi = {n: S.basis for n, S in subs.items()}
-        return GradedSES(E, F, G, phi, psi)

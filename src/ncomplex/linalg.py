@@ -69,20 +69,10 @@ class ExactMatrix:
                     ent[(i, j)] = v
         return ExactMatrix(nrows, len(cols), field, ent, _clean=False)
 
-    @staticmethod
-    def from_int_rows(rows, field, ncols=None):
-        conv = field.from_rat
-        return ExactMatrix.from_rows(
-            [[conv(v) for v in row] for row in rows], field, ncols
-        )
-
     # -- basic inspection --------------------------------------------------
 
     def __getitem__(self, rc):
         return self.entries.get(rc, self.field.zero)
-
-    def column(self, j):
-        return {r: v for (r, c), v in self.entries.items() if c == j}
 
     def columns(self):
         cols = [dict() for _ in range(self.ncols)]
@@ -483,12 +473,6 @@ def image_basis(M):
     kept = [j for j, (cols, vals) in enumerate(M.transpose().rows_sparse())
             if E.absorb(cols, vals) is None]
     return Subspace(M.nrows, M.take_columns(kept), E)
-
-
-def solve(M, b):
-    """One solution x of M x = b (sparse dict b), or None."""
-    sol = EchelonSolver(M)
-    return sol.solve(b)
 
 
 class EchelonSolver:

@@ -459,11 +459,6 @@ class ShortExactSequence:
         return {j: f.join(n, Dx) for j, n in x.items()}
 
 
-def ses_connecting(ses, m):
-    """Matrix of partial: H_(m)(G) -> H_(N-m)(E) in the representative bases."""
-    return ses.homology_maps(m)[2]
-
-
 def connecting_well_defined(ses, m, rng=None, trials=None):
     """Proposition 3: the class of partial(z) in H_(N-m)(E) does not depend
     on the psi-lift of the cycle z in Z_(m)(G), certified on a basis.
@@ -506,13 +501,6 @@ def ses_hexagon_check(ses):
 
 
 # -- random instances -------------------------------------------------------
-
-
-def jordan_block(n, field):
-    """D_n: superdiagonal ones, d e_(i+1) = e_i."""
-    one = field.one
-    ent = {(i, i + 1): one for i in range(n - 1)}
-    return ExactMatrix(n, n, field, ent, _clean=False)
 
 
 def block_module(field, N, block_sizes):

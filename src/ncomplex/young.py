@@ -200,26 +200,6 @@ class SymmetrySpace:
             raise ValueError("tensor does not have this symmetry type")
         return c
 
-    def expand(self, coords):
-        out = {}
-        for j, c in coords.items():
-            for t, v in self.basis[j].items():
-                accumulate(out, t, c * v)
-        return out
-
-
-@lru_cache(maxsize=None)
-def _symmetrizer(diagram, D):
-    return Symmetrizer(diagram, D)
-
-
-def symmetrizer_apply(diagram, D, tensor):
-    """Apply the idempotent Young projector of ``diagram`` to a degree-p
-    tensor given as {index tuple: rational}."""
-    if tensor and any(len(t) != diagram.cells for t in tensor):
-        raise ValueError("tensor degree must match the cell count")
-    return _symmetrizer(diagram, D).apply(tensor)
-
 
 @lru_cache(maxsize=None)
 def omega_space(N, D, p):
@@ -315,20 +295,6 @@ class PolyTensorField:
 
     def is_zero(self):
         return not self.coords
-
-    def scale(self, c):
-        return PolyTensorField(
-            self.N, self.D, self.p, self.wpoly,
-            {k: c * v for k, v in self.coords.items() if c * v},
-        )
-
-    def add(self, other):
-        if (self.p, self.wpoly) != (other.p, other.wpoly):
-            raise ValueError("tensor fields of different rank or weight")
-        out = dict(self.coords)
-        for k, v in other.coords.items():
-            accumulate(out, k, v)
-        return PolyTensorField(self.N, self.D, self.p, self.wpoly, out)
 
     def raw_tensor_poly(self):
         """As {mono: {index tuple: value}}."""
@@ -439,9 +405,15 @@ def poincare_verify(N, D, k, w_max):
 
 def spin_sequence_check(S, D, w_max):
     """Exactness of Omega^(S-1) -d-> Omega^S -d^S-> Omega^(2S) -d-> Omega^(2S+1)
-    at the two middle nodes, per weight; N = S + 1."""
+    at the two middle nodes, per weight; N = S + 1.  Raises ValueError when
+    no weight reaches degree 2S, which needs w >= 2S and the top degree
+    S D >= 2S: so for w_max < 2S and for D < 2."""
     if S < 1:
         raise ValueError("S >= 1")
+    if D < 2 or w_max < 2 * S:
+        raise ValueError(
+            f"no weight <= {w_max} reaches degree 2S = {2 * S} over D = {D}: "
+            "nothing to check")
     N = S + 1
     report = {"ok": True, "S": S, "D": D, "weights": {}}
     for w in range(w_max + 1):

@@ -14,12 +14,11 @@ from ncomplex.cosimplicial import (
     AlgebraData,
     dual_numbers,
     group_algebra_cyclic,
-    matrix_algebra,
-    nonabelian_lie2,
 )
 from ncomplex.fields import QQ, Field, make_cyclotomic
 from ncomplex.linalg import ExactMatrix
 from ncomplex.ndiff import block_module
+from helpers import from_int_rows, matrix_algebra, nonabelian_lie2
 
 
 @pytest.fixture()
@@ -33,9 +32,9 @@ def module_file(tmp_path):
 def _write_split_ses(path):
     """The split sequence 0 -> D_3 -> D_3 + D_1 + D_2 -> D_1 + D_2 -> 0."""
     E, F, G = (block_module(QQ, 3, sizes) for sizes in ([3], [3, 1, 2], [1, 2]))
-    phi = ExactMatrix.from_int_rows(
+    phi = from_int_rows(
         [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0], [0, 0, 0], [0, 0, 0]], QQ)
-    psi = ExactMatrix.from_int_rows(
+    psi = from_int_rows(
         [[0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 1]], QQ)
     path.write_text(json.dumps({
         "E": E.to_json(), "F": F.to_json(), "G": G.to_json(),

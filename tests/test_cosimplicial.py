@@ -22,28 +22,31 @@ from ncomplex.cosimplicial import (
     BimoduleData,
     _check_multiplicative_axioms,
     _tensor_square,
-    abelian_lie,
     chevalley_eilenberg,
-    constant_cosimplicial,
     d0,
     d1,
     dual_numbers,
-    field_algebra,
     group_algebra_cyclic,
     hochschild,
-    matrix_algebra,
-    nonabelian_lie2,
     normalized_subcomplex,
     omega_q,
     ordinary_cohomology_dims,
     prop7_verify,
     q_tensor_leibniz_witness,
     simplicial_differential,
-    sl2,
     tensor_algebra,
     theorem2_verify,
     truncated_polynomials,
     universal_envelope,
+)
+from helpers import (
+    abelian_lie,
+    constant_cosimplicial,
+    field_algebra,
+    from_int_rows,
+    matrix_algebra,
+    nonabelian_lie2,
+    sl2,
 )
 
 
@@ -122,7 +125,7 @@ def test_relation_failure_reported(cosimplicial_relations):
     # tamper with a coface: (F) must fail with the offending indices
     E = constant_cosimplicial(QQ, 3)
     cosimplicial_relations(E)
-    E.cofaces[1][1] = ExactMatrix.from_int_rows([[2]], QQ)
+    E.cofaces[1][1] = from_int_rows([[2]], QQ)
     with pytest.raises(ValueError, match=r"\(F\) fails"):
         cosimplicial_relations(E)
 

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 from ncomplex import gauge
-from ncomplex.cosimplicial import field_algebra, group_algebra_cyclic, truncated_polynomials
+from ncomplex.cosimplicial import group_algebra_cyclic, truncated_polynomials
 from ncomplex.fields import QQ, make_cyclotomic
 from ncomplex.gauge import (
     GaugeCochains,
@@ -22,7 +22,6 @@ from ncomplex.gauge import (
     theorem5_verify,
     theorem6_verify,
     two_particle_study,
-    wznw_shaped_instance,
 )
 from ncomplex.graded import GradedNComplex, graded_homology
 from ncomplex.linalg import (
@@ -35,6 +34,7 @@ from ncomplex.linalg import (
     tuple_index,
 )
 from ncomplex.ndiff import homology
+from helpers import field_algebra, wznw_shaped_instance
 
 
 def z2_setup(N=3):
@@ -617,7 +617,7 @@ def test_lemma13_universal_extension():
         }
         alpha = ExactMatrix(2, 2, f, ent)
         # force H_I-preservation: project the image of the H_I column
-        col = G.HI.basis.column(0)
+        col = G.HI.basis.columns()[0]
         img = alpha.apply(col)
         if not G.HI.contains(img):
             # replace alpha by alpha composed with the H_I projector shift

@@ -2,6 +2,7 @@
 
 import ast
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import ncomplex
@@ -142,3 +143,81 @@ def test_kernel_helpers_stay_in_the_kernel():
                 names = [node.attr]
             found += [f"{path.name}:{node.lineno} {n}" for n in names if n in private]
     assert not found, f"kernel-private helpers outside _kernel_py: {found}"
+
+
+# Public names of src/ncomplex that no program code calls, each with the
+# reason it ships.  Keys are ``module.name`` or ``module.Class.method``.
+PROGRAM_UNUSED = {
+    "ndiff.homotopy_criterion_lemma3":
+        "Lemma 3, the homotopy criterion sum d^(N-1-k) h_k d^k = 1",
+    "ndiff.homotopy_criterion_lemma4":
+        "Lemma 4, the criterion h d - q d h = 1 under (A1)",
+    "graded.MatrixAlgebraComplex.lemma4_homotopy":
+        "the homotopy that makes the matrix-algebra example acyclic by Lemma 4",
+    "graded.les_check":
+        "the long exact sequences (S_n,p) of a graded short exact sequence",
+    "graded.GradedSES":
+        "the short exact sequence that les_check takes",
+    "cosimplicial.q_tensor_leibniz_witness":
+        "the q-tensor square of a complex fails the graded q-Leibniz rule",
+    "cosimplicial.chevalley_eilenberg":
+        "the Chevalley-Eilenberg complex, the paper's N = 2 Lie example",
+    "young.nonassociativity_witness":
+        "the product of the Young-symmetrized forms is not associative",
+    "gauge.GaugeCochains.prop8_check":
+        "Proposition 8, the d-span of H in C(U, H) realizes H-bullet",
+    "brs.derivation_forms_cohomology":
+        "the longitudinal forms of a free foliation by derivations",
+    "brs.koszul_homology": "perfbench/layers.py wraps it by name",
+    "cosimplicial.universal_envelope": "perfbench/layers.py wraps it by name",
+    "cosimplicial.omega_q": "perfbench/layers.py wraps it by name",
+}
+
+
+def _public_definitions(tree):
+    """(qualified name, bare name, node) of each public module-level function
+    and class of a module and of each public method of such a class."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if (isinstance(node, (*functions, ast.ClassDef))
+                and not node.name.startswith("_")):
+            yield node.name, node.name, node
+            if isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if isinstance(sub, functions) and not sub.name.startswith("_"):
+                        yield f"{node.name}.{sub.name}", sub.name, sub
+
+
+def _referenced_names(tree):
+    """Counter of the names read as a plain name or an attribute in ``tree``.
+    A re-export by import is no reference."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def test_every_public_name_runs():
+    """The package ships only what runs: a public function, class or method
+    of src/ncomplex is referenced (by name) by the package's own code
+    outside its definition, or by the benchmark workloads; otherwise it is
+    in ``PROGRAM_UNUSED`` with its reason, and an entry whose name gained a
+    program caller, or is gone, is stale.  Test scaffolding lives in
+    ``tests/helpers.py``."""
+    workloads = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    trees = {path.stem: ast.parse(path.read_text(), str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    package = sum(map(_referenced_names, trees.values()), Counter())
+    called = _referenced_names(ast.parse(workloads.read_text()))
+    unused, defined = [], set()
+    for module, tree in trees.items():
+        for qualname, name, node in _public_definitions(tree):
+            key = f"{module}.{qualname}"
+            defined.add(key)
+            runs = (name in called
+                    or package[name] > _referenced_names(node)[name])
+            if runs == (key in PROGRAM_UNUSED):
+                unused.append(key)
+    unused += sorted(set(PROGRAM_UNUSED) - defined)
+    assert not unused, (
+        f"public names that no program code runs, or stale PROGRAM_UNUSED "
+        f"entries: {unused}")
