@@ -355,9 +355,6 @@ class TensorIndex:
             block[(r, s)] = self.dims.get(n, 0)
             self.dims[n] = self.dims.get(n, 0) + C1.dims[r] * C2.dims[s]
 
-    def pos(self, n, r, s, i, j):
-        return self.layout[n][(r, s)] + i * self.C2.dims[s] + j
-
 
 def q_tensor(C1, C2, q, validate_power_formula=True):
     """Tensor product with d(x ox y) = d'x ox y + q^deg(x) x ox d''y.

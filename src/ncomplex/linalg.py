@@ -448,21 +448,23 @@ def rank(M):
 
 
 def kernel_basis(M):
-    """Right kernel as a Subspace of the column-index space; deterministic
-    free-variable parametrization of the RREF."""
+    """Right kernel as a Subspace of the column-index space: one basis column
+    per free column fc of the RREF, 1 at fc and minus the RREF rows' entries
+    at fc in their pivot rows.  Every entry of a reduced row after its lead
+    lies in a free column, so one pass scatters each row into the columns;
+    the free columns are the Subspace's unit rows."""
     f = M.field
     pivots, erows, _ = _echelon(M, reduced=True)
     piv_set = set(pivots)
     free = [j for j in range(M.ncols) if j not in piv_set]
-    cols = []
-    for fc in free:
-        col = {fc: f.one}
-        for p, (rc, rv) in zip(pivots, erows):
-            lo = bisect_left(rc, fc)
-            if lo < len(rc) and rc[lo] == fc:  # over Q the RREF row is rv / lead
-                col[p] = rat(-rv[lo], rv[0]) if f.kind == "rationals" else f.neg(rv[lo])
-        cols.append(col)
-    return Subspace(M.ncols, ExactMatrix.from_columns(cols, M.ncols, f))
+    cols = {fc: {fc: f.one} for fc in free}
+    rational = f.kind == "rationals"
+    for p, (rc, rv) in zip(pivots, erows):
+        lead = rv[0]  # over Q the RREF row is rv / lead
+        for c, v in zip(rc[1:], rv[1:]):
+            cols[c][p] = rat(-v, lead) if rational else f.neg(v)
+    basis = ExactMatrix.from_columns(list(cols.values()), M.ncols, f)
+    return Subspace(M.ncols, basis, unit_rows=free)
 
 
 def image_basis(M):
@@ -552,21 +554,30 @@ def _identity_part(rows, split, f):
 
 
 class Subspace:
-    """A subspace given by a basis matrix with independent columns."""
+    """A subspace given by a basis matrix with independent columns.
 
-    def __init__(self, ambient_dim, basis, echelon=None):
+    A kernel basis and the full space also know their unit rows: row
+    ``unit_rows[k]`` of the basis is the unit vector e_k (for ``kernel_basis``
+    the free columns of the RREF).  The coordinates of a vector v are then v
+    read at those rows, once the exact check Z x = v shows that v lies in
+    the span; the check is skipped only when the unit rows cover the whole
+    space.  Any other subspace solves through an ``EchelonSolver`` of its
+    basis, built on first use."""
+
+    def __init__(self, ambient_dim, basis, echelon=None, unit_rows=None):
         self.ambient_dim = ambient_dim
         self.basis = basis
         self.echelon = echelon  # an ``Echelon`` of the basis, when kept
-        self._solver = None
+        self.unit_rows = unit_rows
+        self._index = self._rest = self._solver = None  # built on first use
 
     @staticmethod
     def full(n, field):
-        return Subspace(n, ExactMatrix.identity(n, field))
+        return Subspace(n, ExactMatrix.identity(n, field), unit_rows=range(n))
 
     @staticmethod
     def zero(n, field):
-        return Subspace(n, ExactMatrix.zeros(n, 0, field))
+        return Subspace(n, ExactMatrix.zeros(n, 0, field), unit_rows=())
 
     @property
     def dim(self):
@@ -581,9 +592,71 @@ class Subspace:
             self._solver = EchelonSolver(self.basis)
         return self._solver
 
+    def coordinates_split(self, xs, D):
+        """``coordinates`` on numerators: xs is ``{index: numerator}`` over D,
+        and the result is ``(x, D_x)`` with x ``{basis column: numerator}`` in
+        ascending order over D_x, or None when the vector is not in the span."""
+        if self.unit_rows is None:
+            return self.solver().solve_split(xs, D)
+        is_zero = self.field.is_zero
+        index = self._unit_index()
+        x = {index[r]: xs[r] for r in sorted(xs) if r in index and not is_zero(xs[r])}
+        return (x, D) if self._rebuilds(x, xs) else None
+
+    def _unit_index(self):
+        if self._index is None:
+            self._index = {r: k for k, r in enumerate(self.unit_rows)}
+        return self._index
+
+    def _rebuilds(self, x, xs):
+        """Whether the basis times the numerators x, read at the unit rows,
+        is the vector of numerators xs, both over one denominator: the exact
+        membership check Z x = v.  At a unit row it holds by construction,
+        so only the other rows are compared, Z_num x = D_Z xs; with no other
+        row (Z = I) there is nothing to check."""
+        if len(self.unit_rows) == self.ambient_dim:
+            return True
+        f, index = self.field, self._unit_index()
+        if self._rest is None:  # the integer columns off the unit rows
+            cols, DZ = self.basis.split_columns()
+            rest = {}
+            for k, col in cols.items():
+                it = iter(col)
+                rest[k] = [t for r, n in zip(it, it) if r not in index for t in (r, n)]
+            self._rest = rest, f.numerator(DZ)
+        rest, scale = self._rest
+        Zx = _apply_columns(rest, x, f)
+        mul, zero = f.mul, f.zero
+        for r, n in xs.items():
+            if r not in index and Zx.pop(r, zero) != mul(n, scale):
+                return False
+        return all(map(f.is_zero, Zx.values()))
+
     def coordinates(self, v):
         """Coordinates of sparse vector v in this basis, or None."""
-        return self.solver().solve(v)
+        f = self.field
+        sol = self.coordinates_split(*_split_vector(v, f))
+        if sol is None:
+            return None
+        x, D = sol
+        return {k: f.join(n, D) for k, n in x.items()}
+
+    def coordinate_matrix(self, M):
+        """The columns of M in this basis, as a dim x M.ncols matrix, or None
+        unless every column lies in the span; each column is read through
+        ``coordinates_split`` on the numerators of M's split."""
+        f = self.field
+        cols, D = M.split_columns()
+        ent = {}
+        for c, col in cols.items():
+            it = iter(col)
+            sol = self.coordinates_split(dict(zip(it, it)), D)
+            if sol is None:
+                return None
+            x, Dx = sol
+            for k, n in x.items():
+                ent[(k, c)] = f.join(n, Dx)
+        return ExactMatrix(self.dim, M.ncols, f, ent, _clean=False)
 
     def contains(self, v):
         return self.coordinates(v) is not None
@@ -609,12 +682,14 @@ def intersection(S1, S2):
 class QuotientSpace:
     """Z / B with the deterministic complement rule: the representatives are
     the basis columns of Z that stay independent modulo B, taken from the
-    last one down, so the pivots of one elimination of [B | Z reversed] find
-    them.  They are the complement of the first basis (the pivots) of the
-    matroid of the rows of B's Z-coordinate matrix, since such a complement
-    is the last basis of the dual matroid (Oxley, *Matroid Theory*, 2nd ed.,
-    2.1), here the matroid of the Z columns modulo B.  The same solver gives
-    the class of a vector in one solve; Z's own solver is never built."""
+    last one down.  In Z's coordinates, column i is dependent modulo B and
+    the later columns exactly when i is the lowest nonzero index of a vector
+    of span(B_Z), B_Z the Z-coordinates of B, that is when i is a pivot of
+    the RREF of B_Z^T.  So the quotient is ``kernel_basis`` K of B_Z^T: its
+    free columns (K's unit rows) are the complement positions, and K^T, which
+    kills B_Z and sends complement column k to e_k, is the class map.  The
+    complement is the last basis of the matroid of the Z columns modulo B
+    (Oxley, *Matroid Theory*, 2nd ed., 2.1, on the dual matroid)."""
 
     def __init__(self, Z, B):
         if B.ambient_dim != Z.ambient_dim:
@@ -622,49 +697,40 @@ class QuotientSpace:
         self.Z = Z
         self.B = B
         self.field = Z.field
-        zdim, bdim = Z.dim, B.dim
-        self._solver = EchelonSolver(
-            B.basis.hstack(Z.basis.take_columns(range(zdim - 1, -1, -1)))
-        )
-        pivots = self._solver.pivots
-        # Z's columns are independent: [B | Z] has rank dim Z iff B lies in Z
-        if len(pivots) != zdim:
+        BZ = Z.coordinate_matrix(B.basis)
+        if BZ is None:
             raise ValueError("B is not contained in Z")
-        # Z's column i is column bdim + zdim - 1 - i of [B | Z reversed]
-        self._pivots = [p for p in reversed(pivots) if p >= bdim]
-        self.complement_positions = [bdim + zdim - 1 - p for p in self._pivots]
-        self.dim = len(self._pivots)
+        K = kernel_basis(BZ.transpose())
+        self.complement_positions = K.unit_rows
+        self.dim = K.dim
+        self.class_map = K.basis.transpose()
+        self._representatives = None
 
     def representatives(self):
-        """Columns of Z's basis at the complement positions (ambient coords)."""
-        return self.Z.basis.take_columns(self.complement_positions)
+        """Columns of Z's basis at the complement positions (ambient coords),
+        built once."""
+        if self._representatives is None:
+            self._representatives = self.Z.basis.take_columns(self.complement_positions)
+        return self._representatives
 
     def coordinates(self, v):
-        """Class of v (must lie in Z) in the representative basis: the
-        complement-column coefficients of the one solve of v."""
+        """Class of v (must lie in Z) in the representative basis: the class
+        map applied to v's Z-coordinates."""
         f = self.field
-        sol = self._solver.solve_split(*_split_vector(v, f))
+        sol = self.Z.coordinates_split(*_split_vector(v, f))
         if sol is None:
             raise ValueError("vector not in Z")
-        x, D = sol
-        out = {}
-        for k, p in enumerate(self._pivots):
-            c = x.get(p)
-            if c is not None:
-                out[k] = f.join(c, D)
-        return out
+        out, D = self.class_map.apply_split(*sol)
+        is_zero = f.is_zero
+        return {k: f.join(out[k], D) for k in sorted(out) if not is_zero(out[k])}
 
 
 def quotient_maps(S):
     """``(proj, section)`` for the quotient of S's ambient space by S under
-    the complement rule: section is the unit vectors at the complement
-    positions, proj the class of each unit vector."""
-    f, n = S.field, S.ambient_dim
-    q = QuotientSpace(Subspace.full(n, f), S)
-    proj = ExactMatrix.from_columns(
-        [q.coordinates({j: f.one}) for j in range(n)], q.dim, f
-    )
-    return proj, q.representatives()
+    the complement rule: proj is the class map K^T of the left kernel K of S
+    (``kernel_basis`` of S^T), section the unit vectors at its free columns."""
+    q = QuotientSpace(Subspace.full(S.ambient_dim, S.field), S)
+    return q.class_map, q.representatives()
 
 
 def restrict(M, S, T):

@@ -10,7 +10,9 @@ from ncomplex.fields import accumulate, make_cyclotomic, rat
 from ncomplex.gauge import GaugeInstance
 from ncomplex.graded import GradedNComplex, GradedSES, random_graded_complex
 from ncomplex.linalg import (
+    EchelonSolver,
     ExactMatrix,
+    Subspace,
     image_basis,
     orbit_span,
     quotient_maps,
@@ -34,6 +36,54 @@ def from_int_rows(rows, field, ncols=None):
     return ExactMatrix.from_rows(
         [[conv(v) for v in row] for row in rows], field, ncols
     )
+
+
+# -- quotients ------------------------------------------------------------------
+
+
+class OracleQuotient:
+    """Z / B by one elimination of [B | Z reversed], independent of Z's unit
+    rows: the Z columns that stay independent modulo B, taken from the last
+    one down, are the pivots past B, and one solve of v gives its class as
+    the coefficients at those pivots.  It works for any basis of Z, and it
+    is the oracle of ``linalg.QuotientSpace``."""
+
+    def __init__(self, Z, B):
+        if B.ambient_dim != Z.ambient_dim:
+            raise ValueError("ambient dimension mismatch")
+        self.Z, self.B = Z, B
+        zdim, bdim = Z.dim, B.dim
+        self._solver = EchelonSolver(
+            B.basis.hstack(Z.basis.take_columns(range(zdim - 1, -1, -1)))
+        )
+        pivots = self._solver.pivots
+        # Z's columns are independent: [B | Z] has rank dim Z iff B lies in Z
+        if len(pivots) != zdim:
+            raise ValueError("B is not contained in Z")
+        # Z's column i is column bdim + zdim - 1 - i of [B | Z reversed]
+        self._pivots = [p for p in reversed(pivots) if p >= bdim]
+        self.complement_positions = [bdim + zdim - 1 - p for p in self._pivots]
+        self.dim = len(self._pivots)
+
+    def representatives(self):
+        return self.Z.basis.take_columns(self.complement_positions)
+
+    def coordinates(self, v):
+        x = self._solver.solve(v)
+        if x is None:
+            raise ValueError("vector not in Z")
+        return {k: x[p] for k, p in enumerate(self._pivots) if p in x}
+
+
+def oracle_quotient_maps(S):
+    """``linalg.quotient_maps`` from ``OracleQuotient``: the class of each
+    unit vector by one solve, and the unit vectors at the complement."""
+    f, n = S.field, S.ambient_dim
+    q = OracleQuotient(Subspace(n, ExactMatrix.identity(n, f)), S)
+    proj = ExactMatrix.from_columns(
+        [q.coordinates({j: f.one}) for j in range(n)], q.dim, f
+    )
+    return proj, q.representatives()
 
 
 # -- example algebras ----------------------------------------------------------
@@ -113,6 +163,12 @@ def ghost_mul(a, b):
 
 
 # -- graded complexes ----------------------------------------------------------
+
+
+def tensor_pos(idx, n, r, s, i, j):
+    """The index of e_i ox f_j, from C'^r ox C''^s, in degree n of the
+    ``graded.TensorIndex`` idx."""
+    return idx.layout[n][(r, s)] + i * idx.C2.dims[s] + j
 
 
 def to_zgraded(C, lo, hi):

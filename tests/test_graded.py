@@ -19,7 +19,7 @@ from ncomplex.graded import (
 )
 from ncomplex.linalg import ExactMatrix, rank
 from ncomplex.ndiff import HomologySlot, homology, homotopy_criterion_lemma4
-from helpers import from_int_rows, random_graded_ses, to_zgraded
+from helpers import from_int_rows, random_graded_ses, tensor_pos, to_zgraded
 
 
 def two_term_complex(field, mat):
@@ -269,10 +269,10 @@ def test_q_tensor_entrywise_matches_classical():
                     col = off + i * B.dims[s] + j
                     if dA is not None and (r + 1, s) in idx.layout.get(n + 1, {}):
                         for i2, v in dA.columns()[i].items():
-                            ent[(idx.pos(n + 1, r + 1, s, i2, j), col)] = v
+                            ent[(tensor_pos(idx, n + 1, r + 1, s, i2, j), col)] = v
                     if dB is not None and (r, s + 1) in idx.layout.get(n + 1, {}):
                         for j2, v in dB.columns()[j].items():
-                            key = (idx.pos(n + 1, r, s + 1, i, j2), col)
+                            key = (tensor_pos(idx, n + 1, r, s + 1, i, j2), col)
                             ent[key] = f.mul(sign, v)
         want = ExactMatrix(T.dims.get(n + 1, 0), T.dims[n], QQ, ent)
         assert T.maps[n] == want

@@ -31,7 +31,8 @@ from ncomplex.linalg import (
     restrict,
     tuple_index,
 )
-from helpers import from_int_rows, random_scalar
+from ncomplex.ndiff import NDiffModule, block_module, homology, random_unimodular
+from helpers import OracleQuotient, from_int_rows, oracle_quotient_maps, random_scalar
 
 
 def dense_rref(rows, field):
@@ -165,23 +166,74 @@ def test_quotient_dimension_random():
 
 
 def test_quotient_space_is_one_elimination(elimination_counts):
-    """A quotient build is one solver of [B | Z reversed], one elimination,
-    with Z's own solver never built; reading classes builds nothing more."""
+    """A quotient of a kernel basis Z is one short elimination, the kernel of
+    B's rows read at Z's unit rows, and builds no EchelonSolver; reading
+    classes and representatives eliminates nothing more."""
     e = [{i: rat(1)} for i in range(4)]
-    Z = Subspace(4, ExactMatrix.from_columns([e[0], {1: rat(1), 2: rat(1)}, e[3]], 4, QQ))
+    # Z = span(e_0, e_1 + e_2, e_3) = ker [0 1 -1 0], with unit rows 0, 2, 3
+    Z = kernel_basis(from_int_rows([[0, 1, -1, 0]], QQ))
+    assert Z.basis == ExactMatrix.from_columns([e[0], {1: rat(1), 2: rat(1)}, e[3]], 4, QQ)
+    assert Z.unit_rows == [0, 2, 3]
     B = Subspace(4, ExactMatrix.from_columns([{0: rat(1), 3: rat(1)}], 4, QQ))
     q = QuotientSpace(Z, B)
-    assert elimination_counts == {"solvers": 1, "row_echelon": 1}
+    assert elimination_counts == {"solvers": 0, "row_echelon": 2}
     assert Z._solver is None and B._solver is None
     # z_0 = (e_0 + e_3) - z_2 is the column B covers; z_1 and z_2 stay
     assert q.complement_positions == [1, 2]
+    assert q.class_map == ExactMatrix.from_columns([{1: rat(-1)}, {0: rat(1)}, {1: rat(1)}], 2, QQ)
     assert q.coordinates(e[0]) == {1: rat(-1)}
     assert q.coordinates({1: rat(2), 2: rat(2), 3: rat(1)}) == {0: rat(2), 1: rat(1)}
     assert q.coordinates({0: rat(1), 3: rat(1)}) == {}
     with pytest.raises(ValueError, match="vector not in Z"):
         q.coordinates(e[1])
-    assert elimination_counts == {"solvers": 1, "row_echelon": 1}
+    # e_2 lies on a unit row of Z, but Z's column there is e_1 + e_2
+    with pytest.raises(ValueError, match="vector not in Z"):
+        q.coordinates(e[2])
+    assert q.representatives() is q.representatives()
+    assert elimination_counts == {"solvers": 0, "row_echelon": 2}
     assert Z._solver is None
+
+
+def test_quotient_refuses_on_the_unit_rows():
+    """A vector, or a B, supported on Z's unit rows alone may still leave Z:
+    the membership check runs whatever the support, unless Z is the whole
+    space."""
+    f = QQ
+    # Z = ker [1 1 0] = span(e_1 - e_0, e_2), with unit rows 1 and 2
+    Z = kernel_basis(from_int_rows([[1, 1, 0]], f))
+    assert Z.unit_rows == [1, 2]
+    q = QuotientSpace(Z, Subspace.zero(3, f))
+    for v in ({1: rat(1)}, {1: rat(2), 2: rat(1)}):
+        with pytest.raises(ValueError, match="vector not in Z"):
+            q.coordinates(v)
+        assert not Z.contains(v)
+        with pytest.raises(ValueError, match="B is not contained in Z"):
+            QuotientSpace(Z, Subspace(3, ExactMatrix.from_columns([v], 3, f)))
+    assert q.coordinates({0: rat(-1), 1: rat(1), 2: rat(3)}) == {0: rat(1), 1: rat(3)}
+    full = Subspace.full(3, f)
+    assert QuotientSpace(full, Z).coordinates({1: rat(1)}) == {0: rat(1)}
+
+
+def test_homology_and_quotient_maps_build_no_solver(elimination_counts):
+    """Every quotient the package builds has a kernel basis or the full
+    space for Z, so neither ``homology`` with every slot read nor
+    ``quotient_maps`` builds an EchelonSolver."""
+    rng = random.Random(7)
+    E = block_module(QQ, 4, [4, 3, 1, 1])
+    P, Pinv = random_unimodular(E.dim, QQ, rng)
+    E = NDiffModule(4, P @ E.d @ Pinv)
+    H = homology(E)
+    for m, slot in H.slots.items():
+        reps = slot.representatives
+        for k, col in enumerate(reps.columns()):
+            assert slot.quotient.coordinates(col) == {k: QQ.one}
+        if m + 1 in H.slots:
+            slot.map_to(H[m + 1], lambda z: z)
+        if m > 1:
+            slot.map_to(H[m - 1], E.d.apply)
+    proj, section = quotient_maps(E.image_chain()[0])
+    assert proj @ section == ExactMatrix.identity(proj.nrows, QQ)
+    assert elimination_counts["solvers"] == 0
 
 
 def test_quotient_rejects_bad_containment():
@@ -612,6 +664,54 @@ def test_numerator_quotient_coordinates_match_dense_oracle(case):
         assert q.coordinates(col) == {}
     for k, col in enumerate(q.representatives().columns()):
         assert q.coordinates(col) == {k: Z.field.one}
+
+
+@st.composite
+def unit_row_quotient_cases(draw):
+    """Z / B as the package builds them: Z a kernel basis or the full space,
+    B the image of some vectors of Z, and vectors of Z to read."""
+    f = draw(st.sampled_from(NUMERATOR_FIELDS), label="field")
+    rng = random.Random(draw(st.integers(0, 2**32 - 1), label="seed"))
+    n = draw(st.integers(0, 6), label="ambient")
+    if draw(st.booleans(), label="full"):
+        Z = Subspace.full(n, f)
+    else:
+        Z = kernel_basis(_mixed_matrix(f, rng, draw(st.integers(0, 4), label="rows"), n))
+    C = _mixed_matrix(f, rng, Z.dim, draw(st.integers(0, 4), label="bcols"))
+    B = image_basis(Z.basis @ C)
+    vs = [Z.basis.apply(_mixed_vector(f, rng, Z.dim)) for _ in range(3)]
+    return Z, B, vs
+
+
+@given(unit_row_quotient_cases())
+@settings(max_examples=200, deadline=None)
+def test_unit_row_quotient_matches_reversed_elimination_oracle(case):
+    """``QuotientSpace`` on Z's unit rows against ``OracleQuotient``, one
+    elimination of [B | Z reversed]: the complement, the representatives,
+    the class of every vector read (keys ascending) and ``quotient_maps``.
+    A unit vector at a unit row whose Z column leaves the unit rows is
+    outside Z, so both refuse it, as a vector and as B."""
+    Z, B, vs = case
+    f, n = Z.field, Z.ambient_dim
+    q, oracle = QuotientSpace(Z, B), OracleQuotient(Z, B)
+    assert q.complement_positions == oracle.complement_positions
+    assert q.dim == oracle.dim
+    assert q.representatives() == oracle.representatives()
+    for v in vs + B.basis.columns() + q.representatives().columns():
+        got = q.coordinates(v)
+        assert got == oracle.coordinates(v) and list(got) == sorted(got)
+    assert quotient_maps(B) == oracle_quotient_maps(B)
+    for r, col in zip(Z.unit_rows, Z.basis.columns()):
+        if col == {r: f.one}:
+            continue
+        v = {r: f.one}
+        for quotient in (q, oracle):
+            with pytest.raises(ValueError, match="vector not in Z"):
+                quotient.coordinates(v)
+        outside = Subspace(n, ExactMatrix.from_columns([v], n, f))
+        for build in (QuotientSpace, OracleQuotient):
+            with pytest.raises(ValueError, match="B is not contained in Z"):
+                build(Z, outside)
 
 
 @st.composite

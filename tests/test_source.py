@@ -188,33 +188,41 @@ def _public_definitions(tree):
                         yield f"{node.name}.{sub.name}", sub.name, sub
 
 
-def _referenced_names(tree):
-    """Counter of the names read as a plain name or an attribute in ``tree``.
-    A re-export by import is no reference."""
+def _referenced_names(tree, attributes=False):
+    """Counter of the names read as a plain name or an attribute in ``tree``,
+    or only as an attribute ``x.name`` when ``attributes``.  A re-export by
+    import is no reference."""
+    kinds = ast.Attribute if attributes else (ast.Name, ast.Attribute)
     return Counter(node.id if isinstance(node, ast.Name) else node.attr
-                   for node in ast.walk(tree)
-                   if isinstance(node, (ast.Name, ast.Attribute)))
+                   for node in ast.walk(tree) if isinstance(node, kinds))
 
 
 def test_every_public_name_runs():
     """The package ships only what runs: a public function, class or method
-    of src/ncomplex is referenced (by name) by the package's own code
-    outside its definition, or by the benchmark workloads; otherwise it is
-    in ``PROGRAM_UNUSED`` with its reason, and an entry whose name gained a
-    program caller, or is gone, is stale.  Test scaffolding lives in
-    ``tests/helpers.py``."""
+    of src/ncomplex is referenced by the package's own code outside its
+    definition, or by the benchmark workloads; otherwise it is in
+    ``PROGRAM_UNUSED`` with its reason, and an entry whose name gained a
+    program caller, or is gone, is stale.  A method counts only through an
+    attribute reference ``x.name``: a local variable of the same name is no
+    caller.  Test scaffolding lives in ``tests/helpers.py``."""
     workloads = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     trees = {path.stem: ast.parse(path.read_text(), str(path))
              for path in sorted(SRC.glob("*.py"))}
-    package = sum(map(_referenced_names, trees.values()), Counter())
-    called = _referenced_names(ast.parse(workloads.read_text()))
+    workload_tree = ast.parse(workloads.read_text())
+    # (package references, workload references), keyed by "is a method"
+    refs = {method: (sum((_referenced_names(t, method) for t in trees.values()),
+                         Counter()),
+                     _referenced_names(workload_tree, method))
+            for method in (False, True)}
     unused, defined = [], set()
     for module, tree in trees.items():
         for qualname, name, node in _public_definitions(tree):
+            method = qualname != name
+            package, called = refs[method]
             key = f"{module}.{qualname}"
             defined.add(key)
             runs = (name in called
-                    or package[name] > _referenced_names(node)[name])
+                    or package[name] > _referenced_names(node, method)[name])
             if runs == (key in PROGRAM_UNUSED):
                 unused.append(key)
     unused += sorted(set(PROGRAM_UNUSED) - defined)
