@@ -142,9 +142,10 @@ def extend(G):
 def theorem5_verify(G):
     """dim H_(k)(H-bullet, Q) = dim H_(k)(H_I, A) for all k, plus the check
     that H_I representatives stay independent modulo B_(k)(Q) = im Q^(N-k):
-    a copy of the echelon kept on image-chain link N-k-1 spans B_(k)(Q), so
-    absorbing the representatives (in level 0) fails exactly when one depends
-    on B_(k)(Q) and those before it, i.e. rank [B | reps] < dim B + #reps."""
+    image-chain link N-k-1 is the span of the rows its echelon keeps, and
+    they span B_(k)(Q), so absorbing the representatives (in level 0) into a
+    copy of that echelon fails exactly when one depends on B_(k)(Q) and
+    those before it, i.e. rank [B | reps] < dim B + #reps."""
     ext = extend(G)
     N = G.N
     total_dim = ext.Q.dim

@@ -467,14 +467,39 @@ def kernel_basis(M):
     return Subspace(M.ncols, basis, unit_rows=free)
 
 
-def image_basis(M):
-    """Column space: the columns of M that ``Echelon`` keeps, the pivot columns
-    of any row echelon form of M.  The Subspace keeps the echelon, whose
-    rows are M's columns in the kernel's row format, for reuse."""
+def _column_echelon(M):
+    """An ``Echelon`` of M's columns, absorbed in order in the kernel's row
+    format (over Q integer rows), and the indices of the columns it keeps:
+    the pivot columns of any row echelon form of M."""
     E = Echelon(M.field, M.nrows)
     kept = [j for j, (cols, vals) in enumerate(M.transpose().rows_sparse())
             if E.absorb(cols, vals) is None]
-    return Subspace(M.nrows, M.take_columns(kept), E)
+    return E, kept
+
+
+def image_basis(M):
+    """Column space: the columns of M that ``Echelon`` keeps."""
+    return Subspace(M.nrows, M.take_columns(_column_echelon(M)[1]))
+
+
+def echelon_span(M):
+    """Column space on the rows that an ``Echelon`` of M's columns keeps: one
+    basis column per lead, in lead order, with the echelon kept beside them
+    for extension.  The rows span what M's columns span, and elimination
+    makes them sparser than the columns ``image_basis`` keeps.  Over Q they
+    are primitive integer rows: the basis holds them as rationals and its
+    split is seeded with them over D = 1."""
+    f = M.field
+    E = _column_echelon(M)[0]
+    rows = [E.leads[c] for c in sorted(E.leads)]
+    keys = [(i, k) for k, (cols, _) in enumerate(rows) for i in cols]
+    vals = [v for _, row_vals in rows for v in row_vals]
+    rational = f.kind == "rationals"
+    basis = ExactMatrix(M.nrows, len(rows), f, dict(zip(
+        keys, map(rat, vals) if rational else vals)), _clean=False)
+    if rational:
+        basis._split = _flat_columns(keys, vals), 1
+    return Subspace(M.nrows, basis, E)
 
 
 class EchelonSolver:
@@ -567,7 +592,7 @@ class Subspace:
     def __init__(self, ambient_dim, basis, echelon=None, unit_rows=None):
         self.ambient_dim = ambient_dim
         self.basis = basis
-        self.echelon = echelon  # an ``Echelon`` of the basis, when kept
+        self.echelon = echelon  # the ``Echelon`` whose rows are the basis
         self.unit_rows = unit_rows
         self._index = self._rest = self._solver = None  # built on first use
 

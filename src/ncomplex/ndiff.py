@@ -13,7 +13,7 @@ from .linalg import (
     ExactMatrix,
     QuotientSpace,
     _split_vector,
-    image_basis,
+    echelon_span,
     kernel_basis,
     kron,
     orbit_span,
@@ -57,16 +57,23 @@ class NDiffModule:
         return self._powers[k]
 
     def image_chain(self):
-        """Image bases of d^1, ..., d^N computed by shrinking eliminations.
+        """Bases of im d^1, ..., im d^N computed by shrinking eliminations.
 
-        Link k spans d(link k-1) = im d^k, so its dimension is rank d^k and
-        the last link is zero exactly when d^N = 0: the chain is the
-        nilpotency certificate of ``__init__``.  Each link keeps the echelon
-        of ``image_basis``, which Theorem 5 extends."""
+        Link 0 is the span of d's columns and link k+1 the span of d @ R_k,
+        where R_k holds, as columns, the rows that link k's echelon keeps
+        (``echelon_span``); R_k is link k's basis and the echelon is kept
+        beside it, for Theorem 5 to extend.  By induction R_k spans
+        im d^(k+1), so link k's dimension is rank d^(k+1) and the last link
+        is zero exactly when d^N = 0: the chain is the nilpotency
+        certificate of ``__init__``.  The echelon rows are sparser than the
+        columns d^(k+1) e_j, so the products cost fewer terms.  A quotient
+        Z / B reads B only through its span: ``QuotientSpace`` takes the RREF
+        of B's Z-coordinates, which depends on their row space alone, so the
+        representatives do not depend on which basis a link keeps."""
         if self._image_chain is None:
-            chain = [image_basis(self.d)]
+            chain = [echelon_span(self.d)]
             for _ in range(self.N - 1):
-                chain.append(image_basis(self.d @ chain[-1].basis))
+                chain.append(echelon_span(self.d @ chain[-1].basis))
             self._image_chain = chain
         return self._image_chain
 

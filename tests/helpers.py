@@ -75,6 +75,17 @@ class OracleQuotient:
         return {k: x[p] for k, p in enumerate(self._pivots) if p in x}
 
 
+def oracle_image_chain(E):
+    """``NDiffModule.image_chain`` on kept columns: link 0 is ``image_basis``
+    of d and link k+1 ``image_basis`` of d @ (link k's basis), the columns
+    d^(k+1) e_j that elimination keeps.  It spans what the chain on echelon
+    rows spans, and it is that chain's oracle."""
+    chain = [image_basis(E.d)]
+    for _ in range(E.N - 1):
+        chain.append(image_basis(E.d @ chain[-1].basis))
+    return chain
+
+
 def oracle_quotient_maps(S):
     """``linalg.quotient_maps`` from ``OracleQuotient``: the class of each
     unit vector by one solve, and the unit vectors at the complement."""

@@ -19,6 +19,7 @@ from ncomplex.linalg import (
     QuotientSpace,
     Subspace,
     commutation,
+    echelon_span,
     image_basis,
     index_tuple,
     intersection,
@@ -741,19 +742,21 @@ def _as_row(v, n, f):
 @settings(max_examples=250, deadline=None)
 def test_image_basis_echelon_matches_dense_oracle(case):
     """``image_basis`` keeps the pivot columns of the dense Gauss-Jordan
-    oracle, and extending a copy of its echelon by v keeps v exactly when v
-    raises the oracle's rank; the copy leaves the kept echelon as it was."""
+    oracle, and extending a copy of the echelon of the same absorb pass (the
+    one ``echelon_span`` keeps) by v keeps v exactly when v raises the
+    oracle's rank; the copy leaves the kept echelon as it was."""
     f, M, v = case
     pivots, _ = dense_rref(_dense(M), f)
     S = image_basis(M)
     assert S.basis == M.take_columns(pivots)
-    before = copy.deepcopy(S.echelon.leads)
-    E = S.echelon.copy()
+    kept = echelon_span(M).echelon
+    before = copy.deepcopy(kept.leads)
+    E = kept.copy()
     Mv = M.hstack(ExactMatrix.from_columns([v], M.nrows, f))
     grows = dense_rank_oracle(_dense(Mv), f) > len(pivots)
     assert (E.absorb(*_as_row(v, M.nrows, f)) is None) == grows
     assert len(E.leads) == len(pivots) + grows
-    assert S.echelon.leads == before
+    assert kept.leads == before
 
 
 def test_echelon_absorbs_left_to_right():
@@ -791,7 +794,7 @@ def test_sparser_row_takes_the_lead(field):
     pivots, rref = dense_rref(_dense(M), f)
     assert pivots == [0, 1, 3]
     assert S.basis == M.take_columns(pivots)
-    leads = S.echelon.leads
+    leads = echelon_span(M).echelon.leads
     assert sorted(leads) == [0, 1, 3] and leads[0][0] == [0]
     # the displaced first column, reduced by the second, keeps lead 1
     assert leads[1][0] == [1, 2]

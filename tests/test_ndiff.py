@@ -37,7 +37,7 @@ from ncomplex.ndiff import (
     stable_quotient,
     submodule,
 )
-from helpers import from_int_rows
+from helpers import from_int_rows, oracle_image_chain
 
 
 def test_construction_rejects_bad_nilpotency():
@@ -92,6 +92,72 @@ def test_nilpotency_certificate_matches_power_oracle(case):
             NDiffModule(N, d)
         E = NDiffModule(N, d, check=False)
     assert E.rank_profile() == [rank(_naive_power(d, m)) for m in range(N + 1)]
+
+
+@st.composite
+def chain_cases(draw):
+    """(N, d) over Q and Q(zeta_3), Q(zeta_4), Q(zeta_5), Q(zeta_8): a
+    conjugated Jordan sum with blocks up to N (d^N = 0, ``random_ndiff``) or
+    with one block of size N + 1 (d^N != 0), scaled by a rational so that d
+    has denominators."""
+    f = draw(st.sampled_from([QQ] + [make_cyclotomic(M) for M in (3, 4, 5, 8)]))
+    N = draw(st.integers(2, 5))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.integers(1, 10))
+    if draw(st.booleans()):
+        d = random_ndiff(f, N, dim, rng)[0].d
+    else:
+        sizes = [N + 1] + [rng.randint(1, N + 1) for _ in range(draw(st.integers(0, 2)))]
+        starts = [sum(sizes[:k]) for k in range(len(sizes))]
+        J = ExactMatrix(sum(sizes), sum(sizes), f, {
+            (i, i + 1): f.one for s, n in zip(starts, sizes) for i in range(s, s + n - 1)})
+        P, Pinv = random_unimodular(J.nrows, f, rng)
+        d = P @ J @ Pinv
+    return N, d.scale(f.from_rat(draw(st.sampled_from([rat(1), rat(1, 2), rat(-2, 3)]))))
+
+
+@given(chain_cases())
+@settings(max_examples=120, deadline=None)
+def test_image_chain_on_echelon_rows_matches_column_oracle(case):
+    """Each link of the chain on echelon rows has the dimension and the span
+    of the chain on kept columns (``oracle_image_chain``), and its basis
+    columns are exactly the rows its echelon keeps, in lead order (over Q
+    the primitive integer rows, with the split seeded over D = 1).  The
+    nilpotency certificate raises the same error, and the homology built on
+    the oracle's links has the same representatives, class maps and [i], [d]
+    matrices."""
+    N, d = case
+    f = d.field
+    oracle = oracle_image_chain(NDiffModule(N, d, check=False))
+    if oracle[-1].dim:
+        with pytest.raises(ValueError, match=rf"d\^{N} != 0: not an {N}-differential"):
+            NDiffModule(N, d)
+        E = NDiffModule(N, d, check=False)
+    else:
+        E = NDiffModule(N, d)
+    chain = E.image_chain()
+    assert len(chain) == len(oracle) == N
+    for S, T in zip(chain, oracle):
+        assert S.dim == T.dim == len(S.echelon.leads)
+        assert rank(T.basis.hstack(S.basis)) == S.dim
+        rows = [S.echelon.leads[c] for c in sorted(S.echelon.leads)]
+        cols = [dict(zip(rc, map(rat, rv) if f is QQ else rv)) for rc, rv in rows]
+        assert S.basis == ExactMatrix.from_columns(cols, E.dim, f)
+        if f is QQ:
+            flat = {k: [t for r, v in zip(rc, rv) for t in (r, v)]
+                    for k, (rc, rv) in enumerate(rows)}
+            assert S.basis.split_columns() == (flat, 1)
+    if oracle[-1].dim:
+        return
+    slots = homology(E).slots
+    want = {m: HomologySlot(s.Z, oracle[N - m - 1]) for m, s in slots.items()}
+    for m, s in slots.items():
+        assert s.representatives == want[m].representatives
+        assert s.quotient.class_map == want[m].quotient.class_map
+    arrows = [(m, m + 1, lambda z: z) for m in range(1, N - 1)]
+    arrows += [(m + 1, m, d.apply) for m in range(1, N - 1)]
+    for src, tgt, image in arrows:
+        assert slots[src].map_to(slots[tgt], image) == want[src].map_to(want[tgt], image)
 
 
 def test_jordan_block_profile():
