@@ -9,8 +9,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cache
+from operator import add
 
 from .fields import QQ, accumulate, check_keys, rat
+from .graded import WindowError
 from .linalg import (
     EchelonSolver,
     ExactMatrix,
@@ -204,6 +206,8 @@ class PolyConstraintSystem:
 def _merge_odd(a, b):
     """Sorted merge of two tuples of odd generators with the Koszul sign;
     (None, 0) on a repeated generator."""
+    if not b:
+        return a, 1
     out = list(a)
     sign = 1
     for x in b:
@@ -221,35 +225,44 @@ def _remove_at(subset, k):
     return subset[:k] + subset[k + 1:], (-1) ** k
 
 
-def _key_mul(a, b):
-    """Product of two basis keys as (key, sign); (None, 0) when it vanishes."""
-    (pa, ma, ca), (pb, mb, cb) = a, b
-    pi, s_pi = _merge_odd(pa, pb)
-    if pi is None:
-        return None, 0
-    chi, s_chi = _merge_odd(ca, cb)
-    if chi is None:
-        return None, 0
-    # pi_b crosses the chi_a block on its way left
-    return (pi, mono_mul(ma, mb), chi), s_pi * s_chi * (-1) ** (len(ca) * len(pb))
-
-
-def _add_product(out, left, img, right, scale):
-    """out += scale * left img right, for basis keys ``left`` and ``right``;
-    distinct terms of ``img`` give distinct products."""
-    for key, v in img.items():
-        key, s_left = _key_mul(left, key)
-        if key is None:
+def _splice(out, img, pis, p_cross, mono, chis, c_cross, parity, scale):
+    """out += scale * (-1)^parity * each term t_pi x^t chi_t of ``img``
+    spliced in: t_pi merged into ``pis``, t_chi into ``chis`` and x^t added
+    onto ``mono``, with the signs of the merges and
+    (-1)^(|t_pi| p_cross + |t_chi| c_cross) for the odd factors that each
+    word crosses (see ``Antiderivation``)."""
+    for (tp, tm, tc), v in img.items():
+        pi, s_pi = _merge_odd(pis, tp)
+        if pi is None:
             continue
-        key, s_right = _key_mul(key, right)
-        if key is not None:
-            accumulate(out, key, scale * v if s_left == s_right else -(scale * v))
+        chi, s_chi = _merge_odd(chis, tc)
+        if chi is None:
+            continue
+        if scale != 1:
+            v = v * scale
+        if (parity + len(tp) * p_cross + len(tc) * c_cross) & 1:
+            s_pi = -s_pi
+        accumulate(out, (pi, tuple(map(add, mono, tm)), chi),
+                   v if s_pi == s_chi else -v)
 
 
 class Antiderivation:
     """Degree-1 antiderivation given by generator images (term dicts, {} for
     zero): pi_images[alpha], chi_images[alpha'], x_images[i] (delta_0 has no
-    x-images)."""
+    x-images).
+
+    On a key pi_S x^m chi_T each term t_pi x^t chi_t of a generator's image
+    is spliced in at the slot of the factor it replaces: t_pi is merged into
+    the pi word left once that factor is out, t_chi into the chi word, and
+    x^t is added onto the monomial.  A merge sorts the word w t (the
+    image's word last).  With L and R the factors left and right of the
+    slot in its own word, the Koszul sign is the prefix parity (k for the
+    pi slot pi_S[k], |S| for an x slot, |S| + k for the chi slot chi_T[k])
+    times the two merge signs times a -1 for each odd pair that the true
+    order puts the other way round: |t_pi||R| and |t_chi|(|R| + |T|) for a
+    pi slot, |t_chi||T| for an x slot, |t_pi| k and |t_chi||R| for a chi
+    slot.  An x slot scales by the exponent of x_i in m; no rational is
+    multiplied when the key's coefficient is 1."""
 
     def __init__(self, pi_images, chi_images, x_images):
         self.pi_images = pi_images
@@ -261,27 +274,23 @@ class Antiderivation:
         if out is None:
             out = {}
         for (pis, mono, chis), val in elem.items():
-            zero_mono = (0,) * len(mono)
-            # pi factors: prefix of k odd factors gives sign (-1)^k
+            npis, nchis = len(pis), len(chis)
+            scale = 1 if val == 1 else val
             for k, a in enumerate(pis):
                 img = self.pi_images[a]
                 if img:
-                    _add_product(out, (pis[:k], zero_mono, ()), img,
-                                 (pis[k + 1:], mono, chis), -val if k % 2 else val)
-            # polynomial factor (even); prefix parity = len(pis)
-            val_x = -val if len(pis) % 2 else val
+                    nr = npis - k - 1
+                    _splice(out, img, pis[:k] + pis[k + 1:], nr, mono, chis,
+                            nr + nchis, k, scale)
             for i, img in enumerate(self.x_images):
                 if img and mono[i]:
                     dm, e = mono_derivative(mono, i)
-                    _add_product(out, (pis, dm, ()), img, ((), zero_mono, chis),
-                                 val_x * e)
-            # chi factors; prefix parity = len(pis) + k
+                    _splice(out, img, pis, 0, dm, chis, nchis, npis, e * scale)
             for k, a in enumerate(chis):
                 img = self.chi_images[a]
                 if img:
-                    _add_product(out, (pis, mono, chis[:k]), img,
-                                 ((), zero_mono, chis[k + 1:]),
-                                 -val_x if k % 2 else val_x)
+                    _splice(out, img, pis, k, mono, chis[:k] + chis[k + 1:],
+                            nchis - k - 1, npis + k, scale)
         return out
 
 
@@ -472,8 +481,6 @@ def delta_tower(K, deg_max=8):
 def _solve_delta0_preimage(K, obstruction, deg_max):
     """x with delta_0(x) = obstruction, minimal under the deterministic
     pivot rule, solved per bidegree block; {} for a zero obstruction."""
-    from .graded import WindowError
-
     out = {}
     by_bideg = {}
     for key, v in obstruction.items():
@@ -706,13 +713,20 @@ class LongitudinalComplex:
     def cohomology_dim(self, s, wmax):
         """dim H^s of longitudinal forms with poly degree <= wmax (the
         differential never raises poly degree beyond the budget thanks to
-        homogeneous data; overflow raises KeyError)."""
+        homogeneous data; overflow raises KeyError).  B needs sources up to
+        wmax + drop, the largest degree drop of the fields, so a window
+        past the stored deg_max raises WindowError rather than cut B off."""
         shifts = [xi.weight_shift() or 0 for xi in self.system.fields]
         pad = max([0] + [sh for sh in shifts]) + max(
             (poly_deg(c) for c in self.system.structure.values() if c),
             default=0,
         )
         drop = max([0] + [-sh for sh in shifts])
+        if wmax + drop > self.deg_max:
+            raise WindowError(
+                f"H^{s}(<= {wmax}) needs polynomial degree {wmax + drop}, "
+                f"past the stored {self.deg_max}"
+            )
         return _filtered_cohomology_dim(
             self.differential,
             self.basis(s, wmax),
@@ -723,9 +737,17 @@ class LongitudinalComplex:
 
 def theorem4_verify(system, deg_max, wmax=None):
     """dim H^n(delta) (poly-filtered) equals the longitudinal cohomology
-    dimension, per ghost degree n and cumulative polynomial degree."""
+    dimension, per ghost degree n and cumulative polynomial degree.
+
+    The longitudinal side stores degrees <= deg_max + 2 * raise (raise the
+    largest polynomial-degree increase of the tower), so the window must
+    keep wmax + drop <= deg_max + 2 * raise (drop the largest decrease of
+    the fields); the default wmax = max(deg_max - 2 * raise, 1) does.  A
+    window past it raises WindowError, a negative wmax ValueError."""
     if deg_max < 0:
         raise ValueError(f"deg_max must be >= 0, got {deg_max}")
+    if wmax is not None and wmax < 0:
+        raise ValueError(f"wmax must be >= 0, got {wmax}")
     K = GhostComplex(system)
     delta_tower(K, deg_max=deg_max)
     if wmax is None:

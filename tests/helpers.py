@@ -4,7 +4,7 @@ when its own code or the benchmark workloads run it (see
 ``test_source.test_every_public_name_runs``); the tests build their inputs
 from these."""
 
-from ncomplex.brs import _key_mul
+from ncomplex.brs import _merge_odd
 from ncomplex.cosimplicial import AlgebraData, CosimplicialData
 from ncomplex.fields import accumulate, make_cyclotomic, rat
 from ncomplex.gauge import GaugeInstance
@@ -19,6 +19,7 @@ from ncomplex.linalg import (
     restrict,
 )
 from ncomplex.ndiff import block_module, random_unimodular
+from ncomplex.young import mono_derivative, mono_mul
 
 # -- scalars and matrices ------------------------------------------------------
 
@@ -158,6 +159,60 @@ def constant_cosimplicial(field, n_max):
 
 
 # -- BRS ghosts ----------------------------------------------------------------
+
+
+def _key_mul(a, b):
+    """Product of two basis keys as (key, sign); (None, 0) when it vanishes."""
+    (pa, ma, ca), (pb, mb, cb) = a, b
+    pi, s_pi = _merge_odd(pa, pb)
+    if pi is None:
+        return None, 0
+    chi, s_chi = _merge_odd(ca, cb)
+    if chi is None:
+        return None, 0
+    # pi_b crosses the chi_a block on its way left
+    return (pi, mono_mul(ma, mb), chi), s_pi * s_chi * (-1) ** (len(ca) * len(pb))
+
+
+def _add_product(out, left, img, right, scale):
+    """out += scale * left img right, for basis keys ``left`` and ``right``;
+    distinct terms of ``img`` give distinct products."""
+    for key, v in img.items():
+        key, s_left = _key_mul(left, key)
+        if key is None:
+            continue
+        key, s_right = _key_mul(key, right)
+        if key is not None:
+            accumulate(out, key, scale * v if s_left == s_right else -(scale * v))
+
+
+def leibniz_apply(delta, elem, out):
+    """``brs.Antiderivation.apply`` by the generic Leibniz expansion: each
+    generator's image multiplied in between the factors left and right of
+    it, through ``_key_mul``; the oracle of the spliced differential."""
+    for (pis, mono, chis), val in elem.items():
+        zero_mono = (0,) * len(mono)
+        # pi factors: prefix of k odd factors gives sign (-1)^k
+        for k, a in enumerate(pis):
+            img = delta.pi_images[a]
+            if img:
+                _add_product(out, (pis[:k], zero_mono, ()), img,
+                             (pis[k + 1:], mono, chis), -val if k % 2 else val)
+        # polynomial factor (even); prefix parity = len(pis)
+        val_x = -val if len(pis) % 2 else val
+        for i, img in enumerate(delta.x_images):
+            if img and mono[i]:
+                dm, e = mono_derivative(mono, i)
+                _add_product(out, (pis, dm, ()), img, ((), zero_mono, chis),
+                             val_x * e)
+        # chi factors; prefix parity = len(pis) + k
+        for k, a in enumerate(chis):
+            img = delta.chi_images[a]
+            if img:
+                _add_product(out, (pis, mono, chis[:k]), img,
+                             ((), zero_mono, chis[k + 1:]),
+                             -val_x if k % 2 else val_x)
+    return out
 
 
 def ghost_mul(a, b):

@@ -1,8 +1,13 @@
 import itertools
+from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncomplex.fields import QQ, rat
+from ncomplex.graded import WindowError
 from ncomplex.linalg import ExactMatrix, image_basis, kernel_basis
 from ncomplex import brs
 from ncomplex.brs import (
@@ -23,7 +28,7 @@ from ncomplex.brs import (
     twisted_nonabelian_system,
     variable,
 )
-from helpers import ghost_mul
+from helpers import ghost_mul, leibniz_apply
 
 
 def test_poly_arithmetic():
@@ -140,6 +145,71 @@ def test_leibniz_on_installed_tower():
     gens = K.generators()
     for r in sorted(K.deltas):
         assert leibniz_holds(K, r, gens)
+
+
+SHIPPED = {"abelian": (abelian_system, 5), "twisted": (twisted_nonabelian_system, 6),
+           "quadratic": (quadratic_toy_system, 5)}
+
+
+@cache
+def shipped_tower(name):
+    system, deg_max = SHIPPED[name]
+    return delta_tower(GhostComplex(system()), deg_max=deg_max)
+
+
+def ghost_terms(draw, K, coeffs, max_size):
+    """A term dict of up to ``max_size`` random basis keys of K."""
+    def subset(n):
+        return tuple(sorted(draw(st.sets(st.integers(0, n - 1), max_size=n))))
+
+    terms = {}
+    for _ in range(draw(st.integers(1, max_size))):
+        mono = tuple(draw(st.lists(st.integers(0, 3), min_size=K.D, max_size=K.D)))
+        terms[(subset(K.m), mono, subset(K.mp))] = draw(coeffs)
+    return terms
+
+
+@pytest.mark.parametrize("name,r", [("abelian", 0), ("abelian", 1),
+                                    ("twisted", 0), ("twisted", 1), ("twisted", 2),
+                                    ("quadratic", 0), ("quadratic", 1)])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_spliced_antiderivation_matches_leibniz_expansion(name, r, data):
+    """Antiderivation.apply, which splices each generator-image term into
+    the key, adds into ``out`` what the generic Leibniz expansion (each
+    image multiplied in between its left and right factors) adds, with
+    coefficients 1 and other rationals alike; adding the image of -elem
+    restores ``out``."""
+    K = shipped_tower(name)
+    assert sorted(K.deltas) == ([0, 1, 2] if name == "twisted" else [0, 1])
+    delta = K.deltas[r]
+    nonzero = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 6))
+    elem = ghost_terms(data.draw, K, st.one_of(st.just(rat(1)), nonzero), 6)
+    before = ghost_terms(data.draw, K, nonzero, 3)
+    out = dict(before)
+    assert delta.apply(elem, out) is out
+    assert out == leibniz_apply(delta, elem, dict(before))
+    delta.apply({k: -v for k, v in elem.items()}, out)
+    assert out == before
+
+
+def test_theorem4_refuses_a_window_past_the_longitudinal_budget():
+    """The abelian longitudinal complex stores degrees <= deg_max + 2 and
+    its constant fields drop one degree, so wmax = deg_max + 2 would cut B
+    off on that side alone."""
+    assert theorem4_verify(abelian_system(), deg_max=2, wmax=3)["ok"]
+    with pytest.raises(WindowError, match="past the stored 4"):
+        theorem4_verify(abelian_system(), deg_max=2, wmax=4)
+    with pytest.raises(ValueError, match="wmax must be >= 0"):
+        theorem4_verify(abelian_system(), deg_max=2, wmax=-1)
+
+
+def test_longitudinal_cohomology_refuses_degrees_past_deg_max():
+    L = LongitudinalComplex(abelian_system(), 4)
+    assert [L.cohomology_dim(s, 3) for s in range(3)] == [1, 0, 0]
+    for s in range(3):
+        with pytest.raises(WindowError):
+            L.cohomology_dim(s, 4)
 
 
 def test_koszul_single_linear():
