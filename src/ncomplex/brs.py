@@ -627,21 +627,24 @@ class LongitudinalComplex:
         self.D = system.D
         self.mp = system.m_prime
         self.deg_max = deg_max
-        du = [poly_deg(u) for u in system.constraints]
-        # per-degree quotient Poly_w / (u)_w with deterministic representatives
-        self.quotients = {}
-        for w in range(deg_max + 1):
+        self._quotients = {}
+
+    def quotient(self, w):
+        """(monomials, their index, Poly_w / (u)_w) with deterministic
+        representatives, for w <= deg_max; built the first time it is read."""
+        if w > self.deg_max:
+            raise ValueError("polynomial degree exceeds the stored budget")
+        if w not in self._quotients:
             monos = monomials(self.D, w)
             mindex = _index(monos)
             # the ideal (u)_w is spanned by the products mono * u_a
             products = [{mono_mul(mono, mu): v for mu, v in u.items()}
-                        for u, d in zip(system.constraints, du)
-                        for mono in monomials(self.D, w - d)]
+                        for u in self.system.constraints
+                        for mono in monomials(self.D, w - poly_deg(u))]
             ideal = image_basis(_operator_matrix(products, mindex))
             full = Subspace.full(len(monos), QQ)
-            self.quotients[w] = (
-                monos, mindex, QuotientSpace(full, ideal)
-            )
+            self._quotients[w] = (monos, mindex, QuotientSpace(full, ideal))
+        return self._quotients[w]
 
     def reduce_poly(self, poly):
         """Class of a polynomial: {(w, class index) -> value}."""
@@ -650,16 +653,14 @@ class LongitudinalComplex:
         for m, v in poly.items():
             by_w.setdefault(sum(m), {})[m] = v
         for w, part in by_w.items():
-            if w > self.deg_max:
-                raise ValueError("polynomial degree exceeds the stored budget")
-            monos, mindex, q = self.quotients[w]
+            monos, mindex, q = self.quotient(w)
             vec = {mindex[m]: v for m, v in part.items()}
             for i, v in q.coordinates(vec).items():
                 out[(w, i)] = v
         return out
 
     def rep_poly(self, w, i):
-        monos, mindex, q = self.quotients[w]
+        monos, mindex, q = self.quotient(w)
         pos = q.complement_positions[i]
         return {monos[pos]: rat(1)}
 
@@ -667,7 +668,7 @@ class LongitudinalComplex:
         """(w, class index, chi subset) of ghost degree s, poly degree <= wmax."""
         out = []
         for w in range(min(wmax, self.deg_max) + 1):
-            qdim = self.quotients[w][2].dim
+            qdim = self.quotient(w)[2].dim
             for i in range(qdim):
                 for chis in itertools.combinations(range(self.mp), s):
                     out.append((w, i, chis))
@@ -739,11 +740,12 @@ def theorem4_verify(system, deg_max, wmax=None):
     """dim H^n(delta) (poly-filtered) equals the longitudinal cohomology
     dimension, per ghost degree n and cumulative polynomial degree.
 
-    The longitudinal side stores degrees <= deg_max + 2 * raise (raise the
-    largest polynomial-degree increase of the tower), so the window must
-    keep wmax + drop <= deg_max + 2 * raise (drop the largest decrease of
-    the fields); the default wmax = max(deg_max - 2 * raise, 1) does.  A
-    window past it raises WindowError, a negative wmax ValueError."""
+    The longitudinal side admits degrees <= deg_max + 2 * raise (raise the
+    largest polynomial-degree increase of the tower) and builds only those
+    the window reads, so the window must keep wmax + drop <= deg_max +
+    2 * raise (drop the largest decrease of the fields); the default wmax =
+    max(deg_max - 2 * raise, 1) does.  A window past it raises WindowError,
+    a negative wmax ValueError."""
     if deg_max < 0:
         raise ValueError(f"deg_max must be >= 0, got {deg_max}")
     if wmax is not None and wmax < 0:
@@ -771,39 +773,23 @@ def theorem4_verify(system, deg_max, wmax=None):
 def derivation_forms_cohomology(D, fields, s_range, deg_max):
     """Longitudinal-forms complex for a bracket-closed family of derivations
     acting on Poly(D) (no constraints): returns dims of H^s filtered by
-    polynomial degree <= deg_max."""
+    polynomial degree <= deg_max.  The constant structure functions solve
+    [xi_b, xi_c] = sum_a C^a xi_a on the stacked coefficient vectors."""
+
+    def stacked(xi):
+        return {(i, m): v for i, c in enumerate(xi.coeffs) for m, v in c.items()}
+
+    brackets = {(b, c): stacked(xb.bracket(xc))
+                for b, xb in enumerate(fields) for c, xc in enumerate(fields)}
+    vecs = [stacked(xi) for xi in fields]
+    index = _index(dict.fromkeys(k for v in [*vecs, *brackets.values()] for k in v))
+    solver = EchelonSolver(_operator_matrix(vecs, index))
     structure = {}
-    for b, xb in enumerate(fields):
-        for c, xc in enumerate(fields):
-            br = xb.bracket(xc)
-            if all(not cf for cf in br.coeffs):
-                continue
-            # solve br = sum_a C^a xi_a with constant C when possible
-            solved = False
-            for a, xa in enumerate(fields):
-                ratio = None
-                okratio = True
-                for i in range(D):
-                    if bool(br.coeffs[i]) != bool(xa.coeffs[i]):
-                        okratio = False
-                        break
-                    if br.coeffs[i]:
-                        for mm, vv in br.coeffs[i].items():
-                            if mm not in xa.coeffs[i]:
-                                okratio = False
-                                break
-                            r = vv / xa.coeffs[i][mm]
-                            if ratio is None:
-                                ratio = r
-                            elif ratio != r:
-                                okratio = False
-                                break
-                if okratio and ratio is not None:
-                    structure[(a, b, c)] = poly_const(D, ratio)
-                    solved = True
-                    break
-            if not solved:
-                raise ValueError("family is not closed with constant structure")
+    for (b, c), br in brackets.items():
+        C = solver.solve({index[k]: v for k, v in br.items()})
+        if C is None:
+            raise ValueError("family is not closed with constant structure")
+        structure.update({(a, b, c): poly_const(D, v) for a, v in C.items()})
     system = PolyConstraintSystem(D, [], fields, structure, {})
     L = LongitudinalComplex(system, deg_max)
     return {s: L.cohomology_dim(s, deg_max - 1) for s in s_range}

@@ -39,14 +39,38 @@ class UsageError(Exception):
     pass
 
 
-def _require_at_least(args, option, lo):
-    """Reject the option (its argparse dest, e.g. ``n_max`` for ``--n-max``)
-    below lo: a check over an empty range would pass without checking
-    anything."""
-    value = getattr(args, option)
-    if value < lo:
-        flag = "--" + option.replace("_", "-")
-        raise UsageError(f"{flag} must be at least {lo}, got {value}")
+class _Parser(argparse.ArgumentParser):
+    """Parser refusals are one ``ncx:`` line and exit 2, as a UsageError is."""
+
+    def error(self, message):
+        self.exit(2, f"ncx: {message}\n")
+
+    def add_argument(self, *names, **kw):
+        if hasattr(kw.get("type"), "lo"):
+            kw.setdefault("help", f"at least {kw['type'].lo}")
+        return super().add_argument(*names, **kw)
+
+
+def _at_least(lo):
+    """An argparse type: an int of at least lo (an empty range checks nothing)."""
+
+    def parse(text):
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
+        return value
+
+    parse.__name__, parse.lo = "int", lo  # "invalid int value", as type=int
+    return parse
+
+
+def _criteria(text):
+    """An argparse type: comma-separated criterion numbers, or None if none."""
+    count = len(acceptance.ALL_CRITERIA)
+    parts = [x.strip() for x in text.split(",")] if text else []
+    if not all(x.isdecimal() and 1 <= int(x) <= count for x in parts):
+        raise argparse.ArgumentTypeError(f"must list criteria 1-{count}, got {text!r}")
+    return {int(x) for x in parts} or None
 
 
 def emit(report, fmt="text"):
@@ -178,8 +202,6 @@ def cmd_cosimplicial(args):
     )
 
     A = AlgebraData.from_json(_load_json(args.algebra))
-    # level n_max is needed for the cohomology of degree n_max - 1
-    _require_at_least(args, "n_max", 1)
     E = hochschild(A, BimoduleData.regular(A), args.n_max)
     dims = ordinary_cohomology_dims(E, args.n_max - 1)
     return {
@@ -194,12 +216,9 @@ def cmd_theorem2(args):
 
     A = AlgebraData.from_json(_load_json(args.algebra))
     f = A.field
-    if f.kind != "cyclotomic":
-        raise UsageError("theorem2 needs a cyclotomic base field carrying q")
-    _require_at_least(args, "N", 2)
-    q = f.pow(f.zeta(), f.M // args.N) if f.M % args.N == 0 else None
-    if q is None:
-        raise UsageError(f"field Q(zeta_{f.M}) contains no primitive {args.N}-th root")
+    if f.kind != "cyclotomic" or f.M % args.N:
+        raise UsageError("field must contain a primitive N-th root of unity")
+    q = f.pow(f.zeta(), f.M // args.N)
     E = hochschild(A, BimoduleData.regular(A), args.window)
     rep = theorem2_verify(E, q, args.N, args.window)
     out = {"command": "theorem2", "ok": rep.ok,
@@ -215,8 +234,6 @@ def cmd_prop7(args):
 
     A = AlgebraData.from_json(_load_json(args.algebra))
     f = A.field
-    _require_at_least(args, "N", 2)
-    _require_at_least(args, "window", 0)
     if f.kind != "cyclotomic" or f.M % args.N:
         raise UsageError("field must contain a primitive N-th root of unity")
     q = f.pow(f.zeta(), f.M // args.N)
@@ -230,10 +247,6 @@ def cmd_prop7(args):
 def cmd_poincare(args):
     from .young import poincare_verify
 
-    _require_at_least(args, "wmax", 0)
-    _require_at_least(args, "D", 1)
-    _require_at_least(args, "k", 1)
-    _require_at_least(args, "N", 2)
     if args.k > args.N - 1:
         raise UsageError(f"--k must be at most N-1 = {args.N - 1}, got {args.k}")
     rep = poincare_verify(args.N, args.D, args.k, args.wmax)
@@ -258,13 +271,11 @@ def cmd_poincare(args):
 def cmd_spin_seq(args):
     from .young import spin2_middle_proportional, spin_sequence_check
 
-    # exactness is checked at degrees S and 2S, which a weight w reaches
-    # only if w >= 2S and the top degree (N-1)D = S D >= 2S; for S = 2 the
-    # same bounds keep d^2's comparison with the curvature operator from
-    # Omega^2 to Omega^4 nonempty
-    _require_at_least(args, "S", 1)
-    _require_at_least(args, "D", 2)
-    _require_at_least(args, "wmax", 2 * args.S)
+    # exactness is checked at degrees S and 2S, which a weight w reaches only
+    # if w >= 2S; for S = 2 the same bound keeps d^2's comparison with the
+    # curvature operator from Omega^2 to Omega^4 nonempty
+    if args.wmax < 2 * args.S:
+        raise UsageError(f"--wmax must be at least 2S = {2 * args.S}, got {args.wmax}")
     rep = spin_sequence_check(args.S, args.D, args.wmax)
     out = {"command": "spin-seq", "ok": rep["ok"], "S": args.S, "D": args.D}
     if args.S == 2:
@@ -318,7 +329,6 @@ def cmd_brs(args):
         theorem4_verify, twisted_nonabelian_system,
     )
 
-    _require_at_least(args, "deg_max", 0)
     if args.example and args.system:
         raise UsageError(f"{args.system} and --example {args.example} conflict: pass one")
     if args.example:
@@ -353,9 +363,6 @@ def cmd_gauge_ext(args):
     if args.suite and args.instance:
         raise UsageError(f"{args.instance} and --suite {args.suite} conflict: pass one")
     if args.suite == "random":
-        _require_at_least(args, "trials", 1)
-        # random_gauge_instance draws dim H from 3..hmax
-        _require_at_least(args, "hmax", 3)
         failures = acceptance.pooled_witnesses(
             acceptance._theorem5_worker, "gauge", args.seed, args.trials,
             args.hmax)
@@ -396,14 +403,7 @@ def cmd_spin_example(args):
 
 
 def cmd_selftest(args):
-    numbers = None
-    if args.only:
-        count = len(acceptance.ALL_CRITERIA)
-        parts = [x.strip() for x in args.only.split(",")]
-        if not all(x.isdecimal() and 1 <= int(x) <= count for x in parts):
-            raise UsageError(f"--only must list criteria 1-{count}, got {args.only!r}")
-        numbers = {int(x) for x in parts}
-    reports = acceptance.run_all(seed=args.seed, numbers=numbers)
+    reports = acceptance.run_all(seed=args.seed, numbers=args.only)
     if args.format == "text":
         for rep in reports:
             print(rep.line())
@@ -419,18 +419,14 @@ def cmd_selftest(args):
 def build_parser():
     # subparsers leave --format unset unless given: one before the command holds
     formats = ("text", "json", "csv")
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--format", choices=formats, default=argparse.SUPPRESS)
-    ap = argparse.ArgumentParser(
-        prog="ncx",
-        description="Exact verification workbench for N-complexes",
-    )
+    ap = _Parser(prog="ncx", description="Exact verification workbench for N-complexes")
     ap.add_argument("--format", choices=formats, default="text")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add_parser(name, **kw):
         return sub.add_parser(name, parents=[common], **kw)
-
 
     s = add_parser("homology", help="generalized homology of a module")
     s.add_argument("module")
@@ -442,8 +438,8 @@ def build_parser():
 
     s = add_parser("hexagon", help="exactness of the homology hexagons")
     s.add_argument("module")
-    s.add_argument("--ell", type=int)
-    s.add_argument("--m", type=int)
+    s.add_argument("--ell", type=_at_least(1))
+    s.add_argument("--m", type=_at_least(1))
     s.set_defaults(fn=cmd_hexagon)
 
     s = add_parser("ses", help="short exact sequence checks")
@@ -452,31 +448,32 @@ def build_parser():
 
     s = add_parser("cosimplicial", help="Hochschild cosimplicial module of an algebra")
     s.add_argument("algebra")
-    s.add_argument("--n-max", type=int, default=4)
+    # level n_max is needed for the cohomology of degree n_max - 1
+    s.add_argument("--n-max", type=_at_least(1), default=4)
     s.set_defaults(fn=cmd_cosimplicial)
 
     s = add_parser("theorem2", help="generalized vs ordinary cohomology pattern")
     s.add_argument("algebra")
-    s.add_argument("--N", type=int, default=3)
+    s.add_argument("--N", type=_at_least(2), default=3)
     s.add_argument("--window", type=int, default=6)
     s.set_defaults(fn=cmd_theorem2)
 
     s = add_parser("prop7", help="acyclicity of (T(A), d_1) and Omega_q(A)")
     s.add_argument("algebra")
-    s.add_argument("--N", type=int, default=3)
-    s.add_argument("--window", type=int, default=3)
+    s.add_argument("--N", type=_at_least(2), default=3)
+    s.add_argument("--window", type=_at_least(0), default=3)
     s.set_defaults(fn=cmd_prop7)
 
     s = add_parser("poincare", help="generalized Poincare lemma per weight")
-    s.add_argument("--N", type=int, required=True)
-    s.add_argument("--D", type=int, required=True)
-    s.add_argument("--k", type=int, required=True)
-    s.add_argument("--wmax", type=int, default=5)
+    s.add_argument("--N", type=_at_least(2), required=True)
+    s.add_argument("--D", type=_at_least(1), required=True)
+    s.add_argument("--k", type=_at_least(1), required=True)
+    s.add_argument("--wmax", type=_at_least(0), default=5)
     s.set_defaults(fn=cmd_poincare, table=True)
 
     s = add_parser("spin-seq", help="higher-spin sequence exactness")
-    s.add_argument("--S", type=int, required=True)
-    s.add_argument("--D", type=int, default=4)
+    s.add_argument("--S", type=_at_least(1), required=True)
+    s.add_argument("--D", type=_at_least(2), default=4)  # top degree (N-1)D = S D >= 2S
     s.add_argument("--wmax", type=int, default=5)
     s.set_defaults(fn=cmd_spin_seq)
 
@@ -488,15 +485,16 @@ def build_parser():
     s = add_parser("brs", help="BRS tower and Theorem 4 comparison")
     s.add_argument("system", nargs="?")
     s.add_argument("--example", choices=("abelian", "nonabelian", "quadratic"))
-    s.add_argument("--deg-max", type=int, default=5)
+    s.add_argument("--deg-max", type=_at_least(0), default=5)
     s.set_defaults(fn=cmd_brs)
 
     s = add_parser("gauge-ext", help="Theorem 5 verification")
     s.add_argument("instance", nargs="?")
     s.add_argument("--suite", choices=("random",))
-    s.add_argument("--trials", type=int, default=500)
+    s.add_argument("--trials", type=_at_least(1), default=500)
     s.add_argument("--seed", type=int, default=42)
-    s.add_argument("--hmax", type=int, default=20)
+    # random_gauge_instance draws dim H from 3..hmax
+    s.add_argument("--hmax", type=_at_least(3), default=20)
     s.set_defaults(fn=cmd_gauge_ext)
 
     s = add_parser("spin-example", help="spin-1/2 one-particle complexes")
@@ -507,7 +505,7 @@ def build_parser():
 
     s = add_parser("selftest", help="run the acceptance suite")
     s.add_argument("--seed", type=int, default=42)
-    s.add_argument("--only", help="comma-separated criterion numbers")
+    s.add_argument("--only", type=_criteria, help="comma-separated criterion numbers")
     s.set_defaults(fn=cmd_selftest)
     return ap
 

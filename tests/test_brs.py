@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncomplex.fields import QQ, rat
+from ncomplex.fields import QQ, accumulate, rat
 from ncomplex.graded import WindowError
+from ncomplex.cosimplicial import AlgebraData, chevalley_eilenberg
+from ncomplex.graded import graded_homology
 from ncomplex.linalg import ExactMatrix, image_basis, kernel_basis
 from ncomplex import brs
 from ncomplex.brs import (
@@ -28,7 +30,7 @@ from ncomplex.brs import (
     twisted_nonabelian_system,
     variable,
 )
-from helpers import ghost_mul, leibniz_apply
+from helpers import ghost_mul, leibniz_apply, sl2
 
 
 def test_poly_arithmetic():
@@ -212,6 +214,36 @@ def test_longitudinal_cohomology_refuses_degrees_past_deg_max():
             L.cohomology_dim(s, 4)
 
 
+@pytest.mark.parametrize("make", [abelian_system, twisted_nonabelian_system,
+                                  quadratic_toy_system])
+def test_theorem4_builds_only_the_longitudinal_degrees_it_reads(make, monkeypatch):
+    """Each quotient Poly_w / (u)_w is built the first time degree w is
+    read, so the top of the stored budget deg_max + 2 * raise, which the
+    default window never reads, is never built."""
+    built, read, stored = [], set(), []
+    quotient, init = LongitudinalComplex.quotient, LongitudinalComplex.__init__
+    quotient_space = brs.QuotientSpace
+
+    def reading(self, w):
+        read.add(w)
+        return quotient(self, w)
+
+    def storing(self, system, deg_max):
+        stored.append(deg_max)
+        init(self, system, deg_max)
+
+    def building(full, ideal):
+        built.append(ideal)
+        return quotient_space(full, ideal)
+
+    monkeypatch.setattr(LongitudinalComplex, "quotient", reading)
+    monkeypatch.setattr(LongitudinalComplex, "__init__", storing)
+    monkeypatch.setattr(brs, "QuotientSpace", building)
+    assert theorem4_verify(make(), deg_max=6)["ok"]
+    (top,) = stored
+    assert read == set(range(len(built))) and max(read) < top
+
+
 def test_koszul_single_linear():
     dims = koszul_homology([variable(3, 0)], 3, 4)
     # H^0 per degree: polynomials in the two remaining variables
@@ -282,6 +314,78 @@ def test_derivation_forms_empty_family():
     dims = derivation_forms_cohomology(2, [], range(0, 1), 3)
     # d = 0: everything survives in degree 0
     assert dims[0] == sum(w + 1 for w in range(3))
+
+
+# fields on Q[x_0, x_1] as combinations {(p, q): c} of E_pq = x_p d/dx_q:
+# gl2 is all four, sl2 is e, f and h = E_00 - E_11, in the basis order of
+# helpers.sl2 ([e, f] = h)
+_GL2 = [{(0, 1): 1}, {(1, 0): 1}, {(0, 0): 1}, {(1, 1): 1}]
+_SL2 = [{(0, 1): 1}, {(1, 0): 1}, {(0, 0): 1, (1, 1): -1}]
+
+
+def _vector_field(combo):
+    coeffs = [{}, {}]
+    for (p, q), c in combo.items():
+        coeffs[q] = poly_add(coeffs[q], variable(2, p), scale=rat(c))
+    return Derivation(2, coeffs)
+
+
+def _gl2():
+    """[E_pq, E_rs] = delta_qr E_ps - delta_sp E_rq on the basis of _GL2."""
+    pos = {next(iter(c)): i for i, c in enumerate(_GL2)}
+    structure = [[{} for _ in pos] for _ in pos]
+    for (p, q), i in pos.items():
+        for (r, s), j in pos.items():
+            if q == r:
+                accumulate(structure[i][j], pos[(p, s)], rat(1))
+            if s == p:
+                accumulate(structure[i][j], pos[(r, q)], rat(-1))
+    return AlgebraData(QQ, structure, lie=True)
+
+
+def _chevalley_eilenberg_dims(g, basis, deg_max):
+    """sum over w <= deg_max - 1 of dim H^n(g, Poly_w), with E_pq acting on
+    x^m as m_q x^(m - e_q + e_p)."""
+    dims = dict.fromkeys(range(g.dim + 1), 0)
+    for w in range(deg_max):
+        monos = [(a, w - a) for a in range(w + 1)]
+        pos = {m: i for i, m in enumerate(monos)}
+        mats = []
+        for combo in basis:
+            cols = [{} for _ in monos]
+            for (p, q), c in combo.items():
+                for j, m in enumerate(monos):
+                    if m[q]:
+                        image = list(m)
+                        image[q] -= 1
+                        image[p] += 1
+                        accumulate(cols[j], pos[tuple(image)], rat(c * m[q]))
+            mats.append(ExactMatrix.from_columns(cols, len(monos), QQ))
+        H = graded_homology(chevalley_eilenberg(g, mats, len(monos), g.dim), ms=[1])
+        for n in dims:
+            dims[n] += H[(n, 1)].dim_H
+    return dims
+
+
+@pytest.mark.parametrize("name", ["gl2", "sl2"])
+def test_derivation_forms_match_chevalley_eilenberg(name):
+    """A closed family whose brackets are sums of fields ([e, f] = h_1 - h_2
+    in gl2) gets its structure constants solved, and the longitudinal forms
+    agree with the Chevalley-Eilenberg cohomology of the span acting on
+    each Poly_w."""
+    basis, g = {"gl2": (_GL2, _gl2()), "sl2": (_SL2, sl2(QQ))}[name]
+    fields = [_vector_field(c) for c in basis]
+    dims = derivation_forms_cohomology(2, fields, range(g.dim + 1), 4)
+    assert dims == _chevalley_eilenberg_dims(g, basis, 4)
+    assert dims == {"gl2": {0: 1, 1: 1, 2: 0, 3: 1, 4: 1},
+                    "sl2": {0: 1, 1: 0, 2: 0, 3: 1}}[name]
+
+
+def test_derivation_forms_refuse_an_open_family():
+    """[e, f] = h_1 - h_2 is outside the span of e and f."""
+    fields = [_vector_field(c) for c in _GL2[:2]]
+    with pytest.raises(ValueError, match="not closed"):
+        derivation_forms_cohomology(2, fields, range(2), 3)
 
 
 def test_system_json_roundtrip():

@@ -1,12 +1,16 @@
+import argparse
 import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import ncomplex
 from ncomplex import acceptance, brs, cli, gauge, ndiff
@@ -416,6 +420,69 @@ def test_bad_option_exits_2(tmp_path, argv, named):
     assert named in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not list(tmp_path.glob("ncx-failure-*.json"))
+
+
+def _subcommands():
+    """Each ncx subcommand's parser, by name."""
+    (sub,) = [a for a in cli.build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+# the int options with no constant range, each with why
+_UNRANGED = {
+    ("potential", "--seed"): "any int seeds the draw",
+    ("gauge-ext", "--seed"): "any int seeds the draw",
+    ("selftest", "--seed"): "any int seeds the draw",
+    ("theorem2", "--window"): "at least --N: theorem2_verify refuses a shorter one",
+    ("spin-seq", "--wmax"): "at least 2 * --S: cmd_spin_seq refuses a smaller one",
+}
+
+_RANGED = [(name, action.option_strings[0], action.type.lo)
+           for name, parser in _subcommands().items()
+           for action in parser._actions if hasattr(action.type, "lo")]
+
+
+def test_every_int_option_declares_an_option_range():
+    """An int option declares its range on the option (a range type or
+    choices), or is listed as unranged with a reason, so no new option ships
+    unbounded by accident."""
+    plain = {(name, action.option_strings[0])
+             for name, parser in _subcommands().items()
+             for action in parser._actions
+             if action.type is int and action.choices is None}
+    assert plain == set(_UNRANGED)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=st.sampled_from(_RANGED), data=st.data())
+def test_option_range_refusal_is_one_ncx_line(case, data, monkeypatch, tmp_path, capsys):
+    """A value below an option's declared range is refused by the parser,
+    before anything runs: exit 2, one ncx: line naming the option, no
+    witness."""
+    name, flag, lo = case
+    value = data.draw(st.integers(max_value=lo - 1), label="value")
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([name, flag, str(value)])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert err == f"ncx: argument {flag}: must be at least {lo}, got {value}\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("name", sorted(_subcommands()))
+def test_help_shows_each_option_range(name, capsys):
+    """``ncx <cmd> --help`` renders, with each declared range on its
+    option's line."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main([name, "--help"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0 and out.startswith(f"usage: ncx {name} ")
+    for cmd, flag, lo in _RANGED:
+        if cmd == name:
+            assert re.search(rf"\n  {flag} \S+ +at least {lo}\n", out), (flag, out)
 
 
 @pytest.mark.parametrize("option", [["--relifts", "5"], ["--seed", "1"]],
