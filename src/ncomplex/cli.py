@@ -73,6 +73,18 @@ def _criteria(text):
     return {int(x) for x in parts} or None
 
 
+def _momentum(text):
+    """An argparse type: a four-momentum, four comma-separated ints."""
+    try:
+        p = tuple(int(x) for x in text.split(","))
+    except ValueError:
+        p = ()
+    if len(p) != 4:
+        raise argparse.ArgumentTypeError(
+            f"must be four comma-separated ints, got {text!r}")
+    return p
+
+
 def emit(report, fmt="text"):
     """Write the report to stdout; ``csv`` needs a report with a table,
     which ``main`` makes sure of before the command runs."""
@@ -166,6 +178,9 @@ def cmd_hexagon(args):
         given, missing = ("--ell", "--m") if args.m is None else ("--m", "--ell")
         raise UsageError(f"{given} needs {missing}; pass both, or neither for every hexagon")
     E = NDiffModule.from_json(_load_json(args.module))
+    if args.ell is not None and args.ell + args.m > E.N - 1:
+        raise UsageError(f"--ell + --m must be at most N - 1 = {E.N - 1}, "
+                         f"got {args.ell + args.m}")
     if args.ell is not None:
         rep = hexagon_check(E, args.ell, args.m)
         out = {"command": "hexagon", **rep}
@@ -214,6 +229,8 @@ def cmd_cosimplicial(args):
 def cmd_theorem2(args):
     from .cosimplicial import AlgebraData, BimoduleData, hochschild, theorem2_verify
 
+    if args.window < args.N:  # one full period
+        raise UsageError(f"--window must be at least --N = {args.N}, got {args.window}")
     A = AlgebraData.from_json(_load_json(args.algebra))
     f = A.field
     if f.kind != "cyclotomic" or f.M % args.N:
@@ -385,16 +402,15 @@ def cmd_gauge_ext(args):
 def cmd_spin_example(args):
     from .gauge import spin_complex_report, two_particle_study
 
-    p = tuple(int(x) for x in args.p.split(","))
     f4 = make_cyclotomic(4)
-    rep = spin_complex_report(args.spin, p, f4.zeta(), f4)
+    rep = spin_complex_report(args.spin, args.p, f4.zeta(), f4)
     ok = rep["hermitian"] and rep["H_dims"].get(0) == 2
     out = {"command": "spin-example", "spin": args.spin, "ok": ok, **{
         k: v for k, v in rep.items()
     }}
     out["H_dims"] = {str(k): v for k, v in rep["H_dims"].items()}
     if args.two_particle:
-        two = two_particle_study(p, tuple(int(x) for x in args.two_particle.split(",")))
+        two = two_particle_study(args.p, args.two_particle)
         out["two_particle"] = two
         out["ok"] = out["ok"] and two["ok"]
     if not out["ok"]:
@@ -499,8 +515,8 @@ def build_parser():
 
     s = add_parser("spin-example", help="spin-1/2 one-particle complexes")
     s.add_argument("--spin", type=int, choices=(1, 2), default=1)
-    s.add_argument("--p", default="1,1,0,0")
-    s.add_argument("--two-particle", metavar="P2")
+    s.add_argument("--p", type=_momentum, default=(1, 1, 0, 0))
+    s.add_argument("--two-particle", type=_momentum, metavar="P2")
     s.set_defaults(fn=cmd_spin_example)
 
     s = add_parser("selftest", help="run the acceptance suite")

@@ -448,23 +448,55 @@ def rank(M):
 
 
 def kernel_basis(M):
-    """Right kernel as a Subspace of the column-index space: one basis column
-    per free column fc of the RREF, 1 at fc and minus the RREF rows' entries
-    at fc in their pivot rows.  Every entry of a reduced row after its lead
+    """Right kernel as a Subspace of the column-index space (see
+    ``_echelon_kernel``)."""
+    pivots, erows, _ = _echelon(M, reduced=True)
+    return _echelon_kernel(pivots, erows, M.ncols, M.field)
+
+
+def power_kernels(M, length):
+    """``kernel_basis`` of M, M^2, ..., M^length without forming a power.
+    The kernel of M^m is read off the RREF of M^m's rows alone, and
+    rowspace(M^(m+1)) = rowspace(M^m) M: the rows that go into link m+1 are
+    link m's echelon rows r times M, one per rank, not the n rows of
+    M^(m+1).  Each r M is one ``_apply_columns`` on M's kernel rows (over Q
+    D_M times M's rows), a nonzero multiple of r M.  The RREF depends only
+    on the row space, so each link is the Subspace ``kernel_basis`` builds,
+    basis and unit rows alike; this needs no nilpotency."""
+    f, n = M.field, M.ncols
+    rows, chain = M.rows_sparse(), []
+    by_row = {k: [t for c, v in zip(*row) for t in (c, v)]
+              for k, row in enumerate(rows)}
+    for m in range(length):
+        if m:
+            rows = []
+            for cols, vals in erows:
+                prod = _apply_columns(by_row, dict(zip(cols, vals)), f)
+                keep = sorted(c for c, v in prod.items() if not f.is_zero(v))
+                if keep:
+                    rows.append((keep, [prod[c] for c in keep]))
+        pivots, erows, _ = kernel.row_echelon(rows, n, f, reduced=True)
+        chain.append(_echelon_kernel(pivots, erows, n, f))
+    return chain
+
+
+def _echelon_kernel(pivots, erows, ncols, f):
+    """The right kernel of a matrix with ``ncols`` columns from the pivots and
+    echelon rows of its RREF (``row_echelon`` with ``reduced``): one basis
+    column per free column fc, 1 at fc and minus the RREF rows' entries at
+    fc in their pivot rows.  Every entry of a reduced row after its lead
     lies in a free column, so one pass scatters each row into the columns;
     the free columns are the Subspace's unit rows."""
-    f = M.field
-    pivots, erows, _ = _echelon(M, reduced=True)
     piv_set = set(pivots)
-    free = [j for j in range(M.ncols) if j not in piv_set]
+    free = [j for j in range(ncols) if j not in piv_set]
     cols = {fc: {fc: f.one} for fc in free}
     rational = f.kind == "rationals"
     for p, (rc, rv) in zip(pivots, erows):
         lead = rv[0]  # over Q the RREF row is rv / lead
         for c, v in zip(rc[1:], rv[1:]):
             cols[c][p] = rat(-v, lead) if rational else f.neg(v)
-    basis = ExactMatrix.from_columns(list(cols.values()), M.ncols, f)
-    return Subspace(M.ncols, basis, unit_rows=free)
+    basis = ExactMatrix.from_columns(list(cols.values()), ncols, f)
+    return Subspace(ncols, basis, unit_rows=free)
 
 
 def _column_echelon(M):
@@ -666,23 +698,6 @@ class Subspace:
         x, D = sol
         return {k: f.join(n, D) for k, n in x.items()}
 
-    def coordinate_matrix(self, M):
-        """The columns of M in this basis, as a dim x M.ncols matrix, or None
-        unless every column lies in the span; each column is read through
-        ``coordinates_split`` on the numerators of M's split."""
-        f = self.field
-        cols, D = M.split_columns()
-        ent = {}
-        for c, col in cols.items():
-            it = iter(col)
-            sol = self.coordinates_split(dict(zip(it, it)), D)
-            if sol is None:
-                return None
-            x, Dx = sol
-            for k, n in x.items():
-                ent[(k, c)] = f.join(n, Dx)
-        return ExactMatrix(self.dim, M.ncols, f, ent, _clean=False)
-
     def contains(self, v):
         return self.coordinates(v) is not None
 
@@ -710,22 +725,35 @@ class QuotientSpace:
     last one down.  In Z's coordinates, column i is dependent modulo B and
     the later columns exactly when i is the lowest nonzero index of a vector
     of span(B_Z), B_Z the Z-coordinates of B, that is when i is a pivot of
-    the RREF of B_Z^T.  So the quotient is ``kernel_basis`` K of B_Z^T: its
-    free columns (K's unit rows) are the complement positions, and K^T, which
+    the RREF of B_Z^T.  So the quotient is the kernel K of B_Z^T: its free
+    columns (K's unit rows) are the complement positions, and K^T, which
     kills B_Z and sends complement column k to e_k, is the class map.  The
     complement is the last basis of the matroid of the Z columns modulo B
-    (Oxley, *Matroid Theory*, 2nd ed., 2.1, on the dual matroid)."""
+    (Oxley, *Matroid Theory*, 2nd ed., 2.1, on the dual matroid).
+
+    The rows of B_Z^T go into the kernel as they come: each column of B is
+    read in Z's coordinates by ``coordinates_split``, whose check refuses a
+    B outside Z, and its numerators (integers over Q) are one input row, a
+    nonzero multiple of the coordinate row, so no coordinate is built as a
+    scalar.  K is the ``_echelon_kernel`` of their RREF, which depends on
+    the row space alone."""
 
     def __init__(self, Z, B):
         if B.ambient_dim != Z.ambient_dim:
             raise ValueError("ambient dimension mismatch")
         self.Z = Z
         self.B = B
-        self.field = Z.field
-        BZ = Z.coordinate_matrix(B.basis)
-        if BZ is None:
-            raise ValueError("B is not contained in Z")
-        K = kernel_basis(BZ.transpose())
+        f = self.field = Z.field
+        cols, D = B.basis.split_columns()
+        rows = []  # the rows of B_Z^T: each column of B in Z's coordinates
+        for c in sorted(cols):
+            it = iter(cols[c])
+            sol = Z.coordinates_split(dict(zip(it, it)), D)
+            if sol is None:
+                raise ValueError("B is not contained in Z")
+            rows.append((list(sol[0]), list(sol[0].values())))
+        pivots, erows, _ = kernel.row_echelon(rows, Z.dim, f, reduced=True)
+        K = _echelon_kernel(pivots, erows, Z.dim, f)
         self.complement_positions = K.unit_rows
         self.dim = K.dim
         self.class_map = K.basis.transpose()

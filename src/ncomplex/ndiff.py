@@ -5,7 +5,7 @@ products and short exact sequences with connecting homomorphisms."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from functools import cache, cached_property
+from functools import cached_property
 
 from .fields import Field, check_keys
 from .linalg import (
@@ -17,6 +17,7 @@ from .linalg import (
     kernel_basis,
     kron,
     orbit_span,
+    power_kernels,
     quotient_maps,
     rank,
     restrict,
@@ -29,11 +30,13 @@ class NDiffModule:
     With ``check=True`` the nilpotency certificate is the image chain: its
     last link spans im d^N, so it is zero exactly when d^N = 0.  The chain is
     cached for ``rank_profile`` and ``homology``, and d^N itself is never
-    formed; d^m is formed lazily, only for the kernels of ``homology``.
+    formed.  The kernels of ``homology`` come from the kernel chain, on
+    echelon rows, so homology forms no power either; d^m is formed lazily,
+    only for ``ShortExactSequence.connect_lift`` and Lemma 3.
 
-    The powers d^k, the image chain and the homology (with its cached
-    induced maps) are cached on the module, so a module must not be mutated
-    after construction: build a new one instead."""
+    The powers d^k, the image and kernel chains and the homology (with its
+    cached induced maps) are cached on the module, so a module must not be
+    mutated after construction: build a new one instead."""
 
     def __init__(self, N, d, check=True):
         if N < 2:
@@ -45,7 +48,7 @@ class NDiffModule:
         self.dim = d.nrows
         self.field = d.field
         self._powers = {0: ExactMatrix.identity(self.dim, self.field), 1: d}
-        self._image_chain = None
+        self._image_chain = self._kernel_chain = None
         self._homology = None
         if check and self.image_chain()[-1].dim != 0:
             raise ValueError(f"d^{N} != 0: not an {N}-differential")
@@ -76,6 +79,17 @@ class NDiffModule:
                 chain.append(echelon_span(self.d @ chain[-1].basis))
             self._image_chain = chain
         return self._image_chain
+
+    def kernel_chain(self):
+        """Bases of ker d^1, ..., ker d^(N-1), the row-side mirror of the
+        image chain: link 1 is read off the RREF of d's rows and link m+1
+        off the RREF of link m's echelon rows times d (``power_kernels``),
+        since rowspace(d^(m+1)) = rowspace(d^m) d.  Each link is the
+        Subspace that ``kernel_basis`` builds from d^m, with the same unit
+        rows, and no link needs d^N = 0."""
+        if self._kernel_chain is None:
+            self._kernel_chain = power_kernels(self.d, self.N - 1)
+        return self._kernel_chain
 
     def rank_profile(self):
         """[rank d^0, ..., rank d^N] (first = dim, last = 0)."""
@@ -147,13 +161,15 @@ class GeneralizedHomology:
 
 
 def homology(E):
-    """Generalized homology, representatives by the complement rule.  A zero
-    last image-chain link (d^N = 0) lets the slots build quotients lazily."""
+    """Generalized homology, representatives by the complement rule: Z_(m)
+    is link m of the kernel chain and B_(m) link N-m of the image chain, so
+    no power of d is formed.  A zero last image-chain link (d^N = 0) lets
+    the slots build quotients lazily."""
     if E._homology is not None:
         return E._homology
-    images = E.image_chain()
+    images, kernels = E.image_chain(), E.kernel_chain()
     slots = {
-        m: HomologySlot(kernel_basis(E.power(m)), images[E.N - m - 1],
+        m: HomologySlot(kernels[m - 1], images[E.N - m - 1],
                         certified=images[-1].dim == 0)
         for m in range(1, E.N)
     }
@@ -258,47 +274,66 @@ def exact_at(incoming, outgoing, vertex_dim):
     return rank(incoming) == vertex_dim - rank(outgoing)
 
 
-def _inexact_vertices(maps, dims):
-    """Indices v at which a cycle of maps is not exact: maps[v] enters the
-    vertex of dimension dims[v] and maps[v + 1] (cyclically) leaves it.
-    Each map's rank is computed at most once."""
-    rank_of = cache(lambda v: rank(maps[v]))
+def _inexact_vertices(keys, maps, dims, seen):
+    """Indices v at which a cycle of maps is not exact: maps[v], the arrow
+    under keys[v], enters the vertex of dimension dims[v] and maps[v + 1]
+    (cyclically) leaves it.  ``seen`` lives for one check: it
+    holds each vertex decided, under its (incoming, outgoing) arrow keys,
+    and each arrow's rank, under its key.  A vertex that recurs in a turned
+    cycle is decided once, and each arrow is ranked at most once."""
+
+    def rank_of(key, M):
+        if key not in seen:
+            seen[key] = rank(M)
+        return seen[key]
+
     failed = []
     for v, dim in enumerate(dims):
         w = (v + 1) % len(maps)
-        if (not (maps[w] @ maps[v]).is_zero()
-                or rank_of(v) != dim - rank_of(w)):
+        (a, A), (b, B) = (keys[v], maps[v]), (keys[w], maps[w])
+        if (a, b) not in seen:
+            seen[a, b] = ((B @ A).is_zero()
+                          and rank_of(a, A) == dim - rank_of(b, B))
+        if not seen[a, b]:
             failed.append(v)
     return failed
 
 
-def hexagon_check(E, ell, m):
-    """Exactness of the hexagon of [i]/[d] powers at all six vertices."""
+def _hexagon(E, ell, m, seen):
+    """``hexagon_check`` on the vertices and ranks shared through ``seen``
+    (see ``_inexact_vertices``)."""
     N = E.N
     if not (ell >= 1 and m >= 1 and ell + m <= N - 1):
         raise ValueError("need ell, m >= 1 and ell + m <= N - 1")
     H = homology(E)
     k = N - (ell + m)
-    # vertices in cyclic order with the maps entering them
+    # vertices in cyclic order with the arrows entering them:
+    # H_(N-l) -> H_(m) -> H_(l+m) -> H_(l) -> H_(N-m) -> H_(N-(l+m)) -> H_(N-l)
     vertices = [m, ell + m, ell, N - m, N - (ell + m), N - ell]
-    maps = [
-        induced_d_power(E, m, k),            # H_(N-l) -> H_(m)
-        induced_i_power(E, m, ell),          # H_(m) -> H_(l+m)
-        induced_d_power(E, ell, m),          # H_(l+m) -> H_(l)
-        induced_i_power(E, ell, k),          # H_(l) -> H_(N-m)
-        induced_d_power(E, N - (ell + m), ell),  # H_(N-m) -> H_(N-(l+m))
-        induced_i_power(E, N - (ell + m), m),    # -> H_(N-l)
-    ]
-    failures = [vertices[v] for v in
-                _inexact_vertices(maps, [H[u].dim_H for u in vertices])]
+    keys = [("d", m, k), ("i", m, ell), ("d", ell, m), ("i", ell, k),
+            ("d", N - (ell + m), ell), ("i", N - (ell + m), m)]
+    power = {"i": induced_i_power, "d": induced_d_power}
+    maps = [power[key[0]](E, *key[1:]) for key in keys]
+    dims = [H[u].dim_H for u in vertices]
+    failures = [vertices[v] for v in _inexact_vertices(keys, maps, dims, seen)]
     return {"ok": not failures, "ell": ell, "m": m, "failed_vertices": failures}
 
 
+def hexagon_check(E, ell, m):
+    """Exactness of the hexagon of [i]/[d] powers at all six vertices, read
+    from the arrows as ``homology(E).arrows`` holds them now."""
+    return _hexagon(E, ell, m, {})
+
+
 def all_hexagons_check(E):
+    """``hexagon_check`` for every (ell, m).  Hexagon (ell, m) is hexagon
+    (N-ell-m, ell) turned by two vertices, so most vertices recur: within
+    the call each is decided once and each arrow ranked once."""
+    seen = {}
     reports = []
     for ell in range(1, E.N - 1):
         for m in range(1, E.N - ell):
-            reports.append(hexagon_check(E, ell, m))
+            reports.append(_hexagon(E, ell, m, seen))
     return {"ok": all(r["ok"] for r in reports), "hexagons": reports}
 
 
@@ -488,12 +523,17 @@ def connecting_well_defined(ses, m, rng=None, trials=None):
 
 
 def ses_hexagon_check(ses):
-    """Exactness of the hexagon (H_n) for each n in {1..N-1}."""
+    """Exactness of the hexagon (H_n) for each n in {1..N-1}.  The cycle at
+    N - n is the cycle at n turned by three vertices: within the call each
+    vertex is decided once and each map ranked once (see
+    ``_inexact_vertices``)."""
     ses.validate()
     N = ses.E.N
     HE, HF, HG = homology(ses.E), homology(ses.F), homology(ses.G)
-    failures = []
+    failures, seen = [], {}
     for n in range(1, N):
+        keys = [(name, k) for k in (n, N - n)
+                for name in ("phi", "psi", "partial")]
         maps = [*ses.homology_maps(n), *ses.homology_maps(N - n)]
         dims = [
             HF[n].dim_H,
@@ -503,7 +543,7 @@ def ses_hexagon_check(ses):
             HG[N - n].dim_H,
             HE[n].dim_H,
         ]
-        failures += [(n, v) for v in _inexact_vertices(maps, dims)]
+        failures += [(n, v) for v in _inexact_vertices(keys, maps, dims, seen)]
     return {"ok": not failures, "failures": failures}
 
 

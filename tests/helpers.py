@@ -16,9 +16,16 @@ from ncomplex.linalg import (
     image_basis,
     orbit_span,
     quotient_maps,
+    rank,
     restrict,
 )
-from ncomplex.ndiff import block_module, random_unimodular
+from ncomplex.ndiff import (
+    block_module,
+    homology,
+    induced_d_power,
+    induced_i_power,
+    random_unimodular,
+)
 from ncomplex.young import mono_derivative, mono_mul
 
 # -- scalars and matrices ------------------------------------------------------
@@ -96,6 +103,78 @@ def oracle_quotient_maps(S):
         [q.coordinates({j: f.one}) for j in range(n)], q.dim, f
     )
     return proj, q.representatives()
+
+
+# -- exact hexagons --------------------------------------------------------------
+
+
+def oracle_inexact_vertices(maps, dims):
+    """Indices v at which a cycle of maps is not exact: maps[v] enters the
+    vertex of dimension dims[v] and maps[v + 1] (cyclically) leaves it.
+    Every vertex is decided on its own, with no record across cycles."""
+    failed = []
+    for v, dim in enumerate(dims):
+        incoming, outgoing = maps[v], maps[(v + 1) % len(maps)]
+        if (not (outgoing @ incoming).is_zero()
+                or rank(incoming) != dim - rank(outgoing)):
+            failed.append(v)
+    return failed
+
+
+def hexagon_cycles(E):
+    """``(ell, m, vertices, maps)`` for every hexagon of E, in the order of
+    ``ndiff.all_hexagons_check``: the vertices H_(u) in cyclic order and the
+    [i]/[d] powers entering them, read from ``homology(E).arrows``."""
+    N = E.N
+    out = []
+    for ell in range(1, N - 1):
+        for m in range(1, N - ell):
+            k = N - (ell + m)
+            vertices = [m, ell + m, ell, N - m, N - (ell + m), N - ell]
+            maps = [
+                induced_d_power(E, m, k),            # H_(N-l) -> H_(m)
+                induced_i_power(E, m, ell),          # H_(m) -> H_(l+m)
+                induced_d_power(E, ell, m),          # H_(l+m) -> H_(l)
+                induced_i_power(E, ell, k),          # H_(l) -> H_(N-m)
+                induced_d_power(E, N - (ell + m), ell),  # -> H_(N-(l+m))
+                induced_i_power(E, N - (ell + m), m),    # -> H_(N-l)
+            ]
+            out.append((ell, m, vertices, maps))
+    return out
+
+
+def oracle_all_hexagons(E):
+    """``ndiff.all_hexagons_check`` one hexagon at a time, each vertex of each
+    hexagon decided afresh: the oracle of the shared-vertex check."""
+    H = homology(E)
+    reports = []
+    for ell, m, vertices, maps in hexagon_cycles(E):
+        dims = [H[u].dim_H for u in vertices]
+        failures = [vertices[v] for v in oracle_inexact_vertices(maps, dims)]
+        reports.append({"ok": not failures, "ell": ell, "m": m,
+                        "failed_vertices": failures})
+    return {"ok": all(r["ok"] for r in reports), "hexagons": reports}
+
+
+def ses_cycles(ses):
+    """``(n, dims, maps)`` for each Proposition-3 cycle of ``ses``, n = 1..N-1:
+    H_(n)(F) -> H_(n)(G) -> H_(N-n)(E) -> H_(N-n)(F) -> H_(N-n)(G) -> H_(n)(E)
+    with the maps entering those vertices."""
+    N = ses.E.N
+    HE, HF, HG = homology(ses.E), homology(ses.F), homology(ses.G)
+    return [(n, [HF[n].dim_H, HG[n].dim_H, HE[N - n].dim_H,
+                 HF[N - n].dim_H, HG[N - n].dim_H, HE[n].dim_H],
+             [*ses.homology_maps(n), *ses.homology_maps(N - n)])
+            for n in range(1, N)]
+
+
+def oracle_ses_hexagons(ses):
+    """``ndiff.ses_hexagon_check`` one cycle at a time, each vertex decided
+    afresh."""
+    ses.validate()
+    failures = [(n, v) for n, dims, maps in ses_cycles(ses)
+                for v in oracle_inexact_vertices(maps, dims)]
+    return {"ok": not failures, "failures": failures}
 
 
 # -- example algebras ----------------------------------------------------------

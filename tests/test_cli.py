@@ -350,7 +350,7 @@ def test_dependent_hi_basis_exits_2(tmp_path, hi_cols):
         (["poincare", "--N", "3", "--D", "0", "--k", "1"], "--D"),
         (["spin-seq", "--S", "1", "--D", "0"], "--D"),
         (["spin-seq", "--S", "2", "--D", "-2", "--wmax", "1"], "--D"),
-        (["spin-example", "--p", "1,1,0"], "p must"),
+        (["spin-example", "--p", "1,1,0"], "argument --p: must be four"),
         (["brs", "--example", "abelian", "--deg-max", "-1"], "--deg-max"),
         (["selftest", "--only", "99"], "--only"),
         (["selftest", "--only", "x"], "--only"),
@@ -382,6 +382,13 @@ def test_dependent_hi_basis_exits_2(tmp_path, hi_cols):
         (["spin-seq", "--S", "4", "--D", "2", "--wmax", "3"], "--wmax"),
         (["spin-seq", "--S", "3", "--D", "1"], "--D"),
         (["spin-seq", "--S", "1", "--D", "1", "--wmax", "5"], "--D"),
+        (["hexagon", "mod.json", "--ell", "2", "--m", "2"],
+         "ncx: --ell + --m must be at most N - 1 = 3, got 4"),
+        (["theorem2", "alg.json", "--window", "2"],
+         "ncx: --window must be at least --N = 3, got 2"),
+        (["spin-example", "--p", "a,b"], "ncx: argument --p: must be four"),
+        (["spin-example", "--two-particle", "1,0"],
+         "ncx: argument --two-particle: must be four"),
     ],
     ids=["poincare-D0", "spin-seq-D0", "spin-seq-S2-D-minus-2",
          "spin-example-3-components",
@@ -398,7 +405,8 @@ def test_dependent_hi_basis_exits_2(tmp_path, hi_cols):
          "gauge-ext-instance-and-suite", "brs-system-and-example",
          "spin-seq-S2-wmax-3", "spin-seq-S2-D1", "poincare-N1", "poincare-N0",
          "spin-seq-S3-wmax-5", "spin-seq-S4-wmax-3", "spin-seq-S3-D1",
-         "spin-seq-S1-D1"],
+         "spin-seq-S1-D1", "hexagon-ell-plus-m-past-N-1", "theorem2-window-below-N",
+         "spin-example-p-not-ints", "spin-example-two-particle-2-components"],
 )
 def test_bad_option_exits_2(tmp_path, argv, named):
     """An out-of-range, incomplete or conflicting option is bad input: exit
@@ -434,7 +442,7 @@ _UNRANGED = {
     ("potential", "--seed"): "any int seeds the draw",
     ("gauge-ext", "--seed"): "any int seeds the draw",
     ("selftest", "--seed"): "any int seeds the draw",
-    ("theorem2", "--window"): "at least --N: theorem2_verify refuses a shorter one",
+    ("theorem2", "--window"): "at least --N: cmd_theorem2 refuses a shorter one",
     ("spin-seq", "--wmax"): "at least 2 * --S: cmd_spin_seq refuses a smaller one",
 }
 

@@ -1,9 +1,11 @@
 import random
+from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ncomplex import ndiff
 from ncomplex.fields import QQ, make_cyclotomic, rat
 from ncomplex.linalg import (
     EchelonSolver,
@@ -37,7 +39,14 @@ from ncomplex.ndiff import (
     stable_quotient,
     submodule,
 )
-from helpers import from_int_rows, oracle_image_chain
+from helpers import (
+    from_int_rows,
+    hexagon_cycles,
+    oracle_all_hexagons,
+    oracle_image_chain,
+    oracle_ses_hexagons,
+    ses_cycles,
+)
 
 
 def test_construction_rejects_bad_nilpotency():
@@ -158,6 +167,38 @@ def test_image_chain_on_echelon_rows_matches_column_oracle(case):
     arrows += [(m + 1, m, d.apply) for m in range(1, N - 1)]
     for src, tgt, image in arrows:
         assert slots[src].map_to(slots[tgt], image) == want[src].map_to(want[tgt], image)
+
+
+@given(st.one_of(chain_cases(), square_cases()))
+@settings(max_examples=150, deadline=None)
+def test_kernel_chain_matches_kernels_of_powers(case):
+    """Link m of the kernel chain is ``kernel_basis`` of the explicit power
+    d^m: the same basis matrix and the same unit rows.  The row identity
+    needs no nilpotency, so modules with d^N != 0 (a Jordan block of size
+    N + 1, arbitrary sparse d) are built unchecked and held to it too."""
+    N, d = case
+    chain = NDiffModule(N, d, check=False).kernel_chain()
+    assert len(chain) == N - 1
+    for m, S in enumerate(chain, 1):
+        K = kernel_basis(_naive_power(d, m))
+        assert S.ambient_dim == K.ambient_dim == d.ncols
+        assert S.basis == K.basis, m
+        assert list(S.unit_rows) == list(K.unit_rows), m
+
+
+def test_homology_forms_no_power(monkeypatch):
+    """The homology, its quotients and every hexagon are built without a
+    single ``NDiffModule.power``: the kernels come from the kernel chain."""
+    calls = []
+    power = NDiffModule.power
+    monkeypatch.setattr(NDiffModule, "power",
+                        lambda self, k: calls.append(k) or power(self, k))
+    E, _ = random_ndiff(QQ, 5, 14, random.Random(35))
+    H = homology(E)
+    for slot in H.slots.values():
+        slot.representatives
+    assert all_hexagons_check(E)["ok"]
+    assert calls == []
 
 
 def test_jordan_block_profile():
@@ -687,3 +728,111 @@ def test_hexagon_check_reads_the_cache():
     H = homology(E)
     H.arrows[("i", 1, 1)] = ExactMatrix.zeros(H[2].dim_H, H[1].dim_H, QQ)
     assert hexagon_check(E, 1, 1)["failed_vertices"]
+
+
+# -- each vertex decided once ----------------------------------------------------
+
+
+def _zero_like(M):
+    return ExactMatrix.zeros(M.nrows, M.ncols, M.field)
+
+
+@given(N=st.integers(3, 7), seed=st.integers(0, 2**32 - 1),
+       dim=st.integers(1, 14), tamper=st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+@example(N=6, seed=35, dim=14, tamper=5)   # the fixed hexagon (2, 2)
+@example(N=4, seed=36, dim=10, tamper=2)
+def test_all_hexagons_match_the_per_hexagon_oracle(N, seed, dim, tamper):
+    """``all_hexagons_check`` reports what deciding every vertex of every
+    hexagon afresh reports, order included: on the intact module, then
+    with one cached arrow overwritten by zero, so that the failures land in
+    the hexagons that share it turned; and ``hexagon_check`` of each (ell,
+    m) is that hexagon's report."""
+    E, _ = random_ndiff(QQ, N, dim, random.Random(seed))
+    assert all_hexagons_check(E) == oracle_all_hexagons(E)
+    arrows = homology(E).arrows
+    key = sorted(arrows)[tamper % len(arrows)]
+    arrows[key] = _zero_like(arrows[key])
+    got = all_hexagons_check(E)
+    assert got == oracle_all_hexagons(E), key
+    for report in got["hexagons"]:
+        assert hexagon_check(E, report["ell"], report["m"]) == report
+
+
+@given(N=st.integers(3, 7), seed=st.integers(0, 2**32 - 1),
+       tamper=st.integers(0, 10**6))
+@settings(max_examples=30, deadline=None)
+@example(N=4, seed=37, tamper=4)   # the cycle at n = 2 turned into itself
+@example(N=6, seed=38, tamper=7)
+def test_ses_hexagons_match_the_per_cycle_oracle(N, seed, tamper):
+    """``ses_hexagon_check`` reports what deciding every vertex of every
+    Proposition-3 cycle afresh reports, order included, on the intact
+    sequence and with one of phi_k, psi_k, partial_k overwritten by zero."""
+    ses = random_ses(QQ, N, random.Random(seed))
+    assert ses_hexagon_check(ses) == oracle_ses_hexagons(ses)
+    k, j = divmod(tamper % (3 * (N - 1)), 3)
+    maps = list(ses.homology_maps(k + 1))
+    maps[j] = _zero_like(maps[j])
+    ses._homology_maps[k + 1] = tuple(maps)
+    assert ses_hexagon_check(ses) == oracle_ses_hexagons(ses), (k + 1, j)
+
+
+@pytest.fixture()
+def work(monkeypatch):
+    """The composites and ranks a check forms, by the ids of their maps."""
+    formed = {"composites": [], "ranks": []}
+    matmul, rank_ = ExactMatrix.__matmul__, ndiff.rank
+
+    def counting_matmul(a, b):
+        formed["composites"].append((id(a), id(b)))
+        return matmul(a, b)
+
+    def counting_rank(M):
+        formed["ranks"].append(id(M))
+        return rank_(M)
+
+    monkeypatch.setattr(ExactMatrix, "__matmul__", counting_matmul)
+    monkeypatch.setattr(ndiff, "rank", counting_rank)
+    return formed
+
+
+def _cycle_work(cycles):
+    """The distinct composites (outgoing after incoming) and the maps of
+    ``cycles``, each a list of maps entering the vertices in turn."""
+    composites = {(id(maps[(v + 1) % len(maps)]), id(maps[v]))
+                  for maps in cycles for v in range(len(maps))}
+    return composites, {id(M) for maps in cycles for M in maps}
+
+
+@pytest.mark.parametrize("N", [4, 5, 6, 7])
+def test_hexagons_form_each_composite_once(N, work):
+    """With the arrows built, one ``all_hexagons_check`` forms each distinct
+    composite once and ranks each arrow once; N = 6 has the hexagon (2, 2)
+    that its own turn fixes.  A second call decides everything again."""
+    E, _ = random_ndiff(QQ, N, 16, random.Random(39 + N))
+    cycles = [maps for *_, maps in hexagon_cycles(E)]
+    composites, maps = _cycle_work(cycles)
+    assert 6 * len(cycles) > len(composites)
+    for _ in range(2):
+        work["composites"].clear()
+        work["ranks"].clear()
+        assert all_hexagons_check(E)["ok"]
+        assert sorted(work["composites"]) == sorted(composites)
+        assert Counter(work["ranks"]) == Counter(maps)
+
+
+@pytest.mark.parametrize("N", [3, 4, 5, 6])
+def test_ses_hexagons_form_each_composite_once(N, work):
+    """The cycle at N - n is the cycle at n turned by three, and at N = 4
+    the cycle at n = 2 is its own turn: one ``ses_hexagon_check`` forms
+    each of the 3 (N - 1) distinct composites once and ranks each map
+    once."""
+    ses = random_ses(QQ, N, random.Random(40 + N))
+    ses_hexagon_check(ses)  # builds the maps and the validation
+    composites, maps = _cycle_work([maps for *_, maps in ses_cycles(ses)])
+    assert len(composites) == 3 * (N - 1)
+    work["composites"].clear()
+    work["ranks"].clear()
+    assert ses_hexagon_check(ses)["ok"]
+    assert sorted(work["composites"]) == sorted(composites)
+    assert Counter(work["ranks"]) == Counter(maps)
