@@ -111,15 +111,13 @@ class Echelon:
     when a row is independent of the rows before it, so absorbing the
     columns of a matrix as rows keeps its pivot columns, the column rank
     profile rule (Dumas, Pernet and Sultan, ISSAC 2015).  Stored rows are
-    never mutated, so ``copy`` shares them."""
+    never mutated, so an ``Echelon`` built on another's ``leads`` shares
+    them."""
 
     __slots__ = ("ops", "limit", "leads")
 
     def __init__(self, ops, limit, leads=()):
         self.ops, self.limit, self.leads = ops, limit, dict(leads)
-
-    def copy(self):
-        return Echelon(self.ops, self.limit, self.leads)
 
     def absorb(self, cols, vals):
         """Reduce the row ``(cols, vals)`` at each stored lead it hits.  None

@@ -57,6 +57,15 @@ def _threads():
     return n
 
 
+def _usable_cpus():
+    """The CPUs this process may run on, or the machine's count where the
+    platform cannot say."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _instance(job):
     worker, tag, seed, i, args = job
     return worker(random.Random(f"{seed}:{tag}:{i}"), *args)
@@ -64,10 +73,11 @@ def _instance(job):
 
 def pooled_witnesses(worker, tag, seed, count, *args):
     """Run ``worker(random.Random(f"{seed}:{tag}:{i}"), *args)`` for the
-    instances i < count, on a pool of NCX_THREADS processes (at most count)
-    when that is above 1, and return the witnesses of the failing instances,
-    those for which the worker returned anything but None, in index order."""
-    n = min(_threads(), count)
+    instances i < count, on a pool of NCX_THREADS processes (at most count
+    and the usable CPUs) when that is above 1, and return the witnesses of
+    the failing instances, those for which the worker returned anything but
+    None, in index order."""
+    n = min(_threads(), count, _usable_cpus())
     jobs = [(worker, tag, seed, i, args) for i in range(count)]
     if n <= 1 or count < 4:
         results = map(_instance, jobs)

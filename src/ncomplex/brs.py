@@ -22,7 +22,7 @@ from .linalg import (
     image_basis,
     rank,
 )
-from .young import mono_derivative, mono_mul, monomials
+from .young import mono_derivative, mono_mul, monomials, poly_derivative
 
 
 # -- polynomials over Q --------------------------------------------------------
@@ -70,14 +70,11 @@ class Derivation:
 
     def apply(self, poly):
         out = {}
-        for m, v in poly.items():
-            for i, coeff in enumerate(self.coeffs):
-                dm, e = mono_derivative(m, i)
-                if dm is None:
-                    continue
-                ve = v * rat(e)
-                for m2, v2 in coeff.items():
-                    accumulate(out, mono_mul(dm, m2), ve * v2)
+        for i, coeff in enumerate(self.coeffs):
+            if coeff:
+                for dm, v in poly_derivative(poly, i).items():
+                    for m2, v2 in coeff.items():
+                        accumulate(out, mono_mul(dm, m2), v * v2)
         return out
 
     def bracket(self, other):
@@ -294,6 +291,13 @@ class Antiderivation:
         return out
 
 
+def _koszul_delta0(constraints, mp):
+    """The Koszul differential delta_0: the antiderivation that takes pi_alpha
+    to the constraint u_alpha and vanishes on the x's and the mp chi's."""
+    pi_images = [{((), m, ()): v for m, v in u.items()} for u in constraints]
+    return Antiderivation(pi_images, [{}] * mp, [])
+
+
 class GhostComplex:
     """K = Lambda(pi_1..pi_m) ox Poly(D) ox Lambda(chi^1..chi^m') with the
     antiderivations delta_0, delta_1 and the solved tower delta_r."""
@@ -307,15 +311,10 @@ class GhostComplex:
         self.deltas = {}
         self.du = [poly_deg(u) for u in system.constraints]
         self.max_step = max(self.du)  # largest poly-degree raise of delta_0
-        self._install_delta0()
+        self.deltas[0] = _koszul_delta0(system.constraints, self.mp)
         self._install_delta1()
 
     # -- construction -----------------------------------------------------
-
-    def _install_delta0(self):
-        pi_images = [{((), m, ()): v for m, v in u.items()}
-                     for u in self.system.constraints]
-        self.deltas[0] = Antiderivation(pi_images, [{}] * self.mp, [])
 
     def _install_delta1(self):
         D = self.D
@@ -577,7 +576,8 @@ def _max_poly_drop(K):
 
 
 def koszul_homology(constraints, D, deg_max):
-    """H^(-n) of the Koszul complex of (u_1..u_m) per polynomial weight.
+    """H^(-n) of the Koszul complex of (u_1..u_m) per polynomial weight, with
+    the ghost complex's delta_0 on the keys (pis, mono, ()).
 
     Homogeneous constraints make the complex weight-graded with
     weight(pi_alpha) = deg u_alpha, so every weight block is finite and
@@ -587,24 +587,18 @@ def koszul_homology(constraints, D, deg_max):
             raise ValueError("constraints must be nonzero homogeneous")
     m = len(constraints)
     du = [poly_deg(u) for u in constraints]
+    delta0 = _koszul_delta0(constraints, 0)
 
     def basis(n, w):
-        """Keys (pis, mono) with |pis| = n and weight w."""
+        """Keys (pis, mono, ()) with |pis| = n and weight w."""
         if n < 0:
             return []
-        return [(pis, mono) for pis in itertools.combinations(range(m), n)
+        return [(pis, mono, ()) for pis in itertools.combinations(range(m), n)
                 for mono in monomials(D, w - sum(du[a] for a in pis))]
 
     def d0_rank(n, w):
-        """rank of delta_0 on Lambda(pi) ox Poly out of the keys basis(n, w)."""
-        images = []
-        for pis, mono in basis(n, w):
-            out = {}
-            for k in range(len(pis)):
-                rest, sgn = _remove_at(pis, k)
-                for mu, v in constraints[pis[k]].items():
-                    accumulate(out, (rest, mono_mul(mono, mu)), rat(sgn) * v)
-            images.append(out)
+        """rank of delta_0 out of the keys basis(n, w)."""
+        images = [delta0.apply({key: rat(1)}) for key in basis(n, w)]
         return rank(_operator_matrix(images, _index(basis(n - 1, w))))
 
     dims = {}

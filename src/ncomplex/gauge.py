@@ -14,6 +14,7 @@ from .fields import QQ, check_assumptions, q_factorial, rat
 from .graded import GradedNComplex, graded_homology
 from .linalg import (
     ExactMatrix,
+    echelon_of_span,
     image_basis,
     index_tuple,
     intersection,
@@ -142,10 +143,10 @@ def extend(G):
 def theorem5_verify(G):
     """dim H_(k)(H-bullet, Q) = dim H_(k)(H_I, A) for all k, plus the check
     that H_I representatives stay independent modulo B_(k)(Q) = im Q^(N-k):
-    image-chain link N-k-1 is the span of the rows its echelon keeps, and
-    they span B_(k)(Q), so absorbing the representatives (in level 0) into a
-    copy of that echelon fails exactly when one depends on B_(k)(Q) and
-    those before it, i.e. rank [B | reps] < dim B + #reps."""
+    the basis of image-chain link N-k-1 is echelon rows that span B_(k)(Q),
+    so absorbing the representatives (in level 0) into the ``Echelon`` of
+    those rows (``echelon_of_span``) fails exactly when one depends on
+    B_(k)(Q) and those before it, i.e. rank [B | reps] < dim B + #reps."""
     ext = extend(G)
     N = G.N
     total_dim = ext.Q.dim
@@ -164,7 +165,7 @@ def theorem5_verify(G):
             report["ok"] = False
             continue
         # level-0 coordinates of H-bullet are those of H
-        E = images[N - k - 1].echelon.copy()
+        E = echelon_of_span(images[N - k - 1])
         reps = (G.HI.basis @ Hs[k].representatives).transpose()
         if not all(E.absorb(cols, vals) is None
                    for cols, vals in reps.rows_sparse()):

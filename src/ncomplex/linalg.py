@@ -516,11 +516,11 @@ def image_basis(M):
 
 def echelon_span(M):
     """Column space on the rows that an ``Echelon`` of M's columns keeps: one
-    basis column per lead, in lead order, with the echelon kept beside them
-    for extension.  The rows span what M's columns span, and elimination
-    makes them sparser than the columns ``image_basis`` keeps.  Over Q they
-    are primitive integer rows: the basis holds them as rationals and its
-    split is seeded with them over D = 1."""
+    basis column per lead, in lead order.  The rows span what M's columns
+    span, and elimination makes them sparser than the columns
+    ``image_basis`` keeps.  Over Q they are primitive integer rows: the
+    basis holds them as rationals and its split is seeded with them over
+    D = 1.  ``echelon_of_span`` turns them back into an ``Echelon``."""
     f = M.field
     E = _column_echelon(M)[0]
     rows = [E.leads[c] for c in sorted(E.leads)]
@@ -531,7 +531,25 @@ def echelon_span(M):
         keys, map(rat, vals) if rational else vals)), _clean=False)
     if rational:
         basis._split = _flat_columns(keys, vals), 1
-    return Subspace(M.nrows, basis, E)
+    return Subspace(M.nrows, basis)
+
+
+def echelon_of_span(S):
+    """A fresh ``Echelon`` whose rows are the basis columns of the
+    ``echelon_span`` S, so that absorbing new rows extends the span without
+    eliminating S again.  The columns already are echelon rows with distinct
+    leads and need no absorb: over Q the primitive integer rows of the
+    seeded split over D = 1, over Q(zeta_M) rows with lead one."""
+    f, basis = S.field, S.basis
+    if f.kind == "rationals":
+        cols = basis.split_columns()[0]
+    else:
+        cols = _flat_columns(basis.entries, basis.entries.values())
+    leads = {}
+    for flat in cols.values():
+        rows = flat[0::2]
+        leads[rows[0]] = rows, flat[1::2]
+    return Echelon(f, S.ambient_dim, leads)
 
 
 class EchelonSolver:
@@ -621,10 +639,9 @@ class Subspace:
     space.  Any other subspace solves through an ``EchelonSolver`` of its
     basis, built on first use."""
 
-    def __init__(self, ambient_dim, basis, echelon=None, unit_rows=None):
+    def __init__(self, ambient_dim, basis, unit_rows=None):
         self.ambient_dim = ambient_dim
         self.basis = basis
-        self.echelon = echelon  # the ``Echelon`` whose rows are the basis
         self.unit_rows = unit_rows
         self._index = self._rest = self._solver = None  # built on first use
 

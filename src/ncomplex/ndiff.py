@@ -64,8 +64,8 @@ class NDiffModule:
 
         Link 0 is the span of d's columns and link k+1 the span of d @ R_k,
         where R_k holds, as columns, the rows that link k's echelon keeps
-        (``echelon_span``); R_k is link k's basis and the echelon is kept
-        beside it, for Theorem 5 to extend.  By induction R_k spans
+        (``echelon_span``); R_k is link k's basis, and Theorem 5 rebuilds
+        the echelon from it (``echelon_of_span``).  By induction R_k spans
         im d^(k+1), so link k's dimension is rank d^(k+1) and the last link
         is zero exactly when d^N = 0: the chain is the nilpotency
         certificate of ``__init__``.  The echelon rows are sparser than the

@@ -1,7 +1,12 @@
 """Young diagrams and symmetrizers; the N-complexes of maximally-filled
 Young-symmetrized tensor fields with polynomial coefficients; the generalized
 Poincare lemma verifier, higher-spin exact sequences, the divergence-free
-2-tensor potential solver, and the (non-associative) symmetrized product."""
+2-tensor potential solver, and the (non-associative) symmetrized product.
+
+Polynomials are sparse dicts {exponent tuple: rational}.  Their one
+derivative is ``poly_derivative``, which ``brs`` shares, and the spin-2
+duality on R^3 has one double dual, ``_dual_pair`` (R = eps eps X): the
+random T = dd(eps eps h) and both duals of ``potential_solve`` are it."""
 
 from __future__ import annotations
 
@@ -256,6 +261,18 @@ def mono_derivative(m, mu):
     out = list(m)
     out[mu] -= 1
     return tuple(out), m[mu]
+
+
+def poly_derivative(poly, mu, out=None):
+    """d/dx_mu of the polynomial {monomial: rational}, added into ``out`` in
+    place when given."""
+    if out is None:
+        out = {}
+    for m, v in poly.items():
+        dm, e = mono_derivative(m, mu)
+        if dm is not None:
+            accumulate(out, dm, v * e)
+    return out
 
 
 def mono_derivative2(m, a, b):
@@ -557,71 +574,70 @@ def nonassociativity_witness(N=3, D=2, wpoly=0):
 
 
 def _epsilon3():
-    return {perm: rat(_perm_sign(perm)) for perm in itertools.permutations(range(3))}
+    return {perm: _perm_sign(perm) for perm in itertools.permutations(range(3))}
 
 
-def divergence(T, D=3):
-    """d_mu T^(mu nu), per nu."""
+def _dual_pair(X):
+    """The double dual (p, q, r, s) -> sum_ij eps^(ipq) eps^(jrs) X_ij of a
+    2-tensor X = {(i, j): polynomial} on R^3, without zero entries: antisymmetric
+    in (p, q) and in (r, s)."""
+    eps = _epsilon3()
+    out = {}
+    for (i, j), poly in X.items():
+        for p, q, r, s in itertools.product(range(3), repeat=4):
+            e = eps.get((i, p, q), 0) * eps.get((j, r, s), 0)
+            if e:
+                acc = out.setdefault((p, q, r, s), {})
+                for mono, v in poly.items():
+                    accumulate(acc, mono, e * v)
+    return {k: p for k, p in out.items() if p}
+
+
+def _tableau_read(R):
+    """{mono: {(p, r, q, s): value}}: a tensor (p, q, r, s) -> polynomial,
+    antisymmetric in (p, q) and in (r, s), read in the row-major order of
+    the 2 x 2 tableau with columns (p, q) and (r, s)."""
+    out = {}
+    for (p, q, r, s), poly in R.items():
+        for mono, v in poly.items():
+            out.setdefault(mono, {})[(p, r, q, s)] = v
+    return out
+
+
+def divergence(T):
+    """d_mu T^(mu nu) on R^3, per nu."""
     out = []
-    for nu in range(D):
+    for nu in range(3):
         acc = {}
-        for mu in range(D):
-            for mono, v in T.get((mu, nu), {}).items():
-                dm, e = mono_derivative(mono, mu)
-                if dm is not None:
-                    accumulate(acc, dm, v * rat(e))
+        for mu in range(3):
+            poly_derivative(T.get((mu, nu), {}), mu, acc)
         out.append(acc)
     return out
 
 
 def random_divergence_free(rng):
-    """T^(mu nu) = eps^(mu a b) eps^(nu c d) d_a d_c h_(b d) for a random
-    symmetric h with homogeneous entries of degree 4, so T has degree 2;
-    divergence-free and symmetric by construction."""
-    D = 3
-    eps = _epsilon3()
+    """T = d_lam d_rho R^(lam mu rho nu) for R = eps eps h, the double dual
+    of a random symmetric h with homogeneous entries of degree 4, so T has
+    degree 2; divergence-free and symmetric by construction."""
     h = {}
-    for b in range(D):
-        for d in range(b, D):
+    for b in range(3):
+        for d in range(b, 3):
             poly = {}
-            for mono in monomials(D, 4):
+            for mono in monomials(3, 4):
                 c = rng.randint(-3, 3)
                 if c:
                     poly[mono] = rat(c)
             h[(b, d)] = poly
             h[(d, b)] = poly
-    T = {}
-    for mu in range(D):
-        for nu in range(D):
-            acc = {}
-            for a in range(D):
-                for b in range(D):
-                    e1 = eps.get((mu, a, b))
-                    if not e1:
-                        continue
-                    for c in range(D):
-                        for d in range(D):
-                            e2 = eps.get((nu, c, d))
-                            if not e2:
-                                continue
-                            for mono, v in h[(b, d)].items():
-                                m2, k = mono_derivative2(mono, a, c)
-                                if m2 is not None:
-                                    accumulate(acc, m2, e1 * e2 * v * rat(k))
-            if acc:
-                T[(mu, nu)] = acc
-    return T
+    return _contract_dd(_dual_pair(h))
 
 
 def _contract_dd(R):
     """(mu, nu) -> d_lam d_rho R^(lam mu rho nu), without zero entries."""
     out = {}
-    for (lam, mu, rho_i, nu), poly in R.items():
-        acc = out.setdefault((mu, nu), {})
-        for mono, v in poly.items():
-            m2, k = mono_derivative2(mono, lam, rho_i)
-            if m2 is not None:
-                accumulate(acc, m2, v * rat(k))
+    for (lam, mu, rho, nu), poly in R.items():
+        poly_derivative(poly_derivative(poly, lam), rho,
+                        out.setdefault((mu, nu), {}))
     return {k: p for k, p in out.items() if p}
 
 
@@ -630,42 +646,26 @@ def potential_solve(T, w):
     symmetry, given symmetric divergence-free T with homogeneous degree-w
     polynomial entries on R^3.
 
-    Route: dualize to tau in Omega^4_3, solve tau = d^2 rho per weight,
-    dualize back, fix the overall constant, and verify exactly."""
+    Route: dualize to tau = eps eps T in Omega^4_3, solve tau = d^2 rho per
+    weight, dualize back to R = eps eps rho, fix the overall constant, and
+    verify exactly.  Both duals are ``_dual_pair``; read in tableau order
+    (``_tableau_read``) they are tensors of Omega^4_3."""
     D = 3
-    eps = _epsilon3()
     for mu in range(D):
         for nu in range(D):
             if T.get((mu, nu), {}) != T.get((nu, mu), {}):
                 raise ValueError("T is not symmetric")
     if any(sum(m) != w for poly in T.values() for m in poly):
         raise ValueError(f"T has entries that are not homogeneous of degree {w}")
-    if any(divergence(T, D)):
+    if any(divergence(T)):
         raise ValueError("T is not divergence-free")
     if all(not T.get((mu, nu)) for mu in range(D) for nu in range(D)):
         return {"R": {}, "constant": "0"}
 
-    # tau in row-major (2,2) coordinates (columns are the eps pairs)
     space4 = omega_space(3, D, 4)
-    tau_raw = {}  # mono -> tensor dict
-    for (mu, nu), poly in T.items():
-        for m1 in range(D):
-            for m2 in range(D):
-                e1 = eps.get((mu, m1, m2))
-                if not e1:
-                    continue
-                for n1 in range(D):
-                    for n2 in range(D):
-                        e2 = eps.get((nu, n1, n2))
-                        if not e2:
-                            continue
-                        for mono, v in poly.items():
-                            ten = tau_raw.setdefault(mono, {})
-                            accumulate(ten, (m1, n1, m2, n2), e1 * e2 * v)
-    tau_coords = {}
-    for mono, ten in tau_raw.items():
-        for s, c in space4.coords(ten).items():
-            tau_coords[(mono, s)] = c
+    tau_coords = {(mono, s): c
+                  for mono, ten in _tableau_read(_dual_pair(T)).items()
+                  for s, c in space4.coords(ten).items()}
     tau = PolyTensorField(3, D, 4, w, tau_coords)
     if not differential(tau).is_zero():
         raise AssertionError("dual tensor is not d-closed")
@@ -682,32 +682,10 @@ def potential_solve(T, w):
         for (a, b), v in space2.basis[s].items():
             accumulate(rho.setdefault((a, b), {}), mono, c * v)
 
-    # R^(lam mu rho nu) = eps^(lam mu a) eps^(rho nu b) rho_(a b)
-    R = {}
-    for (a, b), poly in rho.items():
-        for lam in range(D):
-            for mu in range(D):
-                e1 = eps.get((lam, mu, a))
-                if not e1:
-                    continue
-                for rho_i in range(D):
-                    for nu in range(D):
-                        e2 = eps.get((rho_i, nu, b))
-                        if not e2:
-                            continue
-                        acc = R.setdefault((lam, mu, rho_i, nu), {})
-                        for mono, v in poly.items():
-                            accumulate(acc, mono, e1 * e2 * v)
-    R = {k: p for k, p in R.items() if p}
-
-    # Riemann symmetry: (lam, rho, mu, nu) row-major must lie in Omega^4
-    sym_check = {}
-    for (lam, mu, rho_i, nu), poly in R.items():
-        for mono, v in poly.items():
-            accumulate(
-                sym_check.setdefault(mono, {}), (lam, rho_i, mu, nu), v
-            )
-    for mono, ten in sym_check.items():
+    # R^(lam mu rho nu) = eps^(a lam mu) eps^(b rho nu) rho_(a b) has the
+    # Riemann symmetry: read in tableau order it lies in Omega^4
+    R = _dual_pair(rho)
+    for ten in _tableau_read(R).values():
         space4.coords(ten)  # raises if the symmetry fails
 
     # T' = d_lam d_rho R^(lam mu rho nu); then T = c T'

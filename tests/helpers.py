@@ -26,7 +26,13 @@ from ncomplex.ndiff import (
     induced_i_power,
     random_unimodular,
 )
-from ncomplex.young import mono_derivative, mono_mul
+from ncomplex.young import (
+    _epsilon3,
+    mono_derivative,
+    mono_derivative2,
+    mono_mul,
+    monomials,
+)
 
 # -- scalars and matrices ------------------------------------------------------
 
@@ -305,6 +311,128 @@ def ghost_mul(a, b):
             if key is not None:
                 accumulate(out, key, va * vb * rat(sign))
     return out
+
+
+def oracle_koszul_image(constraints, pis, mono):
+    """delta_0 of pi_S x^m in the Koszul complex of ``constraints``, as a
+    ghost-key dict: pi_S[k] removed with the sign (-1)^k and replaced by
+    u_(S[k]); the oracle of ``brs._koszul_delta0``."""
+    out = {}
+    for k in range(len(pis)):
+        rest, sgn = pis[:k] + pis[k + 1:], (-1) ** k
+        for mu, v in constraints[pis[k]].items():
+            accumulate(out, (rest, mono_mul(mono, mu), ()), rat(sgn) * v)
+    return out
+
+
+# -- polynomials ---------------------------------------------------------------
+
+
+def random_poly(rng, D, degree, span=3):
+    """A random homogeneous polynomial of ``degree`` in D variables, with
+    integer coefficients in [-span, span]."""
+    poly = {}
+    for mono in monomials(D, degree):
+        c = rng.randint(-span, span)
+        if c:
+            poly[mono] = rat(c)
+    return poly
+
+
+def oracle_derivation_apply(xi, poly):
+    """``brs.Derivation.apply`` monomial by monomial: sum_i coeff_i d/dx_i."""
+    out = {}
+    for m, v in poly.items():
+        for i, coeff in enumerate(xi.coeffs):
+            dm, e = mono_derivative(m, i)
+            if dm is None:
+                continue
+            ve = v * rat(e)
+            for m2, v2 in coeff.items():
+                accumulate(out, mono_mul(dm, m2), ve * v2)
+    return out
+
+
+def oracle_random_divergence_free(rng):
+    """``young.random_divergence_free`` as the explicit contraction
+    T^(mu nu) = eps^(mu a b) eps^(nu c d) d_a d_c h_(b d), from the same
+    draws of ``rng``."""
+    D = 3
+    eps = _epsilon3()
+    h = {}
+    for b in range(D):
+        for d in range(b, D):
+            poly = random_poly(rng, D, 4)
+            h[(b, d)] = poly
+            h[(d, b)] = poly
+    T = {}
+    for mu in range(D):
+        for nu in range(D):
+            acc = {}
+            for a in range(D):
+                for b in range(D):
+                    e1 = eps.get((mu, a, b))
+                    if not e1:
+                        continue
+                    for c in range(D):
+                        for d in range(D):
+                            e2 = eps.get((nu, c, d))
+                            if not e2:
+                                continue
+                            for mono, v in h[(b, d)].items():
+                                m2, k = mono_derivative2(mono, a, c)
+                                if m2 is not None:
+                                    accumulate(acc, m2, e1 * e2 * v * rat(k))
+            if acc:
+                T[(mu, nu)] = acc
+    return T
+
+
+def oracle_tau(T):
+    """The dual tau of ``young.potential_solve``, {mono: tensor} in
+    row-major (2, 2) tableau coordinates: tau_(m1 n1, m2 n2) =
+    eps^(mu m1 m2) eps^(nu n1 n2) T^(mu nu)."""
+    D = 3
+    eps = _epsilon3()
+    tau_raw = {}
+    for (mu, nu), poly in T.items():
+        for m1 in range(D):
+            for m2 in range(D):
+                e1 = eps.get((mu, m1, m2))
+                if not e1:
+                    continue
+                for n1 in range(D):
+                    for n2 in range(D):
+                        e2 = eps.get((nu, n1, n2))
+                        if not e2:
+                            continue
+                        for mono, v in poly.items():
+                            ten = tau_raw.setdefault(mono, {})
+                            accumulate(ten, (m1, n1, m2, n2), e1 * e2 * v)
+    return tau_raw
+
+
+def oracle_riemann_dual(rho):
+    """The R of ``young.potential_solve``:
+    R^(lam mu rho nu) = eps^(lam mu a) eps^(rho nu b) rho_(a b)."""
+    D = 3
+    eps = _epsilon3()
+    R = {}
+    for (a, b), poly in rho.items():
+        for lam in range(D):
+            for mu in range(D):
+                e1 = eps.get((lam, mu, a))
+                if not e1:
+                    continue
+                for rho_i in range(D):
+                    for nu in range(D):
+                        e2 = eps.get((rho_i, nu, b))
+                        if not e2:
+                            continue
+                        acc = R.setdefault((lam, mu, rho_i, nu), {})
+                        for mono, v in poly.items():
+                            accumulate(acc, mono, e1 * e2 * v)
+    return {k: p for k, p in R.items() if p}
 
 
 # -- graded complexes ----------------------------------------------------------

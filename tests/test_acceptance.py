@@ -6,8 +6,11 @@ fixture); the pinned selftest digests in ``tests/test_cli.py`` render the
 same reports.  Run with `pytest tests/test_acceptance.py -v -s` (or
 `ncx selftest`) to see one pass/fail line per criterion."""
 
+import concurrent.futures
 import os
 import random
+
+import pytest
 
 from ncomplex import acceptance
 
@@ -106,13 +109,49 @@ def test_pool_matches_serial(monkeypatch):
     """NCX_THREADS=2 runs the instances on two processes and gives the
     serial result."""
     serial = acceptance.pooled_witnesses(acceptance._prop4_worker, "prop4", 42, 8)
+    monkeypatch.setattr(acceptance, "_usable_cpus", lambda: 2)
     monkeypatch.setenv("NCX_THREADS", "2")
     pooled = acceptance.pooled_witnesses(acceptance._prop4_worker, "prop4", 42, 8)
     assert pooled == serial == []
 
 
 def test_pool_keeps_index_order(monkeypatch):
+    monkeypatch.setattr(acceptance, "_usable_cpus", lambda: 2)
     monkeypatch.setenv("NCX_THREADS", "2")
     witnesses = acceptance.pooled_witnesses(_first_draw, "t", 7, 8)
     assert [draw for draw, _ in witnesses] == _draws(7, "t", 8)
     assert os.getpid() not in {pid for _, pid in witnesses}
+
+
+@pytest.mark.parametrize("affinity", [True, False])
+def test_pool_is_capped_at_the_usable_cpus(monkeypatch, affinity):
+    """A huge NCX_THREADS asks for no more workers than the CPUs this
+    process may use (the affinity mask, else the CPU count).  The executor
+    is a fake that records its size and runs the jobs inline, so no process
+    starts."""
+    sizes = []
+
+    class InlineExecutor:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize=1):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+    if affinity:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5},
+                            raising=False)
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setenv("NCX_THREADS", "100000")
+    witnesses = acceptance.pooled_witnesses(_first_draw, "t", 7, 500)
+    assert sizes == [3]
+    assert [draw for draw, _ in witnesses] == _draws(7, "t", 500)

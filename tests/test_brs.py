@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 from functools import cache
 
@@ -30,7 +31,15 @@ from ncomplex.brs import (
     twisted_nonabelian_system,
     variable,
 )
-from helpers import ghost_mul, leibniz_apply, sl2
+from ncomplex.young import monomials
+from helpers import (
+    ghost_mul,
+    leibniz_apply,
+    oracle_derivation_apply,
+    oracle_koszul_image,
+    random_poly,
+    sl2,
+)
 
 
 def test_poly_arithmetic():
@@ -242,6 +251,29 @@ def test_theorem4_builds_only_the_longitudinal_degrees_it_reads(make, monkeypatc
     assert theorem4_verify(make(), deg_max=6)["ok"]
     (top,) = stored
     assert read == set(range(len(built))) and max(read) < top
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_koszul_delta0_matches_the_remove_at_loop(seed):
+    """The Koszul delta_0, the ghost complex's antiderivation of the pi
+    images, against removing each pi_S[k] with the sign (-1)^k."""
+    rng = random.Random(seed)
+    constraints = [random_poly(rng, 3, rng.randint(1, 2)) or variable(3, 0)
+                   for _ in range(3)]
+    delta0 = brs._koszul_delta0(constraints, 0)
+    for n in range(4):
+        for pis in itertools.combinations(range(3), n):
+            for mono in monomials(3, 2):
+                assert (delta0.apply({(pis, mono, ()): rat(1)})
+                        == oracle_koszul_image(constraints, pis, mono))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_derivation_apply_matches_the_monomial_loop(seed):
+    rng = random.Random(seed)
+    xi = Derivation(3, [random_poly(rng, 3, rng.randint(0, 2)) for _ in range(3)])
+    poly = {**random_poly(rng, 3, 3), **random_poly(rng, 3, 1)}
+    assert xi.apply(poly) == oracle_derivation_apply(xi, poly)
 
 
 def test_koszul_single_linear():

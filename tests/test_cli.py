@@ -229,6 +229,32 @@ def test_selftest_report_is_pinned(only, monkeypatch, capsys,
     assert digest.hexdigest() == GOLDEN_SELFTEST[only]
 
 
+# sha256 of the stdout of ``ncx potential --seed <s> --format json`` and of
+# ``ncx brs --example <e> --deg-max 8 --format json``, recorded before the
+# spin-2 double dual, the polynomial derivative and the Koszul delta_0 were
+# each written once.
+GOLDEN_POTENTIAL = {
+    0: "2fdca149d1380d62f87d7c4371097a0815eff8a210cca50acaa44a2ff3c5347c",
+    1: "72060daff5c6d9c3b9cc86349cf3f6bd0e818edb0cd2865f2ff05cfbe28f9967",
+    2: "5af98a49abaf3f83de1d67dda197410e662305b03e3c40c9e02eb669897ff71d",
+    3: "ae66351fd6a81805cc6c8ee3e298f09de387a55d9dddd438ce2c284e8f50fedd",
+}
+GOLDEN_BRS = {
+    "abelian": "68ccdee09acb911db5d2e0b0dddd8891f740ab2201bff40c1b6916028cf3f234",
+    "nonabelian": "01db7da1dff6649890ddebb89f090015a7ba89c93c79bf9ac779c33ce723a397",
+    "quadratic": "b6eaf1fba4b1a6955617d6ba2051f1c89158fa903293506e173fa8d5d6c1b8d5",
+}
+
+
+@pytest.mark.parametrize("argv,digest", [
+    *[(["potential", "--seed", str(s)], d) for s, d in GOLDEN_POTENTIAL.items()],
+    *[(["brs", "--example", e, "--deg-max", "8"], d) for e, d in GOLDEN_BRS.items()],
+], ids=[*map(str, GOLDEN_POTENTIAL), *GOLDEN_BRS])
+def test_polynomial_reports_are_pinned(argv, digest, capsys):
+    assert cli.main([*argv, "--format", "json"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_usage_error_bad_json(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -27,6 +27,7 @@ from ncomplex.graded import GradedNComplex, graded_homology
 from ncomplex.linalg import (
     ExactMatrix,
     Subspace,
+    echelon_of_span,
     image_basis,
     orbit_span,
     quotient_maps,
@@ -235,10 +236,10 @@ def _theorem5_oracle(B, reps):
 
 
 def test_theorem5_echelon_extension_matches_rank_oracle():
-    """Extending a copy of the kept image-chain echelon by the H_I
-    representatives agrees with the rank oracle for every k, on the true
-    representatives and on them followed by a vector of B; the kept echelon
-    is left as it was."""
+    """Extending the echelon of an image-chain link (``echelon_of_span``) by
+    the H_I representatives agrees with the rank oracle for every k, on the
+    true representatives and on them followed by a vector of B; the echelon
+    has one lead per basis column."""
     for G in _oracle_instances():
         images = extend(G).Q.image_chain()
         Hs = homology(G.restricted_module())
@@ -246,12 +247,12 @@ def test_theorem5_echelon_extension_matches_rank_oracle():
             B = images[G.N - k - 1]
             reps = [G.HI.basis.apply(c) for c in Hs[k].representatives.columns()]
             for vecs in (reps, reps + B.basis.columns()[:1]):
-                E = B.echelon.copy()
+                E = echelon_of_span(B)
                 rows = ExactMatrix.from_columns(
                     vecs, B.ambient_dim, B.field).transpose().rows_sparse()
                 assert (all([E.absorb(*r) is None for r in rows])
                         == _theorem5_oracle(B, vecs))
-            assert len(B.echelon.leads) == B.dim
+            assert len(echelon_of_span(B).leads) == B.dim
 
 
 def _mutated_representatives(small, k, reps, mutation):

@@ -19,6 +19,7 @@ from ncomplex.linalg import (
     QuotientSpace,
     Subspace,
     commutation,
+    echelon_of_span,
     echelon_span,
     image_basis,
     index_tuple,
@@ -743,15 +744,15 @@ def _as_row(v, n, f):
 def test_image_basis_echelon_matches_dense_oracle(case):
     """``image_basis`` keeps the pivot columns of the dense Gauss-Jordan
     oracle, and extending a copy of the echelon of the same absorb pass (the
-    one ``echelon_span`` keeps) by v keeps v exactly when v raises the
-    oracle's rank; the copy leaves the kept echelon as it was."""
+    ``echelon_of_span`` of ``echelon_span``) by v keeps v exactly when v
+    raises the oracle's rank; the copy leaves the echelon as it was."""
     f, M, v = case
     pivots, _ = dense_rref(_dense(M), f)
     S = image_basis(M)
     assert S.basis == M.take_columns(pivots)
-    kept = echelon_span(M).echelon
+    kept = echelon_of_span(echelon_span(M))
     before = copy.deepcopy(kept.leads)
-    E = kept.copy()
+    E = Echelon(kept.ops, kept.limit, kept.leads)
     Mv = M.hstack(ExactMatrix.from_columns([v], M.nrows, f))
     grows = dense_rank_oracle(_dense(Mv), f) > len(pivots)
     assert (E.absorb(*_as_row(v, M.nrows, f)) is None) == grows
@@ -768,7 +769,7 @@ def test_echelon_absorbs_left_to_right():
             ([0, 2], [1, -2]), ([], [])]
     assert [E.absorb(*r) for r in rows] == [None, ([], []), None, ([], []), ([], [])]
     assert E.leads == {0: ([0, 1], [1, 2]), 1: ([1, 2], [1, 1])}
-    F = E.copy()
+    F = Echelon(E.ops, E.limit, E.leads)
     assert F.absorb([2], [1]) is None and E.absorb([0, 1], [7, 14]) == ([], [])
     assert sorted(E.leads) == [0, 1] and sorted(F.leads) == [0, 1, 2]
     # a lead at or past ``limit`` is returned, primitive, and stores nothing
@@ -794,7 +795,7 @@ def test_sparser_row_takes_the_lead(field):
     pivots, rref = dense_rref(_dense(M), f)
     assert pivots == [0, 1, 3]
     assert S.basis == M.take_columns(pivots)
-    leads = echelon_span(M).echelon.leads
+    leads = echelon_of_span(echelon_span(M)).leads
     assert sorted(leads) == [0, 1, 3] and leads[0][0] == [0]
     # the displaced first column, reduced by the second, keeps lead 1
     assert leads[1][0] == [1, 2]

@@ -12,6 +12,7 @@ from ncomplex.linalg import (
     ExactMatrix,
     Subspace,
     _split_vector,
+    echelon_of_span,
     image_basis,
     kernel_basis,
     rank,
@@ -130,7 +131,7 @@ def chain_cases(draw):
 def test_image_chain_on_echelon_rows_matches_column_oracle(case):
     """Each link of the chain on echelon rows has the dimension and the span
     of the chain on kept columns (``oracle_image_chain``), and its basis
-    columns are exactly the rows its echelon keeps, in lead order (over Q
+    columns are exactly the rows of its ``echelon_of_span``, in lead order (over Q
     the primitive integer rows, with the split seeded over D = 1).  The
     nilpotency certificate raises the same error, and the homology built on
     the oracle's links has the same representatives, class maps and [i], [d]
@@ -147,9 +148,10 @@ def test_image_chain_on_echelon_rows_matches_column_oracle(case):
     chain = E.image_chain()
     assert len(chain) == len(oracle) == N
     for S, T in zip(chain, oracle):
-        assert S.dim == T.dim == len(S.echelon.leads)
+        leads = echelon_of_span(S).leads
+        assert S.dim == T.dim == len(leads)
         assert rank(T.basis.hstack(S.basis)) == S.dim
-        rows = [S.echelon.leads[c] for c in sorted(S.echelon.leads)]
+        rows = [leads[c] for c in sorted(leads)]
         cols = [dict(zip(rc, map(rat, rv) if f is QQ else rv)) for rc, rv in rows]
         assert S.basis == ExactMatrix.from_columns(cols, E.dim, f)
         if f is QQ:

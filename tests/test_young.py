@@ -15,6 +15,8 @@ from ncomplex.young import (
     SymmetrySpace,
     Symmetrizer,
     YoungDiagram,
+    _dual_pair,
+    _tableau_read,
     basis_field,
     differential,
     divergence,
@@ -30,6 +32,12 @@ from ncomplex.young import (
     weight_complex,
     weyl_dim,
     y_product,
+)
+from helpers import (
+    oracle_random_divergence_free,
+    oracle_riemann_dual,
+    oracle_tau,
+    random_poly,
 )
 
 
@@ -214,6 +222,20 @@ def test_divergence_free_generator():
     for (m, n), poly in T.items():
         assert T.get((n, m)) == poly
         assert all(sum(mono) == 2 for mono in poly)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_double_dual_matches_the_eps_loops(seed):
+    """``_dual_pair`` against the explicit eps loops it replaced: the random
+    T = dd(eps eps h), the dual tau of T read in tableau order, and the
+    dual R of a random (not symmetric) rho."""
+    T = random_divergence_free(random.Random(seed))
+    assert T == oracle_random_divergence_free(random.Random(seed))
+    assert _tableau_read(_dual_pair(T)) == oracle_tau(T)
+    rng = random.Random(seed)
+    rho = {(a, b): random_poly(rng, 3, rng.randint(0, 3))
+           for a in range(3) for b in range(3)}
+    assert _dual_pair(rho) == oracle_riemann_dual(rho)
 
 
 def test_potential_solve_roundtrip():
