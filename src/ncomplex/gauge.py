@@ -149,17 +149,14 @@ def theorem5_verify(G):
     B_(k)(Q) and those before it, i.e. rank [B | reps] < dim B + #reps."""
     ext = extend(G)
     N = G.N
-    total_dim = ext.Q.dim
-    rq = ext.Q.rank_profile()
     small = G.restricted_module()
-    rs = small.rank_profile()
+    dims_big, dims_small = ext.Q.homology_dims(), small.homology_dims()
     report = {"ok": True, "dims": {}, "N": N, "dim_H": G.dim,
               "dim_HI": G.HI.dim}
     Hs = homology(small)
     images = ext.Q.image_chain()
     for k in range(1, N):
-        big = (total_dim - rq[k]) - rq[N - k]
-        small_dim = (small.dim - rs[k]) - rs[N - k]
+        big, small_dim = dims_big[k], dims_small[k]
         report["dims"][k] = (big, small_dim)
         if big != small_dim:
             report["ok"] = False
@@ -440,7 +437,7 @@ def theorem6_verify(U, action, G, stability=True):
     coincide, so each window's cochains are built once per call."""
     N = G.N
     small = G.restricted_module()
-    rs = small.rank_profile()
+    dims_small = small.homology_dims()
     report = {"ok": True, "per_k": {}}
     Hs = homology(small)
     cochains = cache(lambda nm: GaugeCochains(U, action, G, nm))
@@ -448,7 +445,7 @@ def theorem6_verify(U, action, G, stability=True):
         nm = N + k
         C = cochains(nm)
         dim_f0, info = filtration_f0_dim(C, k)
-        want = (small.dim - rs[k]) - rs[N - k]
+        want = dims_small[k]
         entry = {"F0": dim_f0, "H_(k)(HI,A)": want, "window": nm,
                  "method": info["method"]}
         if dim_f0 != want:

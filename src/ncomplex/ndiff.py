@@ -32,7 +32,7 @@ class NDiffModule:
     cached for ``rank_profile`` and ``homology``, and d^N itself is never
     formed.  The kernels of ``homology`` come from the kernel chain, on
     echelon rows, so homology forms no power either; d^m is formed lazily,
-    only for ``ShortExactSequence.connect_lift`` and Lemma 3.
+    only for ``ShortExactSequence.connecting`` and Lemma 3.
 
     The powers d^k, the image and kernel chains and the homology (with its
     cached induced maps) are cached on the module, so a module must not be
@@ -95,6 +95,12 @@ class NDiffModule:
         """[rank d^0, ..., rank d^N] (first = dim, last = 0)."""
         return [self.dim] + [S.dim for S in self.image_chain()]
 
+    def homology_dims(self):
+        """{m: dim H_(m)} for m in 1..N-1 read off the rank profile:
+        dim ker d^m - rank d^(N-m) = (dim - rank d^m) - rank d^(N-m)."""
+        r = self.rank_profile()
+        return {m: (self.dim - r[m]) - r[self.N - m] for m in range(1, self.N)}
+
     def to_json(self):
         return {"N": self.N, "field": self.field.to_json(), "d": self.d.to_json()}
 
@@ -140,24 +146,38 @@ class HomologySlot:
         return ExactMatrix.from_columns(cols, target.dim_H, target.quotient.field)
 
 
-@dataclass
-class GeneralizedHomology:
-    """Per m in {1..N-1}: Z, B and H data with fixed representative bases.
+class WindowError(ValueError):
+    """A graded computation would need degrees outside the stored window."""
 
-    ``arrows`` caches the Lemma-1 maps in the representative bases, each
-    built on first use: [i]^k: H_(m) -> H_(m+k) under ("i", m, k) and
+
+@dataclass
+class Homology:
+    """The homology slots of a module or a graded complex, with fixed
+    representative bases: H_(m) under m in {1..N-1} (``homology``), or
+    H^n_(m) under (n, m) wherever the window determines it
+    (``graded.graded_homology``).  An absent slot raises WindowError.  It
+    keeps no reference to its module or complex, which memoizes it.
+
+    ``arrows`` caches a module's Lemma-1 maps in the representative bases,
+    each built on first use: [i]^k: H_(m) -> H_(m+k) under ("i", m, k) and
     [d]^k: H_(m+k) -> H_(m) under ("d", m, k).  They stay valid only as
     long as the module is not mutated."""
 
-    module: NDiffModule
     slots: dict
     arrows: dict = dataclass_field(default_factory=dict, repr=False)
 
-    def __getitem__(self, m):
-        return self.slots[m]
+    def valid(self, *key):
+        """Whether the slot under m, or under n, m, is determined."""
+        return (key if len(key) > 1 else key[0]) in self.slots
+
+    def __getitem__(self, key):
+        if key not in self.slots:
+            name = "H^{}_({})".format(*key) if isinstance(key, tuple) else f"H_({key})"
+            raise WindowError(f"{name} is indeterminate under the stored window")
+        return self.slots[key]
 
     def dims(self):
-        return {m: s.dim_H for m, s in self.slots.items()}
+        return {key: s.dim_H for key, s in self.slots.items()}
 
 
 def homology(E):
@@ -165,15 +185,14 @@ def homology(E):
     is link m of the kernel chain and B_(m) link N-m of the image chain, so
     no power of d is formed.  A zero last image-chain link (d^N = 0) lets
     the slots build quotients lazily."""
-    if E._homology is not None:
-        return E._homology
-    images, kernels = E.image_chain(), E.kernel_chain()
-    slots = {
-        m: HomologySlot(kernels[m - 1], images[E.N - m - 1],
-                        certified=images[-1].dim == 0)
-        for m in range(1, E.N)
-    }
-    E._homology = GeneralizedHomology(E, slots)
+    if E._homology is None:
+        images, kernels = E.image_chain(), E.kernel_chain()
+        certified = images[-1].dim == 0
+        E._homology = Homology({
+            m: HomologySlot(kernels[m - 1], images[E.N - m - 1],
+                            certified=certified)
+            for m in range(1, E.N)
+        })
     return E._homology
 
 
@@ -206,8 +225,7 @@ def proposition4_check(E):
     mult = multiplicities(E)
     if mult.total_dim() != E.dim:
         raise AssertionError("Jordan multiplicities do not add up to dim E")
-    r = E.rank_profile()
-    dims_direct = {m: (E.dim - r[m]) - r[N - m] for m in range(1, N)}
+    dims_direct = E.homology_dims()
     report = {"ok": True, "N": N, "dim": E.dim, "multiplicities": mult.counts,
               "dims": dims_direct, "formula": {}}
     for k in range(1, N // 2 + 1):
@@ -467,38 +485,58 @@ class ShortExactSequence:
             self._homology_maps[k] = (
                 HE[k].map_to(HF[k], self.phi.apply),
                 HF[k].map_to(HG[k], self.psi.apply),
-                HG[k].map_to(HE[self.E.N - k],
-                             lambda z: self.connect_vector(z, k)),
+                HG[k].map_to(HE[self.E.N - k], self.connecting(k)),
             )
         return self._homology_maps[k]
 
+    def connecting(self, m):
+        """partial: Z_(m)(G) -> Z_(N-m)(E) as a ``ConnectingChain``."""
+        return ConnectingChain(self.psi_solver, self.F.power(m),
+                               self.phi_solver, self.E.power(self.E.N - m))
+
+    def connect_lift(self, y, Dy, m):
+        """partial from a lift y / Dy (numerators over Dy) of a cycle in
+        Z_(m)(G); returns the representative x in E-coordinates."""
+        return self.connecting(m).from_lift(y, Dy)
+
+
+@dataclass(frozen=True)
+class ConnectingChain:
+    """The connecting map of 0 -> E -phi-> F -psi-> G -> 0 on one cycle z of
+    G: lift z through psi, apply d^m on F, pull the result back through
+    phi and check that it is a d^(N-m)-cycle of E.  It serves Proposition 3
+    (``ShortExactSequence.connecting``) and the graded long exact sequences
+    (``graded.graded_connecting``, on the maps of the degrees involved).
+    It runs on integer numerators and builds scalars only for the
+    representative it returns, in E-coordinates."""
+
+    psi: EchelonSolver
+    dm: ExactMatrix  # d^m on F, out of the lift's degree
+    phi: EchelonSolver
+    dk: ExactMatrix  # d^(N-m) on E, out of the result's degree
+
     def lift(self, z):
         """A psi-preimage of z as ``(numerators, D)`` (``Field.split``)."""
-        sol = self.psi_solver.solve_split(*_split_vector(z, self.F.field))
+        sol = self.psi.solve_split(*_split_vector(z, self.dm.field))
         if sol is None:
             raise AssertionError("psi must be surjective")
         return sol
 
-    def connect_vector(self, z, m):
-        """partial applied to one cycle z in Z_(m)(G): lift, apply d^m, pull
-        back through phi; returns the representative x in E-coordinates."""
-        return self.connect_lift(*self.lift(z), m)
-
-    def connect_lift(self, y, Dy, m):
-        """partial from a lift y / Dy (numerators over Dy) of a cycle in
-        Z_(m)(G): apply d^m, pull back through phi; returns the
-        representative x in E-coordinates.
-
-        The chain runs on integer numerators and builds scalars only for x."""
-        f = self.F.field
-        sol = self.phi_solver.solve_split(*self.F.power(m).apply_split(y, Dy))
+    def from_lift(self, y, Dy):
+        """The image of a cycle from its lift y / Dy: apply d^m, pull back
+        through phi, check the cycle."""
+        f = self.dm.field
+        sol = self.phi.solve_split(*self.dm.apply_split(y, Dy))
         if sol is None:
             raise AssertionError("d^m of the lift left the image of phi")
         x, Dx = sol
-        cycle, _ = self.E.power(self.E.N - m).apply_split(x, Dx)
+        cycle, _ = self.dk.apply_split(x, Dx)
         if not all(map(f.is_zero, cycle.values())):
             raise AssertionError("connecting image is not a (N-m)-cycle")
         return {j: f.join(n, Dx) for j, n in x.items()}
+
+    def __call__(self, z):
+        return self.from_lift(*self.lift(z))
 
 
 def connecting_well_defined(ses, m, rng=None, trials=None):

@@ -456,11 +456,13 @@ def to_zgraded(C, lo, hi):
     )
 
 
-def random_graded_ses(field, N, rng, min_len=1):
+def random_graded_ses(field, N, rng, min_len=1, cyclic=False):
     """SES from a random stable graded subcomplex (span of d-orbits)."""
+    wrap = (lambda n: n % N) if cyclic else (lambda n: n)
     while True:
         F = random_graded_complex(
-            field, N, rng, 0, 5, strings=rng.randint(4, 7), min_len=min_len
+            field, N, rng, 0, 5, strings=rng.randint(4, 7), cyclic=cyclic,
+            min_len=min_len,
         )
         # random orbit vectors
         cols = {n: [] for n in F.degrees()}
@@ -473,7 +475,7 @@ def random_graded_ses(field, N, rng, min_len=1):
             }
             v = {i: c for i, c in v.items() if not field.is_zero(c)}
             for k in range(N):
-                deg = n + k
+                deg = wrap(n + k)
                 if deg not in F.dims:
                     break
                 if v:
@@ -495,18 +497,39 @@ def random_graded_ses(field, N, rng, min_len=1):
             psi[n], sections[n] = quotient_maps(subs[n])
         mapsE, mapsG = {}, {}
         for n in F.degrees():
-            if n + 1 not in F.dims:
+            if wrap(n + 1) not in F.dims:
                 continue
             M = F.map(n)
-            mapsE[n] = restrict(M, subs[n], subs[n + 1])
+            mapsE[n] = restrict(M, subs[n], subs[wrap(n + 1)])
             if mapsE[n] is None:
                 raise AssertionError("orbit space must be stable")
-            mapsG[n] = psi[n + 1] @ M @ sections[n]
-        E = GradedNComplex(N, field, dimsE, mapsE)
+            mapsG[n] = psi[wrap(n + 1)] @ M @ sections[n]
+        E = GradedNComplex(N, field, dimsE, mapsE, cyclic=cyclic)
         dimsG = {n: p.nrows for n, p in psi.items()}
-        G = GradedNComplex(N, field, dimsG, mapsG)
+        G = GradedNComplex(N, field, dimsG, mapsG, cyclic=cyclic)
         phi = {n: S.basis for n, S in subs.items()}
         return GradedSES(E, F, G, phi, psi)
+
+
+def oracle_graded_connecting(ses, HGs, HEs, j, m):
+    """``graded.graded_connecting`` as scalar ``EchelonSolver.solve`` calls:
+    lift through psi at degree j, apply d^m, solve through phi at j + m."""
+    N = ses.F.N
+    tgt_deg = (j + m) % N if ses.F.cyclic else j + m
+    psi_sol = EchelonSolver(ses.psi[j])
+    phi_sol = EchelonSolver(ses.phi[tgt_deg])
+    dFm = ses.F.composite(j, m)
+
+    def lift(z):
+        y = psi_sol.solve(z)
+        if y is None:
+            raise AssertionError("psi must be surjective")
+        x = phi_sol.solve(dFm.apply(y))
+        if x is None:
+            raise AssertionError("lift image left im(phi)")
+        return x
+
+    return HGs[(j, m)].map_to(HEs[(tgt_deg, N - m)], lift)
 
 
 # -- gauge instances -----------------------------------------------------------

@@ -10,6 +10,7 @@ from ncomplex.graded import (
     GradedSES,
     WindowError,
     check_graded_q_leibniz,
+    graded_connecting,
     graded_homology,
     kunneth_check,
     les_check,
@@ -19,7 +20,13 @@ from ncomplex.graded import (
 )
 from ncomplex.linalg import ExactMatrix, rank
 from ncomplex.ndiff import HomologySlot, homology, homotopy_criterion_lemma4
-from helpers import from_int_rows, random_graded_ses, tensor_pos, to_zgraded
+from helpers import (
+    from_int_rows,
+    oracle_graded_connecting,
+    random_graded_ses,
+    tensor_pos,
+    to_zgraded,
+)
 
 
 def two_term_complex(field, mat):
@@ -55,6 +62,19 @@ def test_validity_window_truncated():
     assert not H.valid(2, 2) and H.valid(0, 2)
     with pytest.raises(WindowError):
         H[(2, 1)]
+
+
+@pytest.mark.parametrize("cyclic", [False, True], ids=["bounded", "cyclic"])
+def test_graded_homology_refuses_degrees_outside_1_to_N_minus_1(cyclic):
+    """Each m outside 1..N-1 is refused: m = 0 and m = N would give vacuous
+    zero slots, and m > N would ask ``composite`` for a negative power."""
+    C = random_graded_complex(QQ, 3, random.Random(1), cyclic=cyclic)
+    for m in (0, 3, 4, -1):
+        with pytest.raises(ValueError, match="need 1 <= m <= N-1"):
+            graded_homology(C, ms=[m])
+    with pytest.raises(ValueError, match="need k >= 0"):
+        C.composite(0, -1)
+    assert graded_homology(C, ms=[1, 2]).dims() == graded_homology(C).dims()
 
 
 def test_total_module_consistency():
@@ -278,11 +298,53 @@ def test_q_tensor_entrywise_matches_classical():
         assert T.maps[n] == want
 
 
+@pytest.mark.parametrize("field", [QQ, make_cyclotomic(3)], ids=["Q", "Q(zeta_3)"])
+@pytest.mark.parametrize("cyclic", [False, True], ids=["bounded", "cyclic"])
+def test_graded_connecting_matches_the_scalar_chain(field, cyclic):
+    """The numerator chain gives the matrices of the scalar-solve chain at
+    every (j, m), and the long sequences are exact."""
+    rng = random.Random(61)
+    N = 3
+    nonzero = 0
+    for _ in range(4):
+        ses = random_graded_ses(field, N, rng, cyclic=cyclic)
+        HE, HG = graded_homology(ses.E), graded_homology(ses.G)
+        for j, m in HG.slots:
+            tgt = (j + m) % N if cyclic else j + m
+            if (tgt, N - m) not in HE.slots:
+                continue
+            got = graded_connecting(ses, HG.slots, HE.slots, j, m)
+            assert got == oracle_graded_connecting(ses, HG.slots, HE.slots, j, m)
+            nonzero += not got.is_zero()
+        assert all(les_check(ses, n, 0)["ok"] for n in range(1, N))
+    assert nonzero
+
+
+def test_les_check_reads_only_present_maps(monkeypatch):
+    """A degree where E, F and G vanish may carry no phi and psi: the
+    sequence still passes, and only an arrow that would push a
+    representative through an absent map is left out.  A KeyError raised
+    while an arrow is built is a fault and propagates."""
+    ses = random_graded_ses(QQ, 3, random.Random(6))
+    assert ses.E.dims[1] == ses.F.dims[1] == ses.G.dims[1] == 0
+    bare = GradedSES(ses.E, ses.F, ses.G,
+                     {n: M for n, M in ses.phi.items() if n != 1},
+                     {n: M for n, M in ses.psi.items() if n != 1})
+    got = [les_check(bare, n, p) for n in (1, 2) for p in range(3)]
+    assert all(r["ok"] for r in got)
+    assert [r["checked"] for r in got] == [6, 8, 10, 10, 6, 8]
+
+    def broken(self, target, image):
+        raise KeyError("fault inside the arrow build")
+
+    monkeypatch.setattr(HomologySlot, "map_to", broken)
+    with pytest.raises(KeyError, match="fault inside"):
+        les_check(random_graded_ses(QQ, 3, random.Random(7)), 1, 0)
+
+
 def test_les_cone_connecting_isomorphisms():
     # F acyclic (all strings of full length N): the long sequences force the
     # connecting maps to be isomorphisms in every period
-    from ncomplex.graded import GradedSES, graded_connecting
-
     rng = random.Random(29)
     N = 3
     checked_iso = 0
@@ -360,12 +422,12 @@ def test_les_check_reuses_graded_homology(monkeypatch):
             C._homology = None
     built = []
 
-    class Counting(graded.GradedHomology):
-        def __init__(self):
+    class Counting(graded.Homology):
+        def __init__(self, slots):
             built.append(1)
-            super().__init__()
+            super().__init__(slots)
 
-    monkeypatch.setattr(graded, "GradedHomology", Counting)
+    monkeypatch.setattr(graded, "Homology", Counting)
     got = [les_check(*call) for call in calls]
     assert len(calls) == 36 and len(built) == 18
     assert got == want
@@ -417,6 +479,19 @@ def test_unchecked_graded_complex_builds_eagerly(cyclic):
                            check=False)
     with pytest.raises(ValueError, match="B is not contained in Z"):
         graded_homology(C)
+
+
+def test_only_a_checked_complex_defers_its_quotients():
+    """A checked complex builds a slot's quotient on its first read and no
+    other; an unchecked nilpotent complex (the pullback ``to_zgraded``)
+    carries no certificate and builds every quotient with its slot."""
+    C = random_graded_complex(QQ, 3, random.Random(47), cyclic=True)
+    H = graded_homology(C)
+    first = next(iter(H.slots))
+    assert H[first].representatives is not None
+    assert [nm for nm, s in H.slots.items() if "quotient" in vars(s)] == [first]
+    Z = graded_homology(to_zgraded(C, 0, 8))
+    assert Z.slots and all("quotient" in vars(s) for s in Z.slots.values())
 
 
 def test_extend_builds_the_read_quotient_only(monkeypatch):
