@@ -1,8 +1,11 @@
 """The ncx command line: reproducible verification runs over JSON inputs.
 
-Exit codes: 0 = all assertions passed, 1 = a verified mathematical failure
-(the first failing instance is written as the witness next to the report; no
-command replays it yet), 2 = usage or input errors (malformed JSON, window
+Each handler loads its input, calls the verdict it shares with its
+acceptance criterion and returns (report, witness); ``main`` alone turns the
+report into an exit code.  Exit codes: 0 = all assertions passed, 1 = a
+verified mathematical failure (the report says ``"ok": false``, and the
+failing instance is written as the witness next to the report; no command
+replays it yet), 2 = usage or input errors (malformed JSON, window
 violations, a malformed NCX_THREADS), 3 = internal error (a broken invariant
 of ncomplex itself, raised as ``AssertionError``)."""
 
@@ -10,21 +13,19 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 
-from . import acceptance
-from .fields import QQ, check_keys, make_cyclotomic
+from . import acceptance, brs, ndiff
+from .acceptance import UsageError
+from .cosimplicial import AlgebraData, BimoduleData, hochschild, ordinary_cohomology_dims
+from .fields import QQ, check_keys
+from .gauge import GaugeInstance, two_particle_study
 from .graded import WindowError
 from .linalg import _int_key, _is_index
+from .young import potential_solve, random_divergence_free
 
 SCHEMA_VERSION = 1
-
-
-class MathFailure(Exception):
-    def __init__(self, report, witness=None):
-        super().__init__("verified mathematical failure")
-        self.report = report
-        self.witness = witness or {}
 
 
 def _load_json(path):
@@ -33,10 +34,6 @@ def _load_json(path):
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read JSON from {path}: {exc}")
-
-
-class UsageError(Exception):
-    pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -139,176 +136,96 @@ def _write_witness(command, witness):
     return path
 
 
-# -- subcommand handlers ---------------------------------------------------------
+# -- subcommand handlers: each returns (report, witness) --------------------------
 
 
 def cmd_homology(args):
-    from .ndiff import NDiffModule, homology
-
-    E = NDiffModule.from_json(_load_json(args.module))
-    H = homology(E)
+    E = ndiff.NDiffModule.from_json(_load_json(args.module))
+    H = ndiff.homology(E)
     table = [[m, s.dim_Z, s.dim_B, s.dim_H] for m, s in sorted(H.slots.items())]
     return {
-        "command": "homology", "N": E.N, "dim": E.dim,
+        "N": E.N, "dim": E.dim,
         "table_header": ["m", "dim_Z", "dim_B", "dim_H"],
         "table": table,
         "dims": {str(m): s.dim_H for m, s in H.slots.items()},
-    }
+    }, None
 
 
 def cmd_multiplicities(args):
-    from .ndiff import NDiffModule, multiplicities, proposition4_check
-
-    E = NDiffModule.from_json(_load_json(args.module))
-    rep = proposition4_check(E)
-    out = {
-        "command": "multiplicities", "ok": rep["ok"],
-        "multiplicities": {str(k): v for k, v in rep["multiplicities"].items()},
-        "dims": {str(k): v for k, v in rep["dims"].items()},
-    }
-    if not rep["ok"]:
-        raise MathFailure(out, witness=E.to_json())
-    return out
+    E = ndiff.NDiffModule.from_json(_load_json(args.module))
+    return acceptance.prop4_verdict(E), E.to_json()
 
 
 def cmd_hexagon(args):
-    from .ndiff import NDiffModule, all_hexagons_check, hexagon_check
-
     if (args.ell is None) != (args.m is None):
         given, missing = ("--ell", "--m") if args.m is None else ("--m", "--ell")
         raise UsageError(f"{given} needs {missing}; pass both, or neither for every hexagon")
-    E = NDiffModule.from_json(_load_json(args.module))
+    E = ndiff.NDiffModule.from_json(_load_json(args.module))
     if args.ell is not None and args.ell + args.m > E.N - 1:
         raise UsageError(f"--ell + --m must be at most N - 1 = {E.N - 1}, "
                          f"got {args.ell + args.m}")
     if args.ell is not None:
-        rep = hexagon_check(E, args.ell, args.m)
-        out = {"command": "hexagon", **rep}
-    else:
-        rep = all_hexagons_check(E)
-        out = {"command": "hexagon", "ok": rep["ok"],
-               "checked": len(rep["hexagons"])}
-    if not rep["ok"]:
-        raise MathFailure(out, witness=E.to_json())
-    return out
+        return ndiff.hexagon_check(E, args.ell, args.m), E.to_json()
+    return acceptance.hexagon_verdict(E), E.to_json()
 
 
 def cmd_ses(args):
-    from .ndiff import ShortExactSequence, connecting_well_defined, ses_hexagon_check
-
     obj = _load_json(args.ses)
-    ses = ShortExactSequence.from_json(obj)
+    ses = ndiff.ShortExactSequence.from_json(obj)
     try:
         ses.validate()
     except ValueError as exc:
         raise UsageError(f"input is not a short exact sequence: {exc}")
-    rep = ses_hexagon_check(ses)
-    well = all(connecting_well_defined(ses, m) for m in range(1, ses.E.N))
-    out = {"command": "ses", "hexagons_ok": rep["ok"], "well_defined": well,
-           "ok": rep["ok"] and well}
-    if not out["ok"]:
-        raise MathFailure(out, witness=obj)
-    return out
+    return acceptance.ses_verdict(ses), obj
 
 
 def cmd_cosimplicial(args):
-    from .cosimplicial import (
-        AlgebraData, BimoduleData, hochschild, ordinary_cohomology_dims,
-    )
-
     A = AlgebraData.from_json(_load_json(args.algebra))
     E = hochschild(A, BimoduleData.regular(A), args.n_max)
     dims = ordinary_cohomology_dims(E, args.n_max - 1)
     return {
-        "command": "cosimplicial", "levels": E.dims,
+        "levels": E.dims,
         "hochschild_cohomology": {str(k): v for k, v in dims.items()},
         "relations": "validated",
-    }
+    }, None
 
 
 def cmd_theorem2(args):
-    from .cosimplicial import AlgebraData, BimoduleData, hochschild, theorem2_verify
-
     if args.window < args.N:  # one full period
         raise UsageError(f"--window must be at least --N = {args.N}, got {args.window}")
-    A = AlgebraData.from_json(_load_json(args.algebra))
-    f = A.field
-    if f.kind != "cyclotomic" or f.M % args.N:
-        raise UsageError("field must contain a primitive N-th root of unity")
-    q = f.pow(f.zeta(), f.M // args.N)
-    E = hochschild(A, BimoduleData.regular(A), args.window)
-    rep = theorem2_verify(E, q, args.N, args.window)
-    out = {"command": "theorem2", "ok": rep.ok,
-           "compared": rep.details["compared"],
-           "ordinary": {str(k): v for k, v in rep.details["ordinary"].items()}}
-    if not rep.ok:
-        raise MathFailure(out, witness={"mismatches": rep.details["mismatches"]})
-    return out
+    obj = _load_json(args.algebra)
+    ok, details = acceptance.theorem2_verdict(
+        AlgebraData.from_json(obj), args.N, args.window)
+    return ({"ok": ok, "compared": details["compared"], "ordinary": details["ordinary"]},
+            {"algebra": obj, "N": args.N, "window": args.window,
+             "mismatches": details["mismatches"]})
 
 
 def cmd_prop7(args):
-    from .cosimplicial import AlgebraData, prop7_verify
-
-    A = AlgebraData.from_json(_load_json(args.algebra))
-    f = A.field
-    if f.kind != "cyclotomic" or f.M % args.N:
-        raise UsageError("field must contain a primitive N-th root of unity")
-    q = f.pow(f.zeta(), f.M // args.N)
-    rep = prop7_verify(A, q, args.N, args.window)
-    out = {"command": "prop7", "ok": rep.ok, "details": rep.details}
-    if not rep.ok:
-        raise MathFailure(out)
-    return out
+    obj = _load_json(args.algebra)
+    rep = acceptance.prop7_verdict(AlgebraData.from_json(obj), args.N, args.window)
+    return ({"ok": rep.ok, "details": rep.details},
+            {"algebra": obj, "N": args.N, "window": args.window})
 
 
 def cmd_poincare(args):
-    from .young import poincare_verify
-
     if args.k > args.N - 1:
         raise UsageError(f"--k must be at most N-1 = {args.N - 1}, got {args.k}")
-    rep = poincare_verify(args.N, args.D, args.k, args.wmax)
-    table = [
-        [key.split(",")[0][2:], key.split(",")[1][2:], dim]
-        for key, dim in sorted(rep["dims"].items())
-    ]
-    out = {
-        "command": "poincare", "ok": rep["ok"], "N": args.N, "D": args.D,
-        "k": args.k, "w_max": args.wmax,
-        "h0_total": rep["h0_total"],
-        "h0_expected": rep["h0_expected_total"],
-        "nonzero_offgrid": rep["nonzero_offgrid"],
-        "table_header": ["w", "p", "dim_H"],
-        "table": table,
-    }
-    if not rep["ok"]:
-        raise MathFailure(out)
-    return out
+    return (acceptance.poincare_verdict(args.N, args.D, args.k, args.wmax),
+            {"N": args.N, "D": args.D, "k": args.k, "wmax": args.wmax})
 
 
 def cmd_spin_seq(args):
-    from .young import spin2_middle_proportional, spin_sequence_check
-
     # exactness is checked at degrees S and 2S, which a weight w reaches only
     # if w >= 2S; for S = 2 the same bound keeps d^2's comparison with the
     # curvature operator from Omega^2 to Omega^4 nonempty
     if args.wmax < 2 * args.S:
         raise UsageError(f"--wmax must be at least 2S = {2 * args.S}, got {args.wmax}")
-    rep = spin_sequence_check(args.S, args.D, args.wmax)
-    out = {"command": "spin-seq", "ok": rep["ok"], "S": args.S, "D": args.D}
-    if args.S == 2:
-        prop = spin2_middle_proportional(args.D, args.wmax)
-        out["d2_proportional"] = prop
-        out["ok"] = out["ok"] and prop["ok"]
-    if not out["ok"]:
-        raise MathFailure(out)
-    return out
+    return (acceptance.spin_sequence_verdict(args.S, args.D, args.wmax),
+            {"S": args.S, "D": args.D, "wmax": args.wmax})
 
 
 def cmd_potential(args):
-    import random
-
-    from .young import potential_solve, random_divergence_free
-
     if args.tensor:
         obj = _load_json(args.tensor)
         if not (isinstance(obj, dict) and isinstance(obj.get("T"), dict)
@@ -336,42 +253,29 @@ def cmd_potential(args):
         }
         for key, poly in out_data["R"].items()
     }
-    return {"command": "potential", "ok": True,
-            "constant": out_data["constant"], "R": R_json}
+    return {"ok": True, "constant": out_data["constant"], "R": R_json}, None
 
 
 def cmd_brs(args):
-    from .brs import (
-        PolyConstraintSystem, abelian_system, quadratic_toy_system,
-        theorem4_verify, twisted_nonabelian_system,
-    )
-
     if args.example and args.system:
         raise UsageError(f"{args.system} and --example {args.example} conflict: pass one")
     if args.example:
         system = {
-            "abelian": abelian_system,
-            "nonabelian": twisted_nonabelian_system,
-            "quadratic": quadratic_toy_system,
+            "abelian": brs.abelian_system,
+            "nonabelian": brs.twisted_nonabelian_system,
+            "quadratic": brs.quadratic_toy_system,
         }[args.example]()
     else:
         if not args.system:
             raise UsageError("pass a system JSON or --example")
-        system = PolyConstraintSystem.from_json(_load_json(args.system))
+        system = brs.PolyConstraintSystem.from_json(_load_json(args.system))
     try:
-        rep = theorem4_verify(system, deg_max=args.deg_max)
+        return brs.theorem4_verify(system, deg_max=args.deg_max), system.to_json()
     except WindowError as exc:
         raise UsageError(f"window too small: {exc}")
-    out = {"command": "brs", "ok": rep["ok"], "details": rep["details"],
-           "tower_orders": rep["tower_orders"]}
-    if not rep["ok"]:
-        raise MathFailure(out, witness=system.to_json())
-    return out
 
 
 def cmd_gauge_ext(args):
-    from .gauge import GaugeInstance, theorem5_verify
-
     if args.instance == "verify":
         # documented alias: `ncx gauge-ext verify --suite random ...`
         args.instance = None
@@ -383,39 +287,24 @@ def cmd_gauge_ext(args):
         failures = acceptance.pooled_witnesses(
             acceptance._theorem5_worker, "gauge", args.seed, args.trials,
             args.hmax)
-        out = {"command": "gauge-ext", "suite": "random",
-               "trials": args.trials, "failures": len(failures), "ok": not failures}
-        if failures:
-            raise MathFailure(out, witness=failures[0])
-        return out
+        return ({"suite": "random", "trials": args.trials,
+                 "failures": len(failures), "ok": not failures},
+                failures[0] if failures else None)
     if not args.instance:
         raise UsageError("pass an instance JSON or --suite random")
     G = GaugeInstance.from_json(_load_json(args.instance))
-    rep = theorem5_verify(G)
-    out = {"command": "gauge-ext", "ok": rep["ok"],
-           "dims": {str(k): list(v) for k, v in rep["dims"].items()}}
-    if not rep["ok"]:
-        raise MathFailure(out, witness=G.to_json())
-    return out
+    return acceptance.theorem5_verdict(G), G.to_json()
 
 
 def cmd_spin_example(args):
-    from .gauge import spin_complex_report, two_particle_study
-
-    f4 = make_cyclotomic(4)
-    rep = spin_complex_report(args.spin, args.p, f4.zeta(), f4)
-    ok = rep["hermitian"] and rep["H_dims"].get(0) == 2
-    out = {"command": "spin-example", "spin": args.spin, "ok": ok, **{
-        k: v for k, v in rep.items()
-    }}
-    out["H_dims"] = {str(k): v for k, v in rep["H_dims"].items()}
+    ok, rep = acceptance.spin_complex_verdict(args.spin, args.p)
+    out = {"spin": args.spin, "ok": ok, **rep,
+           "H_dims": {str(k): v for k, v in rep["H_dims"].items()}}
     if args.two_particle:
         two = two_particle_study(args.p, args.two_particle)
         out["two_particle"] = two
         out["ok"] = out["ok"] and two["ok"]
-    if not out["ok"]:
-        raise MathFailure(out)
-    return out
+    return out, {"spin": args.spin, "p": args.p, "two_particle": args.two_particle}
 
 
 def cmd_selftest(args):
@@ -423,13 +312,10 @@ def cmd_selftest(args):
     if args.format == "text":
         for rep in reports:
             print(rep.line())
-    ok = all(r.ok for r in reports)
-    out = {"command": "selftest", "ok": ok, "seed": args.seed,
-           "criteria": [r.to_json() for r in reports]}
-    if not ok:
-        first_bad = next(r for r in reports if not r.ok)
-        raise MathFailure(out, witness=first_bad.witness)
-    return out
+    bad = [r.witness for r in reports if not r.ok]
+    return ({"ok": not bad, "seed": args.seed,
+             "criteria": [r.to_json() for r in reports]},
+            bad[0] if bad else None)
 
 
 def build_parser():
@@ -534,7 +420,7 @@ def main(argv=None):
               f"poincare); {args.command} has none", file=sys.stderr)
         return 2
     try:
-        report = args.fn(args)
+        report, witness = args.fn(args)
     except UsageError as exc:
         print(f"ncx: {exc}", file=sys.stderr)
         return 2
@@ -544,16 +430,16 @@ def main(argv=None):
     except ValueError as exc:
         print(f"ncx: invalid input: {exc}", file=sys.stderr)
         return 2
-    except MathFailure as exc:
-        emit(exc.report, args.format)
-        path = _write_witness(args.command, exc.witness)
-        print(f"ncx: FAILED; witness written to {path}", file=sys.stderr)
-        return 1
     except AssertionError as exc:
         print(f"ncx: internal error: {exc}", file=sys.stderr)
         return 3
+    report = {"command": args.command, **report}
     emit(report, args.format)
-    return 0
+    if report.get("ok", True):
+        return 0
+    path = _write_witness(args.command, witness)
+    print(f"ncx: FAILED; witness written to {path}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

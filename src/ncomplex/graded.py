@@ -483,7 +483,8 @@ class GradedSES:
     def validate(self):
         if self._valid:
             return True
-        for n in self.F.degrees():
+        # every degree of E, F or G: one that F lacks must be empty in E and G
+        for n in sorted(self.E.dims.keys() | self.F.dims.keys() | self.G.dims.keys()):
             phi, psi = self.phi.get(n), self.psi.get(n)
             dE = self.E.dims.get(n, 0)
             dF = self.F.dims.get(n, 0)
@@ -491,6 +492,8 @@ class GradedSES:
             if phi is None or psi is None:
                 if dE or dG:
                     raise ValueError(f"missing maps at degree {n}")
+                if dF:
+                    raise ValueError(f"not exact at degree {n}")
                 continue
             if rank(phi) != dE:
                 raise ValueError(f"phi not injective at degree {n}")

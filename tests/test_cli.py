@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import ncomplex
-from ncomplex import acceptance, brs, cli, gauge, ndiff
+from ncomplex import acceptance, brs, cli, cosimplicial, gauge, ndiff, young
 from ncomplex.cosimplicial import (
     AlgebraData,
     dual_numbers,
@@ -140,7 +140,7 @@ def test_csv_without_table_exits_2(argv, monkeypatch, tmp_path, capsys):
 
     def handler(args):
         ran.append(args.command)
-        raise cli.MathFailure({"ok": False})
+        return {"ok": False}, {}
 
     monkeypatch.setattr(cli, "cmd_" + argv[0].replace("-", "_"), handler)
     assert cli.main(argv + ["--format", "csv"]) == 2
@@ -577,7 +577,7 @@ def test_gauge_ext_random_suite_survives_all_zero_seeds(capsys):
 def test_gauge_ext_random_failure_writes_first_instance(monkeypatch, tmp_path,
                                                         capsys):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(gauge, "theorem5_verify", lambda G: {"ok": False})
+    monkeypatch.setattr(gauge, "theorem5_verify", lambda G: {"ok": False, "dims": {}})
     assert cli.main(["gauge-ext", "--suite", "random", "--trials", "2",
                      "--format", "json"]) == 1
     assert json.loads(capsys.readouterr().out)["failures"] == 2
@@ -599,8 +599,7 @@ def test_math_failure_exit_code(monkeypatch, tmp_path, capsys):
     monkeypatch.chdir(tmp_path)
 
     def boom(args):
-        raise cli.MathFailure({"command": "homology", "ok": False},
-                              witness={"bad": 1})
+        return {"command": "homology", "ok": False}, {"bad": 1}
 
     monkeypatch.setattr(cli, "cmd_homology", boom)
     mod = tmp_path / "m.json"
@@ -740,3 +739,133 @@ def test_matrix_field_mismatch_exits_2(monkeypatch, tmp_path, capsys, argv, make
     err = capsys.readouterr().err
     assert err.startswith("ncx: invalid input:") and named in err
     assert not list(tmp_path.glob("ncx-failure-*.json"))
+
+
+# -- every command: its report pinned, its exit 1 with the failing instance --
+
+
+# sha256 of the stdout of each command on the inputs that
+# ``_write_command_inputs`` writes, with ``--format json`` unless the id ends
+# in ``csv``; recorded before every handler returned (report, witness) to
+# one exit-code path in ``cli.main``.
+GOLDEN_COMMANDS = {
+    "homology": (["homology", "mod.json"],
+                 "8c0ba390d2063fc069c413f8c1b4763b7e093d1e9caebce17b5c2482f6ea64a7"),
+    "homology-csv": (["homology", "mod.json"],
+                     "2595d0760d43dafcfebca16d67e8db56db0ecef812ea7b7cea7603e945216584"),
+    "multiplicities": (["multiplicities", "mod.json"],
+                       "c32dc7b0655e3208503162c884cd99bbe6c25594179e555f782b61d7af5a682c"),
+    "hexagon": (["hexagon", "mod.json"],
+                "ab435348b39f174260ba2c0e256ab571e3d4a5f42ce1c859986cc89d77341ecc"),
+    "hexagon-ell-1-m-1": (["hexagon", "mod.json", "--ell", "1", "--m", "1"],
+                          "560077f41c6d1e65c1f5b7186111c54734e7bb33d18e355d9eeb48a4ca1b5c73"),
+    "ses": (["ses", "ses.json"],
+            "5c71470a34bd2f90a29f90455c55cf7976791a451e5fd1947605cd7e1825c4e8"),
+    "cosimplicial": (["cosimplicial", "alg.json"],
+                     "18cce49401bbf32658bb604988ae86ab8aa5987ddad604eb57e03b6dba361b27"),
+    "theorem2": (["theorem2", "alg.json"],
+                 "fdf9d7fb13cef11029dee66d3f46612ba53a89395d4aab896ff327c2ee6bea52"),
+    "prop7": (["prop7", "alg.json"],
+              "6f37299dfd5daf5cd086ac6ff3d316f24b7055d29e79a67225da46a3834ed7ed"),
+    "poincare": (["poincare", "--N", "3", "--D", "2", "--k", "1", "--wmax", "3"],
+                 "2d99b3bd54d28bbf1efe57dd6870463454d39cb8cfa801b7714da3bcf460cecb"),
+    "poincare-csv": (["poincare", "--N", "3", "--D", "2", "--k", "1", "--wmax", "3"],
+                     "0208c1028c0a5bc65ad28f6dca20d3cb93de64561be7b3ac96ca83b1f9a8da59"),
+    "spin-seq": (["spin-seq", "--S", "1", "--D", "2", "--wmax", "2"],
+                 "a01c889a8c1f8eb7cb3dcce2d90dc5aec759e96260463b3249e564af10e718b7"),
+    "gauge-ext": (["gauge-ext", "gauge.json"],
+                  "fe1dc995737151633ad13e0c308a43bbf0552a749a70dc9bdce26efa8bb3fc79"),
+    "spin-example-1": (["spin-example", "--spin", "1"],
+                       "0acc42040430ca1b90fb2e65957b9b3e126f3794bae67dc4922267dbc3839fab"),
+    "spin-example-2": (["spin-example", "--spin", "2"],
+                       "ebccbd24bf0d8b4e11a7a9771c7ae9c2b4d196d567d78759995a9d93ea53d06a"),
+    "spin-example-two-particle": (
+        ["spin-example", "--spin", "2", "--two-particle", "1,0,1,0"],
+        "3010630274c9b11ad553f000cd5e3e693cd892a217e6e58a5979de4af47f3776"),
+}
+
+
+def _write_command_inputs(tmp_path):
+    """The inputs of the command pins and of the exit-1 cases: a module, the
+    split sequence, the dual numbers over Q(zeta_3) and a gauge instance."""
+    (tmp_path / "mod.json").write_text(json.dumps(_module_json()))
+    _write_split_ses(tmp_path / "ses.json")
+    (tmp_path / "alg.json").write_text(json.dumps(dual_numbers(_Z3).to_json()))
+    (tmp_path / "gauge.json").write_text(json.dumps(_gauge_instance_json()))
+
+
+@pytest.mark.parametrize("name", GOLDEN_COMMANDS)
+def test_command_report_is_pinned(name, monkeypatch, tmp_path, capsys):
+    monkeypatch.chdir(tmp_path)
+    _write_command_inputs(tmp_path)
+    argv, digest = GOLDEN_COMMANDS[name]
+    fmt = "csv" if name.endswith("csv") else "json"
+    assert cli.main([*argv, "--format", fmt]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def _algebra_json():
+    return dual_numbers(_Z3).to_json()
+
+
+# each command that can exit 1: its argv, the library verifier forced to fail
+# as (module, name, failing result), and the witness it must write then
+_FAILURES = {
+    "multiplicities": (
+        ["multiplicities", "mod.json"],
+        (ndiff, "proposition4_check", {"ok": False, "multiplicities": {}, "dims": {}}),
+        _module_json),
+    "hexagon": (["hexagon", "mod.json"],
+                (ndiff, "all_hexagons_check", {"ok": False, "hexagons": []}),
+                _module_json),
+    "hexagon-ell-1-m-1": (["hexagon", "mod.json", "--ell", "1", "--m", "1"],
+                          (ndiff, "hexagon_check", {"ok": False}), _module_json),
+    "ses": (["ses", "ses.json"], (ndiff, "ses_hexagon_check", {"ok": False}),
+            lambda: json.loads(Path("ses.json").read_text())),
+    "theorem2": (
+        ["theorem2", "alg.json"],
+        (cosimplicial, "theorem2_verify", cosimplicial.TheoremReport(
+            False, {"compared": 1, "ordinary": {}, "mismatches": [[0, 1, 2]]})),
+        lambda: {"algebra": _algebra_json(), "N": 3, "window": 6,
+                 "mismatches": [[0, 1, 2]]}),
+    "prop7": (["prop7", "alg.json"],
+              (cosimplicial, "prop7_verify", cosimplicial.TheoremReport(False, {})),
+              lambda: {"algebra": _algebra_json(), "N": 3, "window": 3}),
+    "poincare": (
+        ["poincare", "--N", "3", "--D", "2", "--k", "1", "--wmax", "3"],
+        (young, "poincare_verify", {"ok": False, "dims": {}, "h0_total": 0,
+                                    "h0_expected_total": 1, "nonzero_offgrid": []}),
+        lambda: {"N": 3, "D": 2, "k": 1, "wmax": 3}),
+    "spin-seq": (["spin-seq", "--S", "1", "--D", "2", "--wmax", "2"],
+                 (young, "spin_sequence_check", {"ok": False}),
+                 lambda: {"S": 1, "D": 2, "wmax": 2}),
+    "brs": (["brs", "--example", "abelian"],
+            (brs, "theorem4_verify", {"ok": False, "details": {}, "tower_orders": []}),
+            lambda: brs.abelian_system().to_json()),
+    "gauge-ext": (["gauge-ext", "gauge.json"],
+                  (gauge, "theorem5_verify", {"ok": False, "dims": {}}),
+                  _gauge_instance_json),
+    "gauge-ext-random": (["gauge-ext", "--suite", "random", "--trials", "2"],
+                         (gauge, "theorem5_verify", {"ok": False, "dims": {}}),
+                         _gauge_instance_json),
+    "spin-example": (["spin-example"],
+                     (gauge, "spin_complex_report", {"hermitian": False, "H_dims": {}}),
+                     lambda: {"spin": 1, "p": [1, 1, 0, 0], "two_particle": None}),
+    "selftest": (["selftest", "--only", "13"],
+                 (gauge, "spin_complex_report", {"hermitian": False, "H_dims": {}}),
+                 lambda: {"part": "spin1"}),
+}
+
+
+@pytest.mark.parametrize("name", _FAILURES)
+def test_failure_exits_1_with_its_witness(name, monkeypatch, tmp_path, capsys):
+    """Every command that can exit 1 does so when its verifier fails: the
+    report says ``"ok": false`` and the failing instance is the witness."""
+    monkeypatch.chdir(tmp_path)
+    _write_command_inputs(tmp_path)
+    argv, (module, verifier, result), witness = _FAILURES[name]
+    monkeypatch.setattr(module, verifier, lambda *args, **kwargs: result)
+    assert cli.main([*argv, "--format", "json"]) == 1
+    assert json.loads(capsys.readouterr().out)["ok"] is False
+    art = json.loads((tmp_path / f"ncx-failure-{argv[0]}.json").read_text())
+    assert art["witness"] == json.loads(json.dumps(witness(), default=str))

@@ -524,6 +524,30 @@ def test_extend_builds_the_read_quotient_only(monkeypatch):
     assert homologies == []
 
 
+def _lines(dims):
+    """The graded 3-complex with dims {degree: dim} and zero maps between
+    consecutive degrees."""
+    maps = {n: ExactMatrix.zeros(dims[n + 1], dims[n], QQ)
+            for n in dims if n + 1 in dims}
+    return GradedNComplex(3, QQ, dims, maps)
+
+
+@pytest.mark.parametrize("E, F, G", [
+    ({0: 1}, {0: 1, 1: 1}, {}),
+    ({0: 1, 1: 1}, {0: 1}, {}),
+    ({0: 1}, {0: 1}, {1: 2}),
+], ids=["F-beyond-E-and-G", "E-beyond-F", "G-beyond-F"])
+def test_graded_ses_refuses_a_degree_without_maps(E, F, G):
+    """A degree that carries no phi and psi must be empty in E, F and G,
+    whichever of the three complexes has it: otherwise the sequence is not
+    exact there, and ``validate`` names the degree."""
+    ses = GradedSES(_lines(E), _lines(F), _lines(G),
+                    {0: ExactMatrix.identity(1, QQ)},
+                    {0: ExactMatrix.zeros(G.get(0, 0), 1, QQ)})
+    with pytest.raises(ValueError, match="at degree 1$"):
+        ses.validate()
+
+
 def test_graded_ses_validates_once(monkeypatch):
     """A successful ``GradedSES.validate`` is remembered across ``les_check``
     calls; a failed one raises every time."""
