@@ -455,16 +455,44 @@ def kernel_basis(M):
 
 
 def power_kernels(M, length):
-    """``kernel_basis`` of M, M^2, ..., M^length without forming a power.
-    The kernel of M^m is read off the RREF of M^m's rows alone, and
-    rowspace(M^(m+1)) = rowspace(M^m) M: the rows that go into link m+1 are
-    link m's echelon rows r times M, one per rank, not the n rows of
-    M^(m+1).  Each r M is one ``_apply_columns`` on M's kernel rows (over Q
-    D_M times M's rows), a nonzero multiple of r M.  The RREF depends only
-    on the row space, so each link is the Subspace ``kernel_basis`` builds,
-    basis and unit rows alike; this needs no nilpotency."""
+    """``kernel_basis`` of M, M^2, ..., M^length without forming a power: the
+    ``_echelon_kernel`` of each RREF of ``_power_echelons`` on M's rows.  An
+    RREF depends only on the row space, so each link is the Subspace
+    ``kernel_basis`` builds, unit rows too; this needs no nilpotency."""
     f, n = M.field, M.ncols
-    rows, chain = M.rows_sparse(), []
+    return [_echelon_kernel(pivots, erows, n, f)
+            for pivots, erows in _power_echelons(M.rows_sparse(), n, length, f, True)]
+
+
+def power_images(M, length):
+    """Column spaces of M, M^2, ..., M^length without forming a power:
+    ``_power_echelons`` on M^T's rows, as col(M^k) = row((M^T)^k).  Link k's
+    basis columns are the rows its echelon keeps, in lead order (the column
+    rank profile rule on link 1), sparser than the columns ``image_basis``
+    keeps.  Over Q they are primitive integer rows: the basis holds them as
+    rationals, its split seeded with them over D = 1.  ``echelon_of_span``
+    turns them back into an ``Echelon``."""
+    f, n = M.field, M.nrows
+    rational = f.kind == "rationals"
+    chain = []
+    for _, rows in _power_echelons(M.transpose().rows_sparse(), n, length, f, False):
+        keys = [(i, k) for k, (cols, _) in enumerate(rows) for i in cols]
+        vals = [v for _, row_vals in rows for v in row_vals]
+        basis = ExactMatrix(n, len(rows), f, dict(zip(
+            keys, map(rat, vals) if rational else vals)), _clean=False)
+        if rational:
+            basis._split = _flat_columns(keys, vals), 1
+        chain.append(Subspace(n, basis))
+    return chain
+
+
+def _power_echelons(rows, ncols, length, f, reduced):
+    """Yield the ``(pivots, erows)`` of ``row_echelon`` for the row spaces of
+    A, A^2, ..., A^length, A given by its sparse ``rows`` and ``ncols``.  As
+    rowspace(A^(m+1)) = rowspace(A^m) A, the rows that go into link m+1 are
+    link m's echelon rows r times A, one per rank, not the rows of
+    A^(m+1); each r A is one ``_apply_columns`` on A's rows (over Q a
+    positive multiple of r A)."""
     by_row = {k: [t for c, v in zip(*row) for t in (c, v)]
               for k, row in enumerate(rows)}
     for m in range(length):
@@ -475,9 +503,8 @@ def power_kernels(M, length):
                 keep = sorted(c for c, v in prod.items() if not f.is_zero(v))
                 if keep:
                     rows.append((keep, [prod[c] for c in keep]))
-        pivots, erows, _ = kernel.row_echelon(rows, n, f, reduced=True)
-        chain.append(_echelon_kernel(pivots, erows, n, f))
-    return chain
+        pivots, erows, _ = kernel.row_echelon(rows, ncols, f, reduced=reduced)
+        yield pivots, erows
 
 
 def _echelon_kernel(pivots, erows, ncols, f):
@@ -499,44 +526,19 @@ def _echelon_kernel(pivots, erows, ncols, f):
     return Subspace(ncols, basis, unit_rows=free)
 
 
-def _column_echelon(M):
-    """An ``Echelon`` of M's columns, absorbed in order in the kernel's row
-    format (over Q integer rows), and the indices of the columns it keeps:
-    the pivot columns of any row echelon form of M."""
+def image_basis(M):
+    """Column space: the columns of M that an ``Echelon`` keeps when they are
+    absorbed in order in the kernel's row format (over Q integer rows), the
+    pivot columns of any row echelon form of M."""
     E = Echelon(M.field, M.nrows)
     kept = [j for j, (cols, vals) in enumerate(M.transpose().rows_sparse())
             if E.absorb(cols, vals) is None]
-    return E, kept
-
-
-def image_basis(M):
-    """Column space: the columns of M that ``Echelon`` keeps."""
-    return Subspace(M.nrows, M.take_columns(_column_echelon(M)[1]))
-
-
-def echelon_span(M):
-    """Column space on the rows that an ``Echelon`` of M's columns keeps: one
-    basis column per lead, in lead order.  The rows span what M's columns
-    span, and elimination makes them sparser than the columns
-    ``image_basis`` keeps.  Over Q they are primitive integer rows: the
-    basis holds them as rationals and its split is seeded with them over
-    D = 1.  ``echelon_of_span`` turns them back into an ``Echelon``."""
-    f = M.field
-    E = _column_echelon(M)[0]
-    rows = [E.leads[c] for c in sorted(E.leads)]
-    keys = [(i, k) for k, (cols, _) in enumerate(rows) for i in cols]
-    vals = [v for _, row_vals in rows for v in row_vals]
-    rational = f.kind == "rationals"
-    basis = ExactMatrix(M.nrows, len(rows), f, dict(zip(
-        keys, map(rat, vals) if rational else vals)), _clean=False)
-    if rational:
-        basis._split = _flat_columns(keys, vals), 1
-    return Subspace(M.nrows, basis)
+    return Subspace(M.nrows, M.take_columns(kept))
 
 
 def echelon_of_span(S):
-    """A fresh ``Echelon`` whose rows are the basis columns of the
-    ``echelon_span`` S, so that absorbing new rows extends the span without
+    """A fresh ``Echelon`` whose rows are the basis columns of S, a link of
+    ``power_images``, so that absorbing new rows extends the span without
     eliminating S again.  The columns already are echelon rows with distinct
     leads and need no absorb: over Q the primitive integer rows of the
     seeded split over D = 1, over Q(zeta_M) rows with lead one."""
@@ -723,7 +725,9 @@ class Subspace:
 
 
 def intersection(S1, S2):
-    """S1 cap S2 via the kernel of [B1 | -B2]."""
+    """S1 cap S2 via the kernel of [B1 | -B2]: the columns B1 k1 for its basis
+    columns k = (k1, k2), a basis already, since B1 and B2 have independent
+    columns and so k -> B1 k1 is injective on the kernel."""
     f = S1.field
     B1, B2 = S1.basis, S2.basis
     stacked = B1.hstack(B2.scale(f.neg(f.one)))
@@ -732,8 +736,7 @@ def intersection(S1, S2):
     for kcol in K.basis.columns():
         part = {j: v for j, v in kcol.items() if j < B1.ncols}
         cols.append(B1.apply(part))
-    mat = ExactMatrix.from_columns(cols, S1.ambient_dim, f)
-    return image_basis(mat)
+    return Subspace(S1.ambient_dim, ExactMatrix.from_columns(cols, S1.ambient_dim, f))
 
 
 class QuotientSpace:

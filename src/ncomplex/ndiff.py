@@ -13,10 +13,10 @@ from .linalg import (
     ExactMatrix,
     QuotientSpace,
     _split_vector,
-    echelon_span,
     kernel_basis,
     kron,
     orbit_span,
+    power_images,
     power_kernels,
     quotient_maps,
     rank,
@@ -32,10 +32,11 @@ class NDiffModule:
     cached for ``rank_profile`` and ``homology``, and d^N itself is never
     formed.  The kernels of ``homology`` come from the kernel chain, on
     echelon rows, so homology forms no power either; d^m is formed lazily,
-    only for ``ShortExactSequence.connecting`` and Lemma 3.
+    only for ``ShortExactSequence.connecting`` and Lemma 3.  Both chains
+    run on one elimination loop (``linalg._power_echelons``).
 
-    The powers d^k, the image and kernel chains and the homology (with its
-    cached induced maps) are cached on the module, so a module must not be
+    The powers d^k, the image chain and the homology (with its cached
+    induced maps) are cached on the module, so a module must not be
     mutated after construction: build a new one instead."""
 
     def __init__(self, N, d, check=True):
@@ -48,7 +49,7 @@ class NDiffModule:
         self.dim = d.nrows
         self.field = d.field
         self._powers = {0: ExactMatrix.identity(self.dim, self.field), 1: d}
-        self._image_chain = self._kernel_chain = None
+        self._image_chain = None
         self._homology = None
         if check and self.image_chain()[-1].dim != 0:
             raise ValueError(f"d^{N} != 0: not an {N}-differential")
@@ -60,24 +61,18 @@ class NDiffModule:
         return self._powers[k]
 
     def image_chain(self):
-        """Bases of im d^1, ..., im d^N computed by shrinking eliminations.
-
-        Link 0 is the span of d's columns and link k+1 the span of d @ R_k,
-        where R_k holds, as columns, the rows that link k's echelon keeps
-        (``echelon_span``); R_k is link k's basis, and Theorem 5 rebuilds
-        the echelon from it (``echelon_of_span``).  By induction R_k spans
-        im d^(k+1), so link k's dimension is rank d^(k+1) and the last link
-        is zero exactly when d^N = 0: the chain is the nilpotency
-        certificate of ``__init__``.  The echelon rows are sparser than the
-        columns d^(k+1) e_j, so the products cost fewer terms.  A quotient
-        Z / B reads B only through its span: ``QuotientSpace`` takes the RREF
-        of B's Z-coordinates, which depends on their row space alone, so the
+        """Bases of im d^1, ..., im d^N by shrinking eliminations: the kernel
+        chain's loop run on d^T without back-substitution (``power_images``),
+        as col(d^(k+1)) = row((d^T)^(k+1)).  Link k's basis columns are the
+        rows its echelon keeps, in lead order, and Theorem 5 rebuilds the
+        echelon from them (``echelon_of_span``).  Link k's dimension is rank
+        d^(k+1), so the last link is zero exactly when d^N = 0: the chain is
+        the nilpotency certificate of ``__init__``.  A quotient Z / B reads B
+        only through its span: ``QuotientSpace`` takes the RREF of B's
+        Z-coordinates, which depends on their row space alone, so the
         representatives do not depend on which basis a link keeps."""
         if self._image_chain is None:
-            chain = [echelon_span(self.d)]
-            for _ in range(self.N - 1):
-                chain.append(echelon_span(self.d @ chain[-1].basis))
-            self._image_chain = chain
+            self._image_chain = power_images(self.d, self.N)
         return self._image_chain
 
     def kernel_chain(self):
@@ -86,10 +81,9 @@ class NDiffModule:
         off the RREF of link m's echelon rows times d (``power_kernels``),
         since rowspace(d^(m+1)) = rowspace(d^m) d.  Each link is the
         Subspace that ``kernel_basis`` builds from d^m, with the same unit
-        rows, and no link needs d^N = 0."""
-        if self._kernel_chain is None:
-            self._kernel_chain = power_kernels(self.d, self.N - 1)
-        return self._kernel_chain
+        rows, and no link needs d^N = 0.  It is not cached: ``homology``,
+        which is, reads it once per module."""
+        return power_kernels(self.d, self.N - 1)
 
     def rank_profile(self):
         """[rank d^0, ..., rank d^N] (first = dim, last = 0)."""

@@ -436,18 +436,12 @@ def spin_sequence_check(S, D, w_max):
     for w in range(w_max + 1):
         C = weight_complex(N, D, w)
         top = max(C.degrees())
-
-        def out_of(p, k):
-            """d^k out of degree p; into the zero space past the top."""
-            M = C.composite(p, k)
-            return M if M is not None else ExactMatrix.zeros(0, C.dims[p], QQ)
-
         entry = {}
-        if S <= top:
-            mid = out_of(S, S)
-            entry["exact_at_S"] = exact_at(out_of(S - 1, 1), mid, C.dims[S])
+        if S <= top:  # past the top, composite is a map into the zero space
+            mid = C.composite(S, S)
+            entry["exact_at_S"] = exact_at(C.composite(S - 1, 1), mid, C.dims[S])
             if 2 * S <= top:
-                entry["exact_at_2S"] = exact_at(mid, out_of(2 * S, 1), C.dims[2 * S])
+                entry["exact_at_2S"] = exact_at(mid, C.composite(2 * S, 1), C.dims[2 * S])
         report["ok"] = report["ok"] and all(entry.values())
         report["weights"][w] = entry
     return report

@@ -10,9 +10,11 @@ from ncomplex.fields import accumulate, make_cyclotomic, rat
 from ncomplex.gauge import GaugeInstance
 from ncomplex.graded import GradedNComplex, GradedSES, random_graded_complex
 from ncomplex.linalg import (
+    Echelon,
     EchelonSolver,
     ExactMatrix,
     Subspace,
+    _flat_columns,
     image_basis,
     orbit_span,
     quotient_maps,
@@ -20,6 +22,7 @@ from ncomplex.linalg import (
     restrict,
 )
 from ncomplex.ndiff import (
+    NDiffModule,
     block_module,
     homology,
     induced_d_power,
@@ -98,6 +101,49 @@ def oracle_image_chain(E):
     for _ in range(E.N - 1):
         chain.append(image_basis(E.d @ chain[-1].basis))
     return chain
+
+
+def echelon_span(M):
+    """Column space on the rows that an ``Echelon`` of M's columns, absorbed
+    in order, keeps: one basis column per lead, in lead order, over Q as
+    rationals with the split seeded over D = 1.  It is the oracle of link 1
+    of ``linalg.power_images``."""
+    f = M.field
+    E = Echelon(f, M.nrows)
+    for cols, vals in M.transpose().rows_sparse():
+        E.absorb(cols, vals)
+    rows = [E.leads[c] for c in sorted(E.leads)]
+    keys = [(i, k) for k, (cols, _) in enumerate(rows) for i in cols]
+    vals = [v for _, row_vals in rows for v in row_vals]
+    rational = f.kind == "rationals"
+    basis = ExactMatrix(M.nrows, len(rows), f, dict(zip(
+        keys, map(rat, vals) if rational else vals)), _clean=False)
+    if rational:
+        basis._split = _flat_columns(keys, vals), 1
+    return Subspace(M.nrows, basis)
+
+
+def oracle_echelon_chain(E):
+    """``NDiffModule.image_chain`` on explicit products: link 0 is the
+    ``echelon_span`` of d and link k+1 that of d @ (link k's basis), each
+    product an ``ExactMatrix`` split anew.  It is the oracle of the chain on
+    ``linalg._power_echelons``, basis and split alike."""
+    chain = [echelon_span(E.d)]
+    for _ in range(E.N - 1):
+        chain.append(echelon_span(E.d @ chain[-1].basis))
+    return chain
+
+
+def dense_ndiff(field, N, sizes, rng):
+    """The block module with Jordan blocks of the given ``sizes`` (each at
+    most N) conjugated by 10 n elementary operations, n = sum(sizes), far
+    from block-diagonal, unlike ``random_ndiff``'s n + 8; returns (module,
+    multiplicities)."""
+    n = sum(sizes)
+    P, Pinv = random_unimodular(n, field, rng, nops=10 * n)
+    d = P @ block_module(field, N, sizes).d @ Pinv
+    truth = {k: sizes.count(k) for k in range(1, N + 1)}
+    return NDiffModule(N, d), truth
 
 
 def oracle_quotient_maps(S):

@@ -20,7 +20,6 @@ from ncomplex.linalg import (
     Subspace,
     commutation,
     echelon_of_span,
-    echelon_span,
     image_basis,
     index_tuple,
     intersection,
@@ -28,6 +27,7 @@ from ncomplex.linalg import (
     kron,
     orbit_span,
     place_blocks,
+    power_images,
     quotient_maps,
     rank,
     restrict,
@@ -252,6 +252,29 @@ def test_intersection_and_sum():
     assert I.dim == 1
     assert S1.contains(I.basis.columns()[0]) and S2.contains(I.basis.columns()[0])
     assert image_basis(S1.basis.hstack(S2.basis)).dim == 3
+
+
+@pytest.mark.parametrize("field", [QQ, make_cyclotomic(3), make_cyclotomic(5)],
+                         ids=["Q", "Q(zeta_3)", "Q(zeta_5)"])
+def test_intersection_dimension_formula(field):
+    """dim(S1 cap S2) = dim S1 + dim S2 - rank [B1 | B2], the basis columns
+    are independent, and each lies in both spaces; the pairs share a random
+    common part so that the intersection is often nonzero."""
+    f, rng = field, random.Random(13)
+    for _ in range(40):
+        n = rng.randint(1, 7)
+
+        def vectors(k):
+            return [{i: random_scalar(f, rng, 2) for i in rng.sample(range(n), rng.randint(1, n))}
+                    for _ in range(k)]
+
+        common = vectors(rng.randint(0, 2))
+        S1, S2 = (image_basis(ExactMatrix.from_columns(common + vectors(rng.randint(0, 3)), n, f))
+                  for _ in range(2))
+        I = intersection(S1, S2)
+        assert I.dim == S1.dim + S2.dim - rank(S1.basis.hstack(S2.basis))
+        assert rank(I.basis) == I.dim
+        assert all(S1.contains(v) and S2.contains(v) for v in I.basis.columns())
 
 
 def test_cyclotomic_elimination():
@@ -744,13 +767,13 @@ def _as_row(v, n, f):
 def test_image_basis_echelon_matches_dense_oracle(case):
     """``image_basis`` keeps the pivot columns of the dense Gauss-Jordan
     oracle, and extending a copy of the echelon of the same absorb pass (the
-    ``echelon_of_span`` of ``echelon_span``) by v keeps v exactly when v
+    ``echelon_of_span`` of ``power_images``) by v keeps v exactly when v
     raises the oracle's rank; the copy leaves the echelon as it was."""
     f, M, v = case
     pivots, _ = dense_rref(_dense(M), f)
     S = image_basis(M)
     assert S.basis == M.take_columns(pivots)
-    kept = echelon_of_span(echelon_span(M))
+    kept = echelon_of_span(power_images(M, 1)[0])
     before = copy.deepcopy(kept.leads)
     E = Echelon(kept.ops, kept.limit, kept.leads)
     Mv = M.hstack(ExactMatrix.from_columns([v], M.nrows, f))
@@ -795,7 +818,7 @@ def test_sparser_row_takes_the_lead(field):
     pivots, rref = dense_rref(_dense(M), f)
     assert pivots == [0, 1, 3]
     assert S.basis == M.take_columns(pivots)
-    leads = echelon_of_span(echelon_span(M)).leads
+    leads = echelon_of_span(power_images(M, 1)[0]).leads
     assert sorted(leads) == [0, 1, 3] and leads[0][0] == [0]
     # the displaced first column, reduced by the second, keeps lead 1
     assert leads[1][0] == [1, 2]

@@ -41,9 +41,11 @@ from ncomplex.ndiff import (
     submodule,
 )
 from helpers import (
+    dense_ndiff,
     from_int_rows,
     hexagon_cycles,
     oracle_all_hexagons,
+    oracle_echelon_chain,
     oracle_image_chain,
     oracle_ses_hexagons,
     ses_cycles,
@@ -201,6 +203,67 @@ def test_homology_forms_no_power(monkeypatch):
         slot.representatives
     assert all_hexagons_check(E)["ok"]
     assert calls == []
+
+
+@given(st.one_of(chain_cases(), square_cases()))
+@settings(max_examples=150, deadline=None)
+def test_image_chain_matches_explicit_product_oracle(case):
+    """Each link of the image chain on ``_power_echelons`` has the basis and
+    the split of the chain on explicit products d @ (link k's basis)
+    (``oracle_echelon_chain``), and a d with d^N != 0 raises the same
+    error."""
+    N, d = case
+    oracle = oracle_echelon_chain(NDiffModule(N, d, check=False))
+    if oracle[-1].dim:
+        with pytest.raises(ValueError, match=rf"d\^{N} != 0: not an {N}-differential"):
+            NDiffModule(N, d)
+        E = NDiffModule(N, d, check=False)
+    else:
+        E = NDiffModule(N, d)
+    chain = E.image_chain()
+    assert len(chain) == len(oracle) == N
+    for k, (S, T) in enumerate(zip(chain, oracle)):
+        assert S.basis == T.basis, k
+        assert S.basis.split_columns() == T.basis.split_columns(), k
+
+
+def test_image_chain_forms_no_product(monkeypatch):
+    """Building a checked module and reading its image chain and rank
+    profile multiply no two matrices: every link comes from the last one's
+    echelon rows times d^T's rows."""
+    calls = []
+    matmul = ExactMatrix.__matmul__
+    d = random_ndiff(QQ, 5, 14, random.Random(39))[0].d
+    monkeypatch.setattr(ExactMatrix, "__matmul__",
+                        lambda A, B: calls.append(1) or matmul(A, B))
+    E = NDiffModule(5, d)
+    E.image_chain()
+    assert E.rank_profile()[-1] == 0
+    assert calls == []
+
+
+@pytest.mark.parametrize("field, seed", [
+    (QQ, 0), (QQ, 1), (make_cyclotomic(3), 2), (make_cyclotomic(3), 3),
+], ids=["Q-0", "Q-1", "Q(zeta_3)-2", "Q(zeta_3)-3"])
+def test_dense_modules(field, seed):
+    """Block modules with blocks up to N conjugated by 10 n elementary
+    operations (``dense_ndiff``): the image chain spans what the chain on
+    kept columns spans and is the chain on explicit products, the kernel
+    chain is ``kernel_basis`` of the explicit powers, the multiplicities are
+    the block sizes, and every hexagon is exact."""
+    rng = random.Random(seed)
+    N, sizes = rng.randint(3, 5), []
+    while sum(sizes) < 40:
+        sizes.append(rng.randint(1, min(N, 40 - sum(sizes))))
+    E, truth = dense_ndiff(field, N, sizes, rng)
+    for S, T, U in zip(E.image_chain(), oracle_image_chain(E), oracle_echelon_chain(E)):
+        assert S.dim == T.dim and rank(T.basis.hstack(S.basis)) == S.dim
+        assert S.basis == U.basis
+    for m, S in enumerate(E.kernel_chain(), 1):
+        K = kernel_basis(_naive_power(E.d, m))
+        assert S.basis == K.basis and list(S.unit_rows) == list(K.unit_rows), m
+    assert multiplicities(E).counts == truth
+    assert all_hexagons_check(E)["ok"]
 
 
 def test_jordan_block_profile():
