@@ -7,12 +7,14 @@ verified mathematical failure (the report says ``"ok": false``, and the
 failing instance is written as the witness next to the report; no command
 replays it yet), 2 = usage or input errors (malformed JSON, window
 violations, a malformed NCX_THREADS), 3 = internal error (a broken invariant
-of ncomplex itself, raised as ``AssertionError``)."""
+of ncomplex itself, raised as ``AssertionError``).  A reader that closes
+stdout early drops the rest of the output, not the exit code."""
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 
@@ -80,6 +82,16 @@ def _momentum(text):
         raise argparse.ArgumentTypeError(
             f"must be four comma-separated ints, got {text!r}")
     return p
+
+
+def _drop_stdout():
+    """Point stdout at devnull once its reader has closed it (as ``| head``
+    does): what is still buffered and every later write go nowhere, so
+    neither the report nor the flush at exit raises again, and the exit
+    code stays the verdict's."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
 
 
 def emit(report, fmt="text"):
@@ -310,8 +322,11 @@ def cmd_spin_example(args):
 def cmd_selftest(args):
     reports = acceptance.run_all(seed=args.seed, numbers=args.only)
     if args.format == "text":
-        for rep in reports:
-            print(rep.line())
+        try:
+            for rep in reports:
+                print(rep.line())
+        except BrokenPipeError:
+            _drop_stdout()
     bad = [r.witness for r in reports if not r.ok]
     return ({"ok": not bad, "seed": args.seed,
              "criteria": [r.to_json() for r in reports]},
@@ -434,7 +449,11 @@ def main(argv=None):
         print(f"ncx: internal error: {exc}", file=sys.stderr)
         return 3
     report = {"command": args.command, **report}
-    emit(report, args.format)
+    try:
+        emit(report, args.format)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        _drop_stdout()
     if report.get("ok", True):
         return 0
     path = _write_witness(args.command, witness)

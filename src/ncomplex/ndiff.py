@@ -7,11 +7,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
 
-from .fields import Field, check_keys
+from .fields import Field, check_keys, rat
 from .linalg import (
     EchelonSolver,
     ExactMatrix,
     QuotientSpace,
+    _flat_columns,
     _split_vector,
     kernel_basis,
     kron,
@@ -582,62 +583,109 @@ def ses_hexagon_check(ses):
 # -- random instances -------------------------------------------------------
 
 
-def block_module(field, N, block_sizes):
-    """Direct sum of Jordan blocks D_n (n <= N)."""
-    total = sum(block_sizes)
-    ent = {}
-    off = 0
+def _jordan_shifts(block_sizes):
+    """The rows r of the Jordan sum of D_n blocks of these sizes whose 1 sits
+    at (r, r + 1), and its dimension; a size below 1 is refused."""
+    shifts, off = [], 0
     for n in block_sizes:
-        for i in range(n - 1):
-            ent[(off + i, off + i + 1)] = field.one
+        if n < 1:
+            raise ValueError(f"Jordan block size {n} is below 1")
+        shifts += range(off, off + n - 1)
         off += n
+    return shifts, off
+
+
+def block_module(field, N, block_sizes):
+    """Direct sum of Jordan blocks D_n (1 <= n <= N; a block above N fails
+    the d^N = 0 certificate)."""
+    shifts, total = _jordan_shifts(block_sizes)
+    ent = {(r, r + 1): field.one for r in shifts}
     return NDiffModule(N, ExactMatrix(total, total, field, ent, _clean=False))
 
 
-def random_unimodular(n, field, rng, nops=None):
-    """Product of elementary shears and swaps; returns (P, P_inverse)."""
+def _unimodular_rows(n, rng, nops):
+    """The int rows ``{col: value}`` of P and P^-1 for ``random_unimodular``:
+    ``nops`` shears (row i += +-row j) and swaps drawn from ``rng``, applied
+    in order for P and undone in reverse order for P^-1."""
+    if n < 0:
+        raise ValueError(f"matrix size {n} is negative")
     if nops is None:
         nops = n + 8
-    ops = []
+    ops = []  # (i, j, c): row i += c row j, or swap rows i and j for c = 0
     for _ in range(nops):
-        if rng.random() < 0.25:
-            i, j = rng.sample(range(n), 2) if n >= 2 else (0, 0)
-            ops.append(("swap", i, j, 0))
-        else:
-            i, j = rng.sample(range(n), 2) if n >= 2 else (0, 0)
-            ops.append(("shear", i, j, rng.choice((-1, 1))))
+        swap = rng.random() < 0.25
+        i, j = rng.sample(range(n), 2) if n >= 2 else (0, 0)
+        ops.append((i, j, 0 if swap else rng.choice((-1, 1))))
 
     def apply_ops(sequence):
-        rows = [{k: field.one} for k in range(n)]
-        for kind, i, j, c in sequence:
+        rows = [{k: 1} for k in range(n)]
+        for i, j, c in sequence:
             if i == j:
                 continue
-            if kind == "swap":
+            if not c:
                 rows[i], rows[j] = rows[j], rows[i]
-            else:
-                cc = field.from_rat(c)
-                for col, v in rows[j].items():
-                    field.accumulate(rows[i], col, field.mul(cc, v))
-        ent = {}
-        for r, row in enumerate(rows):
-            for c, v in row.items():
-                ent[(r, c)] = v
-        return ExactMatrix(n, n, field, ent, _clean=False)
+                continue
+            row = rows[i]
+            for col, v in rows[j].items():
+                w = row.get(col, 0) + c * v
+                if w:
+                    row[col] = w
+                else:
+                    del row[col]
+        return rows
 
-    P = apply_ops(ops)
-    inv_ops = [
-        (kind, i, j, -c if kind == "shear" else 0)
-        for kind, i, j, c in reversed(ops)
-    ]
-    Pinv = apply_ops(inv_ops)
-    return P, Pinv
+    return apply_ops(ops), apply_ops([(i, j, -c) for i, j, c in reversed(ops)])
+
+
+def _int_matrix(rows, field):
+    """The square matrix of the int ``rows``, each distinct value made a
+    scalar once: over Q a rational, with the split cache seeded with the
+    ints over D = 1; over Q(zeta_M) the tuple (v, 0, ..., 0, 1)."""
+    n = len(rows)
+    keys = [(r, c) for r, row in enumerate(rows) for c in row]
+    vals = [v for row in rows for v in row.values()]
+    rational = field.kind == "rationals"
+    tail = (0,) * (field.degree - 1) + (1,)
+    scalar = {v: rat(v) if rational else (v,) + tail for v in set(vals)}
+    M = ExactMatrix(n, n, field, dict(zip(keys, map(scalar.__getitem__, vals))),
+                    _clean=False)
+    if rational:
+        M._split = _flat_columns(keys, vals), 1
+    return M
+
+
+def random_unimodular(n, field, rng, nops=None):
+    """Product of elementary shears and swaps; returns (P, P_inverse).  The
+    row operations run on ints (default ``nops`` n + 8)."""
+    P, Pinv = _unimodular_rows(n, rng, nops)
+    return _int_matrix(P, field), _int_matrix(Pinv, field)
+
+
+def conjugate_blocks(field, sizes, rng, nops=None):
+    """d = P J P^-1 for J the Jordan sum of D_n blocks of the given ``sizes``
+    and (P, P^-1) as ``random_unimodular`` draws them from ``rng``.  Row r of
+    J P^-1 is row r + 1 of P^-1 where J has its 1 at (r, r + 1), and zero
+    otherwise, so d is one int product of P's rows with those rows, and
+    no block module is built."""
+    shifts, n = _jordan_shifts(sizes)
+    P, Pinv = _unimodular_rows(n, rng, nops)
+    shifted = {r: Pinv[r + 1] for r in shifts}
+    rows = []
+    for prow in P:
+        acc = {}
+        for k, p in prow.items():
+            if k in shifted:
+                for c, q in shifted[k].items():
+                    acc[c] = acc.get(c, 0) + p * q
+        rows.append({c: v for c, v in acc.items() if v})
+    return _int_matrix(rows, field)
 
 
 def random_ndiff(field, N, dim, rng):
     """Conjugated direct sum of D_n blocks; returns (module, multiplicities).
 
-    d^N = 0 holds by construction and the block sizes are the ground truth
-    Jordan data."""
+    d^N = 0 holds by construction (every block is at most N) and the block
+    sizes are the ground truth Jordan data."""
     sizes = []
     left = dim
     while left > 0:
@@ -645,9 +693,7 @@ def random_ndiff(field, N, dim, rng):
         sizes.append(n)
         left -= n
     rng.shuffle(sizes)
-    base = block_module(field, N, sizes)
-    P, Pinv = random_unimodular(dim, field, rng)
-    d = P @ base.d @ Pinv
+    d = conjugate_blocks(field, sizes, rng)
     mod = NDiffModule(N, d, check=False)  # nilpotency by construction
     truth = {n: sizes.count(n) for n in range(1, N + 1)}
     return mod, truth

@@ -24,6 +24,7 @@ from ncomplex.linalg import (
 from ncomplex.ndiff import (
     NDiffModule,
     block_module,
+    conjugate_blocks,
     homology,
     induced_d_power,
     induced_i_power,
@@ -139,11 +140,58 @@ def dense_ndiff(field, N, sizes, rng):
     most N) conjugated by 10 n elementary operations, n = sum(sizes), far
     from block-diagonal, unlike ``random_ndiff``'s n + 8; returns (module,
     multiplicities)."""
-    n = sum(sizes)
-    P, Pinv = random_unimodular(n, field, rng, nops=10 * n)
-    d = P @ block_module(field, N, sizes).d @ Pinv
+    d = conjugate_blocks(field, sizes, rng, nops=10 * sum(sizes))
     truth = {k: sizes.count(k) for k in range(1, N + 1)}
     return NDiffModule(N, d), truth
+
+
+def oracle_random_unimodular(n, field, rng, nops=None):
+    """``ndiff.random_unimodular`` on scalars: the same draws, each shear a
+    ``Field`` product and sum on rows of scalars.  It is the oracle of the
+    int rows."""
+    if nops is None:
+        nops = n + 8
+    ops = []
+    for _ in range(nops):
+        if rng.random() < 0.25:
+            i, j = rng.sample(range(n), 2) if n >= 2 else (0, 0)
+            ops.append(("swap", i, j, 0))
+        else:
+            i, j = rng.sample(range(n), 2) if n >= 2 else (0, 0)
+            ops.append(("shear", i, j, rng.choice((-1, 1))))
+
+    def apply_ops(sequence):
+        rows = [{k: field.one} for k in range(n)]
+        for kind, i, j, c in sequence:
+            if i == j:
+                continue
+            if kind == "swap":
+                rows[i], rows[j] = rows[j], rows[i]
+            else:
+                cc = field.from_rat(c)
+                for col, v in rows[j].items():
+                    field.accumulate(rows[i], col, field.mul(cc, v))
+        ent = {}
+        for r, row in enumerate(rows):
+            for c, v in row.items():
+                ent[(r, c)] = v
+        return ExactMatrix(n, n, field, ent, _clean=False)
+
+    P = apply_ops(ops)
+    inv_ops = [
+        (kind, i, j, -c if kind == "shear" else 0)
+        for kind, i, j, c in reversed(ops)
+    ]
+    return P, apply_ops(inv_ops)
+
+
+def oracle_conjugate_blocks(field, sizes, rng, nops=None):
+    """``ndiff.conjugate_blocks`` as two ``ExactMatrix`` products: P times
+    the d of ``block_module`` times P^-1, with (P, P^-1) from
+    ``oracle_random_unimodular``."""
+    P, Pinv = oracle_random_unimodular(sum(sizes), field, rng, nops)
+    N = max([2, *sizes])
+    return P @ block_module(field, N, sizes).d @ Pinv
 
 
 def oracle_quotient_maps(S):

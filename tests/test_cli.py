@@ -869,3 +869,62 @@ def test_failure_exits_1_with_its_witness(name, monkeypatch, tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["ok"] is False
     art = json.loads((tmp_path / f"ncx-failure-{argv[0]}.json").read_text())
     assert art["witness"] == json.loads(json.dumps(witness(), default=str))
+
+
+class _ClosedStdout:
+    """A stdout whose reader is gone: every write raises BrokenPipeError."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("fails", [False, True], ids=["ok", "failure"])
+@pytest.mark.parametrize("name", ["multiplicities", "selftest"])
+def test_closed_stdout_keeps_the_exit_code(name, fails, monkeypatch, tmp_path):
+    """A stdout closed before the report is written, or before selftest's
+    progress lines, ends without a traceback and with the verdict's exit
+    code: 0 on ``ok``, 1 with the witness written on a failure."""
+    monkeypatch.chdir(tmp_path)
+    _write_command_inputs(tmp_path)
+    argv, (module, verifier, result), witness = _FAILURES[name]
+    if fails:
+        monkeypatch.setattr(module, verifier, lambda *args, **kwargs: result)
+    with open(tmp_path / "stdout", "w") as sink:
+        monkeypatch.setattr(sys, "stdout", _ClosedStdout(sink.fileno()))
+        code = cli.main(argv)
+    assert code == (1 if fails else 0)
+    art = tmp_path / f"ncx-failure-{name}.json"
+    assert art.exists() == fails
+    if fails:
+        assert json.loads(art.read_text())["witness"] == json.loads(
+            json.dumps(witness(), default=str))
+
+
+def test_pipe_closed_after_the_first_line(tmp_path):
+    """``ncx multiplicities mod.json | head -1`` with unbuffered output, so
+    each line is written as it comes: the reader closes the pipe after the
+    first of 124 lines, and the command still exits 0 with no traceback."""
+    mod = tmp_path / "mod.json"
+    mod.write_text(json.dumps(block_module(QQ, 60, [60, 30, 1]).to_json()))
+    src = str(Path(ncomplex.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ncomplex.cli", "multiplicities", str(mod)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": "1"},
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0, err
+    assert first == b"command: multiplicities\n"
+    assert "Traceback" not in err

@@ -23,6 +23,7 @@ from ncomplex.ndiff import (
     ShortExactSequence,
     all_hexagons_check,
     block_module,
+    conjugate_blocks,
     connecting_well_defined,
     green_tensor,
     hexagon_check,
@@ -45,8 +46,10 @@ from helpers import (
     from_int_rows,
     hexagon_cycles,
     oracle_all_hexagons,
+    oracle_conjugate_blocks,
     oracle_echelon_chain,
     oracle_image_chain,
+    oracle_random_unimodular,
     oracle_ses_hexagons,
     ses_cycles,
 )
@@ -264,6 +267,51 @@ def test_dense_modules(field, seed):
         assert S.basis == K.basis and list(S.unit_rows) == list(K.unit_rows), m
     assert multiplicities(E).counts == truth
     assert all_hexagons_check(E)["ok"]
+
+
+@pytest.mark.parametrize("field", [QQ, make_cyclotomic(3), make_cyclotomic(8)],
+                         ids=["Q", "Q(zeta_3)", "Q(zeta_8)"])
+def test_generators_match_scalar_oracles(field):
+    """``random_unimodular`` and ``conjugate_blocks`` on int rows build the
+    matrices of their scalar oracles and leave ``rng`` where the oracles
+    leave it, for n = 0..40 and nops at the default, n + 4
+    (``random_graded_complex``) and 10 n (``dense_ndiff``); P P^-1 = I, and
+    a seeded split cache is the split of the entries."""
+    for n in range(41):
+        sizes, rest = [], n
+        while rest:
+            sizes.append(random.Random(rest).randint(1, min(5, rest)))
+            rest -= sizes[-1]
+        for nops in (None, n + 4, 10 * n):
+            rng, ref = random.Random(n), random.Random(n)
+            P, Pinv = random_unimodular(n, field, rng, nops)
+            assert (P, Pinv) == oracle_random_unimodular(n, field, ref, nops)
+            assert rng.getstate() == ref.getstate()
+            assert P @ Pinv == ExactMatrix.identity(n, field)
+            d = conjugate_blocks(field, sizes, rng, nops)
+            assert d == oracle_conjugate_blocks(field, sizes, ref, nops), (n, nops)
+            assert rng.getstate() == ref.getstate()
+            for M in (P, Pinv, d):
+                fresh = ExactMatrix(n, n, field, dict(M.entries))
+                assert M.split_columns() == fresh.split_columns()
+
+
+def test_malformed_block_sizes_are_refused():
+    """A Jordan block size below 1 and a negative matrix size are refused
+    with a ValueError that names them, before any draw; a block above N
+    still fails the d^N = 0 certificate."""
+    rng = random.Random(0)
+    state = rng.getstate()
+    for sizes in ([-1], [3, -2], [2, 0]):
+        with pytest.raises(ValueError, match=f"block size {sizes[-1]} is below 1"):
+            block_module(QQ, 3, sizes)
+        with pytest.raises(ValueError, match=f"block size {sizes[-1]} is below 1"):
+            conjugate_blocks(QQ, sizes, rng)
+    with pytest.raises(ValueError, match="matrix size -1 is negative"):
+        random_unimodular(-1, QQ, rng)
+    assert rng.getstate() == state
+    with pytest.raises(ValueError, match="d\\^3 != 0"):
+        block_module(QQ, 3, [4])
 
 
 def test_jordan_block_profile():

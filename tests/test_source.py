@@ -152,6 +152,9 @@ PROGRAM_UNUSED = {
         "Lemma 3, the homotopy criterion sum d^(N-1-k) h_k d^k = 1",
     "ndiff.homotopy_criterion_lemma4":
         "Lemma 4, the criterion h d - q d h = 1 under (A1)",
+    "ndiff.block_module":
+        "the Jordan sum of D_n blocks, certified d^N = 0, whose block sizes "
+        "are the multiplicities Proposition 4 counts",
     "graded.MatrixAlgebraComplex.lemma4_homotopy":
         "the homotopy that makes the matrix-algebra example acyclic by Lemma 4",
     "graded.les_check":
