@@ -4,11 +4,23 @@ when its own code or the benchmark workloads run it (see
 ``test_source.test_every_public_name_runs``); the tests build their inputs
 from these."""
 
+from functools import reduce
+
 from ncomplex.brs import _merge_odd
-from ncomplex.cosimplicial import AlgebraData, CosimplicialData
+from ncomplex.cosimplicial import (
+    AlgebraData,
+    CosimplicialData,
+    _product_in_bases,
+    simplicial_differential,
+)
 from ncomplex.fields import accumulate, make_cyclotomic, rat
 from ncomplex.gauge import GaugeInstance
-from ncomplex.graded import GradedNComplex, GradedSES, random_graded_complex
+from ncomplex.graded import (
+    GradedNComplex,
+    GradedSES,
+    graded_homology,
+    random_graded_complex,
+)
 from ncomplex.linalg import (
     Echelon,
     EchelonSolver,
@@ -16,6 +28,8 @@ from ncomplex.linalg import (
     Subspace,
     _flat_columns,
     image_basis,
+    kernel_basis,
+    kron,
     orbit_span,
     quotient_maps,
     rank,
@@ -302,6 +316,14 @@ def matrix_algebra(field, n=2):
     return AlgebraData(f, structure, unit=unit)
 
 
+def diagonal_algebra(field):
+    """k x k with the idempotents e_0, e_1 as basis: its unit e_0 + e_1 is
+    no basis vector."""
+    f = field
+    structure = [[{0: f.one}, {}], [{}, {1: f.one}]]
+    return AlgebraData(f, structure, unit={0: f.one, 1: f.one})
+
+
 def abelian_lie(field, n):
     return AlgebraData(field, [[{} for _ in range(n)] for _ in range(n)], lie=True)
 
@@ -335,6 +357,95 @@ def constant_cosimplicial(field, n_max):
     cofaces = [[one] * (n + 2) for n in range(n_max)]
     codegens = [[one] * (n + 1) for n in range(n_max)]
     return CosimplicialData(field, dims, cofaces, codegens)
+
+
+# -- envelopes -----------------------------------------------------------------
+
+
+def oracle_normalized_subcomplex(E):
+    """The simplicial differential restricted to cap_i ker s_i, as
+    ``(complex, level_bases)``.  Checks that d preserves the normalized part
+    and that the inclusion keeps the cohomology degreewise inside the window.
+    It is the oracle of ``universal_envelope``'s words at N = 2."""
+    if E.codegens is None:
+        raise ValueError("normalization needs codegeneracies")
+    f = E.field
+    bases = [Subspace.full(E.dims[0], f)]
+    for n in range(1, E.n_max + 1):
+        stacked = E.codegens[n - 1][0]
+        for i in range(1, n):
+            stacked = stacked.vstack(E.codegens[n - 1][i])
+        bases.append(kernel_basis(stacked))
+    full = simplicial_differential(E)
+    maps = {}
+    for n in range(E.n_max):
+        maps[n] = restrict(full.map(n), bases[n], bases[n + 1])
+        if maps[n] is None:
+            raise ValueError(f"differential does not preserve N^{n}")
+    sub = GradedNComplex(
+        2, f, {n: bases[n].dim for n in range(E.n_max + 1)}, maps,
+        truncated_above=True,
+    )
+    Hf = graded_homology(full, ms=[1])
+    Hs = graded_homology(sub, ms=[1])
+    for n in range(E.n_max):
+        if Hf.valid(n, 1) and Hs.valid(n, 1):
+            if Hf[(n, 1)].dim_H != Hs[(n, 1)].dim_H:
+                raise AssertionError(
+                    f"normalization changed cohomology at degree {n}"
+                )
+    return sub, bases
+
+
+def oracle_omega_q_closure(T, D):
+    """Omega_q(A) inside a built T(A) and its d_1 = D as the smallest
+    d_1-stable subalgebra that contains A, closed degreewise: the oracle of
+    ``cosimplicial._omega_q_words``.
+
+    Semi-naive closure (Bancilhon and Ramakrishnan, SIGMOD 1986): a pass
+    forms for degree n only the candidates that use a column added since n
+    last closed, d of the new columns of S_(n-1) and P_(a,n-a) of the pairs
+    (i, j) with i or j new, in their full-stack order.  Each dropped one was
+    an earlier candidate, so it lies in span S_n, which leads the stack: the
+    leftmost independent picks, hence the bases, are the full closure's, and
+    a degree with no new candidate is not eliminated.  Returns
+    (complex-with-product, bases) in T(A) coordinates."""
+    f, n_max = T.field, T.n_max
+    bases = [Subspace.full(T.dims[0], f)]
+    bases += [Subspace.zero(T.dims[n], f) for n in range(1, n_max + 1)]
+    # S_k only grows by columns at its end; seen[n][k] counts the columns of
+    # S_k that degree n has closed over
+    seen = [[0] * (n_max + 1) for _ in range(n_max + 1)]
+    changed = True
+    while changed:
+        changed = False
+        for n in range(1, n_max + 1):
+            S = [B.basis for B in bases]
+            w, seen[n] = seen[n], [M.ncols for M in S]
+            m = n - 1
+            cols = [D.map(m) @ S[m].take_columns(range(w[m], S[m].ncols))]
+            for a in range(n + 1):
+                b, cb = n - a, S[n - a].ncols
+                pairs = [i * cb + j for i in range(S[a].ncols)
+                         for j in range(w[b] if i < w[a] else 0, cb)]
+                cols.append(T.product(a, b) @ kron(S[a], S[b]).take_columns(pairs))
+            if any(M.ncols for M in cols):
+                new = image_basis(reduce(ExactMatrix.hstack, cols, S[n]))
+                changed = changed or new.dim != bases[n].dim
+                bases[n] = new
+    maps = {}
+    for n in range(n_max):
+        maps[n] = restrict(D.map(n), bases[n], bases[n + 1])
+        if maps[n] is None:
+            raise AssertionError("closure failed to be d_1-stable")
+    prod = _product_in_bases(
+        T, bases, "closure failed to be multiplicatively stable"
+    )
+    C = GradedNComplex(
+        D.N, f, {n: bases[n].dim for n in range(n_max + 1)}, maps,
+        truncated_above=True, product=prod,
+    )
+    return C, bases
 
 
 # -- BRS ghosts ----------------------------------------------------------------

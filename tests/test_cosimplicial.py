@@ -13,6 +13,7 @@ from ncomplex.linalg import (
     image_basis,
     index_tuple,
     kron,
+    rank,
     restrict,
     tuple_index,
 )
@@ -28,7 +29,6 @@ from ncomplex.cosimplicial import (
     dual_numbers,
     group_algebra_cyclic,
     hochschild,
-    normalized_subcomplex,
     omega_q,
     ordinary_cohomology_dims,
     prop7_verify,
@@ -39,13 +39,17 @@ from ncomplex.cosimplicial import (
     truncated_polynomials,
     universal_envelope,
 )
+import helpers
 from helpers import (
     abelian_lie,
     constant_cosimplicial,
+    diagonal_algebra,
     field_algebra,
     from_int_rows,
     matrix_algebra,
     nonabelian_lie2,
+    oracle_normalized_subcomplex,
+    oracle_omega_q_closure,
     sl2,
 )
 
@@ -227,7 +231,7 @@ def test_d0_rejects_bad_q():
 
 def test_normalized_subcomplex_constant():
     E = constant_cosimplicial(QQ, 4)
-    sub, bases = normalized_subcomplex(E)
+    sub, bases = oracle_normalized_subcomplex(E)
     assert sub.dims[0] == 1
     for n in range(1, 4):
         assert sub.dims[n] == 0
@@ -237,7 +241,7 @@ def test_normalized_hochschild_kills_unit_arguments():
     # normalized cochains vanish when any argument is the unit
     A = dual_numbers(QQ)
     E = hochschild(A, BimoduleData.regular(A), 4)
-    sub, bases = normalized_subcomplex(E)
+    sub, bases = oracle_normalized_subcomplex(E)
     f = QQ
     for n in range(1, 4):
         for col in bases[n].basis.columns():
@@ -591,19 +595,22 @@ def test_tensor_square_product_matches_vector_product():
 
 
 # sha256 of the level bases and the differential of Omega_q(A) (Omega(A) for
-# the envelope), recorded from the per-vector closure the matrix closure
-# replaced
+# the envelope).  The dual-Q(zeta_6) and field entries were recorded from the
+# per-vector closure the matrix closure replaced, and the normal-form words
+# reproduce them; the other three are the words' bases and maps, which span
+# what the closure and the normalized cochains span
+# (test_omega_q_words_span_the_closure)
 ENVELOPE_DIGESTS = {
     "dual-Q(zeta_3)-N3-7":
-        "32f43cb534b4957a890726e1cfdd9d3ba4ac40bbebdab38ea0682eb379e4d2b5",
+        "989ad266429b9d4c3471328ab5d73a7f8302ea714e4a186c0a9da031c564f4a3",
     "dual-Q(zeta_6)-q-1-N2-4":
         "8dcb4c6051c4c2c6cef9e83b88528a8ddf9c4a18f7174ebc174bca57f2c69348",
     "field-Q(zeta_3)-N3-3":
         "956a005ef25c5b0e536714e4b85bf4dbb4036d9c4566c45061e06b21042a5c2a",
     "truncated3-Q(zeta_3)-N3-5":
-        "0a9b33e24a45daf8d896f2e9bf795e7be45f4c0b7da961d09ff49d62871bd13b",
+        "b1f8e3d3c043d6652ebd9b2f8f9a1cdb231c31c1ea61215f22add45fa0a8ac4e",
     "envelope-dual-Q-4":
-        "cf9bb4eb3c456e0eaada379d73b5b7c2f3a68736338376780cdff9dc8a6601f7",
+        "f3aa31fc23ad4fdd365fa3fbca338ba29372a69022cbbfd5d22bbee4980bdf35",
 }
 
 
@@ -666,7 +673,7 @@ def test_chevalley_eilenberg_maps_match_hand_indexed_digests(case):
 def _full_closure_bases(A, q, N, n_max):
     """The closure of Omega_q(A) recomputed in full on every pass: per degree
     n, [S_n | d S_(n-1) | P_(a,n-a) (S_a ox S_(n-a)) for every a], until a
-    pass changes no basis."""
+    pass changes no basis.  Returns (T, d_1, bases)."""
     f = A.field
     T = tensor_algebra(A, n_max)
     D = d1(T, q, N)
@@ -683,7 +690,7 @@ def _full_closure_bases(A, q, N, n_max):
             new = image_basis(reduce(ExactMatrix.hstack, cols))
             changed = changed or new.dim != bases[n].dim
             bases[n] = new
-    return D, bases
+    return T, D, bases
 
 
 def _omega_q_case(case):
@@ -696,44 +703,156 @@ def _omega_q_case(case):
     }[case]
 
 
-# sha256 of the bases, the restricted d_1 and every P_ab with a + b <= n_max
-# of Omega_q(A), recorded from the closure that recomputed every candidate
+def _same_span(S, R):
+    """rank [S | R] = dim S = dim R, for two subspaces with independent
+    bases."""
+    return rank(S.basis.hstack(R.basis)) == S.dim == R.dim
+
+
+# sha256 of the word bases, the restricted d_1 and every P_ab with
+# a + b <= n_max of Omega_q(A), recorded from the normal-form words
 OMEGA_Q_DIGESTS = {
     "dual-Q(zeta_3)-N3-7":
-        "c629cefbf0117dc9b6b5a45a71b6dc7afc776d8f743d1a35c26687617273af08",
+        "0b7fc8a0881a00c99903ad59d72887d43a070d6402985d07bc0399d59ae40a88",
     "truncated3-Q(zeta_3)-N3-5":
-        "7f4593f2e463e4e462609d8085b0a937178daae401bfd5f1df772d0b347cefb0",
+        "f00897f9e6acc0a5a8481ef7c54806ddc408a1ecaae20df4ea863a52a01eff51",
     "cyclic2-Q(zeta_6)-N6-4":
-        "c6d010ec52dd19d51986c2fdf44ad64de17e0d0e2eef7afe157416a874071a93",
+        "e7a02c19df5d7f07769cd4aa53de2e217e6b5f2dced6e454693ec9a9580a91ec",
 }
 
 
 @pytest.mark.parametrize("case", sorted(OMEGA_Q_DIGESTS))
 def test_omega_q_matches_full_closure(case):
-    """The semi-naive closure gives the bases and maps of the full
-    recomputation, and the products (functions of the bases alone) pinned
-    from it."""
+    """The words span what the full closure spans at every level, d_1 and
+    every P_ab with a + b <= n_max are the closure's own T(A) maps restricted
+    into the word bases, and the bases, maps and products are pinned."""
     A, q, N, n_max = _omega_q_case(case)
     C, bases = omega_q(A, q, N, n_max)
-    D, ref = _full_closure_bases(A, q, N, n_max)
+    T, D, ref = _full_closure_bases(A, q, N, n_max)
+    assert all(map(_same_span, bases, ref))
     obj = [B.basis.to_json() for B in bases]
-    assert obj == [B.basis.to_json() for B in ref]
     obj += [C.maps[n].to_json() for n in range(n_max)]
     assert obj[n_max + 1:] == [
-        restrict(D.map(n), ref[n], ref[n + 1]).to_json() for n in range(n_max)]
-    obj += [C.product(a, b).to_json()
-            for a in range(n_max + 1) for b in range(n_max + 1 - a)]
+        restrict(D.map(n), bases[n], bases[n + 1]).to_json() for n in range(n_max)]
+    pairs = [(a, b) for a in range(n_max + 1) for b in range(n_max + 1 - a)]
+    obj += [C.product(a, b).to_json() for a, b in pairs]
+    assert obj[2 * n_max + 1:] == [
+        restrict(T.product(a, b), Subspace(T.dims[a] * T.dims[b],
+                 kron(bases[a].basis, bases[b].basis)), bases[a + b]).to_json()
+        for a, b in pairs]
     digest = hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
     assert digest == OMEGA_Q_DIGESTS[case]
+
+
+def _span_case(algebra, N):
+    f = {2: QQ, 3: make_cyclotomic(3), 4: make_cyclotomic(4)}[N]
+    q = f.neg(f.one) if N == 2 else f.zeta()
+    A = {"dual": dual_numbers, "cyclic3": lambda f: group_algebra_cyclic(f, 3),
+         "truncated3": lambda f: truncated_polynomials(f, 3),
+         "kxk": diagonal_algebra}[algebra](f)
+    return A, q, (5 if A.dim == 2 else 4)
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+@pytest.mark.parametrize("algebra", ["dual", "cyclic3", "truncated3", "kxk"])
+def test_omega_q_words_span_the_closure(algebra, N):
+    """At every level the words span what the semi-naive closure and the full
+    closure span, and the two closures pick the same bases; at N = 2, q = -1
+    they also span the normalized cochains, and ``universal_envelope`` is
+    the same words."""
+    A, q, n_max = _span_case(algebra, N)
+    C, bases = omega_q(A, q, N, n_max)
+    T, D, full = _full_closure_bases(A, q, N, n_max)
+    _, closure = oracle_omega_q_closure(T, D)
+    assert [B.basis for B in closure] == [B.basis for B in full]
+    assert all(map(_same_span, bases, closure))
+    if N == 2:
+        _, normalized = oracle_normalized_subcomplex(T)
+        assert all(map(_same_span, bases, normalized))
+        omega, envelope = universal_envelope(A, n_max)
+        assert [B.basis for B in envelope] == [B.basis for B in bases]
+        assert omega.maps == C.maps
+
+
+def _word_count(a, N, n):
+    """a sum (a-1)^r over the compositions of n with parts in 1..N-1, r the
+    number of parts."""
+    return a * sum((a - 1) ** r for r in range(n + 1)
+                   for parts in itertools.product(range(1, N), repeat=r)
+                   if sum(parts) == n)
+
+
+def test_omega_q_dims_are_the_word_count():
+    assert [_word_count(2, 3, n) for n in range(8)] == [2, 2, 4, 6, 10, 16, 26, 42]
+    assert [_word_count(3, 3, n) for n in range(5)] == [3, 6, 18, 48, 132]
+    assert [_word_count(2, 4, n) for n in range(6)] == [2, 2, 4, 8, 14, 26]
+    f3, f4 = make_cyclotomic(3), make_cyclotomic(4)
+    for A, q, N, n_max in (
+        (dual_numbers(f3), f3.zeta(), 3, 7),
+        (group_algebra_cyclic(f3, 3), f3.zeta(), 3, 4),
+        (diagonal_algebra(f4), f4.zeta(), 4, 5),
+        (field_algebra(f4), f4.zeta(), 4, 3),
+    ):
+        C, _ = omega_q(A, q, N, n_max)
+        assert C.dims == {n: _word_count(A.dim, N, n) for n in range(n_max + 1)}
+
+
+def _bump(T, ncols, level):
+    """An ncols-column matrix into T^level sending every column to
+    1 ox ... ox 1, which no word of level >= 1 reaches: the full product
+    T^level -> A kills every word with a d-letter."""
+    f = T.field
+    return ExactMatrix(T.dims[level], ncols, f, {(0, j): f.one for j in range(ncols)})
+
+
+@pytest.mark.parametrize("tamper, message", [
+    ("d-level-0", "the Omega_q words of level 1 are dependent"),
+    ("d-level-2", "d_1 moves a word of level 2 out of the words"),
+    ("product-1-0", "the Omega_q words are not closed under the product"),
+], ids=["independence", "d1-stability", "product"])
+def test_omega_q_words_certificate_raises(tamper, message):
+    """Each certificate check fires on its own: a d_1 that kills A makes the
+    words of level 1 zero; a d_1 from level 2 (used by no word at N = 3,
+    n_max = 3) that leaves the words fails d_1-stability; a P_10 that leaves
+    the words fails W_1 A in W_1, the only check that reads P_(n,0)."""
+    f = make_cyclotomic(3)
+    A = dual_numbers(f)
+    T = tensor_algebra(A, 3)
+    D = d1(T, f.zeta(), 3)
+    if tamper == "d-level-0":
+        D.maps[0] = ExactMatrix.zeros(T.dims[1], T.dims[0], f)
+    elif tamper == "d-level-2":
+        D.maps[2] = D.maps[2] + _bump(T, T.dims[2], 3)
+    else:
+        product, bump = T.product, _bump(T, T.dims[1] * T.dims[0], 1)
+
+        def tampered(a, b):
+            P = product(a, b)
+            return P + bump if (a, b) == (1, 0) else P
+
+        T.product = tampered
+    with pytest.raises(AssertionError, match=f"^{message}$"):
+        cosimplicial._omega_q_words(A, T, D)
+
+
+def test_prop7_checks_a1_before_any_homology(monkeypatch):
+    """The dual numbers over Q at q = -1, N = 4 satisfy (A0) but not (A1):
+    prop7_verify refuses them before it computes the homology of T(A)."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("graded_homology was called")
+
+    monkeypatch.setattr(cosimplicial, "graded_homology", refuse)
+    with pytest.raises(ValueError, match=r"^\(A1\) required$"):
+        prop7_verify(dual_numbers(QQ), QQ.neg(QQ.one), 4, 3)
 
 
 @pytest.mark.parametrize("case", ["dual-Q(zeta_3)-N3-7", "field-Q(zeta_3)-N3-3",
                                   "truncated3-Q(zeta_3)-N3-5"])
 def test_omega_q_elimination_counts(monkeypatch, case):
-    """A degree is eliminated exactly when it has a new candidate: d of a
-    column of S_(n-1), or a pair (i, j) of S_a ox S_(n-a) with i or j added
-    since the degree last closed; replayed from the basis sizes that the
-    eliminations return."""
+    """The closure oracle eliminates a degree exactly when it has a new
+    candidate: d of a column of S_(n-1), or a pair (i, j) of S_a ox S_(n-a)
+    with i or j added since the degree last closed; replayed from the basis
+    sizes that the eliminations return."""
     A, q, N, n_max = _omega_q_case(case)
     log = []
 
@@ -742,8 +861,10 @@ def test_omega_q_elimination_counts(monkeypatch, case):
         log.append((M.nrows, B.dim))
         return B
 
-    monkeypatch.setattr(cosimplicial, "image_basis", counted)
-    omega_q(A, q, N, n_max)
+    T = tensor_algebra(A, n_max)
+    D = d1(T, q, N)
+    monkeypatch.setattr(helpers, "image_basis", counted)
+    oracle_omega_q_closure(T, D)
     dims = [A.dim] + [0] * n_max
     seen = [[0] * (n_max + 1) for _ in range(n_max + 1)]
     replay, changed = [], True
