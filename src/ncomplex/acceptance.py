@@ -170,10 +170,11 @@ def prop7_verdict(A, N, window):
 def poincare_verdict(N, D, k, wmax):
     """Theorem 3 for one k over weights 0..wmax, with its (w, p, dim H) table."""
     rep = young.poincare_verify(N, D, k, wmax)
-    table = [
-        [key.split(",")[0][2:], key.split(",")[1][2:], dim]
-        for key, dim in sorted(rep["dims"].items())
-    ]
+    table = sorted(
+        ([key.split(",")[0][2:], key.split(",")[1][2:], dim]
+         for key, dim in rep["dims"].items()),
+        key=lambda row: (int(row[0]), int(row[1])),
+    )
     return {
         "ok": rep["ok"], "N": N, "D": D, "k": k, "w_max": wmax,
         "h0_total": rep["h0_total"],

@@ -334,18 +334,10 @@ def place_blocks(nrows, ncols, field, pieces):
     return ExactMatrix(nrows, ncols, field, ent, _clean=False)
 
 
-def tuple_index(tup, radix):
-    """The mixed-radix index of ``tup``, most significant digit first: the
-    row of e_(t_1) ox ... ox e_(t_n) in a ``kron`` of radix-dimensional
-    factors."""
-    idx = 0
-    for t in tup:
-        idx = idx * radix + t
-    return idx
-
-
 def index_tuple(idx, radix, length):
-    """The inverse of ``tuple_index`` on tuples of ``length`` digits."""
+    """The ``length`` mixed-radix digits of ``idx``, most significant first:
+    the t with e_(t_1) ox ... ox e_(t_n) in row idx of a ``kron`` of
+    radix-dimensional factors."""
     out = []
     for _ in range(length):
         idx, digit = divmod(idx, radix)

@@ -18,7 +18,7 @@ from operator import itemgetter
 
 from .fields import QQ, accumulate, rat
 from .graded import GradedNComplex, graded_homology
-from .linalg import EchelonSolver, ExactMatrix, kron, place_blocks, tuple_index
+from .linalg import EchelonSolver, ExactMatrix, kron, place_blocks
 from .ndiff import exact_at
 
 
@@ -81,20 +81,13 @@ def weyl_dim(diagram, D):
 
 
 def _row_positions(diagram):
-    pos = 0
-    rows = []
-    for r in diagram.rows:
-        rows.append(list(range(pos, pos + r)))
-        pos += r
-    return rows
+    starts = itertools.accumulate((0,) + diagram.rows)
+    return [list(range(s, s + r)) for s, r in zip(starts, diagram.rows)]
 
 
 def _col_positions(diagram):
     rows = _row_positions(diagram)
-    cols = []
-    for c in range(diagram.ncols):
-        cols.append([row[c] for row in rows if len(row) > c])
-    return cols
+    return [[row[c] for row in rows if len(row) > c] for c in range(diagram.ncols)]
 
 
 def _perm_sign(perm):
@@ -158,50 +151,53 @@ class Symmetrizer:
 
 class SymmetrySpace:
     """Image of the Young projector inside the degree-p tensor space, with a
-    deterministic basis: the projections of the semistandard unit tensors
-    (rows weakly, columns strictly increasing), in enumeration order.  They
-    are a basis by the standard basis theorem (Fulton, Young Tableaux, 8.1),
-    certified here by rank = ``weyl_dim``.  One ``EchelonSolver`` of the
-    basis gives the coordinates (a solve)."""
+    deterministic basis: the projections b_s of the semistandard unit tensors
+    (rows weakly, columns strictly increasing), in enumeration order, which
+    are a basis by the standard basis theorem (Fulton, Young Tableaux, 8.1).
+    Coordinates are read at those semistandard positions S: one
+    ``EchelonSolver`` of the dim x dim matrix B_S = (b_s[t]), t in S, which
+    rank B_S = ``weyl_dim`` certifies (rank B_S <= rank [b_s]); one sparse
+    combination sum_s c_s b_s = tensor checks each solve."""
 
     def __init__(self, diagram, D):
         self.diagram = diagram
         self.D = D
-        self.p = diagram.cells
         self.projector = Symmetrizer(diagram, D)
-        self.basis = [self.projector.apply({t: rat(1)})
-                      for t in self._semistandard_tuples()]
-        M = ExactMatrix.from_columns(
-            [{tuple_index(u, D): v for u, v in b.items()} for b in self.basis],
-            D**self.p, QQ,
-        )
-        self.solver = EchelonSolver(M)
+        self.positions = self._semistandard_tuples()
+        self.basis = [self.projector.apply({t: rat(1)}) for t in self.positions]
         self.dim = len(self.basis)
+        self.solver = EchelonSolver(ExactMatrix.from_columns(
+            [{i: b[t] for i, t in enumerate(self.positions) if t in b}
+             for b in self.basis], self.dim, QQ))
         if not (self.solver.rank == self.dim == weyl_dim(diagram, D)):
             raise AssertionError(
                 f"semistandard projections of {diagram.rows} over D = {D} have "
-                f"rank {self.solver.rank} of {self.dim}, not weyl_dim")
+                f"rank {self.solver.rank} at their positions, not weyl_dim")
         if self.basis and self.projector.apply(self.basis[0]) != self.basis[0]:
             raise AssertionError(
                 f"Young symmetrizer of {diagram.rows} fails Y^2 = cY")
 
     def _semistandard_tuples(self):
         """The row-sorted fillings whose columns strictly increase, read row
-        by row, in the order of ``itertools.product`` over the rows."""
-        per_row = [
-            list(itertools.combinations_with_replacement(range(self.D), r))
-            for r in self.diagram.rows
-        ]
-        for combo in itertools.product(*per_row):
-            if all(a < b for upper, lower in zip(combo, combo[1:])
-                   for a, b in zip(upper, lower)):
-                yield tuple(x for row in combo for x in row)
+        by row, in the order of ``itertools.product`` over the rows: each row
+        extends only the fillings whose last row its columns can follow."""
+        rows, fillings, last = self.diagram.rows, [()], 0
+        for start, r in zip(itertools.accumulate((0,) + rows), rows):
+            combos = list(itertools.combinations_with_replacement(range(self.D), r))
+            fillings = [f + c for f in fillings for c in combos
+                        if all(a < b for a, b in zip(f[last:], c))]
+            last = start
+        return fillings
 
     def coords(self, tensor):
         """Coordinates in the basis; tensor must lie in the image."""
-        vec = {tuple_index(t, self.D): v for t, v in tensor.items() if v}
-        c = self.solver.solve(vec)
-        if c is None:
+        c = self.solver.solve(
+            {i: tensor[t] for i, t in enumerate(self.positions) if tensor.get(t)})
+        combo = {}
+        for s, v in c.items():
+            for t, bv in self.basis[s].items():
+                accumulate(combo, t, v * bv)
+        if combo != {t: v for t, v in tensor.items() if v}:
             raise ValueError("tensor does not have this symmetry type")
         return c
 

@@ -4,7 +4,7 @@ when its own code or the benchmark workloads run it (see
 ``test_source.test_every_public_name_runs``); the tests build their inputs
 from these."""
 
-from functools import reduce
+from functools import lru_cache, reduce
 
 from ncomplex.brs import _merge_odd
 from ncomplex.cosimplicial import (
@@ -13,7 +13,7 @@ from ncomplex.cosimplicial import (
     _product_in_bases,
     simplicial_differential,
 )
-from ncomplex.fields import accumulate, make_cyclotomic, rat
+from ncomplex.fields import QQ, accumulate, make_cyclotomic, rat
 from ncomplex.gauge import GaugeInstance
 from ncomplex.graded import (
     GradedNComplex,
@@ -68,6 +68,16 @@ def from_int_rows(rows, field, ncols=None):
     return ExactMatrix.from_rows(
         [[conv(v) for v in row] for row in rows], field, ncols
     )
+
+
+def tuple_index(tup, radix):
+    """The mixed-radix index of ``tup``, most significant digit first: the
+    row of e_(t_1) ox ... ox e_(t_n) in a ``kron`` of radix-dimensional
+    factors; ``linalg.index_tuple`` inverts it."""
+    idx = 0
+    for t in tup:
+        idx = idx * radix + t
+    return idx
 
 
 # -- quotients ------------------------------------------------------------------
@@ -528,6 +538,34 @@ def oracle_koszul_image(constraints, pis, mono):
         for mu, v in constraints[pis[k]].items():
             accumulate(out, (rest, mono_mul(mono, mu), ()), rat(sgn) * v)
     return out
+
+
+# -- symmetry spaces -----------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _support_solver(space):
+    """The rows of the tensor positions where a basis tensor of ``space`` is
+    nonzero, and one ``EchelonSolver`` of the basis read at all of them: the
+    solver over all D^p positions without its zero rows."""
+    rows = {t: i for i, t in enumerate(sorted(set().union(*space.basis)))}
+    solver = EchelonSolver(ExactMatrix.from_columns(
+        [{rows[t]: v for t, v in b.items()} for b in space.basis], len(rows), QQ))
+    assert solver.rank == space.dim
+    return rows, solver
+
+
+def oracle_symmetry_coords(space, tensor):
+    """The coordinates of ``tensor`` in ``space.basis`` by one solve over every
+    position of the basis' support, or None when it is not in their span (a
+    tensor nonzero off that support is not): the oracle of
+    ``young.SymmetrySpace.coords``, which reads only the semistandard
+    positions."""
+    rows, solver = _support_solver(space)
+    tensor = {t: v for t, v in tensor.items() if v}
+    if not tensor.keys() <= rows.keys():
+        return None
+    return solver.solve({rows[t]: v for t, v in tensor.items()})
 
 
 # -- polynomials ---------------------------------------------------------------

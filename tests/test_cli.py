@@ -100,6 +100,20 @@ def test_poincare_csv(capsys):
     assert out.splitlines()[0] == "w,p,dim_H"
 
 
+def test_poincare_table_is_in_weight_order(capsys):
+    """The rows of the table come in (w, p) order as integers, with the cells
+    as before (w and p strings, dim_H an int): past weight 9 a sort of the
+    "w=..,p=.." keys as strings put w = 10 before w = 2."""
+    argv = ["poincare", "--N", "3", "--D", "3", "--k", "1", "--wmax", "10"]
+    assert cli.main(argv + ["--format", "csv"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    keys = [(int(w), int(p)) for w, p, _ in rows]
+    assert keys == sorted(keys) and keys[-1][0] == 10
+    assert cli.main(argv + ["--format", "json"]) == 0
+    table = json.loads(capsys.readouterr().out)["table"]
+    assert table == [[w, p, int(dim)] for w, p, dim in rows]
+
+
 def _place_format(fmt, placement, argv):
     return ["--format", fmt] + argv if placement == "before" else argv + ["--format", fmt]
 

@@ -15,7 +15,6 @@ from ncomplex.linalg import (
     kron,
     rank,
     restrict,
-    tuple_index,
 )
 from ncomplex import cosimplicial
 from ncomplex.cosimplicial import (
@@ -51,6 +50,7 @@ from helpers import (
     oracle_normalized_subcomplex,
     oracle_omega_q_closure,
     sl2,
+    tuple_index,
 )
 
 

@@ -32,10 +32,9 @@ from ncomplex.linalg import (
     orbit_span,
     quotient_maps,
     rank,
-    tuple_index,
 )
 from ncomplex.ndiff import homology
-from helpers import field_algebra, wznw_shaped_instance
+from helpers import field_algebra, tuple_index, wznw_shaped_instance
 
 
 def z2_setup(N=3):

@@ -31,10 +31,15 @@ from ncomplex.linalg import (
     quotient_maps,
     rank,
     restrict,
-    tuple_index,
 )
 from ncomplex.ndiff import NDiffModule, block_module, homology, random_unimodular
-from helpers import OracleQuotient, from_int_rows, oracle_quotient_maps, random_scalar
+from helpers import (
+    OracleQuotient,
+    from_int_rows,
+    oracle_quotient_maps,
+    random_scalar,
+    tuple_index,
+)
 
 
 def dense_rref(rows, field):

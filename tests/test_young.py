@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from ncomplex.fields import QQ, R_ZERO, accumulate, rat
 from ncomplex.graded import graded_homology
-from ncomplex.linalg import EchelonSolver, ExactMatrix, tuple_index
+from ncomplex.linalg import EchelonSolver, ExactMatrix
 from ncomplex.young import (
     PolyTensorField,
     SymmetrySpace,
@@ -17,6 +17,7 @@ from ncomplex.young import (
     YoungDiagram,
     _dual_pair,
     _tableau_read,
+    _transition,
     basis_field,
     differential,
     divergence,
@@ -36,8 +37,10 @@ from ncomplex.young import (
 from helpers import (
     oracle_random_divergence_free,
     oracle_riemann_dual,
+    oracle_symmetry_coords,
     oracle_tau,
     random_poly,
+    tuple_index,
 )
 
 
@@ -71,19 +74,59 @@ def test_symmetrizer_idempotent():
 
 
 def test_symmetry_space_is_one_elimination(elimination_counts):
-    """A symmetry space is one EchelonSolver of the projected semistandard
-    unit tensors, which are its basis; a solve gives the coordinates."""
+    """A symmetry space is one EchelonSolver of B_S, its basis read at the
+    semistandard positions S: dim rows, not D^p.  A solve gives the
+    coordinates, and one sparse combination of the basis checks them."""
     # antisymmetric 2-tensors over D = 2: (0, 1) is the one semistandard
     # filling of a column of height 2, so its projection is basis tensor 0
     sp = SymmetrySpace(YoungDiagram((1, 1)), 2)
     assert elimination_counts == {"solvers": 1, "row_echelon": 1}
-    assert sp.dim == 1 and sp.solver.pivots == [0]
+    assert sp.dim == 1 and sp.positions == [(0, 1)] and sp.solver.pivots == [0]
     assert sp.basis == [{(0, 1): rat(1, 2), (1, 0): rat(-1, 2)}]
+    M = sp.solver.M
+    assert (M.nrows, M.ncols, M.entries) == (1, 1, {(0, 0): rat(1, 2)})
     assert sp.coords(sp.basis[0]) == {0: rat(1)}
     assert sp.coords({(0, 1): rat(3), (1, 0): rat(-3)}) == {0: rat(6)}
     with pytest.raises(ValueError, match="symmetry type"):
         sp.coords({(0, 1): rat(1)})
     assert elimination_counts == {"solvers": 1, "row_echelon": 1}
+
+
+def test_coords_refuses_what_agrees_only_at_the_semistandard_positions():
+    """``coords`` solves at the semistandard positions S alone, so its sparse
+    combination must refuse a tensor that B_S cannot tell from a member: one
+    supported off S only, and a basis combination with an entry changed,
+    removed or added off S."""
+    anti = omega_space(2, 2, 2)  # the column (1, 1) over D = 2: S = [(0, 1)]
+    assert anti.coords({}) == {}
+    with pytest.raises(ValueError, match="symmetry type"):
+        anti.coords({(1, 0): rat(1)})
+    sp = omega_space(3, 2, 3)  # the hook (2, 1) over D = 2
+    assert sp.dim == 2 and sp.positions == [(0, 0, 1), (0, 1, 1)]
+    member = {}
+    for s, c in enumerate((rat(2), rat(-3, 5))):
+        for t, v in sp.basis[s].items():
+            accumulate(member, t, c * v)
+    assert sp.coords(member) == {0: rat(2), 1: rat(-3, 5)}
+    off = next(t for t in member if t not in sp.positions)
+    changed = {**member, off: member[off] + 1}
+    removed = {t: v for t, v in member.items() if t != off}
+    added = {**member, (1, 1, 1): rat(1)}
+    for tensor in (changed, removed, added):
+        assert {t: tensor[t] for t in sp.positions} == {
+            t: member[t] for t in sp.positions}
+        with pytest.raises(ValueError, match="symmetry type"):
+            sp.coords(tensor)
+
+
+def test_spaces_up_to_the_top_degree_n4_d4():
+    """Every symmetry space of Theorem 3 at N = 4, D = 4, up to the top
+    degree (N - 1) D = 12, where the space is one-dimensional: each build
+    certifies rank B_S = weyl_dim and Y^2 = cY.  About 12 s on a 2-CPU host,
+    nearly all of it the Y^2 = cY check at p = 11 and 12."""
+    dims = [omega_space(4, 4, p).dim for p in range(13)]
+    assert dims == [weyl_dim(maximal_diagram(4, p), 4) for p in range(13)]
+    assert dims[12] == 1
 
 
 def test_shape_22_dim_over_d2():
@@ -415,7 +458,7 @@ def _all_fillings_basis(space):
               for combo in itertools.product(*per_row)]
     M = ExactMatrix.from_columns(
         [{tuple_index(u, D): v for u, v in img.items()} for img in images],
-        D**space.p, QQ,
+        D**diagram.cells, QQ,
     )
     return [images[j] for j in EchelonSolver(M).pivots]
 
@@ -454,6 +497,69 @@ def test_closed_forms_match_the_searches(N, D):
         tensor = {tuple(rng.randrange(D) for _ in range(p)): rat(rng.randint(-5, 5), 3)
                   for _ in range(3)}
         assert Y.apply_raw(tensor) == _fraction_apply_raw(Y, tensor)
+
+
+def _coords_or_refusal(space, tensor):
+    """``space.coords(tensor)``, or None when it refuses the tensor."""
+    try:
+        return space.coords(tensor)
+    except ValueError as exc:
+        assert "symmetry type" in str(exc)
+        return None
+
+
+@pytest.mark.parametrize(
+    "N,D", [(N, D) for N in range(2, 6) for D in range(1, 5)],
+    ids=[f"N{N}-D{D}" for N in range(2, 6) for D in range(1, 5)],
+)
+def test_coords_match_the_support_solver(N, D):
+    """``coords`` at the semistandard positions against
+    ``oracle_symmetry_coords``, a solve over every position of the basis'
+    support.  On every space of ``test_closed_forms_match_the_searches``:
+    each basis tensor, a random combination of the basis, the projection of
+    a random tensor, and a random tensor (which both refuse unless it lies
+    in the space).  And on every input Y(e_mu ox b_s) that ``_transition``
+    forms into a space of at most 1024 tensor positions, D^(p+1), each
+    against the column s of T_mu it fills."""
+    rng = random.Random(100 * N + D)
+    refused = []
+
+    def check(space, tensor, name, member=True):
+        want = oracle_symmetry_coords(space, tensor)
+        assert _coords_or_refusal(space, tensor) == want, name
+        if want is None:
+            assert not member, name
+            refused.append(name)
+        return want
+
+    top = (N - 1) * D
+    for p in range(min(top, 8) + 1):
+        sp = omega_space(N, D, p)
+        where = f"Omega^{p} of N={N}, D={D}, shape {sp.diagram.rows}"
+        for s, b in enumerate(sp.basis):
+            assert check(sp, b, f"{where}: basis tensor {s}") == {s: rat(1)}
+        combo, cs = {}, [rat(rng.randint(-4, 4), rng.randint(1, 3)) for _ in sp.basis]
+        for c, b in zip(cs, sp.basis):
+            for t, v in b.items():
+                accumulate(combo, t, c * v)
+        assert check(sp, combo, f"{where}: basis combination {cs}") == {
+            s: c for s, c in enumerate(cs) if c}
+        randoms = {tuple(rng.randrange(D) for _ in range(p)): rat(rng.randint(1, 5), 3)
+                   for _ in range(3)}
+        check(sp, sp.projector.apply(randoms), f"{where}: Y of {randoms}")
+        check(sp, randoms, f"{where}: {randoms}", member=False)
+    for p in range(top):
+        if D ** (p + 1) > 1024:
+            break
+        src, tgt = omega_space(N, D, p), omega_space(N, D, p + 1)
+        for mu, T in enumerate(_transition(N, D, p)):
+            cols = T.columns()
+            for s, b in enumerate(src.basis):
+                Yb = tgt.projector.apply({(mu,) + t: v for t, v in b.items()})
+                name = f"Y(e_{mu} ox b_{s}) from Omega^{p} of N={N}, D={D}"
+                assert check(tgt, Yb, name) == cols[s], name
+    # over D = 1 each space is the line of e_0 ox ... ox e_0: nothing to refuse
+    assert refused or D == 1
 
 
 @pytest.mark.parametrize("k", [1, 2])
