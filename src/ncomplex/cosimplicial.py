@@ -205,6 +205,23 @@ def _require_associative(A):
         raise ValueError("the algebra must be associative with a unit, not Lie")
 
 
+def _require_actions(mats, count, dim, name):
+    """Refuse an action list ``name`` that is not ``count`` dim x dim matrices."""
+    if len(mats) != count:
+        raise ValueError(f"{name} must hold {count} matrices, one per basis "
+                         f"element, got {len(mats)}")
+    for i, M in enumerate(mats):
+        if (M.nrows, M.ncols) != (dim, dim):
+            raise ValueError(
+                f"{name}[{i}] must be {dim}x{dim}, got {M.nrows}x{M.ncols}")
+
+
+def _act(mats, x, dim, field):
+    """sum_i x_i mats[i], the action of the algebra element x."""
+    return place_blocks(dim, dim, field,
+                        [(0, 0, mats[i].scale(c)) for i, c in x.items()])
+
+
 class BimoduleData:
     """Bimodule over an associative algebra: left/right action matrices per
     algebra basis element."""
@@ -219,24 +236,20 @@ class BimoduleData:
     def validate(self):
         A = self.algebra
         _require_associative(A)
-        f = A.field
-        ident = ExactMatrix.identity(self.dim, f)
-
-        def act(mats, x):
-            acc = ExactMatrix.zeros(self.dim, self.dim, f)
-            for i, c in x.items():
-                acc = acc + mats[i].scale(c)
-            return acc
-
-        if act(self.left, A.unit) != ident or act(self.right, A.unit) != ident:
+        f, n = A.field, self.dim
+        _require_actions(self.left, A.dim, n, "left action")
+        _require_actions(self.right, A.dim, n, "right action")
+        ident = ExactMatrix.identity(n, f)
+        if (_act(self.left, A.unit, n, f) != ident
+                or _act(self.right, A.unit, n, f) != ident):
             raise ValueError("bimodule actions are not unital")
         for i in range(A.dim):
             for j in range(A.dim):
                 prod = A.mul_basis(i, j)
-                if act(self.left, prod) != self.left[i] @ self.left[j]:
+                if _act(self.left, prod, n, f) != self.left[i] @ self.left[j]:
                     raise ValueError(f"left action fails at ({i},{j})")
                 # right action: m.(xy) = (m.x).y, i.e. R_(xy) = R_y R_x
-                if act(self.right, prod) != self.right[j] @ self.right[i]:
+                if _act(self.right, prod, n, f) != self.right[j] @ self.right[i]:
                     raise ValueError(f"right action fails at ({i},{j})")
                 if self.left[i] @ self.right[j] != self.right[j] @ self.left[i]:
                     raise ValueError(f"left/right actions do not commute ({i},{j})")
@@ -308,18 +321,11 @@ def _weighted_coface_complex(E, q, N, last_sign):
         raise ValueError("need at least (A0): [N]_q = 0")
     maps = {}
     for n in range(E.n_max):
-        acc = ExactMatrix.zeros(E.dims[n + 1], E.dims[n], f)
-        qi = f.one
-        for i in range(n + 1):
-            acc = acc + E.cofaces[n][i].scale(qi)
-            qi = f.mul(qi, q)
-        # i = n + 1 term: q^(n+1) for d_0, -q^n for d_1
-        if last_sign:
-            coeff = f.neg(f.pow(q, n))
-        else:
-            coeff = f.pow(q, n + 1)
-        acc = acc + E.cofaces[n][n + 1].scale(coeff)
-        maps[n] = acc
+        # q^i f_i for i <= n; at i = n + 1, q^(n+1) for d_0 and -q^n for d_1
+        coeffs = [f.pow(q, i) for i in range(n + 1)]
+        coeffs.append(f.neg(coeffs[n]) if last_sign else f.pow(q, n + 1))
+        maps[n] = place_blocks(E.dims[n + 1], E.dims[n], f, [
+            (0, 0, M.scale(c)) for M, c in zip(E.cofaces[n], coeffs)])
     return GradedNComplex(
         N, f, {n: E.dims[n] for n in range(E.n_max + 1)}, maps,
         truncated_above=True,
@@ -393,13 +399,11 @@ def chevalley_eilenberg(g, rep_mats, rep_dim, p_max):
         raise ValueError("g must be a Lie algebra")
     f = g.field
     n = g.dim
+    _require_actions(rep_mats, n, rep_dim, "rep_mats")
     for i in range(n):
         for j in range(n):
             comm = rep_mats[i] @ rep_mats[j] - rep_mats[j] @ rep_mats[i]
-            acc = ExactMatrix.zeros(rep_dim, rep_dim, f)
-            for k, c in g.mul_basis(i, j).items():
-                acc = acc + rep_mats[k].scale(c)
-            if comm != acc:
+            if comm != _act(rep_mats, g.mul_basis(i, j), rep_dim, f):
                 raise ValueError(f"representation property fails at ({i},{j})")
 
     subsets = {p: list(combinations(range(n), p)) for p in range(p_max + 2)}

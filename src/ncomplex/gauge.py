@@ -225,13 +225,12 @@ class GaugeCochains:
         for i in range(a):
             if action[i] @ G.A != G.A @ action[i]:
                 raise ValueError("A does not commute with the action")
-        # invariants must reproduce H_I
-        rows = None
-        for i in range(a):
-            eps = U.counit.get(i, f.zero)
-            Mi = action[i] - ExactMatrix.identity(h, f).scale(eps)
-            rows = Mi if rows is None else rows.vstack(Mi)
-        inv = kernel_basis(rows)
+        # invariants must reproduce H_I: the common kernel of the
+        # action[i] - eps(e_i) I, stacked
+        ident = ExactMatrix.identity(h, f)
+        inv = kernel_basis(place_blocks(a * h, h, f, [
+            (i * h, 0, action[i] - ident.scale(U.counit.get(i, f.zero)))
+            for i in range(a)]))
         if inv.dim != G.HI.dim or not all(
             G.HI.contains(c) for c in inv.basis.columns()
         ):
@@ -346,10 +345,7 @@ def filtration_f0_dim(C, k):
     P = N - k
     h = C.h
     # V = ker(Q^k) on level-0 sources
-    Qk = C.Q.power(k)
-    cols = [Qk.apply({i: f.one}) for i in range(h)]
-    Vmat = ExactMatrix.from_columns(cols, C.total, f)
-    V = kernel_basis(Vmat)  # vectors in H-coordinates
+    V = kernel_basis(C.Q.power(k).take_columns(range(h)))  # in H-coordinates
     if V.dim == 0:
         return 0, {"V": 0, "VB": 0, "method": "empty"}
     # shortcut: level-0 part of Q^P x is A^P x_0
@@ -367,43 +363,23 @@ def filtration_f0_dim(C, k):
         """dim of {w in W : w in Q^P(sources of level <= L)} (w viewed at
         level 0 of the big space)."""
         src_top = C.offsets[L] + C.dims[L]
-        src_cols = [QP.apply({j: f.one}) for j in range(src_top)]
-        Wcols = [
-            {i: f.neg(v) for i, v in col.items()}
-            for col in W.basis.columns()
-        ]
-        M = ExactMatrix.from_columns(src_cols + Wcols, C.total, f)
-        K = kernel_basis(M)
-        proj_cols = []
-        for colv in K.basis.columns():
-            proj_cols.append(
-                {j - src_top: v for j, v in colv.items() if j >= src_top}
-            )
-        return image_basis(
-            ExactMatrix.from_columns(proj_cols, W.dim, f)
-        )
+        # [Q^P on the sources | -W at level 0]
+        K = kernel_basis(place_blocks(C.total, src_top + W.dim, f, [
+            (0, 0, QP.take_columns(range(src_top))),
+            (0, src_top, W.basis.scale(f.neg(f.one)))]))
+        # the W-coordinates of the kernel vectors: their rows from src_top on
+        w_rows = K.basis.transpose().take_columns(range(src_top, src_top + W.dim))
+        return image_basis(w_rows.transpose())
 
     def cert_upper(c):
         """upper bound: W cap (common kernel of certified functionals with
         support on levels <= c)."""
         blk = C.offsets[c] + C.dims[c]
-        # rows <= blk, cols <= blk block of Q^P
-        ent = {
-            (rr, cc): v
-            for (rr, cc), v in QP.entries.items()
-            if rr < blk and cc < blk
-        }
-        Mblk = ExactMatrix(blk, blk, f, ent, _clean=False)
-        left = kernel_basis(Mblk.transpose())
-        # restrict functionals to level 0 and intersect with W
-        rows = []
-        for col in left.basis.columns():
-            row = {i: v for i, v in col.items() if i < h}
-            if row:
-                rows.append(row)
-        if not rows:
-            return W
-        L0 = ExactMatrix.from_columns(rows, h, f).transpose() @ W.basis
+        # the left kernel of the leading blk x blk block of Q^P
+        left = kernel_basis(
+            QP.take_columns(range(blk)).transpose().take_columns(range(blk)))
+        # the functionals restricted to level 0, on W
+        L0 = left.basis.transpose().take_columns(range(h)) @ W.basis
         return kernel_basis(L0)  # in W-coordinates
 
     lower = win_dim(0)
@@ -422,10 +398,9 @@ def filtration_f0_dim(C, k):
             return V.dim - lower.dim, {
                 "V": V.dim, "VB": lower.dim, "method": f"sandwich (L={L})",
             }
-    # fall back to the full windowed answer
-    full = win_dim(L_max)
-    return V.dim - full.dim, {
-        "V": V.dim, "VB": full.dim, "method": "full window",
+    # fall back to the full windowed answer, the loop's last window L_max
+    return V.dim - lower.dim, {
+        "V": V.dim, "VB": lower.dim, "method": "full window",
     }
 
 
@@ -456,19 +431,13 @@ def theorem6_verify(U, action, G, stability=True):
             entry["F0_at_window+1"] = dim2
             if dim2 != dim_f0:
                 report["ok"] = False
-        # the H_(k)(H_I, A) representatives, as vectors of H
-        reps = [
-            G.HI.basis.apply(col)
-            for col in Hs[k].representatives.columns()
-        ]
-        if reps:
-            f = G.field
-            # only their rank in H is checked: it does not show that they
-            # stay independent modulo V cap B
-            Vmat = ExactMatrix.from_columns(reps, G.dim, f)
-            if rank(Vmat) != len(reps):
-                report["ok"] = False
-                entry["independence"] = "failed"
+        # the H_(k)(H_I, A) representatives as columns in H, one product;
+        # only their rank in H is checked, which does not show that they
+        # stay independent modulo V cap B
+        reps = G.HI.basis @ Hs[k].representatives
+        if rank(reps) != reps.ncols:
+            report["ok"] = False
+            entry["independence"] = "failed"
         report["per_k"][k] = entry
     return report
 

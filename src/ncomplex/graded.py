@@ -349,11 +349,12 @@ class TensorIndex:
             self.dims[n] = self.dims.get(n, 0) + C1.dims[r] * C2.dims[s]
 
 
-def q_tensor(C1, C2, q, validate_power_formula=True):
+def q_tensor(C1, C2, q):
     """Tensor product with d(x ox y) = d'x ox y + q^deg(x) x ox d''y.
 
     Both factors must be fully known (no truncation) over the same field and
-    with (field, q, N) satisfying (A1)."""
+    with (field, q, N) satisfying (A1).  Every product checks the q-binomial
+    power formula (``_validate_q_power_formula``)."""
     if C1.field != C2.field:
         raise ValueError("field mismatch")
     if C1.N != C2.N:
@@ -374,8 +375,7 @@ def q_tensor(C1, C2, q, validate_power_formula=True):
             if maps[n] is None:
                 raise WindowError(f"q_tensor needs the factors' maps at degree {n}")
     T = GradedNComplex(N, f, dict(idx.dims), maps, cyclic=C1.cyclic)
-    if validate_power_formula:
-        _validate_q_power_formula(C1, C2, q, T, idx)
+    _validate_q_power_formula(C1, C2, q, T, idx)
     return T
 
 
@@ -440,7 +440,7 @@ def kunneth_check(C1, C2):
         raise ValueError("Kunneth check is for N = 2 only")
     f = C1.field
     minus_one = f.neg(f.one)
-    T = q_tensor(C1, C2, minus_one, validate_power_formula=False)
+    T = q_tensor(C1, C2, minus_one)
     H1 = graded_homology(C1)
     H2 = graded_homology(C2)
     HT = graded_homology(T)

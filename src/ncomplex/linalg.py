@@ -414,6 +414,20 @@ def _apply_columns(cols, xs, f):
     return out
 
 
+def _membership_holds(cols, scale, x, v, f, skip=()):
+    """The exact membership check B x = v on numerators: whether the integer
+    columns ``cols`` of B times the numerators x are ``scale`` times the
+    numerators v, scale = D_B D_x / D_v for the denominators of B, x and v.
+    The rows in ``skip`` hold by construction and are not compared (``cols``
+    has no entry there)."""
+    Bx = _apply_columns(cols, x, f)
+    mul, zero = f.mul, f.zero
+    for r, n in v.items():
+        if r not in skip and Bx.pop(r, zero) != mul(n, scale):
+            return False
+    return all(map(f.is_zero, Bx.values()))
+
+
 def _int_key(key, bounds):
     """The tuple of ints named by the JSON key "i,j,...": one per entry of
     ``bounds``, each >= 0 and below its bound unless that is None."""
@@ -583,12 +597,8 @@ class EchelonSolver:
         pivots = self.pivots
         x = {pivots[i]: Pb[i] for i in sorted(Pb) if not is_zero(Pb[i])}
         # the exact check: P b solves M x = b exactly when b is in the image
-        Mx = _apply_columns(self.M.split_columns()[0], x, f)
-        scale, mul, zero = self._check_scale, f.mul, f.zero
-        for j, v in b.items():
-            if Mx.pop(j, zero) != mul(v, scale):
-                return None
-        if not all(map(is_zero, Mx.values())):
+        M_num = self.M.split_columns()[0]
+        if not _membership_holds(M_num, self._check_scale, x, b, f):
             return None
         return x, D * self._DP
 
@@ -680,8 +690,9 @@ class Subspace:
         """Whether the basis times the numerators x, read at the unit rows,
         is the vector of numerators xs, both over one denominator: the exact
         membership check Z x = v.  At a unit row it holds by construction,
-        so only the other rows are compared, Z_num x = D_Z xs; with no other
-        row (Z = I) there is nothing to check."""
+        so ``_membership_holds`` compares only the other rows,
+        Z_num x = D_Z xs; with no other row (Z = I) there is nothing to
+        check."""
         if len(self.unit_rows) == self.ambient_dim:
             return True
         f, index = self.field, self._unit_index()
@@ -693,12 +704,7 @@ class Subspace:
                 rest[k] = [t for r, n in zip(it, it) if r not in index for t in (r, n)]
             self._rest = rest, f.numerator(DZ)
         rest, scale = self._rest
-        Zx = _apply_columns(rest, x, f)
-        mul, zero = f.mul, f.zero
-        for r, n in xs.items():
-            if r not in index and Zx.pop(r, zero) != mul(n, scale):
-                return False
-        return all(map(f.is_zero, Zx.values()))
+        return _membership_holds(rest, scale, x, xs, f, index)
 
     def coordinates(self, v):
         """Coordinates of sparse vector v in this basis, or None."""

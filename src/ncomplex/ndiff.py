@@ -17,6 +17,7 @@ from .linalg import (
     kernel_basis,
     kron,
     orbit_span,
+    place_blocks,
     power_images,
     power_kernels,
     quotient_maps,
@@ -355,10 +356,9 @@ def homotopy_criterion_lemma3(E, hs):
     if len(hs) != E.N:
         raise ValueError("need N homotopy components h_0..h_(N-1)")
     f = E.field
-    acc = ExactMatrix.zeros(E.dim, E.dim, f)
-    for k, h in enumerate(hs):
-        acc = acc + E.power(E.N - 1 - k) @ h @ E.power(k)
-    holds = acc == ExactMatrix.identity(E.dim, f)
+    total = place_blocks(E.dim, E.dim, f, [
+        (0, 0, E.power(E.N - 1 - k) @ h @ E.power(k)) for k, h in enumerate(hs)])
+    holds = total == ExactMatrix.identity(E.dim, f)
     if holds and any(homology(E).dims().values()):
         raise AssertionError("Lemma 3 homotopy holds but the homology is nonzero")
     return holds

@@ -18,7 +18,15 @@ from operator import itemgetter
 
 from .fields import QQ, accumulate, rat
 from .graded import GradedNComplex, graded_homology
-from .linalg import EchelonSolver, ExactMatrix, kron, place_blocks
+from .linalg import (
+    EchelonSolver,
+    ExactMatrix,
+    _flat_columns,
+    _membership_holds,
+    _split_vector,
+    kron,
+    place_blocks,
+)
 from .ndiff import exact_at
 
 
@@ -156,8 +164,10 @@ class SymmetrySpace:
     are a basis by the standard basis theorem (Fulton, Young Tableaux, 8.1).
     Coordinates are read at those semistandard positions S: one
     ``EchelonSolver`` of the dim x dim matrix B_S = (b_s[t]), t in S, which
-    rank B_S = ``weyl_dim`` certifies (rank B_S <= rank [b_s]); one sparse
-    combination sum_s c_s b_s = tensor checks each solve."""
+    rank B_S = ``weyl_dim`` certifies (rank B_S <= rank [b_s]).  Each solve
+    is checked by the one membership check of ``linalg`` on numerators,
+    B_num c_num = D_B D_P tensor_num, with the basis kept as integer
+    columns B_num over D_B and D_P the denominator of the solver's P."""
 
     def __init__(self, diagram, D):
         self.diagram = diagram
@@ -176,6 +186,9 @@ class SymmetrySpace:
         if self.basis and self.projector.apply(self.basis[0]) != self.basis[0]:
             raise AssertionError(
                 f"Young symmetrizer of {diagram.rows} fails Y^2 = cY")
+        nums, DB = QQ.split([v for b in self.basis for v in b.values()])
+        keys = [(t, s) for s, b in enumerate(self.basis) for t in b]
+        self._check = _flat_columns(keys, nums), DB * self.solver._DP
 
     def _semistandard_tuples(self):
         """The row-sorted fillings whose columns strictly increase, read row
@@ -191,15 +204,12 @@ class SymmetrySpace:
 
     def coords(self, tensor):
         """Coordinates in the basis; tensor must lie in the image."""
-        c = self.solver.solve(
-            {i: tensor[t] for i, t in enumerate(self.positions) if tensor.get(t)})
-        combo = {}
-        for s, v in c.items():
-            for t, bv in self.basis[s].items():
-                accumulate(combo, t, v * bv)
-        if combo != {t: v for t, v in tensor.items() if v}:
+        v, D = _split_vector(tensor, QQ)
+        x, Dx = self.solver.solve_split(
+            {i: v[t] for i, t in enumerate(self.positions) if v.get(t)}, D)
+        if not _membership_holds(*self._check, x, v, QQ):
             raise ValueError("tensor does not have this symmetry type")
-        return c
+        return {s: rat(n, Dx) for s, n in x.items()}
 
 
 @lru_cache(maxsize=None)

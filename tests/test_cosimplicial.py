@@ -116,6 +116,29 @@ def test_bimodule_rejects_an_action_on_the_wrong_side():
         BimoduleData(A, 4, R.left, R.left)
 
 
+def test_action_lists_of_the_wrong_length_or_shape_are_refused():
+    # a list shorter or longer than dim A, or a matrix of the wrong size,
+    # is refused by the name of the list with its expected length or shape
+    f = QQ
+    A = group_algebra_cyclic(f, 2)
+    R = BimoduleData.regular(A)
+    big = ExactMatrix.identity(3, f)
+    with pytest.raises(ValueError, match=r"^left action must hold 2 matrices, "
+                       r"one per basis element, got 1$"):
+        BimoduleData(A, 2, R.left[:1], R.right)
+    with pytest.raises(ValueError, match=r"^right action must hold 2 .* got 3$"):
+        BimoduleData(A, 2, R.left, R.right + [R.right[0]])
+    with pytest.raises(ValueError, match=r"^left action\[1\] must be 2x2, got 3x3$"):
+        BimoduleData(A, 2, [R.left[0], big], R.right)
+    g, zero = abelian_lie(f, 2), ExactMatrix.zeros(1, 1, f)
+    with pytest.raises(ValueError, match=r"^rep_mats must hold 2 .* got 1$"):
+        chevalley_eilenberg(g, [zero], 1, 2)
+    with pytest.raises(ValueError, match=r"^rep_mats must hold 2 .* got 3$"):
+        chevalley_eilenberg(g, [zero] * 3, 1, 2)
+    with pytest.raises(ValueError, match=r"^rep_mats\[1\] must be 1x1, got 3x3$"):
+        chevalley_eilenberg(g, [zero, big], 1, 2)
+
+
 def test_constant_cosimplicial_cohomology():
     E = constant_cosimplicial(QQ, 5)
     C = simplicial_differential(E)
@@ -434,10 +457,14 @@ STRUCTURE_MAP_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize(
-    "case", sorted(STRUCTURE_MAP_DIGESTS), ids=lambda c: "-".join(map(str, c))
-)
-def test_structure_maps_match_hand_indexed_digests(case):
+def _digest(mats):
+    return hashlib.sha256(
+        json.dumps([M.to_json() for M in mats], sort_keys=True).encode()
+    ).hexdigest()
+
+
+def _structure_case(case):
+    """The field and the cosimplicial module of a digest case."""
     builder, algebra, M, n_max = case
     f = QQ if M == 1 else make_cyclotomic(M)
     A = {
@@ -446,14 +473,48 @@ def test_structure_maps_match_hand_indexed_digests(case):
         "matrix_algebra": lambda f: matrix_algebra(f, 2),
     }[algebra](f)
     if builder == "hochschild":
-        E = hochschild(A, BimoduleData.regular(A), n_max)
-    else:
-        E = tensor_algebra(A, n_max)
+        return f, hochschild(A, BimoduleData.regular(A), n_max)
+    return f, tensor_algebra(A, n_max)
+
+
+@pytest.mark.parametrize(
+    "case", sorted(STRUCTURE_MAP_DIGESTS), ids=lambda c: "-".join(map(str, c))
+)
+def test_structure_maps_match_hand_indexed_digests(case):
+    _, E = _structure_case(case)
     mats = [M for level in E.cofaces + E.codegens for M in level]
-    digest = hashlib.sha256(
-        json.dumps([M.to_json() for M in mats], sort_keys=True).encode()
-    ).hexdigest()
-    assert digest == STRUCTURE_MAP_DIGESTS[case]
+    assert _digest(mats) == STRUCTURE_MAP_DIGESTS[case]
+
+
+# sha256 of the maps of d_0 and d_1 at N = 3, q a primitive cube root of
+# unity, on the STRUCTURE_MAP_DIGESTS cases over Q(zeta_3) and Q(zeta_6):
+# recorded from the coface sums built term by term, before each map became
+# one place_blocks of the q-weighted cofaces
+D0_D1_DIGESTS = {
+    ("hochschild", "dual_numbers", 3, 4): (
+        "47ca7edefb1b88b521c762ceadd3a4ca5fbaf71c7843b00a72c1596123f9d447",
+        "7b45e7663989a79dc823d92a8f90b2062eef152872449e813268a153b868ad23"),
+    ("hochschild", "truncated_polynomials", 6, 3): (
+        "ed9e99993f03e6f37131f5b35fb8e80549fc8c4d01643dbfa99360ce3f3b38e1",
+        "477b79b750ff3a1050eebea1d66abd8bc3d155724741b70c44ba69d4a3213ad4"),
+    ("tensor_algebra", "dual_numbers", 3, 4): (
+        "cf2204b941a5e6bae29eb49a885e51e3bca5fcfc95117364bcbe50364d4b9805",
+        "f5289a5b8340659c0277f006ce9f1fd33570e5de48b27af8981f29df364233cb"),
+    ("tensor_algebra", "truncated_polynomials", 6, 3): (
+        "bccb59d0387ad3db47687b31658b98bfcbeb69c0de863c3699e6c2c31667a33d",
+        "a3cf50064f6976245315849219e8f7f7ce9e4912566e78ffef0b3d61d5eabad0"),
+}
+
+
+@pytest.mark.parametrize(
+    "case", sorted(D0_D1_DIGESTS), ids=lambda c: "-".join(map(str, c))
+)
+def test_d0_d1_maps_match_recorded_digests(case):
+    f, E = _structure_case(case)
+    q = f.zeta() if case[2] == 3 else f.pow(f.zeta(), 2)
+    got = tuple(_digest([C.maps[n] for n in sorted(C.maps)])
+                for C in (d0(E, q, 3), d1(E, q, 3)))
+    assert got == D0_D1_DIGESTS[case]
 
 
 def test_algebra_law_failures_name_the_first_basis_tuple():

@@ -274,7 +274,7 @@ def test_q_tensor_entrywise_matches_classical():
     rng = random.Random(23)
     A = random_graded_complex(QQ, 2, rng, lo=0, hi=2, strings=3)
     B = random_graded_complex(QQ, 2, rng, lo=0, hi=2, strings=3)
-    T = q_tensor(A, B, QQ.neg(QQ.one), validate_power_formula=False)
+    T = q_tensor(A, B, QQ.neg(QQ.one))
     from ncomplex.graded import TensorIndex
 
     idx = TensorIndex(A, B, False)
