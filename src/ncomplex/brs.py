@@ -19,8 +19,8 @@ from .linalg import (
     QuotientSpace,
     Subspace,
     _int_key,
-    image_basis,
     rank,
+    span,
 )
 from .young import mono_derivative, mono_mul, monomials, poly_derivative
 
@@ -635,7 +635,7 @@ class LongitudinalComplex:
             products = [{mono_mul(mono, mu): v for mu, v in u.items()}
                         for u in self.system.constraints
                         for mono in monomials(self.D, w - poly_deg(u))]
-            ideal = image_basis(_operator_matrix(products, mindex))
+            ideal = span(_operator_matrix(products, mindex))
             full = Subspace.full(len(monos), QQ)
             self._quotients[w] = (monos, mindex, QuotientSpace(full, ideal))
         return self._quotients[w]

@@ -13,8 +13,8 @@ from .cosimplicial import BimoduleData, d1 as cosimplicial_d1, hochschild
 from .fields import QQ, check_assumptions, q_factorial, rat
 from .graded import GradedNComplex, graded_homology
 from .linalg import (
+    Echelon,
     ExactMatrix,
-    echelon_of_span,
     image_basis,
     index_tuple,
     intersection,
@@ -44,19 +44,21 @@ class GaugeInstance:
         self.validate()
 
     def validate(self):
+        """Check the hypotheses and keep A restricted to H_I, in H_I
+        coordinates, for ``restricted_module``."""
         f = self.field
         if check_assumptions(f.mul(self.q, self.q), self.N, f) != "A1":
             raise ValueError("q^2 must be a primitive N-th root of unity")
         if not self.A.power(self.N).is_zero():
             raise ValueError("A^N != 0")
-        for col in self.HI.basis.columns():
-            if not self.HI.contains(self.A.apply(col)):
-                raise ValueError("H_I is not A-stable")
+        self.A_HI = restrict(self.A, self.HI, self.HI)
+        if self.A_HI is None:
+            raise ValueError("H_I is not A-stable")
         return True
 
     def restricted_module(self):
         """(H_I, A restricted) as an N-differential module in H_I coords."""
-        return NDiffModule(self.N, restrict(self.A, self.HI, self.HI))
+        return NDiffModule(self.N, self.A_HI)
 
     def to_json(self):
         return {
@@ -143,10 +145,11 @@ def extend(G):
 def theorem5_verify(G):
     """dim H_(k)(H-bullet, Q) = dim H_(k)(H_I, A) for all k, plus the check
     that H_I representatives stay independent modulo B_(k)(Q) = im Q^(N-k):
-    the basis of image-chain link N-k-1 is echelon rows that span B_(k)(Q),
-    so absorbing the representatives (in level 0) into the ``Echelon`` of
-    those rows (``echelon_of_span``) fails exactly when one depends on
-    B_(k)(Q) and those before it, i.e. rank [B | reps] < dim B + #reps."""
+    image-chain link N-k-1 is the ``Echelon`` of rows that span B_(k)(Q),
+    so absorbing the representatives (in level 0) into a fresh ``Echelon``
+    on its leads fails exactly when one depends on B_(k)(Q) and those
+    before it, i.e. rank [B | reps] < dim B + #reps.  The link itself is
+    cached on the module and stays as it is."""
     ext = extend(G)
     N = G.N
     small = G.restricted_module()
@@ -162,7 +165,7 @@ def theorem5_verify(G):
             report["ok"] = False
             continue
         # level-0 coordinates of H-bullet are those of H
-        E = echelon_of_span(images[N - k - 1])
+        E = Echelon(ext.Q.field, ext.Q.dim, images[N - k - 1].leads)
         reps = (G.HI.basis @ Hs[k].representatives).transpose()
         if not all(E.absorb(cols, vals) is None
                    for cols, vals in reps.rows_sparse()):
@@ -336,14 +339,20 @@ def filtration_f0_dim(C, k):
     ker(Q^k) cap C^0 and B = im(Q^(N-k)) from sources of level
     <= n_max - (N-k).
 
-    V is exact (Q^k never lowers levels).  V cap B is pinned by a sandwich:
-    explicit preimages from low levels give a lower bound, left-functional
-    certificates supported on low levels give an upper bound, and the full
-    windowed solve decides any remainder."""
+    V is exact (Q^k never lowers levels) once level k is in the window, and
+    B needs the level-0 sources, so a window with n_max < max(k, N - k) is
+    refused.  V cap B is pinned by a sandwich: explicit preimages from low
+    levels give a lower bound, left-functional certificates supported on
+    low levels give an upper bound, and the full windowed solve decides any
+    remainder."""
     f = C.field
     N = C.N
     P = N - k
     h = C.h
+    if C.n_max < max(k, P):
+        raise ValueError(
+            f"filtration_f0_dim needs n_max >= k = {k} (V = ker Q^k on level 0) "
+            f"and n_max >= N - k = {P} (sources of B), got n_max = {C.n_max}")
     # V = ker(Q^k) on level-0 sources
     V = kernel_basis(C.Q.power(k).take_columns(range(h)))  # in H-coordinates
     if V.dim == 0:

@@ -12,11 +12,11 @@ from .fields import check_assumptions, q_binomial
 from .linalg import (
     EchelonSolver,
     ExactMatrix,
-    image_basis,
     kernel_basis,
     kron,
     place_blocks,
     rank,
+    span,
 )
 from .ndiff import (ConnectingChain, Homology, HomologySlot, NDiffModule,
                     WindowError, exact_at)
@@ -189,7 +189,7 @@ def graded_homology(C, ms=None):
             src = C.composite(n + m - N, N - m)
             if src is None:
                 continue
-            slots[(n, m)] = HomologySlot(kernel_basis(out), image_basis(src),
+            slots[(n, m)] = HomologySlot(kernel_basis(out), span(src),
                                          certified=C._valid)
     H = Homology(slots)
     if memo:

@@ -472,24 +472,14 @@ def power_kernels(M, length):
 
 def power_images(M, length):
     """Column spaces of M, M^2, ..., M^length without forming a power:
-    ``_power_echelons`` on M^T's rows, as col(M^k) = row((M^T)^k).  Link k's
-    basis columns are the rows its echelon keeps, in lead order (the column
-    rank profile rule on link 1), sparser than the columns ``image_basis``
-    keeps.  Over Q they are primitive integer rows: the basis holds them as
-    rationals, its split seeded with them over D = 1.  ``echelon_of_span``
-    turns them back into an ``Echelon``."""
+    ``_power_echelons`` on M^T's rows, as col(M^k) = row((M^T)^k).  Link k
+    is the ``Echelon`` of those rows, one per lead (the column rank profile
+    rule on link 1), over Q primitive integer rows; ``len(link.leads)`` is
+    rank M^k, and a fresh ``Echelon`` on ``link.leads`` extends the span
+    without eliminating it again."""
     f, n = M.field, M.nrows
-    rational = f.kind == "rationals"
-    chain = []
-    for _, rows in _power_echelons(M.transpose().rows_sparse(), n, length, f, False):
-        keys = [(i, k) for k, (cols, _) in enumerate(rows) for i in cols]
-        vals = [v for _, row_vals in rows for v in row_vals]
-        basis = ExactMatrix(n, len(rows), f, dict(zip(
-            keys, map(rat, vals) if rational else vals)), _clean=False)
-        if rational:
-            basis._split = _flat_columns(keys, vals), 1
-        chain.append(Subspace(n, basis))
-    return chain
+    links = _power_echelons(M.transpose().rows_sparse(), n, length, f, False)
+    return [Echelon(f, n, zip(pivots, rows)) for pivots, rows in links]
 
 
 def _power_echelons(rows, ncols, length, f, reduced):
@@ -532,32 +522,27 @@ def _echelon_kernel(pivots, erows, ncols, f):
     return Subspace(ncols, basis, unit_rows=free)
 
 
-def image_basis(M):
-    """Column space: the columns of M that an ``Echelon`` keeps when they are
-    absorbed in order in the kernel's row format (over Q integer rows), the
+def _column_echelon(M):
+    """``(E, kept)``: the ``Echelon`` of M's columns absorbed in order in the
+    kernel's row format (over Q integer rows), and the columns it kept, the
     pivot columns of any row echelon form of M."""
     E = Echelon(M.field, M.nrows)
     kept = [j for j, (cols, vals) in enumerate(M.transpose().rows_sparse())
             if E.absorb(cols, vals) is None]
-    return Subspace(M.nrows, M.take_columns(kept))
+    return E, kept
 
 
-def echelon_of_span(S):
-    """A fresh ``Echelon`` whose rows are the basis columns of S, a link of
-    ``power_images``, so that absorbing new rows extends the span without
-    eliminating S again.  The columns already are echelon rows with distinct
-    leads and need no absorb: over Q the primitive integer rows of the
-    seeded split over D = 1, over Q(zeta_M) rows with lead one."""
-    f, basis = S.field, S.basis
-    if f.kind == "rationals":
-        cols = basis.split_columns()[0]
-    else:
-        cols = _flat_columns(basis.entries, basis.entries.values())
-    leads = {}
-    for flat in cols.values():
-        rows = flat[0::2]
-        leads[rows[0]] = rows, flat[1::2]
-    return Echelon(f, S.ambient_dim, leads)
+def span(M):
+    """The column space of M as the ``Echelon`` of its columns: one stored
+    row per lead, over Q primitive integer rows.  It is the B of a
+    ``QuotientSpace``."""
+    return _column_echelon(M)[0]
+
+
+def image_basis(M):
+    """Column space as a ``Subspace`` on the columns of M that ``span``
+    keeps."""
+    return Subspace(M.nrows, M.take_columns(_column_echelon(M)[1]))
 
 
 class EchelonSolver:
@@ -749,24 +734,28 @@ class QuotientSpace:
     complement is the last basis of the matroid of the Z columns modulo B
     (Oxley, *Matroid Theory*, 2nd ed., 2.1, on the dual matroid).
 
-    The rows of B_Z^T go into the kernel as they come: each column of B is
+    B is given as the ``Echelon`` that spans it (``span``, an image-chain
+    link), and its stored rows go into the kernel as they come: each is
     read in Z's coordinates by ``coordinates_split``, whose check refuses a
-    B outside Z, and its numerators (integers over Q) are one input row, a
+    B outside Z, over Q as its integer row over D = 1 and over Q(zeta_M)
+    through one ``Field.split``.  The numerators are one input row, a
     nonzero multiple of the coordinate row, so no coordinate is built as a
     scalar.  K is the ``_echelon_kernel`` of their RREF, which depends on
-    the row space alone."""
+    the row space alone, so the representatives do not depend on which
+    rows span B."""
 
     def __init__(self, Z, B):
-        if B.ambient_dim != Z.ambient_dim:
+        if B.limit != Z.ambient_dim:
             raise ValueError("ambient dimension mismatch")
         self.Z = Z
         self.B = B
         f = self.field = Z.field
-        cols, D = B.basis.split_columns()
-        rows = []  # the rows of B_Z^T: each column of B in Z's coordinates
-        for c in sorted(cols):
-            it = iter(cols[c])
-            sol = Z.coordinates_split(dict(zip(it, it)), D)
+        rational = f.kind == "rationals"
+        rows = []  # the rows of B_Z^T: each row of B in Z's coordinates
+        for c in sorted(B.leads):
+            cols, vals = B.leads[c]
+            nums, D = (vals, 1) if rational else f.split(vals)
+            sol = Z.coordinates_split(dict(zip(cols, nums)), D)
             if sol is None:
                 raise ValueError("B is not contained in Z")
             rows.append((list(sol[0]), list(sol[0].values())))
@@ -800,7 +789,7 @@ def quotient_maps(S):
     """``(proj, section)`` for the quotient of S's ambient space by S under
     the complement rule: proj is the class map K^T of the left kernel K of S
     (``kernel_basis`` of S^T), section the unit vectors at its free columns."""
-    q = QuotientSpace(Subspace.full(S.ambient_dim, S.field), S)
+    q = QuotientSpace(Subspace.full(S.ambient_dim, S.field), span(S.basis))
     return q.class_map, q.representatives()
 
 

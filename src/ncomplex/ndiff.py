@@ -53,7 +53,7 @@ class NDiffModule:
         self._powers = {0: ExactMatrix.identity(self.dim, self.field), 1: d}
         self._image_chain = None
         self._homology = None
-        if check and self.image_chain()[-1].dim != 0:
+        if check and self.image_chain()[-1].leads:
             raise ValueError(f"d^{N} != 0: not an {N}-differential")
 
     def power(self, k):
@@ -63,16 +63,14 @@ class NDiffModule:
         return self._powers[k]
 
     def image_chain(self):
-        """Bases of im d^1, ..., im d^N by shrinking eliminations: the kernel
+        """Spans of im d^1, ..., im d^N by shrinking eliminations: the kernel
         chain's loop run on d^T without back-substitution (``power_images``),
-        as col(d^(k+1)) = row((d^T)^(k+1)).  Link k's basis columns are the
-        rows its echelon keeps, in lead order, and Theorem 5 rebuilds the
-        echelon from them (``echelon_of_span``).  Link k's dimension is rank
-        d^(k+1), so the last link is zero exactly when d^N = 0: the chain is
-        the nilpotency certificate of ``__init__``.  A quotient Z / B reads B
-        only through its span: ``QuotientSpace`` takes the RREF of B's
-        Z-coordinates, which depends on their row space alone, so the
-        representatives do not depend on which basis a link keeps."""
+        as col(d^(k+1)) = row((d^T)^(k+1)).  Link k is the ``Echelon`` of the
+        rows that loop keeps, one per lead, so ``len(link.leads)`` is rank
+        d^(k+1) and the last link is empty exactly when d^N = 0: the chain is
+        the nilpotency certificate of ``__init__``.  A link is the B of a
+        homology quotient as it stands (``QuotientSpace`` reads its rows),
+        and Theorem 5 extends a fresh ``Echelon`` on its leads."""
         if self._image_chain is None:
             self._image_chain = power_images(self.d, self.N)
         return self._image_chain
@@ -89,7 +87,7 @@ class NDiffModule:
 
     def rank_profile(self):
         """[rank d^0, ..., rank d^N] (first = dim, last = 0)."""
-        return [self.dim] + [S.dim for S in self.image_chain()]
+        return [self.dim] + [len(B.leads) for B in self.image_chain()]
 
     def homology_dims(self):
         """{m: dim H_(m)} for m in 1..N-1 read off the rank profile:
@@ -114,12 +112,15 @@ class NDiffModule:
 
 class HomologySlot:
     """Homology space H = Z / B, dim H = dim Z - dim B, with the quotient that
-    fixes its representatives.  That is built and checked here, or on first
-    read if the caller ``certified`` B in Z (d^N = 0) with Z, B independent."""
+    fixes its representatives: Z a ``Subspace`` and B the ``Echelon`` that
+    spans it (an image-chain link or ``linalg.span``).  The quotient is
+    built and checked here, or on first read if the caller ``certified`` B
+    in Z (d^N = 0)."""
 
     def __init__(self, Z, B, *, certified=False):
         self.Z, self.B = Z, B
-        self.dim_Z, self.dim_B, self.dim_H = Z.dim, B.dim, Z.dim - B.dim
+        self.dim_Z, self.dim_B = Z.dim, len(B.leads)
+        self.dim_H = self.dim_Z - self.dim_B
         if not certified:
             self.quotient  # built and checked now
 
@@ -183,7 +184,7 @@ def homology(E):
     the slots build quotients lazily."""
     if E._homology is None:
         images, kernels = E.image_chain(), E.kernel_chain()
-        certified = images[-1].dim == 0
+        certified = not images[-1].leads
         E._homology = Homology({
             m: HomologySlot(kernels[m - 1], images[E.N - m - 1],
                             certified=certified)

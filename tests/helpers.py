@@ -26,7 +26,6 @@ from ncomplex.linalg import (
     EchelonSolver,
     ExactMatrix,
     Subspace,
-    _flat_columns,
     image_basis,
     kernel_basis,
     kron,
@@ -128,35 +127,48 @@ def oracle_image_chain(E):
     return chain
 
 
-def echelon_span(M):
-    """Column space on the rows that an ``Echelon`` of M's columns, absorbed
-    in order, keeps: one basis column per lead, in lead order, over Q as
-    rationals with the split seeded over D = 1.  It is the oracle of link 1
-    of ``linalg.power_images``."""
-    f = M.field
-    E = Echelon(f, M.nrows)
+def link_rows(B):
+    """The stored rows of the ``Echelon`` B, in lead order."""
+    return [B.leads[c] for c in sorted(B.leads)]
+
+
+def echelon_rows(M):
+    """The rows that an ``Echelon`` of M's columns, absorbed in order, keeps:
+    one per lead, in lead order, over Q primitive integer rows.  It is the
+    oracle of link 1 of ``linalg.power_images``."""
+    E = Echelon(M.field, M.nrows)
     for cols, vals in M.transpose().rows_sparse():
         E.absorb(cols, vals)
-    rows = [E.leads[c] for c in sorted(E.leads)]
-    keys = [(i, k) for k, (cols, _) in enumerate(rows) for i in cols]
-    vals = [v for _, row_vals in rows for v in row_vals]
-    rational = f.kind == "rationals"
-    basis = ExactMatrix(M.nrows, len(rows), f, dict(zip(
-        keys, map(rat, vals) if rational else vals)), _clean=False)
-    if rational:
-        basis._split = _flat_columns(keys, vals), 1
-    return Subspace(M.nrows, basis)
+    return link_rows(E)
+
+
+def rows_matrix(rows, n, f):
+    """The n-row matrix whose columns are the kernel-format ``rows``, over Q
+    integer rows read as rationals."""
+    cols = [dict(zip(rc, map(rat, rv) if f.kind == "rationals" else rv))
+            for rc, rv in rows]
+    return ExactMatrix.from_columns(cols, n, f)
 
 
 def oracle_echelon_chain(E):
-    """``NDiffModule.image_chain`` on explicit products: link 0 is the
-    ``echelon_span`` of d and link k+1 that of d @ (link k's basis), each
-    product an ``ExactMatrix`` split anew.  It is the oracle of the chain on
-    ``linalg._power_echelons``, basis and split alike."""
-    chain = [echelon_span(E.d)]
+    """``NDiffModule.image_chain`` on explicit products: link 0 holds the
+    ``echelon_rows`` of d and link k+1 those of d @ (link k's rows as
+    columns), each product an ``ExactMatrix`` split anew.  It is the oracle
+    of the chain on ``linalg._power_echelons``, row for row."""
+    chain = [echelon_rows(E.d)]
     for _ in range(E.N - 1):
-        chain.append(echelon_span(E.d @ chain[-1].basis))
+        chain.append(echelon_rows(E.d @ rows_matrix(chain[-1], E.dim, E.field)))
     return chain
+
+
+def spans_subspace(B, S):
+    """Whether the ``Echelon`` B spans what the ``Subspace`` S spans: as many
+    leads as S has columns, and every column of S absorbed into a fresh
+    copy of B leaves nothing."""
+    E = Echelon(B.ops, B.limit, B.leads)
+    rows = S.basis.transpose().rows_sparse()
+    return len(B.leads) == S.dim and not any(
+        E.absorb(cols, vals) is None for cols, vals in rows)
 
 
 def dense_ndiff(field, N, sizes, rng):

@@ -25,16 +25,22 @@ from ncomplex.gauge import (
 )
 from ncomplex.graded import GradedNComplex, graded_homology
 from ncomplex.linalg import (
+    Echelon,
     ExactMatrix,
     Subspace,
-    echelon_of_span,
     image_basis,
     orbit_span,
     quotient_maps,
     rank,
 )
-from ncomplex.ndiff import homology
-from helpers import field_algebra, tuple_index, wznw_shaped_instance
+from ncomplex.ndiff import NDiffModule, homology
+from helpers import (
+    field_algebra,
+    link_rows,
+    rows_matrix,
+    tuple_index,
+    wznw_shaped_instance,
+)
 
 
 def z2_setup(N=3):
@@ -229,29 +235,57 @@ def test_theorem5_random_small():
 
 def _theorem5_oracle(B, reps):
     """The elimination that ``theorem5_verify`` replaced: the representatives
-    stay independent modulo span(B) iff rank [B | reps] = dim B + #reps."""
-    stack = B.basis.hstack(ExactMatrix.from_columns(reps, B.ambient_dim, B.field))
-    return rank(stack) == B.dim + len(reps)
+    stay independent modulo span(B) iff rank [B | reps] = dim B + #reps, B
+    the rows of an image-chain link as columns."""
+    n, f = B.limit, B.ops
+    stack = rows_matrix(link_rows(B), n, f).hstack(ExactMatrix.from_columns(reps, n, f))
+    return rank(stack) == len(B.leads) + len(reps)
 
 
 def test_theorem5_echelon_extension_matches_rank_oracle():
-    """Extending the echelon of an image-chain link (``echelon_of_span``) by
+    """Extending a fresh ``Echelon`` on the leads of an image-chain link by
     the H_I representatives agrees with the rank oracle for every k, on the
-    true representatives and on them followed by a vector of B; the echelon
-    has one lead per basis column."""
+    true representatives and on them followed by a vector of B; the link
+    keeps its leads."""
     for G in _oracle_instances():
         images = extend(G).Q.image_chain()
         Hs = homology(G.restricted_module())
         for k in range(1, G.N):
             B = images[G.N - k - 1]
+            before = link_rows(B)
             reps = [G.HI.basis.apply(c) for c in Hs[k].representatives.columns()]
-            for vecs in (reps, reps + B.basis.columns()[:1]):
-                E = echelon_of_span(B)
+            in_B = rows_matrix(before[:1], B.limit, B.ops).columns()
+            for vecs in (reps, reps + in_B):
+                E = Echelon(B.ops, B.limit, B.leads)
                 rows = ExactMatrix.from_columns(
-                    vecs, B.ambient_dim, B.field).transpose().rows_sparse()
+                    vecs, B.limit, B.ops).transpose().rows_sparse()
                 assert (all([E.absorb(*r) is None for r in rows])
                         == _theorem5_oracle(B, vecs))
-            assert len(echelon_of_span(B).leads) == B.dim
+            assert link_rows(B) == before
+
+
+def test_theorem5_leaves_the_image_chain_as_built(monkeypatch):
+    """``theorem5_verify`` absorbs the representatives into a fresh
+    ``Echelon``: after it, every image-chain link of the extension, which
+    the module caches, has the leads of a chain built anew from Q.  Absorbing
+    into the link itself fails this test."""
+    built, gauge_extend = [], gauge.extend
+
+    def capture(G):
+        built.append(gauge_extend(G))
+        return built[-1]
+
+    monkeypatch.setattr(gauge, "extend", capture)
+    absorbed = 0
+    for count, G in enumerate(_oracle_instances(), 1):
+        rep = theorem5_verify(G)
+        assert rep["ok"] and len(built) == count
+        ext = built[-1]
+        fresh = NDiffModule(G.N, ext.Q.d).image_chain()
+        for link, want in zip(ext.Q.image_chain(), fresh, strict=True):
+            assert link.leads == want.leads
+        absorbed += sum(dims[1] for dims in rep["dims"].values())
+    assert absorbed > 0
 
 
 def _mutated_representatives(small, k, reps, mutation):
@@ -513,6 +547,23 @@ def test_theorem6_builds_each_window_once(monkeypatch):
             "method": "sandwich (certificates at level 2)",
             "F0_at_window+1": 1},
     }
+
+
+def test_filtration_refuses_a_window_below_its_sources():
+    """``filtration_f0_dim`` needs level k inside the window, where V =
+    ker Q^k on level 0 is exact, and the level-0 sources of B = im Q^(N-k):
+    on the synthetic instance at N = 3 a window with n_max < max(k, N - k)
+    is refused with both bounds named, and every larger window gives
+    F^0 = 1."""
+    f, U, act, G = synthetic_setup()
+    for k, n_max in ((2, 0), (2, 1), (1, 0), (1, 1)):
+        C = GaugeCochains(U, act, G, n_max)
+        with pytest.raises(ValueError, match=(
+                rf"n_max >= k = {k} .*n_max >= N - k = {3 - k} .*got n_max = {n_max}$")):
+            filtration_f0_dim(C, k)
+    for n_max in (2, 3, 4):
+        C = GaugeCochains(U, act, G, n_max)
+        assert [filtration_f0_dim(C, k)[0] for k in (1, 2)] == [1, 1]
 
 
 def test_theorem6_synthetic():

@@ -19,7 +19,6 @@ from ncomplex.linalg import (
     QuotientSpace,
     Subspace,
     commutation,
-    echelon_of_span,
     image_basis,
     index_tuple,
     intersection,
@@ -31,6 +30,7 @@ from ncomplex.linalg import (
     quotient_maps,
     rank,
     restrict,
+    span,
 )
 from ncomplex.ndiff import NDiffModule, block_module, homology, random_unimodular
 from helpers import (
@@ -144,13 +144,13 @@ def test_solver_reuse():
 
 def test_quotient_coordinates_examples():
     Z = Subspace.full(2, QQ)
-    q = QuotientSpace(Z, Subspace(2, from_int_rows([[1], [0]], QQ)))
+    q = QuotientSpace(Z, span(from_int_rows([[1], [0]], QQ)))
     # v in B -> zero coordinates
     assert q.coordinates({0: rat(3)}) == {}
     # v = e2 -> coordinate 1 against complement {e2}
     assert q.coordinates({1: rat(1)}) == {0: rat(1)}
     # B = span(e1 + e2): e1 and e2 both complement B, the rule keeps the last
-    q = QuotientSpace(Z, Subspace(2, from_int_rows([[1], [1]], QQ)))
+    q = QuotientSpace(Z, span(from_int_rows([[1], [1]], QQ)))
     assert q.complement_positions == [1]
     assert q.coordinates({0: rat(1)}) == {0: rat(-1)}
     assert q.coordinates({1: rat(1)}) == {0: rat(1)}
@@ -161,7 +161,7 @@ def test_quotient_dimension_random():
     A = from_int_rows(random_int_matrix(rng, 8, 5), QQ, ncols=5)
     Z = image_basis(A)
     B = image_basis(A.take_columns([0, 1]))
-    q = QuotientSpace(Z, B)
+    q = QuotientSpace(Z, span(B.basis))
     assert q.dim == Z.dim - B.dim
     reps = q.representatives()
     # representatives are independent and lie in Z
@@ -181,10 +181,10 @@ def test_quotient_space_is_one_elimination(elimination_counts):
     Z = kernel_basis(from_int_rows([[0, 1, -1, 0]], QQ))
     assert Z.basis == ExactMatrix.from_columns([e[0], {1: rat(1), 2: rat(1)}, e[3]], 4, QQ)
     assert Z.unit_rows == [0, 2, 3]
-    B = Subspace(4, ExactMatrix.from_columns([{0: rat(1), 3: rat(1)}], 4, QQ))
+    B = span(ExactMatrix.from_columns([{0: rat(1), 3: rat(1)}], 4, QQ))
     q = QuotientSpace(Z, B)
     assert elimination_counts == {"solvers": 0, "row_echelon": 2}
-    assert Z._solver is None and B._solver is None
+    assert Z._solver is None
     # z_0 = (e_0 + e_3) - z_2 is the column B covers; z_1 and z_2 stay
     assert q.complement_positions == [1, 2]
     assert q.class_map == ExactMatrix.from_columns([{1: rat(-1)}, {0: rat(1)}, {1: rat(1)}], 2, QQ)
@@ -209,16 +209,16 @@ def test_quotient_refuses_on_the_unit_rows():
     # Z = ker [1 1 0] = span(e_1 - e_0, e_2), with unit rows 1 and 2
     Z = kernel_basis(from_int_rows([[1, 1, 0]], f))
     assert Z.unit_rows == [1, 2]
-    q = QuotientSpace(Z, Subspace.zero(3, f))
+    q = QuotientSpace(Z, span(ExactMatrix.zeros(3, 0, f)))
     for v in ({1: rat(1)}, {1: rat(2), 2: rat(1)}):
         with pytest.raises(ValueError, match="vector not in Z"):
             q.coordinates(v)
         assert not Z.contains(v)
         with pytest.raises(ValueError, match="B is not contained in Z"):
-            QuotientSpace(Z, Subspace(3, ExactMatrix.from_columns([v], 3, f)))
+            QuotientSpace(Z, span(ExactMatrix.from_columns([v], 3, f)))
     assert q.coordinates({0: rat(-1), 1: rat(1), 2: rat(3)}) == {0: rat(1), 1: rat(3)}
     full = Subspace.full(3, f)
-    assert QuotientSpace(full, Z).coordinates({1: rat(1)}) == {0: rat(1)}
+    assert QuotientSpace(full, span(Z.basis)).coordinates({1: rat(1)}) == {0: rat(1)}
 
 
 def test_homology_and_quotient_maps_build_no_solver(elimination_counts):
@@ -238,16 +238,18 @@ def test_homology_and_quotient_maps_build_no_solver(elimination_counts):
             slot.map_to(H[m + 1], lambda z: z)
         if m > 1:
             slot.map_to(H[m - 1], E.d.apply)
-    proj, section = quotient_maps(E.image_chain()[0])
+    proj, section = quotient_maps(image_basis(E.d))
     assert proj @ section == ExactMatrix.identity(proj.nrows, QQ)
     assert elimination_counts["solvers"] == 0
 
 
 def test_quotient_rejects_bad_containment():
     Z = Subspace(3, from_int_rows([[1], [0], [0]], QQ))
-    B = Subspace(3, from_int_rows([[0], [1], [0]], QQ))
+    B = span(from_int_rows([[0], [1], [0]], QQ))
     with pytest.raises(ValueError, match="B is not contained in Z"):
         QuotientSpace(Z, B)
+    with pytest.raises(ValueError, match="ambient dimension mismatch"):
+        QuotientSpace(Z, span(from_int_rows([[1], [0]], QQ)))
 
 
 def test_intersection_and_sum():
@@ -686,7 +688,7 @@ def quotient_cases(draw):
 @settings(max_examples=150, deadline=None)
 def test_numerator_quotient_coordinates_match_dense_oracle(case):
     Z, B, v = case
-    q = QuotientSpace(Z, B)
+    q = QuotientSpace(Z, span(B.basis))
     comp, coordinates = _oracle_coordinates(Z, B, v)
     assert q.complement_positions == comp
     assert q.coordinates(v) == coordinates
@@ -723,7 +725,7 @@ def test_unit_row_quotient_matches_reversed_elimination_oracle(case):
     outside Z, so both refuse it, as a vector and as B."""
     Z, B, vs = case
     f, n = Z.field, Z.ambient_dim
-    q, oracle = QuotientSpace(Z, B), OracleQuotient(Z, B)
+    q, oracle = QuotientSpace(Z, span(B.basis)), OracleQuotient(Z, B)
     assert q.complement_positions == oracle.complement_positions
     assert q.dim == oracle.dim
     assert q.representatives() == oracle.representatives()
@@ -738,10 +740,11 @@ def test_unit_row_quotient_matches_reversed_elimination_oracle(case):
         for quotient in (q, oracle):
             with pytest.raises(ValueError, match="vector not in Z"):
                 quotient.coordinates(v)
-        outside = Subspace(n, ExactMatrix.from_columns([v], n, f))
-        for build in (QuotientSpace, OracleQuotient):
-            with pytest.raises(ValueError, match="B is not contained in Z"):
-                build(Z, outside)
+        outside = ExactMatrix.from_columns([v], n, f)
+        with pytest.raises(ValueError, match="B is not contained in Z"):
+            QuotientSpace(Z, span(outside))
+        with pytest.raises(ValueError, match="B is not contained in Z"):
+            OracleQuotient(Z, Subspace(n, outside))
 
 
 @st.composite
@@ -771,14 +774,16 @@ def _as_row(v, n, f):
 @settings(max_examples=250, deadline=None)
 def test_image_basis_echelon_matches_dense_oracle(case):
     """``image_basis`` keeps the pivot columns of the dense Gauss-Jordan
-    oracle, and extending a copy of the echelon of the same absorb pass (the
-    ``echelon_of_span`` of ``power_images``) by v keeps v exactly when v
-    raises the oracle's rank; the copy leaves the echelon as it was."""
+    oracle, and extending a copy of the echelon of the same absorb pass
+    (``span``, which is link 1 of ``power_images``) by v keeps v exactly
+    when v raises the oracle's rank; the copy leaves the echelon as it
+    was."""
     f, M, v = case
     pivots, _ = dense_rref(_dense(M), f)
     S = image_basis(M)
     assert S.basis == M.take_columns(pivots)
-    kept = echelon_of_span(power_images(M, 1)[0])
+    kept = span(M)
+    assert kept.leads == power_images(M, 1)[0].leads
     before = copy.deepcopy(kept.leads)
     E = Echelon(kept.ops, kept.limit, kept.leads)
     Mv = M.hstack(ExactMatrix.from_columns([v], M.nrows, f))
@@ -823,7 +828,8 @@ def test_sparser_row_takes_the_lead(field):
     pivots, rref = dense_rref(_dense(M), f)
     assert pivots == [0, 1, 3]
     assert S.basis == M.take_columns(pivots)
-    leads = echelon_of_span(power_images(M, 1)[0]).leads
+    leads = span(M).leads
+    assert leads == power_images(M, 1)[0].leads
     assert sorted(leads) == [0, 1, 3] and leads[0][0] == [0]
     # the displaced first column, reduced by the second, keeps lead 1
     assert leads[1][0] == [1, 2]
@@ -847,9 +853,10 @@ def test_empty_shapes(field):
         if nrows:
             assert solver.solve({0: f.one}) is None
     Z = Subspace.zero(3, f)
-    assert QuotientSpace(Z, Z).coordinates({}) == {}
+    assert QuotientSpace(Z, span(Z.basis)).coordinates({}) == {}
     full = Subspace.full(3, f)
-    assert QuotientSpace(full, Z).coordinates({1: f.from_rat(2, 3)}) == {1: f.from_rat(2, 3)}
+    v = {1: f.from_rat(2, 3)}
+    assert QuotientSpace(full, span(Z.basis)).coordinates(v) == v
 
 
 @pytest.mark.parametrize("field", [QQ, make_cyclotomic(3)], ids=["Q", "Q(zeta_3)"])
@@ -872,7 +879,7 @@ def test_subspace_helpers_match_oracles(field):
     assert all(S.contains(M.apply(col)) for col in S.basis.columns())
 
     proj, section = quotient_maps(S)
-    q = QuotientSpace(Subspace.full(n, f), S)
+    q = QuotientSpace(Subspace.full(n, f), span(S.basis))
     assert section.columns() == [{i: f.one} for i in q.complement_positions]
     assert proj @ section == ExactMatrix.identity(n - S.dim, f)
     assert (proj @ S.basis).is_zero()
@@ -912,7 +919,7 @@ def _golden_outputs(f, seed):
         out["solve"].append(_to_json(f, solver.solve(M.apply(x))))
         out["solve"].append(_to_json(f, solver.solve(_mixed_vector(f, rng, M.nrows))))
     Z = image_basis(M)
-    B = image_basis(M.take_columns([1, 6]))
+    B = span(M.take_columns([1, 6]))
     q = QuotientSpace(Z, B)
     for _ in range(4):
         v = M.apply(_mixed_vector(f, rng, M.ncols))

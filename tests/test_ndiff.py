@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 
@@ -8,14 +9,15 @@ from hypothesis import strategies as st
 from ncomplex import ndiff
 from ncomplex.fields import QQ, make_cyclotomic, rat
 from ncomplex.linalg import (
+    Echelon,
     EchelonSolver,
     ExactMatrix,
     Subspace,
     _split_vector,
-    echelon_of_span,
     image_basis,
     kernel_basis,
     rank,
+    span,
 )
 from ncomplex.ndiff import (
     HomologySlot,
@@ -47,11 +49,13 @@ from helpers import (
     hexagon_cycles,
     oracle_all_hexagons,
     oracle_conjugate_blocks,
+    link_rows,
     oracle_echelon_chain,
     oracle_image_chain,
     oracle_random_unimodular,
     oracle_ses_hexagons,
     ses_cycles,
+    spans_subspace,
 )
 
 
@@ -134,13 +138,12 @@ def chain_cases(draw):
 @given(chain_cases())
 @settings(max_examples=120, deadline=None)
 def test_image_chain_on_echelon_rows_matches_column_oracle(case):
-    """Each link of the chain on echelon rows has the dimension and the span
-    of the chain on kept columns (``oracle_image_chain``), and its basis
-    columns are exactly the rows of its ``echelon_of_span``, in lead order (over Q
-    the primitive integer rows, with the split seeded over D = 1).  The
-    nilpotency certificate raises the same error, and the homology built on
-    the oracle's links has the same representatives, class maps and [i], [d]
-    matrices."""
+    """Each link of the chain on echelon rows is an ``Echelon`` over d's
+    field and dimension with the dimension and the span of the chain on
+    kept columns (``oracle_image_chain``), its stored rows one per lead
+    (over Q primitive integer rows).  The nilpotency certificate raises the
+    same error, and the homology built on the ``span`` of the oracle's links
+    has the same representatives, class maps and [i], [d] matrices."""
     N, d = case
     f = d.field
     oracle = oracle_image_chain(NDiffModule(N, d, check=False))
@@ -152,21 +155,18 @@ def test_image_chain_on_echelon_rows_matches_column_oracle(case):
         E = NDiffModule(N, d)
     chain = E.image_chain()
     assert len(chain) == len(oracle) == N
-    for S, T in zip(chain, oracle):
-        leads = echelon_of_span(S).leads
-        assert S.dim == T.dim == len(leads)
-        assert rank(T.basis.hstack(S.basis)) == S.dim
-        rows = [leads[c] for c in sorted(leads)]
-        cols = [dict(zip(rc, map(rat, rv) if f is QQ else rv)) for rc, rv in rows]
-        assert S.basis == ExactMatrix.from_columns(cols, E.dim, f)
-        if f is QQ:
-            flat = {k: [t for r, v in zip(rc, rv) for t in (r, v)]
-                    for k, (rc, rv) in enumerate(rows)}
-            assert S.basis.split_columns() == (flat, 1)
+    for B, T in zip(chain, oracle):
+        assert (B.ops, B.limit) == (f, E.dim)
+        assert spans_subspace(B, T)
+        for c, (rc, rv) in B.leads.items():
+            assert rc[0] == c and not any(map(f.is_zero, rv))
+            if f is QQ:
+                assert all(type(v) is int for v in rv) and math.gcd(*rv) == 1
     if oracle[-1].dim:
         return
     slots = homology(E).slots
-    want = {m: HomologySlot(s.Z, oracle[N - m - 1]) for m, s in slots.items()}
+    want = {m: HomologySlot(s.Z, span(oracle[N - m - 1].basis))
+            for m, s in slots.items()}
     for m, s in slots.items():
         assert s.representatives == want[m].representatives
         assert s.quotient.class_map == want[m].quotient.class_map
@@ -211,13 +211,13 @@ def test_homology_forms_no_power(monkeypatch):
 @given(st.one_of(chain_cases(), square_cases()))
 @settings(max_examples=150, deadline=None)
 def test_image_chain_matches_explicit_product_oracle(case):
-    """Each link of the image chain on ``_power_echelons`` has the basis and
-    the split of the chain on explicit products d @ (link k's basis)
-    (``oracle_echelon_chain``), and a d with d^N != 0 raises the same
-    error."""
+    """Each link of the image chain on ``_power_echelons`` has the rows of
+    the chain on explicit products d @ (link k's rows as columns)
+    (``oracle_echelon_chain``), in lead order, and a d with d^N != 0 raises
+    the same error."""
     N, d = case
     oracle = oracle_echelon_chain(NDiffModule(N, d, check=False))
-    if oracle[-1].dim:
+    if oracle[-1]:
         with pytest.raises(ValueError, match=rf"d\^{N} != 0: not an {N}-differential"):
             NDiffModule(N, d)
         E = NDiffModule(N, d, check=False)
@@ -225,9 +225,8 @@ def test_image_chain_matches_explicit_product_oracle(case):
         E = NDiffModule(N, d)
     chain = E.image_chain()
     assert len(chain) == len(oracle) == N
-    for k, (S, T) in enumerate(zip(chain, oracle)):
-        assert S.basis == T.basis, k
-        assert S.basis.split_columns() == T.basis.split_columns(), k
+    for k, (B, rows) in enumerate(zip(chain, oracle)):
+        assert link_rows(B) == rows, k
 
 
 def test_image_chain_forms_no_product(monkeypatch):
@@ -259,9 +258,9 @@ def test_dense_modules(field, seed):
     while sum(sizes) < 40:
         sizes.append(rng.randint(1, min(N, 40 - sum(sizes))))
     E, truth = dense_ndiff(field, N, sizes, rng)
-    for S, T, U in zip(E.image_chain(), oracle_image_chain(E), oracle_echelon_chain(E)):
-        assert S.dim == T.dim and rank(T.basis.hstack(S.basis)) == S.dim
-        assert S.basis == U.basis
+    for B, T, rows in zip(E.image_chain(), oracle_image_chain(E), oracle_echelon_chain(E)):
+        assert spans_subspace(B, T)
+        assert link_rows(B) == rows
     for m, S in enumerate(E.kernel_chain(), 1):
         K = kernel_basis(_naive_power(E.d, m))
         assert S.basis == K.basis and list(S.unit_rows) == list(K.unit_rows), m
@@ -338,13 +337,14 @@ def test_homology_zero_differential():
 
 
 def test_homology_slot_checks_dimensions():
-    """Every slot, graded ones included, checks dim H = dim Z - dim B: a
-    spanning set of B that is not a basis breaks the count."""
+    """Every slot, graded ones included, checks dim H = dim Z - dim B: an
+    ``Echelon`` B whose stored rows are dependent (e_0 under two leads)
+    breaks the count."""
     Z = Subspace.full(3, QQ)
     e0 = {0: QQ.one}
-    slot = HomologySlot(Z, Subspace(3, ExactMatrix.from_columns([e0], 3, QQ)))
+    slot = HomologySlot(Z, span(ExactMatrix.from_columns([e0], 3, QQ)))
     assert (slot.dim_Z, slot.dim_B, slot.dim_H) == (3, 1, 2)
-    twice = Subspace(3, ExactMatrix.from_columns([e0, e0], 3, QQ))
+    twice = Echelon(QQ, 3, {0: ([0], [1]), 1: ([0], [1])})
     with pytest.raises(AssertionError, match="dim H != dim Z - dim B"):
         HomologySlot(Z, twice)
 
@@ -353,8 +353,7 @@ def test_lazy_slot_checks_dimensions_on_first_read():
     """A certified slot reports dim Z - dim B at once and runs the same
     dimension check when its quotient is first built."""
     Z = Subspace.full(3, QQ)
-    e0 = {0: QQ.one}
-    twice = Subspace(3, ExactMatrix.from_columns([e0, e0], 3, QQ))
+    twice = Echelon(QQ, 3, {0: ([0], [1]), 1: ([0], [1])})
     slot = HomologySlot(Z, twice, certified=True)
     assert "quotient" not in vars(slot) and slot.dim_H == 1
     with pytest.raises(AssertionError, match="dim H != dim Z - dim B"):
