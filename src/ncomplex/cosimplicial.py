@@ -726,7 +726,8 @@ def prop7_verify(A, q, N, window):
 def q_tensor_leibniz_witness(C, q):
     """Search for a pair witnessing that d on C ox C fails the graded
     q-Leibniz rule for the product (a ox b)(a' ox b') = q^(deg b deg a')
-    (aa') ox (bb'); returns the witness description or None."""
+    (aa') ox (bb'); returns the witness description or None.  The square
+    is validated as an N-complex: a q under which its d^N != 0 is refused."""
     T = _tensor_square(C, q)
     found = q_leibniz_failure(T, q)
     if found is None:
@@ -780,4 +781,4 @@ def _tensor_square(C, q):
         return place_blocks(dims[n1 + n2], dims[n1] * dims[n2], f, pieces)
 
     return GradedNComplex(C.N, f, dims, maps, truncated_above=C.truncated_above,
-                          check=False, product=product)
+                          product=product)

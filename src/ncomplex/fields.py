@@ -388,7 +388,7 @@ class Field:
         if self.kind == "rationals":
             if not a:
                 raise ZeroDivisionError("inverse of zero")
-            return 1 / a
+            return rat(1) / a
         if a == self.zero:
             raise ZeroDivisionError("inverse of zero")
         n = self.degree

@@ -138,7 +138,7 @@ def extend(G):
         (h, 0, proj), (h + kdim, h, ExactMatrix.identity((N - 2) * kdim, f))])
     A = place_blocks(total, total, f, [(0, 0, G.A)] + [
         (offsets[n], offsets[n], Abar.scale(f.pow(q2, n))) for n in range(1, N)])
-    Q = NDiffModule(N, d + A)  # raises unless Q^N = 0
+    Q = NDiffModule(N, d + A)  # Q^N = 0 is read off its image chain
     return ExtendedSpace(G, proj, sect, d, A, Q, offsets, dims)
 
 

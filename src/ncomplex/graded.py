@@ -35,9 +35,9 @@ class GradedNComplex:
     ``kron`` layout, so column i dim(b) + j holds e_i e_j; the builders make
     each P_ab on first request and keep it.
 
-    The composites d^k, the default ``graded_homology`` and a successful
-    ``validate`` are cached on the complex, so a complex must not be mutated
-    after construction.
+    Construction runs ``validate``, the one d^N = 0 certificate.  The
+    composites d^k and the default ``graded_homology`` are cached on the
+    complex, so a complex must not be mutated after construction.
     """
 
     def __init__(
@@ -49,7 +49,6 @@ class GradedNComplex:
         cyclic=False,
         truncated_below=False,
         truncated_above=False,
-        check=True,
         product=None,
     ):
         self.N = N
@@ -62,7 +61,6 @@ class GradedNComplex:
         self.product = product
         self._composites = {}
         self._homology = None
-        self._valid = False
         if cyclic:
             self.n_min, self.n_max = 0, N - 1
             if set(self.dims) != set(range(N)):
@@ -70,8 +68,7 @@ class GradedNComplex:
         else:
             self.n_min = min(self.dims) if self.dims else 0
             self.n_max = max(self.dims) if self.dims else 0
-        if check:
-            self.validate()
+        self.validate()
 
     # -- structure ----------------------------------------------------------
 
@@ -121,8 +118,6 @@ class GradedNComplex:
         return self._composites[key]
 
     def validate(self):
-        if self._valid:
-            return True
         for n, M in self.maps.items():
             tgt = (n + 1) % self.N if self.cyclic else n + 1
             if M.nrows != self.dims.get(tgt, 0) or M.ncols != self.dims.get(n, 0):
@@ -132,7 +127,6 @@ class GradedNComplex:
             comp = self.composite(n, self.N)
             if comp is not None and not comp.is_zero():
                 raise ValueError(f"d^{self.N} != 0 starting at degree {n}")
-        self._valid = True
         return True
 
     def degrees(self):
@@ -153,7 +147,7 @@ class GradedNComplex:
             if tgt in offs:
                 pieces.append((offs[tgt], offs[n], self.map(n)))
         d = place_blocks(total, total, self.field, pieces)
-        return NDiffModule(self.N, d, check=False)
+        return NDiffModule(self.N, d)
 
     def __repr__(self):
         kind = "cyclic" if self.cyclic else f"[{self.n_min},{self.n_max}]"
@@ -163,9 +157,8 @@ class GradedNComplex:
 def graded_homology(C, ms=None):
     """Compute H^n_(m) wherever both d^m out of n and d^(N-m) into n are
     determined; degrees outside that window are simply absent.  The default
-    call, over all m, is memoized on C.  The slots build their quotients
-    lazily when C is validated: ``validate`` has shown d^N = 0 on every
-    determined degree, so B lies in Z wherever both are determined.
+    call, over all m, is memoized on C.  C was validated at construction:
+    d^N = 0 on every determined degree, so B lies in Z wherever both are.
 
     Z and B are read off the memoized composites d^m and d^(N-m), which
     validating C has already formed; the module's kernel and image chains
@@ -189,8 +182,7 @@ def graded_homology(C, ms=None):
             src = C.composite(n + m - N, N - m)
             if src is None:
                 continue
-            slots[(n, m)] = HomologySlot(kernel_basis(out), span(src),
-                                         certified=C._valid)
+            slots[(n, m)] = HomologySlot(kernel_basis(out), span(src))
     H = Homology(slots)
     if memo:
         C._homology = H

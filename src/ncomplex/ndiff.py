@@ -29,19 +29,20 @@ from .linalg import (
 class NDiffModule:
     """Finite-dimensional vector space with an endomorphism d, d^N = 0.
 
-    With ``check=True`` the nilpotency certificate is the image chain: its
-    last link spans im d^N, so it is zero exactly when d^N = 0.  The chain is
-    cached for ``rank_profile`` and ``homology``, and d^N itself is never
-    formed.  The kernels of ``homology`` come from the kernel chain, on
-    echelon rows, so homology forms no power either; d^m is formed lazily,
-    only for ``ShortExactSequence.connecting`` and Lemma 3.  Both chains
-    run on one elimination loop (``linalg._power_echelons``).
+    The image chain is the one nilpotency certificate, and d^N itself is
+    never formed.  Construction builds no chain: every dimension
+    (``rank_profile``, ``homology``) reads it, and so does ``from_json`` at
+    load, and it raises for d^N != 0.  The kernels of ``homology`` come
+    from the kernel chain, on echelon rows, so homology forms no power
+    either; d^m is formed lazily, only for ``ShortExactSequence.connecting``
+    and Lemma 3.  Both chains run on one elimination loop
+    (``linalg._power_echelons``).
 
     The powers d^k, the image chain and the homology (with its cached
     induced maps) are cached on the module, so a module must not be
     mutated after construction: build a new one instead."""
 
-    def __init__(self, N, d, check=True):
+    def __init__(self, N, d):
         if N < 2:
             raise ValueError("N must be >= 2")
         if d.nrows != d.ncols:
@@ -53,8 +54,6 @@ class NDiffModule:
         self._powers = {0: ExactMatrix.identity(self.dim, self.field), 1: d}
         self._image_chain = None
         self._homology = None
-        if check and self.image_chain()[-1].leads:
-            raise ValueError(f"d^{N} != 0: not an {N}-differential")
 
     def power(self, k):
         """d^k, cached."""
@@ -68,11 +67,15 @@ class NDiffModule:
         as col(d^(k+1)) = row((d^T)^(k+1)).  Link k is the ``Echelon`` of the
         rows that loop keeps, one per lead, so ``len(link.leads)`` is rank
         d^(k+1) and the last link is empty exactly when d^N = 0: the chain is
-        the nilpotency certificate of ``__init__``.  A link is the B of a
-        homology quotient as it stands (``QuotientSpace`` reads its rows),
-        and Theorem 5 extends a fresh ``Echelon`` on its leads."""
+        the module's nilpotency certificate: a nonempty one raises, on every
+        read.  A link is the B of a homology quotient as it stands
+        (``QuotientSpace`` reads its rows), and Theorem 5 extends a fresh
+        ``Echelon`` on its leads."""
         if self._image_chain is None:
-            self._image_chain = power_images(self.d, self.N)
+            chain = power_images(self.d, self.N)
+            if chain[-1].leads:
+                raise ValueError(f"d^{self.N} != 0: not an {self.N}-differential")
+            self._image_chain = chain
         return self._image_chain
 
     def kernel_chain(self):
@@ -104,7 +107,9 @@ class NDiffModule:
         if not isinstance(obj["N"], int) or isinstance(obj["N"], bool):
             raise ValueError(f"module N must be an int, got {obj['N']!r}")
         f = Field.from_json(obj["field"])
-        return NDiffModule(obj["N"], ExactMatrix.from_json(obj["d"], field=f))
+        E = NDiffModule(obj["N"], ExactMatrix.from_json(obj["d"], field=f))
+        E.image_chain()  # outside input: refuse d^N != 0 at load
+        return E
 
     def __repr__(self):
         return f"NDiffModule(N={self.N}, dim={self.dim})"
@@ -113,16 +118,15 @@ class NDiffModule:
 class HomologySlot:
     """Homology space H = Z / B, dim H = dim Z - dim B, with the quotient that
     fixes its representatives: Z a ``Subspace`` and B the ``Echelon`` that
-    spans it (an image-chain link or ``linalg.span``).  The quotient is
-    built and checked here, or on first read if the caller ``certified`` B
-    in Z (d^N = 0)."""
+    spans it (an image-chain link or ``linalg.span``).  B lies in Z by the
+    caller's d^N = 0 certificate (``NDiffModule.image_chain`` or
+    ``GradedNComplex.validate``), so the quotient is built, and checked,
+    on first read."""
 
-    def __init__(self, Z, B, *, certified=False):
+    def __init__(self, Z, B):
         self.Z, self.B = Z, B
         self.dim_Z, self.dim_B = Z.dim, len(B.leads)
         self.dim_H = self.dim_Z - self.dim_B
-        if not certified:
-            self.quotient  # built and checked now
 
     @cached_property
     def quotient(self):
@@ -180,14 +184,12 @@ class Homology:
 def homology(E):
     """Generalized homology, representatives by the complement rule: Z_(m)
     is link m of the kernel chain and B_(m) link N-m of the image chain, so
-    no power of d is formed.  A zero last image-chain link (d^N = 0) lets
-    the slots build quotients lazily."""
+    no power of d is formed.  Reading the image chain certifies d^N = 0
+    (it raises otherwise), so each B_(m) lies in Z_(m)."""
     if E._homology is None:
         images, kernels = E.image_chain(), E.kernel_chain()
-        certified = not images[-1].leads
         E._homology = Homology({
-            m: HomologySlot(kernels[m - 1], images[E.N - m - 1],
-                            certified=certified)
+            m: HomologySlot(kernels[m - 1], images[E.N - m - 1])
             for m in range(1, E.N)
         })
     return E._homology
@@ -597,8 +599,10 @@ def _jordan_shifts(block_sizes):
 
 
 def block_module(field, N, block_sizes):
-    """Direct sum of Jordan blocks D_n (1 <= n <= N; a block above N fails
-    the d^N = 0 certificate)."""
+    """Direct sum of Jordan blocks D_n, 1 <= n <= N: a size below 1 or above
+    N is refused by name."""
+    if max(block_sizes, default=0) > N:
+        raise ValueError(f"Jordan block size {max(block_sizes)} is above N = {N}")
     shifts, total = _jordan_shifts(block_sizes)
     ent = {(r, r + 1): field.one for r in shifts}
     return NDiffModule(N, ExactMatrix(total, total, field, ent, _clean=False))
@@ -685,8 +689,8 @@ def conjugate_blocks(field, sizes, rng, nops=None):
 def random_ndiff(field, N, dim, rng):
     """Conjugated direct sum of D_n blocks; returns (module, multiplicities).
 
-    d^N = 0 holds by construction (every block is at most N) and the block
-    sizes are the ground truth Jordan data."""
+    The block sizes are the ground truth Jordan data; d^N = 0, as every
+    block is at most N, is certified by the first dimension read."""
     sizes = []
     left = dim
     while left > 0:
@@ -695,7 +699,7 @@ def random_ndiff(field, N, dim, rng):
         left -= n
     rng.shuffle(sizes)
     d = conjugate_blocks(field, sizes, rng)
-    mod = NDiffModule(N, d, check=False)  # nilpotency by construction
+    mod = NDiffModule(N, d)
     truth = {n: sizes.count(n) for n in range(1, N + 1)}
     return mod, truth
 

@@ -127,6 +127,14 @@ def oracle_image_chain(E):
     return chain
 
 
+def quotient_map(src, tgt, image):
+    """The matrix of ``HomologySlot.map_to`` on the quotients ``src`` and
+    ``tgt`` built at once: column j holds tgt's coordinates of the image of
+    src's j-th representative."""
+    cols = [tgt.coordinates(image(z)) for z in src.representatives().columns()]
+    return ExactMatrix.from_columns(cols, tgt.dim, tgt.field)
+
+
 def link_rows(B):
     """The stored rows of the ``Echelon`` B, in lead order."""
     return [B.leads[c] for c in sorted(B.leads)]
@@ -707,7 +715,7 @@ def to_zgraded(C, lo, hi):
     maps = {n: C.maps[n % C.N] for n in range(lo, hi)}
     return GradedNComplex(
         C.N, C.field, dims, maps,
-        truncated_below=True, truncated_above=True, check=False,
+        truncated_below=True, truncated_above=True,
     )
 
 

@@ -288,6 +288,25 @@ def test_usage_error_invalid_module(tmp_path):
     assert cli.main(["homology", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("command", ["homology", "multiplicities", "hexagon", "ses"])
+def test_non_nilpotent_input_exits_2(monkeypatch, tmp_path, capsys, command):
+    """A module with d^3 != 0 is refused at load, alone or inside a
+    sequence: exit 2 with one ncx: line naming the certificate, no
+    traceback and no failure witness."""
+    monkeypatch.chdir(tmp_path)
+    mod = ndiff.NDiffModule(3, ExactMatrix.identity(2, QQ)).to_json()
+    if command == "ses":
+        one = ExactMatrix.identity(2, QQ).to_json()
+        mod = {"E": mod, "F": mod, "G": mod, "phi": one, "psi": one}
+    bad = tmp_path / "input.json"
+    bad.write_text(json.dumps(mod))
+    assert cli.main([command, str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ncx: invalid input: d^3 != 0") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob("ncx-failure-*.json"))
+
+
 _Q = {"kind": "rationals"}
 _Z3 = make_cyclotomic(3)
 _LIE_Z3 = nonabelian_lie2(_Z3).to_json()

@@ -433,6 +433,9 @@ def test_q_leibniz_fails_on_tensor_square_at_n3():
     # recorded from the per-basis-pair search the matrix identity replaced
     assert q_tensor_leibniz_witness(Oq, f.zeta()) == {
         "degrees": (1, 0), "indices": (0, 2)}
+    # a q under which the square is no 3-complex is refused, not searched
+    with pytest.raises(ValueError, match=r"d\^3 != 0 starting at degree 0"):
+        q_tensor_leibniz_witness(Oq, f.from_rat(2))
     # and the classical case q = -1, N = 2 has no such witness
     f6 = make_cyclotomic(6)
     A6 = dual_numbers(f6)

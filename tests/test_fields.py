@@ -20,7 +20,6 @@ from ncomplex.fields import (
     euler_phi,
     make_cyclotomic,
     q_binomial,
-    q_factorial,
     q_int,
     rat,
     _combine,
@@ -127,6 +126,21 @@ def test_q_int_inverse_identity():
         lhs = q_int(n, qi, f)
         rhs = f.mul(f.pow(q, -(n - 1)) if n >= 1 else f.pow(qi, n - 1), q_int(n, q, f))
         assert lhs == rhs
+
+
+def test_rational_inverse_is_exact():
+    """Over Q an inverse is a ``Fraction`` for int and ``Fraction`` input
+    alike, never a float, and so is every negative power; the spin-1 Gram
+    matrix over Q with an int alpha holds only ``Fraction``s."""
+    from ncomplex.gauge import spin1_complex
+
+    for a, want in [(2, rat(1, 2)), (-3, rat(-1, 3)), (rat(2, 5), rat(5, 2))]:
+        for got in (QQ.inv(a), QQ.pow(a, -1)):
+            assert type(got) is Fraction and got == want
+    assert type(QQ.pow(2, -3)) is Fraction and QQ.pow(2, -3) == rat(1, 8)
+    _, G = spin1_complex((1, 1, 0, 0), 2, QQ)
+    assert G.entries and all(type(v) is Fraction for v in G.entries.values())
+    assert G.entries[(0, 5)] == rat(-1, 2)
 
 
 def test_q_binomial_classical():

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from ncomplex.fields import QQ, make_cyclotomic, rat
+from ncomplex.fields import QQ, make_cyclotomic
 from ncomplex.graded import (
     GradedNComplex,
     GradedSES,
@@ -18,11 +18,12 @@ from ncomplex.graded import (
     q_tensor,
     random_graded_complex,
 )
-from ncomplex.linalg import ExactMatrix, rank
+from ncomplex.linalg import ExactMatrix, QuotientSpace, rank
 from ncomplex.ndiff import HomologySlot, homology, homotopy_criterion_lemma4
 from helpers import (
     from_int_rows,
     oracle_graded_connecting,
+    quotient_map,
     random_graded_ses,
     spans_subspace,
     tensor_pos,
@@ -440,9 +441,9 @@ def test_les_check_reuses_graded_homology(monkeypatch):
 @pytest.mark.parametrize("field", [QQ, make_cyclotomic(3)], ids=["Q", "Q(zeta_3)"])
 @pytest.mark.parametrize("cyclic", [False, True], ids=["bounded", "cyclic"])
 def test_lazy_graded_slots_match_eager_slots(field, cyclic):
-    """A validated complex certifies d^N = 0, so no slot builds its quotient
-    up front; each matches an eager ``HomologySlot`` on the same Z and B in
-    dimension, representatives and the [i] and [d] matrices."""
+    """No slot builds its quotient up front; each matches a
+    ``QuotientSpace`` built at once on the same Z and B in dimension,
+    representatives and the [i] and [d] matrices."""
     rng = random.Random(43)
     N = 3
     for _ in range(3):
@@ -450,7 +451,7 @@ def test_lazy_graded_slots_match_eager_slots(field, cyclic):
                                   cyclic=cyclic)
         slots = graded_homology(C).slots
         assert slots and not any("quotient" in vars(s) for s in slots.values())
-        eager = {nm: HomologySlot(s.Z, s.B) for nm, s in slots.items()}
+        eager = {nm: QuotientSpace(s.Z, s.B) for nm, s in slots.items()}
         arrows = []
         for (n, m) in slots:
             nxt = (n + 1) % N if cyclic else n + 1
@@ -460,39 +461,33 @@ def test_lazy_graded_slots_match_eager_slots(field, cyclic):
                 arrows.append(((n, m), (nxt, m - 1), C.map(n).apply))
         assert arrows
         for nm, s in slots.items():
-            assert s.dim_H == eager[nm].dim_H
-            assert s.representatives == eager[nm].representatives
+            assert s.dim_H == eager[nm].dim
+            assert s.representatives == eager[nm].representatives()
         for src, tgt, image in arrows:
-            want = eager[src].map_to(eager[tgt], image)
+            want = quotient_map(eager[src], eager[tgt], image)
             assert slots[src].map_to(slots[tgt], image) == want, (src, tgt)
 
 
 @pytest.mark.parametrize("cyclic", [False, True], ids=["bounded", "cyclic"])
-def test_unchecked_graded_complex_builds_eagerly(cyclic):
-    """A complex built with ``check=False`` whose d^N is not zero has no
-    certificate: its slots build their quotients at once and fail."""
+def test_graded_complex_refuses_bad_nilpotency(cyclic):
+    """Every complex is validated at construction: one whose d^N is not
+    zero is refused there, naming the first degree it leaves."""
     one = ExactMatrix.identity(1, QQ)
-    if cyclic:
-        C = GradedNComplex(3, QQ, {n: 1 for n in range(3)},
-                           {n: one for n in range(3)}, cyclic=True, check=False)
-    else:
-        C = GradedNComplex(2, QQ, {0: 1, 1: 1, 2: 1}, {0: one, 1: one},
-                           check=False)
-    with pytest.raises(ValueError, match="B is not contained in Z"):
-        graded_homology(C)
+    N = 3 if cyclic else 2
+    maps = {n: one for n in range(N)}
+    with pytest.raises(ValueError, match=rf"d\^{N} != 0 starting at degree 0"):
+        GradedNComplex(N, QQ, {n: 1 for n in range(3)}, maps, cyclic=cyclic)
 
 
 def test_only_a_checked_complex_defers_its_quotients():
-    """A checked complex builds a slot's quotient on its first read and no
-    other; an unchecked nilpotent complex (the pullback ``to_zgraded``)
-    carries no certificate and builds every quotient with its slot."""
+    """Every complex is checked at construction, the pullback ``to_zgraded``
+    truncated both ways too, so each builds a slot's quotient on its first
+    read and no other."""
     C = random_graded_complex(QQ, 3, random.Random(47), cyclic=True)
-    H = graded_homology(C)
-    first = next(iter(H.slots))
-    assert H[first].representatives is not None
-    assert [nm for nm, s in H.slots.items() if "quotient" in vars(s)] == [first]
-    Z = graded_homology(to_zgraded(C, 0, 8))
-    assert Z.slots and all("quotient" in vars(s) for s in Z.slots.values())
+    for H in (graded_homology(C), graded_homology(to_zgraded(C, 0, 8))):
+        first = next(iter(H.slots))
+        assert H[first].representatives is not None
+        assert [nm for nm, s in H.slots.items() if "quotient" in vars(s)] == [first]
 
 
 def test_extend_builds_the_read_quotient_only(monkeypatch):

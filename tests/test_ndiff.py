@@ -12,10 +12,13 @@ from ncomplex.linalg import (
     Echelon,
     EchelonSolver,
     ExactMatrix,
+    QuotientSpace,
     Subspace,
     _split_vector,
     image_basis,
     kernel_basis,
+    power_images,
+    power_kernels,
     rank,
     span,
 )
@@ -54,15 +57,18 @@ from helpers import (
     oracle_image_chain,
     oracle_random_unimodular,
     oracle_ses_hexagons,
+    quotient_map,
     ses_cycles,
     spans_subspace,
 )
 
 
 def test_construction_rejects_bad_nilpotency():
-    d = ExactMatrix.identity(3, QQ)
-    with pytest.raises(ValueError):
-        NDiffModule(3, d)
+    """A module read from JSON is certified at load: ``from_json`` refuses a
+    d with d^N != 0, which the constructor itself accepts."""
+    obj = NDiffModule(3, ExactMatrix.identity(3, QQ)).to_json()
+    with pytest.raises(ValueError, match=r"d\^3 != 0: not an 3-differential"):
+        NDiffModule.from_json(obj)
 
 
 def _naive_power(d, k):
@@ -102,15 +108,17 @@ def square_cases(draw):
 @settings(max_examples=200, deadline=None)
 def test_nilpotency_certificate_matches_power_oracle(case):
     """The image chain rejects d exactly when d^N != 0, and its dimensions are
-    the ranks of the explicit powers."""
+    the ranks of the explicit powers, read off the module's rank profile
+    when it is certified and off the chain loop (``power_images``) always."""
     N, d = case
-    if _naive_power(d, N).is_zero():
-        E = NDiffModule(N, d)
-    else:
+    ranks = [rank(_naive_power(d, m)) for m in range(N + 1)]
+    assert [d.nrows] + [len(B.leads) for B in power_images(d, N)] == ranks
+    E = NDiffModule(N, d)
+    if ranks[-1]:
         with pytest.raises(ValueError, match=rf"d\^{N} != 0: not an {N}-differential"):
-            NDiffModule(N, d)
-        E = NDiffModule(N, d, check=False)
-    assert E.rank_profile() == [rank(_naive_power(d, m)) for m in range(N + 1)]
+            E.rank_profile()
+    else:
+        assert E.rank_profile() == ranks
 
 
 @st.composite
@@ -141,19 +149,16 @@ def test_image_chain_on_echelon_rows_matches_column_oracle(case):
     """Each link of the chain on echelon rows is an ``Echelon`` over d's
     field and dimension with the dimension and the span of the chain on
     kept columns (``oracle_image_chain``), its stored rows one per lead
-    (over Q primitive integer rows).  The nilpotency certificate raises the
-    same error, and the homology built on the ``span`` of the oracle's links
-    has the same representatives, class maps and [i], [d] matrices."""
+    (over Q primitive integer rows).  The chain loop (``power_images``) is
+    held to it for every d; the module's certificate raises exactly when
+    the oracle's last link is nonzero, and otherwise the homology built on
+    the ``span`` of the oracle's links has the same representatives, class
+    maps and [i], [d] matrices."""
     N, d = case
     f = d.field
-    oracle = oracle_image_chain(NDiffModule(N, d, check=False))
-    if oracle[-1].dim:
-        with pytest.raises(ValueError, match=rf"d\^{N} != 0: not an {N}-differential"):
-            NDiffModule(N, d)
-        E = NDiffModule(N, d, check=False)
-    else:
-        E = NDiffModule(N, d)
-    chain = E.image_chain()
+    E = NDiffModule(N, d)
+    oracle = oracle_image_chain(E)
+    chain = power_images(d, N)
     assert len(chain) == len(oracle) == N
     for B, T in zip(chain, oracle):
         assert (B.ops, B.limit) == (f, E.dim)
@@ -163,6 +168,8 @@ def test_image_chain_on_echelon_rows_matches_column_oracle(case):
             if f is QQ:
                 assert all(type(v) is int for v in rv) and math.gcd(*rv) == 1
     if oracle[-1].dim:
+        with pytest.raises(ValueError, match=rf"d\^{N} != 0: not an {N}-differential"):
+            E.image_chain()
         return
     slots = homology(E).slots
     want = {m: HomologySlot(s.Z, span(oracle[N - m - 1].basis))
@@ -181,10 +188,11 @@ def test_image_chain_on_echelon_rows_matches_column_oracle(case):
 def test_kernel_chain_matches_kernels_of_powers(case):
     """Link m of the kernel chain is ``kernel_basis`` of the explicit power
     d^m: the same basis matrix and the same unit rows.  The row identity
-    needs no nilpotency, so modules with d^N != 0 (a Jordan block of size
-    N + 1, arbitrary sparse d) are built unchecked and held to it too."""
+    needs no nilpotency, so the chain loop (``power_kernels``) is held to it
+    on d with d^N != 0 (a Jordan block of size N + 1, arbitrary sparse d)
+    too."""
     N, d = case
-    chain = NDiffModule(N, d, check=False).kernel_chain()
+    chain = power_kernels(d, N - 1)
     assert len(chain) == N - 1
     for m, S in enumerate(chain, 1):
         K = kernel_basis(_naive_power(d, m))
@@ -213,25 +221,26 @@ def test_homology_forms_no_power(monkeypatch):
 def test_image_chain_matches_explicit_product_oracle(case):
     """Each link of the image chain on ``_power_echelons`` has the rows of
     the chain on explicit products d @ (link k's rows as columns)
-    (``oracle_echelon_chain``), in lead order, and a d with d^N != 0 raises
-    the same error."""
+    (``oracle_echelon_chain``), in lead order, on the chain loop
+    (``power_images``) for every d; the module's chain is that loop's, and
+    a d with d^N != 0 raises the certificate's error."""
     N, d = case
-    oracle = oracle_echelon_chain(NDiffModule(N, d, check=False))
-    if oracle[-1]:
-        with pytest.raises(ValueError, match=rf"d\^{N} != 0: not an {N}-differential"):
-            NDiffModule(N, d)
-        E = NDiffModule(N, d, check=False)
-    else:
-        E = NDiffModule(N, d)
-    chain = E.image_chain()
+    E = NDiffModule(N, d)
+    oracle = oracle_echelon_chain(E)
+    chain = power_images(d, N)
     assert len(chain) == len(oracle) == N
     for k, (B, rows) in enumerate(zip(chain, oracle)):
         assert link_rows(B) == rows, k
+    if oracle[-1]:
+        with pytest.raises(ValueError, match=rf"d\^{N} != 0: not an {N}-differential"):
+            E.image_chain()
+    else:
+        assert [link_rows(B) for B in E.image_chain()] == oracle
 
 
 def test_image_chain_forms_no_product(monkeypatch):
-    """Building a checked module and reading its image chain and rank
-    profile multiply no two matrices: every link comes from the last one's
+    """Building a module and reading its image chain (its certificate) and
+    rank profile multiply no two matrices: every link comes from the last one's
     echelon rows times d^T's rows."""
     calls = []
     matmul = ExactMatrix.__matmul__
@@ -297,8 +306,8 @@ def test_generators_match_scalar_oracles(field):
 
 def test_malformed_block_sizes_are_refused():
     """A Jordan block size below 1 and a negative matrix size are refused
-    with a ValueError that names them, before any draw; a block above N
-    still fails the d^N = 0 certificate."""
+    with a ValueError that names them, before any draw, and so is a block
+    above N in ``block_module``."""
     rng = random.Random(0)
     state = rng.getstate()
     for sizes in ([-1], [3, -2], [2, 0]):
@@ -309,8 +318,10 @@ def test_malformed_block_sizes_are_refused():
     with pytest.raises(ValueError, match="matrix size -1 is negative"):
         random_unimodular(-1, QQ, rng)
     assert rng.getstate() == state
-    with pytest.raises(ValueError, match="d\\^3 != 0"):
-        block_module(QQ, 3, [4])
+    for sizes in ([4], [2, 5, 1]):
+        with pytest.raises(ValueError,
+                           match=f"Jordan block size {max(sizes)} is above N = 3"):
+            block_module(QQ, 3, sizes)
 
 
 def test_jordan_block_profile():
@@ -331,30 +342,31 @@ def test_homology_d3_plus_d1():
 
 
 def test_homology_zero_differential():
-    E = NDiffModule(4, ExactMatrix.zeros(5, 5, QQ).scale(QQ.one), check=True)
+    E = NDiffModule(4, ExactMatrix.zeros(5, 5, QQ).scale(QQ.one))
     H = homology(E)
     assert all(v == 5 for v in H.dims().values())
 
 
 def test_homology_slot_checks_dimensions():
-    """Every slot, graded ones included, checks dim H = dim Z - dim B: an
-    ``Echelon`` B whose stored rows are dependent (e_0 under two leads)
-    breaks the count."""
+    """Every slot, graded ones included, checks dim H = dim Z - dim B when
+    it builds its quotient: an ``Echelon`` B whose stored rows are
+    dependent (e_0 under two leads) breaks the count."""
     Z = Subspace.full(3, QQ)
     e0 = {0: QQ.one}
     slot = HomologySlot(Z, span(ExactMatrix.from_columns([e0], 3, QQ)))
     assert (slot.dim_Z, slot.dim_B, slot.dim_H) == (3, 1, 2)
+    assert slot.quotient.dim == 2
     twice = Echelon(QQ, 3, {0: ([0], [1]), 1: ([0], [1])})
     with pytest.raises(AssertionError, match="dim H != dim Z - dim B"):
-        HomologySlot(Z, twice)
+        HomologySlot(Z, twice).quotient
 
 
 def test_lazy_slot_checks_dimensions_on_first_read():
-    """A certified slot reports dim Z - dim B at once and runs the same
-    dimension check when its quotient is first built."""
+    """A slot reports dim Z - dim B at once, builds no quotient until one
+    is read, and runs the dimension check then."""
     Z = Subspace.full(3, QQ)
     twice = Echelon(QQ, 3, {0: ([0], [1]), 1: ([0], [1])})
-    slot = HomologySlot(Z, twice, certified=True)
+    slot = HomologySlot(Z, twice)
     assert "quotient" not in vars(slot) and slot.dim_H == 1
     with pytest.raises(AssertionError, match="dim H != dim Z - dim B"):
         slot.representatives
@@ -362,23 +374,23 @@ def test_lazy_slot_checks_dimensions_on_first_read():
 
 @pytest.mark.parametrize("field", [QQ, make_cyclotomic(3)], ids=["Q", "Q(zeta_3)"])
 def test_lazy_slots_match_eager_slots(field):
-    """The image chain certifies d^N = 0, so no slot builds its quotient up
-    front; each matches an eager ``HomologySlot`` on the same Z and B in
-    dimension, representatives and the [i] and [d] matrices."""
+    """No slot builds its quotient up front; each matches a
+    ``QuotientSpace`` built at once on the same Z and B in dimension,
+    representatives and the [i] and [d] matrices."""
     rng = random.Random(41)
     for _ in range(4):
         N = rng.randint(3, 5)
         E, _ = random_ndiff(field, N, rng.randint(6, 12), rng)
         slots = homology(E).slots
         assert not any("quotient" in vars(s) for s in slots.values())
-        eager = {m: HomologySlot(s.Z, s.B) for m, s in slots.items()}
+        eager = {m: QuotientSpace(s.Z, s.B) for m, s in slots.items()}
         for m, s in slots.items():
-            assert s.dim_H == eager[m].dim_H
-            assert s.representatives == eager[m].representatives
+            assert s.dim_H == eager[m].dim
+            assert s.representatives == eager[m].representatives()
         arrows = [(m, m + 1, lambda z: z) for m in range(1, N - 1)]
         arrows += [(m + 1, m, E.d.apply) for m in range(1, N - 1)]
         for src, tgt, image in arrows:
-            want = eager[src].map_to(eager[tgt], image)
+            want = quotient_map(eager[src], eager[tgt], image)
             assert slots[src].map_to(slots[tgt], image) == want, (src, tgt)
 
 
@@ -387,13 +399,15 @@ def test_lazy_slots_match_eager_slots(field):
     (3, block_module(QQ, 4, [4]).d),
     (3, ExactMatrix.identity(3, QQ)),
 ], ids=["J3-N2", "J4-N3", "identity"])
-def test_uncertified_module_builds_eagerly(N, d):
-    """Without the d^N = 0 certificate every slot builds its quotient at
-    once, so an unchecked module that is not N-differential still fails in
-    ``homology``."""
-    E = NDiffModule(N, d, check=False)
-    with pytest.raises(ValueError, match="B is not contained in Z"):
-        homology(E)
+def test_uncertified_module_is_refused_where_read(N, d):
+    """A module with d^N != 0 builds, but every dimension read goes
+    through the image chain: each read, on a fresh module, raises the
+    certificate's ValueError and reports no dimension."""
+    reads = [NDiffModule.rank_profile, NDiffModule.homology_dims,
+             multiplicities, homology]
+    for read in reads:
+        with pytest.raises(ValueError, match=rf"d\^{N} != 0: not an {N}-differential"):
+            read(NDiffModule(N, d))
 
 
 def test_ses_validates_once(monkeypatch):
@@ -735,7 +749,7 @@ def _broken_sequence():
     A lift of the generator of H_(1)(G) shifted by the last kernel column
     e1 connects to a class moved by [e0] != 0 in H_(2)(E) = E."""
     F = block_module(QQ, 3, [3])
-    E = NDiffModule(3, ExactMatrix.zeros(2, 2, QQ), check=False)
+    E = NDiffModule(3, ExactMatrix.zeros(2, 2, QQ))
     G = NDiffModule(3, ExactMatrix.zeros(1, 1, QQ))
     phi = ExactMatrix.from_columns([{0: QQ.one}, {1: QQ.one}], 3, QQ)
     psi = ExactMatrix.from_rows([[QQ.zero, QQ.zero, QQ.one]], QQ)

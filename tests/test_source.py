@@ -8,6 +8,7 @@ from pathlib import Path
 import ncomplex
 
 SRC = Path(ncomplex.__file__).parent
+TESTS = Path(__file__).parent
 
 
 def test_no_bare_asserts():
@@ -95,16 +96,17 @@ def _unused_imports(tree):
 
 
 def test_no_unused_imports():
-    """A module-level import that the module never reads is dead weight.
-    ``__init__.py`` is exempt: its imports re-export the public API."""
+    """A module-level import that the module never reads is dead weight, in
+    the package and in the tests alike.  ``__init__.py`` is exempt: its
+    imports re-export the public API."""
     found = []
-    for path in sorted(SRC.glob("*.py")):
+    for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text(), str(path))
-        found += [f"{path.name}:{line} {name}"
+        found += [f"{path.parent.name}/{path.name}:{line} {name}"
                   for line, name in _unused_imports(tree)]
-    assert not found, f"unused imports in src/ncomplex: {found}"
+    assert not found, f"unused imports: {found}"
 
 
 def test_benchmark_tracer_installs():
@@ -153,7 +155,7 @@ PROGRAM_UNUSED = {
     "ndiff.homotopy_criterion_lemma4":
         "Lemma 4, the criterion h d - q d h = 1 under (A1)",
     "ndiff.block_module":
-        "the Jordan sum of D_n blocks, certified d^N = 0, whose block sizes "
+        "the Jordan sum of D_n blocks, each at most N, whose block sizes "
         "are the multiplicities Proposition 4 counts",
     "graded.MatrixAlgebraComplex.lemma4_homotopy":
         "the homotopy that makes the matrix-algebra example acyclic by Lemma 4",

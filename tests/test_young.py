@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ncomplex.fields import QQ, R_ZERO, accumulate, rat
-from ncomplex.graded import graded_homology
 from ncomplex.linalg import EchelonSolver, ExactMatrix
 from ncomplex.young import (
     PolyTensorField,
@@ -22,7 +21,6 @@ from ncomplex.young import (
     differential,
     divergence,
     maximal_diagram,
-    monomials,
     nonassociativity_witness,
     omega_space,
     poincare_verify,
