@@ -572,7 +572,8 @@ def _omega_q_words(A, T, D):
     """The body of ``omega_q`` on a built T(A) and its d_1 = D.  With G_k =
     d^k of the complement columns, the words of level n are
     W_n = [P_(n-k,k) (W_(n-k) ox G_k) for k = 1..N-1]: each is a shorter word
-    times its last letter d^k(b)."""
+    times its last letter d^k(b), of rank ``len(positions)`` of its
+    ``Subspace``."""
     f, n_max, a = T.field, T.n_max, A.dim
     u = min(t for t, c in A.unit.items() if not f.is_zero(c))
     ident = ExactMatrix.identity(a, f)
@@ -585,7 +586,7 @@ def _omega_q_words(A, T, D):
             T.product(n - k, k) @ kron(bases[n - k].basis, G[k])
             for k in range(1, min(D.N - 1, n) + 1)])
         bases.append(Subspace(T.dims[n], W))
-        if bases[n].solver().rank != W.ncols:
+        if len(bases[n].positions) != W.ncols:
             raise AssertionError(f"the Omega_q words of level {n} are dependent")
     maps = {}
     for n in range(n_max):

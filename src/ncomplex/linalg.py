@@ -464,7 +464,7 @@ def power_kernels(M, length):
     """``kernel_basis`` of M, M^2, ..., M^length without forming a power: the
     ``_echelon_kernel`` of each RREF of ``_power_echelons`` on M's rows.  An
     RREF depends only on the row space, so each link is the Subspace
-    ``kernel_basis`` builds, unit rows too; this needs no nilpotency."""
+    ``kernel_basis`` builds, positions too; this needs no nilpotency."""
     f, n = M.field, M.ncols
     return [_echelon_kernel(pivots, erows, n, f)
             for pivots, erows in _power_echelons(M.rows_sparse(), n, length, f, True)]
@@ -509,7 +509,7 @@ def _echelon_kernel(pivots, erows, ncols, f):
     column per free column fc, 1 at fc and minus the RREF rows' entries at
     fc in their pivot rows.  Every entry of a reduced row after its lead
     lies in a free column, so one pass scatters each row into the columns;
-    the free columns are the Subspace's unit rows."""
+    the free columns are the Subspace's positions, where its basis is I."""
     piv_set = set(pivots)
     free = [j for j in range(ncols) if j not in piv_set]
     cols = {fc: {fc: f.one} for fc in free}
@@ -519,7 +519,7 @@ def _echelon_kernel(pivots, erows, ncols, f):
         for c, v in zip(rc[1:], rv[1:]):
             cols[c][p] = rat(-v, lead) if rational else f.neg(v)
     basis = ExactMatrix.from_columns(list(cols.values()), ncols, f)
-    return Subspace(ncols, basis, unit_rows=free)
+    return Subspace(ncols, basis, positions=free)
 
 
 def _column_echelon(M):
@@ -541,8 +541,11 @@ def span(M):
 
 def image_basis(M):
     """Column space as a ``Subspace`` on the columns of M that ``span``
-    keeps."""
-    return Subspace(M.nrows, M.take_columns(_column_echelon(M)[1]))
+    keeps, which keeps that ``Echelon`` as its span."""
+    E, kept = _column_echelon(M)
+    S = Subspace(M.nrows, M.take_columns(kept))
+    S._span = E
+    return S
 
 
 class EchelonSolver:
@@ -618,29 +621,25 @@ def _identity_part(rows, split, f):
 
 
 class Subspace:
-    """A subspace given by a basis matrix with independent columns.
+    """A subspace given by a basis matrix B with independent columns, read
+    in coordinates by one rule: at ``positions``, rows S at which B_S is
+    invertible.  ``kernel_basis`` passes its free columns and the full space
+    every row, where B_S = I; any other basis gets its row rank profile.  A
+    vector v has the coordinates x = v_S when B_S = I, else x = B_S^-1 v_S
+    by one ``EchelonSolver`` of B_S, whose exact check covers S; one
+    ``_membership_holds`` on the rows off S then decides whether v lies in
+    the span.  The first read raises ``ValueError`` naming the rank when
+    B_S is singular, as it is for a basis with dependent columns."""
 
-    A kernel basis and the full space also know their unit rows: row
-    ``unit_rows[k]`` of the basis is the unit vector e_k (for ``kernel_basis``
-    the free columns of the RREF).  The coordinates of a vector v are then v
-    read at those rows, once the exact check Z x = v shows that v lies in
-    the span; the check is skipped only when the unit rows cover the whole
-    space.  Any other subspace solves through an ``EchelonSolver`` of its
-    basis, built on first use."""
-
-    def __init__(self, ambient_dim, basis, unit_rows=None):
+    def __init__(self, ambient_dim, basis, positions=None):
         self.ambient_dim = ambient_dim
         self.basis = basis
-        self.unit_rows = unit_rows
-        self._index = self._rest = self._solver = None  # built on first use
+        self._positions = positions
+        self._span = self._read = None  # built on first use
 
     @staticmethod
     def full(n, field):
-        return Subspace(n, ExactMatrix.identity(n, field), unit_rows=range(n))
-
-    @staticmethod
-    def zero(n, field):
-        return Subspace(n, ExactMatrix.zeros(n, 0, field), unit_rows=())
+        return Subspace(n, ExactMatrix.identity(n, field), positions=range(n))
 
     @property
     def dim(self):
@@ -650,46 +649,49 @@ class Subspace:
     def field(self):
         return self.basis.field
 
-    def solver(self):
-        if self._solver is None:
-            self._solver = EchelonSolver(self.basis)
-        return self._solver
+    @property
+    def positions(self):
+        """S as given, else B's row rank profile (Dumas, Pernet and Sultan,
+        ISSAC 2015): the leads of B's span, the ``Echelon`` of its columns."""
+        if self._positions is None:
+            self._positions = sorted(self._span_echelon().leads)
+        return self._positions
+
+    def _span_echelon(self):
+        if self._span is None:
+            self._span = span(self.basis)
+        return self._span
 
     def coordinates_split(self, xs, D):
         """``coordinates`` on numerators: xs is ``{index: numerator}`` over D,
         and the result is ``(x, D_x)`` with x ``{basis column: numerator}`` in
         ascending order over D_x, or None when the vector is not in the span."""
-        if self.unit_rows is None:
-            return self.solver().solve_split(xs, D)
-        is_zero = self.field.is_zero
-        index = self._unit_index()
-        x = {index[r]: xs[r] for r in sorted(xs) if r in index and not is_zero(xs[r])}
-        return (x, D) if self._rebuilds(x, xs) else None
+        if self._read is None:
+            self._read = self._reader()
+        index, solver, rest, scale = self._read
+        f = self.field
+        x = {index[r]: xs[r] for r in sorted(xs) if r in index and not f.is_zero(xs[r])}
+        if solver is not None:
+            x, D = solver.solve_split(x, D)
+        return (x, D) if _membership_holds(rest, scale, x, xs, f, index) else None
 
-    def _unit_index(self):
-        if self._index is None:
-            self._index = {r: k for k, r in enumerate(self.unit_rows)}
-        return self._index
-
-    def _rebuilds(self, x, xs):
-        """Whether the basis times the numerators x, read at the unit rows,
-        is the vector of numerators xs, both over one denominator: the exact
-        membership check Z x = v.  At a unit row it holds by construction,
-        so ``_membership_holds`` compares only the other rows,
-        Z_num x = D_Z xs; with no other row (Z = I) there is nothing to
-        check."""
-        if len(self.unit_rows) == self.ambient_dim:
-            return True
-        f, index = self.field, self._unit_index()
-        if self._rest is None:  # the integer columns off the unit rows
-            cols, DZ = self.basis.split_columns()
-            rest = {}
-            for k, col in cols.items():
-                it = iter(col)
-                rest[k] = [t for r, n in zip(it, it) if r not in index for t in (r, n)]
-            self._rest = rest, f.numerator(DZ)
-        rest, scale = self._rest
-        return _membership_holds(rest, scale, x, xs, f, index)
+    def _reader(self):
+        """The index of S, the solver of B_S (None when B_S = I), and B's
+        integer entries off S with the scale of their check."""
+        B, f, k = self.basis, self.field, self.dim
+        index = {r: i for i, r in enumerate(self.positions)}
+        on = {(index[r], c): v for (r, c), v in B.entries.items() if r in index}
+        B_S = ExactMatrix(len(index), k, f, on, _clean=False)
+        solver = None if B_S == ExactMatrix.identity(k, f) else EchelonSolver(B_S)
+        rank = solver.rank if solver else k
+        if rank < k or len(index) > k:  # B_S must be square and invertible
+            raise ValueError(f"a basis of {k} columns has rank {rank} "
+                             f"at its {len(index)} positions")
+        off = [(rc, v) for rc, v in B.entries.items() if rc[0] not in index]
+        nums, DB = f.split([v for _, v in off])
+        # x over D D_P: B x = v reads B_num x_num = D_B D_P v_num off S
+        scale = f.numerator(DB * (solver._DP if solver else 1))
+        return index, solver, _flat_columns([rc for rc, _ in off], nums), scale
 
     def coordinates(self, v):
         """Coordinates of sparse vector v in this basis, or None."""
@@ -729,20 +731,20 @@ class QuotientSpace:
     the later columns exactly when i is the lowest nonzero index of a vector
     of span(B_Z), B_Z the Z-coordinates of B, that is when i is a pivot of
     the RREF of B_Z^T.  So the quotient is the kernel K of B_Z^T: its free
-    columns (K's unit rows) are the complement positions, and K^T, which
+    columns (K's positions) are the complement positions, and K^T, which
     kills B_Z and sends complement column k to e_k, is the class map.  The
     complement is the last basis of the matroid of the Z columns modulo B
     (Oxley, *Matroid Theory*, 2nd ed., 2.1, on the dual matroid).
 
     B is given as the ``Echelon`` that spans it (``span``, an image-chain
-    link), and its stored rows go into the kernel as they come: each is
-    read in Z's coordinates by ``coordinates_split``, whose check refuses a
-    B outside Z, over Q as its integer row over D = 1 and over Q(zeta_M)
-    through one ``Field.split``.  The numerators are one input row, a
-    nonzero multiple of the coordinate row, so no coordinate is built as a
-    scalar.  K is the ``_echelon_kernel`` of their RREF, which depends on
-    the row space alone, so the representatives do not depend on which
-    rows span B."""
+    link or a Subspace's span), and its stored rows go into the kernel as
+    they come: each is read in Z's coordinates by ``coordinates_split``,
+    whose check refuses a B outside Z, over Q as its integer row over D = 1
+    and over Q(zeta_M) through one ``Field.split``.  The numerators are one
+    input row, a nonzero multiple of the coordinate row, so no coordinate
+    is built as a scalar.  K is the ``_echelon_kernel`` of their RREF, which
+    depends on the row space alone, so the representatives do not depend on
+    which rows span B."""
 
     def __init__(self, Z, B):
         if B.limit != Z.ambient_dim:
@@ -761,7 +763,7 @@ class QuotientSpace:
             rows.append((list(sol[0]), list(sol[0].values())))
         pivots, erows, _ = kernel.row_echelon(rows, Z.dim, f, reduced=True)
         K = _echelon_kernel(pivots, erows, Z.dim, f)
-        self.complement_positions = K.unit_rows
+        self.complement_positions = K.positions
         self.dim = K.dim
         self.class_map = K.basis.transpose()
         self._representatives = None
@@ -788,8 +790,9 @@ class QuotientSpace:
 def quotient_maps(S):
     """``(proj, section)`` for the quotient of S's ambient space by S under
     the complement rule: proj is the class map K^T of the left kernel K of S
-    (``kernel_basis`` of S^T), section the unit vectors at its free columns."""
-    q = QuotientSpace(Subspace.full(S.ambient_dim, S.field), span(S.basis))
+    (``kernel_basis`` of S^T), section the unit vectors at its free columns.
+    B is S's span, kept by ``image_basis`` or built from S's basis."""
+    q = QuotientSpace(Subspace.full(S.ambient_dim, S.field), S._span_echelon())
     return q.class_map, q.representatives()
 
 

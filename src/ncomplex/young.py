@@ -13,20 +13,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from operator import itemgetter
 
 from .fields import QQ, accumulate, rat
 from .graded import GradedNComplex, graded_homology
-from .linalg import (
-    EchelonSolver,
-    ExactMatrix,
-    _flat_columns,
-    _membership_holds,
-    _split_vector,
-    kron,
-    place_blocks,
-)
+from .linalg import EchelonSolver, ExactMatrix, Subspace, kron, place_blocks
 from .ndiff import exact_at
 
 
@@ -162,12 +154,11 @@ class SymmetrySpace:
     deterministic basis: the projections b_s of the semistandard unit tensors
     (rows weakly, columns strictly increasing), in enumeration order, which
     are a basis by the standard basis theorem (Fulton, Young Tableaux, 8.1).
-    Coordinates are read at those semistandard positions S: one
-    ``EchelonSolver`` of the dim x dim matrix B_S = (b_s[t]), t in S, which
-    rank B_S = ``weyl_dim`` certifies (rank B_S <= rank [b_s]).  Each solve
-    is checked by the one membership check of ``linalg`` on numerators,
-    B_num c_num = D_B D_P tensor_num, with the basis kept as integer
-    columns B_num over D_B and D_P the denominator of the solver's P."""
+    Coordinates are those of a ``linalg.Subspace`` of the D^p tensor space
+    (t at row t_1 ... t_p in base D, as ``linalg.index_tuple`` reads it)
+    with the semistandard rows S, ascending, as positions: one solve of
+    B_S = (b_s[t]), t in S, and the membership check off S.  Construction
+    certifies rank B_S = ``weyl_dim`` (rank B_S <= rank [b_s])."""
 
     def __init__(self, diagram, D):
         self.diagram = diagram
@@ -176,19 +167,21 @@ class SymmetrySpace:
         self.positions = self._semistandard_tuples()
         self.basis = [self.projector.apply({t: rat(1)}) for t in self.positions]
         self.dim = len(self.basis)
-        self.solver = EchelonSolver(ExactMatrix.from_columns(
-            [{i: b[t] for i, t in enumerate(self.positions) if t in b}
-             for b in self.basis], self.dim, QQ))
-        if not (self.solver.rank == self.dim == weyl_dim(diagram, D)):
-            raise AssertionError(
-                f"semistandard projections of {diagram.rows} over D = {D} have "
-                f"rank {self.solver.rank} at their positions, not weyl_dim")
+        if self.dim != weyl_dim(diagram, D):
+            raise AssertionError(f"{diagram.rows} over D = {D} has {self.dim} "
+                                 f"semistandard tableaux, not weyl_dim")
+        n = D ** diagram.cells
+        self._space = Subspace(n, ExactMatrix.from_columns(
+            [self._rows(b) for b in self.basis], n, QQ),
+            positions=list(self._rows(dict.fromkeys(self.positions))))
+        try:  # the first read certifies rank B_S = dim
+            self._space.coordinates({})
+        except ValueError as err:
+            raise AssertionError(f"semistandard projections of {diagram.rows} "
+                                 f"over D = {D}: {err}") from None
         if self.basis and self.projector.apply(self.basis[0]) != self.basis[0]:
             raise AssertionError(
                 f"Young symmetrizer of {diagram.rows} fails Y^2 = cY")
-        nums, DB = QQ.split([v for b in self.basis for v in b.values()])
-        keys = [(t, s) for s, b in enumerate(self.basis) for t in b]
-        self._check = _flat_columns(keys, nums), DB * self.solver._DP
 
     def _semistandard_tuples(self):
         """The row-sorted fillings whose columns strictly increase, read row
@@ -202,14 +195,17 @@ class SymmetrySpace:
             last = start
         return fillings
 
+    def _rows(self, tensor):
+        """The tensor in the D^p space, at the rows the class docstring names."""
+        D = self.D
+        return {reduce(lambda r, d: r * D + d, t, 0): v for t, v in tensor.items()}
+
     def coords(self, tensor):
         """Coordinates in the basis; tensor must lie in the image."""
-        v, D = _split_vector(tensor, QQ)
-        x, Dx = self.solver.solve_split(
-            {i: v[t] for i, t in enumerate(self.positions) if v.get(t)}, D)
-        if not _membership_holds(*self._check, x, v, QQ):
+        x = self._space.coordinates(self._rows(tensor))
+        if x is None:
             raise ValueError("tensor does not have this symmetry type")
-        return {s: rat(n, Dx) for s, n in x.items()}
+        return x
 
 
 @lru_cache(maxsize=None)

@@ -116,6 +116,12 @@ class OracleQuotient:
         return {k: x[p] for k, p in enumerate(self._pivots) if p in x}
 
 
+def oracle_coordinates(S, v):
+    """``Subspace.coordinates`` by one ``EchelonSolver`` of S's whole basis,
+    the RREF of [B | I_n], whatever S's positions."""
+    return EchelonSolver(S.basis).solve(v)
+
+
 def oracle_image_chain(E):
     """``NDiffModule.image_chain`` on kept columns: link 0 is ``image_basis``
     of d and link k+1 ``image_basis`` of d @ (link k's basis), the columns
@@ -442,7 +448,8 @@ def oracle_omega_q_closure(T, D):
     (complex-with-product, bases) in T(A) coordinates."""
     f, n_max = T.field, T.n_max
     bases = [Subspace.full(T.dims[0], f)]
-    bases += [Subspace.zero(T.dims[n], f) for n in range(1, n_max + 1)]
+    bases += [Subspace(T.dims[n], ExactMatrix.zeros(T.dims[n], 0, f), positions=())
+              for n in range(1, n_max + 1)]
     # S_k only grows by columns at its end; seen[n][k] counts the columns of
     # S_k that degree n has closed over
     seen = [[0] * (n_max + 1) for _ in range(n_max + 1)]

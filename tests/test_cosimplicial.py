@@ -742,7 +742,8 @@ def _full_closure_bases(A, q, N, n_max):
     T = tensor_algebra(A, n_max)
     D = d1(T, q, N)
     bases = [Subspace.full(A.dim, f)]
-    bases += [Subspace.zero(T.dims[n], f) for n in range(1, n_max + 1)]
+    bases += [Subspace(T.dims[n], ExactMatrix.zeros(T.dims[n], 0, f), positions=())
+              for n in range(1, n_max + 1)]
     changed = True
     while changed:
         changed = False

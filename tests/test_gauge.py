@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from ncomplex import gauge
+from ncomplex import gauge, linalg
 from ncomplex.cosimplicial import group_algebra_cyclic, truncated_polynomials
 from ncomplex.fields import QQ, make_cyclotomic
 from ncomplex.gauge import (
@@ -103,7 +103,8 @@ def test_extend_trivial_cases():
     assert ext.Q.dim == 3
     assert theorem5_verify(G)["ok"]
     # H_I = 0, A = 0
-    G2 = GaugeInstance(3, A, Subspace.zero(3, f), f.zeta())
+    zero = Subspace(3, ExactMatrix.zeros(3, 0, f), positions=())
+    G2 = GaugeInstance(3, A, zero, f.zeta())
     assert theorem5_verify(G2)["ok"]
 
 
@@ -156,7 +157,8 @@ def _oracle_instances():
         N = rng.choice((3, 4, 5))
         yield random_gauge_instance(make_cyclotomic(2 * N), N, rng, hmax=12)
     f = make_cyclotomic(6)
-    for HI in (Subspace.full(3, f), Subspace.zero(3, f)):
+    zero = Subspace(3, ExactMatrix.zeros(3, 0, f), positions=())
+    for HI in (Subspace.full(3, f), zero):
         yield GaugeInstance(3, ExactMatrix.zeros(3, 3, f), HI, f.zeta())
 
 
@@ -203,6 +205,24 @@ def test_extend_rejects_a_projection_off_the_quotient(monkeypatch):
     monkeypatch.setattr(gauge, "quotient_maps", lambda S: (extra_row, sect))
     with pytest.raises(AssertionError, match="Lemma 12 fails"):
         extend(G)
+
+
+def test_extend_reads_the_span_of_h_i_the_instance_built(monkeypatch):
+    """H_I's ``Echelon`` is built once, with the instance, and ``extend``
+    reads it: ``_column_echelon`` runs once per H_I, and proj and sect are
+    those of a fresh Subspace on H_I's basis, which builds its own."""
+    calls = []
+    real = linalg._column_echelon
+    monkeypatch.setattr(linalg, "_column_echelon", lambda M: calls.append(M) or real(M))
+    rng = random.Random(44)
+    for _ in range(6):
+        G = random_gauge_instance(make_cyclotomic(6), 3, rng, hmax=12)
+        ext = extend(G)
+        assert len(calls) == 1
+        calls.clear()
+        assert (ext.proj, ext.sect) == quotient_maps(Subspace(G.dim, G.HI.basis))
+        assert len(calls) == 1
+        calls.clear()
 
 
 def test_extend_rejects_an_unstable_hi():

@@ -32,10 +32,11 @@ from ncomplex.linalg import (
     restrict,
     span,
 )
-from ncomplex.ndiff import NDiffModule, block_module, homology, random_unimodular
+from ncomplex.ndiff import NDiffModule, block_module, homology, random_unimodular, submodule
 from helpers import (
     OracleQuotient,
     from_int_rows,
+    oracle_coordinates,
     oracle_quotient_maps,
     random_scalar,
     tuple_index,
@@ -172,19 +173,80 @@ def test_quotient_dimension_random():
     assert q.coordinates(B.basis.columns()[0]) == {}
 
 
+def _random_basis(f, rng, n):
+    """A basis of independent columns, some rows zero, as a fresh Subspace."""
+    cols = [{i: random_scalar(f, rng, 3) for i in rng.sample(range(n), rng.randint(1, n - 1))}
+            for _ in range(rng.randint(1, 4))]
+    return Subspace(n, image_basis(ExactMatrix.from_columns(cols, n, f)).basis)
+
+
+def _row_rank_profile(B, order):
+    """The rows of B, in ``order``, that raise the rank of those before them:
+    the dense RREF pivots of B^T with its columns in that order."""
+    dense = [[row.get(i, B.field.zero) for i in order] for row in B.columns()]
+    return sorted(order[p] for p in dense_rref(dense, B.field)[0])
+
+
+@pytest.mark.parametrize("field", [QQ, make_cyclotomic(3)], ids=["Q", "Qzeta3"])
+def test_coordinates_match_the_full_basis_solver(field):
+    """One coordinate rule: read at the positions S, solved by B_S and
+    checked off S, against one ``EchelonSolver`` of the whole basis, with the
+    default positions (the row rank profile, against a dense oracle) and with
+    another invertible S.  A vector outside the span is refused, also when it
+    agrees with a member of the span on S."""
+    f, rng = field, random.Random(46)
+    for _ in range(40):
+        n = rng.randint(2, 7)
+        S = _random_basis(f, rng, n)
+        assert S.positions == _row_rank_profile(S.basis, list(range(n)))
+        order = rng.sample(range(n), n)
+        other = Subspace(n, S.basis, positions=_row_rank_profile(S.basis, order))
+        for T in (S, other):
+            for _ in range(4):
+                x = {k: random_scalar(f, rng, 3) for k in range(T.dim)}
+                x = {k: c for k, c in x.items() if not f.is_zero(c)}
+                v = T.basis.apply(x)
+                assert T.coordinates(v) == oracle_coordinates(T, v) == x
+                off = [r for r in range(n) if r not in T.positions]
+                if off:  # w agrees with v on S, so it lies outside the span
+                    r = rng.choice(off)
+                    w = {**v, r: f.add(v.get(r, f.zero), f.one)}
+                    w = {i: c for i, c in w.items() if not f.is_zero(c)}
+                    assert oracle_coordinates(T, w) is None
+                    assert T.coordinates(w) is None
+                u = {r: random_scalar(f, rng, 2) for r in range(n)}
+                assert T.coordinates(u) == oracle_coordinates(T, u)
+
+
+@pytest.mark.parametrize("field", [QQ, make_cyclotomic(3)], ids=["Q", "Qzeta3"])
+def test_a_dependent_basis_is_refused(field):
+    """B = [e_0, 2 e_0] has rank 1 at its one position: the first coordinate
+    read raises, so ``restrict`` and ``submodule`` refuse it instead of
+    building a 2-dimensional answer for a 1-dimensional span."""
+    f = field
+    S = Subspace(2, ExactMatrix.from_columns([{0: f.one}, {0: f.from_rat(2)}], 2, f))
+    assert S.positions == [0]
+    with pytest.raises(ValueError, match="2 columns has rank 1"):
+        restrict(ExactMatrix.identity(2, f), S, S)
+    with pytest.raises(ValueError, match="2 columns has rank 1"):
+        submodule(NDiffModule(2, ExactMatrix.zeros(2, 2, f)), S)
+    with pytest.raises(ValueError, match="2 columns has rank 1"):
+        Subspace(2, S.basis, positions=[0, 1]).coordinates({})
+
+
 def test_quotient_space_is_one_elimination(elimination_counts):
     """A quotient of a kernel basis Z is one short elimination, the kernel of
-    B's rows read at Z's unit rows, and builds no EchelonSolver; reading
+    B's rows read at Z's positions, and builds no EchelonSolver; reading
     classes and representatives eliminates nothing more."""
     e = [{i: rat(1)} for i in range(4)]
-    # Z = span(e_0, e_1 + e_2, e_3) = ker [0 1 -1 0], with unit rows 0, 2, 3
+    # Z = span(e_0, e_1 + e_2, e_3) = ker [0 1 -1 0], with positions 0, 2, 3
     Z = kernel_basis(from_int_rows([[0, 1, -1, 0]], QQ))
     assert Z.basis == ExactMatrix.from_columns([e[0], {1: rat(1), 2: rat(1)}, e[3]], 4, QQ)
-    assert Z.unit_rows == [0, 2, 3]
+    assert Z.positions == [0, 2, 3]
     B = span(ExactMatrix.from_columns([{0: rat(1), 3: rat(1)}], 4, QQ))
     q = QuotientSpace(Z, B)
     assert elimination_counts == {"solvers": 0, "row_echelon": 2}
-    assert Z._solver is None
+    assert Z._read[1] is None  # B_S = I: no solver
     # z_0 = (e_0 + e_3) - z_2 is the column B covers; z_1 and z_2 stay
     assert q.complement_positions == [1, 2]
     assert q.class_map == ExactMatrix.from_columns([{1: rat(-1)}, {0: rat(1)}, {1: rat(1)}], 2, QQ)
@@ -198,17 +260,17 @@ def test_quotient_space_is_one_elimination(elimination_counts):
         q.coordinates(e[2])
     assert q.representatives() is q.representatives()
     assert elimination_counts == {"solvers": 0, "row_echelon": 2}
-    assert Z._solver is None
+    assert Z._read[1] is None  # B_S = I: no solver
 
 
 def test_quotient_refuses_on_the_unit_rows():
-    """A vector, or a B, supported on Z's unit rows alone may still leave Z:
+    """A vector, or a B, supported on Z's positions alone may still leave Z:
     the membership check runs whatever the support, unless Z is the whole
     space."""
     f = QQ
-    # Z = ker [1 1 0] = span(e_1 - e_0, e_2), with unit rows 1 and 2
+    # Z = ker [1 1 0] = span(e_1 - e_0, e_2), with positions 1 and 2
     Z = kernel_basis(from_int_rows([[1, 1, 0]], f))
-    assert Z.unit_rows == [1, 2]
+    assert Z.positions == [1, 2]
     q = QuotientSpace(Z, span(ExactMatrix.zeros(3, 0, f)))
     for v in ({1: rat(1)}, {1: rat(2), 2: rat(1)}):
         with pytest.raises(ValueError, match="vector not in Z"):
@@ -733,7 +795,7 @@ def test_unit_row_quotient_matches_reversed_elimination_oracle(case):
         got = q.coordinates(v)
         assert got == oracle.coordinates(v) and list(got) == sorted(got)
     assert quotient_maps(B) == oracle_quotient_maps(B)
-    for r, col in zip(Z.unit_rows, Z.basis.columns()):
+    for r, col in zip(Z.positions, Z.basis.columns()):
         if col == {r: f.one}:
             continue
         v = {r: f.one}
@@ -852,7 +914,7 @@ def test_empty_shapes(field):
         assert solver.solve({j: f.zero for j in range(nrows)}) == {}
         if nrows:
             assert solver.solve({0: f.one}) is None
-    Z = Subspace.zero(3, f)
+    Z = Subspace(3, ExactMatrix.zeros(3, 0, f), positions=())
     assert QuotientSpace(Z, span(Z.basis)).coordinates({}) == {}
     full = Subspace.full(3, f)
     v = {1: f.from_rat(2, 3)}

@@ -187,7 +187,7 @@ def test_image_chain_on_echelon_rows_matches_column_oracle(case):
 @settings(max_examples=150, deadline=None)
 def test_kernel_chain_matches_kernels_of_powers(case):
     """Link m of the kernel chain is ``kernel_basis`` of the explicit power
-    d^m: the same basis matrix and the same unit rows.  The row identity
+    d^m: the same basis matrix and the same positions.  The row identity
     needs no nilpotency, so the chain loop (``power_kernels``) is held to it
     on d with d^N != 0 (a Jordan block of size N + 1, arbitrary sparse d)
     too."""
@@ -198,7 +198,7 @@ def test_kernel_chain_matches_kernels_of_powers(case):
         K = kernel_basis(_naive_power(d, m))
         assert S.ambient_dim == K.ambient_dim == d.ncols
         assert S.basis == K.basis, m
-        assert list(S.unit_rows) == list(K.unit_rows), m
+        assert list(S.positions) == list(K.positions), m
 
 
 def test_homology_forms_no_power(monkeypatch):
@@ -272,7 +272,7 @@ def test_dense_modules(field, seed):
         assert link_rows(B) == rows
     for m, S in enumerate(E.kernel_chain(), 1):
         K = kernel_basis(_naive_power(E.d, m))
-        assert S.basis == K.basis and list(S.unit_rows) == list(K.unit_rows), m
+        assert S.basis == K.basis and list(S.positions) == list(K.positions), m
     assert multiplicities(E).counts == truth
     assert all_hexagons_check(E)["ok"]
 

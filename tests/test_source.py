@@ -180,24 +180,38 @@ PROGRAM_UNUSED = {
 
 
 def _public_definitions(tree):
-    """(qualified name, bare name, node) of each public module-level function
-    and class of a module and of each public method of such a class."""
+    """(qualified name, reference name, kind, node) of each public
+    module-level function and class of a module ("name") and of each public
+    method of such a class: a static method is referenced as
+    ``Class.name`` ("static"), any other method as ``x.name``
+    ("attribute")."""
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     for node in tree.body:
         if (isinstance(node, (*functions, ast.ClassDef))
                 and not node.name.startswith("_")):
-            yield node.name, node.name, node
+            yield node.name, node.name, "name", node
             if isinstance(node, ast.ClassDef):
                 for sub in node.body:
                     if isinstance(sub, functions) and not sub.name.startswith("_"):
-                        yield f"{node.name}.{sub.name}", sub.name, sub
+                        qualname = f"{node.name}.{sub.name}"
+                        if any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                               for d in sub.decorator_list):
+                            yield qualname, qualname, "static", sub
+                        else:
+                            yield qualname, sub.name, "attribute", sub
 
 
-def _referenced_names(tree, attributes=False):
-    """Counter of the names read as a plain name or an attribute in ``tree``,
-    or only as an attribute ``x.name`` when ``attributes``.  A re-export by
-    import is no reference."""
-    kinds = ast.Attribute if attributes else (ast.Name, ast.Attribute)
+def _referenced_names(tree, kind="name"):
+    """Counter of the names read in ``tree``: as a plain name or an attribute
+    ("name"), only as an attribute ``x.name`` ("attribute"), or only as
+    ``Class.name`` or ``module.Class.name``, counted as "Class.name"
+    ("static"), so that ``Field.zero`` is no reference to ``Subspace.zero``.
+    A re-export by import is no reference."""
+    if kind == "static":
+        return Counter(f"{getattr(node.value, 'id', None) or node.value.attr}.{node.attr}"
+                       for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                       and isinstance(node.value, (ast.Name, ast.Attribute)))
+    kinds = ast.Attribute if kind == "attribute" else (ast.Name, ast.Attribute)
     return Counter(node.id if isinstance(node, ast.Name) else node.attr
                    for node in ast.walk(tree) if isinstance(node, kinds))
 
@@ -208,26 +222,26 @@ def test_every_public_name_runs():
     definition, or by the benchmark workloads; otherwise it is in
     ``PROGRAM_UNUSED`` with its reason, and an entry whose name gained a
     program caller, or is gone, is stale.  A method counts only through an
-    attribute reference ``x.name``: a local variable of the same name is no
-    caller.  Test scaffolding lives in ``tests/helpers.py``."""
+    attribute reference ``x.name``, a static method only through
+    ``Class.name``: a local variable or another class's attribute of the
+    same name is no caller.  Test scaffolding lives in ``tests/helpers.py``."""
     workloads = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     trees = {path.stem: ast.parse(path.read_text(), str(path))
              for path in sorted(SRC.glob("*.py"))}
     workload_tree = ast.parse(workloads.read_text())
-    # (package references, workload references), keyed by "is a method"
-    refs = {method: (sum((_referenced_names(t, method) for t in trees.values()),
-                         Counter()),
-                     _referenced_names(workload_tree, method))
-            for method in (False, True)}
+    # (package references, workload references), keyed by reference kind
+    refs = {kind: (sum((_referenced_names(t, kind) for t in trees.values()),
+                       Counter()),
+                   _referenced_names(workload_tree, kind))
+            for kind in ("name", "attribute", "static")}
     unused, defined = [], set()
     for module, tree in trees.items():
-        for qualname, name, node in _public_definitions(tree):
-            method = qualname != name
-            package, called = refs[method]
+        for qualname, name, kind, node in _public_definitions(tree):
+            package, called = refs[kind]
             key = f"{module}.{qualname}"
             defined.add(key)
             runs = (name in called
-                    or package[name] > _referenced_names(node, method)[name])
+                    or package[name] > _referenced_names(node, kind)[name])
             if runs == (key in PROGRAM_UNUSED):
                 unused.append(key)
     unused += sorted(set(PROGRAM_UNUSED) - defined)

@@ -72,22 +72,31 @@ def test_symmetrizer_idempotent():
 
 
 def test_symmetry_space_is_one_elimination(elimination_counts):
-    """A symmetry space is one EchelonSolver of B_S, its basis read at the
-    semistandard positions S: dim rows, not D^p.  A solve gives the
-    coordinates, and one sparse combination of the basis checks them."""
+    """A symmetry space is a ``Subspace`` of the D^p tensor space read at the
+    semistandard rows S: one EchelonSolver of the dim x dim matrix B_S, and
+    no elimination of D^p rows.  A solve gives the coordinates, and one
+    sparse combination of the basis off S checks them."""
     # antisymmetric 2-tensors over D = 2: (0, 1) is the one semistandard
     # filling of a column of height 2, so its projection is basis tensor 0
     sp = SymmetrySpace(YoungDiagram((1, 1)), 2)
     assert elimination_counts == {"solvers": 1, "row_echelon": 1}
-    assert sp.dim == 1 and sp.positions == [(0, 1)] and sp.solver.pivots == [0]
+    assert sp.dim == 1 and sp.positions == [(0, 1)]
     assert sp.basis == [{(0, 1): rat(1, 2), (1, 0): rat(-1, 2)}]
-    M = sp.solver.M
+    space = sp._space
+    assert space.ambient_dim == 4 and space.positions == [1]
+    M = space._read[1].M
     assert (M.nrows, M.ncols, M.entries) == (1, 1, {(0, 0): rat(1, 2)})
     assert sp.coords(sp.basis[0]) == {0: rat(1)}
     assert sp.coords({(0, 1): rat(3), (1, 0): rat(-3)}) == {0: rat(6)}
     with pytest.raises(ValueError, match="symmetry type"):
         sp.coords({(0, 1): rat(1)})
     assert elimination_counts == {"solvers": 1, "row_echelon": 1}
+    # every space reads at the base-D rows of its semistandard tuples
+    for N, D, p in ((2, 3, 2), (3, 2, 3), (3, 3, 4), (4, 2, 5)):
+        sp = omega_space(N, D, p)
+        assert sp._space.ambient_dim == D ** p
+        assert sp._space.positions == [tuple_index(t, D) for t in sp.positions]
+        assert sp._space.positions == sorted(sp._space.positions)
 
 
 def test_coords_refuses_what_agrees_only_at_the_semistandard_positions():
