@@ -5,6 +5,7 @@ deterministic representative choices."""
 from __future__ import annotations
 
 from bisect import bisect_left
+from functools import cached_property
 from math import lcm
 
 from . import kernel
@@ -635,7 +636,6 @@ class Subspace:
         self.ambient_dim = ambient_dim
         self.basis = basis
         self._positions = positions
-        self._span = self._read = None  # built on first use
 
     @staticmethod
     def full(n, field):
@@ -654,20 +654,17 @@ class Subspace:
         """S as given, else B's row rank profile (Dumas, Pernet and Sultan,
         ISSAC 2015): the leads of B's span, the ``Echelon`` of its columns."""
         if self._positions is None:
-            self._positions = sorted(self._span_echelon().leads)
+            self._positions = sorted(self._span.leads)
         return self._positions
 
-    def _span_echelon(self):
-        if self._span is None:
-            self._span = span(self.basis)
-        return self._span
+    @cached_property
+    def _span(self):
+        return span(self.basis)
 
     def coordinates_split(self, xs, D):
         """``coordinates`` on numerators: xs is ``{index: numerator}`` over D,
         and the result is ``(x, D_x)`` with x ``{basis column: numerator}`` in
         ascending order over D_x, or None when the vector is not in the span."""
-        if self._read is None:
-            self._read = self._reader()
         index, solver, rest, scale = self._read
         f = self.field
         x = {index[r]: xs[r] for r in sorted(xs) if r in index and not f.is_zero(xs[r])}
@@ -675,7 +672,8 @@ class Subspace:
             x, D = solver.solve_split(x, D)
         return (x, D) if _membership_holds(rest, scale, x, xs, f, index) else None
 
-    def _reader(self):
+    @cached_property
+    def _read(self):
         """The index of S, the solver of B_S (None when B_S = I), and B's
         integer entries off S with the scale of their check."""
         B, f, k = self.basis, self.field, self.dim
@@ -692,6 +690,15 @@ class Subspace:
         # x over D D_P: B x = v reads B_num x_num = D_B D_P v_num off S
         scale = f.numerator(DB * (solver._DP if solver else 1))
         return index, solver, _flat_columns([rc for rc, _ in off], nums), scale
+
+    def position_inverse(self):
+        """B_S^-1, which takes the values at S of a vector of the span to its
+        coordinates: column i solves B_S x = e_i through the one solver of
+        B_S that every read shares (e_i when B_S = I)."""
+        solver, one = self._read[1], self.field.one
+        cols = [{i: one} if solver is None else solver.solve({i: one})
+                for i in range(self.dim)]
+        return ExactMatrix.from_columns(cols, self.dim, self.field)
 
     def coordinates(self, v):
         """Coordinates of sparse vector v in this basis, or None."""
@@ -792,7 +799,7 @@ def quotient_maps(S):
     the complement rule: proj is the class map K^T of the left kernel K of S
     (``kernel_basis`` of S^T), section the unit vectors at its free columns.
     B is S's span, kept by ``image_basis`` or built from S's basis."""
-    q = QuotientSpace(Subspace.full(S.ambient_dim, S.field), S._span_echelon())
+    q = QuotientSpace(Subspace.full(S.ambient_dim, S.field), S._span)
     return q.class_map, q.representatives()
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from operator import itemgetter
 
 from .fields import QQ, accumulate, rat
@@ -117,7 +117,10 @@ class Symmetrizer:
 
     Applied operator-style: tensors are dicts {index tuple: rational}.  Each
     row group, then each column group (signed), is summed over in turn, so
-    the cost is a sum over the groups, not over their product."""
+    the cost is a sum over the groups, not over their product.  Each group
+    is closed under inverses and sign(g^-1) = sign(g), so each table's sum
+    is its own transpose: Y = norm C R gives Y^T = norm R C, the same tables
+    run in reverse order (``transpose``)."""
 
     def __init__(self, diagram, D):
         self.diagram = diagram
@@ -131,11 +134,12 @@ class Symmetrizer:
         ]
         self.norm = rat(1, _hook_product(diagram))
 
-    def apply_raw(self, tensor):
-        """Unnormalized symmetrizer, summed on integer numerators."""
+    def apply_raw(self, tensor, transpose=False):
+        """Unnormalized symmetrizer, or with ``transpose`` its transpose,
+        summed on integer numerators."""
         nums, den = QQ.split(list(tensor.values()))
         acc = {t: v for t, v in zip(tensor, nums) if v}
-        for table in self.tables:
+        for table in self.tables[::-1] if transpose else self.tables:
             out = {}
             for t, v in acc.items():
                 for perm, sgn in table:
@@ -158,7 +162,13 @@ class SymmetrySpace:
     (t at row t_1 ... t_p in base D, as ``linalg.index_tuple`` reads it)
     with the semistandard rows S, ascending, as positions: one solve of
     B_S = (b_s[t]), t in S, and the membership check off S.  Construction
-    certifies rank B_S = ``weyl_dim`` (rank B_S <= rank [b_s])."""
+    certifies rank B_S = ``weyl_dim`` (rank B_S <= rank [b_s]).
+
+    A projection Y x is read with no check: ``projection_reader``, built
+    on first use, is R = B_S^-1 U, where row t of U is u_t = Y^T e_t, t in
+    S, so that (Y x)_t = <u_t, x>.  R x are the coordinates of Y x because
+    the b_s span im Y: rank B_S = ``weyl_dim`` is the certificate above, and
+    dim im Y = ``weyl_dim`` is the cited fact (Fulton and Harris, Thm 6.3)."""
 
     def __init__(self, diagram, D):
         self.diagram = diagram
@@ -207,6 +217,16 @@ class SymmetrySpace:
             raise ValueError("tensor does not have this symmetry type")
         return x
 
+    @cached_property
+    def projection_reader(self):
+        """R = B_S^-1 U, dim x D^p: R x are the coordinates of Y x (see the
+        class docstring), with B_S^-1 from the one solver of B_S."""
+        Y = self.projector
+        U = ExactMatrix(self.dim, self._space.ambient_dim, QQ, {
+            (i, r): v for i, t in enumerate(self.positions)
+            for r, v in self._rows(Y.apply_raw({t: rat(1)}, transpose=True)).items()})
+        return self._space.position_inverse().scale(Y.norm) @ U
+
 
 @lru_cache(maxsize=None)
 def omega_space(N, D, p):
@@ -217,19 +237,12 @@ def omega_space(N, D, p):
 @lru_cache(maxsize=None)
 def _transition(N, D, p):
     """T_mu, mu < D: column s holds the coordinates in Omega^(p+1) of
-    Y(e_mu ox b_s)."""
+    Y(e_mu ox b_s), read by the target's ``projection_reader`` R as one sparse
+    product per mu: R's columns of the block e_mu ox D^p times the source basis."""
     src = omega_space(N, D, p)
-    tgt = omega_space(N, D, p + 1)
-    if tgt.dim == 0:
-        return [ExactMatrix.zeros(0, src.dim, QQ)] * D
-    return [
-        ExactMatrix.from_columns(
-            [tgt.coords(tgt.projector.apply({(mu,) + t: v for t, v in b.items()}))
-             for b in src.basis],
-            tgt.dim, QQ,
-        )
-        for mu in range(D)
-    ]
+    R, n = omega_space(N, D, p + 1).projection_reader, D ** p
+    return [R.take_columns(range(mu * n, (mu + 1) * n)) @ src._space.basis
+            for mu in range(D)]
 
 
 # -- polynomial bookkeeping ---------------------------------------------------
@@ -244,11 +257,8 @@ def monomials(D, w):
         return ()
     if D == 1:
         return ((w,),)
-    out = []
-    for first in range(w, -1, -1):
-        for rest in monomials(D - 1, w - first):
-            out.append((first,) + rest)
-    return tuple(out)
+    return tuple((first,) + rest for first in range(w, -1, -1)
+                 for rest in monomials(D - 1, w - first))
 
 
 def mono_mul(a, b):
@@ -363,21 +373,15 @@ def weight_complex(N, D, w):
 
 def field_to_vector(field):
     C = weight_complex(field.N, field.D, field.weight)
-    monos, mindex, space = C._layout[field.p]
-    vec = {}
-    for (m, s), c in field.coords.items():
-        vec[mindex[m] * space.dim + s] = c
-    return C, vec
+    _, mindex, space = C._layout[field.p]
+    return C, {mindex[m] * space.dim + s: c for (m, s), c in field.coords.items()}
 
 
 def _vector_coords(C, p, vec):
     """The field coordinates {(monomial, s): value} of a vector of C^p."""
     monos, _, space = C._layout[p]
-    out = {}
-    for idx, c in vec.items():
-        mi, s = divmod(idx, space.dim)
-        out[(monos[mi], s)] = c
-    return out
+    k = space.dim
+    return {(monos[idx // k], idx % k): c for idx, c in vec.items()}
 
 
 def poincare_verify(N, D, k, w_max):
@@ -387,6 +391,8 @@ def poincare_verify(N, D, k, w_max):
     found at p not divisible by N-1 are reported, not asserted."""
     if not 1 <= k <= N - 1:
         raise ValueError("need 1 <= k <= N-1")
+    if w_max < 0:
+        raise ValueError(f"no weight <= {w_max}: nothing to check")
     report = {
         "ok": True,
         "N": N,
@@ -527,34 +533,25 @@ def basis_field(N, D, p, mono, s):
 
 def y_product(a, b):
     """(alpha beta)(x) = Y_(a+b)(alpha(x) ox beta(x)); bilinear over
-    polynomials, generically non-associative."""
+    polynomials, generically non-associative.  Y of each product of tensor
+    parts is read by the target's ``projection_reader``."""
     if (a.N, a.D) != (b.N, b.D):
         raise ValueError("tensor fields over different (N, D)")
-    N, D = a.N, a.D
     p = a.p + b.p
-    tgt = omega_space(N, D, p)
+    tgt = omega_space(a.N, a.D, p)
     out = {}
-    ten_a = a.raw_tensor_poly()
-    ten_b = b.raw_tensor_poly()
-    for ma, ta in ten_a.items():
-        for mb, tb in ten_b.items():
-            mono = mono_mul(ma, mb)
-            raw = {}
-            for u, x in ta.items():
-                for v, y in tb.items():
-                    accumulate(raw, u + v, x * y)
-            proj = tgt.projector.apply(raw)
-            for s, c in tgt.coords(proj).items():
-                accumulate(out, (mono, s), c)
-    return PolyTensorField(N, D, p, a.wpoly + b.wpoly, out)
+    for (ma, ta), (mb, tb) in itertools.product(a.raw_tensor_poly().items(),
+                                                b.raw_tensor_poly().items()):
+        raw = {u + v: x * y for u, x in ta.items() for v, y in tb.items()}
+        for s, c in tgt.projection_reader.apply(tgt._rows(raw)).items():
+            accumulate(out, (mono_mul(ma, mb), s), c)
+    return PolyTensorField(a.N, a.D, p, a.wpoly + b.wpoly, out)
 
 
 def nonassociativity_witness(N=3, D=2, wpoly=0):
     """A triple of low-degree fields with (ab)c != a(bc), or None."""
-    fields = []
-    for m in monomials(D, wpoly):
-        for s in range(omega_space(N, D, 1).dim):
-            fields.append(basis_field(N, D, 1, m, s))
+    fields = [basis_field(N, D, 1, m, s) for m in monomials(D, wpoly)
+              for s in range(omega_space(N, D, 1).dim)]
     for ia, a in enumerate(fields):
         for ib, b in enumerate(fields):
             ab = y_product(a, b)
@@ -618,11 +615,7 @@ def random_divergence_free(rng):
     h = {}
     for b in range(3):
         for d in range(b, 3):
-            poly = {}
-            for mono in monomials(3, 4):
-                c = rng.randint(-3, 3)
-                if c:
-                    poly[mono] = rat(c)
+            poly = {m: rat(c) for m in monomials(3, 4) if (c := rng.randint(-3, 3))}
             h[(b, d)] = poly
             h[(d, b)] = poly
     return _contract_dd(_dual_pair(h))

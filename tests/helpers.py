@@ -49,6 +49,7 @@ from ncomplex.young import (
     mono_derivative2,
     mono_mul,
     monomials,
+    omega_space,
 )
 
 # -- scalars and matrices ------------------------------------------------------
@@ -593,6 +594,25 @@ def oracle_symmetry_coords(space, tensor):
     if not tensor.keys() <= rows.keys():
         return None
     return solver.solve({rows[t]: v for t, v in tensor.items()})
+
+
+def oracle_transition(N, D, p):
+    """T_mu of ``young._transition`` column by column, as the package built
+    it before its ``projection_reader``: column s is ``coords`` of the
+    target's symmetrizer applied to e_mu ox b_s, which also passes the
+    membership check."""
+    src = omega_space(N, D, p)
+    tgt = omega_space(N, D, p + 1)
+    if tgt.dim == 0:
+        return [ExactMatrix.zeros(0, src.dim, QQ)] * D
+    return [
+        ExactMatrix.from_columns(
+            [tgt.coords(tgt.projector.apply({(mu,) + t: v for t, v in b.items()}))
+             for b in src.basis],
+            tgt.dim, QQ,
+        )
+        for mu in range(D)
+    ]
 
 
 # -- polynomials ---------------------------------------------------------------

@@ -37,6 +37,7 @@ from helpers import (
     oracle_riemann_dual,
     oracle_symmetry_coords,
     oracle_tau,
+    oracle_transition,
     random_poly,
     tuple_index,
 )
@@ -91,6 +92,16 @@ def test_symmetry_space_is_one_elimination(elimination_counts):
     with pytest.raises(ValueError, match="symmetry type"):
         sp.coords({(0, 1): rat(1)})
     assert elimination_counts == {"solvers": 1, "row_echelon": 1}
+    # a transition reads its target through the target's one B_S solver:
+    # building the row (2) and the hook (2, 1) over D = 2 is all it eliminates
+    omega_space.cache_clear()
+    _transition.cache_clear()
+    elimination_counts.update(solvers=0, row_echelon=0)
+    for T in _transition(3, 2, 2):
+        assert (T.nrows, T.ncols) == (2, 3)
+    assert elimination_counts == {"solvers": 2, "row_echelon": 2}
+    assert omega_space(3, 2, 3).projection_reader.ncols == 8
+    assert elimination_counts == {"solvers": 2, "row_echelon": 2}
     # every space reads at the base-D rows of its semistandard tuples
     for N, D, p in ((2, 3, 2), (3, 2, 3), (3, 3, 4), (4, 2, 5)):
         sp = omega_space(N, D, p)
@@ -222,6 +233,13 @@ def test_spin_sequence_refuses_a_range_below_2S(S, D, w_max):
     degree S D < 2S when D = 1): nothing would be checked, so no verdict."""
     with pytest.raises(ValueError, match="nothing to check"):
         spin_sequence_check(S, D, w_max)
+
+
+@pytest.mark.parametrize("w_max", [-1, -5])
+def test_poincare_refuses_a_negative_window(w_max):
+    """Below weight 0 there is no weight to check: no verdict, not ``ok``."""
+    with pytest.raises(ValueError, match="nothing to check"):
+        poincare_verify(3, 3, 1, w_max)
 
 
 def test_spin2_middle_is_d_squared():
@@ -452,6 +470,26 @@ def test_symmetrizer_integer_sums_match_rational_loop(case):
     assert all(v for v in got.values())
 
 
+@pytest.mark.parametrize("rows,D", [((2, 1), 3), ((2, 2), 2), ((3, 1), 2), ((2, 1, 1), 3)])
+def test_transpose_and_projection_reader(rows, D):
+    """``apply_raw`` with ``transpose`` is the transpose of the symmetrizer:
+    <Y^T e_t, e_u> = <e_t, Y e_u> at every pair of positions.  And the
+    ``projection_reader`` R reads Y x in coordinates: R x = coords(Y x) for
+    each unit tensor and a random tensor x."""
+    sp = SymmetrySpace(YoungDiagram(rows), D)
+    Y, p = sp.projector, sp.diagram.cells
+    units = list(itertools.product(range(D), repeat=p))
+    images = {u: Y.apply_raw({u: rat(1)}) for u in units}
+    for t in units:
+        col = Y.apply_raw({t: rat(1)}, transpose=True)
+        assert col == {u: images[u][t] for u in units if t in images[u]}, t
+    rng = random.Random(len(units))
+    xs = [{u: rat(1)} for u in units] + [
+        {u: rat(rng.randint(-5, 5), rng.randint(1, 4)) for u in units}]
+    for x in xs:
+        assert sp.projection_reader.apply(sp._rows(x)) == sp.coords(Y.apply(x)), x
+
+
 def _all_fillings_basis(space):
     """The basis rule before semistandard fillings: the projections of all
     row-sorted unit tensors, in enumeration order, kept at the pivot columns
@@ -493,8 +531,12 @@ def test_closed_forms_match_the_searches(N, D):
     """On every symmetry space of N = 2..5 over D = 1..4 with at most 8 cells
     (99 in all): the projected semistandard fillings are the all-fillings
     pivot basis, in order; 1/norm is the searched Y^2 = cY constant; and the
-    grouped ``apply_raw`` matches the product of the groups."""
+    grouped ``apply_raw`` matches the product of the groups.  Every T_mu
+    between these spaces (at N = 4, D = 4: from p = 0..7) equals
+    ``oracle_transition``, the column-by-column build with its checks."""
     rng = random.Random(100 * N + D)
+    for p in range(min((N - 1) * D, 8)):
+        assert _transition(N, D, p) == oracle_transition(N, D, p), (N, D, p)
     for p in range(min((N - 1) * D, 8) + 1):
         sp = omega_space(N, D, p)
         Y = sp.projector
