@@ -6,7 +6,6 @@ one-particle complexes with their indefinite Gram pairings."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from itertools import accumulate
 
 from .cosimplicial import BimoduleData, d1 as cosimplicial_d1, hochschild
@@ -211,7 +210,9 @@ class GaugeCochains:
     - Q^N = 0: under (A1) the q-binomial formula gives (d + A)^N = d^N + A^N
       (Kapranov, q-alg/9611005; Dubois-Violette and Kerner, Acta Math. Univ.
       Comenianae 65, 1996), and the ``GradedNComplex`` of d_1 certifies
-      d^N = 0 inside the window; the stored d^N leaving it is zero."""
+      d^N = 0 inside the window; the stored d^N leaving it is zero.
+    Level n's blocks do not depend on n_max, so window w is the leading
+    block (levels <= w) of any larger window, which certifies it too."""
 
     def __init__(self, U, action, G, n_max):
         f = G.field
@@ -334,27 +335,45 @@ def lemma15_check(C, rng=None):
 # -- Theorem 6: the degree-0 filtration -------------------------------------
 
 
-def filtration_f0_dim(C, k):
-    """dim F^0 H_(k)(C(U,H), Q) = dim(V) - dim(V cap B) where V =
-    ker(Q^k) cap C^0 and B = im(Q^(N-k)) from sources of level
-    <= n_max - (N-k).
+def filtration_f0_dim(C, k, n_max):
+    """dim F^0 H_(k)(C(U,H), Q) in the window n_max <= C.n_max: dim(V) -
+    dim(V cap B) where V = ker(Q^k) cap C^0 and B = im(Q^(N-k)) from
+    sources of level <= n_max - (N-k).
 
-    V is exact (Q^k never lowers levels) once level k is in the window, and
-    B needs the level-0 sources, so a window with n_max < max(k, N - k) is
-    refused.  V cap B is pinned by a sandwich: explicit preimages from low
-    levels give a lower bound, left-functional certificates supported on
-    low levels give an upper bound, and the full windowed solve decides any
-    remainder."""
+    Q = d + A never lowers a level, so the window-n_max complex is C's
+    leading block through level n_max, and a power of a leading block is
+    the leading block of the power.  Each read is such a block, and Q^P is
+    formed only on the sources and rows it reads, never on a whole window:
+    V from Q^k on the level-0 columns at levels <= k, exact once level k is
+    in the window; B needs the level-0 sources, so a window with n_max <
+    max(k, N - k) is refused.  V cap B is pinned by a sandwich: explicit
+    preimages from low levels give a lower bound, left-functional
+    certificates supported on low levels give an upper bound, and the full
+    windowed solve decides any remainder."""
     f = C.field
     N = C.N
     P = N - k
     h = C.h
-    if C.n_max < max(k, P):
+    if n_max < max(k, P):
         raise ValueError(
             f"filtration_f0_dim needs n_max >= k = {k} (V = ker Q^k on level 0) "
-            f"and n_max >= N - k = {P} (sources of B), got n_max = {C.n_max}")
+            f"and n_max >= N - k = {P} (sources of B), got n_max = {n_max}")
+    if n_max > C.n_max:
+        raise ValueError(f"window {n_max} is beyond the built window {C.n_max}")
+
+    def q_power(p, src, rows):
+        """Q^p on the sources of level <= src, at the rows of level <= rows
+        (where Q^p of those sources lies when rows >= src + p)."""
+        n = C.offsets[rows] + C.dims[rows]
+        Q = ExactMatrix(n, n, f, {rc: v for rc, v in C.Q.entries.items()
+                                  if rc[0] < n and rc[1] < n}, _clean=False)
+        X = Q.take_columns(range(C.offsets[src] + C.dims[src]))
+        for _ in range(p - 1):
+            X = Q @ X
+        return X
+
     # V = ker(Q^k) on level-0 sources
-    V = kernel_basis(C.Q.power(k).take_columns(range(h)))  # in H-coordinates
+    V = kernel_basis(q_power(k, 0, k))  # in H-coordinates
     if V.dim == 0:
         return 0, {"V": 0, "VB": 0, "method": "empty"}
     # shortcut: level-0 part of Q^P x is A^P x_0
@@ -365,17 +384,16 @@ def filtration_f0_dim(C, k):
     if W.dim == 0:
         return V.dim, {"V": V.dim, "VB": 0, "method": "no candidates"}
 
-    L_max = C.n_max - P
-    QP = C.Q.power(P)
+    L_max = n_max - P
 
     def win_dim(L):
         """dim of {w in W : w in Q^P(sources of level <= L)} (w viewed at
         level 0 of the big space)."""
-        src_top = C.offsets[L] + C.dims[L]
+        QP = q_power(P, L, L + P)
+        src_top = QP.ncols
         # [Q^P on the sources | -W at level 0]
-        K = kernel_basis(place_blocks(C.total, src_top + W.dim, f, [
-            (0, 0, QP.take_columns(range(src_top))),
-            (0, src_top, W.basis.scale(f.neg(f.one)))]))
+        K = kernel_basis(place_blocks(QP.nrows, src_top + W.dim, f, [
+            (0, 0, QP), (0, src_top, W.basis.scale(f.neg(f.one)))]))
         # the W-coordinates of the kernel vectors: their rows from src_top on
         w_rows = K.basis.transpose().take_columns(range(src_top, src_top + W.dim))
         return image_basis(w_rows.transpose())
@@ -383,16 +401,14 @@ def filtration_f0_dim(C, k):
     def cert_upper(c):
         """upper bound: W cap (common kernel of certified functionals with
         support on levels <= c)."""
-        blk = C.offsets[c] + C.dims[c]
-        # the left kernel of the leading blk x blk block of Q^P
-        left = kernel_basis(
-            QP.take_columns(range(blk)).transpose().take_columns(range(blk)))
+        # the left kernel of the leading block of Q^P through level c
+        left = kernel_basis(q_power(P, c, c).transpose())
         # the functionals restricted to level 0, on W
         L0 = left.basis.transpose().take_columns(range(h)) @ W.basis
         return kernel_basis(L0)  # in W-coordinates
 
     lower = win_dim(0)
-    for c in range(1, min(2, C.n_max) + 1):
+    for c in range(1, min(2, n_max) + 1):
         upper = cert_upper(c)
         if lower.dim == upper.dim:
             return V.dim - lower.dim, {
@@ -417,26 +433,26 @@ def theorem6_verify(U, action, G, stability=True):
     """dim F^0 H_(k) = dim H_(k)(H_I, A) for every k in the window
     n_max = N + k, with window-stability under n_max -> n_max + 1, plus the
     plain linear independence of the H_I representatives (not their
-    independence modulo V cap B).  Windows N + k + 1 and N + (k + 1)
-    coincide, so each window's cochains are built once per call."""
+    independence modulo V cap B).  The cochains are built once, at the
+    largest window read (2N - 1, or 2N with ``stability``), with all of its
+    checks, and every smaller window is read as its leading block (see
+    ``filtration_f0_dim``)."""
     N = G.N
     small = G.restricted_module()
     dims_small = small.homology_dims()
     report = {"ok": True, "per_k": {}}
     Hs = homology(small)
-    cochains = cache(lambda nm: GaugeCochains(U, action, G, nm))
+    C = GaugeCochains(U, action, G, 2 * N - 1 + bool(stability))
     for k in range(1, N):
         nm = N + k
-        C = cochains(nm)
-        dim_f0, info = filtration_f0_dim(C, k)
+        dim_f0, info = filtration_f0_dim(C, k, nm)
         want = dims_small[k]
         entry = {"F0": dim_f0, "H_(k)(HI,A)": want, "window": nm,
                  "method": info["method"]}
         if dim_f0 != want:
             report["ok"] = False
         if stability:
-            C2 = cochains(nm + 1)
-            dim2, _ = filtration_f0_dim(C2, k)
+            dim2, _ = filtration_f0_dim(C, k, nm + 1)
             entry["F0_at_window+1"] = dim2
             if dim2 != dim_f0:
                 report["ok"] = False

@@ -805,14 +805,19 @@ def quotient_maps(S):
 
 def restrict(M, S, T):
     """The matrix of M from S into T in their bases, or None when M moves a
-    basis vector of S out of T."""
+    basis vector of S out of T: T's ``coordinates_split`` of each column of
+    the one product M S.basis, read on the numerators of its
+    ``split_columns`` (a zero column too, so every read checks T's basis)."""
+    f = M.field
+    image, D = (M @ S.basis).split_columns()
     cols = []
-    for col in S.basis.columns():
-        c = T.coordinates(M.apply(col))
-        if c is None:
+    for j in range(S.dim):
+        it = iter(image.get(j, ()))
+        sol = T.coordinates_split(dict(zip(it, it)), D)
+        if sol is None:
             return None
-        cols.append(c)
-    return ExactMatrix.from_columns(cols, T.dim, M.field)
+        cols.append({i: f.join(n, sol[1]) for i, n in sol[0].items()})
+    return ExactMatrix.from_columns(cols, T.dim, f)
 
 
 def orbit_span(M, seeds, length):

@@ -13,8 +13,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
-from operator import itemgetter
+from functools import cached_property, lru_cache
+from operator import itemgetter, mul
 
 from .fields import QQ, accumulate, rat
 from .graded import GradedNComplex, graded_homology
@@ -138,14 +138,18 @@ class Symmetrizer:
         """Unnormalized symmetrizer, or with ``transpose`` its transpose,
         summed on integer numerators."""
         nums, den = QQ.split(list(tensor.values()))
-        acc = {t: v for t, v in zip(tensor, nums) if v}
+        acc = self.apply_int({t: v for t, v in zip(tensor, nums) if v}, transpose)
+        return {t: rat(v, den) for t, v in acc.items()}
+
+    def apply_int(self, acc, transpose=False):
+        """``apply_raw`` on a tensor of nonzero ints, as ints."""
         for table in self.tables[::-1] if transpose else self.tables:
             out = {}
             for t, v in acc.items():
                 for perm, sgn in table:
                     accumulate(out, perm(t), v if sgn > 0 else -v)
             acc = out
-        return {t: rat(v, den) for t, v in acc.items()}
+        return acc
 
     def apply(self, tensor):
         """The idempotent projector."""
@@ -207,8 +211,8 @@ class SymmetrySpace:
 
     def _rows(self, tensor):
         """The tensor in the D^p space, at the rows the class docstring names."""
-        D = self.D
-        return {reduce(lambda r, d: r * D + d, t, 0): v for t, v in tensor.items()}
+        place = [self.D ** i for i in reversed(range(self.diagram.cells))]
+        return {sum(map(mul, t, place)): v for t, v in tensor.items()}
 
     def coords(self, tensor):
         """Coordinates in the basis; tensor must lie in the image."""
@@ -222,9 +226,10 @@ class SymmetrySpace:
         """R = B_S^-1 U, dim x D^p: R x are the coordinates of Y x (see the
         class docstring), with B_S^-1 from the one solver of B_S."""
         Y = self.projector
+        # U keeps the integer sums: a product reads only their split, D = 1
         U = ExactMatrix(self.dim, self._space.ambient_dim, QQ, {
             (i, r): v for i, t in enumerate(self.positions)
-            for r, v in self._rows(Y.apply_raw({t: rat(1)}, transpose=True)).items()})
+            for r, v in self._rows(Y.apply_int({t: 1}, transpose=True)).items()})
         return self._space.position_inverse().scale(Y.norm) @ U
 
 

@@ -14,7 +14,7 @@ from ncomplex.cosimplicial import (
     simplicial_differential,
 )
 from ncomplex.fields import QQ, accumulate, make_cyclotomic, rat
-from ncomplex.gauge import GaugeInstance
+from ncomplex.gauge import GaugeCochains, GaugeInstance
 from ncomplex.graded import (
     GradedNComplex,
     GradedSES,
@@ -27,9 +27,11 @@ from ncomplex.linalg import (
     ExactMatrix,
     Subspace,
     image_basis,
+    intersection,
     kernel_basis,
     kron,
     orbit_span,
+    place_blocks,
     quotient_maps,
     rank,
     restrict,
@@ -121,6 +123,19 @@ def oracle_coordinates(S, v):
     """``Subspace.coordinates`` by one ``EchelonSolver`` of S's whole basis,
     the RREF of [B | I_n], whatever S's positions."""
     return EchelonSolver(S.basis).solve(v)
+
+
+def oracle_restrict(M, S, T):
+    """``restrict`` column by column, as the package built it before it read
+    the one product M S.basis: ``T.coordinates`` of M applied to each basis
+    column of S, or None when one leaves T."""
+    cols = []
+    for col in S.basis.columns():
+        c = T.coordinates(M.apply(col))
+        if c is None:
+            return None
+        cols.append(c)
+    return ExactMatrix.from_columns(cols, T.dim, M.field)
 
 
 def oracle_image_chain(E):
@@ -848,3 +863,90 @@ def wznw_shaped_instance(N, rng):
     if HI.dim != 2 * N - 1:
         raise AssertionError(f"H_I has dimension {HI.dim}, not {2 * N - 1}")
     return GaugeInstance(N, A, HI, f.zeta())
+
+
+def oracle_filtration_f0_dim(C, k):
+    """``gauge.filtration_f0_dim`` at C's own window n_max, as the package
+    computed it before it read leading blocks: V from the whole-window
+    Q^k and every bound from the whole-window Q^P."""
+    f = C.field
+    N = C.N
+    P = N - k
+    h = C.h
+    if C.n_max < max(k, P):
+        raise ValueError(f"window {C.n_max} below max(k, N - k)")
+    V = kernel_basis(C.Q.power(k).take_columns(range(h)))
+    if V.dim == 0:
+        return 0, {"V": 0, "VB": 0, "method": "empty"}
+    Apow = C.G.A.power(P)
+    if Apow.is_zero():
+        return V.dim, {"V": V.dim, "VB": 0, "method": "A^P = 0"}
+    W = intersection(V, image_basis(Apow))
+    if W.dim == 0:
+        return V.dim, {"V": V.dim, "VB": 0, "method": "no candidates"}
+    L_max = C.n_max - P
+    QP = C.Q.power(P)
+
+    def win_dim(L):
+        src_top = C.offsets[L] + C.dims[L]
+        K = kernel_basis(place_blocks(C.total, src_top + W.dim, f, [
+            (0, 0, QP.take_columns(range(src_top))),
+            (0, src_top, W.basis.scale(f.neg(f.one)))]))
+        w_rows = K.basis.transpose().take_columns(range(src_top, src_top + W.dim))
+        return image_basis(w_rows.transpose())
+
+    def cert_upper(c):
+        blk = C.offsets[c] + C.dims[c]
+        left = kernel_basis(
+            QP.take_columns(range(blk)).transpose().take_columns(range(blk)))
+        L0 = left.basis.transpose().take_columns(range(h)) @ W.basis
+        return kernel_basis(L0)
+
+    lower = win_dim(0)
+    for c in range(1, min(2, C.n_max) + 1):
+        upper = cert_upper(c)
+        if lower.dim == upper.dim:
+            return V.dim - lower.dim, {
+                "V": V.dim, "VB": lower.dim,
+                "method": f"sandwich (certificates at level {c})",
+            }
+    for L in range(1, L_max + 1):
+        lower = win_dim(L)
+        if lower.dim == upper.dim:
+            return V.dim - lower.dim, {
+                "V": V.dim, "VB": lower.dim, "method": f"sandwich (L={L})",
+            }
+    return V.dim - lower.dim, {
+        "V": V.dim, "VB": lower.dim, "method": "full window",
+    }
+
+
+def oracle_theorem6_verify(U, action, G, stability=True, cochains=None):
+    """``gauge.theorem6_verify`` with one ``GaugeCochains`` per window, each
+    read by ``oracle_filtration_f0_dim``; ``cochains`` maps a window to its
+    build (built here when None)."""
+    if cochains is None:
+        cochains = lru_cache(maxsize=None)(lambda nm: GaugeCochains(U, action, G, nm))
+    N = G.N
+    small = G.restricted_module()
+    dims_small = small.homology_dims()
+    report = {"ok": True, "per_k": {}}
+    Hs = homology(small)
+    for k in range(1, N):
+        nm = N + k
+        dim_f0, info = oracle_filtration_f0_dim(cochains(nm), k)
+        want = dims_small[k]
+        entry = {"F0": dim_f0, "H_(k)(HI,A)": want, "window": nm,
+                 "method": info["method"]}
+        if dim_f0 != want:
+            report["ok"] = False
+        if stability:
+            entry["F0_at_window+1"] = oracle_filtration_f0_dim(cochains(nm + 1), k)[0]
+            if entry["F0_at_window+1"] != dim_f0:
+                report["ok"] = False
+        reps = G.HI.basis @ Hs[k].representatives
+        if rank(reps) != reps.ncols:
+            report["ok"] = False
+            entry["independence"] = "failed"
+        report["per_k"][k] = entry
+    return report

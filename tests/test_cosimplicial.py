@@ -49,6 +49,7 @@ from helpers import (
     nonabelian_lie2,
     oracle_normalized_subcomplex,
     oracle_omega_q_closure,
+    oracle_restrict,
     sl2,
     tuple_index,
 )
@@ -837,6 +838,26 @@ def test_omega_q_words_span_the_closure(algebra, N):
         omega, envelope = universal_envelope(A, n_max)
         assert [B.basis for B in envelope] == [B.basis for B in bases]
         assert omega.maps == C.maps
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+@pytest.mark.parametrize("algebra", ["dual", "cyclic3", "truncated3", "kxk"])
+def test_restrict_matches_the_per_column_oracle(algebra, N):
+    """``restrict`` reads the one product M S.basis; on the word maps d_1
+    and every word product P_ab, a + b <= n_max, it gives what
+    ``oracle_restrict`` gives column by column, and the complex keeps it."""
+    A, q, n_max = _span_case(algebra, N)
+    C, bases = omega_q(A, q, N, n_max)
+    T = tensor_algebra(A, n_max)
+    D = d1(T, q, N)
+    for n in range(n_max):
+        want = oracle_restrict(D.map(n), bases[n], bases[n + 1])
+        assert restrict(D.map(n), bases[n], bases[n + 1]) == want == C.maps[n]
+    for a in range(n_max + 1):
+        for b in range(n_max + 1 - a):
+            pairs = Subspace(T.dims[a] * T.dims[b], kron(bases[a].basis, bases[b].basis))
+            want = oracle_restrict(T.product(a, b), pairs, bases[a + b])
+            assert restrict(T.product(a, b), pairs, bases[a + b]) == want == C.product(a, b)
 
 
 def _word_count(a, N, n):

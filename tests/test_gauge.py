@@ -1,6 +1,8 @@
+import copy
 import hashlib
 import json
 import random
+from functools import cache
 from itertools import product
 from types import SimpleNamespace
 
@@ -29,6 +31,7 @@ from ncomplex.linalg import (
     ExactMatrix,
     Subspace,
     image_basis,
+    kernel_basis,
     orbit_span,
     quotient_maps,
     rank,
@@ -37,6 +40,9 @@ from ncomplex.ndiff import NDiffModule, homology
 from helpers import (
     field_algebra,
     link_rows,
+    oracle_filtration_f0_dim,
+    oracle_restrict,
+    oracle_theorem6_verify,
     rows_matrix,
     tuple_index,
     wznw_shaped_instance,
@@ -70,6 +76,19 @@ def synthetic_setup(N=3):
     return f, U, act, GaugeInstance(N, S, HI, f.zeta())
 
 
+def jordan_setup(m, sizes, N=3):
+    """U = k[s]/(s^m) acting on H by J, the sum of the shift blocks of
+    ``sizes``; A = J and H_I = ker J, the invariants."""
+    f = make_cyclotomic(2 * N)
+    ent, start = {}, 0
+    for size in sizes:
+        ent.update({(i, i + 1): f.one for i in range(start, start + size - 1)})
+        start += size
+    J = ExactMatrix(start, start, f, ent)
+    act = [J.power(j) for j in range(m)]
+    return f, truncated_polynomials(f, m), act, GaugeInstance(N, J, kernel_basis(J), f.zeta())
+
+
 def field_algebra_setup(N=3):
     """U = k acting trivially on k^2; A = the shift, H_I = H."""
     f = make_cyclotomic(2 * N)
@@ -77,6 +96,16 @@ def field_algebra_setup(N=3):
     S = ExactMatrix.from_rows([[f.zero, f.one], [f.zero, f.zero]], f)
     act = [ExactMatrix.identity(2, f)]
     return f, U, act, GaugeInstance(N, S, Subspace.full(2, f), f.zeta())
+
+
+def test_a_hi_matches_the_per_column_oracle():
+    """A restricted to H_I is ``restrict``'s one-product read, equal to
+    ``oracle_restrict`` column by column on criterion 11's instances."""
+    for i in range(8):
+        rng = random.Random(f"42:gauge:{i}")
+        N = rng.choice((3, 4, 5))
+        G = random_gauge_instance(make_cyclotomic(2 * N), N, rng, hmax=20)
+        assert G.A_HI == oracle_restrict(G.A, G.HI, G.HI)
 
 
 def test_gauge_instance_validation():
@@ -546,20 +575,28 @@ def test_theorem6_z2():
         assert entry["F0_at_window+1"] == entry["F0"]
 
 
-def test_theorem6_builds_each_window_once(monkeypatch):
-    """Windows N + k + 1 and N + (k + 1) coincide: at N = 3 the windows 4, 5
-    and 6 are built once each, and the report is the one of four builds."""
-    windows = []
-    init = GaugeCochains.__init__
+def test_theorem6_builds_one_window(monkeypatch):
+    """The cochains are built once, at the largest window read: 2N at N = 3
+    with the stability re-check and 2N - 1 without it, and the report is
+    the one of a build per window.  No whole-window power is formed: every
+    ``power`` is A^P on H."""
+    windows, powers = [], []
+    init, power = GaugeCochains.__init__, ExactMatrix.power
 
     def counted(self, U, action, G, n_max):
         windows.append(n_max)
         init(self, U, action, G, n_max)
 
-    monkeypatch.setattr(GaugeCochains, "__init__", counted)
+    def sized(self, k):
+        powers.append(self.nrows)
+        return power(self, k)
+
     f, U, act, G = synthetic_setup()
+    monkeypatch.setattr(GaugeCochains, "__init__", counted)
+    monkeypatch.setattr(ExactMatrix, "power", sized)
     rep = theorem6_verify(U, act, G)
-    assert windows == [4, 5, 6]
+    assert windows == [6]
+    assert set(powers) == {G.dim}
     assert rep["per_k"] == {
         1: {"F0": 1, "H_(k)(HI,A)": 1, "window": 4, "method": "A^P = 0",
             "F0_at_window+1": 1},
@@ -567,23 +604,83 @@ def test_theorem6_builds_each_window_once(monkeypatch):
             "method": "sandwich (certificates at level 2)",
             "F0_at_window+1": 1},
     }
+    assert theorem6_verify(U, act, G, stability=False)["ok"]
+    assert windows == [6, 5]
 
 
 def test_filtration_refuses_a_window_below_its_sources():
     """``filtration_f0_dim`` needs level k inside the window, where V =
     ker Q^k on level 0 is exact, and the level-0 sources of B = im Q^(N-k):
     on the synthetic instance at N = 3 a window with n_max < max(k, N - k)
-    is refused with both bounds named, and every larger window gives
+    is refused with both bounds named, also when a larger window is built,
+    and so is a window above the build; every window in between gives
     F^0 = 1."""
     f, U, act, G = synthetic_setup()
+    C = GaugeCochains(U, act, G, 4)
     for k, n_max in ((2, 0), (2, 1), (1, 0), (1, 1)):
-        C = GaugeCochains(U, act, G, n_max)
-        with pytest.raises(ValueError, match=(
-                rf"n_max >= k = {k} .*n_max >= N - k = {3 - k} .*got n_max = {n_max}$")):
-            filtration_f0_dim(C, k)
+        for built in (GaugeCochains(U, act, G, n_max), C):
+            with pytest.raises(ValueError, match=(
+                    rf"n_max >= k = {k} .*n_max >= N - k = {3 - k} .*got n_max = {n_max}$")):
+                filtration_f0_dim(built, k, n_max)
+    with pytest.raises(ValueError, match="window 5 is beyond the built window 4"):
+        filtration_f0_dim(C, 1, 5)
     for n_max in (2, 3, 4):
-        C = GaugeCochains(U, act, G, n_max)
-        assert [filtration_f0_dim(C, k)[0] for k in (1, 2)] == [1, 1]
+        assert [filtration_f0_dim(C, k, n_max)[0] for k in (1, 2)] == [1, 1]
+        built = GaugeCochains(U, act, G, n_max)
+        assert [filtration_f0_dim(built, k, n_max)[0] for k in (1, 2)] == [1, 1]
+
+
+# Theorem-6 instances with the methods their windows take: criterion 12's
+# two examples, shift modules J over k[s]/(s^m), and one at N = 2, the only
+# N with a window 1 (where the certificates stop at level 1)
+THEOREM6_CASES = {
+    "Z/2": (z2_setup, {"A^P = 0"}),
+    "s4-J2": (synthetic_setup, {"A^P = 0", "sandwich (certificates at level 2)"}),
+    "s4-J3": (lambda: jordan_setup(4, [3]),
+              {"sandwich (L=1)", "sandwich (L=2)", "full window"}),
+    "s4-J3+J1": (lambda: jordan_setup(4, [3, 1]),
+                 {"sandwich (L=1)", "sandwich (L=2)", "full window"}),
+    "s3-J3": (lambda: jordan_setup(3, [3]), {"full window"}),
+    "s2-J2": (lambda: jordan_setup(2, [2]),
+              {"A^P = 0", "sandwich (certificates at level 2)"}),
+    "N2-s3-J2": (lambda: jordan_setup(3, [2], N=2), {"full window", "sandwich (L=1)"}),
+}
+
+
+def _cut(C, w):
+    """C cut to its window w: Q, ``offsets`` and ``dims`` only through
+    level w, so a read of any level above raises or sees nothing."""
+    n = C.offsets[w] + C.dims[w]
+    cut = copy.copy(C)
+    cut.Q = ExactMatrix(n, n, C.field, {
+        rc: v for rc, v in C.Q.entries.items() if max(rc) < n})
+    cut.offsets, cut.dims = C.offsets[:w + 1], C.dims[:w + 1]
+    return cut
+
+
+@pytest.mark.parametrize("case", sorted(THEOREM6_CASES))
+def test_leading_block_reads_match_whole_windows(case):
+    """Every window w of one build at 2N, read as its leading block, gives
+    for every k the (F0, info) of a build at w read through whole-window
+    powers (``oracle_filtration_f0_dim``), also with the build cut to
+    levels <= w; ``theorem6_verify`` gives the per_k of a build per window
+    (``oracle_theorem6_verify``) with and without stability."""
+    setup, want_methods = THEOREM6_CASES[case]
+    f, U, act, G = setup()
+    N = G.N
+    C = GaugeCochains(U, act, G, 2 * N)
+    windows = cache(lambda w: GaugeCochains(U, act, G, w))
+    methods = set()
+    for k in range(1, N):
+        for w in range(max(k, N - k), 2 * N + 1):
+            want = oracle_filtration_f0_dim(windows(w), k)
+            assert filtration_f0_dim(C, k, w) == want, (k, w)
+            assert filtration_f0_dim(_cut(C, w), k, w) == want, (k, w)
+            methods.add(want[1]["method"])
+    assert methods == want_methods
+    for stability in (False, True):
+        assert theorem6_verify(U, act, G, stability) == oracle_theorem6_verify(
+            U, act, G, stability, windows)
 
 
 def test_theorem6_synthetic():

@@ -221,13 +221,14 @@ def test_coordinates_match_the_full_basis_solver(field):
 @pytest.mark.parametrize("field", [QQ, make_cyclotomic(3)], ids=["Q", "Qzeta3"])
 def test_a_dependent_basis_is_refused(field):
     """B = [e_0, 2 e_0] has rank 1 at its one position: the first coordinate
-    read raises, so ``restrict`` and ``submodule`` refuse it instead of
-    building a 2-dimensional answer for a 1-dimensional span."""
+    read raises, so ``restrict`` (of a zero map too) and ``submodule`` refuse
+    it instead of building a 2-dimensional answer for a 1-dimensional span."""
     f = field
     S = Subspace(2, ExactMatrix.from_columns([{0: f.one}, {0: f.from_rat(2)}], 2, f))
     assert S.positions == [0]
-    with pytest.raises(ValueError, match="2 columns has rank 1"):
-        restrict(ExactMatrix.identity(2, f), S, S)
+    for M in (ExactMatrix.identity(2, f), ExactMatrix.zeros(2, 2, f)):
+        with pytest.raises(ValueError, match="2 columns has rank 1"):
+            restrict(M, S, S)
     with pytest.raises(ValueError, match="2 columns has rank 1"):
         submodule(NDiffModule(2, ExactMatrix.zeros(2, 2, f)), S)
     with pytest.raises(ValueError, match="2 columns has rank 1"):

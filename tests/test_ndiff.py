@@ -20,6 +20,7 @@ from ncomplex.linalg import (
     power_images,
     power_kernels,
     rank,
+    restrict,
     span,
 )
 from ncomplex.ndiff import (
@@ -56,6 +57,7 @@ from helpers import (
     oracle_echelon_chain,
     oracle_image_chain,
     oracle_random_unimodular,
+    oracle_restrict,
     oracle_ses_hexagons,
     quotient_map,
     ses_cycles,
@@ -607,6 +609,24 @@ def test_submodule_quotient_roundtrip():
     G, proj, sect = stable_quotient(E, S)
     assert sub.dim + G.dim == E.dim
     assert (proj @ E.d) == (G.d @ proj)
+
+
+@pytest.mark.parametrize("field", [QQ, make_cyclotomic(3)], ids=["Q", "Qzeta3"])
+def test_submodule_matches_the_per_column_oracle(field):
+    """The submodule of each seeded random sequence is ``restrict`` of d to
+    its stable subspace, as ``oracle_restrict`` builds it column by column;
+    a subspace that is not stable is refused by both."""
+    refused = 0
+    for j in range(12):
+        rng = random.Random(f"restrict:{j}")
+        ses = random_ses(field, rng.choice((2, 3, 4)), rng)
+        n = ses.F.dim
+        S = Subspace(n, ses.phi)
+        assert ses.E.d == oracle_restrict(ses.F.d, S, S) == restrict(ses.F.d, S, S)
+        e0 = Subspace(n, ExactMatrix.from_columns([{0: field.one}], n, field))
+        assert restrict(ses.F.d, e0, e0) == oracle_restrict(ses.F.d, e0, e0)
+        refused += restrict(ses.F.d, e0, e0) is None
+    assert refused > 0
 
 
 def test_ses_split_connecting_zero():
