@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, reduce
-from itertools import combinations
+from itertools import combinations, repeat
 
 from .brs import _merge_odd
 from .fields import Field, check_assumptions, check_keys
@@ -27,6 +27,7 @@ from .linalg import (
     commutation,
     index_tuple,
     kron,
+    kron_lift,
     place_blocks,
     restrict,
 )
@@ -316,16 +317,27 @@ def d1(E, q, N):
 
 
 def _weighted_coface_complex(E, q, N, last_sign):
+    """Each map sum_i c_i f_i in one pass: f_0 (c_0 = 1) starts one dict, each later
+    coface adds into it, scaled (one product per distinct value) where c_i != 1."""
     f = E.field
     if check_assumptions(q, N, f) == "none":
         raise ValueError("need at least (A0): [N]_q = 0")
+    add, mul, one, zero = f.add, f.mul, f.one, f.zero
     maps = {}
     for n in range(E.n_max):
         # q^i f_i for i <= n; at i = n + 1, q^(n+1) for d_0 and -q^n for d_1
         coeffs = [f.pow(q, i) for i in range(n + 1)]
         coeffs.append(f.neg(coeffs[n]) if last_sign else f.pow(q, n + 1))
-        maps[n] = place_blocks(E.dims[n + 1], E.dims[n], f, [
-            (0, 0, M.scale(c)) for M, c in zip(E.cofaces[n], coeffs)])
+        ent = dict(E.cofaces[n][0].entries)
+        for M, c in zip(E.cofaces[n][1:], coeffs[1:]):
+            vals = M.entries.values()
+            if c != one:
+                vals = map({v: mul(c, v) for v in set(vals)}.__getitem__, vals)
+            for rc, v in zip(M.entries, vals):
+                ent[rc] = w = add(ent[rc], v) if rc in ent else v
+                if w == zero:
+                    del ent[rc]
+        maps[n] = ExactMatrix(E.dims[n + 1], E.dims[n], f, ent, _clean=False)
     return GradedNComplex(
         N, f, {n: E.dims[n] for n in range(E.n_max + 1)}, maps,
         truncated_above=True,
@@ -338,11 +350,11 @@ def _weighted_coface_complex(E, q, N, last_sign):
 def hochschild(A, M, n_max):
     """The cosimplicial module C^n(A, M) of M-valued Hochschild cochains.
 
-    Level n is M ox (A*)^(ox n), of dimension dim(M) * dim(A)^n.  The cofaces
-    are Kronecker products: f_0 and f_(n+1) let the first and the last
-    argument act on the value (a sum over the basis e_i of A), f_k
-    multiplies arguments k - 1 and k (the transpose of the product), and s_i
-    inserts the unit at argument i.
+    Level n is M ox (A*)^(ox n), of dimension dim(M) * dim(A)^n.  Each map
+    is built in one pass: f_0 and f_(n+1), the sums over the basis e_i of A
+    letting the first and the last argument act on the value, straight into
+    one dict each; f_k = I ox mu^T ox I multiplies arguments k - 1 and k and
+    s_i = I ox u^T ox I inserts the unit at argument i, each a ``kron_lift``.
 
     With M a bimodule over A itself, the relations hold by the laws that
     ``AlgebraData.validate`` and ``BimoduleData.validate`` checked (Loday,
@@ -364,27 +376,26 @@ def hochschild(A, M, n_max):
     dims = [M.dim * a**n for n in range(n_max + 1)]
     mu_t = _multiplication(A).transpose()
     unit_t = _unit_column(A).transpose()
-    units = [ExactMatrix(a, 1, f, {(i, 0): f.one}) for i in range(a)]
 
-    def one(k):
-        return ExactMatrix.identity(k, f)
+    def act(mats, n, first):
+        """f_0 = sum_i L_i ox e_i ox I (``first``) or f_(n+1) = sum_i R_i ox
+        I ox e_i, straight into one dict: no two terms share an entry."""
+        w, ent = a**n, {}
+        for i, X in enumerate(mats):
+            at, step = (i * w, 1) if first else (i, a)
+            for (r, c), v in X.entries.items():
+                r = r * a * w + at
+                rows = range(r, r + w * step, step)
+                ent.update(zip(zip(rows, range(c * w, (c + 1) * w)), repeat(v)))
+        return ExactMatrix(dims[n + 1], dims[n], f, ent, _clean=False)
 
     cofaces, codegens = [], []
     for n in range(n_max):
-        I = one(a**n)
-        level = [place_blocks(dims[n + 1], dims[n], f, [
-            (0, 0, kron(L, kron(e, I))) for L, e in zip(M.left, units)])]
-        level += [
-            kron(one(M.dim * a ** (k - 1)), kron(mu_t, one(a ** (n - k))))
-            for k in range(1, n + 1)
-        ]
-        level.append(place_blocks(dims[n + 1], dims[n], f, [
-            (0, 0, kron(R, kron(I, e))) for R, e in zip(M.right, units)]))
-        cofaces.append(level)
-        codegens.append([
-            kron(one(M.dim * a**i), kron(unit_t, one(a ** (n - i))))
-            for i in range(n + 1)
-        ])
+        cofaces.append([act(M.left, n, True)] + [
+            kron_lift(M.dim * a ** (k - 1), mu_t, a ** (n - k)) for k in range(1, n + 1)
+        ] + [act(M.right, n, False)])
+        codegens.append([kron_lift(M.dim * a**i, unit_t, a ** (n - i))
+                         for i in range(n + 1)])
     return CosimplicialData(f, dims, cofaces, codegens)
 
 
@@ -456,22 +467,18 @@ def tensor_algebra(A, n_max):
     a = A.dim
     dims = [a ** (n + 1) for n in range(n_max + 1)]
     mu, unit = _multiplication(A), _unit_column(A)
-
-    def one(k):
-        return ExactMatrix.identity(k, f)
-
     cofaces = [
-        [kron(one(a**i), kron(unit, one(a ** (n + 1 - i)))) for i in range(n + 2)]
+        [kron_lift(a**i, unit, a ** (n + 1 - i)) for i in range(n + 2)]
         for n in range(n_max)
     ]
     codegens = [
-        [kron(one(a**i), kron(mu, one(a ** (n - i)))) for i in range(n + 1)]
+        [kron_lift(a**i, mu, a ** (n - i)) for i in range(n + 1)]
         for n in range(n_max)
     ]
 
     @cache
     def product(a_deg, b_deg):
-        return kron(one(a**a_deg), kron(mu, one(a**b_deg)))
+        return kron_lift(a**a_deg, mu, a**b_deg)
 
     E = CosimplicialData(f, dims, cofaces, codegens, product=product)
     _check_multiplicative_axioms(E, min(n_max, 3))
@@ -754,9 +761,6 @@ def _tensor_square(C, q):
             break
         maps[n] = d
 
-    def one(k):
-        return ExactMatrix.identity(C.dims[k], f)
-
     def block(n, off, width):
         """Coordinates of (C ox C)^n on one block: a width x dim matrix."""
         return ExactMatrix(
@@ -772,8 +776,8 @@ def _tensor_square(C, q):
             for (r2, s2), off2 in idx.layout[n2].items():
                 if (r1 + r2, s1 + s2) not in out:
                     continue
-                swap = kron(one(r1), kron(commutation(C.dims[s1], C.dims[r2], f),
-                                          one(s2)))
+                swap = kron_lift(C.dims[r1], commutation(C.dims[s1], C.dims[r2], f),
+                                 C.dims[s2])
                 local = kron(C.product(r1, r2), C.product(s1, s2)) @ swap
                 picks = kron(block(n1, off1, C.dims[r1] * C.dims[s1]),
                              block(n2, off2, C.dims[r2] * C.dims[s2]))

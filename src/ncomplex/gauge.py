@@ -6,6 +6,7 @@ one-particle complexes with their indefinite Gram pairings."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import accumulate
 
 from .cosimplicial import BimoduleData, d1 as cosimplicial_d1, hochschild
@@ -352,6 +353,8 @@ def filtration_f0_dim(C, k, n_max):
     windowed solve decides any remainder."""
     f = C.field
     N = C.N
+    if not 1 <= k <= N - 1:
+        raise ValueError(f"filtration_f0_dim needs k in 1..N-1 = 1..{N - 1}, got k = {k}")
     P = N - k
     h = C.h
     if n_max < max(k, P):
@@ -361,19 +364,26 @@ def filtration_f0_dim(C, k, n_max):
     if n_max > C.n_max:
         raise ValueError(f"window {n_max} is beyond the built window {C.n_max}")
 
-    def q_power(p, src, rows):
-        """Q^p on the sources of level <= src, at the rows of level <= rows
+    ends = [o + d for o, d in zip(C.offsets, C.dims)]  # past each level
+
+    @cache
+    def block(L):
+        """Q's leading block through level L: Q never lowers a level."""
+        n = ends[L]
+        return ExactMatrix(n, n, f, {rc: v for rc, v in C.Q.entries.items()
+                                     if rc[0] < n}, _clean=False)
+
+    def q_power(p, lo, src, rows):
+        """Q^p on the sources of levels lo..src, at the rows of level <= rows
         (where Q^p of those sources lies when rows >= src + p)."""
-        n = C.offsets[rows] + C.dims[rows]
-        Q = ExactMatrix(n, n, f, {rc: v for rc, v in C.Q.entries.items()
-                                  if rc[0] < n and rc[1] < n}, _clean=False)
-        X = Q.take_columns(range(C.offsets[src] + C.dims[src]))
+        Q = block(rows)
+        X = Q.take_columns(range(C.offsets[lo], ends[src]))
         for _ in range(p - 1):
             X = Q @ X
         return X
 
     # V = ker(Q^k) on level-0 sources
-    V = kernel_basis(q_power(k, 0, k))  # in H-coordinates
+    V = kernel_basis(q_power(k, 0, 0, k))  # in H-coordinates
     if V.dim == 0:
         return 0, {"V": 0, "VB": 0, "method": "empty"}
     # shortcut: level-0 part of Q^P x is A^P x_0
@@ -386,14 +396,18 @@ def filtration_f0_dim(C, k, n_max):
 
     L_max = n_max - P
 
+    columns = []  # the pieces Q^P on the sources of each level l
+
     def win_dim(L):
         """dim of {w in W : w in Q^P(sources of level <= L)} (w viewed at
-        level 0 of the big space)."""
-        QP = q_power(P, L, L + P)
-        src_top = QP.ncols
+        level 0 of the big space).  Q^P on the sources of level l is formed
+        once, when first read, from Q's leading block through l + P."""
+        for l in range(len(columns), L + 1):
+            columns.append((0, C.offsets[l], q_power(P, l, l, l + P)))
+        src_top = ends[L]
         # [Q^P on the sources | -W at level 0]
-        K = kernel_basis(place_blocks(QP.nrows, src_top + W.dim, f, [
-            (0, 0, QP), (0, src_top, W.basis.scale(f.neg(f.one)))]))
+        K = kernel_basis(place_blocks(ends[L + P], src_top + W.dim, f, [
+            *columns[:L + 1], (0, src_top, W.basis.scale(f.neg(f.one)))]))
         # the W-coordinates of the kernel vectors: their rows from src_top on
         w_rows = K.basis.transpose().take_columns(range(src_top, src_top + W.dim))
         return image_basis(w_rows.transpose())
@@ -402,7 +416,7 @@ def filtration_f0_dim(C, k, n_max):
         """upper bound: W cap (common kernel of certified functionals with
         support on levels <= c)."""
         # the left kernel of the leading block of Q^P through level c
-        left = kernel_basis(q_power(P, c, c).transpose())
+        left = kernel_basis(q_power(P, 0, c, c).transpose())
         # the functionals restricted to level 0, on W
         L0 = left.basis.transpose().take_columns(range(h)) @ W.basis
         return kernel_basis(L0)  # in W-coordinates

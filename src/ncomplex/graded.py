@@ -98,9 +98,9 @@ class GradedNComplex:
         """d^k: E^n -> E^(n+k), or None if it is not determined.
 
         Memoized by n mod N on a cyclic complex (``maps`` is fixed after
-        construction): d^k is map(n+k-1) @ d^(k-1), d^1 is the map itself,
-        and the identity is formed only for k = 0.  ``validate`` certifies
-        d^N = 0 on these products, and ``graded_homology`` reuses them."""
+        construction): d^k is map(n+k-1) @ d^(k-1), d^(k-1) formed only when
+        map(n+k-1) is determined; d^1 is the map, the identity only k = 0.
+        ``validate`` certifies d^N = 0 on these, ``graded_homology`` reuses them."""
         if k < 0:
             raise ValueError(f"need k >= 0, got {k}")
         key = (n % self.N if self.cyclic else n, k)
@@ -112,8 +112,9 @@ class GradedNComplex:
             elif k == 1:
                 acc = self.map(n)
             else:
-                prev, M = self.composite(n, k - 1), self.map(n + k - 1)
-                acc = None if prev is None or M is None else M @ prev
+                M = self.map(n + k - 1)
+                prev = None if M is None else self.composite(n, k - 1)
+                acc = None if prev is None else M @ prev
             self._composites[key] = acc
         return self._composites[key]
 

@@ -307,6 +307,17 @@ def kron(A, B):
     return ExactMatrix(A.nrows * rB, A.ncols * cB, f, ent, _clean=False)
 
 
+def kron_lift(p, X, q):
+    """I_p ox X ox I_q in one pass: the entries of kron(I_p, kron(X, I_q)),
+    in its order, with no intermediate matrix."""
+    r, c = X.nrows * q, X.ncols * q
+    inner = [(k * q + j, l * q + j, v) for (k, l), v in X.entries.items()
+             for j in range(q)]
+    ent = {(k + r0, l + c0): v for r0, c0 in [(i * r, i * c) for i in range(p)]
+           for k, l, v in inner}
+    return ExactMatrix(p * r, p * c, X.field, ent, _clean=False)
+
+
 def commutation(m, n, field):
     """The (mn) x (mn) matrix of e_i ox e_j -> e_j ox e_i (i < m, j < n):
     column i n + j holds a one in row j m + i."""

@@ -10,7 +10,9 @@ from ncomplex.brs import _merge_odd
 from ncomplex.cosimplicial import (
     AlgebraData,
     CosimplicialData,
+    _multiplication,
     _product_in_bases,
+    _unit_column,
     simplicial_differential,
 )
 from ncomplex.fields import QQ, accumulate, make_cyclotomic, rat
@@ -409,6 +411,66 @@ def constant_cosimplicial(field, n_max):
     cofaces = [[one] * (n + 2) for n in range(n_max)]
     codegens = [[one] * (n + 1) for n in range(n_max)]
     return CosimplicialData(field, dims, cofaces, codegens)
+
+
+# -- cosimplicial builders, term by term ----------------------------------------
+# The assembly that ``linalg.kron_lift``, the one-dict Hochschild action sums
+# and the one-pass coface sums replaced: each map from nested ``kron``s of
+# identities, the action sums and the q-weighted sums as ``place_blocks`` of
+# whole (scaled) matrices.
+
+
+def oracle_kron_lift(p, X, q):
+    """I_p ox X ox I_q as kron(I_p, kron(X, I_q))."""
+    f = X.field
+    return kron(ExactMatrix.identity(p, f), kron(X, ExactMatrix.identity(q, f)))
+
+
+def oracle_hochschild_maps(A, M, n_max):
+    """(cofaces, codegens) of ``hochschild(A, M, n_max)``."""
+    f, a = A.field, A.dim
+    dims = [M.dim * a**n for n in range(n_max + 1)]
+    mu_t = _multiplication(A).transpose()
+    unit_t = _unit_column(A).transpose()
+    units = [ExactMatrix(a, 1, f, {(i, 0): f.one}) for i in range(a)]
+    cofaces, codegens = [], []
+    for n in range(n_max):
+        I = ExactMatrix.identity(a**n, f)
+        level = [place_blocks(dims[n + 1], dims[n], f, [
+            (0, 0, kron(L, kron(e, I))) for L, e in zip(M.left, units)])]
+        level += [oracle_kron_lift(M.dim * a ** (k - 1), mu_t, a ** (n - k))
+                  for k in range(1, n + 1)]
+        level.append(place_blocks(dims[n + 1], dims[n], f, [
+            (0, 0, kron(R, kron(I, e))) for R, e in zip(M.right, units)]))
+        cofaces.append(level)
+        codegens.append([oracle_kron_lift(M.dim * a**i, unit_t, a ** (n - i))
+                         for i in range(n + 1)])
+    return cofaces, codegens
+
+
+def oracle_tensor_algebra_maps(A, n_max):
+    """(cofaces, codegens, product) of ``tensor_algebra(A, n_max)``."""
+    a = A.dim
+    mu, unit = _multiplication(A), _unit_column(A)
+    cofaces = [[oracle_kron_lift(a**i, unit, a ** (n + 1 - i)) for i in range(n + 2)]
+               for n in range(n_max)]
+    codegens = [[oracle_kron_lift(a**i, mu, a ** (n - i)) for i in range(n + 1)]
+                for n in range(n_max)]
+    return cofaces, codegens, lambda p, r: oracle_kron_lift(a**p, mu, a**r)
+
+
+def oracle_coface_sums(E, q, last_sign):
+    """The maps of d_0 (``last_sign`` false) or d_1 on E: each the
+    ``place_blocks`` of the cofaces scaled by q^i, the last by q^(n+1) for
+    d_0 and -q^n for d_1."""
+    f = E.field
+    maps = {}
+    for n in range(E.n_max):
+        coeffs = [f.pow(q, i) for i in range(n + 1)]
+        coeffs.append(f.neg(coeffs[n]) if last_sign else f.pow(q, n + 1))
+        maps[n] = place_blocks(E.dims[n + 1], E.dims[n], f, [
+            (0, 0, M.scale(c)) for M, c in zip(E.cofaces[n], coeffs)])
+    return maps
 
 
 # -- envelopes -----------------------------------------------------------------

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import random
 from functools import reduce
 
 import pytest
@@ -13,6 +14,7 @@ from ncomplex.linalg import (
     image_basis,
     index_tuple,
     kron,
+    kron_lift,
     rank,
     restrict,
 )
@@ -519,6 +521,75 @@ def test_d0_d1_maps_match_recorded_digests(case):
     got = tuple(_digest([C.maps[n] for n in sorted(C.maps)])
                 for C in (d0(E, q, 3), d1(E, q, 3)))
     assert got == D0_D1_DIGESTS[case]
+
+
+def _same(M, oracle):
+    """Equal shapes and entries, stored in the same order."""
+    return ((M.nrows, M.ncols) == (oracle.nrows, oracle.ncols)
+            and list(M.entries.items()) == list(oracle.entries.items()))
+
+
+# q and N of the d_0/d_1 comparison per field: over Q q = -1 (q^2 = 1, so
+# every other coface is added unscaled), over Q(zeta_3) q^3 = 1 in the window
+COFACE_SUM_Q = {1: lambda f: (f.neg(f.one), 2), 3: lambda f: (f.zeta(), 3),
+                6: lambda f: (f.zeta(), 6)}
+ORACLE_ALGEBRAS = {
+    "dual": dual_numbers,
+    "kZ2": lambda f: group_algebra_cyclic(f, 2),
+    "kZ3": lambda f: group_algebra_cyclic(f, 3),
+    "s3": lambda f: truncated_polynomials(f, 3),
+    "s4": lambda f: truncated_polynomials(f, 4),
+    # k[Z/2] in the basis (1, 2g): structure constants and counit other than 1
+    "g2=4": lambda f: AlgebraData(
+        f, [[{0: f.one}, {1: f.one}], [{1: f.one}, {0: f.from_rat(4)}]],
+        unit={0: f.one}, counit={0: f.one, 1: f.from_rat(2)}),
+}
+
+
+@pytest.mark.parametrize("M", sorted(COFACE_SUM_Q), ids=lambda M: f"Q{M}")
+@pytest.mark.parametrize("algebra", sorted(ORACLE_ALGEBRAS))
+def test_builders_match_the_term_by_term_oracles(algebra, M):
+    """Every coface, codegeneracy, T(A) product P_ab and map of d_0 and d_1
+    equals, entry for entry and in storage order, the nested-kron,
+    ``scale`` and ``place_blocks`` assembly it replaced (helpers), on the
+    regular and the counit (``from_left_action``) bimodules, levels <= 4."""
+    f = QQ if M == 1 else make_cyclotomic(M)
+    A = ORACLE_ALGEBRAS[algebra](f)
+    q, N = COFACE_SUM_Q[M](f)
+    n_max = 4
+    regular = BimoduleData.regular(A)
+    modules = (regular, BimoduleData.from_left_action(A, A.dim, regular.left))
+    built = []
+    for bimodule in modules:
+        E = hochschild(A, bimodule, n_max)
+        cofaces, codegens = helpers.oracle_hochschild_maps(A, bimodule, n_max)
+        built.append((E, cofaces, codegens))
+    T = tensor_algebra(A, n_max)
+    cofaces, codegens, product = helpers.oracle_tensor_algebra_maps(A, n_max)
+    built.append((T, cofaces, codegens))
+    for E, cofaces, codegens in built:
+        pairs = list(zip(sum(E.cofaces + E.codegens, []), sum(cofaces + codegens, [])))
+        assert len(pairs) == sum(2 * n + 3 for n in range(n_max))
+        assert all(_same(*pair) for pair in pairs)
+        for last_sign, build in ((False, d0), (True, d1)):
+            C, want = build(E, q, N), helpers.oracle_coface_sums(E, q, last_sign)
+            assert all(_same(C.maps[n], want[n]) for n in range(n_max)), last_sign
+    assert all(_same(T.product(a, b), product(a, b))
+               for a in range(n_max + 1) for b in range(n_max + 1 - a))
+
+
+@pytest.mark.parametrize("p, shape, q", [
+    (0, (2, 3), 2), (3, (2, 3), 0), (2, (0, 3), 2), (2, (3, 0), 1),
+    (1, (2, 2), 1), (3, (1, 4), 2), (2, (4, 1), 3), (4, (3, 2), 5),
+])
+def test_kron_lift_matches_nested_kron(p, shape, q):
+    """``kron_lift`` on random matrices, empty factors included."""
+    f = make_cyclotomic(3)
+    rng = random.Random(f"{p}:{shape}:{q}")
+    X = ExactMatrix(*shape, f, {
+        (i, j): helpers.random_scalar(f, rng) for i in range(shape[0])
+        for j in range(shape[1]) if rng.random() < 0.6})
+    assert _same(kron_lift(p, X, q), helpers.oracle_kron_lift(p, X, q))
 
 
 def test_algebra_law_failures_name_the_first_basis_tuple():

@@ -630,6 +630,18 @@ def test_filtration_refuses_a_window_below_its_sources():
         assert [filtration_f0_dim(built, k, n_max)[0] for k in (1, 2)] == [1, 1]
 
 
+@pytest.mark.parametrize("k", [-1, 0, 3, 4])
+def test_filtration_refuses_k_outside_1_to_n_minus_1(k):
+    """F^0 H_(k) is defined for 1 <= k <= N - 1 only: on the synthetic
+    instance at N = 3 (k[s]/(s^4)) every other k is refused with the range
+    named, at every window, before any power of Q is formed."""
+    f, U, act, G = synthetic_setup()
+    C = GaugeCochains(U, act, G, 4)
+    for n_max in range(5):
+        with pytest.raises(ValueError, match=rf"k in 1\.\.N-1 = 1\.\.2, got k = {k}$"):
+            filtration_f0_dim(C, k, n_max)
+
+
 # Theorem-6 instances with the methods their windows take: criterion 12's
 # two examples, shift modules J over k[s]/(s^m), and one at N = 2, the only
 # N with a window 1 (where the certificates stop at level 1)

@@ -403,6 +403,23 @@ def test_composite_matches_product_chain(shape):
             assert C.composite(n, k) is got  # memoized
 
 
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_validate_forms_no_partial_product_past_the_window(N):
+    """After construction of a window truncated above (degrees 0..6), every
+    stored composite d^k out of n that is not None is a factor of a
+    determined d^N (n + N <= 6): ``validate`` forms no partial product whose
+    next map leaves the window.  Every determined d^N is still checked, and
+    a later read of such a partial product forms it then, equal to the
+    chain of maps."""
+    C = random_graded_complex(QQ, N, random.Random(N), lo=0, hi=6, strings=8)
+    C = GradedNComplex(N, QQ, C.dims, C.maps, truncated_above=True)
+    stored = {key for key, M in C._composites.items() if M is not None}
+    assert stored and all(n + N <= 6 for n, _ in stored)
+    assert {n for n, k in stored if k == N} == set(range(7 - N))
+    for n in range(7 - N, 6):
+        assert C.composite(n, 6 - n) == _product_chain(C, n, 6 - n)
+
+
 def test_les_check_reuses_graded_homology(monkeypatch):
     """The default ``graded_homology`` is memoized on the complex: over 6
     sequences and every (n, p), 36 ``les_check`` calls compute the homology
