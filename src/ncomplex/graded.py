@@ -98,9 +98,9 @@ class GradedNComplex:
         """d^k: E^n -> E^(n+k), or None if it is not determined.
 
         Memoized by n mod N on a cyclic complex (``maps`` is fixed after
-        construction): d^k is map(n+k-1) @ d^(k-1), d^(k-1) formed only when
-        map(n+k-1) is determined; d^1 is the map, the identity only k = 0.
-        ``validate`` certifies d^N = 0 on these, ``graded_homology`` reuses them."""
+        construction): d^k is map(n+k-1) @ d^(k-1), with d^(k-1) formed only
+        when map(n+k-1) is determined; d^1 is the map and d^0 the identity.
+        ``validate`` certifies d^N = 0 on these; ``graded_homology`` reuses them."""
         if k < 0:
             raise ValueError(f"need k >= 0, got {k}")
         key = (n % self.N if self.cyclic else n, k)
