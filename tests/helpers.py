@@ -6,7 +6,7 @@ from these."""
 
 from functools import lru_cache, reduce
 
-from ncomplex.brs import _merge_odd
+from ncomplex.brs import _index, _merge_odd, _operator_matrix
 from ncomplex.cosimplicial import (
     AlgebraData,
     CosimplicialData,
@@ -618,6 +618,34 @@ def leibniz_apply(delta, elem, out):
                              ((), zero_mono, chis[k + 1:]),
                              -val_x if k % 2 else val_x)
     return out
+
+
+def filtered_cohomology_dim(differential, src, tgt, below):
+    """dim of the cohomology at the filtered piece F spanned by the keys
+    ``src``, for a differential given on keys as {key: value}, by two ranks
+    on matrices of per-key images: the reference for
+    ``brs._filtered_cohomology_dims``.
+
+    dim Z = |src| - rank of d into ``tgt`` (an image term outside ``tgt``
+    raises KeyError).  B = d(span below) cap F: with M the matrix of d on
+    ``below``, rows ``src`` first and then the overflow rows outside F,
+    dim B = rank M - rank(overflow rows), the rank of M on the kernel of
+    the overflow part."""
+    dim_Z = len(src) - rank(_operator_matrix([differential(k) for k in src], _index(tgt)))
+    low = [differential(k) for k in below]
+    index = _index(src)
+    for img in low:
+        for k in img:
+            index.setdefault(k, len(index))
+    Mlow = _operator_matrix(low, index)
+    n = len(src)
+    overflow = ExactMatrix(
+        Mlow.nrows - n, Mlow.ncols, QQ,
+        {(r - n, c): v for (r, c), v in Mlow.entries.items() if r >= n},
+        _clean=False,
+    )
+    # B lies in Z because the differential squares to zero
+    return dim_Z - (rank(Mlow) - rank(overflow))
 
 
 def ghost_mul(a, b):
